@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	godiva-bench [-fig 3a|3b|par|ablate|workers|remote|lock|zerocopy|push|batch|all] [-reps 5] [-snapshots 32]
+//	godiva-bench [-fig 3a|3b|par|ablate|workers|remote|lock|zerocopy|push|all] [-reps 5] [-snapshots 32]
 //	             [-data DIR] [-timescale 0.05] [-quick] [-json BENCH_remote.json]
 //	             [-lockjson BENCH_lock.json] [-zerojson BENCH_zerocopy.json]
-//	             [-pushjson BENCH_push.json] [-batchjson BENCH_batch.json]
+//	             [-pushjson BENCH_push.json]
 //	             [-mutexprofile mutex.pprof] [-blockprofile block.pprof]
 //
 // -quick shrinks the run (1 rep, 6 snapshots, faster clock) for a smoke
@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "experiment: 3a, 3b, par, ablate, workers, remote, lock, zerocopy, push, batch or all")
+		fig       = flag.String("fig", "all", "experiment: 3a, 3b, par, ablate, workers, remote, lock, zerocopy, push or all")
 		reps      = flag.Int("reps", 0, "repetitions per configuration (0 = default)")
 		snapshots = flag.Int("snapshots", 0, "snapshots per run (0 = all 32)")
 		data      = flag.String("data", "godiva-bench-data", "dataset directory (generated on demand)")
@@ -45,7 +45,6 @@ func main() {
 		lockOut   = flag.String("lockjson", "BENCH_lock.json", "lock-sweep JSON artifact path (empty = no file)")
 		zeroOut   = flag.String("zerojson", "BENCH_zerocopy.json", "zero-copy-sweep JSON artifact path (empty = no file)")
 		pushOut   = flag.String("pushjson", "BENCH_push.json", "push-sweep JSON artifact path (empty = no file)")
-		batchOut  = flag.String("batchjson", "BENCH_batch.json", "batch-sweep JSON artifact path (empty = no file)")
 		mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file")
 		blockProf = flag.String("blockprofile", "", "write a blocking profile to this file")
 	)
@@ -84,9 +83,8 @@ func main() {
 	runLck := *fig == "lock" || *fig == "all"
 	runZC := *fig == "zerocopy" || *fig == "all"
 	runPsh := *fig == "push" || *fig == "all"
-	runBat := *fig == "batch" || *fig == "all"
-	if !run3a && !run3b && !runPar && !runAbl && !runWrk && !runRem && !runLck && !runZC && !runPsh && !runBat {
-		fmt.Fprintf(os.Stderr, "godiva-bench: unknown -fig %q (want 3a, 3b, par, ablate, workers, remote, lock, zerocopy, push, batch or all)\n", *fig)
+	if !run3a && !run3b && !runPar && !runAbl && !runWrk && !runRem && !runLck && !runZC && !runPsh {
+		fmt.Fprintf(os.Stderr, "godiva-bench: unknown -fig %q (want 3a, 3b, par, ablate, workers, remote, lock, zerocopy, push or all)\n", *fig)
 		os.Exit(2)
 	}
 
@@ -246,30 +244,6 @@ func main() {
 			fmt.Printf("\nwrote %s\n", *pushOut)
 		}
 		fmt.Println()
-	}
-	if runBat {
-		fmt.Println("== Batch sweep: OpFetchBatch framing and the pinned payload cache ==")
-		bcfg := experiments.BatchSweepConfig{Dir: *data + "-batch", Log: s.Log}
-		if *quick {
-			bcfg.Spec = genx.Scaled(32)
-			bcfg.Spec.FilesPerSnapshot = 8
-			bcfg.Spec.Snapshots = 2
-			bcfg.Batches = []int{1, 8}
-			bcfg.Reps = 2
-			bcfg.Clients = 4
-			bcfg.Rounds = 2
-		}
-		bcells, hcells, err := experiments.RunBatchSweep(bcfg)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintBatchSweep(os.Stdout, bcells, hcells)
-		if *batchOut != "" {
-			if err := experiments.WriteBatchJSON(*batchOut, bcells, hcells); err != nil {
-				fail(err)
-			}
-			fmt.Printf("\nwrote %s\n", *batchOut)
-		}
 	}
 }
 

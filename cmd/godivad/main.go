@@ -104,9 +104,9 @@ func main() {
 		st.Conns, st.RPCs, st.Errors, st.FaultsInjected, float64(st.BytesOut)/1e6)
 	fmt.Printf("godivad: reader cache: %d hits, %d opens, %d evictions\n",
 		st.ReaderHits, st.ReaderOpens, st.ReaderEvicts)
-	fmt.Printf("godivad: payload cache: %d hits, %d misses, %d evictions, %.1f MB served; %d batch RPCs\n",
+	fmt.Printf("godivad: payload cache: %d hits, %d misses, %d evictions, %.1f MB served\n",
 		st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
-		float64(st.BytesServedFromCache)/1e6, st.BatchRPCs)
+		float64(st.BytesServedFromCache)/1e6)
 	if *ingest {
 		ps := srv.PushStats()
 		fmt.Printf("godivad: push: %d ingests, %d subscriptions, %d published, %d delivered, %d dropped\n",

@@ -41,7 +41,6 @@ func main() {
 		height  = flag.Int("height", 480, "image height")
 		trace   = flag.Bool("trace", false, "print the unit prefetch timeline (G/TG builds)")
 		raddr   = flag.String("remote", "", "godivad server address; fetch units remotely instead of from -data")
-		batch   = flag.Int("batch", 0, "files per remote fetch RPC (0 = default 8, 1 = per-file OpFetch)")
 		workers = flag.Int("io-workers", 0, "background I/O workers (0 = the paper's single thread; TG build)")
 		follow  = flag.Bool("follow", false, "subscribe to a push-enabled server (-remote) and render steps as they are ingested")
 		policy  = flag.String("policy", "drop", "follow delivery policy: drop (skip stale steps) or block (lossless)")
@@ -72,7 +71,7 @@ func main() {
 		err    error
 	)
 	if *raddr != "" {
-		client = remote.NewClient(remote.ClientOptions{Addr: *raddr, MaxBatch: *batch})
+		client = remote.NewClient(remote.ClientOptions{Addr: *raddr})
 		if spec, err = client.Spec(); err != nil {
 			fmt.Fprintln(os.Stderr, "voyager:", err)
 			os.Exit(1)

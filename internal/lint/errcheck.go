@@ -45,7 +45,8 @@ var apiErrorFuncs = map[string]bool{
 	"GetRecord": true, "GetFieldBuffer": true, "GetFieldBufferSize": true,
 	"CountRecords": true, "EachRecord": true,
 	// remote unit service
-	"Ping": true, "Spec": true, "FetchFile": true, "Serve": true,
+	"Ping": true, "Spec": true, "FetchFile": true, "FetchFiles": true,
+	"Ingest": true, "Subscribe": true, "Serve": true,
 }
 
 func runErrcheck(p *Package) []Finding {

@@ -317,6 +317,20 @@ func (w *rcWalk) transfer(n ast.Node, st dfState, record bool) {
 			w.scan(res, s, nil, true)
 		}
 		for _, res := range n.Results {
+			// Returning an element or subslice of a pinned slice (the
+			// FetchFile-over-FetchFiles shape) hands off like returning
+			// the slice itself.
+		unwrap:
+			for {
+				switch x := ast.Unparen(res).(type) {
+				case *ast.IndexExpr:
+					res = x.X
+				case *ast.SliceExpr:
+					res = x.X
+				default:
+					break unwrap
+				}
+			}
 			if pin := w.pinFor(s, res); pin != nil {
 				s.status[pin.site] = rcEscaped
 			}

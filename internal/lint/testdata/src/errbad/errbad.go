@@ -1,9 +1,13 @@
 // Package errbad seeds errcheck violations: every discard form the analyzer
-// knows about, applied to the godiva core API. Every offending line carries
-// a // want comment consumed by lint_test.go.
+// knows about, applied to the godiva core and remote APIs. Every offending
+// line carries a // want comment consumed by lint_test.go.
 package errbad
 
-import "godiva/internal/core"
+import (
+	"godiva/internal/core"
+	"godiva/internal/push"
+	"godiva/internal/remote"
+)
 
 func sink(any) {}
 
@@ -23,6 +27,15 @@ func dropBlankIdent(db *core.DB) {
 func dropCaptured(db *core.DB) {
 	err := db.DeleteUnit("u")
 	_ = err // want errcheck `blank assignment of err has no effect`
+}
+
+func dropRemote(c *remote.Client, fp *remote.FilePayload) {
+	fps, _ := c.FetchFiles([]string{"a.shdf"}, nil) // want errcheck `error result of Client.FetchFiles is discarded with a blank identifier`
+	for _, got := range fps {
+		got.Recycle()
+	}
+	c.Ingest("a.shdf", fp)                   // want errcheck `result of Client.Ingest is discarded (last result is an error)`
+	c.Subscribe(push.Spec{}, push.Options{}) // want errcheck `result of Client.Subscribe is discarded (last result is an error)`
 }
 
 func deferredCloseIsFine(db *core.DB) {

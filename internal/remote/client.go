@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"godiva/internal/genx"
@@ -35,14 +34,6 @@ type ClientOptions struct {
 	// and 500ms.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// MaxBatch caps how many files one OpFetchBatch RPC carries (default
-	// 8). FetchFiles chunks larger requests; 1 disables batching.
-	MaxBatch int
-	// BatchWindow, when positive, holds each FetchFile for up to this long
-	// so distinct concurrent fetches coalesce into one OpFetchBatch RPC
-	// (Nagle for fetches). Off by default: single fetches keep their
-	// latency, and FetchFiles callers batch explicitly.
-	BatchWindow time.Duration
 	// IdleConnTimeout drops pooled connections unused for this long
 	// (default 60s), so a quiet client does not pin dead TCP state across
 	// server restarts. Negative disables idle reaping.
@@ -74,9 +65,6 @@ func (o *ClientOptions) setDefaults() {
 	if o.RetryMax <= 0 {
 		o.RetryMax = 500 * time.Millisecond
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
-	}
 	if o.IdleConnTimeout == 0 {
 		o.IdleConnTimeout = 60 * time.Second
 	}
@@ -95,7 +83,6 @@ type RemoteStats struct {
 	Retries   int64 // attempts beyond the first, after transient failures
 	Errors    int64 // fetches that failed permanently (retries exhausted
 	//                         or a non-retryable protocol error)
-	BatchedRPCs   int64 // OpFetchBatch frames answered (each covers many fetches)
 	ConnsRecycled int64 // pooled conns dropped for idleness or age
 	BytesIn       int64 // response payload bytes received
 	BytesCopied   int64 // payload array bytes copied while decoding fetches
@@ -119,20 +106,17 @@ type call struct {
 // RPC, and transient failures are retried with exponential backoff and
 // jitter.
 type Client struct {
-	opts    ClientOptions
-	sem     chan struct{} // bounds concurrent in-use connections
-	done    chan struct{} // closed by Close
-	noBatch atomic.Bool   // server answered OpFetchBatch with "unknown op"
+	opts ClientOptions
+	sem  chan struct{} // bounds concurrent in-use connections
+	done chan struct{} // closed by Close
 
-	mu      sync.Mutex
-	idle    []*pooledConn
-	calls   map[string]*call
-	pending []*batchItem  // fetches parked in the batching window
-	flush   chan struct{} // closed to wake the window leader early
-	subs    map[*Subscription]struct{}
-	rng     *rand.Rand
-	stats   RemoteStats
-	closed  bool
+	mu     sync.Mutex
+	idle   []*pooledConn
+	calls  map[string]*call
+	subs   map[*Subscription]struct{}
+	rng    *rand.Rand
+	stats  RemoteStats
+	closed bool
 }
 
 // pooledConn is one idle pooled connection with the stamps conn-pool
@@ -295,38 +279,6 @@ func (c *Client) Ingest(path string, fp *FilePayload) error {
 		return fmt.Errorf("remote: ingest %q: %w", path, err)
 	}
 	return nil
-}
-
-// FetchFile fetches one snapshot file's unit payload: every block with its
-// mesh arrays plus the named variable fields. Concurrent calls for the same
-// (path, vars) join a single RPC; the shared payload must be treated as
-// read-only. The payload's arrays alias a pooled response buffer — every
-// caller that got the payload should call its Recycle when done with it so
-// the buffer is reused (and must not touch the payload afterwards).
-func (c *Client) FetchFile(path string, vars []string) (*FilePayload, error) {
-	key := fetchKey(path, vars)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	c.stats.Fetches++
-	if cl, ok := c.calls[key]; ok {
-		c.stats.Coalesced++
-		cl.joiners++
-		c.mu.Unlock()
-		return c.await(cl)
-	}
-	cl := &call{done: make(chan struct{})}
-	c.calls[key] = cl
-	c.mu.Unlock()
-	it := &batchItem{key: key, path: path, vars: vars, cl: cl}
-	if c.opts.BatchWindow > 0 && c.opts.MaxBatch > 1 && c.batchSupported() {
-		c.enqueueWindowed(it)
-	} else {
-		c.fetchOne(it)
-	}
-	return c.await(cl)
 }
 
 // await blocks until a call completes (or the client closes) and returns

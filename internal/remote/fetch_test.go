@@ -54,8 +54,8 @@ func sameBlocks(t *testing.T, got, want *remote.FilePayload) {
 	}
 }
 
-// An 8-file unit over OpFetchBatch costs one RPC instead of eight, and the
-// payloads are identical to per-file fetches.
+// An 8-file unit costs one RPC, where fetching file by file costs eight, and
+// the payloads are identical either way.
 func TestFetchFilesBatchedE2E(t *testing.T) {
 	spec := testSpec()
 	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
@@ -64,7 +64,7 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 		t.Fatalf("want an 8-file set, got %d", len(paths))
 	}
 
-	// Reference payloads via the per-file path, on a separate client.
+	// Reference payloads fetched one file at a time, on a separate client.
 	ref := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer ref.Close()
 	want := make([]*remote.FilePayload, len(paths))
@@ -78,7 +78,7 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 	}
 	refRPCs := ref.Stats().RPCs
 	if refRPCs != int64(len(paths)) {
-		t.Fatalf("per-file path used %d RPCs, want %d", refRPCs, len(paths))
+		t.Fatalf("file-by-file fetches used %d RPCs, want %d", refRPCs, len(paths))
 	}
 
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
@@ -95,22 +95,48 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 		fp.Recycle()
 	}
 	rs := c.Stats()
-	if rs.RPCs != 1 || rs.BatchedRPCs != 1 {
-		t.Fatalf("batched fetch used %d RPCs (%d batched), want 1 (1)", rs.RPCs, rs.BatchedRPCs)
+	if rs.RPCs != 1 {
+		t.Fatalf("8-file fetch used %d RPCs, want 1", rs.RPCs)
 	}
 	if rs.Fetches != int64(len(paths)) {
 		t.Fatalf("Fetches = %d, want %d", rs.Fetches, len(paths))
 	}
-	if refRPCs < 3*rs.RPCs {
-		// 8 vs 1: comfortably past the 3x acceptance bar.
-		t.Fatalf("batching saved too little: %d vs %d RPCs", refRPCs, rs.RPCs)
+}
+
+// More paths than fit one RPC: payloads still come back in paths order, in
+// ⌈n/8⌉ round trips, and a failure in a later chunk fails the whole call.
+func TestFetchFilesAcrossChunks(t *testing.T) {
+	spec := testSpec()
+	spec.Snapshots = 10 // x 2 files = 20 paths: chunks of 8, 8 and 4
+	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
+	defer c.Close()
+
+	paths := allPaths(spec)
+	fps, err := c.FetchFiles(paths, testVars)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ss := srv.Stats(); ss.BatchRPCs != 1 {
-		t.Fatalf("server answered %d batch RPCs, want 1", ss.BatchRPCs)
+	for i, fp := range fps {
+		want := spec.StepID(i / 2)
+		if fp.Path != paths[i] || fp.StepID != want {
+			t.Fatalf("payload %d is %q step %s, want %q step %s", i, fp.Path, fp.StepID, paths[i], want)
+		}
+		fp.Recycle()
+	}
+	if rs := c.Stats(); rs.RPCs != 3 {
+		t.Fatalf("%d paths used %d RPCs, want 3", len(paths), rs.RPCs)
+	}
+
+	// A file missing from the third chunk fails the whole call (what happens
+	// to the chunks already fetched: TestChunkFailureRecyclesEarlierChunks).
+	bad := append(append([]string(nil), paths[:16]...), "missing_9999.shdf")
+	if fps, err := c.FetchFiles(bad, testVars); err == nil || fps != nil {
+		t.Fatalf("FetchFiles with a missing file in its last chunk = %v, %v", fps, err)
 	}
 }
 
-// A batch whose items partly fail answers file by file: good files arrive,
+// A fetch whose items partly fail answers file by file: good files arrive,
 // bad files carry their own error.
 func TestFetchFilesPartialFailure(t *testing.T) {
 	spec := testSpec()
@@ -120,73 +146,13 @@ func TestFetchFilesPartialFailure(t *testing.T) {
 
 	good := genx.SnapshotFile("", 0, 0)
 	if _, err := c.FetchFiles([]string{good, "missing_9999.shdf"}, testVars); err == nil {
-		t.Fatal("batch with a missing file must fail that fetch")
+		t.Fatal("a fetch with a missing file must fail")
 	}
 	// The good file is still servable afterwards (its payload was recycled
 	// by the failing FetchFiles call, not leaked).
 	fp, err := c.FetchFile(good, testVars)
 	if err != nil {
 		t.Fatal(err)
-	}
-	fp.Recycle()
-}
-
-// Backward compatibility both ways: a batching client against a pre-batch
-// server degrades to per-file OpFetch without error, and a pre-batch
-// (FetchFile-only) client is untouched by a batch-capable server.
-func TestBatchCompatFallback(t *testing.T) {
-	spec := testSpec()
-	dir := writeDataset(t, spec)
-
-	// v2.1 client -> v2.0 server: DisableBatch answers OpFetchBatch exactly
-	// like an old server ("unknown op").
-	old, err := remote.Serve(remote.ServerOptions{Dir: dir, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	c := remote.NewClient(remote.ClientOptions{Addr: old.Addr()})
-	defer c.Close()
-	paths := allPaths(spec)
-	fps, err := c.FetchFiles(paths, testVars)
-	if err != nil {
-		t.Fatalf("FetchFiles against a pre-batch server: %v", err)
-	}
-	for i, fp := range fps {
-		if fp.Path != paths[i] || len(fp.Blocks) == 0 {
-			t.Fatalf("fallback payload %d bad: %q, %d blocks", i, fp.Path, len(fp.Blocks))
-		}
-		fp.Recycle()
-	}
-	rs := c.Stats()
-	if rs.BatchedRPCs != 0 {
-		t.Fatalf("BatchedRPCs = %d against a pre-batch server, want 0", rs.BatchedRPCs)
-	}
-	if rs.Errors != 0 {
-		t.Fatalf("fallback recorded %d errors, want 0", rs.Errors)
-	}
-	// One rejected probe plus one OpFetch per file; later batches skip the
-	// probe entirely.
-	if rs.RPCs != int64(1+len(paths)) {
-		t.Fatalf("fallback used %d RPCs, want %d", rs.RPCs, 1+len(paths))
-	}
-	fp, err := c.FetchFile(paths[0], testVars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp.Recycle()
-
-	// v2.0 client -> v2.1 server: plain FetchFile against a batch-capable
-	// server is the wire path every pre-batch client uses.
-	srv := startServer(t, dir, remote.Faults{})
-	oldc := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
-	defer oldc.Close()
-	fp, err = oldc.FetchFile(paths[0], testVars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fp.Blocks) == 0 {
-		t.Fatal("no blocks")
 	}
 	fp.Recycle()
 }
@@ -414,49 +380,49 @@ func TestConnPoolMaxAge(t *testing.T) {
 	}
 }
 
-// The pipelined read function must commit files strictly in resolver
-// order, batched or not.
+// The read function must commit files strictly in resolver order, whether
+// the unit fits one round trip or spans several.
 func TestReadFuncCommitOrder(t *testing.T) {
 	spec := testSpec()
-	dir := writeDataset(t, spec)
+	spec.Snapshots = 5 // x 2 files: "all" below is a 10-file unit, two chunks
+	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
 
-	expected := func(addr string) []string {
-		c := remote.NewClient(remote.ClientOptions{Addr: addr})
-		defer c.Close()
-		var order []string
-		for _, p := range spec.SnapshotFiles("", 0) {
-			fp, err := c.FetchFile(p, testVars)
+	run := func(t *testing.T, resolve remote.Resolver, unit string) {
+		paths, err := resolve(unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
+		defer ref.Close()
+		var want []string
+		for _, p := range paths {
+			fp, err := ref.FetchFile(p, testVars)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, bd := range fp.Blocks {
-				order = append(order, bd.Name)
+				want = append(want, bd.StepID+"/"+bd.Name)
 			}
 			fp.Recycle()
 		}
-		return order
-	}
 
-	run := func(t *testing.T, srv *remote.Server) {
-		want := expected(srv.Addr())
 		c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 		defer c.Close()
 		var mu sync.Mutex
 		var got []string
 		record := func(u *core.Unit, bd *genx.BlockData) error {
 			mu.Lock()
-			got = append(got, bd.Name)
+			got = append(got, bd.StepID+"/"+bd.Name)
 			mu.Unlock()
 			return commitTestBlock(u, bd)
 		}
 		db := core.Open(core.Options{MemoryLimit: 256 << 20, BackgroundIO: true, IOWorkers: 2})
 		defer db.Close()
 		defineTestSchema(t, db)
-		read := remote.NewReadFunc(c, snapResolver(spec), testVars, record)
-		if err := db.AddUnit("snap_0000", read); err != nil {
+		if err := db.AddUnit(unit, remote.NewReadFunc(c, resolve, testVars, record)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.WaitUnit("snap_0000"); err != nil {
+		if err := db.WaitUnit(unit); err != nil {
 			t.Fatal(err)
 		}
 		mu.Lock()
@@ -470,77 +436,17 @@ func TestReadFuncCommitOrder(t *testing.T) {
 					i, got[i], want[i], got, want)
 			}
 		}
+		if rpcs, chunks := c.Stats().RPCs, int64((len(paths)+7)/8); rpcs != chunks {
+			t.Fatalf("%d-file unit used %d RPCs, want %d", len(paths), rpcs, chunks)
+		}
 	}
 
 	t.Run("batched", func(t *testing.T) {
-		run(t, startServer(t, dir, remote.Faults{}))
+		run(t, snapResolver(spec), "snap_0000")
 	})
-	t.Run("fallback", func(t *testing.T) {
-		srv, err := remote.Serve(remote.ServerOptions{Dir: dir, DisableBatch: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		run(t, srv)
+	t.Run("chunked", func(t *testing.T) {
+		run(t, func(string) ([]string, error) { return allPaths(spec), nil }, "all")
 	})
-}
-
-// On the non-batch fallback path the read function still overlaps wire and
-// commit: while file i is committing, file i+1's fetch is already on the
-// wire.
-func TestReadFuncFallbackPrefetch(t *testing.T) {
-	spec := testSpec()
-	srv, err := remote.Serve(remote.ServerOptions{Dir: writeDataset(t, spec), DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
-	defer c.Close()
-
-	// Teach the client the server has no batch support, so the unit below
-	// runs the true per-file fallback (chunk size 1, one probe already spent).
-	fps, err := c.FetchFiles(spec.SnapshotFiles("", 1), testVars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range fps {
-		fp.Recycle()
-	}
-	base := c.Stats().RPCs
-
-	var once sync.Once
-	overlapped := make(chan bool, 1)
-	record := func(u *core.Unit, bd *genx.BlockData) error {
-		once.Do(func() {
-			// Committing file 0's first block: the fetcher should already
-			// be fetching file 1 (RPC base+2) while we are in here.
-			deadline := time.Now().Add(5 * time.Second)
-			for c.Stats().RPCs < base+2 {
-				if time.Now().After(deadline) {
-					overlapped <- false
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-			overlapped <- true
-		})
-		return commitTestBlock(u, bd)
-	}
-
-	db := core.Open(core.Options{MemoryLimit: 256 << 20, BackgroundIO: true, IOWorkers: 1})
-	defer db.Close()
-	defineTestSchema(t, db)
-	read := remote.NewReadFunc(c, snapResolver(spec), testVars, record)
-	if err := db.AddUnit("snap_0000", read); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WaitUnit("snap_0000"); err != nil {
-		t.Fatal(err)
-	}
-	if !<-overlapped {
-		t.Fatal("fetch of file 1 did not overlap commit of file 0")
-	}
 }
 
 // FetchFiles on a closed client and with zero paths behaves.

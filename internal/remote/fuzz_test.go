@@ -12,6 +12,14 @@ import (
 	"godiva/internal/push"
 )
 
+// decodeBody runs the item-body decoder (dec.filePayload) over one encoded
+// FilePayload body, the way decodeFetchResp does for each ok item.
+func decodeBody(b []byte) (fp *FilePayload, copied int64, err error) {
+	d := dec{b: b}
+	fp = d.filePayload()
+	return fp, d.copied, d.err
+}
+
 // FuzzFilePayload feeds arbitrary bodies through the FilePayload decoder —
 // the bytes a client accepts from the network — and round-trips whatever
 // decodes: decode → encode segments → flatten → decode must reproduce the
@@ -23,7 +31,7 @@ func FuzzFilePayload(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fp, _, err := decodeFilePayload(b)
+		fp, _, err := decodeBody(b)
 		if err != nil {
 			return // rejected: the desired outcome for damaged frames
 		}
@@ -31,7 +39,7 @@ func FuzzFilePayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding a decoded payload failed: %v", err)
 		}
-		again, _, err := decodeFilePayload(flattenSegments(segs))
+		again, _, err := decodeBody(flattenSegments(segs))
 		if err != nil {
 			t.Fatalf("re-decoding a re-encoded payload failed: %v", err)
 		}
@@ -42,9 +50,9 @@ func FuzzFilePayload(f *testing.F) {
 	})
 }
 
-// FuzzBatchFrame feeds arbitrary bodies through the OpFetchBatch response
-// decoder — the multi-file frames a client accepts from a v2.1 server — and
-// round-trips whatever decodes: every ok item re-encodes through the same
+// FuzzBatchFrame feeds arbitrary bodies through the OpFetch response decoder
+// — the multi-file frames a client accepts from the server — and round-trips
+// whatever decodes: every ok item re-encodes through the same
 // segment encoder the server uses (cached segments included), every error
 // item must keep its code and message, and nothing may panic.
 func FuzzBatchFrame(f *testing.F) {
@@ -52,7 +60,7 @@ func FuzzBatchFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		results, _, err := decodeBatchItems(b)
+		results, _, err := decodeFetchResp(b)
 		if err != nil {
 			return // rejected: the desired outcome for damaged frames
 		}
@@ -60,23 +68,23 @@ func FuzzBatchFrame(f *testing.F) {
 		out.e.u32(uint32(len(results)))
 		for _, r := range results {
 			if r.err != nil {
-				out.appendBatchItem(nil, 0, r.err)
+				out.appendFetchItem(nil, 0, r.err)
 				continue
 			}
 			segs, _, err := encodeFilePayloadSegments(r.fp, maxFrame-2)
 			if err != nil {
-				t.Fatalf("re-encoding a decoded batch item failed: %v", err)
+				t.Fatalf("re-encoding a decoded fetch item failed: %v", err)
 			}
 			size := 0
 			for _, s := range segs {
 				size += len(s)
 			}
-			out.appendBatchItem(segs, size, nil)
+			out.appendFetchItem(segs, size, nil)
 		}
 		out.flush()
-		again, _, err := decodeBatchItems(flattenSegments(out.segs))
+		again, _, err := decodeFetchResp(flattenSegments(out.segs))
 		if err != nil {
-			t.Fatalf("re-decoding a re-encoded batch frame failed: %v", err)
+			t.Fatalf("re-decoding a re-encoded fetch frame failed: %v", err)
 		}
 		if len(again) != len(results) {
 			t.Fatalf("round trip changed item count: %d != %d", len(again), len(results))
@@ -211,24 +219,10 @@ func payloadSeedInputs() [][]byte {
 }
 
 // batchSeedInputs seeds FuzzBatchFrame: a valid 3-item frame (two payloads
-// around an error item, exactly what a partly-failing batch answers), its
+// around an error item, exactly what a partly-failing fetch answers), its
 // interesting truncations, and an item-count mutation.
 func batchSeedInputs() [][]byte {
-	segs, _, err := encodeFilePayloadSegments(samplePayload(), maxFrame-2)
-	if err != nil {
-		panic(err)
-	}
-	size := 0
-	for _, s := range segs {
-		size += len(s)
-	}
-	var out segEnc
-	out.e.u32(3)
-	out.appendBatchItem(segs, size, nil)
-	out.appendBatchItem(nil, 0, &ServerError{Code: CodeNotFound, Msg: "no such snapshot"})
-	out.appendBatchItem(segs, size, nil)
-	out.flush()
-	data := flattenSegments(out.segs)
+	data := fetchRespBody(nil, &ServerError{Code: CodeNotFound, Msg: "no such snapshot"}, nil)
 	seeds := [][]byte{data}
 	for _, n := range []int{0, 4, 5, 16, len(data) / 2, len(data) - 1} {
 		if n <= len(data) {

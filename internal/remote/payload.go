@@ -15,7 +15,7 @@ import (
 // a local read function obtains from genx.FileHandle.ReadBlock, so records
 // committed from it are byte-identical to local SHDF reads.
 //
-// Payloads returned by Client.FetchFile may be shared between coalesced
+// Payloads returned by Client.FetchFiles may be shared between coalesced
 // callers and must be treated as read-only; commit callbacks copy field data
 // into database buffers. On little-endian hosts the block arrays alias the
 // response frame's buffer: call Recycle when done with the payload so the
@@ -29,8 +29,8 @@ type FilePayload struct {
 
 	// arena is the pooled response-frame buffer whose payload region the
 	// block arrays alias; nil when the payload was not decoded from a
-	// pooled frame. A batched response decodes several payloads from one
-	// frame, so the arena is shared and refcounted separately. refs counts
+	// pooled frame. One response decodes several payloads from one frame,
+	// so the arena is shared and refcounted separately. refs counts
 	// the fetchers sharing this payload (the owner plus every coalesced
 	// joiner); the last Recycle drops the payload's claim on the arena.
 	arena *frameArena
@@ -130,9 +130,10 @@ func (s *segEnc) borrow(seg []byte) {
 	s.base += len(seg)
 }
 
-// align8 zero-pads the payload to the next 8-byte offset.
-func (s *segEnc) align8() {
-	for (s.base+len(s.e.b))%8 != 0 {
+// alignTo zero-pads the payload under construction to the next n-byte
+// offset (n a power of two), mirroring dec.align.
+func (s *segEnc) alignTo(n int) {
+	for (s.base+len(s.e.b))%n != 0 {
 		s.e.b = append(s.e.b, 0)
 	}
 }
@@ -141,7 +142,7 @@ func (s *segEnc) align8() {
 // borrowed in place on little-endian hosts, copied element-wise otherwise.
 func (s *segEnc) f64s(v []float64) {
 	s.e.u32(uint32(len(v)))
-	s.align8()
+	s.alignTo(8)
 	if seg, ok := zerocopy.BytesOfF64s(v); ok {
 		if len(seg) > 0 {
 			s.borrow(seg)
@@ -156,7 +157,7 @@ func (s *segEnc) f64s(v []float64) {
 
 func (s *segEnc) i32s(v []int32) {
 	s.e.u32(uint32(len(v)))
-	s.align8()
+	s.alignTo(8)
 	if seg, ok := zerocopy.BytesOfI32s(v); ok {
 		if len(seg) > 0 {
 			s.borrow(seg)
@@ -171,7 +172,7 @@ func (s *segEnc) i32s(v []int32) {
 
 func (s *segEnc) i64s(v []int64) {
 	s.e.u32(uint32(len(v)))
-	s.align8()
+	s.alignTo(8)
 	if seg, ok := zerocopy.BytesOfI64s(v); ok {
 		if len(seg) > 0 {
 			s.borrow(seg)
@@ -237,19 +238,6 @@ func (s *segEnc) filePayload(fp *FilePayload) {
 	}
 }
 
-// decodeFilePayload parses an encoded FilePayload. When body sits 8-byte
-// aligned in memory (response frames are read into such buffers) the block
-// arrays alias it in place; copied reports the array bytes that were copied
-// out instead.
-func decodeFilePayload(body []byte) (fp *FilePayload, copied int64, err error) {
-	d := dec{b: body}
-	fp = d.filePayload()
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("%w: file payload: %v", ErrProtocol, d.err)
-	}
-	return fp, d.copied, nil
-}
-
 // filePayload decodes a FilePayload body starting at the decoder's current
 // offset (the inverse of segEnc.filePayload).
 func (d *dec) filePayload() *FilePayload {
@@ -306,29 +294,4 @@ func decodeSpec(body []byte) (genx.Spec, error) {
 		return genx.Spec{}, fmt.Errorf("%w: spec payload: %v", ErrProtocol, d.err)
 	}
 	return s, nil
-}
-
-// encodeFetchReq serializes an OpFetch request.
-func encodeFetchReq(path string, vars []string) []byte {
-	var e enc
-	e.str(path)
-	e.u16(uint16(len(vars)))
-	for _, v := range vars {
-		e.str(v)
-	}
-	return e.b
-}
-
-// decodeFetchReq parses an OpFetch request.
-func decodeFetchReq(body []byte) (path string, vars []string, err error) {
-	d := dec{b: body}
-	path = d.str()
-	n := int(d.u16())
-	for i := 0; i < n && d.err == nil; i++ {
-		vars = append(vars, d.str())
-	}
-	if d.err != nil {
-		return "", nil, fmt.Errorf("%w: fetch request: %v", ErrProtocol, d.err)
-	}
-	return path, vars, nil
 }

@@ -39,9 +39,9 @@ type payloadCache struct {
 	hits, misses, evicts, bytesServed int64
 }
 
-// payloadEntry is one cached encoded response: the segment list of a
-// single-file RespOK body (offsets relative to the body start, which both
-// the OpFetch response and every OpFetchBatch item keep 8-byte aligned).
+// payloadEntry is one cached encoded response: the segment list of one
+// file's item body (offsets relative to the body start, which every OpFetch
+// response item keeps 8-byte aligned).
 type payloadEntry struct {
 	key  string // path + NUL + vars
 	path string // request path, for invalidation

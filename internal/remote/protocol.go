@@ -14,10 +14,11 @@
 //	frame    u32 length | u8 version | u8 op | payload
 //	         (length = 2 + len(payload), capped at 1 GiB)
 //
-// Request ops: OpPing (empty), OpSpec (empty), OpFetch (str path, u16 nvars,
-// str vars...). Responses: RespOK with an op-specific payload, or RespErr
-// with u16 code + str message. Strings are u16 length + bytes. Numeric
-// arrays are u32 count, zero padding to the next 8-byte payload offset,
+// Request ops: OpPing (empty), OpSpec (empty), OpFetch (u16 count, then per
+// file str path, u16 nvars, str vars... — see fetch.go), OpIngest and
+// OpSubscribe (push_proto.go). Responses: RespOK with an op-specific
+// payload, or RespErr with u16 code + str message. Strings are u16 length +
+// bytes. Numeric arrays are u32 count, zero padding to the next 8-byte payload offset,
 // then raw little-endian elements; with response payloads read into 8-byte
 // aligned buffers, the pads let both ends alias array data in place instead
 // of copying it element by element. See DESIGN.md for the full layout and
@@ -46,19 +47,16 @@ const (
 
 // Request and response op codes.
 const (
-	OpPing      byte = 0x01 // liveness check, empty payload both ways
-	OpSpec      byte = 0x02 // dataset shape: snapshots, files, blocks, dt
-	OpFetch     byte = 0x03 // one snapshot file's unit payload
+	OpPing byte = 0x01 // liveness check, empty payload both ways
+	OpSpec byte = 0x02 // dataset shape: snapshots, files, blocks, dt
+	// 0x03 was the one-file fetch. It is retired, never to be reused: a
+	// peer still sending it gets the unknown-op CodeBadRequest answer.
 	OpIngest    byte = 0x04 // producer pushes one snapshot file's payload
 	OpSubscribe byte = 0x05 // turn the connection into an event stream
-	// OpFetchBatch (v2.1) packs several OpFetch requests into one RPC; the
-	// server answers a multi-file RespOK frame (see batch.go). The frame
-	// version byte stays 2: a pre-batch server answers CodeBadRequest for
-	// the unknown op and clients degrade to per-file OpFetch.
-	OpFetchBatch byte = 0x06
-	RespOK       byte = 0x80
-	RespErr      byte = 0x81
-	OpEvent      byte = 0x82 // one subscription event; empty body = heartbeat
+	OpFetch     byte = 0x06 // the unit payloads of several snapshot files
+	RespOK      byte = 0x80
+	RespErr     byte = 0x81
+	OpEvent     byte = 0x82 // one subscription event; empty body = heartbeat
 )
 
 // Protocol error codes carried by RespErr frames. Only CodeUnavailable is

@@ -20,134 +20,39 @@ type Resolver func(unit string) ([]string, error)
 // response buffer that NewReadFunc recycles once the file is committed.
 type CommitFunc func(u *core.Unit, bd *genx.BlockData) error
 
-// fetched is one file's payload (or fetch error) traveling from the
-// fetcher to the committer, in paths order.
-type fetched struct {
-	fp  *FilePayload
-	err error
-}
-
 // NewReadFunc manufactures a developer-supplied read function (paper §3.3)
 // backed by a godivad server: it resolves the unit name to snapshot files,
-// fetches each file's blocks with the given variables, and commits them.
-// The returned function plugs into AddUnit/ReadUnit like any local read
-// function — background workers prefetch remote units, failures after retry
-// exhaustion land the unit in the failed state exactly like a local read
-// error, and N workers asking for the same file share one RPC.
-//
-// Multi-file units are pipelined: a fetcher goroutine stays one step ahead
-// of the commit loop, so the wire time of file i+1 overlaps committing
-// file i. Against a batch-capable server the fetcher pulls MaxBatch files
-// per OpFetchBatch RPC; against a v2.0 server it prefetches file by file.
-// Either way files are committed strictly in paths order.
+// fetches their blocks with the given variables fetchChunk files per round
+// trip, and commits them strictly in paths order. The returned function plugs
+// into AddUnit/ReadUnit like any local read function — background workers
+// prefetch remote units (that is where fetches of different units overlap),
+// failures after retry exhaustion land the unit in the failed state exactly
+// like a local read error, and N workers asking for the same file share one
+// RPC.
 func NewReadFunc(c *Client, resolve Resolver, vars []string, commit CommitFunc) core.ReadFunc {
 	return func(u *core.Unit) error {
 		paths, err := resolve(u.Name())
 		if err != nil {
 			return err
 		}
-		if len(paths) <= 1 {
-			// Nothing to overlap: fetch and commit inline.
-			for _, path := range paths {
-				if err := fetchCommit(c, path, vars, u, commit); err != nil {
+		for len(paths) > 0 {
+			n := min(len(paths), fetchChunk)
+			fps, err := c.FetchFiles(paths[:n], vars)
+			if err != nil {
+				return err
+			}
+			for i, fp := range fps {
+				if err := commitPayload(u, fp, commit); err != nil {
+					for _, rest := range fps[i+1:] {
+						rest.Recycle()
+					}
 					return err
 				}
 			}
-			return nil
-		}
-
-		// The channel is the pipeline: buffered one chunk deep, FIFO, so
-		// the committer drains payloads in exactly the order the fetcher
-		// queued them (= paths order) while the fetcher works ahead.
-		out := make(chan fetched, c.opts.MaxBatch)
-		stop := make(chan struct{})
-		go func() {
-			defer close(out)
-			for start := 0; start < len(paths); {
-				chunk := 1
-				if c.batchSupported() && c.opts.MaxBatch > 1 {
-					chunk = c.opts.MaxBatch
-				}
-				end := start + chunk
-				if end > len(paths) {
-					end = len(paths)
-				}
-				if !c.sendChunk(paths[start:end], vars, out, stop) {
-					return // committer bailed; undelivered payloads recycled
-				}
-				start = end
-			}
-		}()
-		defer func() {
-			close(stop)
-			// Drain until the fetcher closes out, so it never blocks on a
-			// send nobody receives; recycle whatever it had in flight.
-			for f := range out {
-				if f.fp != nil {
-					f.fp.Recycle()
-				}
-			}
-		}()
-
-		for range paths {
-			f, ok := <-out
-			if !ok {
-				return fmt.Errorf("remote: fetch pipeline ended early")
-			}
-			if f.err != nil {
-				return f.err
-			}
-			if err := commitPayload(u, f.fp, commit); err != nil {
-				return err
-			}
+			paths = paths[n:]
 		}
 		return nil
 	}
-}
-
-// sendChunk fetches one chunk of paths (one batched RPC when the chunk is
-// larger than 1) and queues the results in order. It reports false — after
-// recycling every undelivered payload — when the committer has stopped
-// receiving.
-func (c *Client) sendChunk(paths []string, vars []string, out chan<- fetched, stop <-chan struct{}) bool {
-	var results []fetched
-	if len(paths) == 1 {
-		fp, err := c.FetchFile(paths[0], vars)
-		results = []fetched{{fp: fp, err: err}}
-	} else {
-		fps, err := c.FetchFiles(paths, vars)
-		if err != nil {
-			results = []fetched{{err: err}}
-		} else {
-			results = make([]fetched, len(fps))
-			for i, fp := range fps {
-				results[i] = fetched{fp: fp}
-			}
-		}
-	}
-	for i, f := range results {
-		select {
-		case out <- f:
-		case <-stop:
-			for _, g := range results[i:] {
-				if g.fp != nil {
-					g.fp.Recycle()
-				}
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// fetchCommit is the unpipelined path: fetch one file, commit its blocks,
-// recycle the payload.
-func fetchCommit(c *Client, path string, vars []string, u *core.Unit, commit CommitFunc) error {
-	fp, err := c.FetchFile(path, vars)
-	if err != nil {
-		return err
-	}
-	return commitPayload(u, fp, commit)
 }
 
 // commitPayload commits every block of one payload and recycles it.

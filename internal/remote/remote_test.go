@@ -317,9 +317,9 @@ func TestServerDownAtOpen(t *testing.T) {
 	if st := db.Stats(); st.UnitsFailed != 1 {
 		t.Fatalf("UnitsFailed = %d, want 1", st.UnitsFailed)
 	}
-	// The pipelined read function asks for both of the unit's files in one
-	// batch, so the dead server fails 2 logical fetches over a single wire
-	// stream: 1 + MaxRetries RPC attempts, 2 retries, one error per fetch.
+	// The read function asks for both of the unit's files in one request,
+	// so the dead server fails 2 logical fetches over a single wire stream:
+	// 1 + MaxRetries RPC attempts, 2 retries, one error per fetch.
 	if rs := c.Stats(); rs.Errors != 2 || rs.Retries != 2 || rs.RPCs != 3 {
 		t.Fatalf("client stats = %+v, want 2 errors after 2 retries on 3 attempts", rs)
 	}
@@ -508,6 +508,12 @@ func TestBadRequests(t *testing.T) {
 		if !errors.As(err, &se) || se.Code != remote.CodeNotFound {
 			t.Fatalf("missing file: %v, want CodeNotFound", err)
 		}
+	}
+	// The retired one-file fetch op is an unknown op like any other.
+	var se *remote.ServerError
+	if err := c.RPC(0x03, nil); !errors.As(err, &se) || se.Code != remote.CodeBadRequest ||
+		!strings.Contains(se.Msg, "unknown op") {
+		t.Fatalf("op 0x03 = %v, want CodeBadRequest (unknown op)", err)
 	}
 	// None of those should have burned retries: they are permanent errors.
 	if rs := c.Stats(); rs.Retries != 0 {

@@ -36,10 +36,6 @@ type ServerOptions struct {
 	// every later fetcher of the same hot file. 0 means the 64 MiB
 	// default; negative disables the cache.
 	PayloadCache int64
-	// DisableBatch makes the server answer OpFetchBatch like a pre-batch
-	// (v2.0) server would — CodeBadRequest, unknown op — so client
-	// fallback paths are testable end to end.
-	DisableBatch bool
 	// IdleTimeout disconnects clients idle longer than this (default 5m).
 	IdleTimeout time.Duration
 	// Ingest accepts OpIngest requests: producers may push new snapshot
@@ -56,10 +52,11 @@ type ServerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Faults injects failures into a configurable fraction of OpFetch responses
-// so client retry behavior is testable deterministically: decisions come
-// from a private rand.Rand seeded with Seed. Fractions are cumulative —
-// DropFrac 0.05 + ErrFrac 0.05 faults 10% of responses.
+// Faults injects failures into a configurable fraction of OpFetch response
+// frames — one draw per RPC, however many files it carries — so client retry
+// behavior is testable deterministically: decisions come from a private
+// rand.Rand seeded with Seed. Fractions are cumulative — DropFrac 0.05 +
+// ErrFrac 0.05 faults 10% of responses.
 type Faults struct {
 	Seed      int64         // RNG seed (0 means 1, for determinism)
 	DropFrac  float64       // sever the connection mid-payload
@@ -71,7 +68,7 @@ type Faults struct {
 
 func (f Faults) enabled() bool { return f.DropFrac > 0 || f.ErrFrac > 0 || f.DelayFrac > 0 }
 
-// Fault actions drawn per OpFetch response.
+// Fault actions drawn per OpFetch response frame.
 const (
 	faultNone = iota
 	faultDrop
@@ -95,7 +92,6 @@ type ServerStats struct {
 	ReaderOpens  int64 // snapshot files opened
 	ReaderEvicts int64 // cached readers closed by LRU pressure
 
-	BatchRPCs             int64 // OpFetchBatch requests answered
 	PayloadCacheHits      int64 // fetches served from cached encoded segments
 	PayloadCacheMisses    int64 // fetches that had to encode their response
 	PayloadCacheEvictions int64 // cached payloads dropped (pressure or ingest)
@@ -323,7 +319,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 		// Fault injection on the data path only, so health checks and spec
 		// discovery stay reliable.
-		if op == OpFetch || op == OpFetchBatch {
+		if op == OpFetch {
 			switch action, delay := s.faultAction(); action {
 			case faultDrop:
 				// Sever mid-payload: the header promises the full response,
@@ -403,9 +399,7 @@ func (s *Server) handleRequest(op byte, body []byte) (rop byte, segs [][]byte, d
 		}
 	}()
 	countErr := func(code uint16, msg string) (byte, [][]byte, func()) {
-		s.mu.Lock()
-		s.stats.Errors++
-		s.mu.Unlock()
+		s.countError()
 		return RespErr, [][]byte{encodeErr(code, msg)}, nil
 	}
 	s.mu.Lock()
@@ -430,33 +424,11 @@ func (s *Server) handleRequest(op byte, body []byte) (rop byte, segs [][]byte, d
 		}
 		return RespOK, nil, nil
 	case OpFetch:
-		path, vars, err := decodeFetchReq(body)
+		reqs, err := decodeFetchReq(body)
 		if err != nil {
 			return countErr(CodeBadRequest, err.Error())
 		}
-		segs, _, copied, release, err := s.serveFile(path, vars)
-		if err != nil {
-			s.logf("remote: fetch %s: %v", path, err)
-			return countErr(errCode(err), err.Error())
-		}
-		s.mu.Lock()
-		s.stats.BytesCopied += copied
-		s.mu.Unlock()
-		return RespOK, segs, release
-	case OpFetchBatch:
-		if s.opts.DisableBatch {
-			// Answer exactly like a pre-batch server: unknown op. Clients
-			// key their fallback on this.
-			return countErr(CodeBadRequest, fmt.Sprintf("unknown op %#02x", op))
-		}
-		reqs, err := decodeBatchReq(body)
-		if err != nil || len(reqs) == 0 {
-			if err == nil {
-				err = fmt.Errorf("%w: empty batch", ErrProtocol)
-			}
-			return countErr(CodeBadRequest, err.Error())
-		}
-		return s.serveBatch(reqs)
+		return s.serveFetch(reqs)
 	default:
 		return countErr(CodeBadRequest, fmt.Sprintf("unknown op %#02x", op))
 	}
@@ -523,13 +495,13 @@ func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int,
 	return segs, size, copied, release, nil
 }
 
-// serveBatch answers one OpFetchBatch request: every item is fetched
-// through serveFile (so hot files hit the payload cache) and appended to a
-// single multi-file response frame. Items fail independently — a missing
-// file yields an error item, not an error frame — and an item that would
-// overflow the frame cap is answered CodeUnavailable so the client fetches
-// it on its own.
-func (s *Server) serveBatch(reqs []fetchReq) (byte, [][]byte, func()) {
+// serveFetch answers one OpFetch request: every item is fetched through
+// serveFile (so hot files hit the payload cache) and appended to a single
+// multi-file response frame. Items fail independently — a missing file
+// yields an error item, not an error frame — and an item that would
+// overflow the frame cap is answered CodeUnavailable so the client asks for
+// it again in a smaller request.
+func (s *Server) serveFetch(reqs []fetchReq) (byte, [][]byte, func()) {
 	var out segEnc
 	out.e.u32(uint32(len(reqs)))
 	var releases []func()
@@ -539,23 +511,22 @@ func (s *Server) serveBatch(reqs []fetchReq) (byte, [][]byte, func()) {
 		if err != nil {
 			s.countError()
 			s.logf("remote: fetch %s: %v", r.path, err)
-			out.appendBatchItem(nil, 0, &ServerError{Code: errCode(err), Msg: err.Error()})
+			out.appendFetchItem(nil, 0, &ServerError{Code: errCode(err), Msg: err.Error()})
 			continue
 		}
 		// Worst-case item preamble: status byte, pad to 4, u32 length,
 		// pad to 8 — 15 bytes.
 		if out.base+len(out.e.b)+15+size > maxFrame-2 {
 			done()
-			out.appendBatchItem(nil, 0, &ServerError{Code: CodeUnavailable, Msg: "batch frame full"})
+			out.appendFetchItem(nil, 0, &ServerError{Code: CodeUnavailable, Msg: "fetch frame full"})
 			continue
 		}
 		copied += cp
-		out.appendBatchItem(segs, size, nil)
+		out.appendFetchItem(segs, size, nil)
 		releases = append(releases, done)
 	}
 	out.flush()
 	s.mu.Lock()
-	s.stats.BatchRPCs++
 	s.stats.BytesCopied += copied
 	s.mu.Unlock()
 	return RespOK, out.segs, func() {
@@ -569,8 +540,8 @@ func (s *Server) serveBatch(reqs []fetchReq) (byte, [][]byte, func()) {
 // success the returned done func releases the cache entry: the payload's
 // arrays may alias the open reader's mmap'd payloads, so the entry stays
 // pinned (unevictable, its mapping intact) until the caller has finished
-// with the payload — for OpFetch, until the response frame has been
-// written to the socket.
+// with the payload: until the response frame has been written to the
+// socket.
 func (s *Server) fetch(path string, vars []string) (fp *FilePayload, done func(), err error) {
 	if path == "" || !filepath.IsLocal(path) || !strings.HasSuffix(path, ".shdf") {
 		return nil, nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}

@@ -8,19 +8,19 @@ import (
 	"testing"
 )
 
-// TestBatchReqRoundTrip encodes and decodes a batch request at a realistic
+// TestBatchReqRoundTrip encodes and decodes a fetch request at a realistic
 // size and checks every field survives.
 func TestBatchReqRoundTrip(t *testing.T) {
-	items := make([]*batchItem, 0, 64)
+	items := make([]*fetchItem, 0, 64)
 	for i := 0; i < 64; i++ {
-		items = append(items, &batchItem{
+		items = append(items, &fetchItem{
 			path: "snap" + strings.Repeat("x", i%7) + ".shdf",
 			vars: []string{"density", "velocity"},
 		})
 	}
-	reqs, err := decodeBatchReq(encodeBatchReq(items))
+	reqs, err := decodeFetchReq(encodeFetchReq(items))
 	if err != nil {
-		t.Fatalf("decodeBatchReq: %v", err)
+		t.Fatalf("decodeFetchReq: %v", err)
 	}
 	if len(reqs) != len(items) {
 		t.Fatalf("decoded %d items, want %d", len(reqs), len(items))
@@ -37,12 +37,12 @@ func TestBatchReqRoundTrip(t *testing.T) {
 func TestBatchReqCountBound(t *testing.T) {
 	// A hostile frame: count 65535, nothing behind it.
 	body := binary.LittleEndian.AppendUint16(nil, 65535)
-	if _, err := decodeBatchReq(body); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeFetchReq(body); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized count: got %v, want ErrProtocol", err)
 	}
 	// Same count with a non-empty but still far-too-small body.
 	body = append(body, bytes.Repeat([]byte{0}, 64)...)
-	if _, err := decodeBatchReq(body); !errors.Is(err, ErrProtocol) {
+	if _, err := decodeFetchReq(body); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized count with padding: got %v, want ErrProtocol", err)
 	}
 }
@@ -51,11 +51,11 @@ func TestBatchReqCountBound(t *testing.T) {
 // cost is exactly the 4-byte floor the bound assumes.
 func TestBatchReqCountAtLimit(t *testing.T) {
 	const n = 512
-	items := make([]*batchItem, n)
+	items := make([]*fetchItem, n)
 	for i := range items {
-		items[i] = &batchItem{path: "", vars: nil} // 4 bytes each: the floor
+		items[i] = &fetchItem{path: "", vars: nil} // 4 bytes each: the floor
 	}
-	reqs, err := decodeBatchReq(encodeBatchReq(items))
+	reqs, err := decodeFetchReq(encodeFetchReq(items))
 	if err != nil {
 		t.Fatalf("decode at the density limit: %v", err)
 	}

@@ -111,7 +111,7 @@ func TestFilePayloadRoundTripSegments(t *testing.T) {
 	if zerocopy.LittleEndian && copied != 0 {
 		t.Fatalf("encode copied %d array bytes on a little-endian host, want 0", copied)
 	}
-	got, _, err := decodeFilePayload(flattenSegments(segs))
+	got, _, err := decodeBody(flattenSegments(segs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDecodeAliasesAlignedBody(t *testing.T) {
 	if !zerocopy.Aligned(body, 8) {
 		t.Fatal("alignedFrameBuf payload region is not 8-aligned")
 	}
-	got, copied, err := decodeFilePayload(body)
+	got, copied, err := decodeBody(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestDecodeAliasesAlignedBody(t *testing.T) {
 	// copying, which the counter reports.
 	misaligned := zerocopy.MakeOffsetAligned(len(flat), 8, 1)
 	copy(misaligned, flat)
-	got2, copied2, err := decodeFilePayload(misaligned)
+	got2, copied2, err := decodeBody(misaligned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEncodeFrameLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode at exact limit %d: %v", size, err)
 	}
-	if got, _, err := decodeFilePayload(flattenSegments(segs)); err != nil {
+	if got, _, err := decodeBody(flattenSegments(segs)); err != nil {
 		t.Fatal(err)
 	} else {
 		samePayload(t, got, fp)
@@ -292,7 +292,7 @@ func TestRecycleRefCounting(t *testing.T) {
 	flat := flattenSegments(segs)
 	buf := alignedFrameBuf(2 + len(flat))
 	copy(buf[2:], flat)
-	got, _, err := decodeFilePayload(buf[2:])
+	got, _, err := decodeBody(buf[2:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,10 @@
 #               fetchers and ingest invalidations against one small cache,
 #               checking the pin ledger balances (duration from
 #               VERIFY_BATCHTIME, default 10s)
-#   fuzz        FuzzReader smoke over the shdf seed corpus (duration from
-#               VERIFY_FUZZTIME, default 10s)
+#   fuzz        fuzz smoke over the checked-in seed corpora: shdf's
+#               FuzzReader, then remote's FuzzBatchFrame (the OpFetch
+#               response frame a client accepts from the network), each for
+#               VERIFY_FUZZTIME (default 10s)
 #
 # Each stage prints a one-line summary; the script stops at the first
 # failing stage and exits non-zero. Run a single stage with
@@ -141,6 +143,12 @@ check_lint() {
     fi
 }
 
+check_fuzz() {
+    fuzztime="${VERIFY_FUZZTIME:-10s}"
+    go test -fuzz=FuzzReader -fuzztime="$fuzztime" -run '^FuzzReader$' ./internal/shdf &&
+        go test -fuzz=FuzzBatchFrame -fuzztime="$fuzztime" -run '^FuzzBatchFrame$' ./internal/remote
+}
+
 run_stage fmt check_gofmt
 run_stage vet go vet ./...
 run_stage build go build ./...
@@ -155,7 +163,7 @@ run_stage race-platform go test -race -count=1 ./internal/platform/...
 run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/...
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
 run_stage batch env BATCH_CHURN_TIME="${VERIFY_BATCHTIME:-10s}" go test -race -count=1 -run '^TestPayloadCacheChurn$' ./internal/remote
-run_stage fuzz go test -fuzz=FuzzReader -fuzztime="${VERIFY_FUZZTIME:-10s}" -run '^FuzzReader$' ./internal/shdf
+run_stage fuzz check_fuzz
 
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
