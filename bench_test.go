@@ -9,7 +9,6 @@ package godiva_test
 //	BenchmarkIOVolume/<test>             §4.2 I/O-volume reductions
 //	BenchmarkTable1Query                 §3.1 key-query path (Table 1 schema)
 //	BenchmarkUnitCycle                   unit read/finish/delete overhead
-//	BenchmarkPrefetchWorkers/<n>         background I/O worker-pool scaling
 //
 // Custom metrics report the quantities the paper plots: total virtual
 // seconds, visible-I/O virtual seconds, and MB read. Full-scale versions of
@@ -21,7 +20,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"godiva"
 	"godiva/internal/experiments"
@@ -252,28 +250,6 @@ func BenchmarkUnitCycle(b *testing.B) {
 		if err := db.DeleteUnit(name); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPrefetchWorkers measures how the background I/O pool
-// (Options.IOWorkers) scales a prefetch-heavy batch run: 64 synthetic units
-// with 1ms simulated reads, added up front and consumed in order.
-func BenchmarkPrefetchWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {
-			cfg := experiments.WorkerSweepConfig{ReadDelay: time.Millisecond}
-			var wall, wait float64
-			for i := 0; i < b.N; i++ {
-				cell, err := experiments.RunWorkerCell(cfg, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wall += float64(cell.Wall.Microseconds()) / 1e3
-				wait += float64(cell.VisibleWait.Microseconds()) / 1e3
-			}
-			b.ReportMetric(wall/float64(b.N), "wall-ms/op")
-			b.ReportMetric(wait/float64(b.N), "wait-ms/op")
-		})
 	}
 }
 

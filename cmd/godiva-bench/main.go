@@ -6,58 +6,34 @@
 //
 // Usage:
 //
-//	godiva-bench [-fig 3a|3b|par|ablate|workers|remote|lock|zerocopy|push|all] [-reps 5] [-snapshots 32]
-//	             [-data DIR] [-timescale 0.05] [-quick] [-json BENCH_remote.json]
-//	             [-lockjson BENCH_lock.json] [-zerojson BENCH_zerocopy.json]
-//	             [-pushjson BENCH_push.json]
-//	             [-mutexprofile mutex.pprof] [-blockprofile block.pprof]
+//	godiva-bench [-fig 3a|3b|par|ablate|all] [-reps 5] [-snapshots 32]
+//	             [-data DIR] [-timescale 0.05] [-quick] [-procs 4]
 //
 // -quick shrinks the run (1 rep, 6 snapshots, faster clock) for a smoke
 // pass; the defaults reproduce the full experiment in a few minutes.
-// -mutexprofile and -blockprofile enable Go's contention profilers for the
-// whole run and write pprof files on successful exit, for inspecting where
-// the database lock is held and where goroutines block.
+// Native-speed measurements live in bench/ (see BENCHMARK.json), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"time"
 
 	"godiva/internal/experiments"
-	"godiva/internal/genx"
 	"godiva/internal/rocketeer"
 )
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "experiment: 3a, 3b, par, ablate, workers, remote, lock, zerocopy, push or all")
+		fig       = flag.String("fig", "all", "experiment: 3a, 3b, par, ablate or all")
 		reps      = flag.Int("reps", 0, "repetitions per configuration (0 = default)")
 		snapshots = flag.Int("snapshots", 0, "snapshots per run (0 = all 32)")
 		data      = flag.String("data", "godiva-bench-data", "dataset directory (generated on demand)")
 		timescale = flag.Float64("timescale", 0, "wall seconds per virtual second (0 = default)")
 		quick     = flag.Bool("quick", false, "fast smoke configuration")
 		procs     = flag.Int("procs", 4, "process count for the parallel experiment")
-		jsonOut   = flag.String("json", "BENCH_remote.json", "remote-sweep JSON artifact path (empty = no file)")
-		lockOut   = flag.String("lockjson", "BENCH_lock.json", "lock-sweep JSON artifact path (empty = no file)")
-		zeroOut   = flag.String("zerojson", "BENCH_zerocopy.json", "zero-copy-sweep JSON artifact path (empty = no file)")
-		pushOut   = flag.String("pushjson", "BENCH_push.json", "push-sweep JSON artifact path (empty = no file)")
-		mutexProf = flag.String("mutexprofile", "", "write a mutex contention profile to this file")
-		blockProf = flag.String("blockprofile", "", "write a blocking profile to this file")
 	)
 	flag.Parse()
-
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(5)
-		defer writeProfile("mutex", *mutexProf)
-	}
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(10_000) // sample blocking events >= 10µs
-		defer writeProfile("block", *blockProf)
-	}
 
 	s := experiments.DefaultSetup(*data)
 	if *quick {
@@ -78,13 +54,8 @@ func main() {
 	run3b := *fig == "3b" || *fig == "all"
 	runPar := *fig == "par" || *fig == "all"
 	runAbl := *fig == "ablate" || *fig == "all"
-	runWrk := *fig == "workers" || *fig == "all"
-	runRem := *fig == "remote" || *fig == "all"
-	runLck := *fig == "lock" || *fig == "all"
-	runZC := *fig == "zerocopy" || *fig == "all"
-	runPsh := *fig == "push" || *fig == "all"
-	if !run3a && !run3b && !runPar && !runAbl && !runWrk && !runRem && !runLck && !runZC && !runPsh {
-		fmt.Fprintf(os.Stderr, "godiva-bench: unknown -fig %q (want 3a, 3b, par, ablate, workers, remote, lock, zerocopy, push or all)\n", *fig)
+	if !run3a && !run3b && !runPar && !runAbl {
+		fmt.Fprintf(os.Stderr, "godiva-bench: unknown -fig %q (want 3a, 3b, par, ablate or all)\n", *fig)
 		os.Exit(2)
 	}
 
@@ -140,130 +111,9 @@ func main() {
 		experiments.PrintFormatComparison(os.Stdout, formats)
 		fmt.Println()
 	}
-	if runWrk {
-		fmt.Println("== Worker-pool sweep: background I/O scaling beyond the paper's single thread ==")
-		cells, err := experiments.RunWorkerSweep(experiments.WorkerSweepConfig{})
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintWorkerSweep(os.Stdout, cells)
-		fmt.Println()
-	}
-	if runRem {
-		fmt.Println("== Remote unit service: local vs remote read functions (godivad on loopback) ==")
-		rcfg := experiments.RemoteSweepConfig{Dir: *data + "-remote", Log: s.Log}
-		if *quick {
-			rcfg.Spec = genx.Scaled(32)
-			rcfg.Workers = []int{1, 4}
-		}
-		cells, err := experiments.RunRemoteSweep(rcfg)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintRemoteSweep(os.Stdout, cells)
-		if *jsonOut != "" {
-			if err := experiments.WriteRemoteJSON(*jsonOut, cells); err != nil {
-				fail(err)
-			}
-			fmt.Printf("\nwrote %s\n", *jsonOut)
-		}
-		fmt.Println()
-	}
-	if runLck {
-		fmt.Println("== Lock sweep: query throughput under unit churn (decomposed DB lock) ==")
-		// The full sweep runs every cell at GOMAXPROCS 1, 2, 4 and 8 so the
-		// committed BENCH_lock.json shows how the decomposed lock behaves
-		// with real (or oversubscribed — see EXPERIMENTS.md) parallelism,
-		// not just the serialized procs=1 schedule.
-		lcfg := experiments.LockSweepConfig{
-			Dir:    *data + "-remote",
-			Remote: true,
-			Procs:  []int{1, 2, 4, 8},
-			Log:    s.Log,
-		}
-		if *quick {
-			lcfg.Spec = genx.Scaled(8)
-			lcfg.Readers = []int{1, 4}
-			lcfg.Workers = []int{1}
-			lcfg.Procs = []int{1, 2}
-			lcfg.Duration = 100 * time.Millisecond
-		}
-		cells, err := experiments.RunLockSweep(lcfg)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintLockSweep(os.Stdout, cells)
-		if *lockOut != "" {
-			if err := experiments.WriteLockJSON(*lockOut, cells); err != nil {
-				fail(err)
-			}
-			fmt.Printf("\nwrote %s\n", *lockOut)
-		}
-		fmt.Println()
-	}
-	if runZC {
-		fmt.Println("== Zero-copy sweep: bytes copied per unit by read path (copy vs mmap vs remote) ==")
-		zcfg := experiments.ZeroCopySweepConfig{Dir: *data + "-zerocopy", Log: s.Log}
-		if *quick {
-			zcfg.Spec = genx.Scaled(32)
-			zcfg.Workers = []int{1}
-			zcfg.Duration = 100 * time.Millisecond
-		}
-		cells, err := experiments.RunZeroCopySweep(zcfg)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintZeroCopySweep(os.Stdout, cells)
-		if *zeroOut != "" {
-			if err := experiments.WriteZeroCopyJSON(*zeroOut, cells); err != nil {
-				fail(err)
-			}
-			fmt.Printf("\nwrote %s\n", *zeroOut)
-		}
-		fmt.Println()
-	}
-	if runPsh {
-		fmt.Println("== Push sweep: live ingest fan-out under a stalled subscriber ==")
-		pcfg := experiments.PushSweepConfig{Log: s.Log}
-		if *quick {
-			pcfg.Spec = genx.Scaled(32)
-			pcfg.Spec.Snapshots = 6
-			pcfg.Spec.FilesPerSnapshot = 2
-			pcfg.Producers = []int{1}
-			pcfg.Subscribers = []int{2}
-		}
-		cells, err := experiments.RunPushSweep(pcfg)
-		if err != nil {
-			fail(err)
-		}
-		experiments.PrintPushSweep(os.Stdout, cells)
-		if *pushOut != "" {
-			if err := experiments.WritePushJSON(*pushOut, cells); err != nil {
-				fail(err)
-			}
-			fmt.Printf("\nwrote %s\n", *pushOut)
-		}
-		fmt.Println()
-	}
 }
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "godiva-bench:", err)
 	os.Exit(1)
-}
-
-// writeProfile dumps a named runtime profile ("mutex", "block") collected
-// over the whole run to path.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "godiva-bench:", err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "godiva-bench:", err)
-		return
-	}
-	fmt.Printf("wrote %s profile to %s\n", name, path)
 }

@@ -145,49 +145,51 @@ func TestPlainAllocDeadlockSingleThread(t *testing.T) {
 	}
 }
 
-// A pool of 4 workers must actually overlap reads: with slow read functions
-// several units are in flight at once, and every successful background read
-// is counted exactly once.
+// A pool of 4 workers must actually overlap reads — with slow read functions
+// several units are in flight at once — while the paper's single I/O thread
+// never does, and every successful background read is counted exactly once.
 func TestWorkerPoolConcurrentReads(t *testing.T) {
-	db := newTestDB(t, Options{BackgroundIO: true, IOWorkers: 4})
-	defineBlobSchema(t, db)
-	var inFlight, peak atomic.Int64
-	const units = 8
-	rd := func(u *Unit) error {
-		n := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
+	for _, workers := range []int{1, 4} {
+		db := newTestDB(t, Options{BackgroundIO: true, IOWorkers: workers})
+		defineBlobSchema(t, db)
+		var inFlight, peak atomic.Int64
+		const units = 8
+		rd := func(u *Unit) error {
+			n := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(30 * time.Millisecond)
+			inFlight.Add(-1)
+			return blobReader(128, nil)(u)
+		}
+		for i := 0; i < units; i++ {
+			if err := db.AddUnit(fmt.Sprintf("u%d", i), rd); err != nil {
+				t.Fatal(err)
 			}
 		}
-		time.Sleep(30 * time.Millisecond)
-		inFlight.Add(-1)
-		return blobReader(128, nil)(u)
-	}
-	for i := 0; i < units; i++ {
-		if err := db.AddUnit(fmt.Sprintf("u%d", i), rd); err != nil {
-			t.Fatal(err)
+		for i := 0; i < units; i++ {
+			if err := db.WaitUnit(fmt.Sprintf("u%d", i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < units; i++ {
-		if err := db.WaitUnit(fmt.Sprintf("u%d", i)); err != nil {
-			t.Fatal(err)
+		if p := peak.Load(); (p >= 2) != (workers > 1) {
+			t.Fatalf("peak in-flight reads = %d with %d workers, want 1 for one worker and >= 2 for a pool", p, workers)
 		}
-	}
-	if p := peak.Load(); p < 2 {
-		t.Fatalf("peak in-flight reads = %d with 4 workers, want >= 2", p)
-	}
-	s := waitForStats(t, db, func(s Stats) bool { return s.UnitsPrefetched == units })
-	if s.UnitsRead != units {
-		t.Fatalf("UnitsRead = %d, want %d", s.UnitsRead, units)
-	}
-	var perWorker int64
-	for _, ws := range db.IOWorkerStats() {
-		perWorker += ws.Prefetched
-	}
-	if perWorker != units {
-		t.Fatalf("per-worker Prefetched sums to %d, want %d", perWorker, units)
+		s := waitForStats(t, db, func(s Stats) bool { return s.UnitsPrefetched == units })
+		if s.UnitsRead != units {
+			t.Fatalf("workers=%d: UnitsRead = %d, want %d", workers, s.UnitsRead, units)
+		}
+		var perWorker int64
+		for _, ws := range db.IOWorkerStats() {
+			perWorker += ws.Prefetched
+		}
+		if perWorker != units {
+			t.Fatalf("workers=%d: per-worker Prefetched sums to %d, want %d", workers, perWorker, units)
+		}
 	}
 }
 

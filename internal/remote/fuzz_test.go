@@ -50,13 +50,13 @@ func FuzzFilePayload(f *testing.F) {
 	})
 }
 
-// FuzzBatchFrame feeds arbitrary bodies through the OpFetch response decoder
+// FuzzFetchFrame feeds arbitrary bodies through the OpFetch response decoder
 // — the multi-file frames a client accepts from the server — and round-trips
 // whatever decodes: every ok item re-encodes through the same
 // segment encoder the server uses (cached segments included), every error
 // item must keep its code and message, and nothing may panic.
-func FuzzBatchFrame(f *testing.F) {
-	for _, s := range batchSeedInputs() {
+func FuzzFetchFrame(f *testing.F) {
+	for _, s := range fetchSeedInputs() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -218,10 +218,10 @@ func payloadSeedInputs() [][]byte {
 	return seeds
 }
 
-// batchSeedInputs seeds FuzzBatchFrame: a valid 3-item frame (two payloads
+// fetchSeedInputs seeds FuzzFetchFrame: a valid 3-item frame (two payloads
 // around an error item, exactly what a partly-failing fetch answers), its
 // interesting truncations, and an item-count mutation.
-func batchSeedInputs() [][]byte {
+func fetchSeedInputs() [][]byte {
 	data := fetchRespBody(nil, &ServerError{Code: CodeNotFound, Msg: "no such snapshot"}, nil)
 	seeds := [][]byte{data}
 	for _, n := range []int{0, 4, 5, 16, len(data) / 2, len(data) - 1} {
@@ -298,7 +298,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	for fuzz, seeds := range map[string][][]byte{
 		"FuzzFilePayload": payloadSeedInputs(),
-		"FuzzBatchFrame":  batchSeedInputs(),
+		"FuzzFetchFrame":  fetchSeedInputs(),
 		"FuzzSpec":        specSeedInputs(),
 		"FuzzSubSpec":     subSpecSeedInputs(),
 		"FuzzEventFrame":  eventSeedInputs(),

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"godiva/internal/genx"
 	"godiva/internal/mesh"
 	"godiva/internal/platform"
+	"godiva/internal/remote"
 )
 
 // The test dataset is written once and shared (read-only) by all tests.
@@ -81,43 +81,59 @@ func pngsIn(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// All three builds run the same pipeline on the same data: their images
-// must be byte-identical. This is the core end-to-end correctness check —
-// GODIVA changes how data is read, never what is computed.
+// All four builds — O, G, and TG over local files and over a godivad
+// server — run the same pipeline on the same data: their images must be
+// byte-identical. This is the core end-to-end correctness check — GODIVA
+// changes how data is read, never what is computed.
 func TestVersionsProduceIdenticalImages(t *testing.T) {
 	spec, dir := testDataset(t)
+	srv, err := remote.Serve(remote.ServerOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
+	defer cli.Close()
+
 	test, _ := TestByName("simple")
-	images := map[Version]map[string][]byte{}
-	for _, v := range []Version{VersionO, VersionG, VersionTG} {
+	builds := []struct {
+		name    string
+		version Version
+		remote  *remote.Client
+	}{
+		{"O", VersionO, nil},
+		{"G", VersionG, nil},
+		{"TG", VersionTG, nil},
+		{"TG-remote", VersionTG, cli},
+	}
+	var reference map[string][]byte
+	for _, b := range builds {
 		imgDir := t.TempDir()
-		res, err := Run(v, Config{
-			Test: test, Spec: spec, Dir: dir,
+		res, err := Run(b.version, Config{
+			Test: test, Spec: spec, Dir: dir, Remote: b.remote,
 			Snapshots: 2, ImageDir: imgDir, Width: 96, Height: 72,
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", v, err)
+			t.Fatalf("%s: %v", b.name, err)
 		}
 		if res.Images != 2*len(test.Ops) {
-			t.Fatalf("%s produced %d images, want %d", v, res.Images, 2*len(test.Ops))
+			t.Fatalf("%s produced %d images, want %d", b.name, res.Images, 2*len(test.Ops))
 		}
-		images[v] = pngsIn(t, imgDir)
-	}
-	names := make([]string, 0, len(images[VersionO]))
-	for n := range images[VersionO] {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatal("no images written")
-	}
-	for _, n := range names {
-		for _, v := range []Version{VersionG, VersionTG} {
-			got, ok := images[v][n]
-			if !ok {
-				t.Fatalf("%s missing image %s", v, n)
+		images := pngsIn(t, imgDir)
+		if reference == nil {
+			reference = images
+			if len(reference) == 0 {
+				t.Fatal("no images written")
 			}
-			if !bytes.Equal(got, images[VersionO][n]) {
-				t.Fatalf("image %s differs between O and %s", n, v)
+			continue
+		}
+		for n, want := range reference {
+			got, ok := images[n]
+			if !ok {
+				t.Fatalf("%s missing image %s", b.name, n)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("image %s differs between O and %s", n, b.name)
 			}
 		}
 	}

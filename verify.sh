@@ -21,6 +21,8 @@
 #               fails the gate
 #   test        full test suite, caching disabled (-count=1) so the noalloc
 #               AllocsPerRun gates re-measure on every run
+#   bench       the repository benchmark's own vet and tests (bench/ is its
+#               own module, so vet/test above never reach it)
 #   benchmem    core query benchmarks under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
 #               the zero-alloc query path and fails the gate
@@ -38,9 +40,10 @@
 #               checking the pin ledger balances (duration from
 #               VERIFY_BATCHTIME, default 10s)
 #   fuzz        fuzz smoke over the checked-in seed corpora: shdf's
-#               FuzzReader, then remote's FuzzBatchFrame (the OpFetch
-#               response frame a client accepts from the network), each for
-#               VERIFY_FUZZTIME (default 10s)
+#               FuzzReader, then remote's FuzzFilePayload, FuzzFetchFrame
+#               (the OpFetch response frame a client accepts from the
+#               network), FuzzSpec, FuzzSubSpec and FuzzEventFrame, each
+#               for VERIFY_FUZZTIME (default 10s)
 #
 # Each stage prints a one-line summary; the script stops at the first
 # failing stage and exits non-zero. Run a single stage with
@@ -143,10 +146,20 @@ check_lint() {
     fi
 }
 
+check_bench() {
+    (cd bench && go vet . && go test -count=1 .)
+}
+
+# go test -fuzz accepts one target per run.
+fuzz_one() {
+    go test -fuzz="^$2\$" -fuzztime="${VERIFY_FUZZTIME:-10s}" -run "^$2\$" "./internal/$1"
+}
+
 check_fuzz() {
-    fuzztime="${VERIFY_FUZZTIME:-10s}"
-    go test -fuzz=FuzzReader -fuzztime="$fuzztime" -run '^FuzzReader$' ./internal/shdf &&
-        go test -fuzz=FuzzBatchFrame -fuzztime="$fuzztime" -run '^FuzzBatchFrame$' ./internal/remote
+    fuzz_one shdf FuzzReader || return 1
+    for fn in FuzzFilePayload FuzzFetchFrame FuzzSpec FuzzSubSpec FuzzEventFrame; do
+        fuzz_one remote "$fn" || return 1
+    done
 }
 
 run_stage fmt check_gofmt
@@ -156,6 +169,7 @@ run_stage lint check_lint
 run_stage dataflow check_dataflow
 run_stage racecheck check_racecheck
 run_stage test go test -count=1 ./...
+run_stage bench check_bench
 run_stage benchmem check_benchmem
 run_stage race-core go test -race -count=1 ./internal/core/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
@@ -168,7 +182,7 @@ run_stage fuzz check_fuzz
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
         echo "verify.sh: unknown stage \"$only_stage\"" >&2
-        echo "stages: fmt vet build lint dataflow racecheck test benchmem race-core race-remote race-platform invariants push batch fuzz" >&2
+        echo "stages: fmt vet build lint dataflow racecheck test bench benchmem race-core race-remote race-platform invariants push batch fuzz" >&2
         exit 2
     fi
     echo "verify.sh: stage $only_stage passed"
