@@ -5,9 +5,8 @@
 //	go run ./cmd/godiva-lint -tags godivainvariants ./internal/core
 //	go run ./cmd/godiva-lint -only releasecheck,borrowcheck,wirecheck ./...
 //
-// -only restricts a run to the named analyzers (the dataflow stage of
-// verify.sh uses it to gate on the flow-sensitive suite alone); -help
-// lists every selectable name.
+// -only restricts a run to the named analyzers; -help lists every
+// selectable name.
 //
 // It prints findings as file:line:col: [analyzer] message and exits with
 // status 1 when there are findings, 2 on usage or load errors. With -json,

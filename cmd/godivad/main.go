@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	godivad -data genx-data [-addr 127.0.0.1:7144] [-readers 8]
+//	godivad -data genx-data [-addr 127.0.0.1:7144] [-payload-cache 64]
 //
 // Fault-injection flags make a configurable fraction of fetch responses
 // fail — dropped mid-payload, rejected with a retryable error, or delayed —
@@ -35,7 +35,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7144", "listen address")
 		data      = flag.String("data", "genx-data", "snapshot directory to serve (see genxgen)")
-		readers   = flag.Int("readers", 8, "open snapshot readers to cache")
 		payloadMB = flag.Int64("payload-cache", 64, "pinned payload cache budget in MiB (0 disables)")
 		idle      = flag.Duration("idle", 5*time.Minute, "drop connections idle this long")
 		quiet     = flag.Bool("quiet", false, "suppress per-connection logging")
@@ -57,7 +56,6 @@ func main() {
 	opts := remote.ServerOptions{
 		Addr:         *addr,
 		Dir:          *data,
-		ReaderCache:  *readers,
 		PayloadCache: cacheBudget,
 		IdleTimeout:  *idle,
 		Ingest:       *ingest,
@@ -102,8 +100,7 @@ func main() {
 	st := srv.Stats()
 	fmt.Printf("godivad: %d conns, %d RPCs, %d errors, %d faults injected, %.1f MB out\n",
 		st.Conns, st.RPCs, st.Errors, st.FaultsInjected, float64(st.BytesOut)/1e6)
-	fmt.Printf("godivad: reader cache: %d hits, %d opens, %d evictions\n",
-		st.ReaderHits, st.ReaderOpens, st.ReaderEvicts)
+	fmt.Printf("godivad: readers: %d opened, %d closed\n", st.ReaderOpens, st.ReaderCloses)
 	fmt.Printf("godivad: payload cache: %d hits, %d misses, %d evictions, %.1f MB served\n",
 		st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
 		float64(st.BytesServedFromCache)/1e6)

@@ -10,7 +10,10 @@ import (
 // borrowcheck enforces the zero-copy borrow contract: values that alias
 // memory owned by someone else — BorrowFieldBuffer results, mmap-aliased
 // shdf Raw bytes and Dataset views, FilePayload arena slices — are
-// read-only and must not outlive their pin. Flow-sensitively, per path:
+// read-only and must not outlive their pin. A unit's own field buffers
+// (GetFieldBuffer/FieldBuffer results) are borrows too, pinned by the unit:
+// the application may fill and publish them while it holds the unit, so
+// only the last rule below applies to them. Flow-sensitively, per path:
 //
 //   - write-through: assigning through a borrowed value (index/pointer
 //     element writes, copy into it, append to it) is flagged — borrowed
@@ -21,8 +24,9 @@ import (
 //     Handing off a whole *FilePayload is fine — the refcount travels with
 //     it (releasecheck's domain) — but detaching its Data slice is not;
 //   - use-after-release: touching a borrow after the owner is gone
-//     (fp.Recycle, File.Close on the backing file) reads recycled arena
-//     bytes or an unmapped region.
+//     (fp.Recycle, File.Close on the backing file, FinishUnit/DeleteUnit
+//     after the buffer was obtained) reads recycled arena bytes, an
+//     unmapped region, or a buffer the cache may evict at any moment.
 //
 // Borrows propagate through assignments and slicing; return values and
 // call arguments are not escapes (the callee is analyzed on its own).
@@ -40,14 +44,19 @@ const (
 	bkBuffer         // BorrowFieldBuffer result
 	bkDataset        // shdf ReadSDS Dataset view
 	bkRaw            // shdf Raw mmap bytes
+	bkUnit           // GetFieldBuffer/FieldBuffer result, pinned by its unit
 	bkSlice          // derivation of any of the above
 )
+
+// relUnit is the rel of unit-pinned borrows (and their derivations).
+const relUnit = "FinishUnit/DeleteUnit"
 
 var bkWhat = [...]string{
 	bkPayload: "payload arena memory",
 	bkBuffer:  "BorrowFieldBuffer buffer",
 	bkDataset: "Dataset view",
 	bkRaw:     "mmap-backed Raw bytes",
+	bkUnit:    "unit field buffer",
 	bkSlice:   "borrowed slice",
 }
 
@@ -56,7 +65,7 @@ type bcInfo struct {
 	kind  int
 	what  string       // bkWhat of the original source, for messages
 	owner types.Object // object whose release invalidates the borrow
-	rel   string       // the releasing call ("Recycle", "Close")
+	rel   string       // the releasing call ("Recycle", "Close", relUnit)
 }
 
 // bcState is the abstract state: borrowed objects on this path, and owner
@@ -206,7 +215,7 @@ func (w *bcWalk) assign(n *ast.AssignStmt, s *bcState, record bool) {
 	for _, lhs := range n.Lhs {
 		switch lhs.(type) {
 		case *ast.IndexExpr, *ast.StarExpr:
-			if b := w.borrowOf(s, lhs); b != nil {
+			if b := w.lentTo(s, lhs); b != nil {
 				w.report(record, n.Pos(), "write through borrowed %s (zero-copy borrows are read-only)", b.what)
 			} else {
 				w.expr(lhs, s, record)
@@ -362,16 +371,24 @@ func (w *bcWalk) call(call *ast.CallExpr, s *bcState, record bool) []types.Objec
 				released = append(released, obj)
 			}
 		}
+	case name == "FinishUnit" || name == "DeleteUnit":
+		// Unpins every field buffer obtained so far; one obtained after a
+		// later WaitUnit is a fresh binding.
+		for _, b := range s.borrows {
+			if b.rel == relUnit {
+				released = append(released, b.owner)
+			}
+		}
 	}
 	// Builtin writes into a borrowed destination.
 	if fid, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 {
 		switch fid.Name {
 		case "copy":
-			if b := w.borrowOf(s, call.Args[0]); b != nil {
+			if b := w.lentTo(s, call.Args[0]); b != nil {
 				w.report(record, call.Pos(), "copy into borrowed %s (zero-copy borrows are read-only)", b.what)
 			}
 		case "append":
-			if b := w.borrowOf(s, call.Args[0]); b != nil {
+			if b := w.lentTo(s, call.Args[0]); b != nil {
 				w.report(record, call.Pos(), "append to borrowed %s (zero-copy borrows are read-only)", b.what)
 			}
 		}
@@ -390,6 +407,8 @@ func (w *bcWalk) classifySource(call *ast.CallExpr) *bcInfo {
 		return &bcInfo{kind: bkPayload, what: bkWhat[bkPayload], rel: "Recycle"}
 	case name == "BorrowFieldBuffer":
 		return &bcInfo{kind: bkBuffer, what: bkWhat[bkBuffer], rel: "FinishUnit"}
+	case name == "GetFieldBuffer" || name == "FieldBuffer":
+		return &bcInfo{kind: bkUnit, what: bkWhat[bkUnit], rel: relUnit}
 	case name == "ReadSDS" && recvMatches(w.info, recv, "File"):
 		return &bcInfo{kind: bkDataset, what: bkWhat[bkDataset], rel: "Close", owner: w.recvObj(recv)}
 	case name == "Raw" && recvMatches(w.info, recv, "File"):
@@ -414,11 +433,20 @@ func (w *bcWalk) borrowOf(s *bcState, e ast.Expr) *bcInfo {
 	return s.borrows[identObj(w.info, id)]
 }
 
+// lentTo is borrowOf restricted to borrows under the read-only, no-escape
+// rules: everything but a unit's own field buffers.
+func (w *bcWalk) lentTo(s *bcState, e ast.Expr) *bcInfo {
+	if b := w.borrowOf(s, e); b != nil && b.rel != relUnit {
+		return b
+	}
+	return nil
+}
+
 // escapeValue reports a borrowed value stored somewhere that outlives the
 // pin. A bare *FilePayload identifier is exempt: handing off the whole
 // payload moves the refcount with it.
 func (w *bcWalk) escapeValue(e ast.Expr, where string, pos token.Pos, s *bcState, record bool) {
-	b := w.borrowOf(s, e)
+	b := w.lentTo(s, e)
 	if b == nil {
 		return
 	}

@@ -6,9 +6,6 @@
 //
 //   - lockcheck: fields annotated "guarded by mu" and *Locked functions are
 //     only touched while the owning mutex is held.
-//   - paircheck: unit acquisitions (WaitUnit/ReadUnit) are paired with a
-//     FinishUnit/DeleteUnit/Close on every function, and field buffers are
-//     not retained past the release.
 //   - errcheck: error results of the godiva/core/remote public API are
 //     never silently discarded (including "_ =" discards).
 //   - atomiccheck: statsCounters-style atomic fields are only accessed
@@ -35,13 +32,15 @@
 // dataflow.go) with per-function summaries iterated to fixpoint over the
 // call graph:
 //
-//   - releasecheck: every pin (WaitUnit/ReadUnit unit, readerCache or
-//     payloadCache acquire/insert, FetchFile payload ref) is released on
-//     every path to return — error returns included — or explicitly handed
-//     off; paircheck's flow-sensitive successor.
+//   - releasecheck: every pin (WaitUnit/ReadUnit unit, payloadCache
+//     acquire/insert, FetchFile payload ref) is released on every path to
+//     return — error returns included — or explicitly handed off, and a
+//     hand-off is followed through the callee's or caller's summary. The
+//     suite's only pin checker.
 //   - borrowcheck: zero-copy borrows (BorrowFieldBuffer results, mmap
 //     Raw/ReadSDS views, payload arena slices) are never written through,
-//     never stored past their pin, never used after release.
+//     never stored past their pin, never used after release; a unit's field
+//     buffers are never used after its FinishUnit/DeleteUnit.
 //   - wirecheck: integer lengths decoded from wire bytes pass a bound
 //     check before sizing an allocation.
 //
@@ -121,7 +120,6 @@ type analyzer struct {
 // Analyzers is the full godiva-lint suite, in reporting order.
 var analyzers = []*analyzer{
 	lockcheckAnalyzer,
-	paircheckAnalyzer,
 	errcheckAnalyzer,
 	atomiccheckAnalyzer,
 }

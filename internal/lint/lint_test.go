@@ -193,7 +193,8 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestCLIExitCodes runs the real binary: non-zero on a seeded-violation
-// fixture, zero on the clean one.
+// fixture, zero on the clean one, and a usage error for an analyzer that is
+// not (or, like paircheck, no longer) in the suite.
 func TestCLIExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run in -short mode")
@@ -202,26 +203,29 @@ func TestCLIExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(pattern string) int {
+	run := func(args ...string) (int, string) {
 		t.Helper()
-		cmd := exec.Command("go", "run", "./cmd/godiva-lint", pattern)
+		cmd := exec.Command("go", append([]string{"run", "./cmd/godiva-lint"}, args...)...)
 		cmd.Dir = root
 		out, err := cmd.CombinedOutput()
 		if err == nil {
-			return 0
+			return 0, string(out)
 		}
 		var ee *exec.ExitError
 		if errors.As(err, &ee) {
-			return ee.ExitCode()
+			return ee.ExitCode(), string(out)
 		}
 		t.Fatalf("go run: %v\n%s", err, out)
-		return -1
+		return -1, ""
 	}
-	if code := run("./internal/lint/testdata/src/lockbad"); code != 1 {
+	if code, _ := run("./internal/lint/testdata/src/lockbad"); code != 1 {
 		t.Errorf("lint on lockbad fixture exited %d, want 1", code)
 	}
-	if code := run("./internal/lint/testdata/src/clean"); code != 0 {
+	if code, _ := run("./internal/lint/testdata/src/clean"); code != 0 {
 		t.Errorf("lint on clean fixture exited %d, want 0", code)
+	}
+	if code, out := run("-only", "paircheck", "./internal/lint/testdata/src/clean"); code == 0 || !strings.Contains(out, `unknown analyzer "paircheck"`) {
+		t.Errorf("lint -only paircheck exited %d, want a usage error naming it:\n%s", code, out)
 	}
 }
 

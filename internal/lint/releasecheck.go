@@ -5,18 +5,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
 	"godiva/internal/lint/callgraph"
 )
 
-// releasecheck proves the must-release discipline paircheck only
-// approximates: every pin — a WaitUnit/ReadUnit unit pin, a readerCache or
-// payloadCache acquire/insert pin, a *FilePayload (frame-arena ref) from
-// FetchFile/FetchFiles — is released on *every* path to a return, not just
-// somewhere in the function. It runs forward abstract interpretation over
-// the per-function CFGs (cfg.go) with branch refinement:
+// releasecheck proves the must-release discipline: every pin — a
+// WaitUnit/ReadUnit unit pin, a payloadCache acquire/insert pin, a
+// *FilePayload (frame-arena ref) from FetchFile/FetchFiles — is released on
+// *every* path to a return, not just somewhere in the function. It runs
+// forward abstract interpretation over the per-function CFGs (cfg.go) with
+// branch refinement:
 //
 //   - "if err != nil { return err }" after an error-returning acquire does
 //     not leak: on the error edge the pin was never produced;
@@ -27,28 +28,29 @@ import (
 //   - ownership transfer is not a leak: returning the pinned value,
 //     storing it into a struct/global/channel, capturing it in a function
 //     literal, or passing it to a callee without a known releasing summary
-//     all stop tracking (paircheck's lint:ignore escape hatch becomes
-//     unnecessary for hand-off code);
-//   - interprocedural summaries over the CHA call graph record "releases
-//     parameter i on every path" (computed to fixpoint), so passing a
-//     *FilePayload to a helper that always Recycles it counts as a
-//     release;
+//     all stop tracking (hand-off code needs no lint:ignore);
+//   - interprocedural summaries over the CHA call graph (computed to
+//     fixpoint) follow a hand-off to where it ends: "releases parameter i
+//     on every path", so passing a *FilePayload to a helper that always
+//     Recycles it counts as a release; "borrows parameter i", so passing
+//     a pin to a helper that neither releases nor keeps it leaves it with
+//     the caller; and "returns a pin", so calling a function that returns
+//     the pin it acquired is an acquire in the caller;
 //   - exits through panic/os.Exit/log.Fatal are exempt.
 //
 // Known blind spots, by construction: pins are keyed by acquire site, so a
 // loop that acquires N pins at one site is modeled as one (a partial
-// release of "the site" looks complete); name matching for units follows
-// paircheck (simple-argument text, computed names match any release).
+// release of "the site" looks complete); units are matched by name, as the
+// text of a simple first argument (computed names match any release).
 var releasecheckAnalyzer = &moduleAnalyzer{
 	name: "releasecheck",
-	doc:  "pins released on every path to return (flow-sensitive paircheck)",
+	doc:  "pins released on every path to return, hand-offs followed through call summaries",
 	run:  runReleasecheck,
 }
 
 // Pin kinds.
 const (
 	rcKindUnit = iota
-	rcKindReader
 	rcKindPayloadCache
 	rcKindFetched
 	rcKindCount
@@ -61,6 +63,7 @@ type rcKindSpec struct {
 	matchArg bool     // unit-style first-argument text matching
 	recvType string   // acquire/release receiver type substring ("" = any)
 	relRecv  string   // release receiver type substring when it differs
+	valType  string   // pinned value's type substring ("" = keyed by name)
 	what     string
 	rels     string
 }
@@ -70,17 +73,13 @@ var rcKinds = [rcKindCount]rcKindSpec{
 		acquire: []string{"WaitUnit", "ReadUnit"}, release: []string{"FinishUnit", "DeleteUnit"},
 		wildcard: []string{"Close"}, matchArg: true, what: "unit", rels: "FinishUnit/DeleteUnit/Close",
 	},
-	rcKindReader: {
-		acquire: []string{"acquire"}, release: []string{"release"}, wildcard: []string{"closeAll"},
-		recvType: "readerCache", what: "cached reader", rels: "release/closeAll",
-	},
 	rcKindPayloadCache: {
 		acquire: []string{"acquire", "insert"}, release: []string{"release"}, wildcard: []string{"closeAll"},
-		recvType: "payloadCache", what: "pinned payload", rels: "release/closeAll",
+		recvType: "payloadCache", valType: "payloadEntry", what: "pinned payload", rels: "release/closeAll",
 	},
 	rcKindFetched: {
 		acquire: []string{"FetchFile", "FetchFiles"}, release: []string{"Recycle"},
-		recvType: "Client", relRecv: "FilePayload", what: "fetched payload", rels: "Recycle (or a releasing hand-off)",
+		recvType: "Client", relRecv: "FilePayload", valType: "FilePayload", what: "fetched payload", rels: "Recycle (or a releasing hand-off)",
 	},
 }
 
@@ -194,9 +193,13 @@ type rcChecker struct {
 	findings []Finding
 	reported map[token.Pos]bool
 
-	// summaries maps a call-graph key to the parameter indices the
-	// function releases on every path (grows monotonically to fixpoint).
-	summaries map[string]map[int]bool
+	// summaries maps a call-graph key and a parameter index to what the
+	// function does with that parameter on every path: rcReleased, or
+	// rcLive when it only borrows it (neither releases nor keeps it).
+	// returns maps a key to the kind of pin the function hands its caller
+	// by return. Both grow monotonically to fixpoint.
+	summaries map[string]map[int]rcStatus
+	returns   map[string]int
 }
 
 func runReleasecheck(mc *moduleContext) []Finding {
@@ -207,7 +210,8 @@ func runReleasecheck(mc *moduleContext) []Finding {
 		mc:        mc,
 		fset:      mc.Pkgs[0].Fset,
 		reported:  make(map[token.Pos]bool),
-		summaries: make(map[string]map[int]bool),
+		summaries: make(map[string]map[int]rcStatus),
+		returns:   make(map[string]int),
 	}
 	for iter := 0; iter < 10; iter++ {
 		before := c.summarySize()
@@ -221,7 +225,7 @@ func runReleasecheck(mc *moduleContext) []Finding {
 }
 
 func (c *rcChecker) summarySize() int {
-	n := 0
+	n := len(c.returns)
 	for _, m := range c.summaries {
 		n += len(m)
 	}
@@ -244,10 +248,11 @@ func (c *rcChecker) analyze(fn *callgraph.Func, record bool) {
 		info:    info,
 		record:  record,
 		aliases: make(map[types.Object]types.Object),
+		fnKey:   fn.Key,
 	}
 	entry := newRCState()
-	// Synthetic pins for *FilePayload-ish parameters feed the
-	// releases-param summaries.
+	// Synthetic pins for parameters that can carry a pin feed the
+	// per-parameter summaries.
 	var params []*types.Var
 	if sig, ok := info.Defs[fn.Decl.Name].(*types.Func); ok {
 		s := sig.Type().(*types.Signature)
@@ -256,26 +261,26 @@ func (c *rcChecker) analyze(fn *callgraph.Func, record bool) {
 		}
 	}
 	for i, p := range params {
-		if p.Type() == nil || !strings.Contains(p.Type().String(), "FilePayload") {
-			continue
+		for kind, spec := range rcKinds {
+			if spec.valType == "" || p.Type() == nil || !strings.Contains(p.Type().String(), spec.valType) {
+				continue
+			}
+			pin := &rcPin{kind: kind, acqName: "parameter", site: p.Pos(), obj: p, param: i}
+			entry.pins[pin.site] = pin
+			entry.status[pin.site] = rcLive
 		}
-		pin := &rcPin{kind: rcKindFetched, acqName: "parameter", site: p.Pos(), obj: p, param: i}
-		entry.pins[pin.site] = pin
-		entry.status[pin.site] = rcLive
 	}
-	w.paramReleased = make(map[int]bool)
-	w.paramSeen = make(map[int]bool)
+	w.paramExits = make(map[int]uint8)
 	runDataflow(c.mc.cfgOf(fn.Decl.Body), entry, w, record)
-	// Fold exit facts into the summary: a parameter counts as released
-	// only when every normal exit released it (no exits: no claim).
-	if w.exits > 0 {
-		key := fn.Key
-		for i, rel := range w.paramReleased {
-			if rel && w.paramSeen[i] {
-				if c.summaries[key] == nil {
-					c.summaries[key] = make(map[int]bool)
+	// Fold exit facts into the summary: a claim about a parameter needs
+	// every normal exit to agree on it (no exits: no claim).
+	for i, exits := range w.paramExits {
+		for _, st := range []rcStatus{rcReleased, rcLive} {
+			if exits == 1<<st {
+				if c.summaries[fn.Key] == nil {
+					c.summaries[fn.Key] = make(map[int]rcStatus)
 				}
-				c.summaries[key][i] = true
+				c.summaries[fn.Key][i] = st
 			}
 		}
 	}
@@ -283,8 +288,6 @@ func (c *rcChecker) analyze(fn *callgraph.Func, record bool) {
 	// bodies, deferred cleanups, stored callbacks).
 	for _, lit := range funcLits(fn.Decl.Body) {
 		lw := &rcWalk{c: c, info: info, record: record, aliases: make(map[types.Object]types.Object)}
-		lw.paramReleased = make(map[int]bool)
-		lw.paramSeen = make(map[int]bool)
 		runDataflow(c.mc.cfgOf(lit.Body), newRCState(), lw, record)
 	}
 }
@@ -295,10 +298,11 @@ type rcWalk struct {
 	info    *types.Info
 	record  bool
 	aliases map[types.Object]types.Object // range/copy alias → pinned obj
+	fnKey   string                        // declared function under analysis ("" in a literal)
 
-	exits         int
-	paramReleased map[int]bool
-	paramSeen     map[int]bool
+	// paramExits collects, per synthetic parameter pin, the set of
+	// statuses (as 1<<status bits) it reached the normal exits with.
+	paramExits map[int]uint8
 }
 
 func (w *rcWalk) transfer(n ast.Node, st dfState, record bool) {
@@ -312,6 +316,12 @@ func (w *rcWalk) transfer(n ast.Node, st dfState, record bool) {
 		// The goroutine may release later; treat every captured pin as
 		// handed off. Its body is analyzed separately.
 		w.escapeCaptured(n.Call, s)
+	case *ast.SendStmt:
+		w.scan(n.Chan, s, nil, false)
+		w.scan(n.Value, s, nil, false)
+		if pin := w.pinFor(s, n.Value); pin != nil {
+			s.status[pin.site] = rcEscaped // the receiver owns it now
+		}
 	case *ast.ReturnStmt:
 		for _, res := range n.Results {
 			w.scan(res, s, nil, true)
@@ -331,8 +341,15 @@ func (w *rcWalk) transfer(n ast.Node, st dfState, record bool) {
 					break unwrap
 				}
 			}
-			if pin := w.pinFor(s, res); pin != nil {
+			pin := w.pinFor(s, res)
+			if call, ok := ast.Unparen(res).(*ast.CallExpr); ok && s.status[call.Pos()] == rcEscaped {
+				pin = s.pins[call.Pos()] // an acquire returned as it is made
+			}
+			if pin != nil {
 				s.status[pin.site] = rcEscaped
+				if pin.param < 0 && w.fnKey != "" {
+					w.c.returns[w.fnKey] = pin.kind
+				}
 			}
 		}
 	case *ast.RangeStmt:
@@ -440,7 +457,7 @@ func (w *rcWalk) deferStmt(n *ast.DeferStmt, s *rcState) {
 			rel := rcDeferRel{kind: kind, name: name}
 			switch role {
 			case rcRoleWildcard:
-				if contains(rcKinds[kind].wildcard, name) && name == "Close" {
+				if slices.Contains(rcKinds[kind].wildcard, name) && name == "Close" {
 					rel.wildcard = true
 				} else {
 					rel.closeAll = true
@@ -486,12 +503,10 @@ const (
 	rcRoleWildcard
 )
 
-// classify maps a call to a (pin kind, role) under the rcKinds table.
+// classify maps a call to a (pin kind, role): a method of the rcKinds
+// table, or a module function whose summary says it returns a pin.
 func (w *rcWalk) classify(call *ast.CallExpr) (kind, role int, ok bool) {
-	name, recv, c := methodCall(call)
-	if c == nil {
-		return 0, 0, false
-	}
+	name, recv, _ := methodCall(call)
 	for k := range rcKinds {
 		spec := &rcKinds[k]
 		relRecv := spec.recvType
@@ -499,12 +514,17 @@ func (w *rcWalk) classify(call *ast.CallExpr) (kind, role int, ok bool) {
 			relRecv = spec.relRecv
 		}
 		switch {
-		case contains(spec.acquire, name) && recvMatches(w.info, recv, spec.recvType):
+		case slices.Contains(spec.acquire, name) && recvMatches(w.info, recv, spec.recvType):
 			return k, rcRoleAcquire, true
-		case contains(spec.release, name) && recvMatches(w.info, recv, relRecv):
+		case slices.Contains(spec.release, name) && recvMatches(w.info, recv, relRecv):
 			return k, rcRoleRelease, true
-		case contains(spec.wildcard, name) && recvMatches(w.info, recv, spec.recvType):
+		case slices.Contains(spec.wildcard, name) && recvMatches(w.info, recv, spec.recvType):
 			return k, rcRoleWildcard, true
+		}
+	}
+	if res := w.c.mc.Graph.Resolve(w.info, call); res.Static != nil {
+		if kind, ok := w.c.returns[res.Static.Key]; ok {
+			return kind, rcRoleAcquire, true
 		}
 	}
 	return 0, 0, false
@@ -516,8 +536,11 @@ func (w *rcWalk) classify(call *ast.CallExpr) (kind, role int, ok bool) {
 func (w *rcWalk) acquire(kind int, call *ast.CallExpr, lhs []ast.Expr, s *rcState, escaped bool) {
 	spec := &rcKinds[kind]
 	pin := &rcPin{kind: kind, site: call.Pos(), param: -1}
-	if name, _, _ := methodCall(call); name != "" {
-		pin.acqName = name
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		pin.acqName = fun.Sel.Name
+	case *ast.Ident:
+		pin.acqName = fun.Name
 	}
 	if spec.matchArg {
 		pin.arg = simpleArg(call)
@@ -571,9 +594,11 @@ func (w *rcWalk) scan(e ast.Expr, s *rcState, bound *ast.CallExpr, inReturn bool
 				argPos := false
 				if len(stack) >= 2 {
 					if pc, ok := stack[len(stack)-2].(*ast.CallExpr); ok {
-						for _, a := range pc.Args {
+						for i, a := range pc.Args {
 							if a == ast.Expr(n) {
-								argPos = true
+								// A callee that only borrows leaves the
+								// pin here.
+								argPos = !w.calleeDoes(pc, i, rcLive)
 								break
 							}
 						}
@@ -630,19 +655,22 @@ func (w *rcWalk) callResultIsValue(call *ast.CallExpr) bool {
 	return !isErrorType(tv.Type)
 }
 
+// calleeDoes reports whether the current summary table says call's callee
+// leaves its parameter i in status st on every path.
+func (w *rcWalk) calleeDoes(call *ast.CallExpr, i int, st rcStatus) bool {
+	res := w.c.mc.Graph.Resolve(w.info, call)
+	if res.Static == nil {
+		return false
+	}
+	got, ok := w.c.summaries[res.Static.Key][i]
+	return ok && got == st
+}
+
 // summaryReleases invokes f for each argument object the callee releases
 // on all paths (per the current summary table).
 func (w *rcWalk) summaryReleases(call *ast.CallExpr, f func(types.Object)) {
-	res := w.c.mc.Graph.Resolve(w.info, call)
-	if res.Static == nil {
-		return
-	}
-	sum := w.c.summaries[res.Static.Key]
-	if len(sum) == 0 {
-		return
-	}
 	for i, arg := range call.Args {
-		if !sum[i] {
+		if !w.calleeDoes(call, i, rcReleased) {
 			continue
 		}
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
@@ -676,7 +704,7 @@ func (w *rcWalk) release(s *rcState, kind int, name string, call *ast.CallExpr, 
 		}
 	}
 	// Unbound release (computed argument/receiver): releases any pin of
-	// the kind, matching paircheck's permissiveness.
+	// the kind.
 	for site, pin := range s.pins {
 		if pin.kind == kind {
 			s.status[site] = rcReleased
@@ -788,13 +816,17 @@ func (w *rcWalk) identUse(id *ast.Ident, stack []ast.Node, s *rcState) {
 			s.status[pin.site] = rcEscaped
 		}
 	case *ast.CallExpr:
-		for _, arg := range parent.Args {
+		for i, arg := range parent.Args {
 			if arg != ast.Expr(id) {
 				continue
 			}
 			// Release/summary-releasing callees were already credited in
-			// call(); anything else takes ownership.
+			// call(), and a callee that only borrows changes nothing;
+			// anything else takes ownership.
 			if _, role, ok := w.classify(parent); ok && role != rcRoleAcquire {
+				return
+			}
+			if w.calleeDoes(parent, i, rcLive) {
 				return
 			}
 			releasedHere := false
@@ -973,18 +1005,9 @@ func (w *rcWalk) atExit(st dfState, ret *ast.ReturnStmt, record bool) {
 			}
 		}
 	}
-	w.exits++
-	// Parameter summary facts: AND across exits.
 	for site, pin := range s.pins {
-		if pin.param < 0 {
-			continue
-		}
-		rel := s.status[site] == rcReleased
-		if !w.paramSeen[pin.param] {
-			w.paramSeen[pin.param] = true
-			w.paramReleased[pin.param] = rel
-		} else {
-			w.paramReleased[pin.param] = w.paramReleased[pin.param] && rel
+		if pin.param >= 0 {
+			w.paramExits[pin.param] |= 1 << s.status[site]
 		}
 	}
 	if !record {
@@ -1028,4 +1051,50 @@ func (w *rcWalk) releaseByArg(s *rcState, kind int, arg string) {
 			s.status[site] = rcReleased
 		}
 	}
+}
+
+// methodCall decomposes e into (method name, receiver expr) when it is a
+// method-style call x.f(...).
+func methodCall(e ast.Expr) (string, ast.Expr, *ast.CallExpr) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return "", nil, nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", nil, nil
+	}
+	return sel.Sel.Name, sel.X, call
+}
+
+// recvMatches reports whether the receiver expression's type (when known)
+// contains the required substring. With no type info the name-based match
+// stands alone, which is fine for the specific method-name sets used here.
+func recvMatches(info *types.Info, recv ast.Expr, want string) bool {
+	if want == "" {
+		return true
+	}
+	if info == nil {
+		return false
+	}
+	tv, ok := info.Types[recv]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	return strings.Contains(tv.Type.String(), want)
+}
+
+// simpleArg renders a call's first argument when it is an identifier or
+// basic literal; computed expressions return "".
+func simpleArg(call *ast.CallExpr) string {
+	if len(call.Args) == 0 {
+		return ""
+	}
+	switch a := call.Args[0].(type) {
+	case *ast.Ident:
+		return a.Name
+	case *ast.BasicLit:
+		return a.Value
+	}
+	return ""
 }

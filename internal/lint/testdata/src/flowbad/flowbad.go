@@ -1,15 +1,15 @@
-// Package flowbad seeds flow-sensitive pin leaks the syntactic paircheck
-// cannot see: every offending function contains a release call, just not
-// on every path to return. releasecheck must flag the leaking paths; the
-// balanced functions at the bottom (deferred release, interprocedural
-// hand-off) must stay clean.
+// Package flowbad seeds pin leaks only a flow-sensitive check can see:
+// every offending function contains a release call, just not on every
+// path to return. releasecheck must flag the leaking paths; the balanced
+// functions at the bottom (deferred release, interprocedural hand-off)
+// must stay clean.
 package flowbad
 
 import "godiva/internal/core"
 
 // earlyReturnLeak releases the unit on the happy path only: the probe's
-// error return leaks the pin. paircheck sees the FinishUnit and stays
-// quiet.
+// error return leaks the pin. A FinishUnit somewhere in the function is
+// not enough.
 func earlyReturnLeak(db *core.DB, unit string) error {
 	if err := db.WaitUnit(unit); err != nil { // want releasecheck `unit unit acquired with WaitUnit leaks on the return at line 18`
 		return err
@@ -152,4 +152,15 @@ func firstOf(c *Client, path string) (*FilePayload, error) {
 		return nil, err
 	}
 	return fps[0], nil
+}
+
+// enqueue is clean: sending the payload on a channel hands it to the
+// receiver.
+func enqueue(c *Client, ch chan<- *FilePayload, path string) error {
+	fp, err := c.FetchFile(path)
+	if err != nil {
+		return err
+	}
+	ch <- fp
+	return nil
 }

@@ -1,6 +1,6 @@
-// Package pairbad seeds paircheck violations: unit acquisitions without a
-// matching release and a field buffer retained past the unit release.
-// Every offending line carries a // want comment consumed by lint_test.go.
+// Package pairbad seeds pairing violations for releasecheck and borrowcheck:
+// unit pins never released, payload pins dropped by whoever was handed them,
+// a field buffer used past its unit's release. lint_test.go reads the wants.
 package pairbad
 
 import (
@@ -12,14 +12,14 @@ import (
 func sink(any) {}
 
 func leakUnit(db *core.DB) error {
-	if err := db.WaitUnit("step-1"); err != nil { // want paircheck `unit acquired with WaitUnit but no matching FinishUnit/DeleteUnit/Close in leakUnit` // want releasecheck `unit "step-1" acquired with WaitUnit leaks on the return at line 18`
+	if err := db.WaitUnit("step-1"); err != nil { // want releasecheck `unit "step-1" acquired with WaitUnit leaks on the return at line 18`
 		return err
 	}
 	return nil
 }
 
 func mismatchedName(db *core.DB) error {
-	if err := db.ReadUnit("a", nil); err != nil { // want paircheck `unit acquired with ReadUnit but no matching FinishUnit/DeleteUnit/Close in mismatchedName` // want releasecheck `unit "a" acquired with ReadUnit leaks on the return at line 25`
+	if err := db.ReadUnit("a", nil); err != nil { // want releasecheck `unit "a" acquired with ReadUnit leaks on the return at line 25`
 		return err
 	}
 	return db.FinishUnit("b")
@@ -36,25 +36,7 @@ func retainBuffer(db *core.DB) error {
 	if err := db.FinishUnit("u"); err != nil {
 		return err
 	}
-	sink(buf) // want paircheck `buffer "buf" from GetFieldBuffer/FieldBuffer is used after the unit release`
-	return nil
-}
-
-type readerCache struct{}
-
-func (c *readerCache) acquire(name string) error { return nil }
-func (c *readerCache) release(name string)       {}
-func (c *readerCache) closeAll()                 {}
-
-func leakReader(c *readerCache) error {
-	return c.acquire("remote.dat") // want paircheck `cached reader acquired with acquire but no matching release/closeAll in leakReader` // want releasecheck `cached reader acquired with acquire leaks on the return at line 50`
-}
-
-func balancedReader(c *readerCache) error {
-	if err := c.acquire("remote.dat"); err != nil {
-		return err
-	}
-	c.release("remote.dat")
+	sink(buf) // want borrowcheck `use of unit field buffer after FinishUnit/DeleteUnit released it`
 	return nil
 }
 
@@ -69,12 +51,45 @@ func (c *payloadCache) insert(key string, size int64) *payloadEntry {
 func (c *payloadCache) release(e *payloadEntry) {}
 func (c *payloadCache) closeAll()               {}
 
+// leakPayloadPin hands its pin to the caller, so the leak is wherever a
+// caller drops it: dropHandedOffPin.
 func leakPayloadPin(c *payloadCache) *payloadEntry {
-	return c.acquire("snap.shdf") // want paircheck `pinned payload acquired with acquire but no matching release/closeAll in leakPayloadPin`
+	return c.acquire("snap.shdf")
 }
 
+func dropHandedOffPin(c *payloadCache) {
+	leakPayloadPin(c) // want releasecheck `pinned payload acquired with leakPayloadPin leaks on the end of the function`
+}
+
+// peek only looks at the entry it is handed: the pin stays with the caller.
+func peek(e *payloadEntry) bool { return e != nil }
+
 func leakInsertPin(c *payloadCache) {
-	sink(c.insert("snap.shdf", 64)) // want paircheck `pinned payload acquired with insert but no matching release/closeAll in leakInsertPin`
+	peek(c.insert("snap.shdf", 64)) // want releasecheck `pinned payload acquired with insert leaks on the end of the function`
+}
+
+// lendAndDrop lends a bound pin the same way and then forgets it.
+func lendAndDrop(c *payloadCache) {
+	e := c.acquire("snap.shdf") // want releasecheck `pinned payload acquired with acquire leaks on the end of the function`
+	if e == nil {
+		return
+	}
+	peek(e)
+}
+
+// handOffInsertPin is clean: sink may keep what it is given, so the pin is
+// sink's to release.
+func handOffInsertPin(c *payloadCache) {
+	sink(c.insert("snap.shdf", 64))
+}
+
+// balancedHandedOffPin is clean: it releases the pin it was handed, and
+// lending it to peek in between changes nothing.
+func balancedHandedOffPin(c *payloadCache) {
+	if e := leakPayloadPin(c); e != nil {
+		peek(e)
+		c.release(e)
+	}
 }
 
 func balancedPayloadPin(c *payloadCache) {

@@ -40,14 +40,20 @@ func sameBlocks(t *testing.T, got, want *remote.FilePayload) {
 				t.Fatalf("block %s coord %d: %v != %v", g.Name, j, v, w.Mesh.Coords[j])
 			}
 		}
-		for name, gv := range g.Node {
-			wv := w.Node[name]
-			if len(gv) != len(wv) {
-				t.Fatalf("block %s field %s: %d != %d values", g.Name, name, len(gv), len(wv))
-			}
-			for j, v := range gv {
-				if v != wv[j] {
-					t.Fatalf("block %s field %s[%d]: %v != %v", g.Name, name, j, v, wv[j])
+		if len(g.Node) != len(w.Node) || len(g.Elem) != len(w.Elem) {
+			t.Fatalf("block %s carries %d node and %d elem fields, want %d and %d",
+				g.Name, len(g.Node), len(g.Elem), len(w.Node), len(w.Elem))
+		}
+		for _, fields := range [][2]map[string][]float64{{g.Node, w.Node}, {g.Elem, w.Elem}} {
+			for name, gv := range fields[0] {
+				wv := fields[1][name]
+				if len(gv) != len(wv) {
+					t.Fatalf("block %s field %s: %d != %d values", g.Name, name, len(gv), len(wv))
+				}
+				for j, v := range gv {
+					if v != wv[j] {
+						t.Fatalf("block %s field %s[%d]: %v != %v", g.Name, name, j, v, wv[j])
+					}
 				}
 			}
 		}
@@ -58,7 +64,8 @@ func sameBlocks(t *testing.T, got, want *remote.FilePayload) {
 // the payloads are identical either way.
 func TestFetchFilesBatchedE2E(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	dir := writeDataset(t, spec)
+	srv := startServer(t, dir, remote.Faults{})
 	paths := allPaths(spec) // 4 snapshots x 2 files = 8
 	if len(paths) != 8 {
 		t.Fatalf("want an 8-file set, got %d", len(paths))
@@ -100,6 +107,21 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 	}
 	if rs.Fetches != int64(len(paths)) {
 		t.Fatalf("Fetches = %d, want %d", rs.Fetches, len(paths))
+	}
+
+	// A second variable set over the same files, while the first set's
+	// responses are still cached: each is encoded from a reader of its own
+	// and matches a local read of the dataset.
+	otherVars := []string{"displacement", "s11"}
+	if fps, err = c.FetchFiles(paths, otherVars); err != nil {
+		t.Fatal(err)
+	}
+	for i, fp := range fps {
+		sameBlocks(t, fp, remote.LocalPayload(t, dir, paths[i], otherVars))
+		fp.Recycle()
+	}
+	if ss := srv.Stats(); ss.ReaderOpens != 2*int64(len(paths)) {
+		t.Fatalf("two variable sets over %d files opened %d readers, want %d", len(paths), ss.ReaderOpens, 2*len(paths))
 	}
 }
 

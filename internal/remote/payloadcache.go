@@ -5,19 +5,18 @@ import "sync"
 // payloadCache is a size-bounded, refcounted cache of *encoded response
 // segments*: the exact net.Buffers chunks a RespOK FilePayload frame is
 // scatter-sent from, built once per (path, vars) and reused verbatim until
-// the underlying snapshot file changes. It sits above readerCache — a hit
-// skips the SHDF directory walk, the CRC validation and the segment
-// encoding entirely, so N clients (or push subscribers fanning out on one
-// hot ingested file) cost one read instead of N.
+// the underlying snapshot file changes. It is the server's only cache — a
+// hit skips the file open, the SHDF directory walk, the CRC validation and
+// the segment encoding entirely, so N clients (or push subscribers fanning
+// out on one hot ingested file) cost one read instead of N.
 //
-// Lifetime rules mirror the reader cache's entry-pinned-until-frame-written
-// rule: every response writer using an entry's segments pins it (acquire /
-// insert) and releases it once the frame has left the socket. A pinned
-// entry is never evicted and its reader release (the pin on the mmap-backed
-// readerCache entry whose mapping the segments alias) never runs; the last
-// unpin of a doomed or evicted entry runs it. Eviction is second-chance
-// CLOCK over the insertion ring: a hit sets the entry's used bit, the hand
-// clears it on first pass and evicts on second.
+// An entry owns the mapped snapshot reader its segments alias: done, handed
+// over by insert, closes it, and nothing else holds it open. Every response
+// writer using an entry's segments pins it (acquire / insert) and releases
+// it once the frame has left the socket. A pinned entry is never evicted
+// and its done never runs; the last unpin of a doomed entry runs it.
+// Eviction is second-chance CLOCK over the insertion ring: a hit sets the
+// entry's used bit, the hand clears it on first pass and evicts on second.
 //
 // Invalidation is wired into the OpIngest temp+rename path: ingest bumps
 // the path's generation and dooms its live entries, and insert refuses any
@@ -26,10 +25,10 @@ import "sync"
 //
 // payloadCache.mu is a leaf in the documented lock order (DESIGN.md
 // appendix): nothing blocks and no other GODIVA mutex is acquired while it
-// is held — reader releases collected under the lock run after unlock.
+// is held — reader closes collected under the lock run after unlock.
 type payloadCache struct {
 	mu   sync.Mutex
-	max  int64 // byte budget for cached segments
+	max  int64 // byte budget for cached segments; <= 0 caches nothing
 	size int64
 	ents map[string]*payloadEntry
 	ring []*payloadEntry // CLOCK ring, insertion order
@@ -47,17 +46,14 @@ type payloadEntry struct {
 	path string // request path, for invalidation
 	segs [][]byte
 	size int64  // total payload bytes across segs
-	done func() // releases the pinned reader the segments borrow from
+	done func() // closes the mapped reader the segments borrow from
 
 	pins   int  // response writers currently sending these segments
 	used   bool // CLOCK second-chance bit
-	doomed bool // invalidated or evicted while pinned; done on last release
+	doomed bool // invalidated while pinned; done on last release
 }
 
 func newPayloadCache(max int64) *payloadCache {
-	if max <= 0 {
-		return nil // disabled: all call sites nil-check
-	}
 	return &payloadCache{
 		max:  max,
 		ents: make(map[string]*payloadEntry),
@@ -65,11 +61,8 @@ func newPayloadCache(max int64) *payloadCache {
 	}
 }
 
-// counters snapshots the cache's operation counters. A nil cache reads zero.
+// counters snapshots the cache's operation counters.
 func (pc *payloadCache) counters() (hits, misses, evicts, bytesServed int64) {
-	if pc == nil {
-		return 0, 0, 0, 0
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return pc.hits, pc.misses, pc.evicts, pc.bytesServed
@@ -104,15 +97,15 @@ func (pc *payloadCache) acquire(key string) *payloadEntry {
 }
 
 // insert caches freshly encoded segments and returns the entry pinned for
-// the caller's own response write (pair with release). done is the reader
-// release the segments borrow from; the cache owns it from here on — it
+// the caller's own response write (pair with release). done closes the
+// reader the segments borrow from; the cache owns it from here on — it
 // runs when the entry is evicted or invalidated and unpinned. insert
 // declines (returning nil, with done NOT consumed) when the cache cannot
 // hold the entry: the path's generation moved since gen was read, an entry
 // for the key already exists (a racing builder won), or the segments exceed
-// the whole budget. Eviction of colder entries makes room, CLOCK-style;
-// when everything else is pinned the cache temporarily exceeds its budget,
-// like the reader cache.
+// the whole budget (always, for a cache with no budget). Eviction of colder
+// entries makes room, CLOCK-style; when everything else is pinned the cache
+// temporarily exceeds its budget.
 func (pc *payloadCache) insert(key, path string, gen uint64, segs [][]byte, size int64, done func()) *payloadEntry {
 	var freed []func()
 	pc.mu.Lock()
@@ -134,7 +127,7 @@ func (pc *payloadCache) insert(key, path string, gen uint64, segs [][]byte, size
 
 // evictLocked runs the CLOCK hand until the cache fits its budget or every
 // remaining entry is pinned or freshly referenced, returning the evicted
-// entries' reader releases for the caller to run outside the lock.
+// entries' reader closes for the caller to run outside the lock.
 func (pc *payloadCache) evictLocked() []func() {
 	var freed []func()
 	scanned := 0
@@ -178,13 +171,10 @@ func (pc *payloadCache) removeLocked(e *payloadEntry) {
 }
 
 // release unpins an entry obtained from acquire or insert. The last unpin
-// of a doomed entry (invalidated or evicted mid-send) runs its reader
-// release — the old mapping stays valid until every in-flight frame
-// borrowing it has been written.
+// of a doomed entry (invalidated mid-send) closes its reader — the old
+// mapping stays valid until every in-flight frame borrowing it has been
+// written.
 func (pc *payloadCache) release(e *payloadEntry) {
-	if pc == nil || e == nil {
-		return
-	}
 	var done func()
 	pc.mu.Lock()
 	e.pins--
@@ -203,9 +193,6 @@ func (pc *payloadCache) release(e *payloadEntry) {
 // in-flight builders cannot re-cache the old bytes. Pinned entries keep
 // serving their in-flight frames and are torn down on the last release.
 func (pc *payloadCache) invalidate(path string) {
-	if pc == nil {
-		return
-	}
 	var freed []func()
 	pc.mu.Lock()
 	pc.gens[path]++
@@ -228,13 +215,10 @@ func (pc *payloadCache) invalidate(path string) {
 	}
 }
 
-// closeAll tears the cache down with the server: every entry's reader
-// release runs (server shutdown has already severed the connections any
-// pinned entry was serving).
+// closeAll tears the cache down with the server: every entry's reader is
+// closed (server shutdown has already severed the connections any pinned
+// entry was serving).
 func (pc *payloadCache) closeAll() {
-	if pc == nil {
-		return
-	}
 	var freed []func()
 	pc.mu.Lock()
 	for _, e := range pc.ents {

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"godiva/internal/genx"
 )
 
 // cacheSegs builds a fake cached response of n bytes.
@@ -122,11 +124,165 @@ func TestPayloadCacheInvalidatePinned(t *testing.T) {
 	}
 }
 
-// TestPayloadCacheChurn hammers one small cache from concurrent fetchers
-// and invalidators (the OpIngest rename path) under the race detector, and
-// then checks the pin ledger: every reader release the cache ever owned ran
-// exactly once. BATCH_CHURN_TIME stretches the run (verify.sh's batch
-// stage uses 10s); the default keeps plain `go test` fast.
+// ledgerVars is the variable set the reader-ledger tests fetch.
+var ledgerVars = []string{"velocity"}
+
+// ledgerDataset writes a small dataset of snapshots x 2 files and returns
+// its directory, its request paths and the largest encoded response among
+// them (the unit the tests size payload budgets in).
+func ledgerDataset(t *testing.T, snapshots int) (dir string, paths []string, maxSize int64) {
+	t.Helper()
+	spec := genx.Scaled(32)
+	spec.Snapshots = snapshots
+	dir = t.TempDir()
+	if _, err := genx.WriteDataset(spec, dir); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < spec.Snapshots; s++ {
+		paths = append(paths, spec.SnapshotFiles("", s)...)
+	}
+	for _, p := range paths {
+		segs, _, err := encodeFilePayloadSegments(LocalPayload(t, dir, p, ledgerVars), maxFrame-2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var size int64
+		for _, seg := range segs {
+			size += int64(len(seg))
+		}
+		if size > maxSize {
+			maxSize = size
+		}
+	}
+	return dir, paths, maxSize
+}
+
+// openReaders returns how many snapshot readers srv holds open, and how many
+// payload-cache entries are resident to account for them.
+func openReaders(srv *Server) (open int64, resident int) {
+	st := srv.Stats()
+	srv.payloads.mu.Lock()
+	defer srv.payloads.mu.Unlock()
+	return st.ReaderOpens - st.ReaderCloses, len(srv.payloads.ents)
+}
+
+// touch reads the first and last byte of every segment: segments borrowed
+// from a mapping that was closed too early fault here.
+func touch(segs [][]byte) (n int, sum byte) {
+	for _, seg := range segs {
+		n += len(seg)
+		if len(seg) > 0 {
+			sum += seg[0] + seg[len(seg)-1]
+		}
+	}
+	return n, sum
+}
+
+// The payload budget is what bounds open snapshot readers: each resident
+// entry holds exactly one, nothing else holds any, an entry overwritten by
+// ingest while pinned keeps its reader until the last release, and Close
+// closes the rest.
+func TestReaderLedger(t *testing.T) {
+	dir, paths, maxSize := ledgerDataset(t, 6) // 12 files
+	srv, err := Serve(ServerOptions{Dir: dir, PayloadCache: 3 * maxSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	balanced := func(when string) {
+		t.Helper()
+		if open, resident := openReaders(srv); open != int64(resident) {
+			t.Fatalf("%s: %d readers open for %d resident payloads", when, open, resident)
+		}
+	}
+
+	for pass := 0; pass < 2; pass++ {
+		for _, p := range paths {
+			segs, size, _, done, err := srv.serveFile(p, ledgerVars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := touch(segs); n != size {
+				t.Fatalf("%s: segments hold %d bytes, want %d", p, n, size)
+			}
+			done()
+			balanced("after fetching " + p)
+		}
+	}
+	if _, resident := openReaders(srv); resident == 0 || resident >= len(paths) {
+		t.Fatalf("%d of %d payloads resident under a 3-payload budget", resident, len(paths))
+	}
+	if st := srv.Stats(); st.PayloadCacheEvictions == 0 || st.ReaderHits != 0 {
+		t.Fatalf("want evictions and no shared readers: %+v", st)
+	}
+
+	// Overwrite a file while a response still borrows its cached entry: the
+	// old mapping must outlive the ingest and close on the last release.
+	p := paths[0]
+	segs, _, _, done, err := srv.serveFile(p, ledgerVars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().ReaderCloses
+	if err := srv.ingest(p, LocalPayload(t, dir, p, ledgerVars)); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().ReaderCloses; got != before {
+		t.Fatalf("ingest closed %d readers under a pinned entry", got-before)
+	}
+	touch(segs)
+	done()
+	if got := srv.Stats().ReaderCloses; got != before+1 {
+		t.Fatalf("last release of the overwritten entry closed %d readers, want 1", got-before)
+	}
+	balanced("after the overwritten entry's last release")
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.ReaderOpens != st.ReaderCloses {
+		t.Fatalf("after Close: %d readers opened, %d closed", st.ReaderOpens, st.ReaderCloses)
+	}
+}
+
+// A server with no payload budget caches nothing through the same code
+// path: every fetch opens its own reader and closes it with its frame.
+func TestPayloadCacheDisabled(t *testing.T) {
+	dir, paths, _ := ledgerDataset(t, 1)
+	srv, err := Serve(ServerOptions{Dir: dir, PayloadCache: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		segs, size, _, done, err := srv.serveFile(paths[0], ledgerVars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if open, resident := openReaders(srv); open != 1 || resident != 0 {
+			t.Fatalf("mid-fetch: %d readers open, %d payloads resident, want 1 and 0", open, resident)
+		}
+		if n, _ := touch(segs); n != size {
+			t.Fatalf("segments hold %d bytes, want %d", n, size)
+		}
+		done()
+		if open, _ := openReaders(srv); open != 0 {
+			t.Fatalf("after the frame: %d readers still open", open)
+		}
+	}
+	if st := srv.Stats(); st.PayloadCacheHits != 0 || st.ReaderOpens != 3 {
+		t.Fatalf("want 0 hits and 3 opens: %+v", st)
+	}
+}
+
+// TestPayloadCacheChurn hammers one server with a small payload budget from
+// concurrent fetchers and invalidators (the OpIngest rename path) under the
+// race detector, reading every response's borrowed bytes before releasing
+// it, and then checks the ledgers: no entry is left pinned, every open
+// reader belongs to a resident entry, and after Close every reader the
+// server ever opened has been closed. BATCH_CHURN_TIME
+// stretches the run (verify.sh's batch stage uses 10s); the default keeps
+// plain `go test` fast.
 func TestPayloadCacheChurn(t *testing.T) {
 	d := time.Second
 	if s := os.Getenv("BATCH_CHURN_TIME"); s != "" {
@@ -136,23 +292,18 @@ func TestPayloadCacheChurn(t *testing.T) {
 		}
 		d = v
 	}
-	pc := newPayloadCache(16 << 10) // tiny budget: constant eviction
-	paths := []string{"a.shdf", "b.shdf", "c.shdf", "d.shdf"}
-
-	var made, ran atomic.Int64
-	mkDone := func() func() {
-		made.Add(1)
-		var once atomic.Bool
-		return func() {
-			if !once.CompareAndSwap(false, true) {
-				t.Error("reader release ran twice")
-			}
-			ran.Add(1)
-		}
+	dir, paths, maxSize := ledgerDataset(t, 2) // 4 files
+	// Room for two of the eight (path, vars) keys: constant eviction.
+	srv, err := Serve(ServerOptions{Dir: dir, PayloadCache: 2 * maxSize})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer srv.Close()
+	varSets := [][]string{ledgerVars, nil}
 
 	deadline := time.Now().Add(d)
 	var wg sync.WaitGroup
+	var fetches atomic.Int64
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -160,24 +311,16 @@ func TestPayloadCacheChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for time.Now().Before(deadline) {
 				path := paths[rng.Intn(len(paths))]
-				key := fetchKey(path, []string{"v"})
-				if e := pc.acquire(key); e != nil {
-					if len(e.segs) == 0 {
-						t.Error("cached entry lost its segments")
-					}
-					pc.release(e)
-					continue
+				segs, size, _, done, err := srv.serveFile(path, varSets[rng.Intn(len(varSets))])
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				gen := pc.gen(path)
-				size := 512 + rng.Intn(4096)
-				done := mkDone()
-				if e := pc.insert(key, path, gen, cacheSegs(size), int64(size), done); e != nil {
-					pc.release(e)
-				} else {
-					// Declined: the builder keeps its own reader pin and
-					// releases it once its response is written.
-					done()
+				if n, _ := touch(segs); n != size {
+					t.Errorf("%s: segments hold %d bytes, want %d", path, n, size)
 				}
+				done()
+				fetches.Add(1)
 			}
 		}(int64(w))
 	}
@@ -186,16 +329,29 @@ func TestPayloadCacheChurn(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for time.Now().Before(deadline) {
-			pc.invalidate(paths[rng.Intn(len(paths))])
+			srv.payloads.invalidate(paths[rng.Intn(len(paths))])
 			time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
 		}
 	}()
 	wg.Wait()
-	pc.closeAll()
-	if made.Load() != ran.Load() {
-		t.Fatalf("reader-release ledger unbalanced: %d made, %d ran (leaked pins)",
-			made.Load(), ran.Load())
+
+	srv.payloads.mu.Lock()
+	for key, e := range srv.payloads.ents {
+		if e.pins != 0 {
+			t.Errorf("entry %q left with %d pins (leaked pin)", key, e.pins)
+		}
 	}
-	hits, misses, _, _ := pc.counters()
-	t.Logf("churn: %d hits, %d misses, %d releases", hits, misses, ran.Load())
+	srv.payloads.mu.Unlock()
+	if open, resident := openReaders(srv); open != int64(resident) {
+		t.Fatalf("%d readers open for %d resident payloads", open, resident)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.ReaderOpens != st.ReaderCloses {
+		t.Fatalf("reader ledger unbalanced: %d opened, %d closed", st.ReaderOpens, st.ReaderCloses)
+	}
+	t.Logf("churn: %d fetches, %d hits, %d misses, %d evictions, %d readers",
+		fetches.Load(), st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions, st.ReaderOpens)
 }

@@ -27,14 +27,12 @@ type ServerOptions struct {
 	// by genx.Discover. Request paths are resolved inside it and may not
 	// escape it.
 	Dir string
-	// ReaderCache caps the LRU of open snapshot readers (default 8). Open
-	// readers hold their SHDF directory and block table in memory, so a
-	// cached file answers fetches without re-reading either.
-	ReaderCache int
 	// PayloadCache budgets the pinned payload cache in bytes: encoded
 	// response segments kept per (path, vars) and scatter-sent verbatim to
-	// every later fetcher of the same hot file. 0 means the 64 MiB
-	// default; negative disables the cache.
+	// every later fetcher of the same hot file. Each entry keeps the mapped
+	// snapshot reader its segments alias open, so the budget also bounds
+	// the open mappings. 0 means the 64 MiB default; negative caches
+	// nothing (every fetch opens and closes its own reader).
 	PayloadCache int64
 	// IdleTimeout disconnects clients idle longer than this (default 5m).
 	IdleTimeout time.Duration
@@ -88,9 +86,14 @@ type ServerStats struct {
 	BytesCopied    int64 // payload array bytes copied into response frames
 	//                      (scatter-send borrows the rest straight from the
 	//                      dataset; nonzero only on big-endian hosts)
-	ReaderHits   int64 // fetches served by a cached open reader
-	ReaderOpens  int64 // snapshot files opened
-	ReaderEvicts int64 // cached readers closed by LRU pressure
+	ReaderOpens  int64 // snapshot files opened (one per payload-cache miss)
+	ReaderCloses int64 // snapshot files closed again: eviction, invalidation,
+	//                    declined insert, failed read, shutdown
+	// ReaderHits is always zero: fetches do not share open readers. It
+	// stays only because bench/scanremote.go reads it for
+	// remote.reader_hit_ratio; the benchmark PR that retires that metric
+	// drops this field with it.
+	ReaderHits int64
 
 	PayloadCacheHits      int64 // fetches served from cached encoded segments
 	PayloadCacheMisses    int64 // fetches that had to encode their response
@@ -107,8 +110,7 @@ type ServerStats struct {
 type Server struct {
 	opts     ServerOptions
 	ln       net.Listener
-	cache    *readerCache
-	payloads *payloadCache // nil when disabled
+	payloads *payloadCache
 	reg      *push.Registry
 
 	mu     sync.Mutex
@@ -127,9 +129,6 @@ type Server struct {
 func Serve(opts ServerOptions) (*Server, error) {
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
-	}
-	if opts.ReaderCache <= 0 {
-		opts.ReaderCache = 8
 	}
 	if opts.IdleTimeout <= 0 {
 		opts.IdleTimeout = 5 * time.Minute
@@ -165,7 +164,6 @@ func Serve(opts ServerOptions) (*Server, error) {
 		opts:     opts,
 		spec:     spec,
 		ln:       ln,
-		cache:    newReaderCache(opts.ReaderCache),
 		payloads: newPayloadCache(opts.PayloadCache),
 		reg:      push.NewRegistry(),
 		conns:    make(map[net.Conn]struct{}),
@@ -196,7 +194,6 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.ReaderHits, st.ReaderOpens, st.ReaderEvicts = s.cache.counters()
 	st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
 		st.BytesServedFromCache = s.payloads.counters()
 	return st
@@ -220,11 +217,11 @@ func (s *Server) setFaultsLocked(f Faults) {
 }
 
 // Close stops accepting, severs open connections, joins the handler
-// goroutines and closes every cached reader. Closing the push registry
-// first wakes every fan-out writer blocked on an empty queue (and every
-// ingest blocked on a full lossless queue); closing the connections then
-// unblocks writers stuck mid-send to a stalled peer, so wg.Wait cannot
-// hang behind a subscription.
+// goroutines and closes every reader a cached payload still holds open.
+// Closing the push registry first wakes every fan-out writer blocked on an
+// empty queue (and every ingest blocked on a full lossless queue); closing
+// the connections then unblocks writers stuck mid-send to a stalled peer, so
+// wg.Wait cannot hang behind a subscription.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -241,10 +238,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
-	// Payload-cache entries pin reader-cache entries, so tear them down
-	// first: their reader releases must run before the readers close.
 	s.payloads.closeAll()
-	s.cache.closeAll()
 	return err
 }
 
@@ -306,10 +300,11 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		rop, segs, done := s.handleRequest(op, body)
-		// done pins server-side resources the response segments borrow
-		// (the cached snapshot reader, whose mmap'd payloads the segments
-		// may alias); it must run after the frame has left — and on every
-		// early return — before the reader becomes evictable again.
+		// done pins server-side resources the response segments borrow (a
+		// payload-cache entry, or an uncached fetch's own snapshot reader,
+		// whose mmap'd payloads the segments may alias); it must run after
+		// the frame has left — and on every early return — before the
+		// mapping may be closed.
 		release := func() {
 			if done != nil {
 				done()
@@ -458,41 +453,37 @@ func errCode(err error) uint16 {
 // serveFile returns one (path, vars) fetch's encoded response body as
 // scattered segments, served verbatim from the payload cache when the same
 // request was encoded before. On a miss the response is encoded from a
-// pinned reader and offered to the cache, which takes over the reader's
-// release; either way the returned done func (pair with the written frame)
-// keeps the segments' backing memory — a cache entry or the reader's mmap —
+// freshly opened reader and offered to the cache, which takes over the
+// reader's close; a declined offer leaves the close with this fetch. Either
+// way the returned done func (pair with the written frame) keeps the
+// segments' backing memory — the cache entry's or the fetch's own mmap —
 // alive until it runs. size is the total payload length; copied counts
 // array bytes that could not be borrowed (0 on a hit: cached segments go
 // to the socket as-is).
 func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int, copied int64, done func(), err error) {
 	key := fetchKey(path, vars)
-	var gen uint64
-	if s.payloads != nil {
-		if e := s.payloads.acquire(key); e != nil {
-			return e.segs, int(e.size), 0, func() { s.payloads.release(e) }, nil
-		}
-		// Captured before the read: an ingest landing between here and
-		// insert bumps it, and insert then refuses the stale segments.
-		gen = s.payloads.gen(path)
+	if e := s.payloads.acquire(key); e != nil {
+		return e.segs, int(e.size), 0, func() { s.payloads.release(e) }, nil
 	}
-	fp, release, err := s.fetch(path, vars)
+	// Captured before the open: an ingest landing between here and insert
+	// bumps it, and insert then refuses the stale segments.
+	gen := s.payloads.gen(path)
+	fp, closeReader, err := s.fetch(path, vars)
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
 	segs, copied, err = encodeFilePayloadSegments(fp, maxFrame-2)
 	if err != nil {
-		release()
+		closeReader()
 		return nil, 0, 0, nil, err
 	}
 	for _, seg := range segs {
 		size += len(seg)
 	}
-	if s.payloads != nil {
-		if e := s.payloads.insert(key, path, gen, segs, int64(size), release); e != nil {
-			return segs, size, copied, func() { s.payloads.release(e) }, nil
-		}
+	if e := s.payloads.insert(key, path, gen, segs, int64(size), closeReader); e != nil {
+		return segs, size, copied, func() { s.payloads.release(e) }, nil
 	}
-	return segs, size, copied, release, nil
+	return segs, size, copied, closeReader, nil
 }
 
 // serveFetch answers one OpFetch request: every item is fetched through
@@ -536,50 +527,53 @@ func (s *Server) serveFetch(reqs []fetchReq) (byte, [][]byte, func()) {
 	}
 }
 
-// fetch reads one snapshot file's blocks through the reader cache. On
-// success the returned done func releases the cache entry: the payload's
-// arrays may alias the open reader's mmap'd payloads, so the entry stays
-// pinned (unevictable, its mapping intact) until the caller has finished
-// with the payload: until the response frame has been written to the
-// socket.
-func (s *Server) fetch(path string, vars []string) (fp *FilePayload, done func(), err error) {
+// fetch reads one snapshot file's blocks through a reader of its own. The
+// reader is mapped, so the payload's arrays alias the snapshot file's mmap
+// and scatter-send writes them straight from the page cache (shdf falls
+// back to heap-backed reads where mmap is unavailable); on success the
+// returned closeReader unmaps it, and whoever holds it — the payload-cache
+// entry built from fp, or the uncached fetch itself — runs it exactly once,
+// after the last response frame borrowing the payload has been written.
+func (s *Server) fetch(path string, vars []string) (fp *FilePayload, closeReader func(), err error) {
 	if path == "" || !filepath.IsLocal(path) || !strings.HasSuffix(path, ".shdf") {
 		return nil, nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}
 	}
-	ent, err := s.cache.acquire(filepath.Join(s.opts.Dir, path))
+	h, err := (&genx.Reader{Mapped: true}).Open(filepath.Join(s.opts.Dir, path))
 	if err != nil {
 		return nil, nil, err
 	}
+	s.mu.Lock()
+	s.stats.ReaderOpens++
+	s.mu.Unlock()
+	closeReader = func() {
+		h.Close()
+		s.mu.Lock()
+		s.stats.ReaderCloses++
+		s.mu.Unlock()
+	}
+	read := false
 	defer func() {
-		if done == nil {
-			s.cache.release(ent)
+		if !read {
+			closeReader() // read error or decoder panic: nobody else will
 		}
 	}()
-	// The genx file handle tracks a read position (for platform-cost
-	// modeling), so reads through one handle are serialized; concurrency
-	// comes from the cache holding many files open.
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	fp = &FilePayload{Path: path, Time: ent.h.Time, StepID: ent.h.StepID}
-	for _, e := range ent.h.Blocks() {
-		// lint:ignore deadlockcheck reading under ent.mu is the documented
-		// per-handle serialization (the handle tracks a read position);
-		// ent.mu is ordered after readerCache.mu and before the platform
-		// leaves, never the reverse.
-		bd, err := ent.h.ReadBlock(e, vars)
+	fp = &FilePayload{Path: path, Time: h.Time, StepID: h.StepID}
+	for _, e := range h.Blocks() {
+		bd, err := h.ReadBlock(e, vars)
 		if err != nil {
 			return nil, nil, err
 		}
 		fp.Blocks = append(fp.Blocks, bd)
 	}
-	return fp, func() { s.cache.release(ent) }, nil
+	read = true
+	return fp, closeReader, nil
 }
 
 // ingest validates and lands one pushed snapshot file, then publishes the
 // arrival to the subscription registry. The payload goes through the same
 // shdf writer path WriteDataset uses (into a temp file, renamed into place,
 // so a crashed producer never leaves a torn snapshot visible), the served
-// spec grows to cover the new step, and any cached reader for an
+// spec grows to cover the new step, and any cached payload of an
 // overwritten path is invalidated. Publish blocks while a lossless (Block)
 // subscriber's queue is full — that backpressure is the point: the
 // producer's RespOK is withheld until every lossless consumer has room.
@@ -598,10 +592,10 @@ func (s *Server) ingest(path string, fp *FilePayload) error {
 		os.Remove(tmp)
 		return err
 	}
-	s.cache.invalidate(dst)
-	// Cached encoded responses for the replaced file are stale too (and
-	// their generation bump keeps in-flight builders from re-caching old
-	// bytes). Payload-cache keys use the request path, not the joined one.
+	// Cached responses for a replaced file alias its old mapping; the
+	// generation bump also keeps a fetch that opened the old file from
+	// caching it. Payload-cache keys use the request path, not the joined
+	// one.
 	s.payloads.invalidate(path)
 
 	fields := make(map[string]struct{})
@@ -728,118 +722,4 @@ func (s *Server) stallAction() (bool, time.Duration) {
 		return true, f.Delay
 	}
 	return false, 0
-}
-
-// --- LRU cache of open snapshot readers ---
-
-type cacheEntry struct {
-	path   string
-	h      *genx.FileHandle
-	mu     sync.Mutex // serializes reads through the handle
-	refs   int
-	stamp  int64 // LRU clock at last acquire
-	doomed bool  // invalidated while pinned; close on last release
-}
-
-type readerCache struct {
-	mu      sync.Mutex
-	max     int
-	clock   int64
-	entries map[string]*cacheEntry
-
-	hits, opens, evicts int64
-}
-
-func newReaderCache(max int) *readerCache {
-	return &readerCache{max: max, entries: make(map[string]*cacheEntry)}
-}
-
-func (rc *readerCache) counters() (hits, opens, evicts int64) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.hits, rc.opens, rc.evicts
-}
-
-// acquire returns an open reader for path, opening and caching it on a miss
-// and evicting idle least-recently-used readers beyond the cap. The entry
-// stays pinned (refs > 0) until release, so eviction never closes a file
-// mid-read; when every cached file is busy the cache temporarily exceeds
-// its cap instead.
-func (rc *readerCache) acquire(path string) (*cacheEntry, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.clock++
-	if e, ok := rc.entries[path]; ok {
-		e.refs++
-		e.stamp = rc.clock
-		rc.hits++
-		return e, nil
-	}
-	// lint:ignore deadlockcheck opening under rc.mu gives each path
-	// single-open semantics (concurrent misses for one file dial the disk
-	// once); rc.mu is ordered before the platform leaves only.
-	// Mapped readers make fetched payloads alias the snapshot file's mmap,
-	// so scatter-send writes them straight from the page cache; shdf falls
-	// back to heap-backed reads where mmap is unavailable.
-	h, err := (&genx.Reader{Mapped: true}).Open(path)
-	if err != nil {
-		return nil, err
-	}
-	rc.opens++
-	e := &cacheEntry{path: path, h: h, refs: 1, stamp: rc.clock}
-	rc.entries[path] = e
-	for len(rc.entries) > rc.max {
-		victim := (*cacheEntry)(nil)
-		for _, c := range rc.entries {
-			if c.refs == 0 && (victim == nil || c.stamp < victim.stamp) {
-				victim = c
-			}
-		}
-		if victim == nil {
-			break // everything busy; stay over cap until releases catch up
-		}
-		delete(rc.entries, victim.path)
-		victim.h.Close()
-		rc.evicts++
-	}
-	return e, nil
-}
-
-func (rc *readerCache) release(e *cacheEntry) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	e.refs--
-	if e.doomed && e.refs == 0 {
-		e.h.Close()
-		e.doomed = false
-	}
-}
-
-// invalidate drops the cache entry for path after its file is replaced on
-// disk: a cached reader still maps the old bytes, so it must never serve
-// another fetch. A pinned entry keeps serving in-flight fetches (the old
-// mapping stays valid until close) and is closed on its last release.
-func (rc *readerCache) invalidate(path string) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	e, ok := rc.entries[path]
-	if !ok {
-		return
-	}
-	delete(rc.entries, path)
-	if e.refs == 0 {
-		e.h.Close()
-	} else {
-		e.doomed = true
-	}
-	rc.evicts++
-}
-
-func (rc *readerCache) closeAll() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	for _, e := range rc.entries {
-		e.h.Close()
-	}
-	rc.entries = make(map[string]*cacheEntry)
 }

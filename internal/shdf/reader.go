@@ -365,9 +365,9 @@ func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
 		// offset 4+8·rank ≡ 4 (mod 8) — lands 8-aligned and ReadSDS can alias
 		// it instead of decode-copying.
 		buf = zerocopy.MakeOffsetAligned(int(e.length), 8, 4)
-		// The serialized read below holds f.mu, like the reader-cache handles
-		// in internal/remote: payload loads are intentionally one-at-a-time
-		// per File, and nothing the I/O depends on waits on this mutex.
+		// The serialized read below holds f.mu: payload loads are
+		// intentionally one-at-a-time per File, and nothing the I/O depends
+		// on waits on this mutex.
 		//lint:ignore deadlockcheck payload reads are serialized per File by design; no lock-order cycle is possible through os.File.ReadAt
 		if _, err := f.r.ReadAt(buf, int64(e.offset)); err != nil {
 			return nil, nil, fmt.Errorf("%w: object %q: %v", ErrCorrupt, e.name, err)
