@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Errors returned by the package.
@@ -162,52 +164,109 @@ func (m *TetMesh) Bounds() (lo, hi Vec3) {
 // the right-hand normal points out of the element).
 var tetFaces = [4][3]int{{0, 2, 1}, {0, 1, 3}, {1, 2, 3}, {0, 3, 2}}
 
-// faceKey canonicalizes a face's node set for matching interior faces.
-type faceKey [3]int32
+// faceSlot is one entry of the open-addressed face table: a face's node set
+// in canonical (sorted) order, and which face carried it first.
+type faceSlot struct {
+	a, b, c int32
+	first   uint32 // 1 + index of the first face with this node set; 0 = empty
+}
 
-func makeFaceKey(a, b, c int32) faceKey {
-	if a > b {
-		a, b = b, a
+// faceScratch is the working memory of one boundary extraction. Faces are
+// numbered 4*element + face, the order they are emitted in.
+type faceScratch struct {
+	slots []faceSlot // power-of-two sized, at most half full
+	seen  []uint8    // per face: how often its node set occurred (capped at 2), kept on the first face with that set
+}
+
+// facePool recycles scratch between extractions; every I/O worker and the
+// main thread may be extracting different blocks at once.
+var facePool = sync.Pool{New: func() any { return new(faceScratch) }}
+
+// reset sizes and zeroes the scratch for a mesh with nf faces.
+func (sc *faceScratch) reset(nf int) {
+	n := 16
+	for n < 2*nf {
+		n <<= 1
 	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return faceKey{a, b, c}
+	sc.slots = slices.Grow(sc.slots[:0], n)[:n]
+	sc.seen = slices.Grow(sc.seen[:0], nf)[:nf]
+	clear(sc.slots)
+	clear(sc.seen)
 }
 
 // BoundaryFaces returns the triangles of the mesh's external surface, with
 // outward orientation, as node-index triples. A face is external when it
-// belongs to exactly one element.
+// belongs to exactly one element. It is AppendBoundaryFaces regrouped into
+// triples and has no caller outside tests: it stays because the mesh tests
+// written against it pin the extraction's behaviour across kernel changes.
 func (m *TetMesh) BoundaryFaces() [][3]int32 {
-	count := make(map[faceKey]int, m.NumCells()*2)
-	first := make(map[faceKey][3]int32, m.NumCells()*2)
-	for e := 0; e < m.NumCells(); e++ {
-		c := m.Cell(e)
-		for _, f := range tetFaces {
-			tri := [3]int32{c[f[0]], c[f[1]], c[f[2]]}
-			k := makeFaceKey(tri[0], tri[1], tri[2])
-			count[k]++
-			if count[k] == 1 {
-				first[k] = tri
-			}
-		}
+	flat := m.AppendBoundaryFaces(nil)
+	if len(flat) == 0 {
+		return nil
 	}
-	var out [][3]int32
-	for e := 0; e < m.NumCells(); e++ {
-		c := m.Cell(e)
-		for _, f := range tetFaces {
-			tri := [3]int32{c[f[0]], c[f[1]], c[f[2]]}
-			k := makeFaceKey(tri[0], tri[1], tri[2])
-			if count[k] == 1 {
-				out = append(out, first[k])
-				count[k] = 0 // emit once
-			}
-		}
+	out := make([][3]int32, len(flat)/3)
+	for i := range out {
+		out[i] = [3]int32{flat[3*i], flat[3*i+1], flat[3*i+2]}
 	}
 	return out
+}
+
+// AppendBoundaryFaces appends the external surface's triangles to dst as
+// flat node-index triples (outward orientation) and returns the extended
+// slice. Triangles come in (element, face) order, which is part of the
+// contract: surface vertices are numbered by first appearance in this list,
+// so the order decides every downstream array and, in the end, the image.
+func (m *TetMesh) AppendBoundaryFaces(dst []int32) []int32 {
+	sc := facePool.Get().(*faceScratch)
+	sc.reset(4 * m.NumCells())
+	dst = m.appendBoundaryFaces(dst, sc)
+	facePool.Put(sc)
+	return dst
+}
+
+// appendBoundaryFaces is the extraction kernel over scratch that reset has
+// sized for this mesh: one pass counts each face's node set in the table,
+// a second emits the faces whose set occurred once.
+//
+//godiva:noalloc
+func (m *TetMesh) appendBoundaryFaces(dst []int32, sc *faceScratch) []int32 {
+	slots, seen, tets := sc.slots, sc.seen, m.Tets
+	mask := uint64(len(slots) - 1)
+	for i := range seen {
+		f := &tetFaces[i&3]
+		e := i &^ 3
+		a, b, c := tets[e+f[0]], tets[e+f[1]], tets[e+f[2]]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b, c = c, b
+		}
+		if a > b {
+			a, b = b, a
+		}
+		h := uint64(uint32(a))*0x9E3779B97F4A7C15 ^ uint64(uint32(b))*0xC2B2AE3D27D4EB4F ^ uint64(uint32(c))*0x165667B19E3779F9
+		for h = (h ^ h>>32) & mask; ; h = (h + 1) & mask {
+			s := &slots[h]
+			if s.first == 0 {
+				s.a, s.b, s.c, s.first = a, b, c, uint32(i)+1
+				seen[i] = 1
+				break
+			}
+			if s.a == a && s.b == b && s.c == c {
+				seen[s.first-1] = 2
+				break
+			}
+		}
+	}
+	for i, n := range seen {
+		if n == 1 {
+			f := &tetFaces[i&3]
+			e := i &^ 3
+			dst = append(dst, tets[e+f[0]], tets[e+f[1]], tets[e+f[2]])
+		}
+	}
+	return dst
 }
 
 // StructuredBlock2D is the paper's Table 1 dataset: a structured 2-D mesh

@@ -7,10 +7,10 @@ package render
 import (
 	"errors"
 	"image"
-	"image/color"
 	"image/png"
 	"math"
 	"os"
+	"slices"
 
 	"godiva/internal/mesh"
 	"godiva/internal/vis"
@@ -102,6 +102,24 @@ type Renderer struct {
 	Ambient float64
 	// TrisDrawn counts rasterized (non-culled) triangles.
 	TrisDrawn int64
+	// verts is per-vertex scratch DrawSurface reuses from pass to pass.
+	verts vertScratch
+}
+
+// vertScratch holds each vertex's screen position, visibility, shade and
+// color between DrawSurface's transform and rasterization loops.
+type vertScratch struct {
+	sx, sy, sz, shade, cr, cg, cb []float64
+	ok                            []bool
+}
+
+// resize makes every slice nv long. Contents are stale: DrawSurface writes
+// ok for every vertex and reads the rest only where ok is set.
+func (v *vertScratch) resize(nv int) {
+	for _, p := range []*[]float64{&v.sx, &v.sy, &v.sz, &v.shade, &v.cr, &v.cg, &v.cb} {
+		*p = slices.Grow((*p)[:0], nv)[:nv]
+	}
+	v.ok = slices.Grow(v.ok[:0], nv)[:nv]
 }
 
 // NewRenderer creates a renderer with a dark background.
@@ -122,11 +140,9 @@ func (r *Renderer) Clear() {
 	for i := range r.depth {
 		r.depth[i] = math.Inf(1)
 	}
-	bg := color.RGBA{18, 18, 24, 255}
-	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			r.img.SetRGBA(x, y, bg)
-		}
+	pix := r.img.Pix
+	for i := 0; i+3 < len(pix); i += 4 {
+		pix[i], pix[i+1], pix[i+2], pix[i+3] = 18, 18, 24, 255
 	}
 	r.TrisDrawn = 0
 }
@@ -147,14 +163,34 @@ func (r *Renderer) WritePNG(path string) error {
 	return f.Close()
 }
 
+// renderable checks what DrawSurface indexes without further checks: whole
+// vertices and triangles, scalars and normals parallel to the vertices, and
+// triangle indices inside the vertex array.
+func renderable(s *vis.TriSurface) bool {
+	nv := s.NumVerts()
+	if nv == 0 || len(s.Coords)%3 != 0 || len(s.Tris)%3 != 0 ||
+		s.Scalars != nil && len(s.Scalars) != nv ||
+		s.Normals != nil && len(s.Normals) != len(s.Coords) {
+		return false
+	}
+	for _, v := range s.Tris {
+		if v < 0 || int(v) >= nv {
+			return false
+		}
+	}
+	return true
+}
+
 // DrawSurface rasterizes a surface with Gouraud shading, mapping Scalars
 // through the lookup table over [lo, hi]. Surfaces without normals get them
-// computed; surfaces without scalars render in the LUT's midpoint color.
+// computed; surfaces without scalars render in the LUT's midpoint color. A
+// surface whose arrays do not fit together is refused with ErrBadSurface
+// before anything is drawn.
 func (r *Renderer) DrawSurface(s *vis.TriSurface, cam Camera, lut LUT, lo, hi float64) error {
 	if s.NumTris() == 0 {
 		return nil
 	}
-	if len(s.Coords) == 0 {
+	if !renderable(s) {
 		return ErrBadSurface
 	}
 	if s.Normals == nil {
@@ -167,20 +203,15 @@ func (r *Renderer) DrawSurface(s *vis.TriSurface, cam Camera, lut LUT, lo, hi fl
 	}
 
 	nv := s.NumVerts()
-	sx := make([]float64, nv)
-	sy := make([]float64, nv)
-	sz := make([]float64, nv)
-	ok := make([]bool, nv)
-	shade := make([]float64, nv)
-	cr := make([]float64, nv)
-	cg := make([]float64, nv)
-	cb := make([]float64, nv)
+	r.verts.resize(nv)
+	sx, sy, sz, ok := r.verts.sx, r.verts.sy, r.verts.sz, r.verts.ok
+	shade, cr, cg, cb := r.verts.shade, r.verts.cr, r.verts.cg, r.verts.cb
 	for i := 0; i < nv; i++ {
 		x, y, z, w := vp.xform(s.Vert(int32(i)))
-		if w <= 0 {
+		ok[i] = w > 0
+		if !ok[i] {
 			continue // behind the camera
 		}
-		ok[i] = true
 		sx[i] = (x/w + 1) / 2 * float64(r.W)
 		sy[i] = (1 - y/w) / 2 * float64(r.H)
 		sz[i] = z / w
@@ -221,11 +252,12 @@ func (r *Renderer) rasterize(
 		return
 	}
 	r.TrisDrawn++
-	minX := int(math.Max(0, math.Floor(min3(x0, x1, x2))))
-	maxX := int(math.Min(float64(r.W-1), math.Ceil(max3(x0, x1, x2))))
-	minY := int(math.Max(0, math.Floor(min3(y0, y1, y2))))
-	maxY := int(math.Min(float64(r.H-1), math.Ceil(max3(y0, y1, y2))))
+	minX := int(max(0, math.Floor(min(x0, x1, x2))))
+	maxX := int(min(float64(r.W-1), math.Ceil(max(x0, x1, x2))))
+	minY := int(max(0, math.Floor(min(y0, y1, y2))))
+	maxY := int(min(float64(r.H-1), math.Ceil(max(y0, y1, y2))))
 	inv := 1 / area
+	pix, stride := r.img.Pix, r.img.Stride
 	for py := minY; py <= maxY; py++ {
 		fy := float64(py) + 0.5
 		for px := minX; px <= maxX; px++ {
@@ -245,15 +277,11 @@ func (r *Renderer) rasterize(
 			rr := clamp01(w0*r0 + w1*r1 + w2*r2)
 			gg := clamp01(w0*g0 + w1*g1 + w2*g2)
 			bb := clamp01(w0*b0 + w1*b1 + w2*b2)
-			r.img.SetRGBA(px, py, color.RGBA{
-				uint8(rr*255 + 0.5), uint8(gg*255 + 0.5), uint8(bb*255 + 0.5), 255,
-			})
+			p := pix[py*stride+4*px:][:4]
+			p[0], p[1], p[2], p[3] = uint8(rr*255+0.5), uint8(gg*255+0.5), uint8(bb*255+0.5), 255
 		}
 	}
 }
-
-func min3(a, b, c float64) float64 { return math.Min(a, math.Min(b, c)) }
-func max3(a, b, c float64) float64 { return math.Max(a, math.Max(b, c)) }
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -1,6 +1,8 @@
 package render
 
 import (
+	"bytes"
+	"errors"
 	"image/png"
 	"math"
 	"os"
@@ -230,5 +232,109 @@ func TestImagesDifferAcrossScalars(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("renders with different scalars are identical")
+	}
+}
+
+// A surface whose arrays do not fit together is refused, not indexed: the
+// renderer consumes surfaces gathered over stored node lists, so "scalars
+// parallel to the vertices" is checked here, where a mismatch would panic.
+func TestDrawSurfaceRejectsMalformed(t *testing.T) {
+	tri := func(edit func(*vis.TriSurface)) *vis.TriSurface {
+		s := &vis.TriSurface{
+			Coords:  []float64{0, 0, 0, 1, 0, 0, 0, 1, 0},
+			Tris:    []int32{0, 1, 2},
+			Scalars: []float64{0, 0.5, 1},
+		}
+		edit(s)
+		return s
+	}
+	cases := map[string]*vis.TriSurface{
+		"no vertices":         tri(func(s *vis.TriSurface) { s.Coords = nil }),
+		"partial vertex":      tri(func(s *vis.TriSurface) { s.Coords = s.Coords[:8] }),
+		"partial triangle":    tri(func(s *vis.TriSurface) { s.Tris = append(s.Tris, 0, 1) }),
+		"short scalars":       tri(func(s *vis.TriSurface) { s.Scalars = s.Scalars[:2] }),
+		"long scalars":        tri(func(s *vis.TriSurface) { s.Scalars = append(s.Scalars, 2) }),
+		"short normals":       tri(func(s *vis.TriSurface) { s.Normals = []float64{0, 0, 1} }),
+		"index past the end":  tri(func(s *vis.TriSurface) { s.Tris[2] = 3 }),
+		"negative index":      tri(func(s *vis.TriSurface) { s.Tris[0] = -1 }),
+		"bad index, normals":  tri(func(s *vis.TriSurface) { s.Tris[1] = 7; s.Normals = make([]float64, 9) }),
+		"empty scalars array": tri(func(s *vis.TriSurface) { s.Scalars = []float64{} }),
+	}
+	cam := DefaultCamera(mesh.Vec3{}, mesh.Vec3{X: 1, Y: 1, Z: 1})
+	for name, s := range cases {
+		r := NewRenderer(16, 16)
+		if err := r.DrawSurface(s, cam, Rainbow{}, 0, 1); !errors.Is(err, ErrBadSurface) {
+			t.Errorf("%s: DrawSurface returned %v, want ErrBadSurface", name, err)
+		}
+		if countNonBackground(r) != 0 {
+			t.Errorf("%s: a refused surface drew pixels", name)
+		}
+	}
+	// The well-formed triangle, with and without scalars, still draws.
+	for _, s := range []*vis.TriSurface{tri(func(*vis.TriSurface) {}), tri(func(s *vis.TriSurface) { s.Scalars = nil })} {
+		if err := NewRenderer(16, 16).DrawSurface(s, cam, Rainbow{}, 0, 1); err != nil {
+			t.Errorf("well-formed surface refused: %v", err)
+		}
+	}
+}
+
+// A renderer reused across passes must not carry one surface's per-vertex
+// state into the next: a vertex behind the camera in this pass may share its
+// index with a visible one from the last.
+func TestRendererReuseMatchesFresh(t *testing.T) {
+	s := testSurface(t)
+	lo, hi := vis.ScalarRange(s.Scalars)
+	blo := mesh.Vec3{X: -1, Y: -1}
+	bhi := mesh.Vec3{X: 1, Y: 1, Z: 3}
+	outside := DefaultCamera(blo, bhi)
+	inside := outside
+	inside.Eye, inside.Up = mesh.Vec3{Z: 1.2}, mesh.Vec3{X: 1} // in the bore, looking along it: part of the surface is behind
+	fresh := NewRenderer(64, 48)
+	if err := fresh.DrawSurface(s, inside, Rainbow{}, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	reused := NewRenderer(64, 48)
+	if err := reused.DrawSurface(s, outside, Rainbow{}, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	reused.Clear()
+	if err := reused.DrawSurface(s, inside, Rainbow{}, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.Image().Pix, reused.Image().Pix) {
+		t.Fatal("a reused renderer drew a different image than a fresh one")
+	}
+	if fresh.TrisDrawn != reused.TrisDrawn || fresh.TrisDrawn == 0 {
+		t.Fatalf("triangles drawn: fresh %d, reused %d", fresh.TrisDrawn, reused.TrisDrawn)
+	}
+}
+
+// BenchmarkDrawSurface renders one D1-sized block's surface; with the
+// normals computed by the first pass and the renderer's scratch warm, a pass
+// allocates nothing (verify.sh's benchmem stage fails it otherwise).
+func BenchmarkDrawSurface(b *testing.B) {
+	whole := mesh.GenerateAnnulus(mesh.AnnulusSpec{NR: 2, NTheta: 24, NZ: 160, RInner: 0.6, ROuter: 1.55, Length: 24})
+	m := whole.Partition(120)[60]
+	sc := make([]float64, m.NumNodes())
+	for i := range sc {
+		sc[i] = m.Node(int32(i)).Z
+	}
+	s, err := vis.ExtractSurface(m, sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := vis.ScalarRange(sc)
+	cam := DefaultCamera(m.Bounds())
+	r := NewRenderer(160, 120)
+	if err := r.DrawSurface(s, cam, Rainbow{}, lo, hi); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Clear()
+		if err := r.DrawSurface(s, cam, Rainbow{}, lo, hi); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func Follow(cfg FollowConfig) (*FollowResult, error) {
 	}
 	readFn := remote.NewReadFunc(cfg.Client, func(unit string) ([]string, error) {
 		return unitPaths(genx.Spec{}, "", unit)
-	}, vars, commitBlockRecord)
+	}, vars, blockCommitter(cfg.Test))
 
 	sub, err := cfg.Client.Subscribe(push.Spec{ToStep: -1}, push.Options{
 		Policy: cfg.Policy,
@@ -233,7 +233,8 @@ func renderFollowStep(db *core.DB, cfg FollowConfig, step int, st *followStep, m
 		Width:    cfg.Width,
 		Height:   cfg.Height,
 	}
-	p := rcfg.newPipeline(nil, fmt.Sprintf("t%04d", step))
+	p := rcfg.newPipeline(nil)
+	p.snapID = fmt.Sprintf("t%04d", step)
 	if err := p.run(src); err != nil {
 		err = fmt.Errorf("step %d: %w", step, err)
 		for f := range st.files {

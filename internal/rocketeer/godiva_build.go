@@ -1,6 +1,7 @@
 package rocketeer
 
 import (
+	"errors"
 	"fmt"
 
 	"godiva/internal/core"
@@ -16,11 +17,19 @@ const (
 	recBlock   = "block"
 	fieldBlock = "block id"
 	fieldStep  = "time-step id"
+	// fieldSurface holds data derived from the block rather than read from
+	// it: the block's boundary triangles as local node-index triples, in
+	// mesh.AppendBoundaryFaces order. The unit's read function fills it when
+	// its test has a surface pass, so the topology is built once per
+	// snapshot, off the main thread in the TG build, and lives and dies with
+	// the unit like any other buffer.
+	fieldSurface = "surface"
 )
 
 // defineSchema defines the block record type: two string key fields plus a
-// buffer field for every dataset the GENx files can hold (only the fields a
-// test reads are ever allocated; UNKNOWN sizes are resolved per block).
+// buffer field for every dataset the GENx files can hold and one for the
+// derived surface (only the fields a test reads are ever allocated; UNKNOWN
+// sizes are resolved per block).
 func defineSchema(db *core.DB) error {
 	if err := db.DefineField(fieldBlock, core.String, 11); err != nil {
 		return err
@@ -35,6 +44,9 @@ func defineSchema(db *core.DB) error {
 		return err
 	}
 	if err := db.DefineField("gids", core.Int64, core.Unknown); err != nil {
+		return err
+	}
+	if err := db.DefineField(fieldSurface, core.Int32, core.Unknown); err != nil {
 		return err
 	}
 	for _, v := range genx.NodeVectorFields {
@@ -53,7 +65,7 @@ func defineSchema(db *core.DB) error {
 	fields := []struct {
 		name string
 		key  bool
-	}{{fieldBlock, true}, {fieldStep, true}, {"coords", false}, {"conn", false}, {"gids", false}}
+	}{{fieldBlock, true}, {fieldStep, true}, {"coords", false}, {"conn", false}, {"gids", false}, {fieldSurface, false}}
 	for _, v := range genx.NodeVectorFields {
 		fields = append(fields, struct {
 			name string
@@ -127,11 +139,12 @@ func unitPaths(spec genx.Spec, dir, unit string) ([]string, error) {
 // cache behave identically either way.
 func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 	vars := orderedVars(cfg.Test.Vars)
+	commit := blockCommitter(cfg.Test)
 	if cfg.Remote != nil {
 		resolve := func(unit string) ([]string, error) {
 			return unitPaths(cfg.Spec, "", unit)
 		}
-		return remote.NewReadFunc(cfg.Remote, resolve, vars, commitBlockRecord)
+		return remote.NewReadFunc(cfg.Remote, resolve, vars, commit)
 	}
 	return func(u *core.Unit) error {
 		paths, err := unitPaths(cfg.Spec, cfg.Dir, u.Name())
@@ -149,7 +162,7 @@ func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 					h.Close()
 					return err
 				}
-				if err := commitBlockRecord(u, bd); err != nil {
+				if err := commit(u, bd); err != nil {
 					h.Close()
 					return err
 				}
@@ -165,50 +178,60 @@ func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 	}
 }
 
-// commitBlockRecord stores one block's datasets as a GODIVA record.
-func commitBlockRecord(u *core.Unit, bd *genx.BlockData) error {
-	rec, err := u.NewRecord(recBlock)
-	if err != nil {
-		return err
+// blockCommitter returns the commit callback every read function of a run
+// shares — local files, godivad fetches and followed streams alike: it
+// stores one block's datasets as a GODIVA record and, when the test has a
+// surface pass, the block's surface topology beside them (see fieldSurface).
+// A test without one — an interactive session cannot know its views in
+// advance — commits no derived data, and gSource.Surface builds on demand.
+func blockCommitter(test VisTest) remote.CommitFunc {
+	surface := false
+	for _, op := range test.Ops {
+		surface = surface || op.Kind == OpSurface
 	}
-	if err := rec.SetString(fieldBlock, bd.Name); err != nil {
-		return err
-	}
-	if err := rec.SetString(fieldStep, bd.StepID); err != nil {
-		return err
-	}
-	if err := fillFloat64(rec, "coords", bd.Mesh.Coords); err != nil {
-		return err
-	}
-	buf, err := rec.AllocFieldBuffer("conn", 4*len(bd.Mesh.Tets))
-	if err != nil {
-		return err
-	}
-	conn, err := buf.Int32s()
-	if err != nil {
-		return err
-	}
-	copy(conn, bd.Mesh.Tets)
-	buf, err = rec.AllocFieldBuffer("gids", 8*len(bd.Mesh.GlobalNode))
-	if err != nil {
-		return err
-	}
-	gids, err := buf.Int64s()
-	if err != nil {
-		return err
-	}
-	copy(gids, bd.Mesh.GlobalNode)
-	for name, data := range bd.Node {
-		if err := fillFloat64(rec, name, data); err != nil {
+	return func(u *core.Unit, bd *genx.BlockData) error {
+		rec, err := u.NewRecord(recBlock)
+		if err != nil {
 			return err
 		}
-	}
-	for name, data := range bd.Elem {
-		if err := fillFloat64(rec, name, data); err != nil {
+		if err := rec.SetString(fieldBlock, bd.Name); err != nil {
 			return err
 		}
+		if err := rec.SetString(fieldStep, bd.StepID); err != nil {
+			return err
+		}
+		if err := fillFloat64(rec, "coords", bd.Mesh.Coords); err != nil {
+			return err
+		}
+		if err := fillInt32(rec, "conn", bd.Mesh.Tets); err != nil {
+			return err
+		}
+		buf, err := rec.AllocFieldBuffer("gids", 8*len(bd.Mesh.GlobalNode))
+		if err != nil {
+			return err
+		}
+		gids, err := buf.Int64s()
+		if err != nil {
+			return err
+		}
+		copy(gids, bd.Mesh.GlobalNode)
+		for name, data := range bd.Node {
+			if err := fillFloat64(rec, name, data); err != nil {
+				return err
+			}
+		}
+		for name, data := range bd.Elem {
+			if err := fillFloat64(rec, name, data); err != nil {
+				return err
+			}
+		}
+		if surface {
+			if err := fillInt32(rec, fieldSurface, bd.Mesh.AppendBoundaryFaces(nil)); err != nil {
+				return err
+			}
+		}
+		return u.DB().CommitRecord(rec)
 	}
-	return u.DB().CommitRecord(rec)
 }
 
 func fillFloat64(rec *core.Record, field string, data []float64) error {
@@ -217,6 +240,19 @@ func fillFloat64(rec *core.Record, field string, data []float64) error {
 		return err
 	}
 	dst, err := buf.Float64s()
+	if err != nil {
+		return err
+	}
+	copy(dst, data)
+	return nil
+}
+
+func fillInt32(rec *core.Record, field string, data []int32) error {
+	buf, err := rec.AllocFieldBuffer(field, 4*len(data))
+	if err != nil {
+		return err
+	}
+	dst, err := buf.Int32s()
 	if err != nil {
 		return err
 	}
@@ -268,6 +304,24 @@ func (s *gSource) Var(name, field string) ([]float64, error) {
 		return nil, err
 	}
 	return buf.Float64s()
+}
+
+// Surface answers from the derived field the unit's read function filled;
+// when that read function had no surface pass to prepare for (a session's),
+// the field is unallocated and the topology is built here, for this view.
+func (s *gSource) Surface(name string) ([]int32, error) {
+	buf, err := s.db.GetFieldBuffer(recBlock, fieldSurface, name, s.stepID)
+	if errors.Is(err, core.ErrNoBuffer) {
+		m, err := s.Mesh(name)
+		if err != nil {
+			return nil, err
+		}
+		return m.AppendBoundaryFaces(nil), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buf.Int32s()
 }
 
 // runGodiva is the GODIVA-based Voyager: all units are added up front and
@@ -322,6 +376,7 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 		names[b] = genx.BlockID(b)
 	}
 	task := cfg.mainTask()
+	p := cfg.newPipeline(task)
 	for i := 0; i < nsnap; i++ {
 		s := cfg.FirstSnapshot + i
 		units := snapUnits(s)
@@ -331,11 +386,10 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 			}
 		}
 		src := &gSource{db: db, names: names, stepID: cfg.Spec.StepID(s)}
-		p := cfg.newPipeline(task, fmt.Sprintf("t%04d", s))
+		p.snapID = fmt.Sprintf("t%04d", s)
 		if err := p.run(src); err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", s, err)
 		}
-		res.Images += p.images
 		for _, name := range units {
 			if err := db.DeleteUnit(name); err != nil {
 				return nil, err
@@ -345,6 +399,7 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 	if task != nil {
 		task.Flush()
 	}
+	res.Images = p.images
 	res.DB = db.Stats()
 	res.Events = db.UnitEvents()
 	res.VisibleIO = cfg.virtual(res.DB.VisibleWait)

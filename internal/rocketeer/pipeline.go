@@ -22,6 +22,11 @@ type blockSource interface {
 	// Var returns a block's variable: a flattened node vector or an
 	// element scalar.
 	Var(name, field string) ([]float64, error)
+	// Surface returns a block's boundary triangles as node-index triples
+	// into its mesh (mesh.AppendBoundaryFaces). The pipeline calls it once
+	// per surface pass per block; the topology is the same in every pass of
+	// a snapshot, so sources keep it rather than rebuild it.
+	Surface(name string) ([]int32, error)
 }
 
 // snapshotPipeline runs every pass of a test on one snapshot and renders one
@@ -45,13 +50,15 @@ func (p *snapshotPipeline) run(src blockSource) error {
 	return nil
 }
 
-// runOp executes one pass: fetch each block's mesh and variable, derive the
-// node scalar, compute the pass geometry per block, then render the
-// aggregate.
+// runOp executes one pass: fetch each block's mesh and variable (and, for a
+// surface pass, its surface topology), derive the node scalar, compute the
+// pass geometry per block, then render the aggregate.
 func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 	names := src.BlockNames()
 	meshes := make([]*mesh.TetMesh, len(names))
 	scalars := make([][]float64, len(names))
+	surfaces := make([][]int32, len(names)) // surface passes only
+	surfTris, surfVerts := 0, 0
 	var lo, hi float64
 	var boundsLo, boundsHi mesh.Vec3
 	first := true
@@ -69,6 +76,16 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 			return err
 		}
 		meshes[i], scalars[i] = m, ns
+		if op.Kind == OpSurface {
+			// Building topology (the O build, once per snapshot; a session
+			// view) is pipeline work like the geometry below.
+			p.ch.occupy(func() { surfaces[i], err = src.Surface(name) })
+			if err != nil {
+				return fmt.Errorf("block %s surface: %w", name, err)
+			}
+			surfTris += len(surfaces[i]) / 3
+			surfVerts += min(len(surfaces[i]), m.NumNodes())
+		}
 		blo, bhi := m.Bounds()
 		slo, shi := vis.ScalarRange(ns)
 		if first {
@@ -84,17 +101,20 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 	}
 
 	agg := &vis.TriSurface{}
+	if op.Kind == OpSurface { // a surface pass knows its size before it runs
+		agg.Tris = make([]int32, 0, 3*surfTris)
+		agg.Coords = make([]float64, 0, 3*surfVerts)
+		agg.Scalars = make([]float64, 0, surfVerts)
+	}
 	for i := range meshes {
-		var part *vis.TriSurface
 		var err error
 		p.ch.occupy(func() {
-			part, err = p.opGeometry(op, meshes[i], scalars[i], lo, hi, boundsLo, boundsHi)
+			err = p.appendGeometry(agg, op, meshes[i], scalars[i], surfaces[i], lo, hi, boundsLo, boundsHi)
 		})
 		if err != nil {
 			return err
 		}
 		p.ch.compute(opCellCost(op.Kind), meshes[i].NumCells())
-		agg.Append(part)
 	}
 
 	cam := render.DefaultCamera(boundsLo, boundsHi)
@@ -140,20 +160,30 @@ func (p *snapshotPipeline) nodeScalar(m *mesh.TetMesh, field string, data []floa
 		field, len(data), m.NumNodes(), m.NumCells())
 }
 
-func (p *snapshotPipeline) opGeometry(op Op, m *mesh.TetMesh, ns []float64, lo, hi float64, blo, bhi mesh.Vec3) (*vis.TriSurface, error) {
+// appendGeometry computes one block's share of a pass and appends it to the
+// aggregate: a gather over the stored topology for surfaces, a filter run
+// for everything else.
+func (p *snapshotPipeline) appendGeometry(agg *vis.TriSurface, op Op, m *mesh.TetMesh, ns []float64, surface []int32, lo, hi float64, blo, bhi mesh.Vec3) error {
+	var part *vis.TriSurface
+	var err error
 	switch op.Kind {
 	case OpSurface:
-		return vis.ExtractSurface(m, ns)
+		return agg.AppendSurface(m, surface, ns)
 	case OpIso:
 		iso := lo + op.IsoFrac*(hi-lo)
-		return vis.IsoSurface(m, ns, iso, ns)
+		part, err = vis.IsoSurface(m, ns, iso, ns)
 	case OpSlice:
-		return vis.SlicePlane(m, op.plane(blo, bhi), ns)
+		part, err = vis.SlicePlane(m, op.plane(blo, bhi), ns)
 	case OpCut:
-		return vis.CutPlane(m, op.plane(blo, bhi), ns)
+		part, err = vis.CutPlane(m, op.plane(blo, bhi), ns)
 	default:
-		return nil, fmt.Errorf("rocketeer: unknown op kind %d", int(op.Kind))
+		return fmt.Errorf("rocketeer: unknown op kind %d", int(op.Kind))
 	}
+	if err != nil {
+		return err
+	}
+	agg.Append(part)
+	return nil
 }
 
 func minf(a, b float64) float64 {

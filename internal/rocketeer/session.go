@@ -155,7 +155,8 @@ func (s *Session) View(step int, feature, variable string, param float64) (*View
 		Width:       s.cfg.Width,
 		Height:      s.cfg.Height,
 	}
-	p := runCfg.newPipeline(s.task, fmt.Sprintf("t%04d_v%03d", step, s.views))
+	p := runCfg.newPipeline(s.task)
+	p.snapID = fmt.Sprintf("t%04d_v%03d", step, s.views)
 	s.views++
 	src := &gSource{db: s.db, names: s.names, stepID: s.cfg.Spec.StepID(step)}
 	if err := p.run(src); err != nil {

@@ -194,14 +194,16 @@ func (c *Config) mainTask() *platform.Task {
 	return c.Machine.NewTask()
 }
 
-func (c *Config) newPipeline(task *platform.Task, snapID string) *snapshotPipeline {
+// newPipeline returns the pipeline of one run; its renderer (image, depth
+// buffer, per-vertex scratch) serves every pass of every snapshot. The
+// caller sets snapID before each snapshot.
+func (c *Config) newPipeline(task *platform.Task) *snapshotPipeline {
 	return &snapshotPipeline{
 		test:     c.Test,
 		ch:       charger{t: task, scale: c.VolumeScale},
 		renderer: render.NewRenderer(c.Width, c.Height),
 		lut:      render.Rainbow{},
 		imageDir: c.ImageDir,
-		snapID:   snapID,
 	}
 }
 
@@ -215,24 +217,25 @@ func runOriginal(cfg Config) (*Result, error) {
 	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale}
 	task := cfg.mainTask()
 	var ioWall time.Duration
+	p := cfg.newPipeline(task)
 	for i := 0; i < cfg.snapshots(); i++ {
 		s := cfg.FirstSnapshot + i
 		src, err := openOSource(reader, cfg, s, &ioWall)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", s, err)
 		}
-		p := cfg.newPipeline(task, fmt.Sprintf("t%04d", s))
+		p.snapID = fmt.Sprintf("t%04d", s)
 		err = p.run(src)
 		src.finish()
 		src.Close()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", s, err)
 		}
-		res.Images += p.images
 	}
 	if task != nil {
 		task.Flush()
 	}
+	res.Images = p.images
 	res.VisibleIO = cfg.virtual(ioWall)
 	return res, nil
 }
@@ -252,6 +255,7 @@ type oSource struct {
 	ioWall  *time.Duration
 
 	meshes   map[string]*mesh.TetMesh
+	surfaces map[string][]int32
 	vars     map[string][]float64
 	varsRead map[string]int // per block: variables read so far
 }
@@ -267,6 +271,7 @@ func openOSource(r *genx.Reader, cfg Config, step int, ioWall *time.Duration) (*
 		loc:      make(map[string]oLoc),
 		ioWall:   ioWall,
 		meshes:   make(map[string]*mesh.TetMesh),
+		surfaces: make(map[string][]int32),
 		vars:     make(map[string][]float64),
 		varsRead: make(map[string]int),
 	}
@@ -345,6 +350,21 @@ func (s *oSource) Mesh(name string) (*mesh.TetMesh, error) {
 	}
 	s.meshes[name] = m
 	return m, nil
+}
+
+// Surface builds a block's surface topology once per snapshot and keeps it
+// beside the mesh it indexes.
+func (s *oSource) Surface(name string) ([]int32, error) {
+	if tris, ok := s.surfaces[name]; ok {
+		return tris, nil
+	}
+	m, err := s.Mesh(name)
+	if err != nil {
+		return nil, err
+	}
+	tris := m.AppendBoundaryFaces(nil)
+	s.surfaces[name] = tris
+	return tris, nil
 }
 
 // Var reads a block's variable. In the coupled original implementation each

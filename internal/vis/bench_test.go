@@ -1,0 +1,65 @@
+package vis
+
+import (
+	"testing"
+
+	"godiva/internal/mesh"
+)
+
+// benchBlock is one block of the benchmark's D1 dataset (46 080 cells in 120
+// blocks) with a node scalar that varies across it.
+func benchBlock() (*mesh.TetMesh, []float64) {
+	whole := mesh.GenerateAnnulus(mesh.AnnulusSpec{NR: 2, NTheta: 24, NZ: 160, RInner: 0.6, ROuter: 1.55, Length: 24})
+	m := whole.Partition(120)[60]
+	return m, nodeScalarZ(m)
+}
+
+var benchSurface *TriSurface
+
+func BenchmarkExtractSurface(b *testing.B) {
+	m, z := benchBlock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSurface, _ = ExtractSurface(m, z)
+	}
+}
+
+// BenchmarkAppendSurface times the per-pass gather over stored topology,
+// into a destination with room: verify.sh's benchmem stage fails it on any
+// allocation.
+func BenchmarkAppendSurface(b *testing.B) {
+	m, z := benchBlock()
+	tris := m.AppendBoundaryFaces(nil)
+	agg := &TriSurface{}
+	agg.grow(len(tris)/3, m.NumNodes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg.Coords, agg.Tris, agg.Scalars = agg.Coords[:0], agg.Tris[:0], agg.Scalars[:0]
+		if err := agg.AppendSurface(m, tris, z); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkIsoSurface(b *testing.B) {
+	m, z := benchBlock()
+	lo, hi := ScalarRange(z)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSurface, _ = IsoSurface(m, z, (lo+hi)/2, z)
+	}
+}
+
+func BenchmarkSlicePlane(b *testing.B) {
+	m, z := benchBlock()
+	lo, hi := m.Bounds()
+	pl := Plane{Origin: lo.Add(hi).Scale(0.5), Normal: mesh.Vec3{X: 0.1, Z: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSurface, _ = SlicePlane(m, pl, z)
+	}
+}

@@ -1,0 +1,32 @@
+// AllocsPerRun gates for this package's //godiva:noalloc functions — the
+// runtime cross-check of the alloccheck analyzer (see internal/noalloctest).
+// Excluded under -race: the race runtime instruments allocation sites and
+// the measurements stop meaning anything.
+
+//go:build !race
+
+package vis
+
+import (
+	"testing"
+
+	"godiva/internal/noalloctest"
+)
+
+func TestNoAllocGates(t *testing.T) {
+	m, z := benchBlock()
+	tris := m.AppendBoundaryFaces(nil)
+	remap := make([]int32, m.NumNodes())
+	s := &TriSurface{}
+	s.grow(len(tris)/3, m.NumNodes())
+	noalloctest.Check(t, ".", map[string]func(){
+		"TriSurface.gather": func() {
+			clear(remap)
+			s.Coords, s.Tris, s.Scalars = s.Coords[:0], s.Tris[:0], s.Scalars[:0]
+			s.gather(tris, m.Coords, z, remap)
+		},
+	})
+	if s.NumTris() != len(tris)/3 || s.NumTris() == 0 {
+		t.Errorf("gated gather produced %d triangles, want %d (nonzero)", s.NumTris(), len(tris)/3)
+	}
+}

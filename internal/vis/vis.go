@@ -9,6 +9,8 @@ package vis
 import (
 	"errors"
 	"math"
+	"slices"
+	"sync"
 
 	"godiva/internal/mesh"
 )
@@ -59,32 +61,92 @@ func (s *TriSurface) Append(other *TriSurface) {
 	}
 }
 
+// scratch is the working memory the filters share: none of it outlives the
+// call that took it from the pool.
+type scratch struct {
+	tris  []int32   // boundary triangles of the mesh being extracted
+	remap []int32   // per mesh node: 1 + its output index, 0 = not seen yet
+	dist  []float64 // per mesh node: signed distance to the slicing plane
+	edges edgeTable // crossing edge -> contour vertex
+}
+
+// scratchPool recycles scratch between filter calls; filters run on the
+// main thread and, building surface topology, on the I/O workers.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// remapFor returns the zeroed node remap for a mesh of n nodes.
+func (sc *scratch) remapFor(n int) []int32 {
+	sc.remap = slices.Grow(sc.remap[:0], n)[:n]
+	clear(sc.remap)
+	return sc.remap
+}
+
 // ExtractSurface returns the external surface of a tet mesh with the given
 // per-node scalar attached to the surface vertices. nodeScalar may be nil
 // for a bare surface. Vertices are compacted: only boundary nodes appear.
+// It builds the surface topology and gathers over it; a caller that draws
+// one mesh under several scalars builds the topology once
+// (mesh.AppendBoundaryFaces) and calls AppendSurface per scalar.
 func ExtractSurface(m *mesh.TetMesh, nodeScalar []float64) (*TriSurface, error) {
 	if nodeScalar != nil && len(nodeScalar) != m.NumNodes() {
 		return nil, ErrBadInput
 	}
-	faces := m.BoundaryFaces()
+	sc := scratchPool.Get().(*scratch)
+	sc.tris = m.AppendBoundaryFaces(sc.tris[:0])
 	s := &TriSurface{}
-	remap := make(map[int32]int32)
-	for _, f := range faces {
-		for _, n := range f {
-			v, ok := remap[n]
-			if !ok {
-				v = int32(s.NumVerts())
-				remap[n] = v
-				p := m.Node(n)
-				s.Coords = append(s.Coords, p.X, p.Y, p.Z)
-				if nodeScalar != nil {
-					s.Scalars = append(s.Scalars, nodeScalar[n])
-				}
-			}
-			s.Tris = append(s.Tris, v)
-		}
+	if nodeScalar != nil { // a bare surface has no scalars, not empty ones
+		s.grow(len(sc.tris)/3, min(len(sc.tris), m.NumNodes()))
 	}
+	s.gather(sc.tris, m.Coords, nodeScalar, sc.remapFor(m.NumNodes()))
+	scratchPool.Put(sc)
 	return s, nil
+}
+
+// grow reserves room for tris more triangles and verts more vertices (with
+// scalars), so that gathering them does not reallocate.
+func (s *TriSurface) grow(tris, verts int) {
+	s.Tris = slices.Grow(s.Tris, 3*tris)
+	s.Coords = slices.Grow(s.Coords, 3*verts)
+	s.Scalars = slices.Grow(s.Scalars, verts)
+}
+
+// AppendSurface appends to s the surface whose triangles are the node-index
+// triples tris of mesh m (as mesh.AppendBoundaryFaces lists them), colored
+// by nodeScalar: exactly what Append(ExtractSurface(m, nodeScalar)) adds to
+// a surface that carries scalars, without rebuilding the topology.
+func (s *TriSurface) AppendSurface(m *mesh.TetMesh, tris []int32, nodeScalar []float64) error {
+	if len(nodeScalar) != m.NumNodes() || len(tris)%3 != 0 {
+		return ErrBadInput
+	}
+	s.grow(len(tris)/3, min(len(tris), m.NumNodes()))
+	sc := scratchPool.Get().(*scratch)
+	s.gather(tris, m.Coords, nodeScalar, sc.remapFor(m.NumNodes()))
+	scratchPool.Put(sc)
+	s.Normals = nil
+	return nil
+}
+
+// gather appends the triangles tris (node-index triples into coords) to s,
+// compacting nodes to vertices in first-seen order and copying each new
+// vertex's position and, when scalar is non-nil, its scalar. remap is zeroed
+// and has one entry per node.
+//
+//godiva:noalloc
+func (s *TriSurface) gather(tris []int32, coords, scalar []float64, remap []int32) {
+	next := int32(s.NumVerts())
+	for _, n := range tris {
+		v := remap[n]
+		if v == 0 {
+			next++
+			v = next
+			remap[n] = v
+			s.Coords = append(s.Coords, coords[3*n], coords[3*n+1], coords[3*n+2])
+			if scalar != nil {
+				s.Scalars = append(s.Scalars, scalar[n])
+			}
+		}
+		s.Tris = append(s.Tris, v-1)
+	}
 }
 
 // CellToPoint converts an element-based scalar to a node-based one by
@@ -168,11 +230,6 @@ type Plane struct {
 	Normal mesh.Vec3
 }
 
-// SignedDistance returns the signed distance from p to the plane.
-func (pl Plane) SignedDistance(p mesh.Vec3) float64 {
-	return pl.Normal.Normalize().Dot(p.Sub(pl.Origin))
-}
-
 // Threshold returns a new mesh keeping only the elements whose scalar lies
 // in [lo, hi]. Node arrays are compacted; nodeMap maps new node indices to
 // old ones so callers can restrict node fields to the result.
@@ -181,7 +238,8 @@ func Threshold(m *mesh.TetMesh, elemScalar []float64, lo, hi float64) (*mesh.Tet
 		return nil, nil, ErrBadInput
 	}
 	out := &mesh.TetMesh{}
-	remap := make(map[int32]int32)
+	sc := scratchPool.Get().(*scratch)
+	remap := sc.remapFor(m.NumNodes())
 	var nodeMap []int32
 	for e := 0; e < m.NumCells(); e++ {
 		if elemScalar[e] < lo || elemScalar[e] > hi {
@@ -189,19 +247,20 @@ func Threshold(m *mesh.TetMesh, elemScalar []float64, lo, hi float64) (*mesh.Tet
 		}
 		c := m.Cell(e)
 		for _, n := range c {
-			v, ok := remap[n]
-			if !ok {
-				v = int32(out.NumNodes())
+			v := remap[n]
+			if v == 0 {
+				nodeMap = append(nodeMap, n)
+				v = int32(len(nodeMap))
 				remap[n] = v
 				p := m.Node(n)
 				out.Coords = append(out.Coords, p.X, p.Y, p.Z)
-				nodeMap = append(nodeMap, n)
 				if m.GlobalNode != nil {
 					out.GlobalNode = append(out.GlobalNode, m.GlobalNode[n])
 				}
 			}
-			out.Tets = append(out.Tets, v)
+			out.Tets = append(out.Tets, v-1)
 		}
 	}
+	scratchPool.Put(sc)
 	return out, nodeMap, nil
 }

@@ -18,10 +18,14 @@
 #               AllocsPerRun gates re-measure on every run
 #   bench       the repository benchmark's own vet and tests (bench/ is its
 #               own module, so vet/test above never reach it)
-#   benchmem    core query benchmarks under -benchmem; any benchmark
+#   benchmem    core query benchmarks and the per-pass vis/render kernels
+#               (surface topology into warm scratch, the gather over it, a
+#               draw into a warm renderer) under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
-#               the zero-alloc query path and fails the gate
-#   race-core   race-detector pass over the concurrent core
+#               a zero-alloc path and fails the gate
+#   race-core   race-detector pass over the concurrent core and the mesh/vis
+#               kernels, whose pooled scratch I/O workers and the main
+#               thread share
 #   race-remote race-detector pass over the remote unit service
 #   race-platform race-detector pass over the virtual-machine model
 #   invariants  core suite with the godivainvariants runtime checker
@@ -88,15 +92,16 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench 'BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot' \
-        -benchmem -benchtime 1000x -count=1 ./internal/core) || {
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkDrawSurface)$' \
+        -benchmem -benchtime 1000x -count=1 \
+        ./internal/core ./internal/mesh ./internal/vis ./internal/render) || {
         echo "$out"
         return 1
     }
     echo "$out"
     bad=$(echo "$out" | awk '$NF == "allocs/op" && $(NF-1) != "0"')
     if [ -n "$bad" ]; then
-        echo "benchmem: query benchmarks must stay allocation-free, but:" >&2
+        echo "benchmem: these benchmarks must stay allocation-free, but:" >&2
         echo "$bad" >&2
         return 1
     fi
@@ -147,7 +152,7 @@ run_stage lint check_lint
 run_stage test go test -count=1 ./...
 run_stage bench check_bench
 run_stage benchmem check_benchmem
-run_stage race-core go test -race -count=1 ./internal/core/...
+run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
 run_stage race-platform go test -race -count=1 ./internal/platform/...
 run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/...
