@@ -37,11 +37,12 @@ func testSetup(t *testing.T) Setup {
 	return quick(setupDir)
 }
 
-// quick builds the shared fast setup: tiny mesh, 4 snapshots, fast clock.
+// quick builds the shared fast setup: tiny mesh, fast clock, 4 snapshots per
+// run out of a dataset of 6 (TestFigure3bShape runs all six).
 func quick(dir string) Setup {
 	s := DefaultSetup(dir)
 	s.Spec.Mesh.NZ = 16 // 1/10 of the default experiment mesh
-	s.Spec.Snapshots = 4
+	s.Spec.Snapshots = 6
 	actual := 6 * s.Spec.Mesh.NR * s.Spec.Mesh.NTheta * s.Spec.Mesh.NZ
 	s.VolumeScale = float64(fullScaleCells()) / float64(actual)
 	s.Scale = 0.01
@@ -202,6 +203,10 @@ func TestFigure3bShape(t *testing.T) {
 		t.Skip("multi-second experiment")
 	}
 	s := testSetup(t)
+	// The first unit's read is fully visible whatever the build, and on four
+	// snapshots it weighs enough to put the cost model's own TG2/G ratio for
+	// "simple" (0.46) beside the 0.5 asserted below; on six it is 0.40.
+	s.Snapshots = 6
 	ms, err := Figure3b(s)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +228,7 @@ func TestFigure3bShape(t *testing.T) {
 			t.Fatalf("missing cells for %s", test)
 		}
 		// With a free second processor nearly all waiting disappears; even
-		// the 4-snapshot run must hide over half despite the first unit.
+		// the 6-snapshot run must hide over half despite the first unit.
 		if tg2.Visible.Mean() > g.Visible.Mean()/2 {
 			t.Errorf("%s: TG2 visible %v vs G %v; second CPU hid too little",
 				test, tg2.Visible.Mean(), g.Visible.Mean())

@@ -61,7 +61,8 @@ func (r *Renderer) DrawLines(ls *vis.LineSet, cam Camera, lut LUT, lo, hi float6
 
 // segment draws one screen-space line segment with depth testing. A small
 // depth bias draws lines on top of coincident surfaces, so streamlines stay
-// visible over the geometry they trace.
+// visible over the geometry they trace. A pixel a line takes is no longer the
+// drawn surface's to recolor.
 func (r *Renderer) segment(
 	x0, y0, z0, r0, g0, b0,
 	x1, y1, z1, r1, g1, b1 float64,
@@ -81,6 +82,7 @@ func (r *Renderer) segment(
 			continue
 		}
 		r.depth[idx] = z
+		r.frag[idx] = noFrag
 		rr := clamp01(r0 + (r1-r0)*t)
 		gg := clamp01(g0 + (g1-g0)*t)
 		bb := clamp01(b0 + (b1-b0)*t)
@@ -91,20 +93,22 @@ func (r *Renderer) segment(
 }
 
 // DrawColorbar paints a vertical color legend along the image's right edge,
-// the "color scale" a Rocketeer session shows.
+// the "color scale" a Rocketeer session shows. It paints over whatever is
+// there, and Recolor leaves it be.
 func (r *Renderer) DrawColorbar(lut LUT) {
 	barW := r.W / 24
 	if barW < 4 {
 		barW = 4
 	}
 	margin := r.H / 12
-	x0 := r.W - barW - 4
+	x0 := max(r.W-barW-4, 0)
 	for y := margin; y < r.H-margin; y++ {
 		t := 1 - float64(y-margin)/float64(r.H-2*margin)
 		rr, gg, bb := lut.Color(t)
 		c := color.RGBA{uint8(rr*255 + 0.5), uint8(gg*255 + 0.5), uint8(bb*255 + 0.5), 255}
-		for x := x0; x < x0+barW; x++ {
+		for x := x0; x < r.W-4; x++ {
 			r.img.SetRGBA(x, y, c)
+			r.frag[y*r.W+x] = noFrag
 		}
 	}
 }

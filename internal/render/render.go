@@ -2,6 +2,10 @@
 // Voyager: perspective camera, z-buffered triangle rasterization with
 // Gouraud shading and scalar color mapping, and PNG output. It stands in
 // for the hardware/VTK rendering path of the paper's Rocketeer suite.
+//
+// Surfaces are rasterized into a visibility buffer — which triangle owns
+// each pixel — and colored from it in a second step, so a surface drawn once
+// can be recolored by other scalars without rasterizing it again (Recolor).
 package render
 
 import (
@@ -102,12 +106,26 @@ type Renderer struct {
 	Ambient float64
 	// TrisDrawn counts rasterized (non-culled) triangles.
 	TrisDrawn int64
-	// verts is per-vertex scratch DrawSurface reuses from pass to pass.
+	// verts is the per-vertex state of the most recent DrawSurface: scratch
+	// reused from draw to draw, and what Recolor colors and resolves from.
 	verts vertScratch
+	// tris is the triangle list of the most recent DrawSurface (a copy, so
+	// the caller's surface may change), empty when there is none: Clear and
+	// the next DrawSurface end a drawn surface's life.
+	tris []int32
+	// frag is the visibility buffer: per pixel, the index in tris of the
+	// triangle that won the pixel's z-test and still owns it, or noFrag.
+	// Whatever else writes a pixel (lines, the colorbar) retires its entry,
+	// so Recolor never paints over what was drawn after the surface.
+	frag []int32
 }
 
+// noFrag marks a pixel no triangle of the drawn surface owns.
+const noFrag = -1
+
 // vertScratch holds each vertex's screen position, visibility, shade and
-// color between DrawSurface's transform and rasterization loops.
+// shaded color: written by DrawSurface's transform and color loops, read by
+// the triangle loop and by resolve.
 type vertScratch struct {
 	sx, sy, sz, shade, cr, cg, cb []float64
 	ok                            []bool
@@ -128,6 +146,7 @@ func NewRenderer(w, h int) *Renderer {
 		W: w, H: h,
 		img:     image.NewRGBA(image.Rect(0, 0, w, h)),
 		depth:   make([]float64, w*h),
+		frag:    make([]int32, w*h),
 		Light:   mesh.Vec3{X: 0.4, Y: 0.3, Z: 0.85}.Normalize(),
 		Ambient: 0.25,
 	}
@@ -135,8 +154,9 @@ func NewRenderer(w, h int) *Renderer {
 	return r
 }
 
-// Clear resets the image and depth buffer.
+// Clear resets the image and depth buffer, and forgets the drawn surface.
 func (r *Renderer) Clear() {
+	r.tris = r.tris[:0]
 	for i := range r.depth {
 		r.depth[i] = math.Inf(1)
 	}
@@ -185,8 +205,10 @@ func renderable(s *vis.TriSurface) bool {
 // through the lookup table over [lo, hi]. Surfaces without normals get them
 // computed; surfaces without scalars render in the LUT's midpoint color. A
 // surface whose arrays do not fit together is refused with ErrBadSurface
-// before anything is drawn.
+// before anything is drawn. The surface drawn stays recolorable (Recolor)
+// until the next DrawSurface or Clear, whatever either one's outcome.
 func (r *Renderer) DrawSurface(s *vis.TriSurface, cam Camera, lut LUT, lo, hi float64) error {
+	r.tris = r.tris[:0]
 	if s.NumTris() == 0 {
 		return nil
 	}
@@ -197,15 +219,10 @@ func (r *Renderer) DrawSurface(s *vis.TriSurface, cam Camera, lut LUT, lo, hi fl
 		vis.ComputeNormals(s)
 	}
 	vp := cam.projMatrix(float64(r.W) / float64(r.H)).mul(cam.viewMatrix())
-	span := hi - lo
-	if span == 0 {
-		span = 1
-	}
 
 	nv := s.NumVerts()
 	r.verts.resize(nv)
-	sx, sy, sz, ok := r.verts.sx, r.verts.sy, r.verts.sz, r.verts.ok
-	shade, cr, cg, cb := r.verts.shade, r.verts.cr, r.verts.cg, r.verts.cb
+	sx, sy, sz, ok, shade := r.verts.sx, r.verts.sy, r.verts.sz, r.verts.ok, r.verts.shade
 	for i := 0; i < nv; i++ {
 		x, y, z, w := vp.xform(s.Vert(int32(i)))
 		ok[i] = w > 0
@@ -218,65 +235,141 @@ func (r *Renderer) DrawSurface(s *vis.TriSurface, cam Camera, lut LUT, lo, hi fl
 		n := mesh.Vec3{X: s.Normals[3*i], Y: s.Normals[3*i+1], Z: s.Normals[3*i+2]}
 		diffuse := math.Abs(n.Dot(r.Light)) // two-sided
 		shade[i] = r.Ambient + (1-r.Ambient)*diffuse
-		t := 0.5
-		if s.Scalars != nil {
-			t = (s.Scalars[i] - lo) / span
-		}
-		rr, gg, bb := lut.Color(t)
-		cr[i], cg[i], cb[i] = rr, gg, bb
 	}
 
-	for t := 0; t < s.NumTris(); t++ {
-		i0, i1, i2 := s.Tris[3*t], s.Tris[3*t+1], s.Tris[3*t+2]
-		if !ok[i0] || !ok[i1] || !ok[i2] {
-			continue
-		}
-		r.rasterize(
-			sx[i0], sy[i0], sz[i0], cr[i0]*shade[i0], cg[i0]*shade[i0], cb[i0]*shade[i0],
-			sx[i1], sy[i1], sz[i1], cr[i1]*shade[i1], cg[i1]*shade[i1], cb[i1]*shade[i1],
-			sx[i2], sy[i2], sz[i2], cr[i2]*shade[i2], cg[i2]*shade[i2], cb[i2]*shade[i2],
-		)
-	}
+	r.tris = append(r.tris, s.Tris...)
+	r.rasterize()
+	r.colorVerts(s.Scalars, lut, lo, hi)
+	r.resolve()
 	return nil
 }
 
-// rasterize fills one screen-space triangle with barycentric interpolation
-// of depth and color against the z-buffer.
-func (r *Renderer) rasterize(
-	x0, y0, z0, r0, g0, b0,
-	x1, y1, z1, r1, g1, b1,
-	x2, y2, z2, r2, g2, b2 float64,
-) {
-	area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
-	if area == 0 {
-		return
+// Recolor repaints the surface the most recent DrawSurface drew as if it had
+// been drawn with these per-vertex scalars (nil for the LUT's midpoint
+// color), lookup table and range: the pixels that surface still owns change
+// color and nothing else moves — not the depth buffer, not pixels written
+// since. It returns ErrBadSurface when no drawn surface is current or the
+// scalars are not parallel to its vertices.
+func (r *Renderer) Recolor(scalars []float64, lut LUT, lo, hi float64) error {
+	if len(r.tris) == 0 || scalars != nil && len(scalars) != len(r.verts.ok) {
+		return ErrBadSurface
 	}
-	r.TrisDrawn++
-	minX := int(max(0, math.Floor(min(x0, x1, x2))))
-	maxX := int(min(float64(r.W-1), math.Ceil(max(x0, x1, x2))))
-	minY := int(max(0, math.Floor(min(y0, y1, y2))))
-	maxY := int(min(float64(r.H-1), math.Ceil(max(y0, y1, y2))))
-	inv := 1 / area
+	r.colorVerts(scalars, lut, lo, hi)
+	r.resolve()
+	return nil
+}
+
+// colorVerts maps each visible vertex's scalar through the lookup table over
+// [lo, hi] and stores the color times the vertex's shade.
+//
+//godiva:noalloc
+func (r *Renderer) colorVerts(scalars []float64, lut LUT, lo, hi float64) {
+	span := hi - lo
+	if span == 0 {
+		span = 1
+	}
+	ok, shade, cr, cg, cb := r.verts.ok, r.verts.shade, r.verts.cr, r.verts.cg, r.verts.cb
+	for i := range ok {
+		if !ok[i] {
+			continue
+		}
+		t := 0.5
+		if scalars != nil {
+			t = (scalars[i] - lo) / span
+		}
+		rr, gg, bb := lut.Color(t)
+		cr[i], cg[i], cb[i] = rr*shade[i], gg*shade[i], bb*shade[i]
+	}
+}
+
+// bary returns the barycentric weights of the point (fx, fy) in a screen
+// triangle whose doubled signed area is 1/inv. rasterize decides coverage
+// and depth with these weights and resolve interpolates color with them;
+// going through one function keeps the two on the same expressions, which is
+// what makes a resolved pixel bit-identical to one colored inside the
+// triangle loop.
+func bary(x0, y0, x1, y1, x2, y2, inv, fx, fy float64) (w0, w1, w2 float64) {
+	w0 = ((x1-fx)*(y2-fy) - (x2-fx)*(y1-fy)) * inv
+	w1 = ((x2-fx)*(y0-fy) - (x0-fx)*(y2-fy)) * inv
+	w2 = 1 - w0 - w1
+	return
+}
+
+// rasterize is the triangle loop: it tests every pixel of every triangle of
+// r.tris against the z-buffer and records, where the triangle wins, its depth
+// and its index. Colors are resolve's business.
+func (r *Renderer) rasterize() {
+	for i := range r.frag {
+		r.frag[i] = noFrag
+	}
+	sx, sy, sz, ok := r.verts.sx, r.verts.sy, r.verts.sz, r.verts.ok
+	for t := 0; 3*t < len(r.tris); t++ {
+		i0, i1, i2 := r.tris[3*t], r.tris[3*t+1], r.tris[3*t+2]
+		if !ok[i0] || !ok[i1] || !ok[i2] {
+			continue
+		}
+		x0, y0, z0 := sx[i0], sy[i0], sz[i0]
+		x1, y1, z1 := sx[i1], sy[i1], sz[i1]
+		x2, y2, z2 := sx[i2], sy[i2], sz[i2]
+		area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
+		if area == 0 {
+			continue
+		}
+		r.TrisDrawn++
+		minX := int(max(0, math.Floor(min(x0, x1, x2))))
+		maxX := int(min(float64(r.W-1), math.Ceil(max(x0, x1, x2))))
+		minY := int(max(0, math.Floor(min(y0, y1, y2))))
+		maxY := int(min(float64(r.H-1), math.Ceil(max(y0, y1, y2))))
+		inv := 1 / area
+		for py := minY; py <= maxY; py++ {
+			fy := float64(py) + 0.5
+			for px := minX; px <= maxX; px++ {
+				fx := float64(px) + 0.5
+				w0, w1, w2 := bary(x0, y0, x1, y1, x2, y2, inv, fx, fy)
+				if w0 < 0 || w1 < 0 || w2 < 0 {
+					continue
+				}
+				z := w0*z0 + w1*z1 + w2*z2
+				idx := py*r.W + px
+				if z >= r.depth[idx] {
+					continue
+				}
+				r.depth[idx] = z
+				r.frag[idx] = int32(t)
+			}
+		}
+	}
+}
+
+// resolve colors every pixel a triangle of the drawn surface owns, by
+// Gouraud interpolation of its vertices' shaded colors. The weights are
+// recomputed from the vertices' kept screen positions rather than stored by
+// rasterize: three float64 per pixel would be six times the visibility
+// buffer, written for every z-test a pixel passes, to save a few
+// multiplications on the pixels that survive.
+//
+//godiva:noalloc
+func (r *Renderer) resolve() {
+	sx, sy := r.verts.sx, r.verts.sy
+	cr, cg, cb := r.verts.cr, r.verts.cg, r.verts.cb
 	pix, stride := r.img.Pix, r.img.Stride
-	for py := minY; py <= maxY; py++ {
+	for py := 0; py < r.H; py++ {
 		fy := float64(py) + 0.5
-		for px := minX; px <= maxX; px++ {
+		for px, t := range r.frag[py*r.W:][:r.W] {
+			if t == noFrag {
+				continue
+			}
+			i0, i1, i2 := r.tris[3*t], r.tris[3*t+1], r.tris[3*t+2]
+			x0, y0 := sx[i0], sy[i0]
+			x1, y1 := sx[i1], sy[i1]
+			x2, y2 := sx[i2], sy[i2]
+			area := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
+			inv := 1 / area
 			fx := float64(px) + 0.5
-			w0 := ((x1-fx)*(y2-fy) - (x2-fx)*(y1-fy)) * inv
-			w1 := ((x2-fx)*(y0-fy) - (x0-fx)*(y2-fy)) * inv
-			w2 := 1 - w0 - w1
-			if w0 < 0 || w1 < 0 || w2 < 0 {
-				continue
-			}
-			z := w0*z0 + w1*z1 + w2*z2
-			idx := py*r.W + px
-			if z >= r.depth[idx] {
-				continue
-			}
-			r.depth[idx] = z
-			rr := clamp01(w0*r0 + w1*r1 + w2*r2)
-			gg := clamp01(w0*g0 + w1*g1 + w2*g2)
-			bb := clamp01(w0*b0 + w1*b1 + w2*b2)
+			w0, w1, w2 := bary(x0, y0, x1, y1, x2, y2, inv, fx, fy)
+			rr := clamp01(w0*cr[i0] + w1*cr[i1] + w2*cr[i2])
+			gg := clamp01(w0*cg[i0] + w1*cg[i1] + w2*cg[i2])
+			bb := clamp01(w0*cb[i0] + w1*cb[i1] + w2*cb[i2])
 			p := pix[py*stride+4*px:][:4]
 			p[0], p[1], p[2], p[3] = uint8(rr*255+0.5), uint8(gg*255+0.5), uint8(bb*255+0.5), 255
 		}

@@ -90,6 +90,12 @@ func Follow(cfg FollowConfig) (*FollowResult, error) {
 		logf = func(string, ...any) {}
 	}
 	res := &FollowResult{}
+	p := (&Config{
+		Test:     cfg.Test,
+		ImageDir: cfg.ImageDir,
+		Width:    cfg.Width,
+		Height:   cfg.Height,
+	}).newPipeline(nil)
 	// Per-snapshot shape learned from the stream itself, so a follower of an
 	// initially empty ingest server needs no a-priori spec. filesPerStep is
 	// only a lower bound (max file index seen + 1) until confirmed: an event
@@ -115,7 +121,7 @@ func Follow(cfg FollowConfig) (*FollowResult, error) {
 				return false, nil
 			}
 			st := pending[best]
-			n, err := renderFollowStep(db, cfg, best, st, &maxBlocks)
+			n, err := renderFollowStep(db, p, best, st, &maxBlocks)
 			if err != nil {
 				return false, err
 			}
@@ -198,8 +204,9 @@ func Follow(cfg FollowConfig) (*FollowResult, error) {
 }
 
 // renderFollowStep waits for a completed step's units and runs the
-// visualization passes over them, then drops the units.
-func renderFollowStep(db *core.DB, cfg FollowConfig, step int, st *followStep, maxBlocks *int) (int, error) {
+// follower's pipeline over them, then drops the units. It returns the number
+// of images the step made.
+func renderFollowStep(db *core.DB, p *snapshotPipeline, step int, st *followStep, maxBlocks *int) (int, error) {
 	var waited []string
 	for f := range st.files {
 		u := fileUnitName(step, f)
@@ -227,14 +234,8 @@ func renderFollowStep(db *core.DB, cfg FollowConfig, step int, st *followStep, m
 		names[b] = genx.BlockID(b)
 	}
 	src := &gSource{db: db, names: names, stepID: st.stepID}
-	rcfg := Config{
-		Test:     cfg.Test,
-		ImageDir: cfg.ImageDir,
-		Width:    cfg.Width,
-		Height:   cfg.Height,
-	}
-	p := rcfg.newPipeline(nil)
 	p.snapID = fmt.Sprintf("t%04d", step)
+	before := p.images
 	if err := p.run(src); err != nil {
 		err = fmt.Errorf("step %d: %w", step, err)
 		for f := range st.files {
@@ -247,5 +248,5 @@ func renderFollowStep(db *core.DB, cfg FollowConfig, step int, st *followStep, m
 			return 0, err
 		}
 	}
-	return p.images, nil
+	return p.images - before, nil
 }

@@ -309,13 +309,9 @@ func (s *gSource) Var(name, field string) ([]float64, error) {
 // Surface answers from the derived field the unit's read function filled;
 // when that read function had no surface pass to prepare for (a session's),
 // the field is unallocated and the topology is built here, for this view.
-func (s *gSource) Surface(name string) ([]int32, error) {
+func (s *gSource) Surface(name string, m *mesh.TetMesh) ([]int32, error) {
 	buf, err := s.db.GetFieldBuffer(recBlock, fieldSurface, name, s.stepID)
 	if errors.Is(err, core.ErrNoBuffer) {
-		m, err := s.Mesh(name)
-		if err != nil {
-			return nil, err
-		}
 		return m.AppendBoundaryFaces(nil), nil
 	}
 	if err != nil {

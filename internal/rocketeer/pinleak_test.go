@@ -86,8 +86,8 @@ func TestFollowFailedRenderDropsUnits(t *testing.T) {
 		st.files[f] = true
 	}
 	maxBlocks := 0
-	cfg := FollowConfig{Test: vt, ImageDir: brokenImageDir(t), Width: 64, Height: 48}
-	if _, err := renderFollowStep(db, cfg, 0, st, &maxBlocks); err == nil {
+	p := (&Config{Test: vt, ImageDir: brokenImageDir(t), Width: 64, Height: 48}).newPipeline(nil)
+	if _, err := renderFollowStep(db, p, 0, st, &maxBlocks); err == nil {
 		t.Fatal("renderFollowStep with an uncreatable ImageDir succeeded")
 	}
 	for _, u := range db.Units() {
@@ -118,8 +118,8 @@ func TestFollowFailedWaitDropsAcquired(t *testing.T) {
 		st.files[f] = true
 	}
 	maxBlocks := 0
-	cfg := FollowConfig{Test: vt}
-	if _, err := renderFollowStep(db, cfg, 0, st, &maxBlocks); err == nil {
+	p := (&Config{Test: vt}).newPipeline(nil)
+	if _, err := renderFollowStep(db, p, 0, st, &maxBlocks); err == nil {
 		t.Fatal("renderFollowStep with a failing unit read succeeded")
 	}
 	for _, u := range db.Units() {

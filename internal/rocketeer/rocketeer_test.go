@@ -56,12 +56,14 @@ func TestMain(m *testing.M) {
 }
 
 // testMachine is a platform with realistic cost structure at a small time
-// scale, so runs finish fast but contention still plays out.
+// scale, so runs finish fast but contention still plays out. Virtual time is
+// wall time over the scale: at 0.1 a millisecond of host jitter reads as
+// 10 ms against unit reads of about 200 ms.
 func testMachine(ncpu int) *platform.Machine {
 	spec := platform.Engle
 	spec.NumCPU = ncpu
 	spec.Quantum = 2 * time.Millisecond
-	return platform.New(spec, 0.02)
+	return platform.New(spec, 0.1)
 }
 
 func pngsIn(t *testing.T, dir string) map[string][]byte {

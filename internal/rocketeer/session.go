@@ -42,8 +42,9 @@ type Session struct {
 	reader *genx.Reader
 	readFn core.ReadFunc
 	names  []string
-	task   *platform.Task
-	views  int
+	// pipe renders every view; View gives it the view's one-pass test.
+	pipe  *snapshotPipeline
+	views int
 }
 
 // ViewResult reports one interactive view.
@@ -93,6 +94,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		Machine:     cfg.Machine,
 		VolumeScale: cfg.VolumeScale,
 		Remote:      cfg.Remote,
+		ImageDir:    cfg.ImageDir,
+		Width:       cfg.Width,
+		Height:      cfg.Height,
 	}
 	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale}
 	names := make([]string, cfg.Spec.Blocks)
@@ -105,7 +109,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		reader: reader,
 		readFn: makeReadFunc(runCfg, reader),
 		names:  names,
-		task:   runCfg.mainTask(),
+		pipe:   runCfg.newPipeline(runCfg.mainTask()),
 	}, nil
 }
 
@@ -144,18 +148,8 @@ func (s *Session) View(step int, feature, variable string, param float64) (*View
 	}
 	hit := s.db.Stats().CacheHits > before
 
-	test := VisTest{Name: "session", Vars: []string{variable}, Ops: []Op{op}}
-	runCfg := Config{
-		Test:        test,
-		Spec:        s.cfg.Spec,
-		Dir:         s.cfg.Dir,
-		Machine:     s.cfg.Machine,
-		VolumeScale: s.cfg.VolumeScale,
-		ImageDir:    s.cfg.ImageDir,
-		Width:       s.cfg.Width,
-		Height:      s.cfg.Height,
-	}
-	p := runCfg.newPipeline(s.task)
+	p := s.pipe
+	p.test = VisTest{Name: "session", Vars: []string{variable}, Ops: []Op{op}}
 	p.snapID = fmt.Sprintf("t%04d_v%03d", step, s.views)
 	s.views++
 	src := &gSource{db: s.db, names: s.names, stepID: s.cfg.Spec.StepID(step)}
@@ -171,7 +165,7 @@ func (s *Session) View(step int, feature, variable string, param float64) (*View
 	res := &ViewResult{CacheHit: hit, Elapsed: time.Since(start)}
 	if s.cfg.ImageDir != "" {
 		res.Image = fmt.Sprintf("%s/%s_%s_00_%v_%s.png",
-			s.cfg.ImageDir, test.Name, p.snapID, op.Kind, op.Var)
+			s.cfg.ImageDir, p.test.Name, p.snapID, op.Kind, op.Var)
 	}
 	return res, nil
 }

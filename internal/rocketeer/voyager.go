@@ -194,9 +194,10 @@ func (c *Config) mainTask() *platform.Task {
 	return c.Machine.NewTask()
 }
 
-// newPipeline returns the pipeline of one run; its renderer (image, depth
-// buffer, per-vertex scratch) serves every pass of every snapshot. The
-// caller sets snapID before each snapshot.
+// newPipeline returns the pipeline of one run, session or follower; its
+// renderer (image, depth and visibility buffers, per-vertex scratch) and its
+// frame's arrays serve every pass of every snapshot. The caller sets snapID
+// before each snapshot.
 func (c *Config) newPipeline(task *platform.Task) *snapshotPipeline {
 	return &snapshotPipeline{
 		test:     c.Test,
@@ -254,8 +255,6 @@ type oSource struct {
 	names   []string
 	ioWall  *time.Duration
 
-	meshes   map[string]*mesh.TetMesh
-	surfaces map[string][]int32
 	vars     map[string][]float64
 	varsRead map[string]int // per block: variables read so far
 }
@@ -270,8 +269,6 @@ func openOSource(r *genx.Reader, cfg Config, step int, ioWall *time.Duration) (*
 		r:        r,
 		loc:      make(map[string]oLoc),
 		ioWall:   ioWall,
-		meshes:   make(map[string]*mesh.TetMesh),
-		surfaces: make(map[string][]int32),
 		vars:     make(map[string][]float64),
 		varsRead: make(map[string]int),
 	}
@@ -329,15 +326,12 @@ func (s *oSource) Close() {
 
 func (s *oSource) BlockNames() []string { return s.names }
 
-// Mesh reads a block's mesh once; later calls answer from memory. The
+// Mesh reads a block's mesh; the pipeline asks once per snapshot. The
 // redundant coordinate reads happen in Var, bundled with each variable.
 func (s *oSource) Mesh(name string) (*mesh.TetMesh, error) {
 	l, ok := s.loc[name]
 	if !ok {
 		return nil, fmt.Errorf("rocketeer: unknown block %q", name)
-	}
-	if m, ok := s.meshes[name]; ok {
-		return m, nil
 	}
 	var m *mesh.TetMesh
 	err := s.track(func() error {
@@ -345,26 +339,12 @@ func (s *oSource) Mesh(name string) (*mesh.TetMesh, error) {
 		m, err = l.h.ReadMesh(l.e)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.meshes[name] = m
-	return m, nil
+	return m, err
 }
 
-// Surface builds a block's surface topology once per snapshot and keeps it
-// beside the mesh it indexes.
-func (s *oSource) Surface(name string) ([]int32, error) {
-	if tris, ok := s.surfaces[name]; ok {
-		return tris, nil
-	}
-	m, err := s.Mesh(name)
-	if err != nil {
-		return nil, err
-	}
-	tris := m.AppendBoundaryFaces(nil)
-	s.surfaces[name] = tris
-	return tris, nil
+// Surface builds a block's surface topology from its mesh.
+func (s *oSource) Surface(_ string, m *mesh.TetMesh) ([]int32, error) {
+	return m.AppendBoundaryFaces(nil), nil
 }
 
 // Var reads a block's variable. In the coupled original implementation each

@@ -25,19 +25,22 @@ func BenchmarkExtractSurface(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendSurface times the per-pass gather over stored topology,
-// into a destination with room: verify.sh's benchmem stage fails it on any
-// allocation.
+// BenchmarkAppendSurface times the once-per-snapshot gather over stored
+// topology — bare geometry plus the node list — into a destination with
+// room: verify.sh's benchmem stage fails it on any allocation.
 func BenchmarkAppendSurface(b *testing.B) {
-	m, z := benchBlock()
+	m, _ := benchBlock()
 	tris := m.AppendBoundaryFaces(nil)
 	agg := &TriSurface{}
-	agg.grow(len(tris)/3, m.NumNodes())
+	nodes, err := agg.AppendSurface(m, tris, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg.Coords, agg.Tris, agg.Scalars = agg.Coords[:0], agg.Tris[:0], agg.Scalars[:0]
-		if err := agg.AppendSurface(m, tris, z); err != nil {
+		agg.Coords, agg.Tris = agg.Coords[:0], agg.Tris[:0]
+		if nodes, err = agg.AppendSurface(m, tris, nodes[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -272,20 +272,35 @@ func TestExtractSurfaceMatchesOracle(t *testing.T) {
 			if scalar == nil {
 				continue
 			}
-			// The gather over stored topology adds exactly what appending
-			// the extracted surface adds.
-			prefix, err := ExtractSurface(oracleCases(t)["unit tet"], []float64{1, 2, 3, 4})
+			// The gathers over stored topology — geometry and node list
+			// once, scalars through the node list — add exactly what
+			// appending the extracted surface adds.
+			tet := oracleCases(t)["unit tet"]
+			tetScalar := []float64{1, 2, 3, 4}
+			prefix, err := ExtractSurface(tet, tetScalar)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantAgg := &TriSurface{}
 			wantAgg.Append(prefix)
 			wantAgg.Append(want)
-			if err := prefix.AppendSurface(m, m.AppendBoundaryFaces(nil), scalar); err != nil {
+			agg := &TriSurface{}
+			nodes, err := agg.AppendSurface(tet, tet.AppendBoundaryFaces(nil), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			split := len(nodes)
+			if nodes, err = agg.AppendSurface(m, m.AppendBoundaryFaces(nil), nodes); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if !sameSurface(prefix, wantAgg) {
-				t.Errorf("%s: AppendSurface differs from Append(ExtractSurface)", name)
+			if agg.Scalars != nil || len(nodes) != agg.NumVerts() {
+				t.Fatalf("%s: AppendSurface left %d scalars and %d nodes for %d vertices", name, len(agg.Scalars), len(nodes), agg.NumVerts())
+			}
+			agg.Scalars = make([]float64, len(nodes))
+			GatherScalars(agg.Scalars[:split], nodes[:split], tetScalar)
+			GatherScalars(agg.Scalars[split:], nodes[split:], scalar)
+			if !sameSurface(agg, wantAgg) {
+				t.Errorf("%s: AppendSurface + GatherScalars differs from Append(ExtractSurface)", name)
 			}
 		}
 	}

@@ -65,6 +65,7 @@ func (s *TriSurface) Append(other *TriSurface) {
 // call that took it from the pool.
 type scratch struct {
 	tris  []int32   // boundary triangles of the mesh being extracted
+	nodes []int32   // per extracted vertex: the mesh node behind it
 	remap []int32   // per mesh node: 1 + its output index, 0 = not seen yet
 	dist  []float64 // per mesh node: signed distance to the slicing plane
 	edges edgeTable // crossing edge -> contour vertex
@@ -86,7 +87,8 @@ func (sc *scratch) remapFor(n int) []int32 {
 // for a bare surface. Vertices are compacted: only boundary nodes appear.
 // It builds the surface topology and gathers over it; a caller that draws
 // one mesh under several scalars builds the topology once
-// (mesh.AppendBoundaryFaces) and calls AppendSurface per scalar.
+// (mesh.AppendBoundaryFaces), the geometry once (AppendSurface) and calls
+// GatherScalars per scalar.
 func ExtractSurface(m *mesh.TetMesh, nodeScalar []float64) (*TriSurface, error) {
 	if nodeScalar != nil && len(nodeScalar) != m.NumNodes() {
 		return nil, ErrBadInput
@@ -94,45 +96,49 @@ func ExtractSurface(m *mesh.TetMesh, nodeScalar []float64) (*TriSurface, error) 
 	sc := scratchPool.Get().(*scratch)
 	sc.tris = m.AppendBoundaryFaces(sc.tris[:0])
 	s := &TriSurface{}
-	if nodeScalar != nil { // a bare surface has no scalars, not empty ones
-		s.grow(len(sc.tris)/3, min(len(sc.tris), m.NumNodes()))
+	s.reserve(m, sc.tris)
+	sc.nodes = s.gather(sc.tris, m.Coords, sc.remapFor(m.NumNodes()), sc.nodes[:0])
+	if nodeScalar != nil { // a bare surface has no scalars, not empty ones; nor has an empty one
+		s.Scalars = slices.Grow(s.Scalars, len(sc.nodes))[:len(sc.nodes)]
+		GatherScalars(s.Scalars, sc.nodes, nodeScalar)
 	}
-	s.gather(sc.tris, m.Coords, nodeScalar, sc.remapFor(m.NumNodes()))
 	scratchPool.Put(sc)
 	return s, nil
 }
 
-// grow reserves room for tris more triangles and verts more vertices (with
-// scalars), so that gathering them does not reallocate.
-func (s *TriSurface) grow(tris, verts int) {
-	s.Tris = slices.Grow(s.Tris, 3*tris)
-	s.Coords = slices.Grow(s.Coords, 3*verts)
-	s.Scalars = slices.Grow(s.Scalars, verts)
+// reserve makes room in s for the triangles tris of mesh m and as many
+// vertices as they can name, so that gathering them does not reallocate.
+func (s *TriSurface) reserve(m *mesh.TetMesh, tris []int32) {
+	s.Tris = slices.Grow(s.Tris, len(tris))
+	s.Coords = slices.Grow(s.Coords, 3*min(len(tris), m.NumNodes()))
 }
 
-// AppendSurface appends to s the surface whose triangles are the node-index
-// triples tris of mesh m (as mesh.AppendBoundaryFaces lists them), colored
-// by nodeScalar: exactly what Append(ExtractSurface(m, nodeScalar)) adds to
-// a surface that carries scalars, without rebuilding the topology.
-func (s *TriSurface) AppendSurface(m *mesh.TetMesh, tris []int32, nodeScalar []float64) error {
-	if len(nodeScalar) != m.NumNodes() || len(tris)%3 != 0 {
-		return ErrBadInput
+// AppendSurface appends to s the bare surface whose triangles are the
+// node-index triples tris of mesh m (as mesh.AppendBoundaryFaces lists them)
+// — the geometry of ExtractSurface(m, nil), without rebuilding the topology —
+// and to nodes the mesh node behind each vertex it adds, in vertex order. It
+// returns the extended nodes. Scalars and normals, which cannot cover the new
+// vertices, are dropped: GatherScalars over nodes colors the result.
+func (s *TriSurface) AppendSurface(m *mesh.TetMesh, tris, nodes []int32) ([]int32, error) {
+	if len(tris)%3 != 0 {
+		return nodes, ErrBadInput
 	}
-	s.grow(len(tris)/3, min(len(tris), m.NumNodes()))
+	s.reserve(m, tris)
+	nodes = slices.Grow(nodes, min(len(tris), m.NumNodes()))
 	sc := scratchPool.Get().(*scratch)
-	s.gather(tris, m.Coords, nodeScalar, sc.remapFor(m.NumNodes()))
+	nodes = s.gather(tris, m.Coords, sc.remapFor(m.NumNodes()), nodes)
 	scratchPool.Put(sc)
-	s.Normals = nil
-	return nil
+	s.Scalars, s.Normals = nil, nil
+	return nodes, nil
 }
 
 // gather appends the triangles tris (node-index triples into coords) to s,
-// compacting nodes to vertices in first-seen order and copying each new
-// vertex's position and, when scalar is non-nil, its scalar. remap is zeroed
-// and has one entry per node.
+// compacting nodes to vertices in first-seen order, copying each new vertex's
+// position and appending its node to nodes, which it returns. remap is
+// zeroed and has one entry per node.
 //
 //godiva:noalloc
-func (s *TriSurface) gather(tris []int32, coords, scalar []float64, remap []int32) {
+func (s *TriSurface) gather(tris []int32, coords []float64, remap, nodes []int32) []int32 {
 	next := int32(s.NumVerts())
 	for _, n := range tris {
 		v := remap[n]
@@ -141,11 +147,22 @@ func (s *TriSurface) gather(tris []int32, coords, scalar []float64, remap []int3
 			v = next
 			remap[n] = v
 			s.Coords = append(s.Coords, coords[3*n], coords[3*n+1], coords[3*n+2])
-			if scalar != nil {
-				s.Scalars = append(s.Scalars, scalar[n])
-			}
+			nodes = append(nodes, n)
 		}
 		s.Tris = append(s.Tris, v-1)
+	}
+	return nodes
+}
+
+// GatherScalars sets dst[k] to nodeScalar[nodes[k]]: the per-vertex scalars
+// of a surface whose vertex k is mesh node nodes[k], as gather lists them.
+// The surface's geometry does not depend on the scalar, so this is all that
+// coloring it by another variable takes.
+//
+//godiva:noalloc
+func GatherScalars(dst []float64, nodes []int32, nodeScalar []float64) {
+	for k, n := range nodes {
+		dst[k] = nodeScalar[n]
 	}
 }
 

@@ -18,9 +18,10 @@
 #               AllocsPerRun gates re-measure on every run
 #   bench       the repository benchmark's own vet and tests (bench/ is its
 #               own module, so vet/test above never reach it)
-#   benchmem    core query benchmarks and the per-pass vis/render kernels
-#               (surface topology into warm scratch, the gather over it, a
-#               draw into a warm renderer) under -benchmem; any benchmark
+#   benchmem    core query benchmarks and the per-snapshot and per-pass
+#               vis/render kernels (surface topology into warm scratch, the
+#               gather over it, a draw into a warm renderer, a recolor of
+#               what it drew) under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
 #               a zero-alloc path and fails the gate
 #   race-core   race-detector pass over the concurrent core and the mesh/vis
@@ -92,7 +93,7 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkDrawSurface)$' \
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkDrawSurface|BenchmarkRecolor)$' \
         -benchmem -benchtime 1000x -count=1 \
         ./internal/core ./internal/mesh ./internal/vis ./internal/render) || {
         echo "$out"
