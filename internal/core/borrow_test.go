@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"godiva/internal/zerocopy"
@@ -340,5 +341,81 @@ func TestOnReleaseRunsAtClose(t *testing.T) {
 	}
 	if !released {
 		t.Fatal("release hook did not run at Close")
+	}
+}
+
+// Regression: a failed read dropped its records but kept its release hooks
+// until the unit was deleted, and every re-read added more. The hooks run,
+// exactly once, by the time the error is returned — from an inline read and
+// from a pool worker's — and a re-read that fails again runs only its own.
+func TestOnReleaseRunsWhenReadFails(t *testing.T) {
+	for _, bg := range []bool{false, true} {
+		db := newTestDB(t, Options{BackgroundIO: bg})
+		defineFluidSchema(t, db)
+		var released atomic.Int64
+		failing := func(u *Unit) error {
+			u.OnRelease(func() { released.Add(1) })
+			if _, err := u.NewRecord("fluid"); err != nil {
+				return err
+			}
+			return errors.New("injected read failure")
+		}
+		for attempt := int64(1); attempt <= 2; attempt++ {
+			if err := db.AddUnit("u1", failing); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.WaitUnit("u1"); !errors.Is(err, ErrUnitFailed) {
+				t.Fatalf("background=%v attempt %d: WaitUnit = %v, want ErrUnitFailed", bg, attempt, err)
+			}
+			if n := released.Load(); n != attempt {
+				t.Fatalf("background=%v attempt %d: %d hooks ran, want %d", bg, attempt, n, attempt)
+			}
+		}
+		if err := db.DeleteUnit("u1"); err != nil {
+			t.Fatal(err)
+		}
+		if n := released.Load(); n != 2 {
+			t.Fatalf("background=%v: deleting the failed unit ran hooks again (%d ran)", bg, n)
+		}
+		if m := db.MemUsed(); m != 0 {
+			t.Fatalf("background=%v: %d bytes still charged", bg, m)
+		}
+	}
+}
+
+// Regression: Close sweeping a unit whose inline read was still running ran
+// the hooks registered so far — unmapping what the read function might still
+// be reading — and never ran the ones it registered afterwards. Every hook
+// now waits for the read function and has run exactly once when ReadUnit
+// returns ErrClosed.
+func TestOnReleaseRunsWhenCloseSweepsInlineRead(t *testing.T) {
+	db := Open(Options{})
+	defineFluidSchema(t, db)
+	var released atomic.Int64
+	started, swept := make(chan struct{}), make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- db.ReadUnit("u1", func(u *Unit) error {
+			u.OnRelease(func() { released.Add(1) })
+			close(started)
+			<-swept
+			u.OnRelease(func() { released.Add(10) })
+			_, err := u.NewRecord("fluid")
+			return err
+		})
+	}()
+	<-started
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := released.Load(); n != 0 {
+		t.Fatalf("Close ran %d of the hooks while their read function was running", n)
+	}
+	close(swept)
+	if err := <-errc; !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadUnit swept by Close = %v, want ErrClosed", err)
+	}
+	if n := released.Load(); n != 11 {
+		t.Fatalf("released = %d when ReadUnit returned, want 11 (each hook once)", n)
 	}
 }

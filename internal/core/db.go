@@ -452,6 +452,7 @@ func (db *DB) evictOneLocked() bool {
 // dropUnitLocked removes a unit and all of its records from the database.
 // Caller holds db.mu (write).
 func (db *DB) dropUnitLocked(u *unit) {
+	reading := u.state == stateReading
 	db.recordEventLocked(u, u.state, stateDeleted)
 	db.unqueueLocked(u)
 	db.lru.removeLocked(u)
@@ -461,13 +462,12 @@ func (db *DB) dropUnitLocked(u *unit) {
 	u.records = nil
 	u.memory = 0
 	u.state = stateDeleted
-	// Run the unit's release hooks now that no buffer references its donated
-	// memory. They run under db.mu by contract (Unit.OnRelease): prompt,
-	// non-reentrant cleanup only.
-	for _, fn := range u.releasers {
-		fn()
+	// No buffer references the unit's donated memory any more. A read
+	// function still running (Close sweeps mid-read) may, though: runRead
+	// runs the hooks when it returns.
+	if !reading {
+		db.runReleasersLocked(u)
 	}
-	u.releasers = nil
 	db.notifyUnitLocked(u)
 	delete(db.units, u.name)
 	// Dropping a unit can change the §3.3 verdict without releasing a byte —
@@ -475,6 +475,17 @@ func (db *DB) dropUnitLocked(u *unit) {
 	// idle-workers-with-queued-units clause — so blocked reservers must
 	// re-run the detector even when releaseLocked had nothing to wake.
 	db.wakeMemWaitersLocked()
+}
+
+// runReleasersLocked runs u's release hooks, in registration order, and
+// forgets them, so each runs exactly once. They run under db.mu by contract
+// (Unit.OnRelease): prompt, non-reentrant cleanup only. Caller holds db.mu
+// (write).
+func (db *DB) runReleasersLocked(u *unit) {
+	for _, fn := range u.releasers {
+		fn()
+	}
+	u.releasers = nil
 }
 
 // getRecordRLocked answers a key-lookup query. Caller holds db.mu (read or

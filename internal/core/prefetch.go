@@ -163,6 +163,10 @@ func (db *DB) acquireUnitLocked(u *unit, inline bool) error {
 		case stateFailed:
 			return fmt.Errorf("%w: unit %q: %w", ErrUnitFailed, u.name, u.err)
 		case stateDeleted:
+			if db.closed {
+				// Close swept the unit, possibly mid-read.
+				return ErrClosed
+			}
 			return fmt.Errorf("%w: %q (deleted)", ErrUnknownUnit, u.name)
 		}
 		if db.closed {
@@ -237,6 +241,11 @@ func (db *DB) runRead(u *unit) bool {
 		db.setStateLocked(u, stateReady)
 		db.stats.unitsRead.Add(1)
 		db.stats.bytesLoaded.Add(u.memory)
+	}
+	if u.state != stateReady {
+		// Nothing borrows from the donors any more — neither a record nor,
+		// now that it has returned, the read function — so they go too.
+		db.runReleasersLocked(u)
 	}
 	// A read ending removes a progressing reader, which can flip the §3.3
 	// verdict for allocations that chose to wait because this read was still

@@ -98,10 +98,11 @@ type unit struct {
 	lruPrev, lruNext *unit
 	inLRU            bool // guarded by db.mu
 
-	// releasers run (in registration order) when the unit is dropped —
-	// deleted, evicted, or swept by Close — after its records' buffers have
-	// been released. Read functions that donate borrowed memory register the
-	// donor's cleanup here (e.g. closing an mmap'd file). Guarded by db.mu.
+	// releasers run once each, in registration order, when the unit's
+	// records are released for good — deleted, evicted, failed, or swept by
+	// Close — and its read function has returned (see Unit.OnRelease). Read
+	// functions that donate borrowed memory register the donor's cleanup
+	// here (e.g. closing an mmap'd file). Guarded by db.mu.
 	releasers []func()
 }
 
@@ -127,16 +128,20 @@ func (x *Unit) Name() string { return x.u.name }
 // and queries from within the read function.
 func (x *Unit) DB() *DB { return x.db }
 
-// OnRelease registers fn to run when the unit is dropped from the database
-// (DeleteUnit, cache eviction, or Close), after the unit's records and
-// buffers have been released. It is the lifetime hook for donated memory: a
-// read function that borrows mmap-backed slices into field buffers
+// OnRelease registers fn to run once the unit's records are released for
+// good: when the unit is dropped from the database (DeleteUnit, cache
+// eviction, or Close), or when this read fails and its records are
+// discarded. It is the lifetime hook for donated memory: a read function
+// that borrows mmap-backed slices into field buffers
 // (Record.BorrowFieldBuffer) registers the mapping's Close here, so the
-// donor outlives every borrowed view.
+// donor outlives every borrowed view — including the read function's own:
+// if Close sweeps the unit while its read function is still running, the
+// hooks run when that function returns, not at the sweep.
 //
 // fn runs with the database lock held: it must not call back into the
 // database and should do only prompt cleanup (close a file, unmap, release
-// a pool entry). Hooks run in registration order.
+// a pool entry). Hooks run exactly once each, in registration order; a
+// failed unit that is read again starts with none.
 func (x *Unit) OnRelease(fn func()) {
 	x.db.mu.Lock()
 	x.u.releasers = append(x.u.releasers, fn)

@@ -141,7 +141,10 @@ func (m *TetMesh) CellCentroid(e int) Vec3 {
 }
 
 // Bounds returns the axis-aligned bounding box (min, max). An empty mesh
-// returns zero vectors.
+// returns zero vectors. It uses the builtin min and max, which inline where
+// math.Min and math.Max do not; they order ±0 the same way, and differ only
+// in that a NaN coordinate wins over an infinity (math.Min(-Inf, NaN) is
+// -Inf, min(-Inf, NaN) is NaN) — a box no finite mesh has.
 func (m *TetMesh) Bounds() (lo, hi Vec3) {
 	if m.NumNodes() == 0 {
 		return Vec3{}, Vec3{}
@@ -150,12 +153,12 @@ func (m *TetMesh) Bounds() (lo, hi Vec3) {
 	hi = lo
 	for i := 1; i < m.NumNodes(); i++ {
 		p := m.Node(int32(i))
-		lo.X = math.Min(lo.X, p.X)
-		lo.Y = math.Min(lo.Y, p.Y)
-		lo.Z = math.Min(lo.Z, p.Z)
-		hi.X = math.Max(hi.X, p.X)
-		hi.Y = math.Max(hi.Y, p.Y)
-		hi.Z = math.Max(hi.Z, p.Z)
+		lo.X = min(lo.X, p.X)
+		lo.Y = min(lo.Y, p.Y)
+		lo.Z = min(lo.Z, p.Z)
+		hi.X = max(hi.X, p.X)
+		hi.Y = max(hi.Y, p.Y)
+		hi.Z = max(hi.Z, p.Z)
 	}
 	return lo, hi
 }

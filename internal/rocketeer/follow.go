@@ -74,7 +74,7 @@ func Follow(cfg FollowConfig) (*FollowResult, error) {
 	}
 	readFn := remote.NewReadFunc(cfg.Client, func(unit string) ([]string, error) {
 		return unitPaths(genx.Spec{}, "", unit)
-	}, vars, blockCommitter(cfg.Test))
+	}, vars, blockCommitter(cfg.Test, false))
 
 	sub, err := cfg.Client.Subscribe(push.Spec{ToStep: -1}, push.Options{
 		Policy: cfg.Policy,

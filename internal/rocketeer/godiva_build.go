@@ -8,6 +8,7 @@ import (
 	"godiva/internal/genx"
 	"godiva/internal/mesh"
 	"godiva/internal/remote"
+	"godiva/internal/zerocopy"
 )
 
 // Names of the GODIVA schema Voyager uses: one record per block per
@@ -137,15 +138,21 @@ func unitPaths(spec genx.Spec, dir, unit string) ([]string, error) {
 // database. With Config.Remote the same units are fetched from a godivad
 // server instead of local files; the worker pool, deadlock accounting and
 // cache behave identically either way.
+//
+// A local unit keeps its files open for as long as it is resident: each
+// handle's Close is the unit's release hook, so the datasets it read — with
+// a Mapped reader, views of the file's mapping — are committed by reference
+// and the database drops them and closes the file together, on every path
+// out (deletion, eviction, a failed or deadlocked read, Close).
 func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 	vars := orderedVars(cfg.Test.Vars)
-	commit := blockCommitter(cfg.Test)
 	if cfg.Remote != nil {
 		resolve := func(unit string) ([]string, error) {
 			return unitPaths(cfg.Spec, "", unit)
 		}
-		return remote.NewReadFunc(cfg.Remote, resolve, vars, commit)
+		return remote.NewReadFunc(cfg.Remote, resolve, vars, blockCommitter(cfg.Test, false))
 	}
+	commit := blockCommitter(cfg.Test, true)
 	return func(u *core.Unit) error {
 		paths, err := unitPaths(cfg.Spec, cfg.Dir, u.Name())
 		if err != nil {
@@ -156,19 +163,16 @@ func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 			if err != nil {
 				return err
 			}
+			// The file was only read and a hook has no caller to tell.
+			u.OnRelease(func() { _ = h.Close() })
 			for _, e := range h.Blocks() {
 				bd, err := h.ReadBlock(e, vars)
 				if err != nil {
-					h.Close()
 					return err
 				}
 				if err := commit(u, bd); err != nil {
-					h.Close()
 					return err
 				}
-			}
-			if err := h.Close(); err != nil {
-				return err
 			}
 		}
 		// Pay deferred platform charges inside the unit read, so unit
@@ -184,7 +188,14 @@ func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 // surface pass, the block's surface topology beside them (see fieldSurface).
 // A test without one — an interactive session cannot know its views in
 // advance — commits no derived data, and gSource.Surface builds on demand.
-func blockCommitter(test VisTest) remote.CommitFunc {
+//
+// borrow says bd's arrays live as long as the unit — a local read, whose
+// files close with the unit — so the record's buffers are those arrays,
+// adopted by Record.BorrowFieldBuffer instead of copied. A fetched block's
+// arrays alias a frame the remote client recycles once the file is
+// committed, so remote and followed units copy. The derived surface is a
+// fresh heap slice nobody else holds and is borrowed from every source.
+func blockCommitter(test VisTest, borrow bool) remote.CommitFunc {
 	surface := false
 	for _, op := range test.Ops {
 		surface = surface || op.Kind == OpSurface
@@ -200,33 +211,27 @@ func blockCommitter(test VisTest) remote.CommitFunc {
 		if err := rec.SetString(fieldStep, bd.StepID); err != nil {
 			return err
 		}
-		if err := fillFloat64(rec, "coords", bd.Mesh.Coords); err != nil {
+		if err := fillFloat64(rec, "coords", bd.Mesh.Coords, borrow); err != nil {
 			return err
 		}
-		if err := fillInt32(rec, "conn", bd.Mesh.Tets); err != nil {
+		if err := fillInt32(rec, "conn", bd.Mesh.Tets, borrow); err != nil {
 			return err
 		}
-		buf, err := rec.AllocFieldBuffer("gids", 8*len(bd.Mesh.GlobalNode))
-		if err != nil {
+		if err := fillInt64(rec, "gids", bd.Mesh.GlobalNode, borrow); err != nil {
 			return err
 		}
-		gids, err := buf.Int64s()
-		if err != nil {
-			return err
-		}
-		copy(gids, bd.Mesh.GlobalNode)
 		for name, data := range bd.Node {
-			if err := fillFloat64(rec, name, data); err != nil {
+			if err := fillFloat64(rec, name, data, borrow); err != nil {
 				return err
 			}
 		}
 		for name, data := range bd.Elem {
-			if err := fillFloat64(rec, name, data); err != nil {
+			if err := fillFloat64(rec, name, data, borrow); err != nil {
 				return err
 			}
 		}
 		if surface {
-			if err := fillInt32(rec, fieldSurface, bd.Mesh.AppendBoundaryFaces(nil)); err != nil {
+			if err := fillInt32(rec, fieldSurface, bd.Mesh.AppendBoundaryFaces(nil), true); err != nil {
 				return err
 			}
 		}
@@ -234,7 +239,15 @@ func blockCommitter(test VisTest) remote.CommitFunc {
 	}
 }
 
-func fillFloat64(rec *core.Record, field string, data []float64) error {
+// fillFloat64, fillInt32 and fillInt64 make data field's buffer: data itself
+// when borrow is set and the host can view it in the files' little-endian
+// byte order, a copy otherwise. Either way the buffer is charged the same
+// bytes.
+func fillFloat64(rec *core.Record, field string, data []float64, borrow bool) error {
+	if raw, ok := zerocopy.BytesOfF64s(data); borrow && ok {
+		_, err := rec.BorrowFieldBuffer(field, raw)
+		return err
+	}
 	buf, err := rec.AllocFieldBuffer(field, 8*len(data))
 	if err != nil {
 		return err
@@ -247,12 +260,33 @@ func fillFloat64(rec *core.Record, field string, data []float64) error {
 	return nil
 }
 
-func fillInt32(rec *core.Record, field string, data []int32) error {
+func fillInt32(rec *core.Record, field string, data []int32, borrow bool) error {
+	if raw, ok := zerocopy.BytesOfI32s(data); borrow && ok {
+		_, err := rec.BorrowFieldBuffer(field, raw)
+		return err
+	}
 	buf, err := rec.AllocFieldBuffer(field, 4*len(data))
 	if err != nil {
 		return err
 	}
 	dst, err := buf.Int32s()
+	if err != nil {
+		return err
+	}
+	copy(dst, data)
+	return nil
+}
+
+func fillInt64(rec *core.Record, field string, data []int64, borrow bool) error {
+	if raw, ok := zerocopy.BytesOfI64s(data); borrow && ok {
+		_, err := rec.BorrowFieldBuffer(field, raw)
+		return err
+	}
+	buf, err := rec.AllocFieldBuffer(field, 8*len(data))
+	if err != nil {
+		return err
+	}
+	dst, err := buf.Int64s()
 	if err != nil {
 		return err
 	}
@@ -344,7 +378,7 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 	if err := defineSchema(db); err != nil {
 		return nil, err
 	}
-	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale}
+	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale, Mapped: true}
 	readFn := makeReadFunc(cfg, reader)
 	// snapUnits lists the unit(s) making up one snapshot: the whole
 	// snapshot by default, or one unit per file at the finer granularity.

@@ -98,7 +98,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		Width:       cfg.Width,
 		Height:      cfg.Height,
 	}
-	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale}
+	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale, Mapped: true}
 	names := make([]string, cfg.Spec.Blocks)
 	for b := range names {
 		names[b] = genx.BlockID(b)

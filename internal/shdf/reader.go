@@ -25,7 +25,7 @@ import (
 // until Close unmaps the file.
 type File struct {
 	r       io.ReaderAt
-	f       *os.File // non-nil when opened by path
+	f       *os.File // non-nil when opened by path and read through ReadAt
 	size    int64
 	entries []dirEntry
 	byRef   map[Ref]int
@@ -58,7 +58,9 @@ func Open(path string) (*File, error) {
 // payload access borrows subslices of the mapping instead of allocating and
 // reading. When the platform has no mmap or the map fails for any reason it
 // falls back to the ReadAt path of Open — the returned File behaves
-// identically either way (Mapped reports which mode was chosen).
+// identically either way (Mapped reports which mode was chosen). A mapped
+// File holds no file descriptor: the mapping keeps the pages, so the
+// descriptor is closed as soon as the map succeeds.
 func OpenMapped(path string) (*File, error) {
 	osf, err := os.Open(path)
 	if err != nil {
@@ -79,13 +81,15 @@ func OpenMapped(path string) (*File, error) {
 		f.f = osf
 		return f, nil
 	}
+	if err := osf.Close(); err != nil {
+		munmapFile(m)
+		return nil, err
+	}
 	f, err := NewFile(bytes.NewReader(m), st.Size())
 	if err != nil {
 		munmapFile(m)
-		osf.Close()
 		return nil, err
 	}
-	f.f = osf
 	f.mapping = m
 	return f, nil
 }
@@ -112,8 +116,8 @@ func NewFile(r io.ReaderAt, size int64) (*File, error) {
 	return f, nil
 }
 
-// Close unmaps the file (if mapped) and closes the underlying file if the
-// File owns it. Borrowed payloads of a mapped file are invalid afterwards;
+// Close unmaps the file (if mapped) or closes the underlying file (if the
+// File owns one). Borrowed payloads of a mapped file are invalid afterwards;
 // the payload cache is dropped so later reads fail cleanly instead of
 // touching unmapped memory.
 func (f *File) Close() error {

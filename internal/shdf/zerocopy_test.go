@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"godiva/internal/zerocopy"
@@ -167,6 +168,43 @@ func TestOpenMapped(t *testing.T) {
 	// After Close the mapping is gone; reads must fail cleanly, not fault.
 	if _, err := f.ReadSDS(sds); err == nil {
 		t.Fatal("ReadSDS succeeded after Close of mapped file")
+	}
+}
+
+// A mapped File holds no file descriptor — the mapping keeps the pages — so
+// a resident unit of eight mapped files costs eight mappings and no
+// descriptors, and Close only unmaps.
+func TestOpenMappedHoldsNoDescriptor(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fd.shdf")
+	sds, _, _ := writeSample(t, path)
+	f, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !f.Mapped() {
+		t.Skip("mmap unavailable: the fallback reads through its descriptor")
+	}
+	if f.f != nil {
+		t.Fatal("mapped File kept its *os.File")
+	}
+	if runtime.GOOS == "linux" {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+				t.Fatalf("descriptor %s still open on the mapped file", fd.Name())
+			}
+		}
+	}
+	ds, err := f.ReadSDS(sds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Float64s[5] != 6 {
+		t.Fatalf("mapped read after the descriptor closed = %v", ds.Float64s)
 	}
 }
 

@@ -30,7 +30,11 @@
 #   race-remote race-detector pass over the remote unit service
 #   race-platform race-detector pass over the virtual-machine model
 #   invariants  core suite with the godivainvariants runtime checker
-#               compiled in, under the race detector
+#               compiled in, under the race detector, and rocketeer's under
+#               the same build: its local read functions are the first
+#               real callers of BorrowFieldBuffer, so the borrowed-buffer
+#               invariants (never on resident records; memory equals the
+#               sum of live records) run against real donations
 #   push        subscription stress under the race detector: producers,
 #               mixed-policy subscribers and subscribe/unsubscribe churn
 #               against one registry (duration from VERIFY_PUSHTIME,
@@ -156,7 +160,7 @@ run_stage benchmem check_benchmem
 run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
 run_stage race-platform go test -race -count=1 ./internal/platform/...
-run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/...
+run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/... ./internal/rocketeer/...
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
 run_stage batch env BATCH_CHURN_TIME="${VERIFY_BATCHTIME:-10s}" go test -race -count=1 -run '^TestPayloadCacheChurn$' ./internal/remote
 run_stage fuzz check_fuzz
