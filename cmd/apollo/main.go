@@ -173,8 +173,8 @@ func run(s *rocketeer.Session, line string, demo bool, snapshots int) error {
 			st.UnitsRead, st.CacheHits, st.UnitsEvicted, float64(st.PeakBytes)/1e6,
 			st.VisibleWait.Round(1e6))
 		if rs, ok := s.ExternalStats()["remote"].(remote.RemoteStats); ok {
-			fmt.Printf("remote: %d fetches (%d coalesced), %d RPCs, %d retries, %d errors, %.1f MB in\n",
-				rs.Fetches, rs.Coalesced, rs.RPCs, rs.Retries, rs.Errors, float64(rs.BytesIn)/1e6)
+			fmt.Printf("remote: %d fetches, %d RPCs, %d retries, %d errors, %.1f MB in\n",
+				rs.Fetches, rs.RPCs, rs.Retries, rs.Errors, float64(rs.BytesIn)/1e6)
 		}
 		return nil
 	default:

@@ -117,8 +117,8 @@ func main() {
 	}
 	if client != nil {
 		rs := client.Stats()
-		fmt.Printf("  remote: %d fetches (%d coalesced), %d RPCs, %d retries, %d errors, %.1f MB in\n",
-			rs.Fetches, rs.Coalesced, rs.RPCs, rs.Retries, rs.Errors, float64(rs.BytesIn)/1e6)
+		fmt.Printf("  remote: %d fetches, %d RPCs, %d retries, %d errors, %.1f MB in\n",
+			rs.Fetches, rs.RPCs, rs.Retries, rs.Errors, float64(rs.BytesIn)/1e6)
 	}
 	if *trace && len(res.Events) > 0 {
 		fmt.Println("  unit timeline (ms from first event):")

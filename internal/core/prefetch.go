@@ -204,10 +204,10 @@ func (db *DB) waitStateLocked(u *unit) {
 }
 
 // runRead executes a unit's read function outside the lock and finalizes the
-// unit's state. It reports whether the unit became ready — false when the
-// read failed or the unit was deleted mid-read. The caller must have set
-// u.state = stateReading under db.mu and released the lock.
-func (db *DB) runRead(u *unit) bool {
+// unit's state: ready, failed, or dropped when the unit was deleted
+// mid-read. The caller must have set u.state = stateReading under db.mu and
+// released the lock.
+func (db *DB) runRead(u *unit) {
 	start := time.Now()
 	//lint:ignore lockcheck u.read is published under db.mu before the unit
 	// enters stateReading, and this goroutine owns the unit until the read
@@ -237,10 +237,21 @@ func (db *DB) runRead(u *unit) bool {
 		u.err = err
 		db.setStateLocked(u, stateFailed)
 		db.stats.unitsFailed.Add(1)
+		if u.worker >= 0 {
+			db.workers[u.worker].failed.Add(1)
+		}
 	} else {
 		db.setStateLocked(u, stateReady)
 		db.stats.unitsRead.Add(1)
 		db.stats.bytesLoaded.Add(u.memory)
+		// Only successful background reads count as prefetched, so
+		// UnitsPrefetched stays a subset of UnitsRead; bumping both under
+		// db.mu keeps Stats and IOWorkerStats from tearing against each
+		// other once the unit's state is visible.
+		if u.worker >= 0 {
+			db.stats.unitsPrefetched.Add(1)
+			db.workers[u.worker].prefetched.Add(1)
+		}
 	}
 	if u.state != stateReady {
 		// Nothing borrows from the donors any more — neither a record nor,
@@ -252,7 +263,6 @@ func (db *DB) runRead(u *unit) bool {
 	// running (progressLocked): wake them to re-run the detector. A
 	// successful read frees no memory, so releaseLocked cannot cover this.
 	db.wakeMemWaitersLocked()
-	return u.state == stateReady
 }
 
 // FinishUnit tells the database that one consumer has completed processing
@@ -371,22 +381,12 @@ func (db *DB) ioLoop(id int) {
 		ws.reading.Store(true)
 		ws.unit = u.name
 		db.mu.Unlock()
-		ok := db.runRead(u)
+		db.runRead(u)
 		db.mu.Lock()
 		db.ioReading--
 		ws.reading.Store(false)
 		ws.unit = ""
-		failed := u.state == stateFailed
 		db.mu.Unlock()
-		if ok {
-			// Only successful background reads count: UnitsPrefetched must
-			// stay a subset of UnitsRead even when the read fails or the
-			// unit is deleted mid-read.
-			db.stats.unitsPrefetched.Add(1)
-			ws.prefetched.Add(1)
-		} else if failed {
-			ws.failed.Add(1)
-		}
 	}
 }
 

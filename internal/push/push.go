@@ -1,11 +1,11 @@
 // Package push is GODIVA's reactive data plane: a subscription registry
 // that fans newly ingested time-step units out to subscribers, inverting
 // the pull-only flow the rest of the library assumes. Producers publish an
-// Event per ingested snapshot file; subscribers register a declarative Spec
-// ("steps 10.., every 2nd, field velocity") and drain a private bounded
-// queue. Admission control is per subscriber: a visual stream keeps only
-// the freshest frames (DropOldest), a lossless consumer pushes backpressure
-// into the producer (Block). The package is deliberately passive — it owns
+// Event per ingested snapshot file; subscribers register a Spec (every step
+// up to a bound, or open-ended) and drain a private bounded queue.
+// Admission control is per subscriber: a visual stream keeps only the
+// freshest frames (DropOldest), a lossless consumer pushes backpressure into
+// the producer (Block). The package is deliberately passive — it owns
 // no goroutines; producers and consumers block inside Publish/Next on
 // targeted wakeup channels, the same unlock-before-block discipline the
 // core database uses, so the interprocedural lint passes without
@@ -44,75 +44,28 @@ func (p Policy) String() string {
 }
 
 // Event announces one ingested time-step unit: the snapshot file that
-// landed, which step and file index it is, and the fields it carries. Seq
-// is assigned by the registry, strictly increasing in publish order across
-// all producers.
+// landed and which step and file index it is. Seq is assigned by the
+// registry, strictly increasing in publish order across all producers.
 type Event struct {
 	Seq     uint64
-	Step    int      // snapshot step index
-	File    int      // file index within the snapshot
-	Path    string   // snapshot file name, in the server's namespace
-	StepID  string   // simulation time-step identifier ("0.000025")
-	Time    float64  // simulation time in seconds
-	Fields  []string // variable fields present in the unit
+	Step    int     // snapshot step index
+	File    int     // file index within the snapshot
+	Path    string  // snapshot file name, in the server's namespace
+	StepID  string  // simulation time-step identifier ("0.000025")
+	Time    float64 // simulation time in seconds
 	Created time.Time
 }
 
-// Spec is a declarative match rule over the event stream. Spec{ToStep: -1}
-// matches everything.
+// Spec is the subscriber's match rule over the event stream: every step up
+// to and including ToStep, or every step when ToStep is negative.
+// Spec{ToStep: -1} matches everything; the zero Spec matches step 0 only.
 type Spec struct {
-	// FromStep is the first matching step; ToStep the last. A negative
-	// ToStep leaves the range open-ended.
-	FromStep int
-	ToStep   int
-	// Stride admits every Stride-th step counted from FromStep (0 and 1
-	// both mean every step).
-	Stride int
-	// Fields, when non-empty, requires the event to carry at least one of
-	// the named fields.
-	Fields []string
-	// Files, when non-empty, admits only the listed file indices.
-	Files []int
+	ToStep int
 }
 
 // Matches reports whether the rule admits the event.
 func (sp Spec) Matches(ev Event) bool {
-	if ev.Step < sp.FromStep {
-		return false
-	}
-	if sp.ToStep >= 0 && ev.Step > sp.ToStep {
-		return false
-	}
-	if sp.Stride > 1 && (ev.Step-sp.FromStep)%sp.Stride != 0 {
-		return false
-	}
-	if len(sp.Files) > 0 {
-		ok := false
-		for _, f := range sp.Files {
-			if f == ev.File {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if len(sp.Fields) > 0 {
-		ok := false
-		for _, want := range sp.Fields {
-			for _, have := range ev.Fields {
-				if want == have {
-					ok = true
-					break
-				}
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return sp.ToStep < 0 || ev.Step <= sp.ToStep
 }
 
 // Options configures one subscriber's delivery queue.
@@ -392,12 +345,6 @@ func (s *Subscriber) next(deadline <-chan time.Time) (Event, bool, bool) {
 		r.mu.Lock()
 	}
 }
-
-// Spec returns the subscriber's match rule.
-func (s *Subscriber) Spec() Spec { return s.spec }
-
-// Policy returns the subscriber's admission policy.
-func (s *Subscriber) Policy() Policy { return s.opts.Policy }
 
 // Close unregisters the subscriber: blocked consumers and producers wake
 // immediately, queued events are discarded, and the subscriber's counters

@@ -34,14 +34,6 @@ type ClientOptions struct {
 	// and 500ms.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// IdleConnTimeout drops pooled connections unused for this long
-	// (default 60s), so a quiet client does not pin dead TCP state across
-	// server restarts. Negative disables idle reaping.
-	IdleConnTimeout time.Duration
-	// ConnMaxAge recycles pooled connections older than this regardless of
-	// use (default 10m), bounding how long a long-lived voyager keeps any
-	// one conn. Negative disables age recycling.
-	ConnMaxAge time.Duration
 }
 
 func (o *ClientOptions) setDefaults() {
@@ -65,141 +57,54 @@ func (o *ClientOptions) setDefaults() {
 	if o.RetryMax <= 0 {
 		o.RetryMax = 500 * time.Millisecond
 	}
-	if o.IdleConnTimeout == 0 {
-		o.IdleConnTimeout = 60 * time.Second
-	}
-	if o.ConnMaxAge == 0 {
-		o.ConnMaxAge = 10 * time.Minute
-	}
 }
 
 // RemoteStats is a snapshot of the client's operation counters, surfaced
 // alongside DB.Stats (see core.DB.RegisterStatsSource) so a run's transport
 // behavior is visible next to its unit accounting.
 type RemoteStats struct {
-	Fetches   int64 // logical fetches requested (including coalesced)
-	Coalesced int64 // fetches served by joining an identical in-flight RPC
-	RPCs      int64 // wire attempts issued (dials and round-trips)
-	Retries   int64 // attempts beyond the first, after transient failures
-	Errors    int64 // fetches that failed permanently (retries exhausted
-	//                         or a non-retryable protocol error)
-	ConnsRecycled int64 // pooled conns dropped for idleness or age
-	BytesIn       int64 // response payload bytes received
-	BytesCopied   int64 // payload array bytes copied while decoding fetches
+	Fetches int64 // files requested through FetchFiles
+	RPCs    int64 // wire attempts issued (dials and round-trips)
+	Retries int64 // attempts beyond the first, after transient failures
+	Errors  int64 // fetches that failed permanently (retries exhausted
+	//               or a non-retryable protocol error)
+	BytesIn     int64 // response payload bytes received
+	BytesCopied int64 // payload array bytes copied while decoding fetches
 	//                   (the rest alias the pooled response frame; nonzero
 	//                   only on big-endian hosts)
 	Latency time.Duration // cumulative round-trip time of successful RPCs
 }
 
-// call is one in-flight single-flight fetch.
-type call struct {
-	done    chan struct{}
-	joiners int // fetchers coalesced onto this call, beyond the owner;
-	//             final once the call leaves c.calls (guarded by c.mu)
-	fp  *FilePayload
-	err error
-}
-
 // Client fetches unit payloads from a godivad server. It is safe for
 // concurrent use by many goroutines (the I/O worker pool): connections are
-// pooled and bounded, identical concurrent fetches are coalesced into one
-// RPC, and transient failures are retried with exponential backoff and
-// jitter.
+// pooled and bounded, and transient failures are retried with exponential
+// backoff and jitter. A transport error empties the idle pool, so a client
+// that outlives a server restart redials instead of retrying on the dead
+// connections it pooled before.
 type Client struct {
 	opts ClientOptions
 	sem  chan struct{} // bounds concurrent in-use connections
 	done chan struct{} // closed by Close
 
 	mu     sync.Mutex
-	idle   []*pooledConn
-	calls  map[string]*call
+	idle   []net.Conn
 	subs   map[*Subscription]struct{}
 	rng    *rand.Rand
 	stats  RemoteStats
 	closed bool
 }
 
-// pooledConn is one idle pooled connection with the stamps conn-pool
-// hygiene runs on.
-type pooledConn struct {
-	conn net.Conn
-	born time.Time // dial time, for ConnMaxAge
-	last time.Time // last return to the pool, for IdleConnTimeout
-}
-
 // NewClient creates a client for the given server. Connections are dialed
 // lazily; use Ping to verify the server is reachable.
 func NewClient(opts ClientOptions) *Client {
 	opts.setDefaults()
-	c := &Client{
-		opts:  opts,
-		sem:   make(chan struct{}, opts.PoolSize),
-		done:  make(chan struct{}),
-		calls: make(map[string]*call),
-		subs:  make(map[*Subscription]struct{}),
-		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
+	return &Client{
+		opts: opts,
+		sem:  make(chan struct{}, opts.PoolSize),
+		done: make(chan struct{}),
+		subs: make(map[*Subscription]struct{}),
+		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	if opts.IdleConnTimeout > 0 || opts.ConnMaxAge > 0 {
-		go c.reapLoop()
-	}
-	return c
-}
-
-// reapLoop periodically sweeps the idle pool for connections past their
-// idle timeout or max age, so dead TCP state (a restarted server, a dropped
-// NAT mapping) is shed without waiting for the next fetch to trip over it.
-func (c *Client) reapLoop() {
-	period := c.opts.IdleConnTimeout
-	if period <= 0 || (c.opts.ConnMaxAge > 0 && c.opts.ConnMaxAge < period) {
-		period = c.opts.ConnMaxAge
-	}
-	period /= 4
-	if period < 50*time.Millisecond {
-		period = 50 * time.Millisecond
-	}
-	ticker := time.NewTicker(period)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			c.reapIdle(time.Now())
-		case <-c.done:
-			return
-		}
-	}
-}
-
-// reapIdle closes and drops every pooled connection that is stale at now,
-// counting each in ConnsRecycled.
-func (c *Client) reapIdle(now time.Time) {
-	var dead []*pooledConn
-	c.mu.Lock()
-	kept := c.idle[:0]
-	for _, pc := range c.idle {
-		if c.staleLocked(pc, now) {
-			dead = append(dead, pc)
-		} else {
-			kept = append(kept, pc)
-		}
-	}
-	c.idle = kept
-	c.stats.ConnsRecycled += int64(len(dead))
-	c.mu.Unlock()
-	for _, pc := range dead {
-		pc.conn.Close()
-	}
-}
-
-// staleLocked reports whether a pooled connection is past its idle timeout
-// or max age.
-func (c *Client) staleLocked(pc *pooledConn, now time.Time) bool {
-	if t := c.opts.IdleConnTimeout; t > 0 && now.Sub(pc.last) > t {
-		return true
-	}
-	if t := c.opts.ConnMaxAge; t > 0 && now.Sub(pc.born) > t {
-		return true
-	}
-	return false
 }
 
 // Stats returns a snapshot of the client counters.
@@ -229,8 +134,8 @@ func (c *Client) Close() error {
 	}
 	c.mu.Unlock()
 	close(c.done)
-	for _, pc := range idle {
-		pc.conn.Close()
+	for _, conn := range idle {
+		conn.Close()
 	}
 	for _, sub := range subs {
 		sub.Close()
@@ -279,20 +184,6 @@ func (c *Client) Ingest(path string, fp *FilePayload) error {
 		return fmt.Errorf("remote: ingest %q: %w", path, err)
 	}
 	return nil
-}
-
-// await blocks until a call completes (or the client closes) and returns
-// its result.
-func (c *Client) await(cl *call) (*FilePayload, error) {
-	select {
-	case <-cl.done:
-		// lint:ignore lockcheck cl.fp/cl.err are written once by the
-		// completing goroutine before close(cl.done); the receive above
-		// happens-after that write, so no mutex is needed here.
-		return cl.fp, cl.err
-	case <-c.done:
-		return nil, ErrClientClosed
-	}
 }
 
 // retryable reports whether an attempt's failure is worth retrying.
@@ -344,6 +235,12 @@ func (c *Client) rpcSegs(op byte, segs [][]byte) (resp, buf []byte, err error) {
 			return resp, buf, nil
 		}
 		lastErr = err
+		var se *ServerError
+		if !errors.As(err, &se) {
+			// Transport trouble on one conn says the server may have gone
+			// away under all of them: redial from here on.
+			c.dropIdle()
+		}
 		if !retryable(err) {
 			return nil, nil, err
 		}
@@ -371,11 +268,10 @@ func (c *Client) attempt(op byte, segs [][]byte) ([]byte, []byte, error) {
 	c.mu.Lock()
 	c.stats.RPCs++
 	c.mu.Unlock()
-	pc, err := c.getConn()
+	conn, err := c.getConn()
 	if err != nil {
 		return nil, nil, err
 	}
-	conn := pc.conn
 	deadline := start.Add(c.opts.RequestTimeout)
 	conn.SetDeadline(deadline)
 	rop, buf, rbody, err := func() (byte, []byte, []byte, error) {
@@ -392,7 +288,7 @@ func (c *Client) attempt(op byte, segs [][]byte) ([]byte, []byte, error) {
 		return nil, nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	c.putConn(pc)
+	c.putConn(conn)
 	if rop == RespErr {
 		serr := decodeErr(rbody)
 		putFrameBuf(buf)
@@ -412,63 +308,56 @@ func (c *Client) attempt(op byte, segs [][]byte) ([]byte, []byte, error) {
 // getConn acquires a pool slot and returns an idle or freshly dialed
 // connection. Every successful getConn must be paired with putConn or
 // releaseSlot.
-func (c *Client) getConn() (*pooledConn, error) {
+func (c *Client) getConn() (net.Conn, error) {
 	select {
 	case c.sem <- struct{}{}:
 	case <-c.done:
 		return nil, ErrClientClosed
 	}
-	now := time.Now()
-	var stale []*pooledConn
-	var pc *pooledConn
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		c.releaseSlot()
 		return nil, ErrClientClosed
 	}
-	for pc == nil && len(c.idle) > 0 {
-		n := len(c.idle)
-		cand := c.idle[n-1]
+	if n := len(c.idle); n > 0 {
+		conn := c.idle[n-1]
 		c.idle = c.idle[:n-1]
-		if c.staleLocked(cand, now) {
-			// Recycle rather than reuse: a conn idle past the timeout (or
-			// simply old) may be dead server-side, and a fresh dial is
-			// cheaper than burning a retry on it.
-			stale = append(stale, cand)
-			c.stats.ConnsRecycled++
-			continue
-		}
-		pc = cand
+		c.mu.Unlock()
+		return conn, nil
 	}
 	c.mu.Unlock()
-	for _, s := range stale {
-		s.conn.Close()
-	}
-	if pc != nil {
-		return pc, nil
-	}
 	conn, err := net.DialTimeout("tcp", c.opts.Addr, c.opts.DialTimeout)
 	if err != nil {
 		c.releaseSlot()
 		return nil, err
 	}
-	return &pooledConn{conn: conn, born: now, last: now}, nil
+	return conn, nil
 }
 
 // putConn returns a healthy connection to the idle pool.
-func (c *Client) putConn(pc *pooledConn) {
+func (c *Client) putConn(conn net.Conn) {
 	c.mu.Lock()
-	pc.last = time.Now()
 	if c.closed {
 		c.mu.Unlock()
-		pc.conn.Close()
+		conn.Close()
 		c.releaseSlot()
 		return
 	}
-	c.idle = append(c.idle, pc)
+	c.idle = append(c.idle, conn)
 	c.mu.Unlock()
 	c.releaseSlot()
+}
+
+// dropIdle closes and forgets every idle pooled connection.
+func (c *Client) dropIdle() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, conn := range idle {
+		conn.Close()
+	}
 }
 
 func (c *Client) releaseSlot() { <-c.sem }

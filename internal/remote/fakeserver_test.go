@@ -176,19 +176,13 @@ func TestFrameFullEveryItemFails(t *testing.T) {
 	}
 }
 
-// A FetchFiles that fails in a later chunk drops exactly its own claims on
-// the chunks already fetched: a fetcher coalesced onto one of those payloads
-// keeps it intact, and once that fetcher recycles too, the chunk's arena has
-// no claim left on it (nothing leaked, nothing released twice).
+// A fetch that fails in a later chunk leaves the chunks already fetched
+// holding exactly one arena claim per payload, and the recycle FetchFiles
+// runs on failure drops every one of them: each earlier chunk's arena ends
+// with no claim left on it (nothing leaked, nothing released twice).
 func TestChunkFailureRecyclesEarlierChunks(t *testing.T) {
-	arrived := make(chan struct{})
-	release := make(chan struct{})
 	addr := fakeServer(t, func(seq int, reqs []fetchReq) []byte {
-		switch seq {
-		case 0: // hold the first chunk open so a second fetcher can join it
-			close(arrived)
-			<-release
-		case 2: // the last chunk: its one file is missing
+		if seq == 2 { // the last chunk: its one file is missing
 			return fetchRespBody(&ServerError{Code: CodeNotFound, Msg: "no such snapshot"})
 		}
 		return fetchRespBody(make([]*ServerError, len(reqs))...)
@@ -200,48 +194,34 @@ func TestChunkFailureRecyclesEarlierChunks(t *testing.T) {
 	for i := range paths {
 		paths[i] = string(rune('a'+i)) + ".shdf"
 	}
-	failed := make(chan error, 1)
-	go func() {
-		_, err := c.FetchFiles(paths, nil)
-		failed <- err
-	}()
-	<-arrived
-	type result struct {
-		fp  *FilePayload
-		err error
-	}
-	joined := make(chan result, 1)
-	go func() {
-		fp, err := c.FetchFile(paths[0], nil)
-		joined <- result{fp, err}
-	}()
-	for deadline := time.Now().Add(5 * time.Second); c.Stats().Coalesced == 0; {
-		if time.Now().After(deadline) {
-			break // the claim counts below report the missed join
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-
+	out := make([]*FilePayload, len(paths))
 	var se *ServerError
-	if err := <-failed; !errors.As(err, &se) || se.Code != CodeNotFound {
-		t.Fatalf("FetchFiles = %v, want the last chunk's CodeNotFound", err)
+	if err := c.fetchInto(out, paths, nil); !errors.As(err, &se) || se.Code != CodeNotFound {
+		t.Fatalf("fetchInto = %v, want the last chunk's CodeNotFound", err)
 	}
-	r := <-joined
-	if r.err != nil {
-		t.Fatal(r.err)
+	if out[len(out)-1] != nil {
+		t.Fatal("the failed item's slot is filled")
 	}
-	arena := r.fp.arena
-	if got := r.fp.refs.Load(); got != 1 {
-		t.Fatalf("joined payload has %d claims after the owner failed, want 1", got)
+	claims := make(map[*frameArena]int32)
+	for _, fp := range out[:2*fetchChunk] {
+		samePayload(t, fp, samplePayload())
+		claims[fp.arena]++
 	}
-	if got := arena.refs.Load(); got != 1 {
-		t.Fatalf("first chunk's arena has %d claims, want only the joiner's", got)
+	if len(claims) != 2 {
+		t.Fatalf("earlier chunks decoded into %d arenas, want 2", len(claims))
 	}
-	samePayload(t, r.fp, samplePayload())
-	r.fp.Recycle()
-	if got := arena.refs.Load(); got != 0 {
-		t.Fatalf("first chunk's arena has %d claims after the last Recycle, want 0", got)
+	for arena, n := range claims {
+		if got := arena.refs.Load(); got != n {
+			t.Fatalf("arena holds %d claims for its %d payloads", got, n)
+		}
+	}
+
+	recycleAll(out)
+	recycleAll(out) // a second Recycle is a no-op
+	for arena := range claims {
+		if got := arena.refs.Load(); got != 0 {
+			t.Fatalf("arena has %d claims after every payload recycled, want 0", got)
+		}
 	}
 	if rs := c.Stats(); rs.RPCs != 3 || rs.Errors != 1 {
 		t.Fatalf("client stats = %+v, want 3 RPCs and 1 error", rs)

@@ -1,9 +1,6 @@
 package remote
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // OpFetch carries k (path, vars) fetches in one RPC and the server answers
 // with one multi-file RespOK frame, so a k-file unit costs one round trip.
@@ -154,18 +151,13 @@ func decodeFetchResp(body []byte) (results []fetchResult, copied int64, err erro
 
 // --- client ---
 
-// fetchItem is one client-side fetch owned by an RPC: its single-flight
-// call entry plus the request it stands for.
+// fetchItem is one client-side fetch: the request plus the caller's result
+// slot it fills.
 type fetchItem struct {
-	key  string
 	path string
 	vars []string
-	cl   *call
-}
-
-// fetchKey is the single-flight coalescing key of a (path, vars) fetch.
-func fetchKey(path string, vars []string) string {
-	return path + "\x00" + strings.Join(vars, "\x00")
+	out  **FilePayload
+	err  *error
 }
 
 // FetchFile fetches one snapshot file's unit payload: FetchFiles of one
@@ -180,77 +172,73 @@ func (c *Client) FetchFile(path string, vars []string) (*FilePayload, error) {
 
 // FetchFiles fetches several snapshot files' unit payloads — every block
 // with its mesh arrays plus the named variable fields — fetchChunk files per
-// OpFetch round trip, returning payloads in paths order. Concurrent calls
-// for the same (path, vars) join a single RPC; the shared payload must be
-// treated as read-only. Payloads of one round trip share the response
-// frame's pooled arena, which their arrays alias — every caller that got a
-// payload should call its Recycle when done with it so the buffer is reused
-// (and must not touch the payload afterwards). On error every
+// OpFetch round trip, returning payloads in paths order. Payloads of one
+// round trip share the response frame's pooled arena, which their arrays
+// alias — call each payload's Recycle when done with it so the buffer is
+// reused (and do not touch the payload afterwards). On error every
 // already-fetched payload is recycled and nil is returned.
 func (c *Client) FetchFiles(paths []string, vars []string) ([]*FilePayload, error) {
 	if len(paths) == 0 {
 		return nil, nil
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	calls := make([]*call, len(paths))
-	var owned []*fetchItem
-	for i, path := range paths {
-		key := fetchKey(path, vars)
-		c.stats.Fetches++
-		if cl, ok := c.calls[key]; ok {
-			c.stats.Coalesced++
-			cl.joiners++
-			calls[i] = cl
-			continue
-		}
-		cl := &call{done: make(chan struct{})}
-		c.calls[key] = cl
-		calls[i] = cl
-		owned = append(owned, &fetchItem{key: key, path: path, vars: vars, cl: cl})
-	}
-	c.mu.Unlock()
-	for len(owned) > 0 {
-		n := min(len(owned), fetchChunk)
-		c.fetchItems(owned[:n])
-		owned = owned[n:]
-	}
-
 	out := make([]*FilePayload, len(paths))
-	var firstErr error
-	for i, cl := range calls {
-		fp, err := c.await(cl)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out[i] = fp
-	}
-	if firstErr != nil {
-		for _, fp := range out {
-			if fp != nil {
-				fp.Recycle()
-			}
-		}
-		return nil, firstErr
+	if err := c.fetchInto(out, paths, vars); err != nil {
+		recycleAll(out)
+		return nil, err
 	}
 	return out, nil
 }
 
-// fetchItems issues one OpFetch RPC for up to fetchChunk owned items and
-// completes their calls. Items the server could not fit into the response
+// recycleAll recycles every non-nil payload in fps.
+func recycleAll(fps []*FilePayload) {
+	for _, fp := range fps {
+		if fp != nil {
+			fp.Recycle()
+		}
+	}
+}
+
+// fetchInto fetches paths[i] into out[i], chunk by chunk, and returns the
+// first error. Items that failed leave their slot nil; the rest are filled
+// even when another item failed.
+func (c *Client) fetchInto(out []*FilePayload, paths []string, vars []string) error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClientClosed
+	}
+	c.stats.Fetches += int64(len(paths))
+	c.mu.Unlock()
+	errs := make([]error, len(paths))
+	items := make([]*fetchItem, len(paths))
+	for i, path := range paths {
+		items[i] = &fetchItem{path: path, vars: vars, out: &out[i], err: &errs[i]}
+	}
+	for len(items) > 0 {
+		n := min(len(items), fetchChunk)
+		c.fetchItems(items[:n])
+		items = items[n:]
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetchItems issues one OpFetch RPC for up to fetchChunk items and fills
+// their result slots. Items the server could not fit into the response
 // frame (answered CodeUnavailable beside items it did answer) go round again
 // as a strictly smaller request, so the recursion ends; when every item came
 // back that way there is no smaller request to make and they fail.
 func (c *Client) fetchItems(items []*fetchItem) {
 	fail := func(its []*fetchItem, err error) {
+		c.mu.Lock()
+		c.stats.Errors += int64(len(its))
+		c.mu.Unlock()
 		for _, it := range its {
-			c.complete(it, nil, nil, fmt.Errorf("remote: fetch %q: %w", it.path, err), 0)
+			*it.err = fmt.Errorf("remote: fetch %q: %w", it.path, err)
 		}
 	}
 	body, buf, err := c.rpc(OpFetch, encodeFetchReq(items))
@@ -267,9 +255,12 @@ func (c *Client) fetchItems(items []*fetchItem) {
 		fail(items, err)
 		return
 	}
-	// The arena's first claim is this routine's own, held until every ok
-	// item has taken one: a fetcher that recycles at once cannot pool the
-	// buffer under the items still to be handed out.
+	c.mu.Lock()
+	c.stats.BytesCopied += copied
+	c.mu.Unlock()
+	// The arena's first claim is this routine's own, dropped once every ok
+	// item has taken one, so a frame with no ok item still goes back to the
+	// pool.
 	arena := &frameArena{buf: buf}
 	arena.refs.Store(1)
 	var again []*fetchItem
@@ -279,9 +270,9 @@ func (c *Client) fetchItems(items []*fetchItem) {
 		switch {
 		case r.fp != nil:
 			r.fp.Path = it.path
+			r.fp.arena = arena
 			arena.refs.Add(1)
-			c.complete(it, r.fp, arena, nil, copied)
-			copied = 0 // charged once, on the first ok item
+			*it.out = r.fp
 		case r.err != nil && r.err.Retryable():
 			again, full = append(again, it), r.err
 		default:
@@ -294,28 +285,4 @@ func (c *Client) fetchItems(items []*fetchItem) {
 	} else if len(again) > 0 {
 		c.fetchItems(again)
 	}
-}
-
-// complete publishes an owned call's result: the call leaves the
-// single-flight table, the payload's reference count covers the owner plus
-// every coalesced joiner, and the closed done channel releases them all.
-func (c *Client) complete(it *fetchItem, fp *FilePayload, arena *frameArena, err error, copied int64) {
-	c.mu.Lock()
-	delete(c.calls, it.key)
-	joiners := it.cl.joiners // final: no joiner can arrive after the delete
-	if err != nil {
-		c.stats.Errors++
-	} else {
-		c.stats.BytesCopied += copied
-	}
-	c.mu.Unlock()
-	if fp != nil {
-		fp.arena = arena
-		fp.refs.Store(int32(1 + joiners))
-	}
-	// lint:ignore lockcheck cl.fp/cl.err are published by close(cl.done):
-	// waiters only read them after receiving from the channel, which
-	// happens-after this write. The mutex never guards these fields.
-	it.cl.fp, it.cl.err = fp, err
-	close(it.cl.done)
 }

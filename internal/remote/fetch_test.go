@@ -317,31 +317,49 @@ func TestPayloadCacheInvalidatedByIngest(t *testing.T) {
 	}
 }
 
-// Pooled connections idle past IdleConnTimeout are recycled, so a client
-// that outlives a server restart redials instead of fetching on dead TCP
-// state.
+// A transport error empties the idle pool, so a client that outlives a
+// server restart redials instead of spending its retries on the dead
+// connections it pooled before — here more of them than it has attempts.
 func TestConnPoolRecyclesAcrossRestart(t *testing.T) {
 	spec := testSpec()
 	dir := writeDataset(t, spec)
-	srv1, err := remote.Serve(remote.ServerOptions{Dir: dir})
+	// Every response waits, so concurrent fetches each hold a conn of
+	// their own and the pool fills.
+	srv1, err := remote.Serve(remote.ServerOptions{Dir: dir,
+		Faults: remote.Faults{DelayFrac: 1, Delay: 100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv1.Addr()
 
-	c := remote.NewClient(remote.ClientOptions{
-		Addr:            addr,
-		IdleConnTimeout: 50 * time.Millisecond,
-	})
+	const pool = 8
+	paths := allPaths(spec)[:pool]
+	c := remote.NewClient(remote.ClientOptions{Addr: addr, PoolSize: pool, MaxRetries: 1})
 	defer c.Close()
-	fp, err := c.FetchFile(genx.SnapshotFile("", 0, 0), testVars)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	errs := make(chan error, pool)
+	for _, path := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fp, err := c.FetchFile(path, testVars)
+			if err == nil {
+				fp.Recycle()
+			}
+			errs <- err
+		}()
 	}
-	fp.Recycle()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if conns := srv1.Stats().Conns; conns != pool {
+		t.Fatalf("filling the pool dialed %d conns, want %d", conns, pool)
+	}
 
-	// Restart the server on the same address while the client idles past
-	// its timeout; the pooled conn to srv1 must be reaped, not reused.
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,48 +376,11 @@ func TestConnPoolRecyclesAcrossRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().ConnsRecycled == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("reaper never recycled the idle conn")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	before := c.Stats()
-	if fp, err = c.FetchFile(genx.SnapshotFile("", 1, 0), testVars); err != nil {
-		t.Fatal(err)
+	fp, err := c.FetchFile(genx.SnapshotFile("", 1, 0), testVars)
+	if err != nil {
+		t.Fatalf("fetch after restart: %v", err)
 	}
 	fp.Recycle()
-	after := c.Stats()
-	if after.Retries != before.Retries {
-		t.Fatalf("fetch after restart burned %d retries; the stale conn should have been recycled",
-			after.Retries-before.Retries)
-	}
-}
-
-// Conn max age recycles even a busy connection's pooled state.
-func TestConnPoolMaxAge(t *testing.T) {
-	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
-	c := remote.NewClient(remote.ClientOptions{
-		Addr:            srv.Addr(),
-		ConnMaxAge:      40 * time.Millisecond,
-		IdleConnTimeout: -1, // isolate the age path
-	})
-	defer c.Close()
-	path := genx.SnapshotFile("", 0, 0)
-	for i := 0; i < 3; i++ {
-		fp, err := c.FetchFile(path, testVars)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp.Recycle()
-		time.Sleep(60 * time.Millisecond)
-	}
-	if rs := c.Stats(); rs.ConnsRecycled == 0 {
-		t.Fatalf("ConnsRecycled = 0 after conns aged out: %+v", rs)
-	}
 }
 
 // The read function must commit files strictly in resolver order, whether

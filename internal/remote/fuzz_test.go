@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -145,21 +148,8 @@ func FuzzSubSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding a re-encoded subscribe request failed: %v", err)
 		}
-		if again.FromStep != spec.FromStep || again.ToStep != spec.ToStep ||
-			again.Stride != spec.Stride || aopts.Policy != opts.Policy ||
-			aopts.Queue != opts.Queue ||
-			len(again.Fields) != len(spec.Fields) || len(again.Files) != len(spec.Files) {
+		if again != spec || aopts != opts {
 			t.Fatalf("round trip changed request: %+v/%+v != %+v/%+v", again, aopts, spec, opts)
-		}
-		for i := range spec.Fields {
-			if again.Fields[i] != spec.Fields[i] {
-				t.Fatalf("round trip changed field %d: %q != %q", i, again.Fields[i], spec.Fields[i])
-			}
-		}
-		for i := range spec.Files {
-			if again.Files[i] != spec.Files[i] {
-				t.Fatalf("round trip changed file %d: %d != %d", i, again.Files[i], spec.Files[i])
-			}
 		}
 	})
 }
@@ -182,14 +172,8 @@ func FuzzEventFrame(f *testing.F) {
 		// Compare Time bit for bit: fuzzed frames may decode to NaN.
 		if again.Seq != ev.Seq || again.Step != ev.Step || again.File != ev.File ||
 			math.Float64bits(again.Time) != math.Float64bits(ev.Time) ||
-			again.Path != ev.Path || again.StepID != ev.StepID ||
-			len(again.Fields) != len(ev.Fields) {
+			again.Path != ev.Path || again.StepID != ev.StepID {
 			t.Fatalf("round trip changed event: %+v != %+v", again, ev)
-		}
-		for i := range ev.Fields {
-			if again.Fields[i] != ev.Fields[i] {
-				t.Fatalf("round trip changed field %d: %q != %q", i, again.Fields[i], ev.Fields[i])
-			}
 		}
 	})
 }
@@ -242,50 +226,80 @@ func specSeedInputs() [][]byte {
 	return [][]byte{data, data[:4], data[:0], append([]byte(nil), data[:len(data)-1]...)}
 }
 
-// subSpecSeedInputs seeds FuzzSubSpec with valid encodings (both policies, a
-// filtered rule), truncations, and a field-count mutation.
+// subSpecSeedInputs seeds FuzzSubSpec with valid encodings (both policies,
+// a bounded and an open-ended rule), truncations, an unknown policy, and a
+// v2 request.
 func subSpecSeedInputs() [][]byte {
-	full := encodeSubReq(
-		push.Spec{FromStep: 2, ToStep: 30, Stride: 2, Fields: []string{"velocity", "stress_avg"}, Files: []int{0, 3}},
-		push.Options{Queue: 16, Policy: push.Block},
-	)
+	full := encodeSubReq(push.Spec{ToStep: 30}, push.Options{Queue: 16, Policy: push.Block})
 	open := encodeSubReq(push.Spec{ToStep: -1}, push.Options{Policy: push.DropOldest})
 	seeds := [][]byte{full, open}
-	for _, n := range []int{0, 4, 13, len(full) / 2, len(full) - 1} {
-		if n <= len(full) {
-			seeds = append(seeds, append([]byte(nil), full[:n]...))
-		}
+	for _, n := range []int{0, 4, 5, len(full) - 1} {
+		seeds = append(seeds, append([]byte(nil), full[:n]...))
 	}
-	// Wild field count: 3×i32 + u8 policy + i32 queue put the u16 count at 17.
-	if len(full) > 19 {
-		mut := append([]byte(nil), full...)
-		mut[17], mut[18] = 0xFF, 0xFF
-		seeds = append(seeds, mut)
-	}
-	return seeds
+	// Unknown policy: the u8 right after the i32 step bound.
+	badPolicy := append([]byte(nil), full...)
+	badPolicy[4] = 0xFF
+	return append(seeds, badPolicy, v2SubReq())
 }
 
 // eventSeedInputs seeds FuzzEventFrame with a valid encoding, truncations,
-// and a field-count mutation.
+// and a v2 event.
 func eventSeedInputs() [][]byte {
-	data := encodeEvent(push.Event{
-		Seq: 7, Step: 3, File: 1, Time: 1e-4,
-		Path: "genx_t0003_1.shdf", StepID: "0.000100",
-		Fields: []string{"velocity", "stress_avg"},
-	})
+	data := encodeEvent(sampleEvent())
 	seeds := [][]byte{data}
 	for _, n := range []int{0, 8, 24, len(data) / 2, len(data) - 1} {
-		if n <= len(data) {
-			seeds = append(seeds, append([]byte(nil), data[:n]...))
-		}
+		seeds = append(seeds, append([]byte(nil), data[:n]...))
 	}
-	// Wild field count: it sits right after the two length-prefixed strings.
-	if at := 24 + 2 + len("genx_t0003_1.shdf") + 2 + len("0.000100"); at+2 <= len(data) {
-		mut := append([]byte(nil), data...)
-		mut[at], mut[at+1] = 0xFF, 0xFF
-		seeds = append(seeds, mut)
+	return append(seeds, v2Event())
+}
+
+func sampleEvent() push.Event {
+	return push.Event{
+		Seq: 7, Step: 3, File: 1, Time: 1e-4,
+		Path: "genx_t0003_1.shdf", StepID: "0.000100",
 	}
-	return seeds
+}
+
+// v2SubReq is an open-ended DropOldest subscribe request in the version 2
+// layout: i32 fromStep | i32 toStep | i32 stride | u8 policy | i32 queue |
+// u16 nfields | u16 nfiles.
+func v2SubReq() []byte {
+	var e enc
+	e.i32(0)
+	e.i32(-1)
+	e.i32(1)
+	e.b = append(e.b, byte(push.DropOldest))
+	e.i32(0)
+	e.u16(0)
+	e.u16(0)
+	return e.b
+}
+
+// v2Event is sampleEvent in the version 2 layout, which ended with a
+// u16-counted field-name list.
+func v2Event() []byte {
+	e := enc{b: encodeEvent(sampleEvent())}
+	e.u16(1)
+	e.str("velocity")
+	return e.b
+}
+
+// A peer still speaking version 2 is refused with ErrProtocol: by the frame
+// header's version byte, and by the push decoders should a v2 body arrive
+// in a v3 frame.
+func TestV2FramesRefused(t *testing.T) {
+	frame := []byte{0, 0, 0, 0, 2, OpSubscribe}
+	frame = append(frame, v2SubReq()...)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, _, err := readFrame(bytes.NewReader(frame)); !errors.Is(err, ErrProtocol) {
+		t.Errorf("readFrame(v2 frame) = %v, want ErrProtocol", err)
+	}
+	if _, _, err := decodeSubReq(v2SubReq()); !errors.Is(err, ErrProtocol) {
+		t.Errorf("decodeSubReq(v2 body) = %v, want ErrProtocol", err)
+	}
+	if _, err := decodeEvent(v2Event()); !errors.Is(err, ErrProtocol) {
+		t.Errorf("decodeEvent(v2 body) = %v, want ErrProtocol", err)
+	}
 }
 
 // TestWriteFuzzCorpus regenerates the on-disk seed corpora. It is a no-op

@@ -15,12 +15,11 @@ import (
 // a local read function obtains from genx.FileHandle.ReadBlock, so records
 // committed from it are byte-identical to local SHDF reads.
 //
-// Payloads returned by Client.FetchFiles may be shared between coalesced
-// callers and must be treated as read-only; commit callbacks copy field data
-// into database buffers. On little-endian hosts the block arrays alias the
-// response frame's buffer: call Recycle when done with the payload so the
-// buffer returns to the frame pool, and touch nothing decoded from the
-// payload afterwards.
+// Payloads returned by Client.FetchFiles must be treated as read-only;
+// commit callbacks copy field data into database buffers. On little-endian
+// hosts the block arrays alias the response frame's buffer: call Recycle
+// when done with the payload so the buffer returns to the frame pool, and
+// touch nothing decoded from the payload afterwards.
 type FilePayload struct {
 	Path   string // request path, in the server's namespace
 	Time   float64
@@ -30,11 +29,9 @@ type FilePayload struct {
 	// arena is the pooled response-frame buffer whose payload region the
 	// block arrays alias; nil when the payload was not decoded from a
 	// pooled frame. One response decodes several payloads from one frame,
-	// so the arena is shared and refcounted separately. refs counts
-	// the fetchers sharing this payload (the owner plus every coalesced
-	// joiner); the last Recycle drops the payload's claim on the arena.
+	// so the arena is shared and refcounted separately; Recycle drops this
+	// payload's claim on it.
 	arena *frameArena
-	refs  atomic.Int32
 }
 
 // frameArena is one pooled response-frame buffer shared by every
@@ -53,17 +50,14 @@ func (a *frameArena) release() {
 	}
 }
 
-// Recycle releases the caller's claim on the payload. Once every fetcher
-// that received the payload (coalesced fetches share one) has called it,
-// the backing frame buffer returns to the frame pool for reuse. After
-// calling Recycle the caller must not touch the payload or any slice
-// decoded from it — the memory may be overwritten by a later fetch.
-// Payloads without pooled backing ignore Recycle.
+// Recycle releases the payload's claim on its response frame; once every
+// payload decoded from the frame is recycled, the buffer returns to the
+// frame pool for reuse. After calling Recycle the caller must not touch the
+// payload or any slice decoded from it — the memory may be overwritten by a
+// later fetch. A payload has one owner, who calls Recycle once; payloads
+// without pooled backing, and a second Recycle, are no-ops.
 func (fp *FilePayload) Recycle() {
-	if fp.refs.Load() == 0 {
-		return // not pool-backed
-	}
-	if fp.refs.Add(-1) > 0 {
+	if fp.arena == nil {
 		return
 	}
 	arena := fp.arena

@@ -1,6 +1,9 @@
 package remote
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // payloadCache is a size-bounded, refcounted cache of *encoded response
 // segments*: the exact net.Buffers chunks a RespOK FilePayload frame is
@@ -36,6 +39,11 @@ type payloadCache struct {
 	gens map[string]uint64 // per-path invalidation generation
 
 	hits, misses, evicts, bytesServed int64
+}
+
+// fetchKey is the payload cache key of a (path, vars) fetch.
+func fetchKey(path string, vars []string) string {
+	return path + "\x00" + strings.Join(vars, "\x00")
 }
 
 // payloadEntry is one cached encoded response: the segment list of one

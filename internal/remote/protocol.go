@@ -39,9 +39,10 @@ import (
 )
 
 // Protocol constants. Version 2 added deterministic alignment pads before
-// array data; v1 peers are refused (both ends live in this repository).
+// array data; version 3 cut OpSubscribe down to a step bound and dropped
+// OpEvent's field list. Older peers are refused (both ends live in this repository).
 const (
-	protoVersion = 2
+	protoVersion = 3
 	maxFrame     = 1 << 30 // sanity cap on a frame's length field
 )
 

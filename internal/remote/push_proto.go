@@ -1,7 +1,7 @@
 package remote
 
 // Wire codecs for the push data plane: OpSubscribe requests (a push.Spec
-// match rule plus delivery options), OpEvent frames (one push.Event; an
+// step bound plus delivery options), OpEvent frames (one push.Event; an
 // empty body is a heartbeat), and OpIngest requests (a path string followed
 // by the same FilePayload body OpFetch responses use, so ingested bytes go
 // through one codec in both directions).
@@ -18,25 +18,23 @@ func (e *enc) i32(v int) { e.u32(uint32(int32(v))) }
 // i32 reads a signed 32-bit value.
 func (d *dec) i32() int { return int(int32(d.u32())) }
 
+// end fails the decode when bytes are left over. Both push bodies have a
+// fixed layout, so leftovers mean a peer speaking another one (a v2
+// subscribe request carries a step range, stride and filter lists).
+func (d *dec) end() {
+	if d.err == nil && d.off != len(d.b) {
+		d.err = fmt.Errorf("%d trailing bytes", len(d.b)-d.off)
+	}
+}
+
 // encodeSubReq serializes an OpSubscribe request:
 //
-//	i32 fromStep | i32 toStep | i32 stride | u8 policy | i32 queue |
-//	u16 nfields (str...) | u16 nfiles (i32...)
+//	i32 toStep | u8 policy | i32 queue
 func encodeSubReq(spec push.Spec, opts push.Options) []byte {
 	var e enc
-	e.i32(spec.FromStep)
 	e.i32(spec.ToStep)
-	e.i32(spec.Stride)
 	e.b = append(e.b, byte(opts.Policy))
 	e.i32(opts.Queue)
-	e.u16(uint16(len(spec.Fields)))
-	for _, f := range spec.Fields {
-		e.str(f)
-	}
-	e.u16(uint16(len(spec.Files)))
-	for _, f := range spec.Files {
-		e.i32(f)
-	}
 	return e.b
 }
 
@@ -45,23 +43,14 @@ func decodeSubReq(body []byte) (push.Spec, push.Options, error) {
 	d := dec{b: body}
 	var spec push.Spec
 	var opts push.Options
-	spec.FromStep = d.i32()
 	spec.ToStep = d.i32()
-	spec.Stride = d.i32()
 	var pol byte
 	if b := d.need(1); b != nil {
 		pol = b[0]
 	}
 	opts.Policy = push.Policy(pol)
 	opts.Queue = d.i32()
-	nf := int(d.u16())
-	for i := 0; i < nf && d.err == nil; i++ {
-		spec.Fields = append(spec.Fields, d.str())
-	}
-	nfi := int(d.u16())
-	for i := 0; i < nfi && d.err == nil; i++ {
-		spec.Files = append(spec.Files, d.i32())
-	}
+	d.end()
 	if d.err != nil {
 		return push.Spec{}, push.Options{}, fmt.Errorf("%w: subscribe request: %v", ErrProtocol, d.err)
 	}
@@ -73,8 +62,7 @@ func decodeSubReq(body []byte) (push.Spec, push.Options, error) {
 
 // encodeEvent serializes one OpEvent frame:
 //
-//	u64 seq | i32 step | i32 file | f64 time | str path | str stepID |
-//	u16 nfields (str...)
+//	u64 seq | i32 step | i32 file | f64 time | str path | str stepID
 //
 // Event.Created never crosses the wire — wall clocks differ between hosts;
 // the client stamps arrival time instead.
@@ -86,10 +74,6 @@ func encodeEvent(ev push.Event) []byte {
 	e.f64(ev.Time)
 	e.str(ev.Path)
 	e.str(ev.StepID)
-	e.u16(uint16(len(ev.Fields)))
-	for _, f := range ev.Fields {
-		e.str(f)
-	}
 	return e.b
 }
 
@@ -104,10 +88,7 @@ func decodeEvent(body []byte) (push.Event, error) {
 	}
 	ev.Path = d.str()
 	ev.StepID = d.str()
-	n := int(d.u16())
-	for i := 0; i < n && d.err == nil; i++ {
-		ev.Fields = append(ev.Fields, d.str())
-	}
+	d.end()
 	if d.err != nil {
 		return push.Event{}, fmt.Errorf("%w: event frame: %v", ErrProtocol, d.err)
 	}

@@ -7,10 +7,9 @@ import (
 )
 
 // TestConnPoolChurnRace hammers the connection pool from several
-// goroutines at once. putConn must stamp the last-used time while holding
-// c.mu: getConn reads it through staleLocked when deciding whether to
-// recycle, so an unlocked write would leave pooledConn.last without a
-// consistent guard (the regression racecheck flagged). Run under -race.
+// goroutines at once: getConn and putConn move conns in and out of the idle
+// pool while dropIdle, the flush a transport error triggers, empties it
+// under their feet. Every access to c.idle must hold c.mu. Run under -race.
 func TestConnPoolChurnRace(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -44,12 +43,15 @@ func TestConnPoolChurnRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				pc, err := c.getConn()
+				conn, err := c.getConn()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				c.putConn(pc)
+				c.putConn(conn)
+				if j%10 == 0 {
+					c.dropIdle()
+				}
 			}
 		}()
 	}

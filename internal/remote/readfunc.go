@@ -15,13 +15,12 @@ type Resolver func(unit string) ([]string, error)
 
 // CommitFunc stores one fetched block into the database through the unit
 // handle, the remote counterpart of the commit step inside a local read
-// function. It must copy field data into database buffers: the BlockData
-// may be shared with coalesced fetchers, and its arrays alias a pooled
-// response buffer that NewReadFunc recycles once the file is committed —
-// long before the unit is released. (A local read function can instead
-// borrow, Record.BorrowFieldBuffer, because the file it read stays open
-// until the unit's OnRelease hooks run.) Arrays the CommitFunc derives
-// itself are its own and may be borrowed.
+// function. It must copy field data into database buffers: the BlockData's
+// arrays alias a pooled response buffer that NewReadFunc recycles once the
+// file is committed — long before the unit is released. (A local read
+// function can instead borrow, Record.BorrowFieldBuffer, because the file it
+// read stays open until the unit's OnRelease hooks run.) Arrays the
+// CommitFunc derives itself are its own and may be borrowed.
 type CommitFunc func(u *core.Unit, bd *genx.BlockData) error
 
 // NewReadFunc manufactures a developer-supplied read function (paper §3.3)

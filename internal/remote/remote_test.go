@@ -386,46 +386,6 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// Concurrent fetches of the same (path, vars) must coalesce into one RPC.
-func TestSingleFlightCoalescing(t *testing.T) {
-	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec),
-		remote.Faults{Seed: 1, DelayFrac: 1, Delay: 100 * time.Millisecond})
-	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr(), PoolSize: 8})
-	defer c.Close()
-
-	path := genx.SnapshotFile("", 0, 0)
-	const joiners = 7
-	errs := make(chan error, joiners+1)
-	go func() { // the owner; the injected delay holds its RPC open
-		_, err := c.FetchFile(path, testVars)
-		errs <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	before := srv.Stats().RPCs
-	var wg sync.WaitGroup
-	for i := 0; i < joiners; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := c.FetchFile(path, testVars)
-			errs <- err
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < joiners+1; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.Stats().RPCs - before; got != 0 {
-		t.Fatalf("joiners issued %d extra RPCs, want 0", got)
-	}
-	if rs := c.Stats(); rs.Coalesced != joiners || rs.RPCs != 1 {
-		t.Fatalf("client stats = %+v, want %d coalesced over 1 RPC", rs, joiners)
-	}
-}
-
 // Two databases with four workers each hammer one server under 10% faults;
 // everything must complete with zero failed units. Run with -race.
 func TestStressTwoDBs(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -598,24 +597,12 @@ func (s *Server) ingest(path string, fp *FilePayload) error {
 	// one.
 	s.payloads.invalidate(path)
 
-	fields := make(map[string]struct{})
 	maxBlock := 0
 	for _, bd := range fp.Blocks {
 		if bd.ID+1 > maxBlock {
 			maxBlock = bd.ID + 1
 		}
-		for name := range bd.Node {
-			fields[name] = struct{}{}
-		}
-		for name := range bd.Elem {
-			fields[name] = struct{}{}
-		}
 	}
-	names := make([]string, 0, len(fields))
-	for name := range fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 
 	s.mu.Lock()
 	if step+1 > s.spec.Snapshots {
@@ -639,7 +626,6 @@ func (s *Server) ingest(path string, fp *FilePayload) error {
 		Path:   path,
 		StepID: fp.StepID,
 		Time:   fp.Time,
-		Fields: names,
 	})
 	if err != nil && err != push.ErrClosed {
 		return err

@@ -282,7 +282,8 @@ func TestFetchZeroCopyEndToEnd(t *testing.T) {
 	}
 }
 
-// Recycle is shared-safe and idempotent once the references are spent.
+// Recycle releases a payload's arena claim once; a second Recycle is a
+// no-op, not a double put.
 func TestRecycleRefCounting(t *testing.T) {
 	fp := samplePayload()
 	segs, _, err := encodeFilePayloadSegments(fp, maxFrame-2)
@@ -296,19 +297,21 @@ func TestRecycleRefCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.arena = &frameArena{buf: buf}
-	got.arena.refs.Store(1)
-	got.refs.Store(2) // owner plus one coalesced joiner
+	arena := &frameArena{buf: buf}
+	arena.refs.Store(2) // this payload plus a sibling from the same frame
+	got.arena = arena
 
 	got.Recycle()
-	if got.Blocks == nil || got.arena == nil {
-		t.Fatal("payload was torn down while a reference remained")
-	}
-	got.Recycle()
 	if got.Blocks != nil || got.arena != nil {
-		t.Fatal("final Recycle did not release the payload")
+		t.Fatal("Recycle did not release the payload")
 	}
-	got.Recycle() // spent: must be a no-op, not a double-put or panic
+	if n := arena.refs.Load(); n != 1 {
+		t.Fatalf("arena holds %d claims after one Recycle, want the sibling's 1", n)
+	}
+	got.Recycle() // spent: must be a no-op, not a double release
+	if n := arena.refs.Load(); n != 1 {
+		t.Fatalf("a second Recycle left the arena %d claims, want 1", n)
+	}
 
 	// A payload that never came from the pool ignores Recycle entirely.
 	plain := samplePayload()
