@@ -100,7 +100,7 @@ func main() {
 	st := srv.Stats()
 	fmt.Printf("godivad: %d conns, %d RPCs, %d errors, %d faults injected, %.1f MB out\n",
 		st.Conns, st.RPCs, st.Errors, st.FaultsInjected, float64(st.BytesOut)/1e6)
-	fmt.Printf("godivad: readers: %d opened, %d closed\n", st.ReaderOpens, st.ReaderCloses)
+	fmt.Printf("godivad: mapped files: %d opened, %d closed, %d hits\n", st.ReaderOpens, st.ReaderCloses, st.ReaderHits)
 	fmt.Printf("godivad: payload cache: %d hits, %d misses, %d evictions, %.1f MB served\n",
 		st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
 		float64(st.BytesServedFromCache)/1e6)

@@ -435,8 +435,10 @@ func (db *DB) releaseLocked(n int64) {
 }
 
 // evictOneLocked evicts the least-recently-used finished unit, dropping all
-// of its records. It reports whether a unit was evicted. Blocked reservers
-// are woken by the memory release itself (releaseLocked, via
+// of its records. It reports whether a unit was evicted. A unit AddUnit
+// re-added while cached is still owed to a consumer, so it goes back to the
+// tail of the prefetch queue instead of out of the database. Blocked
+// reservers are woken by the memory release itself (releaseLocked, via
 // dropRecordLocked). Caller holds db.mu (write).
 func (db *DB) evictOneLocked() bool {
 	u := db.lru.popLRULocked()
@@ -444,8 +446,20 @@ func (db *DB) evictOneLocked() bool {
 		return false
 	}
 	db.recordEventLocked(u, u.state, stateEvicted)
-	db.dropUnitLocked(u)
 	db.stats.unitsEvicted.Add(1)
+	if !u.hinted {
+		db.dropUnitLocked(u)
+		return true
+	}
+	db.dropRecordsLocked(u)
+	db.runReleasersLocked(u)
+	u.hinted = false
+	u.everAcquired = false
+	u.worker = -1
+	db.setStateLocked(u, statePending)
+	db.queue = append(db.queue, u)
+	db.stats.unitsAdded.Add(1)
+	db.signalWorkerLocked()
 	return true
 }
 
@@ -456,11 +470,7 @@ func (db *DB) dropUnitLocked(u *unit) {
 	db.recordEventLocked(u, u.state, stateDeleted)
 	db.unqueueLocked(u)
 	db.lru.removeLocked(u)
-	for _, r := range u.records {
-		db.dropRecordLocked(r)
-	}
-	u.records = nil
-	u.memory = 0
+	db.dropRecordsLocked(u)
 	u.state = stateDeleted
 	// No buffer references the unit's donated memory any more. A read
 	// function still running (Close sweeps mid-read) may, though: runRead
@@ -475,6 +485,16 @@ func (db *DB) dropUnitLocked(u *unit) {
 	// idle-workers-with-queued-units clause — so blocked reservers must
 	// re-run the detector even when releaseLocked had nothing to wake.
 	db.wakeMemWaitersLocked()
+}
+
+// dropRecordsLocked drops every record u owns and clears its charge. Caller
+// holds db.mu (write).
+func (db *DB) dropRecordsLocked(u *unit) {
+	for _, r := range u.records {
+		db.dropRecordLocked(r)
+	}
+	u.records = nil
+	u.memory = 0
 }
 
 // runReleasersLocked runs u's release hooks, in registration order, and

@@ -158,7 +158,7 @@ var legalTransitions = map[unitState]map[unitState]bool{
 	statePending:  {statePending: true, stateReading: true, stateDeleted: true},
 	stateReading:  {stateReady: true, stateFailed: true, stateDeleted: true},
 	stateReady:    {stateFinished: true, stateDeleted: true},
-	stateFinished: {stateReady: true, stateEvicted: true, stateDeleted: true},
+	stateFinished: {stateReady: true, stateEvicted: true, statePending: true, stateDeleted: true},
 	stateFailed:   {statePending: true, stateDeleted: true},
 }
 

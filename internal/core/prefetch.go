@@ -8,9 +8,11 @@ import (
 // AddUnit appends a processing unit to the prefetching list (non-blocking).
 // In background-I/O mode the I/O goroutine will read the unit's records into
 // the database using the supplied read function, in AddUnit order. Adding a
-// unit that is already queued or being read is a no-op; adding a unit whose
-// data is still cached counts as a cache hit and performs no I/O; adding a
-// previously failed unit re-queues it.
+// unit that is already queued or being read is a no-op; adding a previously
+// failed unit re-queues it. Adding a unit whose data is still cached counts
+// as a cache hit and performs no I/O, but the hint holds: should the unit be
+// evicted before a consumer acquires it, it goes back to the tail of the
+// prefetch queue with this read function instead of vanishing.
 func (db *DB) AddUnit(name string, read ReadFunc) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -26,9 +28,12 @@ func (db *DB) AddUnit(name string, read ReadFunc) error {
 			db.stats.cacheHits.Add(1)
 			return nil
 		case stateFinished:
-			// Still cached: refresh its recency so it survives until used.
+			// Still cached: refresh its recency so it survives until used,
+			// and keep the read function for evictOneLocked's re-queue.
 			db.lru.removeLocked(u)
 			db.lru.pushMRULocked(u)
+			u.read = read
+			u.hinted = true
 			db.stats.cacheHits.Add(1)
 			return nil
 		case stateFailed:
@@ -137,10 +142,8 @@ func (db *DB) acquireUnitLocked(u *unit, inline bool) error {
 				u.inline = true
 				db.inlineReading++
 				db.mu.Unlock()
-				db.runRead(u)
+				db.runRead(u) // ends the read: inlineReading--, inline = false
 				db.mu.Lock()
-				db.inlineReading--
-				u.inline = false
 				continue
 			}
 			db.waitStateLocked(u)
@@ -157,6 +160,7 @@ func (db *DB) acquireUnitLocked(u *unit, inline bool) error {
 			db.recordEventLocked(u, stateFinished, stateReady)
 			db.lru.removeLocked(u)
 			u.state = stateReady
+			u.hinted = false
 			u.refs++
 			db.stats.cacheHits.Add(1)
 			return nil
@@ -222,18 +226,10 @@ func (db *DB) runRead(u *unit) {
 	}
 	if u.state == stateDeleted {
 		// Deleted while being read: drop whatever the read created.
-		for _, r := range u.records {
-			db.dropRecordLocked(r)
-		}
-		u.records = nil
-		u.memory = 0
+		db.dropRecordsLocked(u)
 		db.notifyUnitLocked(u)
 	} else if err != nil {
-		for _, r := range u.records {
-			db.dropRecordLocked(r)
-		}
-		u.records = nil
-		u.memory = 0
+		db.dropRecordsLocked(u)
 		u.err = err
 		db.setStateLocked(u, stateFailed)
 		db.stats.unitsFailed.Add(1)
@@ -262,6 +258,15 @@ func (db *DB) runRead(u *unit) {
 	// verdict for allocations that chose to wait because this read was still
 	// running (progressLocked): wake them to re-run the detector. A
 	// successful read frees no memory, so releaseLocked cannot cover this.
+	// The reader leaves the progress count in the same critical section as
+	// the wake-up, or a waiter woken here could still count it and sleep
+	// with nobody left to wake it.
+	if u.inline {
+		db.inlineReading--
+		u.inline = false
+	} else {
+		db.ioReading--
+	}
 	db.wakeMemWaitersLocked()
 }
 
@@ -381,9 +386,8 @@ func (db *DB) ioLoop(id int) {
 		ws.reading.Store(true)
 		ws.unit = u.name
 		db.mu.Unlock()
-		db.runRead(u)
+		db.runRead(u) // ends the read: ioReading--
 		db.mu.Lock()
-		db.ioReading--
 		ws.reading.Store(false)
 		ws.unit = ""
 		db.mu.Unlock()

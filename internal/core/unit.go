@@ -59,6 +59,11 @@ type unit struct {
 	// Guarded by db.mu.
 	everAcquired bool
 
+	// hinted marks a finished unit that AddUnit re-added and no consumer
+	// has acquired since: eviction re-queues it rather than dropping it.
+	// Guarded by db.mu.
+	hinted bool
+
 	// waiters counts goroutines blocked in WaitUnit/ReadUnit on this unit;
 	// the deadlock detector only considers waiters on unproduced units.
 	// Guarded by db.mu.

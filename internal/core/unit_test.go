@@ -419,6 +419,71 @@ func TestAddUnitOnCachedUnitIsHit(t *testing.T) {
 	}
 }
 
+// A cached unit that AddUnit re-adds keeps the hint: evicted before a
+// consumer acquires it — by a SetMemSpace shrink, or by another unit's read —
+// it goes back to the prefetch queue and is read again with the read
+// function of the re-add, so the WaitUnit the hint promises succeeds instead
+// of returning ErrUnknownUnit.
+func TestReAddedCachedUnitSurvivesEviction(t *testing.T) {
+	for _, background := range []bool{false, true} {
+		t.Run(fmt.Sprintf("BackgroundIO=%v", background), func(t *testing.T) {
+			db := newTestDB(t, Options{BackgroundIO: background, MemoryLimit: 100000})
+			defineBlobSchema(t, db)
+			var first, second atomic.Int64
+			if err := db.ReadUnit("a", blobReader(1000, &first)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.FinishUnit("a"); err != nil {
+				t.Fatal(err)
+			}
+			unit := db.MemUsed()
+			if err := db.AddUnit("a", blobReader(1000, &second)); err != nil {
+				t.Fatal(err)
+			}
+			if background {
+				// Room for one unit: reading b evicts a.
+				db.SetMemSpace(unit * 3 / 2)
+				if err := db.AddUnit("b", blobReader(1000, nil)); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.WaitUnit("b"); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.DeleteUnit("b"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				db.SetMemSpace(unit / 2)
+				if state, ok := db.UnitState("a"); !ok || state != "pending" {
+					t.Fatalf("evicted re-added unit is %q (known %v), want pending", state, ok)
+				}
+				db.SetMemSpace(100000)
+			}
+			if err := db.WaitUnit("a"); err != nil {
+				t.Fatalf("WaitUnit after the re-added unit's eviction: %v", err)
+			}
+			if first.Load() != 1 || second.Load() != 1 {
+				t.Fatalf("reads: first read function %d, re-add's %d; want 1 and 1", first.Load(), second.Load())
+			}
+			reads := int64(2) // a twice, and b when it did the evicting
+			if background {
+				reads++
+			}
+			if s := db.Stats(); s.UnitsEvicted != 1 || s.UnitsRead != reads {
+				t.Fatalf("UnitsEvicted %d, UnitsRead %d; want 1 and %d", s.UnitsEvicted, s.UnitsRead, reads)
+			}
+			// Consumed, the hint is spent: the next eviction drops the unit.
+			if err := db.FinishUnit("a"); err != nil {
+				t.Fatal(err)
+			}
+			db.SetMemSpace(0)
+			if _, ok := db.UnitState("a"); ok {
+				t.Fatal("a consumed unit survived eviction")
+			}
+		})
+	}
+}
+
 func TestSetMemSpaceEvictsWhenLowered(t *testing.T) {
 	db := newTestDB(t, Options{BackgroundIO: true, MemoryLimit: 100000})
 	defineBlobSchema(t, db)

@@ -2,7 +2,7 @@ package genx
 
 import (
 	"fmt"
-	"strings"
+	"os"
 
 	"godiva/internal/mesh"
 	"godiva/internal/platform"
@@ -30,6 +30,13 @@ type Reader struct {
 	// of decoded copies (falling back to ordinary reads where mmap is
 	// unavailable). Borrowed views live until the FileHandle is closed;
 	// callers that hold datasets across Close must copy them first.
+	//
+	// A Mapped Reader keeps one table of open files: every Open of a file
+	// the table holds — unchanged since it was opened — shares its mapping,
+	// decoded directory, verified checksums and decoded dataset views, and
+	// a file stays mapped after its last handle closes, on an idle list
+	// bounded at 64 MiB, until it is evicted, replaced or the Reader is
+	// closed.
 	Mapped bool
 
 	// VolumeScale multiplies payload bytes when charging the platform
@@ -40,12 +47,22 @@ type Reader struct {
 	// enough not to perturb scaled virtual time. Zero means 1.
 	VolumeScale float64
 
-	task *platform.Task
+	task  *platform.Task
+	files fileTable // a Mapped Reader's open files
 }
 
+// Close closes the idle files of a Mapped Reader's table now; files with
+// open handles close at their last handle's Close. The Reader stays usable,
+// but keeps no file open past its handles from here on.
+func (r *Reader) Close() error { return r.files.close() }
+
+// Stats counts a Mapped Reader's table traffic.
+func (r *Reader) Stats() TableStats { return r.files.snapshot() }
+
 // t returns the reader's platform task, creating it on first use. A Reader
-// is used by one goroutine at a time (the thread doing the reading), which
-// is what Task requires.
+// with a machine is used by one goroutine at a time (the thread doing the
+// reading), which is what Task requires; without one, only the table of a
+// Mapped Reader is shared, and it locks.
 func (r *Reader) t() *platform.Task {
 	if r.M == nil {
 		return nil
@@ -99,10 +116,11 @@ type BlockEntry struct {
 }
 
 // FileHandle is one open snapshot file plus the read position used to model
-// sequential reads vs seeks.
+// sequential reads vs seeks. Handles of a Mapped Reader are cursors over the
+// Reader's shared open file; each keeps its own read position.
 type FileHandle struct {
 	r       *Reader
-	f       *shdf.File
+	sf      *snapshotFile // nil once closed
 	path    string
 	nextOff int64 // end of the last payload read; reads elsewhere seek
 	Time    float64
@@ -111,76 +129,45 @@ type FileHandle struct {
 }
 
 // Open opens a snapshot file, reading its directory, block table and time
-// attributes (charged as one open plus one small read).
+// attributes (charged as one open plus one small read, whether or not a
+// Mapped Reader's table already held the file: the charges model the
+// paper's disk, not this process's page tables).
 func (r *Reader) Open(path string) (*FileHandle, error) {
 	if t := r.t(); t != nil {
 		t.DiskOpen()
 	}
-	var f *shdf.File
+	var sf *snapshotFile
 	var err error
 	if r.Mapped {
-		f, err = shdf.OpenMapped(path)
+		sf, err = r.files.acquire(path)
 	} else {
-		f, err = shdf.Open(path)
+		sf, err = openSnapshotFile(path, shdf.Open)
 	}
 	if err != nil {
 		return nil, err
 	}
-	h := &FileHandle{r: r, f: f, path: path}
 	// Directory and footer: their size tracks the object count, which the
 	// reduced dataset preserves, so this charge is not volume-scaled.
 	if t := r.t(); t != nil {
 		t.DiskRead(64*1024, 1)
 		t.Decode(16 * 1024)
 	}
-
-	groups, err := f.VGroups()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	for _, g := range groups {
-		if !strings.HasPrefix(g.Name, "block_") {
-			continue
-		}
-		var id int
-		if _, err := fmt.Sscanf(g.Name, "block_%d", &id); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("genx: bad block group name %q", g.Name)
-		}
-		e := BlockEntry{Name: g.Name, ID: id - 1, Members: make(map[string]shdf.ObjectInfo)}
-		for _, ref := range g.Members {
-			info, err := f.Info(ref)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			// Member SDS names look like "b0001:coords".
-			if i := strings.IndexByte(info.Name, ':'); i >= 0 {
-				e.Members[info.Name[i+1:]] = info
-			}
-		}
-		h.blocks = append(h.blocks, e)
-	}
-	if a, err := findAttr(f, "time"); err == nil {
-		h.Time = a.Float
-	}
-	if a, err := findAttr(f, "step_id"); err == nil {
-		h.StepID = a.Str
-	}
-	return h, nil
+	return &FileHandle{r: r, sf: sf, path: path, Time: sf.time, StepID: sf.stepID, blocks: sf.blocks}, nil
 }
 
-func findAttr(f *shdf.File, name string) (*shdf.Attr, error) {
-	info, err := f.FindByName(shdf.TagAttr, name)
-	if err != nil {
-		return nil, err
+// Close releases the handle's file: a Mapped Reader's table keeps it open
+// for later Opens, any other Reader closes it. Later calls do nothing.
+func (h *FileHandle) Close() error {
+	sf := h.sf
+	if sf == nil {
+		return nil
 	}
-	return f.ReadAttr(info.Ref)
+	h.sf = nil
+	if h.r.Mapped {
+		return h.r.files.release(sf)
+	}
+	return sf.f.Close()
 }
-
-// Close closes the underlying file.
-func (h *FileHandle) Close() error { return h.f.Close() }
 
 // Path returns the file's path.
 func (h *FileHandle) Path() string { return h.path }
@@ -196,6 +183,9 @@ const readaheadWindow = 256 * 1024
 // readSDS reads one dataset, charging transfer, decode, and a seek when the
 // read is not satisfied by sequential readahead.
 func (h *FileHandle) readSDS(info shdf.ObjectInfo) (*shdf.Dataset, error) {
+	if h.sf == nil {
+		return nil, fmt.Errorf("genx: %s: %w", h.path, os.ErrClosed)
+	}
 	seeks := 0
 	if jump := info.Offset - h.nextOff; jump != 0 {
 		if jump < 0 || h.r.scaled(jump) > readaheadWindow {
@@ -203,7 +193,7 @@ func (h *FileHandle) readSDS(info shdf.ObjectInfo) (*shdf.Dataset, error) {
 		}
 	}
 	h.r.chargeRead(info.ByteLen, seeks)
-	ds, err := h.f.ReadSDS(info.Ref)
+	ds, err := h.sf.f.ReadSDS(info.Ref)
 	if err != nil {
 		return nil, err
 	}

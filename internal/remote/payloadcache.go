@@ -13,10 +13,11 @@ import (
 // the segment encoding entirely, so N clients (or push subscribers fanning
 // out on one hot ingested file) cost one read instead of N.
 //
-// An entry owns the mapped snapshot reader its segments alias: done, handed
-// over by insert, closes it, and nothing else holds it open. Every response
-// writer using an entry's segments pins it (acquire / insert) and releases
-// it once the frame has left the socket. A pinned entry is never evicted
+// An entry owns a handle on the mapped snapshot file its segments alias:
+// done, handed over by insert, closes it, releasing the entry's reference
+// on the server reader's mapping. Every response writer using an entry's
+// segments pins it (acquire / insert) and releases it once the frame has
+// left the socket. A pinned entry is never evicted
 // and its done never runs; the last unpin of a doomed entry runs it.
 // Eviction is second-chance CLOCK over the insertion ring: a hit sets the
 // entry's used bit, the hand clears it on first pass and evicts on second.
@@ -28,7 +29,7 @@ import (
 //
 // payloadCache.mu is a leaf in the documented lock order (DESIGN.md
 // appendix): nothing blocks and no other GODIVA mutex is acquired while it
-// is held — reader closes collected under the lock run after unlock.
+// is held — handle closes collected under the lock run after unlock.
 type payloadCache struct {
 	mu   sync.Mutex
 	max  int64 // byte budget for cached segments; <= 0 caches nothing
@@ -54,7 +55,7 @@ type payloadEntry struct {
 	path string // request path, for invalidation
 	segs [][]byte
 	size int64  // total payload bytes across segs
-	done func() // closes the mapped reader the segments borrow from
+	done func() // closes the handle on the mapping the segments borrow from
 
 	pins   int  // response writers currently sending these segments
 	used   bool // CLOCK second-chance bit
@@ -106,7 +107,7 @@ func (pc *payloadCache) acquire(key string) *payloadEntry {
 
 // insert caches freshly encoded segments and returns the entry pinned for
 // the caller's own response write (pair with release). done closes the
-// reader the segments borrow from; the cache owns it from here on — it
+// handle the segments borrow from; the cache owns it from here on — it
 // runs when the entry is evicted or invalidated and unpinned. insert
 // declines (returning nil, with done NOT consumed) when the cache cannot
 // hold the entry: the path's generation moved since gen was read, an entry
@@ -135,7 +136,7 @@ func (pc *payloadCache) insert(key, path string, gen uint64, segs [][]byte, size
 
 // evictLocked runs the CLOCK hand until the cache fits its budget or every
 // remaining entry is pinned or freshly referenced, returning the evicted
-// entries' reader closes for the caller to run outside the lock.
+// entries' handle closes for the caller to run outside the lock.
 func (pc *payloadCache) evictLocked() []func() {
 	var freed []func()
 	scanned := 0
@@ -179,9 +180,9 @@ func (pc *payloadCache) removeLocked(e *payloadEntry) {
 }
 
 // release unpins an entry obtained from acquire or insert. The last unpin
-// of a doomed entry (invalidated mid-send) closes its reader — the old
-// mapping stays valid until every in-flight frame borrowing it has been
-// written.
+// of a doomed entry (invalidated mid-send) closes its handle — the old
+// mapping stays referenced until every in-flight frame borrowing it has
+// been written.
 func (pc *payloadCache) release(e *payloadEntry) {
 	var done func()
 	pc.mu.Lock()
@@ -223,7 +224,7 @@ func (pc *payloadCache) invalidate(path string) {
 	}
 }
 
-// closeAll tears the cache down with the server: every entry's reader is
+// closeAll tears the cache down with the server: every entry's handle is
 // closed (server shutdown has already severed the connections any pinned
 // entry was serving).
 func (pc *payloadCache) closeAll() {

@@ -157,13 +157,18 @@ func ledgerDataset(t *testing.T, snapshots int) (dir string, paths []string, max
 	return dir, paths, maxSize
 }
 
-// openReaders returns how many snapshot readers srv holds open, and how many
-// payload-cache entries are resident to account for them.
-func openReaders(srv *Server) (open int64, resident int) {
+// openReaders returns how many snapshot files srv holds mapped by its
+// counters, and how many files its reader's table holds.
+func openReaders(srv *Server) (open int64, entries int) {
 	st := srv.Stats()
+	return st.ReaderOpens - st.ReaderCloses, srv.reader.Stats().Entries
+}
+
+// residentPayloads returns how many payload-cache entries srv holds.
+func residentPayloads(srv *Server) int {
 	srv.payloads.mu.Lock()
 	defer srv.payloads.mu.Unlock()
-	return st.ReaderOpens - st.ReaderCloses, len(srv.payloads.ents)
+	return len(srv.payloads.ents)
 }
 
 // touch reads the first and last byte of every segment: segments borrowed
@@ -178,10 +183,12 @@ func touch(segs [][]byte) (n int, sum byte) {
 	return n, sum
 }
 
-// The payload budget is what bounds open snapshot readers: each resident
-// entry holds exactly one, nothing else holds any, an entry overwritten by
-// ingest while pinned keeps its reader until the last release, and Close
-// closes the rest.
+// The server maps each snapshot file once while its reader's table holds
+// it: opens − closes always equals the table's entries, a payload-cache miss
+// on a file already mapped is a reader hit rather than a second mapping, a
+// file overwritten by ingest while a response pins it keeps its old mapping
+// until that response is released and the path is opened again, and Close
+// unmaps the rest.
 func TestReaderLedger(t *testing.T) {
 	dir, paths, maxSize := ledgerDataset(t, 6) // 12 files
 	srv, err := Serve(ServerOptions{Dir: dir, PayloadCache: 3 * maxSize})
@@ -191,8 +198,8 @@ func TestReaderLedger(t *testing.T) {
 	defer srv.Close()
 	balanced := func(when string) {
 		t.Helper()
-		if open, resident := openReaders(srv); open != int64(resident) {
-			t.Fatalf("%s: %d readers open for %d resident payloads", when, open, resident)
+		if open, entries := openReaders(srv); open != int64(entries) {
+			t.Fatalf("%s: %d files mapped for %d table entries", when, open, entries)
 		}
 	}
 
@@ -209,44 +216,57 @@ func TestReaderLedger(t *testing.T) {
 			balanced("after fetching " + p)
 		}
 	}
-	if _, resident := openReaders(srv); resident == 0 || resident >= len(paths) {
+	if resident := residentPayloads(srv); resident == 0 || resident >= len(paths) {
 		t.Fatalf("%d of %d payloads resident under a 3-payload budget", resident, len(paths))
 	}
-	if st := srv.Stats(); st.PayloadCacheEvictions == 0 || st.ReaderHits != 0 {
-		t.Fatalf("want evictions and no shared readers: %+v", st)
+	// The second pass missed the payload cache on most files, and every one
+	// of those misses found its file still mapped.
+	st := srv.Stats()
+	if st.PayloadCacheEvictions == 0 || st.ReaderOpens != int64(len(paths)) ||
+		st.ReaderHits != st.PayloadCacheMisses-int64(len(paths)) {
+		t.Fatalf("want evictions, %d mappings and a reader hit per later miss: %+v", len(paths), st)
 	}
 
 	// Overwrite a file while a response still borrows its cached entry: the
-	// old mapping must outlive the ingest and close on the last release.
+	// old mapping must outlive the ingest and the response, and is replaced
+	// by the next open of the path.
 	p := paths[0]
 	segs, _, _, done, err := srv.serveFile(p, ledgerVars)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := srv.Stats().ReaderCloses
+	before := srv.Stats()
 	if err := srv.ingest(p, LocalPayload(t, dir, p, ledgerVars)); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Stats().ReaderCloses; got != before {
-		t.Fatalf("ingest closed %d readers under a pinned entry", got-before)
+	touch(segs)
+	done()
+	if got := srv.Stats().ReaderCloses; got != before.ReaderCloses {
+		t.Fatalf("ingest and the pinned response's release unmapped %d files", got-before.ReaderCloses)
+	}
+	segs, _, _, done, err = srv.serveFile(p, ledgerVars)
+	if err != nil {
+		t.Fatal(err)
 	}
 	touch(segs)
 	done()
-	if got := srv.Stats().ReaderCloses; got != before+1 {
-		t.Fatalf("last release of the overwritten entry closed %d readers, want 1", got-before)
+	if st := srv.Stats(); st.ReaderOpens != before.ReaderOpens+1 || st.ReaderCloses != before.ReaderCloses+1 {
+		t.Fatalf("the fetch after the overwrite mapped %d and unmapped %d files, want 1 and 1",
+			st.ReaderOpens-before.ReaderOpens, st.ReaderCloses-before.ReaderCloses)
 	}
-	balanced("after the overwritten entry's last release")
+	balanced("after the overwritten file's replacement")
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.ReaderOpens != st.ReaderCloses {
-		t.Fatalf("after Close: %d readers opened, %d closed", st.ReaderOpens, st.ReaderCloses)
+		t.Fatalf("after Close: %d files mapped, %d unmapped", st.ReaderOpens, st.ReaderCloses)
 	}
 }
 
 // A server with no payload budget caches nothing through the same code
-// path: every fetch opens its own reader and closes it with its frame.
+// path: every fetch references the file's mapping only until its frame has
+// been written, and the reader's table serves every later fetch of it.
 func TestPayloadCacheDisabled(t *testing.T) {
 	dir, paths, _ := ledgerDataset(t, 1)
 	srv, err := Serve(ServerOptions{Dir: dir, PayloadCache: -1})
@@ -259,28 +279,34 @@ func TestPayloadCacheDisabled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if open, resident := openReaders(srv); open != 1 || resident != 0 {
-			t.Fatalf("mid-fetch: %d readers open, %d payloads resident, want 1 and 0", open, resident)
+		if open, entries := openReaders(srv); open != 1 || entries != 1 {
+			t.Fatalf("mid-fetch: %d files mapped, %d table entries, want 1 and 1", open, entries)
 		}
 		if n, _ := touch(segs); n != size {
 			t.Fatalf("segments hold %d bytes, want %d", n, size)
 		}
 		done()
-		if open, _ := openReaders(srv); open != 0 {
-			t.Fatalf("after the frame: %d readers still open", open)
+		if resident := residentPayloads(srv); resident != 0 {
+			t.Fatalf("after the frame: %d payloads resident", resident)
 		}
 	}
-	if st := srv.Stats(); st.PayloadCacheHits != 0 || st.ReaderOpens != 3 {
-		t.Fatalf("want 0 hits and 3 opens: %+v", st)
+	if st := srv.Stats(); st.PayloadCacheHits != 0 || st.ReaderOpens != 1 || st.ReaderHits != 2 {
+		t.Fatalf("want 0 payload hits, 1 mapping and 2 reader hits: %+v", st)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if open, _ := openReaders(srv); open != 0 {
+		t.Fatalf("after Close: %d files still mapped", open)
 	}
 }
 
 // TestPayloadCacheChurn hammers one server with a small payload budget from
 // concurrent fetchers and invalidators (the OpIngest rename path) under the
 // race detector, reading every response's borrowed bytes before releasing
-// it, and then checks the ledgers: no entry is left pinned, every open
-// reader belongs to a resident entry, and after Close every reader the
-// server ever opened has been closed. BATCH_CHURN_TIME
+// it, and then checks the ledgers: no entry is left pinned, every mapped
+// file is a table entry, and after Close every file the server ever mapped
+// has been unmapped. BATCH_CHURN_TIME
 // stretches the run (verify.sh's batch stage uses 10s); the default keeps
 // plain `go test` fast.
 func TestPayloadCacheChurn(t *testing.T) {
@@ -342,16 +368,17 @@ func TestPayloadCacheChurn(t *testing.T) {
 		}
 	}
 	srv.payloads.mu.Unlock()
-	if open, resident := openReaders(srv); open != int64(resident) {
-		t.Fatalf("%d readers open for %d resident payloads", open, resident)
+	if open, entries := openReaders(srv); open != int64(entries) {
+		t.Fatalf("%d files mapped for %d table entries", open, entries)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
 	if st.ReaderOpens != st.ReaderCloses {
-		t.Fatalf("reader ledger unbalanced: %d opened, %d closed", st.ReaderOpens, st.ReaderCloses)
+		t.Fatalf("mapping ledger unbalanced: %d mapped, %d unmapped", st.ReaderOpens, st.ReaderCloses)
 	}
-	t.Logf("churn: %d fetches, %d hits, %d misses, %d evictions, %d readers",
-		fetches.Load(), st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions, st.ReaderOpens)
+	t.Logf("churn: %d fetches, %d hits, %d misses, %d evictions, %d mappings, %d reader hits",
+		fetches.Load(), st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
+		st.ReaderOpens, st.ReaderHits)
 }

@@ -28,10 +28,11 @@ type ServerOptions struct {
 	Dir string
 	// PayloadCache budgets the pinned payload cache in bytes: encoded
 	// response segments kept per (path, vars) and scatter-sent verbatim to
-	// every later fetcher of the same hot file. Each entry keeps the mapped
-	// snapshot reader its segments alias open, so the budget also bounds
-	// the open mappings. 0 means the 64 MiB default; negative caches
-	// nothing (every fetch opens and closes its own reader).
+	// every later fetcher of the same hot file. Each entry holds a reference
+	// on the mapped snapshot file its segments alias, so the budget also
+	// bounds the referenced mappings (unreferenced ones sit on the reader's
+	// 64 MiB idle list). 0 means the 64 MiB default; negative caches nothing
+	// (every fetch releases its file with its frame).
 	PayloadCache int64
 	// IdleTimeout disconnects clients idle longer than this (default 5m).
 	IdleTimeout time.Duration
@@ -85,14 +86,15 @@ type ServerStats struct {
 	BytesCopied    int64 // payload array bytes copied into response frames
 	//                      (scatter-send borrows the rest straight from the
 	//                      dataset; nonzero only on big-endian hosts)
-	ReaderOpens  int64 // snapshot files opened (one per payload-cache miss)
-	ReaderCloses int64 // snapshot files closed again: eviction, invalidation,
-	//                    declined insert, failed read, shutdown
-	// ReaderHits is always zero: fetches do not share open readers. It
-	// stays only because bench/scanremote.go reads it for
-	// remote.reader_hit_ratio; the benchmark PR that retires that metric
-	// drops this field with it.
-	ReaderHits int64
+	// The server reads snapshot files through one table of mappings
+	// (genx.Reader, Mapped). ReaderOpens counts mappings made — one per
+	// payload-cache miss the table could not serve — and ReaderCloses
+	// mappings unmapped again: past the table's idle bound, replaced after
+	// an ingest, or at shutdown. ReaderHits counts payload-cache misses
+	// served by a mapping the table already held.
+	ReaderOpens  int64
+	ReaderCloses int64
+	ReaderHits   int64
 
 	PayloadCacheHits      int64 // fetches served from cached encoded segments
 	PayloadCacheMisses    int64 // fetches that had to encode their response
@@ -110,6 +112,7 @@ type Server struct {
 	opts     ServerOptions
 	ln       net.Listener
 	payloads *payloadCache
+	reader   genx.Reader // Mapped: the snapshot files fetches read
 	reg      *push.Registry
 
 	mu     sync.Mutex
@@ -164,6 +167,7 @@ func Serve(opts ServerOptions) (*Server, error) {
 		spec:     spec,
 		ln:       ln,
 		payloads: newPayloadCache(opts.PayloadCache),
+		reader:   genx.Reader{Mapped: true},
 		reg:      push.NewRegistry(),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -195,6 +199,8 @@ func (s *Server) Stats() ServerStats {
 	st := s.stats
 	st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
 		st.BytesServedFromCache = s.payloads.counters()
+	rs := s.reader.Stats()
+	st.ReaderOpens, st.ReaderCloses, st.ReaderHits = rs.Opens, rs.Closes, rs.Hits
 	return st
 }
 
@@ -216,7 +222,8 @@ func (s *Server) setFaultsLocked(f Faults) {
 }
 
 // Close stops accepting, severs open connections, joins the handler
-// goroutines and closes every reader a cached payload still holds open.
+// goroutines, drops every cached payload and then unmaps every snapshot
+// file the server still holds.
 // Closing the push registry first wakes every fan-out writer blocked on an
 // empty queue (and every ingest blocked on a full lossless queue); closing
 // the connections then unblocks writers stuck mid-send to a stalled peer, so
@@ -238,7 +245,7 @@ func (s *Server) Close() error {
 	err := s.ln.Close()
 	s.wg.Wait()
 	s.payloads.closeAll()
-	return err
+	return errors.Join(err, s.reader.Close())
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -452,13 +459,13 @@ func errCode(err error) uint16 {
 // serveFile returns one (path, vars) fetch's encoded response body as
 // scattered segments, served verbatim from the payload cache when the same
 // request was encoded before. On a miss the response is encoded from a
-// freshly opened reader and offered to the cache, which takes over the
-// reader's close; a declined offer leaves the close with this fetch. Either
-// way the returned done func (pair with the written frame) keeps the
-// segments' backing memory — the cache entry's or the fetch's own mmap —
-// alive until it runs. size is the total payload length; copied counts
-// array bytes that could not be borrowed (0 on a hit: cached segments go
-// to the socket as-is).
+// handle on the server's mapping of the file and offered to the cache,
+// which takes over the handle's close; a declined offer leaves the close
+// with this fetch. Either way the returned done func (pair with the written
+// frame) keeps the segments' backing memory — the mapping the cache entry's
+// or the fetch's own handle references — alive until it runs. size is the
+// total payload length; copied counts array bytes that could not be
+// borrowed (0 on a hit: cached segments go to the socket as-is).
 func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int, copied int64, done func(), err error) {
 	key := fetchKey(path, vars)
 	if e := s.payloads.acquire(key); e != nil {
@@ -467,10 +474,11 @@ func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int,
 	// Captured before the open: an ingest landing between here and insert
 	// bumps it, and insert then refuses the stale segments.
 	gen := s.payloads.gen(path)
-	fp, closeReader, err := s.fetch(path, vars)
+	fp, h, err := s.fetch(path, vars)
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
+	closeReader := func() { _ = h.Close() } // releases a mapping, which cannot fail in a way a fetch could act on
 	segs, copied, err = encodeFilePayloadSegments(fp, maxFrame-2)
 	if err != nil {
 		closeReader()
@@ -526,37 +534,29 @@ func (s *Server) serveFetch(reqs []fetchReq) (byte, [][]byte, func()) {
 	}
 }
 
-// fetch reads one snapshot file's blocks through a reader of its own. The
-// reader is mapped, so the payload's arrays alias the snapshot file's mmap
-// and scatter-send writes them straight from the page cache (shdf falls
-// back to heap-backed reads where mmap is unavailable); on success the
-// returned closeReader unmaps it, and whoever holds it — the payload-cache
-// entry built from fp, or the uncached fetch itself — runs it exactly once,
-// after the last response frame borrowing the payload has been written.
-func (s *Server) fetch(path string, vars []string) (fp *FilePayload, closeReader func(), err error) {
+// fetch reads one snapshot file's blocks through a handle on the server's
+// reader. The reader is mapped, so the payload's arrays alias the snapshot
+// file's mmap and scatter-send writes them straight from the page cache
+// (shdf falls back to heap-backed reads where mmap is unavailable). On
+// success whoever holds the returned handle — the payload-cache entry built
+// from fp, or the uncached fetch itself — closes it exactly once, after the
+// last response frame borrowing the payload has been written; the reader
+// keeps the mapping for later misses on the same file.
+func (s *Server) fetch(path string, vars []string) (*FilePayload, *genx.FileHandle, error) {
 	if path == "" || !filepath.IsLocal(path) || !strings.HasSuffix(path, ".shdf") {
 		return nil, nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}
 	}
-	h, err := (&genx.Reader{Mapped: true}).Open(filepath.Join(s.opts.Dir, path))
+	h, err := s.reader.Open(filepath.Join(s.opts.Dir, path))
 	if err != nil {
 		return nil, nil, err
-	}
-	s.mu.Lock()
-	s.stats.ReaderOpens++
-	s.mu.Unlock()
-	closeReader = func() {
-		h.Close()
-		s.mu.Lock()
-		s.stats.ReaderCloses++
-		s.mu.Unlock()
 	}
 	read := false
 	defer func() {
 		if !read {
-			closeReader() // read error or decoder panic: nobody else will
+			h.Close() // read error or decoder panic: nobody else will
 		}
 	}()
-	fp = &FilePayload{Path: path, Time: h.Time, StepID: h.StepID}
+	fp := &FilePayload{Path: path, Time: h.Time, StepID: h.StepID}
 	for _, e := range h.Blocks() {
 		bd, err := h.ReadBlock(e, vars)
 		if err != nil {
@@ -565,7 +565,7 @@ func (s *Server) fetch(path string, vars []string) (fp *FilePayload, closeReader
 		fp.Blocks = append(fp.Blocks, bd)
 	}
 	read = true
-	return fp, closeReader, nil
+	return fp, h, nil
 }
 
 // ingest validates and lands one pushed snapshot file, then publishes the

@@ -128,9 +128,12 @@ func heldUnder(t *testing.T, dir string) (mapped, fds []string) {
 	return mapped, fds
 }
 
-// No mapping and no descriptor of a snapshot file outlives its unit: not
-// after DeleteUnit, LRU eviction, a failed read, or Close — and a resident
-// unit holds its files' mappings but no descriptors.
+// No mapping of a snapshot file outlives its last reference plus the
+// reader's idle bound, and no descriptor is ever held: a resident unit holds
+// its files' mappings and no descriptors; after DeleteUnit or LRU eviction
+// the files stay mapped, idle, for the next miss on them, still with no
+// descriptors; a failed read never reuses a stale mapping of a file changed
+// under it; and after Session.Close nothing is mapped.
 func TestNoMappingOutlivesItsUnit(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("reads /proc/self/maps")
@@ -147,12 +150,9 @@ func TestNoMappingOutlivesItsUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expect := func(stage string, steps ...int) {
+	expect := func(stage string, files ...string) {
 		t.Helper()
-		var want []string
-		for _, step := range steps {
-			want = append(want, spec.SnapshotFiles(dir, step)...)
-		}
+		want := slices.Clone(files)
 		slices.Sort(want)
 		mapped, fds := heldUnder(t, dir)
 		if !slices.Equal(mapped, want) || len(fds) != 0 {
@@ -166,26 +166,31 @@ func TestNoMappingOutlivesItsUnit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	step0, step1, step2 := spec.SnapshotFiles(dir, 0), spec.SnapshotFiles(dir, 1), spec.SnapshotFiles(dir, 2)
 
 	view(0)
-	expect("a miss", 0)
+	expect("a miss", step0...)
 	if err := s.Drop(0); err != nil {
 		t.Fatal(err)
 	}
-	expect("DeleteUnit")
+	expect("DeleteUnit", step0...)
 
-	view(0)
+	view(0) // a miss in the database, served from the idle mappings
+	expect("a miss on idle mappings", step0...)
 	unit := s.Stats().BytesLoaded / 2 // two misses of the same unit so far
 	s.SetMemSpace(unit * 3 / 2)
 	view(1)
 	if s.Stats().UnitsEvicted != 1 {
 		t.Fatalf("UnitsEvicted = %d, want 1", s.Stats().UnitsEvicted)
 	}
-	expect("LRU eviction", 1)
+	expect("LRU eviction", append(step0, step1...)...)
 
 	s.SetMemSpace(16 * unit)
-	files := spec.SnapshotFiles(dir, 2)
-	last := files[len(files)-1]
+	view(2)
+	if err := s.Drop(2); err != nil {
+		t.Fatal(err)
+	}
+	last := step2[len(step2)-1]
 	st, err := os.Stat(last)
 	if err != nil {
 		t.Fatal(err)
@@ -193,10 +198,12 @@ func TestNoMappingOutlivesItsUnit(t *testing.T) {
 	if err := os.Truncate(last, st.Size()/2); err != nil {
 		t.Fatal(err)
 	}
+	// Served from its idle mapping, the truncated file would read as whole —
+	// or fault on the pages truncation took away.
 	if _, err := s.View(2, "slice", "velocity", 0.5); err == nil {
 		t.Fatal("view of a snapshot with a truncated file succeeded")
 	}
-	expect("a failed read", 1) // its first file opened and was mapped before the failure
+	expect("a failed read", append(append(step0, step1...), step2[:len(step2)-1]...)...)
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

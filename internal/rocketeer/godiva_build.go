@@ -142,8 +142,10 @@ func unitPaths(spec genx.Spec, dir, unit string) ([]string, error) {
 // A local unit keeps its files open for as long as it is resident: each
 // handle's Close is the unit's release hook, so the datasets it read — with
 // a Mapped reader, views of the file's mapping — are committed by reference
-// and the database drops them and closes the file together, on every path
-// out (deletion, eviction, a failed or deadlocked read, Close).
+// and the database drops them and releases the file together, on every
+// path out (deletion, eviction, a failed or deadlocked read, Close). A
+// Mapped reader keeps a released file mapped, idle, for the next unit that
+// reads it, until the reader is closed.
 func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 	vars := orderedVars(cfg.Test.Vars)
 	if cfg.Remote != nil {
@@ -365,6 +367,9 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 	if workers < 1 {
 		workers = 1
 	}
+	// Deferred first, so it runs after the database has released every unit.
+	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale, Mapped: true}
+	defer reader.Close()
 	db := core.Open(core.Options{
 		MemoryLimit:  cfg.memoryLimit(),
 		BackgroundIO: background,
@@ -378,7 +383,6 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 	if err := defineSchema(db); err != nil {
 		return nil, err
 	}
-	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale, Mapped: true}
 	readFn := makeReadFunc(cfg, reader)
 	// snapUnits lists the unit(s) making up one snapshot: the whole
 	// snapshot by default, or one unit per file at the finer granularity.

@@ -113,8 +113,9 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}, nil
 }
 
-// Close releases the session's database.
-func (s *Session) Close() error { return s.db.Close() }
+// Close releases the session's database, then the files its reader still
+// holds open.
+func (s *Session) Close() error { return errors.Join(s.db.Close(), s.reader.Close()) }
 
 // Stats returns the underlying database counters.
 func (s *Session) Stats() core.Stats { return s.db.Stats() }

@@ -25,13 +25,15 @@ import (
 // until Close unmaps the file.
 type File struct {
 	r       io.ReaderAt
-	f       *os.File // non-nil when opened by path and read through ReadAt
+	f       *os.File    // non-nil when opened by path and read through ReadAt
+	stat    os.FileInfo // the opened file's identity; nil for NewFile
 	size    int64
 	entries []dirEntry
 	byRef   map[Ref]int
 
 	mapping []byte     // non-nil when opened by OpenMapped and mmap succeeded
-	mu      sync.Mutex // guards entries' payload/verified memoization
+	mu      sync.Mutex // guards entries' payload/verified/ds memoization
+	checks  int        // payload CRCs computed; guarded by mu
 }
 
 // Open opens the named SHDF file.
@@ -50,7 +52,7 @@ func Open(path string) (*File, error) {
 		osf.Close()
 		return nil, err
 	}
-	f.f = osf
+	f.f, f.stat = osf, st
 	return f, nil
 }
 
@@ -78,7 +80,7 @@ func OpenMapped(path string) (*File, error) {
 			osf.Close()
 			return nil, err
 		}
-		f.f = osf
+		f.f, f.stat = osf, st
 		return f, nil
 	}
 	if err := osf.Close(); err != nil {
@@ -90,7 +92,7 @@ func OpenMapped(path string) (*File, error) {
 		munmapFile(m)
 		return nil, err
 	}
-	f.mapping = m
+	f.mapping, f.stat = m, st
 	return f, nil
 }
 
@@ -99,6 +101,21 @@ func (f *File) Mapped() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.mapping != nil
+}
+
+// Stat returns the FileInfo of the file Open or OpenMapped opened, taken
+// from its descriptor — the identity (device, inode, size, modification
+// time) of the bytes this File reads, whatever its path names since. It is
+// nil for a File made by NewFile.
+func (f *File) Stat() os.FileInfo { return f.stat }
+
+// Checksums returns how many payload CRCs the File has computed. A verified
+// payload is memoized, so each object is checked once per File unless its
+// check fails.
+func (f *File) Checksums() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.checks
 }
 
 // NewFile opens an SHDF image held by an io.ReaderAt of the given size.
@@ -127,6 +144,7 @@ func (f *File) Close() error {
 		for i := range f.entries {
 			f.entries[i].payload = nil
 			f.entries[i].verified = false
+			f.entries[i].ds = nil
 		}
 		err = munmapFile(f.mapping)
 		f.mapping = nil
@@ -316,36 +334,39 @@ type closedReaderAt struct{}
 
 func (closedReaderAt) ReadAt([]byte, int64) (int, error) { return 0, os.ErrClosed }
 
-// cachedPayload is the steady-state read path: a verified payload comes
-// straight from the memo with no I/O, no hashing, and no allocation.
+// cachedPayload is the steady-state read path: a verified payload — and, for
+// an SDS read before, its memoized borrowed view — comes straight from the
+// memo with no I/O, no hashing, and no allocation.
 //
 //godiva:noalloc
-func (f *File) cachedPayload(ref Ref) ([]byte, *dirEntry, bool) {
+func (f *File) cachedPayload(ref Ref) ([]byte, *dirEntry, *Dataset, bool) {
 	f.mu.Lock()
 	i, ok := f.byRef[ref]
 	if !ok {
 		f.mu.Unlock()
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	e := &f.entries[i]
 	if !e.verified {
 		f.mu.Unlock()
-		return nil, e, false
+		return nil, e, nil, false
 	}
-	p := e.payload
+	p, ds := e.payload, e.ds
 	f.mu.Unlock()
-	return p, e, true
+	return p, e, ds, true
 }
 
 // payloadFor returns the verified payload bytes for ref, borrowed from the
-// File. The CRC is validated exactly once per directory entry: the first
-// access reads (or, when mapped, aliases) the bytes and checks the sum;
-// every later access hits the memo.
-func (f *File) payloadFor(ref Ref) ([]byte, *dirEntry, error) {
-	if p, e, ok := f.cachedPayload(ref); ok {
-		return p, e, nil
+// File, and the memoized view of an SDS that has one. The CRC is validated
+// exactly once per directory entry: the first access reads (or, when
+// mapped, aliases) the bytes and checks the sum; every later access hits
+// the memo.
+func (f *File) payloadFor(ref Ref) ([]byte, *dirEntry, *Dataset, error) {
+	if p, e, ds, ok := f.cachedPayload(ref); ok {
+		return p, e, ds, nil
 	}
-	return f.loadPayload(ref)
+	p, e, err := f.loadPayload(ref)
+	return p, e, nil, err
 }
 
 func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
@@ -377,6 +398,7 @@ func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
 			return nil, nil, fmt.Errorf("%w: object %q: %v", ErrCorrupt, e.name, err)
 		}
 	}
+	f.checks++
 	if crc32.ChecksumIEEE(buf) != e.crc {
 		return nil, nil, fmt.Errorf("%w: object %q", ErrChecksum, e.name)
 	}
@@ -389,7 +411,7 @@ func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
 // under the borrowing contract in the File doc comment: read-only, and for
 // mapped files valid only until Close.
 func (f *File) Raw(ref Ref) ([]byte, error) {
-	buf, _, err := f.payloadFor(ref)
+	buf, _, _, err := f.payloadFor(ref)
 	return buf, err
 }
 
@@ -411,7 +433,9 @@ type Dataset struct {
 	// private copy. Borrowed data is read-only, and for mapped files must
 	// not be used after the File is closed. It is set whenever the payload's
 	// data section is naturally aligned on a little-endian host; callers
-	// needing a private mutable copy must copy explicitly.
+	// needing a private mutable copy must copy explicitly. A borrowed Dataset
+	// is itself memoized and shared by every ReadSDS of its ref, so its
+	// fields are read-only too.
 	Borrowed bool
 }
 
@@ -424,11 +448,18 @@ func (ds *Dataset) Len() int {
 	return n
 }
 
-// ReadSDS reads and decodes the scientific dataset with the given ref.
+// ReadSDS reads and decodes the scientific dataset with the given ref. A
+// dataset whose view borrows the File's memory is decoded once and the same
+// *Dataset returned from then on; a copy-decoded one (unaligned data, or a
+// big-endian host) is decoded afresh for every call, since the caller owns
+// that copy.
 func (f *File) ReadSDS(ref Ref) (*Dataset, error) {
-	buf, e, err := f.payloadFor(ref)
+	buf, e, ds, err := f.payloadFor(ref)
 	if err != nil {
 		return nil, err
+	}
+	if ds != nil {
+		return ds, nil
 	}
 	if e.tag != TagSDS {
 		return nil, fmt.Errorf("%w: ref %d is a %v, not an SDS", ErrNoObject, ref, e.tag)
@@ -466,7 +497,7 @@ func (f *File) ReadSDS(ref Ref) (*Dataset, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: SDS %q data", ErrCorrupt, e.name)
 	}
-	ds := &Dataset{Name: e.name, Type: nt, Dims: dims}
+	ds = &Dataset{Name: e.name, Type: nt, Dims: dims}
 	// The payload is memoized and verified, so the data section can be
 	// aliased instead of decode-copied when its alignment and the host's
 	// endianness allow; the copying decode below remains the fallback.
@@ -511,6 +542,16 @@ func (f *File) ReadSDS(ref Ref) (*Dataset, error) {
 			ds.Float64s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 	}
+	if ds.Borrowed {
+		f.mu.Lock()
+		switch {
+		case e.ds != nil: // a racing decode memoized first
+			ds = e.ds
+		case e.verified: // not cleared by a Close since payloadFor
+			e.ds = ds
+		}
+		f.mu.Unlock()
+	}
 	return ds, nil
 }
 
@@ -527,7 +568,7 @@ type Attr struct {
 
 // ReadAttr reads and decodes the attribute with the given ref.
 func (f *File) ReadAttr(ref Ref) (*Attr, error) {
-	buf, e, err := f.payloadFor(ref)
+	buf, e, _, err := f.payloadFor(ref)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +606,7 @@ type VGroup struct {
 
 // ReadVGroup reads and decodes the vgroup with the given ref.
 func (f *File) ReadVGroup(ref Ref) (*VGroup, error) {
-	buf, e, err := f.payloadFor(ref)
+	buf, e, _, err := f.payloadFor(ref)
 	if err != nil {
 		return nil, err
 	}

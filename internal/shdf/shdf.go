@@ -118,7 +118,9 @@ var (
 // verified payload here: after the first access the CRC has been checked
 // exactly once and payload holds the bytes (a subslice of the mapping for
 // mapped files, a private heap buffer otherwise), so repeated access to a
-// hot object costs neither I/O nor hashing.
+// hot object costs neither I/O nor hashing. An SDS whose decoded view
+// borrows that payload memoizes the view too, so repeated ReadSDS calls
+// cost no header decode and no allocation.
 type dirEntry struct {
 	tag    Tag
 	ref    Ref
@@ -127,6 +129,7 @@ type dirEntry struct {
 	crc    uint32
 	name   string
 
-	payload  []byte // verified payload bytes; only meaningful when verified
-	verified bool   // CRC checked once; payload is usable
+	payload  []byte   // verified payload bytes; only meaningful when verified
+	verified bool     // CRC checked once; payload is usable
+	ds       *Dataset // borrowed view of payload, decoded once; nil until then
 }

@@ -240,6 +240,64 @@ func TestOpenMappedChecksum(t *testing.T) {
 	}
 }
 
+// An SDS whose data section is not 8-aligned in a mapped file is copy-decoded
+// — the caller owns that copy — so every ReadSDS returns a fresh one: the
+// Dataset memo is only for borrowed views.
+func TestCopyDecodedDatasetNotMemoized(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// addObject skips WriteSDS's alignment pad: this payload starts right
+	// after the 8-byte header, so its data section sits at offset 20.
+	p := &payload{}
+	p.u16(uint16(TypeFloat64))
+	p.u16(1)
+	p.u64(3)
+	for _, v := range []float64{1.5, 2.5, 3.5} {
+		p.u64(math.Float64bits(v))
+	}
+	sds, err := w.addObject(TagSDS, "unaligned", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "unaligned.shdf")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !f.Mapped() {
+		t.Skip("mmap unavailable: the ReadAt path aligns its payload buffers")
+	}
+	first, err := f.ReadSDS(sds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Borrowed {
+		t.Fatal("an unaligned data section was borrowed")
+	}
+	first.Float64s[0] = -1 // the caller's own copy
+	second, err := f.ReadSDS(sds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first || second.Float64s[0] != 1.5 || second.Float64s[2] != 3.5 {
+		t.Fatalf("second read of a copy-decoded dataset = %p %v, want a fresh [1.5 2.5 3.5]",
+			second, second.Float64s)
+	}
+	if n := f.Checksums(); n != 1 {
+		t.Fatalf("two reads of one object ran %d CRCs, want 1", n)
+	}
+}
+
 // The writer's alignment pad puts every SDS data section on an 8-byte file
 // offset, the precondition for mapped aliasing.
 func TestWriterAlignsSDSData(t *testing.T) {

@@ -24,9 +24,11 @@
 #               what it drew) under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
 #               a zero-alloc path and fails the gate
-#   race-core   race-detector pass over the concurrent core and the mesh/vis
+#   race-core   race-detector pass over the concurrent core, the mesh/vis
 #               kernels, whose pooled scratch I/O workers and the main
-#               thread share
+#               thread share, and the read path under them: shdf's mapped
+#               File and genx's table of open files, which I/O workers and
+#               godivad's handlers share
 #   race-remote race-detector pass over the remote unit service
 #   race-platform race-detector pass over the virtual-machine model
 #   invariants  core suite with the godivainvariants runtime checker
@@ -157,7 +159,7 @@ run_stage lint check_lint
 run_stage test go test -count=1 ./...
 run_stage bench check_bench
 run_stage benchmem check_benchmem
-run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/...
+run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
 run_stage race-platform go test -race -count=1 ./internal/platform/...
 run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/... ./internal/rocketeer/...
