@@ -12,8 +12,7 @@ package godiva_test
 //
 // Custom metrics report the quantities the paper plots: total virtual
 // seconds, visible-I/O virtual seconds, and MB read. Full-scale versions of
-// the figures (32 snapshots, 5 reps, confidence intervals) come from
-// cmd/godiva-bench.
+// the figures (32 snapshots) come from cmd/godiva-bench.
 
 import (
 	"fmt"
@@ -49,8 +48,6 @@ func benchConfig(b *testing.B) experiments.Setup {
 		actual := 6 * s.Spec.Mesh.NR * s.Spec.Mesh.NTheta * s.Spec.Mesh.NZ
 		full := 6 * 4 * 120 * 160
 		s.VolumeScale = float64(full) / float64(actual)
-		s.Scale = 0.01
-		s.Reps = 1
 		s.Snapshots = 4
 		benchErr = experiments.EnsureDataset(&s)
 		benchSetup = s
@@ -69,12 +66,11 @@ func runCell(b *testing.B, spec platform.Spec, test rocketeer.VisTest, v rockete
 	var total, visible float64
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		machine := platform.New(spec, s.Scale)
 		res, err := rocketeer.Run(v, rocketeer.Config{
 			Test:          test,
 			Spec:          s.Spec,
 			Dir:           s.Dir,
-			Machine:       machine,
+			Machine:       platform.New(spec),
 			VolumeScale:   s.VolumeScale,
 			Snapshots:     s.Snapshots,
 			CompetingLoad: load,
@@ -153,10 +149,9 @@ func BenchmarkIOVolume(b *testing.B) {
 			var cut float64
 			for i := 0; i < b.N; i++ {
 				run := func(v rocketeer.Version) int64 {
-					machine := platform.New(platform.Engle, s.Scale)
 					res, err := rocketeer.Run(v, rocketeer.Config{
 						Test: test, Spec: s.Spec, Dir: s.Dir,
-						Machine: machine, VolumeScale: s.VolumeScale,
+						Machine: platform.New(platform.Engle), VolumeScale: s.VolumeScale,
 						Snapshots: 2,
 					})
 					if err != nil {

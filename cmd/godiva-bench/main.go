@@ -1,17 +1,18 @@
 // Command godiva-bench regenerates the paper's evaluation (§4.2) on the
 // simulated Engle and Turing platforms: Figure 3(a), Figure 3(b), the
 // I/O-volume reductions, and the parallel Voyager experiment. Results are
-// printed as tables with means and 95% confidence intervals, next to the
-// paper's numbers.
+// printed to stdout as tables of virtual time, next to the paper's numbers;
+// progress goes to stderr. The platforms are discrete-event simulations, so
+// the tables are the same on every run and every host.
 //
 // Usage:
 //
-//	godiva-bench [-fig 3a|3b|par|ablate|all] [-reps 5] [-snapshots 32]
-//	             [-data DIR] [-timescale 0.05] [-quick] [-procs 4]
+//	godiva-bench [-fig 3a|3b|par|ablate|all] [-snapshots 32] [-data DIR]
+//	             [-quick] [-procs 4]
 //
-// -quick shrinks the run (1 rep, 6 snapshots, faster clock) for a smoke
-// pass; the defaults reproduce the full experiment in a few minutes.
-// Native-speed measurements live in bench/ (see BENCHMARK.json), not here.
+// -quick runs 6 snapshots per configuration for a smoke pass; the defaults
+// run all 32. Native-speed measurements live in bench/ (see BENCHMARK.json),
+// not here.
 package main
 
 import (
@@ -26,10 +27,8 @@ import (
 func main() {
 	var (
 		fig       = flag.String("fig", "all", "experiment: 3a, 3b, par, ablate or all")
-		reps      = flag.Int("reps", 0, "repetitions per configuration (0 = default)")
 		snapshots = flag.Int("snapshots", 0, "snapshots per run (0 = all 32)")
 		data      = flag.String("data", "godiva-bench-data", "dataset directory (generated on demand)")
-		timescale = flag.Float64("timescale", 0, "wall seconds per virtual second (0 = default)")
 		quick     = flag.Bool("quick", false, "fast smoke configuration")
 		procs     = flag.Int("procs", 4, "process count for the parallel experiment")
 	)
@@ -39,16 +38,10 @@ func main() {
 	if *quick {
 		s = experiments.QuickSetup(*data)
 	}
-	if *reps > 0 {
-		s.Reps = *reps
-	}
 	if *snapshots > 0 {
 		s.Snapshots = *snapshots
 	}
-	if *timescale > 0 {
-		s.Scale = *timescale
-	}
-	s.Log = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	s.Log = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
 	run3a := *fig == "3a" || *fig == "all"
 	run3b := *fig == "3b" || *fig == "all"

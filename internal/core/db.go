@@ -33,6 +33,21 @@ type Options struct {
 	// dispatched to workers in AddUnit order, but may complete out of
 	// order. IOWorkers has no effect when BackgroundIO is false.
 	IOWorkers int
+
+	// Clock, when set, is what the database reads time from, starts its I/O
+	// workers on and blocks through, so a simulator (platform.Machine) can
+	// run it in virtual time. Nil means the host's: time.Now, go statements
+	// and channel receives.
+	Clock Clock
+}
+
+// Clock is the database's blocking-point seam. Every wait the database makes
+// is on a close-only channel — nothing is ever sent on it — and Wait returns
+// once ch is closed.
+type Clock interface {
+	Now() time.Time
+	Go(fn func())
+	Wait(ch <-chan struct{})
 }
 
 // DefaultMemoryLimit is used when Options.MemoryLimit is zero.
@@ -89,19 +104,22 @@ type DB struct {
 	limit  int64 // guarded by mu
 	closed bool  // guarded by mu
 
-	ioWorkers     int            // background I/O pool size; 0 in single-thread mode; immutable after Open
-	ioReading     int            // workers currently executing a read; guarded by mu
-	ioBlocked     int            // workers currently blocked on memory in reserveLocked; guarded by mu
-	inlineReading int            // application threads currently executing an inline read; guarded by mu
-	inlineBlocked int            // inline readers currently blocked on memory; guarded by mu
-	ioWg          sync.WaitGroup // joined by Close once every worker exits
-	workers       []workerState  // per-worker state, indexed by worker id; slice header immutable after Open
+	ioWorkers     int           // background I/O pool size; 0 in single-thread mode; immutable after Open
+	ioReading     int           // workers currently executing a read; guarded by mu
+	ioBlocked     int           // workers currently blocked on memory in reserveLocked; guarded by mu
+	inlineReading int           // application threads currently executing an inline read; guarded by mu
+	inlineBlocked int           // inline readers currently blocked on memory; guarded by mu
+	ioLive        int           // workers not yet exited; guarded by mu
+	ioDone        chan struct{} // closed by the last worker to exit; immutable after Open
+	workers       []workerState // per-worker state, indexed by worker id; slice header immutable after Open
 
 	stats        statsCounters         // atomic counters, never accessed under mu (see stats.go)
 	statsSources map[string]func() any // named external counter providers; guarded by mu
 
 	traceEvents bool        // immutable after Open
 	events      []UnitEvent // guarded by mu
+
+	clock Clock // nil: the host's; immutable after Open
 }
 
 // Open creates a GODIVA database and, in background-I/O mode, starts its I/O
@@ -127,14 +145,14 @@ func Open(opts Options) *DB {
 		units:       make(map[string]*unit),
 		limit:       limit,
 		ioWorkers:   workers,
+		ioLive:      workers,
+		ioDone:      make(chan struct{}),
+		workers:     make([]workerState, workers),
 		traceEvents: opts.TraceUnits,
+		clock:       opts.Clock,
 	}
-	if workers > 0 {
-		db.workers = make([]workerState, workers)
-		db.ioWg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go db.ioLoop(i)
-		}
+	for id := range workers {
+		db.spawn(func() { db.ioLoop(id) })
 	}
 	return db
 }
@@ -161,7 +179,9 @@ func (db *DB) Close() error {
 		db.notifyUnitLocked(u)
 	}
 	db.mu.Unlock()
-	db.ioWg.Wait()
+	if db.ioWorkers > 0 {
+		db.wait(db.ioDone)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	defer db.checkInvariantsLocked("Close")
@@ -216,6 +236,37 @@ func (db *DB) indexForLocked(recType string) *rbtree.Tree[*Record] {
 		db.indexes[recType] = idx
 	}
 	return idx
+}
+
+// --- the clock ---
+
+// now reads the database's clock.
+func (db *DB) now() time.Time {
+	if db.clock == nil {
+		return time.Now()
+	}
+	return db.clock.Now()
+}
+
+// since returns the clock's time elapsed since t.
+func (db *DB) since(t time.Time) time.Duration { return db.now().Sub(t) }
+
+// spawn runs fn on a goroutine of the clock's.
+func (db *DB) spawn(fn func()) {
+	if db.clock == nil {
+		go fn()
+		return
+	}
+	db.clock.Go(fn)
+}
+
+// wait blocks until ch is closed. The caller holds no lock.
+func (db *DB) wait(ch <-chan struct{}) {
+	if db.clock == nil {
+		<-ch
+		return
+	}
+	db.clock.Wait(ch)
 }
 
 // --- targeted wakeups ---
@@ -302,16 +353,16 @@ func (db *DB) reserveLocked(need int64, owner *unit) error {
 			owner.memBlocked = true
 		}
 		ch := db.memWaitChLocked()
-		start := time.Now()
+		start := db.now()
 		db.mu.Unlock()
-		<-ch
+		db.wait(ch)
 		db.mu.Lock()
 		if owner != nil {
 			owner.memBlocked = false
 		}
 		if bgWorker {
 			db.ioBlocked--
-			db.workers[owner.worker].blockedNanos.Add(int64(time.Since(start)))
+			db.workers[owner.worker].blockedNanos.Add(int64(db.since(start)))
 		} else if owner != nil {
 			db.inlineBlocked--
 		}

@@ -2,11 +2,11 @@ package core
 
 import "time"
 
-// UnitEvent records one processing-unit state transition, with wall-clock
-// timestamps. The event log makes prefetch behavior observable: when a unit
-// was queued, when the I/O thread picked it up, when it became ready, when
-// it was finished, evicted or deleted — the timeline behind the paper's
-// visible-I/O measurements.
+// UnitEvent records one processing-unit state transition, timestamped by the
+// database's clock (Options.Clock). The event log makes prefetch behavior
+// observable: when a unit was queued, when the I/O thread picked it up, when
+// it became ready, when it was finished, evicted or deleted — the timeline
+// behind the paper's visible-I/O measurements.
 type UnitEvent struct {
 	Unit   string
 	From   string
@@ -39,7 +39,7 @@ func (db *DB) recordEventLocked(u *unit, from, to unitState) {
 		From:   from.String(),
 		To:     to.String(),
 		Worker: u.worker,
-		When:   time.Now(),
+		When:   db.now(),
 	})
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // AddUnit appends a processing unit to the prefetching list (non-blocking).
 // In background-I/O mode the I/O goroutine will read the unit's records into
@@ -81,11 +78,11 @@ func (db *DB) signalWorkerLocked() {
 // I/O; a finished unit is re-pinned. The caller becomes a consumer of the
 // unit and should call FinishUnit or DeleteUnit when done with it.
 func (db *DB) ReadUnit(name string, read ReadFunc) error {
-	start := time.Now()
+	start := db.now()
 	db.mu.Lock()
 	defer func() {
 		db.mu.Unlock()
-		db.stats.visibleWaitNanos.Add(int64(time.Since(start)))
+		db.stats.visibleWaitNanos.Add(int64(db.since(start)))
 	}()
 	defer db.checkInvariantsLocked("ReadUnit")
 	if db.closed {
@@ -106,11 +103,11 @@ func (db *DB) ReadUnit(name string, read ReadFunc) error {
 // inline, making WaitUnit equivalent to an explicit blocking ReadUnit
 // (paper §4.2's "G" library). The caller becomes a consumer of the unit.
 func (db *DB) WaitUnit(name string) error {
-	start := time.Now()
+	start := db.now()
 	db.mu.Lock()
 	defer func() {
 		db.mu.Unlock()
-		db.stats.visibleWaitNanos.Add(int64(time.Since(start)))
+		db.stats.visibleWaitNanos.Add(int64(db.since(start)))
 	}()
 	defer db.checkInvariantsLocked("WaitUnit")
 	if db.closed {
@@ -201,7 +198,7 @@ func (db *DB) waitStateLocked(u *unit) {
 		}
 		ch := u.stateCh
 		db.mu.Unlock()
-		<-ch
+		db.wait(ch)
 		db.mu.Lock()
 	}
 	u.waiters--
@@ -212,12 +209,12 @@ func (db *DB) waitStateLocked(u *unit) {
 // mid-read. The caller must have set u.state = stateReading under db.mu and
 // released the lock.
 func (db *DB) runRead(u *unit) {
-	start := time.Now()
+	start := db.now()
 	//lint:ignore lockcheck u.read is published under db.mu before the unit
 	// enters stateReading, and this goroutine owns the unit until the read
 	// completes — the unlocked access cannot race (see the unit doc comment).
 	err := u.read(&Unit{db: db, u: u})
-	db.stats.readTimeNanos.Add(int64(time.Since(start)))
+	db.stats.readTimeNanos.Add(int64(db.since(start)))
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	defer db.checkInvariantsLocked("runRead")
@@ -356,17 +353,19 @@ func (db *DB) UnitState(name string) (state string, ok bool) {
 // idle-worker FIFO and is woken by AddUnit (one worker per enqueued unit)
 // or Close; unit state changes and memory traffic never wake it.
 func (db *DB) ioLoop(id int) {
-	defer db.ioWg.Done()
 	for {
 		db.mu.Lock()
 		for !db.closed && len(db.queue) == 0 {
 			ch := make(chan struct{})
 			db.idleWorkers = append(db.idleWorkers, ch)
 			db.mu.Unlock()
-			<-ch
+			db.wait(ch)
 			db.mu.Lock()
 		}
 		if db.closed {
+			if db.ioLive--; db.ioLive == 0 {
+				close(db.ioDone)
+			}
 			db.mu.Unlock()
 			return
 		}

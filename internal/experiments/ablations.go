@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"godiva/internal/platform"
 	"godiva/internal/rocketeer"
@@ -18,8 +19,8 @@ import (
 type GranularityRow struct {
 	Test      string
 	Unit      string // "snapshot" or "file"
-	Total     Sample
-	VisibleIO Sample
+	Total     time.Duration
+	VisibleIO time.Duration
 	UnitsRead int64
 }
 
@@ -34,28 +35,24 @@ func RunGranularity(s Setup, test rocketeer.VisTest) ([]*GranularityRow, error) 
 		if perFile {
 			name = "file"
 		}
-		row := &GranularityRow{Test: test.Name, Unit: name}
-		for rep := 0; rep < s.Reps; rep++ {
-			machine := platform.New(platform.Engle, s.Scale)
-			res, err := rocketeer.Run(rocketeer.VersionTG, rocketeer.Config{
-				Test:        test,
-				Spec:        s.Spec,
-				Dir:         s.Dir,
-				Machine:     machine,
-				VolumeScale: s.VolumeScale,
-				Snapshots:   s.Snapshots,
-				UnitPerFile: perFile,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("granularity %s rep %d: %w", name, rep, err)
-			}
-			row.Total = append(row.Total, res.Total)
-			row.VisibleIO = append(row.VisibleIO, res.VisibleIO)
-			row.UnitsRead = res.DB.UnitsRead
-			s.logf("  granularity %-8s rep %d: total %7.1fs  visible I/O %6.1fs  (%d units)",
-				name, rep+1, res.Total.Seconds(), res.VisibleIO.Seconds(), res.DB.UnitsRead)
+		res, err := rocketeer.Run(rocketeer.VersionTG, rocketeer.Config{
+			Test:        test,
+			Spec:        s.Spec,
+			Dir:         s.Dir,
+			Machine:     platform.New(platform.Engle),
+			VolumeScale: s.VolumeScale,
+			Snapshots:   s.Snapshots,
+			UnitPerFile: perFile,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("granularity %s: %w", name, err)
 		}
-		out = append(out, row)
+		s.logf("  granularity %-8s total %7.1fs  visible I/O %6.1fs  (%d units)",
+			name, res.Total.Seconds(), res.VisibleIO.Seconds(), res.DB.UnitsRead)
+		out = append(out, &GranularityRow{
+			Test: test.Name, Unit: name,
+			Total: res.Total, VisibleIO: res.VisibleIO, UnitsRead: res.DB.UnitsRead,
+		})
 	}
 	return out, nil
 }
@@ -64,8 +61,8 @@ func RunGranularity(s Setup, test rocketeer.VisTest) ([]*GranularityRow, error) 
 type MemoryRow struct {
 	Test      string
 	UnitsHeld float64 // memory cap in units of one snapshot's footprint
-	Total     Sample
-	VisibleIO Sample
+	Total     time.Duration
+	VisibleIO time.Duration
 	Evicted   int64
 	Deadlocks int64
 }
@@ -83,29 +80,25 @@ func RunMemorySweep(s Setup, test rocketeer.VisTest, multiples []float64) ([]*Me
 	}
 	var out []*MemoryRow
 	for _, m := range multiples {
-		row := &MemoryRow{Test: test.Name, UnitsHeld: m}
-		for rep := 0; rep < s.Reps; rep++ {
-			machine := platform.New(platform.Engle, s.Scale)
-			res, err := rocketeer.Run(rocketeer.VersionTG, rocketeer.Config{
-				Test:        test,
-				Spec:        s.Spec,
-				Dir:         s.Dir,
-				Machine:     machine,
-				VolumeScale: s.VolumeScale,
-				Snapshots:   s.Snapshots,
-				MemoryLimit: int64(m * float64(unit)),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("memory %.1fx rep %d: %w", m, rep, err)
-			}
-			row.Total = append(row.Total, res.Total)
-			row.VisibleIO = append(row.VisibleIO, res.VisibleIO)
-			row.Evicted = res.DB.UnitsEvicted
-			row.Deadlocks = res.DB.Deadlocks
-			s.logf("  memory %4.1fx rep %d: total %7.1fs  visible I/O %6.1fs",
-				m, rep+1, res.Total.Seconds(), res.VisibleIO.Seconds())
+		res, err := rocketeer.Run(rocketeer.VersionTG, rocketeer.Config{
+			Test:        test,
+			Spec:        s.Spec,
+			Dir:         s.Dir,
+			Machine:     platform.New(platform.Engle),
+			VolumeScale: s.VolumeScale,
+			Snapshots:   s.Snapshots,
+			MemoryLimit: int64(m * float64(unit)),
+		})
+		if err != nil {
+			return nil, fmt.Errorf("memory %.1fx: %w", m, err)
 		}
-		out = append(out, row)
+		s.logf("  memory %4.1fx total %7.1fs  visible I/O %6.1fs",
+			m, res.Total.Seconds(), res.VisibleIO.Seconds())
+		out = append(out, &MemoryRow{
+			Test: test.Name, UnitsHeld: m,
+			Total: res.Total, VisibleIO: res.VisibleIO,
+			Evicted: res.DB.UnitsEvicted, Deadlocks: res.DB.Deadlocks,
+		})
 	}
 	return out, nil
 }
@@ -131,25 +124,20 @@ func unitFootprint(s Setup, test rocketeer.VisTest) (int64, error) {
 // PrintGranularity writes the granularity ablation table.
 func PrintGranularity(w io.Writer, rows []*GranularityRow) {
 	fmt.Fprintf(w, "\nUnit granularity ablation (TG on Engle):\n")
-	fmt.Fprintf(w, "%-8s %-9s %7s %14s %18s\n", "test", "unit", "units", "total (s)", "visible I/O (s)")
+	fmt.Fprintf(w, "%-8s %-9s %7s %10s %16s\n", "test", "unit", "units", "total (s)", "visible I/O (s)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %-9s %7d %8.1f ±%4.1f %12.1f ±%4.1f\n",
-			r.Test, r.Unit, r.UnitsRead,
-			r.Total.Mean().Seconds(), r.Total.CI95().Seconds(),
-			r.VisibleIO.Mean().Seconds(), r.VisibleIO.CI95().Seconds())
+		fmt.Fprintf(w, "%-8s %-9s %7d %10.1f %16.1f\n",
+			r.Test, r.Unit, r.UnitsRead, r.Total.Seconds(), r.VisibleIO.Seconds())
 	}
 }
 
 // PrintMemorySweep writes the memory-cap sweep table.
 func PrintMemorySweep(w io.Writer, rows []*MemoryRow) {
 	fmt.Fprintf(w, "\nDatabase memory-cap sweep (TG on Engle; cap in snapshot units):\n")
-	fmt.Fprintf(w, "%-8s %6s %14s %18s %9s %10s\n", "test", "cap", "total (s)", "visible I/O (s)", "evicted", "deadlocks")
+	fmt.Fprintf(w, "%-8s %6s %10s %16s %9s %10s\n", "test", "cap", "total (s)", "visible I/O (s)", "evicted", "deadlocks")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %5.1fx %8.1f ±%4.1f %12.1f ±%4.1f %9d %10d\n",
-			r.Test, r.UnitsHeld,
-			r.Total.Mean().Seconds(), r.Total.CI95().Seconds(),
-			r.VisibleIO.Mean().Seconds(), r.VisibleIO.CI95().Seconds(),
-			r.Evicted, r.Deadlocks)
+		fmt.Fprintf(w, "%-8s %5.1fx %10.1f %16.1f %9d %10d\n",
+			r.Test, r.UnitsHeld, r.Total.Seconds(), r.VisibleIO.Seconds(), r.Evicted, r.Deadlocks)
 	}
 }
 

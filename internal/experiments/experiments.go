@@ -3,13 +3,13 @@
 // node model, the I/O-volume reductions, and the parallel Voyager runs.
 // Experiments run the real Voyager builds over a geometrically reduced GENx
 // dataset with the paper's full block/file structure, charging full-scale
-// I/O and compute costs to the simulated platforms, and report means with
-// 95% confidence intervals over repeated runs as the paper does.
+// I/O and compute costs to the simulated platforms. The platforms are
+// deterministic, so each cell is one run: a repetition would read the same
+// virtual times to the nanosecond.
 package experiments
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -28,11 +28,6 @@ type Setup struct {
 	// VolumeScale converts reduced volumes/counts to the paper's full
 	// scale.
 	VolumeScale float64
-	// Scale is the virtual-time scale (wall seconds per virtual second).
-	Scale float64
-	// Reps is the number of repetitions (the paper reports 5-run averages
-	// with 95% confidence intervals).
-	Reps int
 	// Snapshots caps the snapshots processed per run (0 = all 32).
 	Snapshots int
 	// Log, when non-nil, receives progress lines.
@@ -55,7 +50,7 @@ func fullScaleCells() int {
 // DefaultSetup builds the standard experiment configuration: a 1/20-scale
 // grain mesh (chosen to preserve the full mesh's node-to-cell composition,
 // which the I/O-volume reductions depend on) with the full 120-block,
-// 8-file, 32-snapshot structure, virtual time at 1/20 of real time, 5 reps.
+// 8-file, 32-snapshot structure.
 func DefaultSetup(dir string) Setup {
 	spec := genx.Default()
 	spec.Mesh = mesh.AnnulusSpec{
@@ -67,17 +62,13 @@ func DefaultSetup(dir string) Setup {
 		Spec:        spec,
 		Dir:         dir,
 		VolumeScale: float64(fullScaleCells()) / float64(actual),
-		Scale:       0.05,
-		Reps:        5,
 	}
 }
 
-// QuickSetup is DefaultSetup shrunk for benches and smoke tests: fewer
-// snapshots, one rep, faster clock.
+// QuickSetup is DefaultSetup shrunk for benches and smoke tests: 6
+// snapshots per run.
 func QuickSetup(dir string) Setup {
 	s := DefaultSetup(dir)
-	s.Scale = 0.02
-	s.Reps = 1
 	s.Snapshots = 6
 	return s
 }
@@ -98,52 +89,19 @@ func EnsureDataset(s *Setup) error {
 	return os.WriteFile(marker, []byte(want), 0o644)
 }
 
-// Sample holds repeated virtual-time measurements of one quantity.
-type Sample []time.Duration
-
-// Mean returns the sample mean.
-func (s Sample) Mean() time.Duration {
-	if len(s) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range s {
-		sum += v
-	}
-	return sum / time.Duration(len(s))
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// (normal approximation, as is conventional for the paper's error bars).
-func (s Sample) CI95() time.Duration {
-	n := len(s)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var ss float64
-	for _, v := range s {
-		d := float64(v) - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	return time.Duration(1.96 * sd / math.Sqrt(float64(n)))
-}
-
-// Measurement aggregates one (test, version) cell of a figure.
+// Measurement is one (test, version) cell of a figure, in virtual time.
 type Measurement struct {
-	Platform string
-	Test     string
-	Version  string // O, G, TG, TG1, TG2
-	Total    Sample
-	Visible  Sample
-	Compute  Sample
-	// Disk stats from the first rep (identical across reps).
+	Platform  string
+	Test      string
+	Version   string // O, G, TG, TG1, TG2
+	Total     time.Duration
+	Visible   time.Duration
+	Compute   time.Duration
 	DiskBytes int64
 	DiskSeeks int64
 }
 
-// runCell executes Reps runs of one configuration on a fresh machine each.
+// runCell runs one configuration on a fresh machine.
 func (s *Setup) runCell(spec platform.Spec, test rocketeer.VisTest, v rocketeer.Version, load bool) (*Measurement, error) {
 	label := string(v)
 	if v == rocketeer.VersionTG && spec.NumCPU > 1 {
@@ -153,33 +111,26 @@ func (s *Setup) runCell(spec platform.Spec, test rocketeer.VisTest, v rocketeer.
 			label = "TG2"
 		}
 	}
-	m := &Measurement{Platform: spec.Name, Test: test.Name, Version: label}
-	for rep := 0; rep < s.Reps; rep++ {
-		machine := platform.New(spec, s.Scale)
-		res, err := rocketeer.Run(v, rocketeer.Config{
-			Test:          test,
-			Spec:          s.Spec,
-			Dir:           s.Dir,
-			Machine:       machine,
-			VolumeScale:   s.VolumeScale,
-			Snapshots:     s.Snapshots,
-			CompetingLoad: load,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s/%s rep %d: %w", spec.Name, test.Name, label, rep, err)
-		}
-		m.Total = append(m.Total, res.Total)
-		m.Visible = append(m.Visible, res.VisibleIO)
-		m.Compute = append(m.Compute, res.Compute)
-		if rep == 0 {
-			m.DiskBytes = res.Disk.Bytes
-			m.DiskSeeks = res.Disk.Seeks
-		}
-		s.logf("  %-7s %-7s %-4s rep %d: total %7.1fs  visible I/O %6.1fs  compute %7.1fs",
-			spec.Name, test.Name, label, rep+1,
-			res.Total.Seconds(), res.VisibleIO.Seconds(), res.Compute.Seconds())
+	res, err := rocketeer.Run(v, rocketeer.Config{
+		Test:          test,
+		Spec:          s.Spec,
+		Dir:           s.Dir,
+		Machine:       platform.New(spec),
+		VolumeScale:   s.VolumeScale,
+		Snapshots:     s.Snapshots,
+		CompetingLoad: load,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s/%s: %w", spec.Name, test.Name, label, err)
 	}
-	return m, nil
+	s.logf("  %-7s %-7s %-4s total %7.1fs  visible I/O %6.1fs  compute %7.1fs",
+		spec.Name, test.Name, label,
+		res.Total.Seconds(), res.VisibleIO.Seconds(), res.Compute.Seconds())
+	return &Measurement{
+		Platform: spec.Name, Test: test.Name, Version: label,
+		Total: res.Total, Visible: res.VisibleIO, Compute: res.Compute,
+		DiskBytes: res.Disk.Bytes, DiskSeeks: res.Disk.Seeks,
+	}, nil
 }
 
 // Figure3a runs the Engle experiment: {simple, medium, complex} x {O, G, TG}.

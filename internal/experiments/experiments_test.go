@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,17 +38,13 @@ func testSetup(t *testing.T) Setup {
 	return quick(setupDir)
 }
 
-// quick builds the shared fast setup: tiny mesh, fast clock, 4 snapshots per
-// run out of a dataset of 6 (TestFigure3bShape runs all six).
+// quick builds the shared fast setup: a tiny mesh and 4 snapshots.
 func quick(dir string) Setup {
 	s := DefaultSetup(dir)
 	s.Spec.Mesh.NZ = 16 // 1/10 of the default experiment mesh
-	s.Spec.Snapshots = 6
+	s.Spec.Snapshots = 4
 	actual := 6 * s.Spec.Mesh.NR * s.Spec.Mesh.NTheta * s.Spec.Mesh.NZ
 	s.VolumeScale = float64(fullScaleCells()) / float64(actual)
-	s.Scale = 0.01
-	s.Reps = 1
-	s.Snapshots = 4
 	return s
 }
 
@@ -57,24 +54,6 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(setupDir)
 	}
 	os.Exit(code)
-}
-
-func TestSampleStats(t *testing.T) {
-	s := Sample{10 * time.Second, 12 * time.Second, 14 * time.Second}
-	if got := s.Mean(); got != 12*time.Second {
-		t.Fatalf("Mean = %v", got)
-	}
-	ci := s.CI95()
-	if ci <= 0 || ci > 4*time.Second {
-		t.Fatalf("CI95 = %v", ci)
-	}
-	if (Sample{}).Mean() != 0 || (Sample{time.Second}).CI95() != 0 {
-		t.Fatal("degenerate samples")
-	}
-	same := Sample{5 * time.Second, 5 * time.Second, 5 * time.Second}
-	if same.CI95() != 0 {
-		t.Fatalf("CI of constant sample = %v", same.CI95())
-	}
 }
 
 func TestEnsureDatasetIdempotent(t *testing.T) {
@@ -145,19 +124,19 @@ func TestFigure3aShape(t *testing.T) {
 		if g.DiskBytes >= o.DiskBytes {
 			t.Errorf("%s: G bytes %d >= O bytes %d", test, g.DiskBytes, o.DiskBytes)
 		}
-		if g.Visible.Mean() >= o.Visible.Mean() {
-			t.Errorf("%s: G visible I/O %v >= O %v", test, g.Visible.Mean(), o.Visible.Mean())
+		if g.Visible >= o.Visible {
+			t.Errorf("%s: G visible I/O %v >= O %v", test, g.Visible, o.Visible)
 		}
-		if tg.Visible.Mean() >= g.Visible.Mean() {
-			t.Errorf("%s: TG visible I/O %v >= G %v", test, tg.Visible.Mean(), g.Visible.Mean())
+		if tg.Visible >= g.Visible {
+			t.Errorf("%s: TG visible I/O %v >= G %v", test, tg.Visible, g.Visible)
 		}
-		if tg.Total.Mean() >= o.Total.Mean() {
-			t.Errorf("%s: TG total %v >= O total %v", test, tg.Total.Mean(), o.Total.Mean())
+		if tg.Total >= o.Total {
+			t.Errorf("%s: TG total %v >= O total %v", test, tg.Total, o.Total)
 		}
 		// The paper's Engle effect: prefetching slows computation down.
-		if tg.Compute.Mean() <= g.Compute.Mean() {
+		if tg.Compute <= g.Compute {
 			t.Errorf("%s: TG compute %v <= G compute %v; no contention effect",
-				test, tg.Compute.Mean(), g.Compute.Mean())
+				test, tg.Compute, g.Compute)
 		}
 	}
 	sums := Summarize(ms)
@@ -168,10 +147,8 @@ func TestFigure3aShape(t *testing.T) {
 		if sum.VolumeReduction < 0.05 || sum.VolumeReduction > 0.5 {
 			t.Errorf("%s: volume reduction %.2f outside the plausible band", sum.Test, sum.VolumeReduction)
 		}
-		// On one CPU only a minority of I/O cost can hide. At this tiny
-		// 4-snapshot scale the measured fraction is noise-dominated for
-		// the decode-heavy medium test (steady-state ~0.15), so the band
-		// only excludes clearly broken values.
+		// On one CPU only a minority of I/O cost can hide; the band only
+		// excludes clearly broken values.
 		if h := sum.Hidden["TG"]; h < -0.2 || h > 0.85 {
 			t.Errorf("%s: hidden fraction %.2f outside the plausible band", sum.Test, h)
 		}
@@ -203,10 +180,6 @@ func TestFigure3bShape(t *testing.T) {
 		t.Skip("multi-second experiment")
 	}
 	s := testSetup(t)
-	// The first unit's read is fully visible whatever the build, and on four
-	// snapshots it weighs enough to put the cost model's own TG2/G ratio for
-	// "simple" (0.46) beside the 0.5 asserted below; on six it is 0.40.
-	s.Snapshots = 6
 	ms, err := Figure3b(s)
 	if err != nil {
 		t.Fatal(err)
@@ -227,17 +200,19 @@ func TestFigure3bShape(t *testing.T) {
 		if g == nil || tg1 == nil || tg2 == nil {
 			t.Fatalf("missing cells for %s", test)
 		}
-		// With a free second processor nearly all waiting disappears; even
-		// the 6-snapshot run must hide over half despite the first unit.
-		if tg2.Visible.Mean() > g.Visible.Mean()/2 {
+		// With a free second processor nearly all waiting disappears but the
+		// first unit's read: TG2/G is 0.25 on four snapshots for medium and
+		// complex, whose compute outlasts a read, and 0.46 for simple, whose
+		// reads outlast its compute.
+		if tg2.Visible > g.Visible/2 {
 			t.Errorf("%s: TG2 visible %v vs G %v; second CPU hid too little",
-				test, tg2.Visible.Mean(), g.Visible.Mean())
+				test, tg2.Visible, g.Visible)
 		}
 		// The competing load slows TG1's computation relative to TG2
-		// (visibly in the paper's Figure 3(b)); allow a small noise margin.
-		if tg1.Total.Mean() < tg2.Total.Mean()*101/100 {
+		// (visibly in the paper's Figure 3(b)).
+		if tg1.Total < tg2.Total*101/100 {
 			t.Errorf("%s: TG1 total %v not above TG2 %v; competing load had no cost",
-				test, tg1.Total.Mean(), tg2.Total.Mean())
+				test, tg1.Total, tg2.Total)
 		}
 	}
 }
@@ -249,7 +224,6 @@ func TestTuringHidesMoreThanEngle(t *testing.T) {
 		t.Skip("multi-second experiment")
 	}
 	s := testSetup(t)
-	s.Scale = 0.02 // extra headroom against host-scheduling noise
 	test, _ := rocketeer.TestByName("medium")
 	hidden := func(spec platform.Spec) (float64, error) {
 		tg, err := s.runCell(spec, test, rocketeer.VersionTG, false)
@@ -260,25 +234,56 @@ func TestTuringHidesMoreThanEngle(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		return float64(g.Total.Mean()-tg.Total.Mean()) / float64(g.Visible.Mean()), nil
+		return float64(g.Total-tg.Total) / float64(g.Visible), nil
 	}
-	// Timing on a loaded host is noisy at this scale; allow one retry.
-	for attempt := 0; ; attempt++ {
-		he, err := hidden(platform.Engle)
-		if err != nil {
-			t.Fatal(err)
+	he, err := hidden(platform.Engle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ht, err := hidden(platform.Turing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ht <= he {
+		t.Fatalf("Turing hid %.2f, Engle hid %.2f; dual-processor advantage missing", ht, he)
+	}
+}
+
+// The simulated figures are a function of the cost model alone: the same
+// tables at GOMAXPROCS 1 and 2, with a goroutine spinning beside the runs.
+func TestFiguresDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second experiment")
+	}
+	s := testSetup(t)
+	tables := func() string {
+		var buf bytes.Buffer
+		for _, fig := range []func(Setup) ([]*Measurement, error){Figure3a, Figure3b} {
+			ms, err := fig(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			PrintMeasurements(&buf, "", ms)
+			PrintSummary(&buf, ms)
 		}
-		ht, err := hidden(platform.Turing)
-		if err != nil {
-			t.Fatal(err)
+		return buf.String()
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 		}
-		if ht > he {
-			return
-		}
-		if attempt == 1 {
-			t.Fatalf("Turing hid %.2f, Engle hid %.2f; dual-processor advantage missing", ht, he)
-		}
-		t.Logf("attempt %d: Turing %.2f vs Engle %.2f, retrying", attempt, ht, he)
+	}()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := tables()
+	runtime.GOMAXPROCS(2)
+	if two := tables(); two != one {
+		t.Fatalf("tables differ between GOMAXPROCS 1 and 2:\n%s\n%s", one, two)
 	}
 }
 
@@ -306,13 +311,13 @@ func TestRunParallel(t *testing.T) {
 func TestSummarizeHandlesMissingCells(t *testing.T) {
 	ms := []*Measurement{
 		{Platform: "Engle", Test: "simple", Version: "O",
-			Total: Sample{100 * time.Second}, Visible: Sample{50 * time.Second}, DiskBytes: 1000},
+			Total: 100 * time.Second, Visible: 50 * time.Second, DiskBytes: 1000},
 	}
 	if got := Summarize(ms); len(got) != 0 {
 		t.Fatalf("summary from O-only data: %+v", got)
 	}
 	ms = append(ms, &Measurement{Platform: "Engle", Test: "simple", Version: "G",
-		Total: Sample{90 * time.Second}, Visible: Sample{40 * time.Second}, DiskBytes: 800})
+		Total: 90 * time.Second, Visible: 40 * time.Second, DiskBytes: 800})
 	got := Summarize(ms)
 	if len(got) != 1 {
 		t.Fatalf("got %d summaries", len(got))

@@ -15,10 +15,10 @@ import (
 // binary files".
 type FormatRow struct {
 	Format  string
-	Read    Sample // virtual time to read one full snapshot
+	Read    time.Duration // virtual time to read one full snapshot
 	MBRead  float64
-	Decode  time.Duration // virtual CPU charged to decoding, first rep
-	DiskSec float64       // virtual disk busy, first rep
+	Decode  time.Duration // virtual CPU charged to decoding
+	DiskSec float64       // virtual disk busy
 }
 
 // RunFormatComparison writes the dataset in both formats and times reading
@@ -49,7 +49,6 @@ func RunFormatComparison(s Setup) ([]*FormatRow, error) {
 				return err
 			}
 		}
-		r.Flush()
 		return nil
 	}
 	readPlain := func(r *genx.Reader) error {
@@ -69,30 +68,26 @@ func RunFormatComparison(s Setup) ([]*FormatRow, error) {
 				}
 			}
 		}
-		r.Flush()
 		return nil
 	}
 
 	rows := []*FormatRow{{Format: "SHDF (HDF-like)"}, {Format: "plain binary"}}
 	readers := []func(*genx.Reader) error{readSHDF, readPlain}
 	for i, read := range readers {
-		for rep := 0; rep < s.Reps; rep++ {
-			machine := platform.New(platform.Engle, s.Scale)
-			r := &genx.Reader{M: machine, VolumeScale: s.VolumeScale}
-			start := time.Now()
-			if err := read(r); err != nil {
-				return nil, fmt.Errorf("%s rep %d: %w", rows[i].Format, rep, err)
-			}
-			rows[i].Read = append(rows[i].Read, machine.Virtual(time.Since(start)))
-			if rep == 0 {
-				d := machine.Disk()
-				rows[i].MBRead = float64(d.Bytes) / 1e6
-				rows[i].DiskSec = d.Busy.Seconds()
-				rows[i].Decode = machine.CPUBusy()
-			}
-			s.logf("  format %-16s rep %d: read %6.2fs", rows[i].Format, rep+1,
-				rows[i].Read[len(rows[i].Read)-1].Seconds())
+		machine := platform.New(platform.Engle)
+		r := &genx.Reader{M: machine, VolumeScale: s.VolumeScale}
+		start := machine.Now()
+		var err error
+		machine.Run(func() { err = read(r) })
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", rows[i].Format, err)
 		}
+		d := machine.Disk()
+		rows[i].Read = machine.Now().Sub(start)
+		rows[i].MBRead = float64(d.Bytes) / 1e6
+		rows[i].DiskSec = d.Busy.Seconds()
+		rows[i].Decode = machine.CPUBusy()
+		s.logf("  format %-16s read %6.2fs", rows[i].Format, rows[i].Read.Seconds())
 	}
 	return rows, nil
 }
@@ -100,10 +95,9 @@ func RunFormatComparison(s Setup) ([]*FormatRow, error) {
 // PrintFormatComparison writes the format comparison table.
 func PrintFormatComparison(w io.Writer, rows []*FormatRow) {
 	fmt.Fprintf(w, "\nInput cost per snapshot by file format (Engle):\n")
-	fmt.Fprintf(w, "%-18s %14s %10s %12s %12s\n", "format", "read (s)", "MB", "disk (s)", "decode (s)")
+	fmt.Fprintf(w, "%-18s %8s %10s %12s %12s\n", "format", "read (s)", "MB", "disk (s)", "decode (s)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-18s %8.2f ±%4.2f %10.1f %12.2f %12.2f\n",
-			r.Format, r.Read.Mean().Seconds(), r.Read.CI95().Seconds(),
-			r.MBRead, r.DiskSec, r.Decode.Seconds())
+		fmt.Fprintf(w, "%-18s %8.2f %10.1f %12.2f %12.2f\n",
+			r.Format, r.Read.Seconds(), r.MBRead, r.DiskSec, r.Decode.Seconds())
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"godiva/internal/platform"
@@ -35,45 +34,31 @@ func RunParallel(s Setup, test rocketeer.VisTest, procs int) (*ParallelResult, e
 	if s.Snapshots > 0 && s.Snapshots < nsnap {
 		nsnap = s.Snapshots
 	}
+	// The nodes share nothing, so they run one after another, each on its
+	// own machine and clock.
 	run := func(v rocketeer.Version) (time.Duration, error) {
-		var (
-			wg    sync.WaitGroup
-			mu    sync.Mutex
-			worst time.Duration
-			first error
-		)
+		var worst time.Duration
 		for p := 0; p < procs; p++ {
 			lo := nsnap * p / procs
 			hi := nsnap * (p + 1) / procs
 			if hi == lo {
 				continue
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				machine := platform.New(platform.Turing, s.Scale)
-				res, err := rocketeer.Run(v, rocketeer.Config{
-					Test:          test,
-					Spec:          s.Spec,
-					Dir:           s.Dir,
-					Machine:       machine,
-					VolumeScale:   s.VolumeScale,
-					FirstSnapshot: lo,
-					Snapshots:     hi - lo,
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && first == nil {
-					first = err
-					return
-				}
-				if err == nil && res.Total > worst {
-					worst = res.Total
-				}
-			}(lo, hi)
+			res, err := rocketeer.Run(v, rocketeer.Config{
+				Test:          test,
+				Spec:          s.Spec,
+				Dir:           s.Dir,
+				Machine:       platform.New(platform.Turing),
+				VolumeScale:   s.VolumeScale,
+				FirstSnapshot: lo,
+				Snapshots:     hi - lo,
+			})
+			if err != nil {
+				return 0, err
+			}
+			worst = max(worst, res.Total)
 		}
-		wg.Wait()
-		return worst, first
+		return worst, nil
 	}
 	totalO, err := run(rocketeer.VersionO)
 	if err != nil {

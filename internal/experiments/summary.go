@@ -55,19 +55,19 @@ func Summarize(ms []*Measurement) []*Summary {
 		if o.DiskBytes > 0 {
 			s.VolumeReduction = 1 - float64(g.DiskBytes)/float64(o.DiskBytes)
 		}
-		if vo := o.Visible.Mean(); vo > 0 {
-			s.IOTimeReduction = 1 - float64(g.Visible.Mean())/float64(vo)
+		if o.Visible > 0 {
+			s.IOTimeReduction = 1 - float64(g.Visible)/float64(o.Visible)
 		}
 		for _, name := range []string{"TG", "TG1", "TG2"} {
 			tg, ok := versions[name]
 			if !ok {
 				continue
 			}
-			if vg := g.Visible.Mean(); vg > 0 {
-				s.Hidden[name] = float64(g.Total.Mean()-tg.Total.Mean()) / float64(vg)
+			if g.Visible > 0 {
+				s.Hidden[name] = float64(g.Total-tg.Total) / float64(g.Visible)
 			}
-			if vo := o.Visible.Mean(); vo > 0 {
-				s.Overall[name] = float64(o.Total.Mean()-tg.Total.Mean()) / float64(vo)
+			if o.Visible > 0 {
+				s.Overall[name] = float64(o.Total-tg.Total) / float64(o.Visible)
 			}
 		}
 		out = append(out, s)
@@ -95,11 +95,11 @@ func testOrder(name string) int {
 }
 
 // PrintMeasurements writes a figure's stacked-bar data as a table: one row
-// per (test, version) with computation and visible I/O time, mean ± 95% CI,
-// the quantities Figure 3 plots.
+// per (test, version) with computation and visible I/O time, the quantities
+// Figure 3 plots.
 func PrintMeasurements(w io.Writer, title string, ms []*Measurement) {
 	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-8s %-8s %-5s %14s %18s %16s %12s %8s\n",
+	fmt.Fprintf(w, "%-8s %-8s %-5s %10s %16s %12s %12s %8s\n",
 		"platform", "test", "ver", "total (s)", "visible I/O (s)", "compute (s)", "MB read", "seeks")
 	sorted := append([]*Measurement(nil), ms...)
 	sort.SliceStable(sorted, func(i, j int) bool {
@@ -109,11 +109,9 @@ func PrintMeasurements(w io.Writer, title string, ms []*Measurement) {
 		return testOrder(sorted[i].Test) < testOrder(sorted[j].Test)
 	})
 	for _, m := range sorted {
-		fmt.Fprintf(w, "%-8s %-8s %-5s %8.1f ±%4.1f %12.1f ±%4.1f %10.1f ±%4.1f %12.1f %8d\n",
+		fmt.Fprintf(w, "%-8s %-8s %-5s %10.1f %16.1f %12.1f %12.1f %8d\n",
 			m.Platform, m.Test, m.Version,
-			m.Total.Mean().Seconds(), m.Total.CI95().Seconds(),
-			m.Visible.Mean().Seconds(), m.Visible.CI95().Seconds(),
-			m.Compute.Mean().Seconds(), m.Compute.CI95().Seconds(),
+			m.Total.Seconds(), m.Visible.Seconds(), m.Compute.Seconds(),
 			float64(m.DiskBytes)/1e6, m.DiskSeeks)
 	}
 }

@@ -160,14 +160,18 @@ func TestReaderChargesPlatform(t *testing.T) {
 		Name: "fast", NumCPU: 2, CPUSpeed: 1, RenderSpeed: 1,
 		DiskBandwidth: 1e12, DiskSeek: 0, DiskOpen: 0,
 		DecodeRate: 1e12, Quantum: time.Millisecond,
-	}, 0.001)
+	})
 	r := &Reader{M: m}
-	h, err := r.Open(SnapshotFile(dir, 0, 0))
+	var err error
+	m.Run(func() {
+		var h *FileHandle
+		if h, err = r.Open(SnapshotFile(dir, 0, 0)); err != nil {
+			return
+		}
+		defer h.Close()
+		_, err = h.ReadBlock(h.Blocks()[0], []string{"velocity"})
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if _, err := h.ReadBlock(h.Blocks()[0], []string{"velocity"}); err != nil {
 		t.Fatal(err)
 	}
 	d := m.Disk()
@@ -190,30 +194,35 @@ func TestSeekCharging(t *testing.T) {
 		Name: "fast", NumCPU: 1, CPUSpeed: 1, RenderSpeed: 1,
 		DiskBandwidth: 1e12, DiskSeek: 0, DiskOpen: 0,
 		DecodeRate: 1e12, Quantum: time.Millisecond,
-	}, 0.001)
+	})
 	r := &Reader{M: m}
-	h, err := r.Open(SnapshotFile(dir, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	e := h.Blocks()[0]
-	if _, err := h.ReadMesh(e); err != nil {
-		t.Fatal(err)
-	}
-	seq := m.Disk().Seeks
-	// coords..gids are contiguous: at most the initial seek.
-	if seq > 2 {
-		t.Fatalf("sequential mesh read charged %d seeks", seq)
-	}
-	// Going back to coords is a seek, and the following conn read, now
-	// sequential again, is not.
-	if _, err := h.ReadField(e, "coords"); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Disk().Seeks; got != seq+1 {
-		t.Fatalf("re-read charged %d seeks, want %d", got-seq, 1)
-	}
+	m.Run(func() {
+		h, err := r.Open(SnapshotFile(dir, 0, 0))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer h.Close()
+		e := h.Blocks()[0]
+		if _, err := h.ReadMesh(e); err != nil {
+			t.Error(err)
+			return
+		}
+		seq := m.Disk().Seeks
+		// coords..gids are contiguous: at most the initial seek.
+		if seq > 2 {
+			t.Errorf("sequential mesh read charged %d seeks", seq)
+		}
+		// Going back to coords is a seek, and the following conn read, now
+		// sequential again, is not.
+		if _, err := h.ReadField(e, "coords"); err != nil {
+			t.Error(err)
+			return
+		}
+		if got := m.Disk().Seeks; got != seq+1 {
+			t.Errorf("re-read charged %d seeks, want %d", got-seq, 1)
+		}
+	})
 }
 
 func TestScaledSpecShrinks(t *testing.T) {

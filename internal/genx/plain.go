@@ -213,8 +213,8 @@ type plainLoc struct {
 
 // OpenPlain reads a plain snapshot file's table of contents.
 func (r *Reader) OpenPlain(path string) (*PlainHandle, error) {
-	if t := r.t(); t != nil {
-		t.DiskOpen()
+	if r.M != nil {
+		r.M.DiskOpen()
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -308,8 +308,8 @@ func (h *PlainHandle) readF64(block int, field string) ([]float64, error) {
 // charge bills a sequential raw read: transfer plus raw decode, no per-
 // request scientific-library overhead.
 func (h *PlainHandle) charge(n int) {
-	if t := h.r.t(); t != nil {
-		t.DiskRead(h.r.scaled(int64(n)), 0)
-		t.DecodeRaw(h.r.scaled(int64(n)))
+	if m := h.r.M; m != nil {
+		m.DiskRead(h.r.scaled(int64(n)), 0)
+		m.DecodeRaw(h.r.scaled(int64(n)))
 	}
 }

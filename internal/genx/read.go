@@ -21,7 +21,9 @@ const (
 
 // Reader reads snapshot files, optionally charging all I/O and decode work
 // to a simulated platform. A nil machine reads at native speed (used by the
-// examples and tests); the experiments pass the Engle or Turing model.
+// examples and tests); the experiments pass the Engle or Turing model, and
+// then read only from the machine's simulated goroutines (Machine.Run), each
+// charge parking the reader for its span of virtual time.
 type Reader struct {
 	M *platform.Machine
 
@@ -43,11 +45,10 @@ type Reader struct {
 	// (request-count overheads are not scaled). The experiments run on a
 	// geometrically reduced dataset with the full block and file structure,
 	// and set VolumeScale to the full-to-reduced cell ratio so the platform
-	// sees the paper's data volumes while the real computation stays cheap
-	// enough not to perturb scaled virtual time. Zero means 1.
+	// is charged the paper's data volumes while the real files stay small.
+	// Zero means 1.
 	VolumeScale float64
 
-	task  *platform.Task
 	files fileTable // a Mapped Reader's open files
 }
 
@@ -59,36 +60,6 @@ func (r *Reader) Close() error { return r.files.close() }
 // Stats counts a Mapped Reader's table traffic.
 func (r *Reader) Stats() TableStats { return r.files.snapshot() }
 
-// t returns the reader's platform task, creating it on first use. A Reader
-// with a machine is used by one goroutine at a time (the thread doing the
-// reading), which is what Task requires; without one, only the table of a
-// Mapped Reader is shared, and it locks.
-func (r *Reader) t() *platform.Task {
-	if r.M == nil {
-		return nil
-	}
-	if r.task == nil {
-		r.task = r.M.NewTask()
-	}
-	return r.task
-}
-
-// Settle pays batched platform charges that are big enough to sleep
-// accurately; call at the end of each fine-grained timed read section.
-func (r *Reader) Settle() {
-	if r.task != nil {
-		r.task.Settle()
-	}
-}
-
-// Flush pays all batched platform charges. Call at the end of a unit read
-// or snapshot so deferred occupancy lands inside the measured I/O.
-func (r *Reader) Flush() {
-	if r.task != nil {
-		r.task.Flush()
-	}
-}
-
 func (r *Reader) scaled(n int64) int64 {
 	if r.VolumeScale > 1 {
 		return int64(float64(n) * r.VolumeScale)
@@ -97,14 +68,14 @@ func (r *Reader) scaled(n int64) int64 {
 }
 
 func (r *Reader) chargeRead(n int64, seeks int) {
-	if t := r.t(); t != nil {
-		t.DiskRead(r.scaled(n)+reqDiskOverhead, seeks)
+	if r.M != nil {
+		r.M.DiskRead(r.scaled(n)+reqDiskOverhead, seeks)
 	}
 }
 
 func (r *Reader) chargeDecode(n int64) {
-	if t := r.t(); t != nil {
-		t.Decode(r.scaled(n) + reqDecodeOverhead)
+	if r.M != nil {
+		r.M.Decode(r.scaled(n) + reqDecodeOverhead)
 	}
 }
 
@@ -133,8 +104,8 @@ type FileHandle struct {
 // Mapped Reader's table already held the file: the charges model the
 // paper's disk, not this process's page tables).
 func (r *Reader) Open(path string) (*FileHandle, error) {
-	if t := r.t(); t != nil {
-		t.DiskOpen()
+	if r.M != nil {
+		r.M.DiskOpen()
 	}
 	var sf *snapshotFile
 	var err error
@@ -148,9 +119,9 @@ func (r *Reader) Open(path string) (*FileHandle, error) {
 	}
 	// Directory and footer: their size tracks the object count, which the
 	// reduced dataset preserves, so this charge is not volume-scaled.
-	if t := r.t(); t != nil {
-		t.DiskRead(64*1024, 1)
-		t.Decode(16 * 1024)
+	if r.M != nil {
+		r.M.DiskRead(64*1024, 1)
+		r.M.Decode(16 * 1024)
 	}
 	return &FileHandle{r: r, sf: sf, path: path, Time: sf.time, StepID: sf.stepID, blocks: sf.blocks}, nil
 }

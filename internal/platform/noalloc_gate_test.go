@@ -14,7 +14,7 @@ import (
 )
 
 func TestNoAllocGates(t *testing.T) {
-	m := New(Engle, 0.001)
+	m := New(Engle)
 	var (
 		ds DiskStats
 		d  time.Duration

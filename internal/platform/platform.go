@@ -1,21 +1,30 @@
-// Package platform provides a scaled virtual-time machine model used to run
-// the paper's experiments faithfully on any host. The paper evaluated GODIVA
-// on two testbeds — Engle, a single-processor 2.0 GHz Pentium 4 workstation
-// with an IDE disk, and a Turing cluster node with dual 1 GHz Pentium IIIs —
+// Package platform is a discrete-event model of the paper's two testbeds,
+// used to run its experiments deterministically on any host. The paper
+// evaluated GODIVA on Engle, a single-processor 2.0 GHz Pentium 4 workstation
+// with an IDE disk, and on a Turing cluster node with dual 1 GHz Pentium IIIs,
 // and its headline contrast (25–38 % of I/O hidden on one CPU vs 81–91 % on
 // two) is a scheduling effect: on one processor the I/O thread's CPU-side
 // work steals cycles from computation, on two it runs on the idle processor.
 //
-// A Machine models N CPUs as a token semaphore with preemptive round-robin
-// quanta and one disk as a serialized resource with seek and transfer costs.
-// Tasks occupy these resources by sleeping in scaled wall time ("virtual
-// time"), so contention, overlap and queueing behave like the real systems
-// while an experiment runs in a fraction of real time on a host with any
-// number of cores. GODIVA itself is ordinary concurrent Go code; only the
-// experiment's read callbacks and compute phases charge time here.
+// A Machine runs simulated goroutines (Run, Go) one at a time. The running
+// goroutine holds the baton until it parks: in a charge (Compute, Decode,
+// DiskRead, …), which occupies a CPU or the disk for a span of virtual time,
+// or in Wait, which blocks on a channel. Parking passes the baton to the
+// runnable goroutine first in (virtual time, spawn order); the clock jumps to
+// the earliest pending event only when nothing can run at the current time.
+// CPUs are N slots shared round-robin in Spec.Quantum slices, the disk one
+// FIFO server. Virtual time is therefore a pure function of the charges —
+// real Go computation costs none — and the order of events depends neither
+// on GOMAXPROCS nor on the host scheduler. GODIVA itself is ordinary
+// concurrent Go code; it blocks through core.Options.Clock, which a Machine
+// implements, and only the experiment's read callbacks and compute phases
+// charge time here.
 package platform
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -109,65 +118,227 @@ type DiskStats struct {
 	Busy  time.Duration // virtual time the disk spent transferring/seeking
 }
 
-// Machine is one simulated platform instance. All methods are safe for
-// concurrent use; tasks on different goroutines contend for the machine's
-// CPUs and disk exactly as the paper's threads contended for Engle's and
-// Turing's.
+// epoch is the wall-clock reading of virtual time zero.
+var epoch = time.Date(2004, time.March, 30, 0, 0, 0, 0, time.UTC)
+
+// Machine is one simulated platform instance. Its simulated goroutines — the
+// function given to Run and every goroutine started with Go — contend for
+// the machine's CPUs and disk exactly as the paper's threads contended for
+// Engle's and Turing's. Spec, Now, Disk and CPUBusy may be called from any
+// goroutine; Go, Wait, Load and the charges only from a simulated one.
 type Machine struct {
-	spec  Spec
-	scale float64 // wall seconds per virtual second (e.g. 0.02 = 50x speedup)
+	spec Spec
 
-	cpu chan struct{} // token semaphore: one token per CPU
-
-	diskMu sync.Mutex
-	disk   DiskStats
-
-	statMu  sync.Mutex
-	cpuBusy time.Duration // virtual CPU time charged (all CPUs)
-
-	start time.Time
+	// mu guards everything below. It is never held across a park: the
+	// baton, not the mutex, serializes the simulated goroutines.
+	mu       sync.Mutex
+	now      time.Duration   // virtual time since epoch
+	cpuFree  []time.Duration // per CPU: when the last slice granted on it ends
+	diskFree time.Duration   // when the last disk request granted ends
+	procs    []*proc         // live simulated goroutines, in spawn order
+	spawned  int             // simulated goroutines ever started: the next id
+	running  *proc           // the baton holder; nil outside Run
+	done     chan struct{}   // closed when the current Run's last goroutine exits
+	disk     DiskStats
+	cpuBusy  time.Duration // virtual CPU time charged (all CPUs)
 }
 
-// New creates a machine for the given spec running at the given time scale:
-// wall-clock seconds consumed per virtual second. Scale 1.0 runs in real
-// time; 0.02 runs fifty times faster. Scale must be positive.
-func New(spec Spec, scale float64) *Machine {
-	if scale <= 0 {
-		panic("platform: non-positive time scale")
-	}
+// proc is one simulated goroutine.
+type proc struct {
+	id     int           // spawn order: the tie-break between equal times
+	baton  chan struct{} // the baton arrives here (capacity 1)
+	parked bool
+	at     time.Duration   // parked in a charge: runnable from this time
+	ch     <-chan struct{} // parked in Wait: runnable once ch is closed
+}
+
+// New creates a machine for the given spec at virtual time zero. The spec
+// needs at least one CPU and a positive quantum.
+func New(spec Spec) *Machine {
 	if spec.NumCPU < 1 {
 		panic("platform: spec needs at least one CPU")
 	}
-	m := &Machine{
-		spec:  spec,
-		scale: scale,
-		cpu:   make(chan struct{}, spec.NumCPU),
-		start: time.Now(),
+	if spec.Quantum <= 0 {
+		panic("platform: spec needs a positive quantum")
 	}
-	for i := 0; i < spec.NumCPU; i++ {
-		m.cpu <- struct{}{}
-	}
-	return m
+	return &Machine{spec: spec, cpuFree: make([]time.Duration, spec.NumCPU)}
 }
 
 // Spec returns the machine's platform description.
 func (m *Machine) Spec() Spec { return m.spec }
 
-// Scale returns the wall-seconds-per-virtual-second factor.
-func (m *Machine) Scale() float64 { return m.scale }
+// Now reads the virtual clock: a fixed epoch plus the virtual time elapsed
+// on this machine.
+func (m *Machine) Now() time.Time {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return epoch.Add(m.now)
+}
 
-// sleepVirtual blocks for d of virtual time.
-func (m *Machine) sleepVirtual(d time.Duration) {
-	if d <= 0 {
+// Run runs fn as a simulated goroutine on the calling goroutine and returns
+// once fn and every goroutine it started with Go have returned. Runs on one
+// machine follow each other, and virtual time carries over between them.
+// Rather than hang, Run panics when the simulation stalls: no goroutine can
+// run and no charge is pending, so every live goroutine waits on a channel
+// that none of them will close.
+func (m *Machine) Run(fn func()) {
+	m.mu.Lock()
+	if m.done != nil {
+		m.mu.Unlock()
+		panic("platform: Run while the machine is running")
+	}
+	done := make(chan struct{})
+	m.done = done
+	p := m.spawnLocked()
+	m.wakeLocked(p)
+	m.mu.Unlock()
+	m.runProc(p, fn)
+	<-done
+}
+
+// Go starts fn as a simulated goroutine, runnable at the current virtual
+// time after every goroutine started before it. The caller keeps the baton.
+func (m *Machine) Go(fn func()) {
+	m.mu.Lock()
+	if m.running == nil {
+		m.mu.Unlock()
+		panic("platform: Go outside Run")
+	}
+	p := m.spawnLocked()
+	m.mu.Unlock()
+	go func() {
+		<-p.baton
+		m.runProc(p, fn)
+	}()
+}
+
+// runProc runs fn as p and retires p once fn returns or calls
+// runtime.Goexit. A panic leaves p live: the simulation is over.
+func (m *Machine) runProc(p *proc, fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(r)
+		}
+		m.exit(p)
+	}()
+	fn()
+}
+
+// Wait blocks the calling simulated goroutine until ch is closed. Only this
+// machine's simulated goroutines may close ch, and nothing may be sent on
+// it: the machine learns of the wake-up by polling the channel.
+func (m *Machine) Wait(ch <-chan struct{}) {
+	select {
+	case <-ch:
+		return
+	default:
+	}
+	m.mu.Lock()
+	p := m.running
+	p.ch = ch
+	m.parkLocked(p)
+	m.mu.Unlock()
+}
+
+func (m *Machine) spawnLocked() *proc {
+	p := &proc{id: m.spawned, baton: make(chan struct{}, 1), parked: true, at: m.now}
+	m.spawned++
+	m.procs = append(m.procs, p)
+	return p
+}
+
+// parkLocked parks p, the baton holder, until the event in p.at or p.ch,
+// passes the baton on, and returns — with m.mu held again — once the baton
+// is back.
+func (m *Machine) parkLocked(p *proc) {
+	p.parked = true
+	next := m.nextLocked()
+	if next == p {
 		return
 	}
-	time.Sleep(time.Duration(float64(d) * m.scale))
+	m.mu.Unlock()
+	next.baton <- struct{}{}
+	<-p.baton
+	m.mu.Lock()
+}
+
+// exit retires p, the baton holder, and passes the baton on; the last
+// goroutine to exit ends the Run.
+func (m *Machine) exit(p *proc) {
+	m.mu.Lock()
+	m.procs = slices.DeleteFunc(m.procs, func(q *proc) bool { return q == p })
+	if len(m.procs) == 0 {
+		m.running = nil
+		close(m.done)
+		m.done = nil
+		m.mu.Unlock()
+		return
+	}
+	next := m.nextLocked()
+	m.mu.Unlock()
+	next.baton <- struct{}{}
+}
+
+// nextLocked picks the next baton holder: the first parked goroutine in
+// spawn order that can run at the current time, after advancing the clock
+// to the earliest pending charge if none can. It panics with the parked set
+// when nothing will ever run again.
+func (m *Machine) nextLocked() *proc {
+	for {
+		var soonest *proc
+		for _, p := range m.procs {
+			switch {
+			case !p.parked:
+			case p.ch != nil:
+				select {
+				case <-p.ch:
+					return m.wakeLocked(p)
+				default:
+				}
+			case p.at <= m.now:
+				return m.wakeLocked(p)
+			case soonest == nil || p.at < soonest.at:
+				soonest = p
+			}
+		}
+		if soonest == nil {
+			msg := m.stallLocked()
+			m.mu.Unlock()
+			panic(msg)
+		}
+		m.now = soonest.at
+	}
+}
+
+func (m *Machine) wakeLocked(p *proc) *proc {
+	p.parked, p.ch = false, nil
+	m.running = p
+	return p
+}
+
+func (m *Machine) stallLocked() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "platform: simulation stalled at %v with no charge pending; parked in Wait:", m.now)
+	for _, p := range m.procs {
+		fmt.Fprintf(&b, " goroutine %d", p.id)
+	}
+	return b.String()
+}
+
+// sleepLocked parks the baton holder until virtual time t.
+func (m *Machine) sleepLocked(t time.Duration) {
+	if t <= m.now {
+		return
+	}
+	p := m.running
+	p.at = t
+	m.parkLocked(p)
 }
 
 // Compute occupies one CPU for d of virtual time at CPUSpeed 1.0, scaled by
-// the machine's CPU speed, in preemptive round-robin quanta. With more
-// runnable tasks than CPUs, tasks interleave and each takes proportionally
-// longer, as on a real timesharing kernel.
+// the machine's CPU speed, in round-robin quanta. With more runnable
+// goroutines than CPUs, each takes proportionally longer, as on a real
+// timesharing kernel.
 func (m *Machine) Compute(d time.Duration) {
 	m.compute(d, m.spec.CPUSpeed)
 }
@@ -180,11 +351,24 @@ func (m *Machine) ComputeRender(d time.Duration) {
 // Decode charges the CPU-side cost of decoding n bytes of scientific-format
 // file data (the paper's HDF overhead). It runs on a CPU like any compute.
 func (m *Machine) Decode(n int64) {
+	m.decode(n, m.spec.DecodeRate)
+}
+
+// DecodeRaw charges the (much smaller) CPU cost of reading n bytes of plain
+// binary data: essentially memory copies.
+func (m *Machine) DecodeRaw(n int64) {
+	rate := m.spec.RawDecodeRate
+	if rate <= 0 {
+		rate = m.spec.DecodeRate
+	}
+	m.decode(n, rate)
+}
+
+func (m *Machine) decode(n int64, rate float64) {
 	if n <= 0 {
 		return
 	}
-	d := time.Duration(float64(n) / m.spec.DecodeRate * float64(time.Second))
-	m.compute(d, m.spec.CPUSpeed)
+	m.compute(time.Duration(float64(n)/rate*float64(time.Second)), m.spec.CPUSpeed)
 }
 
 func (m *Machine) compute(d time.Duration, speed float64) {
@@ -192,85 +376,72 @@ func (m *Machine) compute(d time.Duration, speed float64) {
 		return
 	}
 	remaining := time.Duration(float64(d) / speed)
-	m.addCPUBusy(remaining)
+	m.mu.Lock()
+	m.cpuBusy += remaining
 	for remaining > 0 {
-		slice := m.spec.Quantum
-		if slice > remaining {
-			slice = remaining
+		slice := min(remaining, m.spec.Quantum)
+		m.onCPULocked(slice)
+		remaining -= slice
+	}
+	m.mu.Unlock()
+}
+
+// onCPULocked runs one slice on the CPU that frees first and parks the
+// caller until the slice ends. Slices are granted in request order, so a
+// request that finds every CPU taken queues behind the slices granted before
+// it — round-robin at quantum granularity — and pays CtxSwitch on top.
+func (m *Machine) onCPULocked(slice time.Duration) {
+	cpu := 0
+	for i, free := range m.cpuFree {
+		if free < m.cpuFree[cpu] {
+			cpu = i
 		}
-		slice += m.acquireCPU()
-		m.sleepVirtual(slice)
-		m.releaseCPU()
-		remaining -= m.spec.Quantum
 	}
-}
-
-// acquireCPU takes a CPU token, returning the context-switch penalty when
-// the acquisition had to wait.
-func (m *Machine) acquireCPU() time.Duration {
-	select {
-	case <-m.cpu:
-		return 0
-	default:
-		<-m.cpu
-		return m.spec.CtxSwitch
+	start := max(m.now, m.cpuFree[cpu])
+	if start > m.now {
+		slice += m.spec.CtxSwitch
 	}
-}
-
-func (m *Machine) releaseCPU() { m.cpu <- struct{}{} }
-
-func (m *Machine) addCPUBusy(d time.Duration) {
-	m.statMu.Lock()
-	m.cpuBusy += d
-	m.statMu.Unlock()
-}
-
-// recordDisk updates the disk counters without occupying the disk.
-func (m *Machine) recordDisk(bytes, seeks, opens int64, busy time.Duration) {
-	m.diskMu.Lock()
-	m.disk.Bytes += bytes
-	m.disk.Seeks += seeks
-	m.disk.Opens += opens
-	m.disk.Busy += busy
-	m.diskMu.Unlock()
+	m.cpuFree[cpu] = start + slice
+	m.sleepLocked(start + slice)
 }
 
 // DiskRead occupies the disk for the transfer of n bytes plus the given
-// number of seeks. The disk is a single serialized resource: concurrent
-// readers queue, as on the paper's single-spindle testbeds. Disk transfers
-// do not occupy a CPU (DMA); callers charge Decode separately for the
-// CPU-side share of input cost.
+// number of seeks. The disk is a single FIFO server: concurrent readers
+// queue, as on the paper's single-spindle testbeds. Disk transfers do not
+// occupy a CPU (DMA); callers charge Decode separately for the CPU-side
+// share of input cost.
 func (m *Machine) DiskRead(n int64, seeks int) {
 	d := time.Duration(float64(n) / m.spec.DiskBandwidth * float64(time.Second))
 	d += time.Duration(seeks) * m.spec.DiskSeek
-	m.diskMu.Lock()
+	m.mu.Lock()
 	m.disk.Bytes += n
 	m.disk.Seeks += int64(seeks)
-	m.disk.Busy += d
-	// lint:ignore deadlockcheck sleeping under diskMu is the disk model:
-	// the mutex IS the single spindle, and queueing behind it is the
-	// contention the paper measured. diskMu is a leaf in the lock order.
-	m.sleepVirtual(d)
-	m.diskMu.Unlock()
+	m.onDiskLocked(d)
+	m.mu.Unlock()
 }
 
 // DiskOpen occupies the disk for one file-open overhead.
 func (m *Machine) DiskOpen() {
-	m.diskMu.Lock()
+	m.mu.Lock()
 	m.disk.Opens++
-	m.disk.Busy += m.spec.DiskOpen
-	// lint:ignore deadlockcheck sleeping under diskMu models the serialized
-	// disk (see DiskRead); diskMu is a leaf in the lock order.
-	m.sleepVirtual(m.spec.DiskOpen)
-	m.diskMu.Unlock()
+	m.onDiskLocked(m.spec.DiskOpen)
+	m.mu.Unlock()
+}
+
+// onDiskLocked serves a request of d after the requests granted before it
+// and parks the caller until it completes.
+func (m *Machine) onDiskLocked(d time.Duration) {
+	m.disk.Busy += d
+	m.diskFree = max(m.now, m.diskFree) + d
+	m.sleepLocked(m.diskFree)
 }
 
 // Disk returns a snapshot of the disk counters.
 //
 //godiva:noalloc
 func (m *Machine) Disk() DiskStats {
-	m.diskMu.Lock()
-	defer m.diskMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.disk
 }
 
@@ -278,55 +449,36 @@ func (m *Machine) Disk() DiskStats {
 //
 //godiva:noalloc
 func (m *Machine) CPUBusy() time.Duration {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.cpuBusy
 }
 
-// Elapsed returns the virtual time since the machine was created.
-func (m *Machine) Elapsed() time.Duration {
-	return time.Duration(float64(time.Since(m.start)) / m.scale)
-}
-
-// Virtual converts a wall-clock duration measured while this machine ran
-// into virtual time.
-func (m *Machine) Virtual(wall time.Duration) time.Duration {
-	return time.Duration(float64(wall) / m.scale)
-}
-
-// Load runs a compute-intensive competing process (the paper's TG1
+// Load starts a compute-intensive competing process (the paper's TG1
 // configuration ran one alongside Voyager to occupy the second processor).
-// It queues for the CPU like any thread but runs at a duty cycle below
-// 100%, the effective share a pure spinner gets from a timesharing kernel
-// once the scheduler's dynamic priorities boost the sleep-heavy threads
-// (the main thread between waits, the I/O thread after disk transfers). The
-// result is the paper's TG1 behavior: Voyager's computation visibly slows,
-// while the I/O thread still keeps up and hiding survives.
+// It queues for a CPU like any goroutine but runs at a duty cycle below
+// 100% — one quantum on a CPU, half a quantum off — the effective share a
+// pure spinner gets from a timesharing kernel once the scheduler's dynamic
+// priorities boost the sleep-heavy threads (the main thread between waits,
+// the I/O thread after disk transfers). The result is the paper's TG1
+// behavior: Voyager's computation visibly slows, while the I/O thread still
+// keeps up and hiding survives. The process exits at its first pause after
+// stop is called; until then the Run it belongs to cannot end.
 func (m *Machine) Load() (stop func()) {
 	done := make(chan struct{})
-	exited := make(chan struct{})
-	slice := m.spec.Quantum
-	if ms := time.Duration(1.5e6 / m.scale); ms > slice { // >= 1.5ms of wall
-		slice = ms
-	}
-	go func() {
-		defer close(exited)
+	m.Go(func() {
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			<-m.cpu
-			m.sleepVirtual(slice)
-			m.cpu <- struct{}{}
-			m.addCPUBusy(slice)
-			// Off-CPU pause: the spinner's lost share of the machine.
-			m.sleepVirtual(slice / 2)
+			m.mu.Lock()
+			m.cpuBusy += m.spec.Quantum
+			m.onCPULocked(m.spec.Quantum)
+			m.sleepLocked(m.now + m.spec.Quantum/2)
+			m.mu.Unlock()
 		}
-	}()
-	return func() {
-		close(done)
-		<-exited
-	}
+	})
+	return func() { close(done) }
 }

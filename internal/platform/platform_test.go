@@ -1,12 +1,13 @@
 package platform
 
 import (
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
 
-// testSpec is a fast, deterministic spec for unit tests.
+// testSpec is a small spec for unit tests: a 5 ms quantum and no
+// context-switch charge unless a test sets one.
 func testSpec(ncpu int) Spec {
 	return Spec{
 		Name:          "test",
@@ -22,119 +23,108 @@ func testSpec(ncpu int) Spec {
 	}
 }
 
-// wallTime runs fn and returns its wall-clock duration.
-func wallTime(fn func()) time.Duration {
-	t0 := time.Now()
-	fn()
-	return time.Since(t0)
+// run runs fns as simulated goroutines on m, in order, and returns the
+// virtual time each one finished at.
+func run(m *Machine, fns ...func()) []time.Duration {
+	start := m.Now()
+	ends := make([]time.Duration, len(fns))
+	m.Run(func() {
+		for i, fn := range fns {
+			m.Go(func() {
+				fn()
+				ends[i] = m.Now().Sub(start)
+			})
+		}
+	})
+	return ends
 }
 
-// within checks d is in [lo, hi]; timing tests use wide tolerances so they
-// stay robust on loaded hosts.
-func within(t *testing.T, what string, d, lo, hi time.Duration) {
+func wantEnds(t *testing.T, what string, got []time.Duration, want ...time.Duration) {
 	t.Helper()
-	if d < lo || d > hi {
-		t.Fatalf("%s took %v, want within [%v, %v]", what, d, lo, hi)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: goroutines ended at %v, want %v", what, got, want)
+		}
 	}
 }
 
 func TestComputeDuration(t *testing.T) {
-	m := New(testSpec(1), 1.0)
-	d := wallTime(func() { m.Compute(60 * time.Millisecond) })
-	within(t, "Compute(60ms)", d, 50*time.Millisecond, 160*time.Millisecond)
-	if got := m.CPUBusy(); got < 60*time.Millisecond {
-		t.Fatalf("CPUBusy = %v, want >= 60ms", got)
+	m := New(testSpec(1))
+	wantEnds(t, "Compute(60ms)", run(m, func() { m.Compute(60 * time.Millisecond) }), 60*time.Millisecond)
+	if got := m.CPUBusy(); got != 60*time.Millisecond {
+		t.Fatalf("CPUBusy = %v, want 60ms", got)
 	}
 }
 
 func TestComputeSpeedScaling(t *testing.T) {
 	spec := testSpec(1)
 	spec.CPUSpeed = 2.0 // twice as fast: 80ms of work takes 40ms
-	m := New(spec, 1.0)
-	d := wallTime(func() { m.Compute(80 * time.Millisecond) })
-	within(t, "Compute at 2x speed", d, 30*time.Millisecond, 90*time.Millisecond)
+	m := New(spec)
+	wantEnds(t, "Compute at 2x speed", run(m, func() { m.Compute(80 * time.Millisecond) }), 40*time.Millisecond)
 }
 
 func TestRenderSpeedSeparate(t *testing.T) {
-	m := New(testSpec(1), 1.0) // RenderSpeed 2.0
-	d := wallTime(func() { m.ComputeRender(80 * time.Millisecond) })
-	within(t, "ComputeRender at 2x", d, 30*time.Millisecond, 90*time.Millisecond)
+	m := New(testSpec(1)) // RenderSpeed 2.0
+	wantEnds(t, "ComputeRender at 2x", run(m, func() { m.ComputeRender(80 * time.Millisecond) }), 40*time.Millisecond)
 }
 
+// Virtual time costs no wall time: ten seconds of compute, two thousand
+// quanta, finish at once.
 func TestTimeScale(t *testing.T) {
-	m := New(testSpec(1), 0.1) // 10x faster than real time
-	d := wallTime(func() { m.Compute(200 * time.Millisecond) })
-	within(t, "Compute(200ms virtual at 0.1 scale)", d, 15*time.Millisecond, 80*time.Millisecond)
-	if v := m.Virtual(20 * time.Millisecond); v != 200*time.Millisecond {
-		t.Fatalf("Virtual(20ms) = %v, want 200ms", v)
+	m := New(testSpec(1))
+	t0 := time.Now()
+	wantEnds(t, "Compute(10s)", run(m, func() { m.Compute(10 * time.Second) }), 10*time.Second)
+	if wall := time.Since(t0); wall >= 100*time.Millisecond {
+		t.Fatalf("10s of virtual compute took %v of wall time", wall)
 	}
 }
 
-// Two tasks on one CPU must serialize (round-robin): combined wall time is
-// about the sum of their demands. On two CPUs they run in parallel.
+// Two goroutines on one CPU alternate quanta: after the first, every slice
+// had to wait and pays a context switch, so two 60ms computes (12 quanta
+// each) end at 120ms plus 23 switches. On two CPUs they run in parallel.
 func TestCPUContention(t *testing.T) {
-	run := func(ncpu int) time.Duration {
-		m := New(testSpec(ncpu), 1.0)
-		var wg sync.WaitGroup
-		return wallTime(func() {
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					m.Compute(60 * time.Millisecond)
-				}()
-			}
-			wg.Wait()
-		})
+	contend := func(ncpu int) []time.Duration {
+		spec := testSpec(ncpu)
+		spec.CtxSwitch = time.Millisecond
+		m := New(spec)
+		work := func() { m.Compute(60 * time.Millisecond) }
+		return run(m, work, work)
 	}
-	serial := run(1)
-	parallel := run(2)
-	within(t, "2 tasks on 1 CPU", serial, 100*time.Millisecond, 250*time.Millisecond)
-	within(t, "2 tasks on 2 CPUs", parallel, 50*time.Millisecond, 110*time.Millisecond)
-	if parallel >= serial {
-		t.Fatalf("no speedup from second CPU: 1cpu=%v 2cpu=%v", serial, parallel)
-	}
+	wantEnds(t, "2 goroutines on 1 CPU", contend(1), 137*time.Millisecond, 143*time.Millisecond)
+	wantEnds(t, "2 goroutines on 2 CPUs", contend(2), 60*time.Millisecond, 60*time.Millisecond)
 }
 
-// Disk transfers must not occupy a CPU: a compute task and a disk read on a
+// Disk transfers must not occupy a CPU: a compute and a disk read on a
 // one-CPU machine overlap fully.
 func TestDiskOverlapsCompute(t *testing.T) {
-	m := New(testSpec(1), 1.0)
-	var wg sync.WaitGroup
-	d := wallTime(func() {
-		wg.Add(2)
-		go func() { defer wg.Done(); m.Compute(80 * time.Millisecond) }()
-		go func() { defer wg.Done(); m.DiskRead(8_000_000, 0) }() // 80ms at 100MB/s
-		wg.Wait()
-	})
-	within(t, "compute||disk on 1 CPU", d, 70*time.Millisecond, 150*time.Millisecond)
+	m := New(testSpec(1))
+	ends := run(m,
+		func() { m.Compute(80 * time.Millisecond) },
+		func() { m.DiskRead(8_000_000, 0) }, // 80ms at 100MB/s
+	)
+	wantEnds(t, "compute||disk on 1 CPU", ends, 80*time.Millisecond, 80*time.Millisecond)
 }
 
-// Two disk readers serialize on the single spindle.
+// Two disk readers serialize on the single spindle, in request order.
 func TestDiskSerializes(t *testing.T) {
-	m := New(testSpec(2), 1.0)
-	var wg sync.WaitGroup
-	d := wallTime(func() {
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); m.DiskRead(5_000_000, 0) }() // 50ms each
-			wg.Wait()
-		}
-	})
-	within(t, "2 serialized disk reads", d, 95*time.Millisecond, 300*time.Millisecond)
+	m := New(testSpec(2))
+	read := func() { m.DiskRead(5_000_000, 0) } // 50ms each
+	wantEnds(t, "2 disk reads", run(m, read, read), 50*time.Millisecond, 100*time.Millisecond)
 	stats := m.Disk()
 	if stats.Bytes != 10_000_000 {
 		t.Fatalf("Disk.Bytes = %d, want 10000000", stats.Bytes)
 	}
-	if stats.Busy < 100*time.Millisecond {
-		t.Fatalf("Disk.Busy = %v, want >= 100ms", stats.Busy)
+	if stats.Busy != 100*time.Millisecond {
+		t.Fatalf("Disk.Busy = %v, want 100ms", stats.Busy)
 	}
 }
 
 func TestDiskSeekAndOpenAccounting(t *testing.T) {
-	m := New(testSpec(1), 0.1)
-	m.DiskRead(1_000_000, 3)
-	m.DiskOpen()
+	m := New(testSpec(1))
+	ends := run(m, func() {
+		m.DiskRead(1_000_000, 3)
+		m.DiskOpen()
+	})
 	s := m.Disk()
 	if s.Seeks != 3 || s.Opens != 1 || s.Bytes != 1_000_000 {
 		t.Fatalf("disk stats = %+v", s)
@@ -143,13 +133,17 @@ func TestDiskSeekAndOpenAccounting(t *testing.T) {
 	if s.Busy != wantBusy {
 		t.Fatalf("Disk.Busy = %v, want %v", s.Busy, wantBusy)
 	}
+	wantEnds(t, "read+open", ends, wantBusy)
 }
 
 func TestDecodeChargesCPU(t *testing.T) {
-	m := New(testSpec(1), 1.0)
-	d := wallTime(func() { m.Decode(2_500_000) }) // 50ms at 50MB/s
-	within(t, "Decode(2.5MB)", d, 40*time.Millisecond, 120*time.Millisecond)
-	if m.Decode(0); m.CPUBusy() < 50*time.Millisecond {
+	m := New(testSpec(1))
+	ends := run(m, func() {
+		m.Decode(2_500_000) // 50ms at 50MB/s
+		m.Decode(0)
+	})
+	wantEnds(t, "Decode(2.5MB)", ends, 50*time.Millisecond)
+	if m.CPUBusy() != 50*time.Millisecond {
 		t.Fatalf("CPUBusy = %v after decode", m.CPUBusy())
 	}
 }
@@ -157,62 +151,78 @@ func TestDecodeChargesCPU(t *testing.T) {
 // The paper's key effect: on one CPU a background decode steals cycles from
 // computation (they serialize); on two CPUs the decode hides behind it.
 func TestDecodeContentionMatchesPaperEffect(t *testing.T) {
-	run := func(ncpu int) time.Duration {
-		m := New(testSpec(ncpu), 1.0)
-		var wg sync.WaitGroup
-		return wallTime(func() {
-			wg.Add(2)
-			go func() { defer wg.Done(); m.Compute(70 * time.Millisecond) }()
-			go func() { defer wg.Done(); m.Decode(3_500_000) }() // 70ms of CPU
-			wg.Wait()
-		})
+	contend := func(ncpu int) []time.Duration {
+		m := New(testSpec(ncpu))
+		return run(m,
+			func() { m.Compute(70 * time.Millisecond) },
+			func() { m.Decode(3_500_000) }, // 70ms of CPU
+		)
 	}
-	// Real wall-clock bounds on a host that is also running the rest of the
-	// suite (go test runs package binaries in parallel) can stretch past
-	// their budgets from scheduler latency alone; require one clean
-	// measurement out of a few attempts rather than a single lucky one.
-	var one, two time.Duration
-	for try := 0; try < 4; try++ {
-		one = run(1)
-		two = run(2)
-		if one >= 120*time.Millisecond && two <= 115*time.Millisecond {
-			return
-		}
-	}
-	if one < 120*time.Millisecond {
-		t.Fatalf("decode hid behind compute on a single CPU: %v", one)
-	}
-	t.Fatalf("decode failed to hide on a dual CPU: %v", two)
+	wantEnds(t, "compute||decode on 1 CPU", contend(1), 135*time.Millisecond, 140*time.Millisecond)
+	wantEnds(t, "compute||decode on 2 CPUs", contend(2), 70*time.Millisecond, 70*time.Millisecond)
 }
 
+// The competing process runs one quantum on, half a quantum off, and exits
+// at its first pause after stop: Run returning is the proof it left.
 func TestLoadStops(t *testing.T) {
-	m := New(testSpec(2), 0.05)
-	stop := m.Load()
-	time.Sleep(20 * time.Millisecond)
-	stop() // must return promptly and not leak the goroutine
-	busy := m.CPUBusy()
-	if busy == 0 {
-		t.Fatal("load generator consumed no CPU")
+	m := New(testSpec(2))
+	m.Run(func() {
+		stop := m.Load()
+		m.DiskRead(2_000_000, 0) // 20ms off-CPU: the load's quanta at 0, 7.5 and 15ms
+		stop()
+	})
+	if got := m.CPUBusy(); got != 15*time.Millisecond {
+		t.Fatalf("load consumed %v of CPU, want 15ms", got)
 	}
-	time.Sleep(20 * time.Millisecond)
-	if got := m.CPUBusy(); got != busy {
-		t.Fatalf("load generator still running after stop: %v -> %v", busy, got)
+	if got := m.Now().Sub(New(testSpec(2)).Now()); got != 22500*time.Microsecond {
+		t.Fatalf("load exited at %v, want its pause ending at 22.5ms", got)
 	}
 }
 
+// Now is the same fixed epoch on every new machine and moves only by what is
+// charged.
 func TestElapsedUsesScale(t *testing.T) {
-	m := New(testSpec(1), 0.01)
-	time.Sleep(10 * time.Millisecond)
-	if e := m.Elapsed(); e < 500*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want about 1s of virtual time", e)
+	m := New(testSpec(1))
+	epoch := New(Turing).Now()
+	if got := m.Now(); !got.Equal(epoch) {
+		t.Fatalf("new machine reads %v, another %v", got, epoch)
+	}
+	var inside time.Time
+	m.Run(func() {
+		m.DiskOpen()
+		inside = m.Now()
+	})
+	if got := inside.Sub(epoch); got != 5*time.Millisecond {
+		t.Fatalf("Now after one open = epoch + %v, want + 5ms", got)
+	}
+	if got := m.Now(); !got.Equal(inside) {
+		t.Fatalf("Now outside the run %v, inside %v", got, inside)
 	}
 }
 
 func TestNewPanicsOnBadArgs(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with zero scale did not panic")
+			t.Fatal("New with no CPU did not panic")
 		}
 	}()
-	New(testSpec(1), 0)
+	New(testSpec(0))
+}
+
+// A simulation in which every goroutine waits on a channel nobody will close
+// panics, naming the parked goroutines, instead of hanging.
+func TestStalledSimulationPanics(t *testing.T) {
+	m := New(testSpec(1))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "stalled at 1ms") || !strings.Contains(msg, "goroutine 0 goroutine 1") {
+			t.Fatalf("recovered %q, want a stall report at 1ms naming goroutines 0 and 1", msg)
+		}
+	}()
+	m.Run(func() {
+		m.Go(func() { m.Wait(make(chan struct{})) })
+		m.Compute(time.Millisecond)
+		m.Wait(make(chan struct{}))
+	})
+	t.Fatal("stalled Run returned")
 }

@@ -9,9 +9,9 @@ import (
 
 // Per-primitive compute costs of the visualization pipeline, in virtual time
 // at CPUSpeed 1.0 (Engle's 2.0 GHz Pentium 4). Experiments run on a
-// geometrically reduced mesh, so the real Go computation stays negligible in
-// scaled wall time, and charge these costs times the full-scale primitive
-// counts to the simulated platform. Values are calibrated so the three
+// geometrically reduced mesh, whose real Go computation costs no virtual
+// time, and charge these costs times the full-scale primitive counts to the
+// simulated platform. Values are calibrated so the three
 // tests' computation-to-I/O ratios land where the paper's evaluation puts
 // them (simple lowest, complex highest, with computation of the same order
 // as input cost).
@@ -40,41 +40,31 @@ func opCellCost(k OpKind) time.Duration {
 	}
 }
 
-// charger charges scaled compute costs to a platform task; a nil task
-// charges nothing (examples run uncharged).
+// charger charges scaled compute costs to a simulated platform; a nil
+// machine charges nothing (examples run uncharged).
 type charger struct {
-	t     *platform.Task
+	m     *platform.Machine
 	scale float64 // full-scale primitives per actual primitive
 }
 
 func (c charger) compute(per time.Duration, count int) {
-	if c.t == nil || count <= 0 {
+	if c.m == nil || count <= 0 {
 		return
 	}
 	s := c.scale
 	if s < 1 {
 		s = 1
 	}
-	c.t.Compute(time.Duration(float64(per) * float64(count) * s))
-}
-
-// occupy runs real (unscaled) pipeline work holding a simulated CPU, so
-// background decode cannot hide beneath it.
-func (c charger) occupy(fn func()) {
-	if c.t == nil {
-		fn()
-		return
-	}
-	c.t.Occupy(fn)
+	c.m.Compute(time.Duration(float64(per) * float64(count) * s))
 }
 
 func (c charger) render(s *vis.TriSurface) {
-	if c.t == nil || s == nil || s.NumTris() == 0 {
+	if c.m == nil || s == nil || s.NumTris() == 0 {
 		return
 	}
 	sc := c.scale
 	if sc < 1 {
 		sc = 1
 	}
-	c.t.ComputeRender(time.Duration(float64(costRasterPerTri) * float64(s.NumTris()) * sc))
+	c.m.ComputeRender(time.Duration(float64(costRasterPerTri) * float64(s.NumTris()) * sc))
 }

@@ -95,7 +95,7 @@ func Follow(cfg FollowConfig) (*FollowResult, error) {
 		ImageDir: cfg.ImageDir,
 		Width:    cfg.Width,
 		Height:   cfg.Height,
-	}).newPipeline(nil)
+	}).newPipeline()
 	// Per-snapshot shape learned from the stream itself, so a follower of an
 	// initially empty ingest server needs no a-priori spec. filesPerStep is
 	// only a lower bound (max file index seen + 1) until confirmed: an event

@@ -195,7 +195,7 @@ func TestFrameAsksSourceOncePerSnapshot(t *testing.T) {
 				{Kind: OpSlice, Var: "stress_avg", PlaneFrac: 0.3}, {Kind: OpCut, Var: "stress_avg", PlaneFrac: 0.6}}}
 		}
 		cfg := Config{Test: test, Spec: spec, Dir: dir, Width: 32, Height: 24}
-		p := cfg.newPipeline(nil)
+		p := cfg.newPipeline()
 		for step := 0; step < 2; step++ {
 			var ioWall time.Duration
 			o, err := openOSource(&genx.Reader{}, cfg, step, &ioWall)

@@ -177,9 +177,6 @@ func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 				}
 			}
 		}
-		// Pay deferred platform charges inside the unit read, so unit
-		// completion (and any WaitUnit blocked on it) sees the full cost.
-		reader.Flush()
 		return nil
 	}
 }
@@ -370,12 +367,17 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 	// Deferred first, so it runs after the database has released every unit.
 	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale, Mapped: true}
 	defer reader.Close()
-	db := core.Open(core.Options{
+	opts := core.Options{
 		MemoryLimit:  cfg.memoryLimit(),
 		BackgroundIO: background,
 		IOWorkers:    workers,
 		TraceUnits:   cfg.TraceUnits,
-	})
+	}
+	if cfg.Machine != nil {
+		// Set only with a machine: a nil *Machine would be a non-nil Clock.
+		opts.Clock = cfg.Machine
+	}
+	db := core.Open(opts)
 	defer db.Close()
 	if cfg.Remote != nil {
 		db.RegisterStatsSource("remote", func() any { return cfg.Remote.Stats() })
@@ -409,8 +411,7 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 	for b := range names {
 		names[b] = genx.BlockID(b)
 	}
-	task := cfg.mainTask()
-	p := cfg.newPipeline(task)
+	p := cfg.newPipeline()
 	for i := 0; i < nsnap; i++ {
 		s := cfg.FirstSnapshot + i
 		units := snapUnits(s)
@@ -430,12 +431,9 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 			}
 		}
 	}
-	if task != nil {
-		task.Flush()
-	}
 	res.Images = p.images
 	res.DB = db.Stats()
 	res.Events = db.UnitEvents()
-	res.VisibleIO = cfg.virtual(res.DB.VisibleWait)
+	res.VisibleIO = res.DB.VisibleWait
 	return res, nil
 }

@@ -86,7 +86,7 @@ func TestFollowFailedRenderDropsUnits(t *testing.T) {
 		st.files[f] = true
 	}
 	maxBlocks := 0
-	p := (&Config{Test: vt, ImageDir: brokenImageDir(t), Width: 64, Height: 48}).newPipeline(nil)
+	p := (&Config{Test: vt, ImageDir: brokenImageDir(t), Width: 64, Height: 48}).newPipeline()
 	if _, err := renderFollowStep(db, p, 0, st, &maxBlocks); err == nil {
 		t.Fatal("renderFollowStep with an uncreatable ImageDir succeeded")
 	}
@@ -118,7 +118,7 @@ func TestFollowFailedWaitDropsAcquired(t *testing.T) {
 		st.files[f] = true
 	}
 	maxBlocks := 0
-	p := (&Config{Test: vt}).newPipeline(nil)
+	p := (&Config{Test: vt}).newPipeline()
 	if _, err := renderFollowStep(db, p, 0, st, &maxBlocks); err == nil {
 		t.Fatal("renderFollowStep with a failing unit read succeeded")
 	}

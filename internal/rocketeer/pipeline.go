@@ -155,11 +155,7 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 		}
 		scalars[i] = ns
 		if op.Kind == OpSurface && len(fr.ends) == i {
-			// Building topology (the O build; a session view) and gathering
-			// the block's surface over it is pipeline work like the
-			// geometry below.
-			p.ch.occupy(func() { err = fr.appendSurface(src, name, m) })
-			if err != nil {
+			if err := fr.appendSurface(src, name, m); err != nil {
 				return fmt.Errorf("block %s surface: %w", name, err)
 			}
 		}
@@ -180,26 +176,22 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 		}
 	}
 	for i, m := range fr.meshes {
-		var err error
-		p.ch.occupy(func() { err = p.appendGeometry(agg, op, i, scalars[i], lo, hi) })
-		if err != nil {
+		if err := p.appendGeometry(agg, op, i, scalars[i], lo, hi); err != nil {
 			return err
 		}
 		p.ch.compute(opCellCost(op.Kind), m.NumCells())
 	}
 
-	var drawErr error
-	p.ch.occupy(func() {
-		if op.Kind == OpSurface && fr.drawn {
-			drawErr = p.renderer.Recolor(agg.Scalars, p.lut, lo, hi)
-			return
-		}
+	var err error
+	if op.Kind == OpSurface && fr.drawn {
+		err = p.renderer.Recolor(agg.Scalars, p.lut, lo, hi)
+	} else {
 		p.renderer.Clear()
-		drawErr = p.renderer.DrawSurface(agg, render.DefaultCamera(fr.lo, fr.hi), p.lut, lo, hi)
+		err = p.renderer.DrawSurface(agg, render.DefaultCamera(fr.lo, fr.hi), p.lut, lo, hi)
 		fr.drawn = op.Kind == OpSurface && agg.NumTris() > 0
-	})
-	if drawErr != nil {
-		return drawErr
+	}
+	if err != nil {
+		return err
 	}
 	p.ch.render(agg)
 	p.images++
@@ -219,17 +211,12 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 // node vectors, cell-to-point averaging for element scalars.
 func (p *snapshotPipeline) nodeScalar(m *mesh.TetMesh, field string, data []float64) ([]float64, error) {
 	if len(data) == 3*m.NumNodes() {
-		var out []float64
-		p.ch.occupy(func() { out = vis.VectorMagnitude(data) })
 		p.ch.compute(costMagnitude, m.NumNodes())
-		return out, nil
+		return vis.VectorMagnitude(data), nil
 	}
 	if len(data) == m.NumCells() {
-		var out []float64
-		var err error
-		p.ch.occupy(func() { out, err = vis.CellToPoint(m, data) })
 		p.ch.compute(costCellToPoint, m.NumCells())
-		return out, err
+		return vis.CellToPoint(m, data)
 	}
 	return nil, fmt.Errorf("rocketeer: variable %s has %d values for %d nodes / %d cells",
 		field, len(data), m.NumNodes(), m.NumCells())

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"godiva/internal/genx"
 	"godiva/internal/mesh"
@@ -55,15 +54,11 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// testMachine is a platform with realistic cost structure at a small time
-// scale, so runs finish fast but contention still plays out. Virtual time is
-// wall time over the scale: at 0.1 a millisecond of host jitter reads as
-// 10 ms against unit reads of about 200 ms.
+// testMachine is Engle's cost structure on ncpu CPUs.
 func testMachine(ncpu int) *platform.Machine {
 	spec := platform.Engle
 	spec.NumCPU = ncpu
-	spec.Quantum = 2 * time.Millisecond
-	return platform.New(spec, 0.1)
+	return platform.New(spec)
 }
 
 func pngsIn(t *testing.T, dir string) map[string][]byte {

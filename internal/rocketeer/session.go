@@ -7,7 +7,6 @@ import (
 
 	"godiva/internal/core"
 	"godiva/internal/genx"
-	"godiva/internal/platform"
 	"godiva/internal/remote"
 )
 
@@ -19,15 +18,11 @@ type SessionConfig struct {
 	MemoryLimit   int64
 	ImageDir      string
 	Width, Height int
-	// Machine and VolumeScale optionally charge the session to a simulated
-	// platform, as in the batch experiments.
-	Machine     *platform.Machine
-	VolumeScale float64
 	// IOWorkers sizes the background I/O worker pool (zero = the paper's
 	// single I/O thread).
 	IOWorkers int
 	// Remote, when set, fetches units from a godivad server instead of
-	// local files (Dir is then ignored). Mutually exclusive with Machine.
+	// local files (Dir is then ignored).
 	Remote *remote.Client
 }
 
@@ -67,9 +62,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.MemoryLimit == 0 {
 		cfg.MemoryLimit = 384 << 20
 	}
-	if cfg.Remote != nil && cfg.Machine != nil {
-		return nil, fmt.Errorf("rocketeer: Remote and Machine are mutually exclusive")
-	}
 	workers := cfg.IOWorkers
 	if workers < 1 {
 		// Default 1: interactive sessions reproduce the paper's
@@ -88,17 +80,15 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	allVars := append(append([]string{}, genx.NodeVectorFields...), genx.ElemScalarFields...)
 	runCfg := Config{
-		Test:        VisTest{Name: "session", Vars: allVars},
-		Spec:        cfg.Spec,
-		Dir:         cfg.Dir,
-		Machine:     cfg.Machine,
-		VolumeScale: cfg.VolumeScale,
-		Remote:      cfg.Remote,
-		ImageDir:    cfg.ImageDir,
-		Width:       cfg.Width,
-		Height:      cfg.Height,
+		Test:     VisTest{Name: "session", Vars: allVars},
+		Spec:     cfg.Spec,
+		Dir:      cfg.Dir,
+		Remote:   cfg.Remote,
+		ImageDir: cfg.ImageDir,
+		Width:    cfg.Width,
+		Height:   cfg.Height,
 	}
-	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale, Mapped: true}
+	reader := &genx.Reader{Mapped: true}
 	names := make([]string, cfg.Spec.Blocks)
 	for b := range names {
 		names[b] = genx.BlockID(b)
@@ -109,7 +99,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		reader: reader,
 		readFn: makeReadFunc(runCfg, reader),
 		names:  names,
-		pipe:   runCfg.newPipeline(runCfg.mainTask()),
+		pipe:   runCfg.newPipeline(),
 	}, nil
 }
 

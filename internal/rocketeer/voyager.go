@@ -33,9 +33,10 @@ type Config struct {
 	Spec genx.Spec
 	// Dir holds the snapshot files (written by genx.WriteDataset).
 	Dir string
-	// Machine, when set, charges all I/O and computation to a simulated
-	// platform; when nil the run executes at native speed with no cost
-	// model (used by examples and the CLI).
+	// Machine, when set, runs the build on a simulated platform, charging
+	// it all I/O and computation and timing the run in its virtual time;
+	// when nil the run executes at native speed with no cost model (used
+	// by examples and the CLI).
 	Machine *platform.Machine
 	// VolumeScale scales charged data volumes and primitive counts up to
 	// the paper's full-scale dataset when running on a reduced one.
@@ -118,7 +119,9 @@ type Result struct {
 	Events []core.UnitEvent
 }
 
-// Run executes one Voyager run and reports its metrics.
+// Run executes one Voyager run and reports its metrics. With a Machine the
+// whole run — the build, its I/O workers and the competing load — runs on the
+// machine (Machine.Run).
 func Run(v Version, cfg Config) (*Result, error) {
 	if cfg.Width == 0 {
 		cfg.Width = 160
@@ -132,19 +135,30 @@ func Run(v Version, cfg Config) (*Result, error) {
 	if cfg.Remote != nil && v == VersionO {
 		return nil, fmt.Errorf("rocketeer: the original (O) build reads local files; remote units need a GODIVA build")
 	}
-	var stopLoad func()
+	if cfg.CompetingLoad && cfg.Machine == nil {
+		return nil, fmt.Errorf("rocketeer: CompetingLoad needs a Machine")
+	}
+	if cfg.Machine == nil {
+		return run(v, cfg)
+	}
+	var (
+		res *Result
+		err error
+	)
+	cfg.Machine.Run(func() { res, err = run(v, cfg) })
+	return res, err
+}
+
+// run executes one run on the calling goroutine and times it by cfg's clock.
+func run(v Version, cfg Config) (*Result, error) {
 	if cfg.CompetingLoad {
-		if cfg.Machine == nil {
-			return nil, fmt.Errorf("rocketeer: CompetingLoad needs a Machine")
-		}
-		stopLoad = cfg.Machine.Load()
-		defer stopLoad()
+		defer cfg.Machine.Load()()
 	}
 	var diskBefore platform.DiskStats
 	if cfg.Machine != nil {
 		diskBefore = cfg.Machine.Disk()
 	}
-	start := time.Now()
+	start := cfg.now()
 	var (
 		res *Result
 		err error
@@ -164,7 +178,7 @@ func Run(v Version, cfg Config) (*Result, error) {
 	}
 	res.Version = v
 	res.Test = cfg.Test.Name
-	res.Total = cfg.virtual(time.Since(start))
+	res.Total = cfg.now().Sub(start)
 	res.Compute = res.Total - res.VisibleIO
 	if cfg.Machine != nil {
 		after := cfg.Machine.Disk()
@@ -178,30 +192,22 @@ func Run(v Version, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func (c *Config) virtual(d time.Duration) time.Duration {
+// now reads the run's clock: the machine's virtual time, or the host's.
+func (c *Config) now() time.Time {
 	if c.Machine == nil {
-		return d
+		return time.Now()
 	}
-	return c.Machine.Virtual(d)
-}
-
-// mainTask returns the main-thread task charged with compute costs (nil
-// without a machine).
-func (c *Config) mainTask() *platform.Task {
-	if c.Machine == nil {
-		return nil
-	}
-	return c.Machine.NewTask()
+	return c.Machine.Now()
 }
 
 // newPipeline returns the pipeline of one run, session or follower; its
 // renderer (image, depth and visibility buffers, per-vertex scratch) and its
 // frame's arrays serve every pass of every snapshot. The caller sets snapID
 // before each snapshot.
-func (c *Config) newPipeline(task *platform.Task) *snapshotPipeline {
+func (c *Config) newPipeline() *snapshotPipeline {
 	return &snapshotPipeline{
 		test:     c.Test,
-		ch:       charger{t: task, scale: c.VolumeScale},
+		ch:       charger{m: c.Machine, scale: c.VolumeScale},
 		renderer: render.NewRenderer(c.Width, c.Height),
 		lut:      render.Rainbow{},
 		imageDir: c.ImageDir,
@@ -216,28 +222,21 @@ func (c *Config) newPipeline(task *platform.Task) *snapshotPipeline {
 func runOriginal(cfg Config) (*Result, error) {
 	res := &Result{}
 	reader := &genx.Reader{M: cfg.Machine, VolumeScale: cfg.VolumeScale}
-	task := cfg.mainTask()
-	var ioWall time.Duration
-	p := cfg.newPipeline(task)
+	p := cfg.newPipeline()
 	for i := 0; i < cfg.snapshots(); i++ {
 		s := cfg.FirstSnapshot + i
-		src, err := openOSource(reader, cfg, s, &ioWall)
+		src, err := openOSource(reader, cfg, s, &res.VisibleIO)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", s, err)
 		}
 		p.snapID = fmt.Sprintf("t%04d", s)
 		err = p.run(src)
-		src.finish()
 		src.Close()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot %d: %w", s, err)
 		}
 	}
-	if task != nil {
-		task.Flush()
-	}
 	res.Images = p.images
-	res.VisibleIO = cfg.virtual(ioWall)
 	return res, nil
 }
 
@@ -253,7 +252,8 @@ type oSource struct {
 	handles []*genx.FileHandle
 	loc     map[string]oLoc
 	names   []string
-	ioWall  *time.Duration
+	now     func() time.Time
+	io      *time.Duration // the run's visible I/O
 
 	vars     map[string][]float64
 	varsRead map[string]int // per block: variables read so far
@@ -264,11 +264,12 @@ type oLoc struct {
 	e genx.BlockEntry
 }
 
-func openOSource(r *genx.Reader, cfg Config, step int, ioWall *time.Duration) (*oSource, error) {
+func openOSource(r *genx.Reader, cfg Config, step int, io *time.Duration) (*oSource, error) {
 	src := &oSource{
 		r:        r,
 		loc:      make(map[string]oLoc),
-		ioWall:   ioWall,
+		now:      cfg.now,
+		io:       io,
 		vars:     make(map[string][]float64),
 		varsRead: make(map[string]int),
 	}
@@ -300,22 +301,12 @@ func openOSource(r *genx.Reader, cfg Config, step int, ioWall *time.Duration) (*
 	return src, nil
 }
 
-// track times a foreground read section, settling deferred platform
-// charges so their cost is attributed to visible I/O.
+// track adds a foreground read section's time to the run's visible I/O.
 func (s *oSource) track(fn func() error) error {
-	t0 := time.Now()
+	t0 := s.now()
 	err := fn()
-	s.r.Settle()
-	*s.ioWall += time.Since(t0)
+	*s.io += s.now().Sub(t0)
 	return err
-}
-
-// finish pays all remaining deferred read charges into visible I/O; called
-// once per snapshot.
-func (s *oSource) finish() {
-	t0 := time.Now()
-	s.r.Flush()
-	*s.ioWall += time.Since(t0)
 }
 
 func (s *oSource) Close() {

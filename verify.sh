@@ -26,11 +26,11 @@
 #               a zero-alloc path and fails the gate
 #   race-core   race-detector pass over the concurrent core, the mesh/vis
 #               kernels, whose pooled scratch I/O workers and the main
-#               thread share, and the read path under them: shdf's mapped
-#               File and genx's table of open files, which I/O workers and
-#               godivad's handlers share
+#               thread share, the read path under them (shdf's mapped File
+#               and genx's table of open files, which I/O workers and
+#               godivad's handlers share), and the discrete-event machine
+#               model the core runs on in the experiments
 #   race-remote race-detector pass over the remote unit service
-#   race-platform race-detector pass over the virtual-machine model
 #   invariants  core suite with the godivainvariants runtime checker
 #               compiled in, under the race detector, and rocketeer's under
 #               the same build: its local read functions are the first
@@ -159,9 +159,8 @@ run_stage lint check_lint
 run_stage test go test -count=1 ./...
 run_stage bench check_bench
 run_stage benchmem check_benchmem
-run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/...
+run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
-run_stage race-platform go test -race -count=1 ./internal/platform/...
 run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/... ./internal/rocketeer/...
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
 run_stage batch env BATCH_CHURN_TIME="${VERIFY_BATCHTIME:-10s}" go test -race -count=1 -run '^TestPayloadCacheChurn$' ./internal/remote
@@ -170,7 +169,7 @@ run_stage fuzz check_fuzz
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
         echo "verify.sh: unknown stage \"$only_stage\"" >&2
-        echo "stages: fmt vet build lint test bench benchmem race-core race-remote race-platform invariants push batch fuzz" >&2
+        echo "stages: fmt vet build lint test bench benchmem race-core race-remote invariants push batch fuzz" >&2
         exit 2
     fi
     echo "verify.sh: stage $only_stage passed"
