@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	godivad -data genx-data [-addr 127.0.0.1:7144] [-payload-cache 64]
+//	godivad -data genx-data [-addr 127.0.0.1:7144]
 //
 // Fault-injection flags make a configurable fraction of fetch responses
 // fail — dropped mid-payload, rejected with a retryable error, or delayed —
@@ -35,7 +35,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7144", "listen address")
 		data      = flag.String("data", "genx-data", "snapshot directory to serve (see genxgen)")
-		payloadMB = flag.Int64("payload-cache", 64, "pinned payload cache budget in MiB (0 disables)")
 		idle      = flag.Duration("idle", 5*time.Minute, "drop connections idle this long")
 		quiet     = flag.Bool("quiet", false, "suppress per-connection logging")
 		ingest    = flag.Bool("ingest", false, "accept pushed snapshots and subscriptions")
@@ -49,17 +48,12 @@ func main() {
 	)
 	flag.Parse()
 
-	cacheBudget := *payloadMB << 20
-	if cacheBudget <= 0 {
-		cacheBudget = -1 // ServerOptions: negative disables, zero means default
-	}
 	opts := remote.ServerOptions{
-		Addr:         *addr,
-		Dir:          *data,
-		PayloadCache: cacheBudget,
-		IdleTimeout:  *idle,
-		Ingest:       *ingest,
-		Heartbeat:    *heartbeat,
+		Addr:        *addr,
+		Dir:         *data,
+		IdleTimeout: *idle,
+		Ingest:      *ingest,
+		Heartbeat:   *heartbeat,
 		Faults: remote.Faults{
 			Seed:      *faultSeed,
 			DropFrac:  *faultDrop,
@@ -101,9 +95,6 @@ func main() {
 	fmt.Printf("godivad: %d conns, %d RPCs, %d errors, %d faults injected, %.1f MB out\n",
 		st.Conns, st.RPCs, st.Errors, st.FaultsInjected, float64(st.BytesOut)/1e6)
 	fmt.Printf("godivad: mapped files: %d opened, %d closed, %d hits\n", st.ReaderOpens, st.ReaderCloses, st.ReaderHits)
-	fmt.Printf("godivad: payload cache: %d hits, %d misses, %d evictions, %.1f MB served\n",
-		st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
-		float64(st.BytesServedFromCache)/1e6)
 	if *ingest {
 		ps := srv.PushStats()
 		fmt.Printf("godivad: push: %d ingests, %d subscriptions, %d published, %d delivered, %d dropped\n",

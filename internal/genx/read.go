@@ -37,7 +37,7 @@ type Reader struct {
 	// the table holds — unchanged since it was opened — shares its mapping,
 	// decoded directory, verified checksums and decoded dataset views, and
 	// a file stays mapped after its last handle closes, on an idle list
-	// bounded at 64 MiB, until it is evicted, replaced or the Reader is
+	// bounded at 128 MiB, until it is evicted, replaced or the Reader is
 	// closed.
 	Mapped bool
 

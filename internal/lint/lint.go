@@ -32,11 +32,10 @@
 // dataflow.go) with per-function summaries iterated to fixpoint over the
 // call graph:
 //
-//   - releasecheck: every pin (WaitUnit/ReadUnit unit, payloadCache
-//     acquire/insert, FetchFile payload ref) is released on every path to
-//     return — error returns included — or explicitly handed off, and a
-//     hand-off is followed through the callee's or caller's summary. The
-//     suite's only pin checker.
+//   - releasecheck: every pin (WaitUnit/ReadUnit unit, FetchFile payload
+//     ref) is released on every path to return — error returns included —
+//     or explicitly handed off, and a hand-off is followed through the
+//     callee's or caller's summary. The suite's only pin checker.
 //   - borrowcheck: zero-copy borrows (BorrowFieldBuffer results, mmap
 //     Raw/ReadSDS views, payload arena slices) are never written through,
 //     never stored past their pin, never used after release; a unit's field

@@ -13,16 +13,14 @@ import (
 )
 
 // releasecheck proves the must-release discipline: every pin — a
-// WaitUnit/ReadUnit unit pin, a payloadCache acquire/insert pin, a
-// *FilePayload (frame-arena ref) from FetchFile/FetchFiles — is released on
-// *every* path to a return, not just somewhere in the function. It runs
-// forward abstract interpretation over the per-function CFGs (cfg.go) with
-// branch refinement:
+// WaitUnit/ReadUnit unit pin, a *FilePayload (frame-arena ref) from
+// FetchFile/FetchFiles — is released on *every* path to a return, not just
+// somewhere in the function. It runs forward abstract interpretation over
+// the per-function CFGs (cfg.go) with branch refinement:
 //
 //   - "if err != nil { return err }" after an error-returning acquire does
 //     not leak: on the error edge the pin was never produced;
-//   - "if e := c.acquire(k); e != nil { ... }" likewise kills the pin on
-//     the nil edge;
+//   - "if fp == nil { return }" likewise kills the pin on the nil edge;
 //   - a deferred release (directly or anywhere inside a deferred function
 //     literal) releases at every exit reached after its registration;
 //   - ownership transfer is not a leak: returning the pinned value,
@@ -51,7 +49,6 @@ var releasecheckAnalyzer = &moduleAnalyzer{
 // Pin kinds.
 const (
 	rcKindUnit = iota
-	rcKindPayloadCache
 	rcKindFetched
 	rcKindCount
 )
@@ -72,10 +69,6 @@ var rcKinds = [rcKindCount]rcKindSpec{
 	rcKindUnit: {
 		acquire: []string{"WaitUnit", "ReadUnit"}, release: []string{"FinishUnit", "DeleteUnit"},
 		wildcard: []string{"Close"}, matchArg: true, what: "unit", rels: "FinishUnit/DeleteUnit/Close",
-	},
-	rcKindPayloadCache: {
-		acquire: []string{"acquire", "insert"}, release: []string{"release"}, wildcard: []string{"closeAll"},
-		recvType: "payloadCache", valType: "payloadEntry", what: "pinned payload", rels: "release/closeAll",
 	},
 	rcKindFetched: {
 		acquire: []string{"FetchFile", "FetchFiles"}, release: []string{"Recycle"},
@@ -107,7 +100,6 @@ type rcDeferRel struct {
 	kind     int
 	name     string
 	wildcard bool
-	closeAll bool
 	arg      string
 	obj      types.Object
 }
@@ -457,16 +449,12 @@ func (w *rcWalk) deferStmt(n *ast.DeferStmt, s *rcState) {
 			rel := rcDeferRel{kind: kind, name: name}
 			switch role {
 			case rcRoleWildcard:
-				if slices.Contains(rcKinds[kind].wildcard, name) && name == "Close" {
-					rel.wildcard = true
-				} else {
-					rel.closeAll = true
-				}
+				rel.wildcard = true
 			case rcRoleRelease:
 				if rcKinds[kind].matchArg {
 					rel.arg = simpleArg(call)
 				}
-				rel.obj = w.releaseTargetObj(call, name, recv)
+				rel.obj = w.releaseTargetObj(name, recv)
 			}
 			rels = append(rels, rel)
 			return
@@ -696,7 +684,7 @@ func (w *rcWalk) release(s *rcState, kind int, name string, call *ast.CallExpr, 
 		}
 		return
 	}
-	target := w.releaseTargetObj(call, name, recv)
+	target := w.releaseTargetObj(name, recv)
 	if target != nil {
 		if pin := w.pinForObj(s, target); pin != nil {
 			s.status[pin.site] = rcReleased
@@ -712,19 +700,14 @@ func (w *rcWalk) release(s *rcState, kind int, name string, call *ast.CallExpr, 
 	}
 }
 
-// releaseTargetObj extracts the object a release call frees: the first
-// argument for cache release(e), the receiver for fp.Recycle().
-func (w *rcWalk) releaseTargetObj(call *ast.CallExpr, name string, recv ast.Expr) types.Object {
-	if name == "Recycle" {
-		if id := rootIdent(recv); id != nil {
-			return w.resolveAlias(identObj(w.info, id))
-		}
+// releaseTargetObj extracts the object a release call frees: the receiver
+// of fp.Recycle(). Unit releases name their unit by argument text instead.
+func (w *rcWalk) releaseTargetObj(name string, recv ast.Expr) types.Object {
+	if name != "Recycle" {
 		return nil
 	}
-	if len(call.Args) > 0 {
-		if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-			return w.resolveAlias(identObj(w.info, id))
-		}
+	if id := rootIdent(recv); id != nil {
+		return w.resolveAlias(identObj(w.info, id))
 	}
 	return nil
 }
@@ -774,7 +757,7 @@ func (w *rcWalk) bodyReleases(body *ast.BlockStmt, elem types.Object) bool {
 		}
 		if _, role, ok := w.classify(call); ok && role == rcRoleRelease {
 			name, recv, _ := methodCall(call)
-			if w.releaseTargetObj(call, name, recv) == elem {
+			if w.releaseTargetObj(name, recv) == elem {
 				found = true
 			}
 			return true
@@ -904,8 +887,8 @@ func (w *rcWalk) pinFor(s *rcState, e ast.Expr) *rcPin {
 }
 
 // refine applies a branch condition: err != nil on the taken edge means
-// the acquire failed (no pin); e == nil on the taken edge means the cache
-// missed (no pin).
+// the acquire failed (no pin); fp == nil on the taken edge means there is
+// no payload (no pin).
 func (w *rcWalk) refine(cond ast.Expr, negate bool, st dfState) {
 	s := st.(*rcState)
 	w.refineCond(cond, negate, s)
@@ -948,7 +931,7 @@ func (w *rcWalk) refineCond(cond ast.Expr, negate bool, s *rcState) {
 			// err != nil: the acquire never happened.
 			s.kill(site)
 		} else if pin.obj == obj && pin.errObj == nil && objIsNil && pin.param < 0 {
-			// e == nil: cache miss / no payload, nothing pinned.
+			// fp == nil: no payload, nothing pinned.
 			s.kill(site)
 		}
 	}
@@ -985,17 +968,7 @@ func (w *rcWalk) atExit(st dfState, ret *ast.ReturnStmt, record bool) {
 		for _, rel := range s.defers[k] {
 			switch {
 			case rel.wildcard:
-				for site, pin := range s.pins {
-					if pin.kind == rcKindUnit {
-						s.status[site] = rcReleased
-					}
-				}
-			case rel.closeAll:
-				for site, pin := range s.pins {
-					if pin.kind == rel.kind {
-						s.status[site] = rcReleased
-					}
-				}
+				w.wildcard(s, rel.kind)
 			case rel.obj != nil:
 				if pin := w.pinForObj(s, rel.obj); pin != nil {
 					s.status[pin.site] = rcReleased

@@ -20,26 +20,6 @@ func earlyReturnLeak(db *core.DB, unit string) error {
 	return db.FinishUnit(unit)
 }
 
-type payloadEntry struct{}
-
-type payloadCache struct{}
-
-func (c *payloadCache) acquire(key string) *payloadEntry { return nil }
-func (c *payloadCache) release(e *payloadEntry)          {}
-
-// branchLeak releases the pinned entry on one branch only; falling off
-// the end with fast unset leaks it. The nil check is not a leak: a cache
-// miss pins nothing.
-func branchLeak(c *payloadCache, fast bool) {
-	e := c.acquire("snap.shdf") // want releasecheck `pinned payload acquired with acquire leaks on the end of the function`
-	if e == nil {
-		return
-	}
-	if fast {
-		c.release(e)
-	}
-}
-
 type FilePayload struct{ Data []byte }
 
 func (fp *FilePayload) Recycle() {}
@@ -48,10 +28,23 @@ type Client struct{}
 
 func (c *Client) FetchFile(path string) (*FilePayload, error) { return nil, nil }
 
+// branchLeak recycles the payload on one branch only; falling off the end
+// with fast unset leaks it. The error return is not a leak: a failed fetch
+// pins nothing.
+func branchLeak(c *Client, path string, fast bool) {
+	fp, err := c.FetchFile(path) // want releasecheck `fetched payload acquired with FetchFile leaks on the end of the function`
+	if err != nil {
+		return
+	}
+	if fast {
+		fp.Recycle()
+	}
+}
+
 // fetchLeak recycles large payloads only: the small-payload return leaks
 // the arena ref.
 func fetchLeak(c *Client, path string) (int, error) {
-	fp, err := c.FetchFile(path) // want releasecheck `fetched payload acquired with FetchFile leaks on the return at line 62`
+	fp, err := c.FetchFile(path) // want releasecheck `fetched payload acquired with FetchFile leaks on the return at line 55`
 	if err != nil {
 		return 0, err
 	}
@@ -114,7 +107,7 @@ func (c *Client) push(path string) error { return nil }
 // leaks there. Before the severing fix the stale error refinement killed
 // the pin on that edge and masked the leak.
 func reusedErrLeak(c *Client, path string) error {
-	fp, err := c.FetchFile(path) // want releasecheck `fetched payload acquired with FetchFile leaks on the return at line 123`
+	fp, err := c.FetchFile(path) // want releasecheck `fetched payload acquired with FetchFile leaks on the return at line 116`
 	if err != nil {
 		return err
 	}

@@ -40,65 +40,65 @@ func retainBuffer(db *core.DB) error {
 	return nil
 }
 
-type payloadEntry struct{}
+type FilePayload struct{}
 
-type payloadCache struct{}
+func (fp *FilePayload) Recycle() {}
 
-func (c *payloadCache) acquire(key string) *payloadEntry { return nil }
-func (c *payloadCache) insert(key string, size int64) *payloadEntry {
-	return nil
-}
-func (c *payloadCache) release(e *payloadEntry) {}
-func (c *payloadCache) closeAll()               {}
+// Client stands in for remote.Client with a FetchFile that reports failure
+// as a nil payload, so every shape below is a single-value acquire.
+type Client struct{}
 
-// leakPayloadPin hands its pin to the caller, so the leak is wherever a
-// caller drops it: dropHandedOffPin.
-func leakPayloadPin(c *payloadCache) *payloadEntry {
-	return c.acquire("snap.shdf")
-}
+func (c *Client) FetchFile(path string) *FilePayload { return nil }
 
-func dropHandedOffPin(c *payloadCache) {
-	leakPayloadPin(c) // want releasecheck `pinned payload acquired with leakPayloadPin leaks on the end of the function`
+// fetchForCaller hands its payload to the caller, so the leak is wherever a
+// caller drops it: dropHandedOffPayload.
+func fetchForCaller(c *Client) *FilePayload {
+	return c.FetchFile("snap.shdf")
 }
 
-// peek only looks at the entry it is handed: the pin stays with the caller.
-func peek(e *payloadEntry) bool { return e != nil }
+func dropHandedOffPayload(c *Client) {
+	fetchForCaller(c) // want releasecheck `fetched payload acquired with fetchForCaller leaks on the end of the function`
+}
 
-func leakInsertPin(c *payloadCache) {
-	peek(c.insert("snap.shdf", 64)) // want releasecheck `pinned payload acquired with insert leaks on the end of the function`
+// peek only looks at the payload it is handed: the pin stays with the
+// caller.
+func peek(fp *FilePayload) bool { return fp != nil }
+
+func leakLentPayload(c *Client) {
+	peek(c.FetchFile("snap.shdf")) // want releasecheck `fetched payload acquired with FetchFile leaks on the end of the function`
 }
 
 // lendAndDrop lends a bound pin the same way and then forgets it.
-func lendAndDrop(c *payloadCache) {
-	e := c.acquire("snap.shdf") // want releasecheck `pinned payload acquired with acquire leaks on the end of the function`
-	if e == nil {
+func lendAndDrop(c *Client) {
+	fp := c.FetchFile("snap.shdf") // want releasecheck `fetched payload acquired with FetchFile leaks on the end of the function`
+	if fp == nil {
 		return
 	}
-	peek(e)
+	peek(fp)
 }
 
-// handOffInsertPin is clean: sink may keep what it is given, so the pin is
+// handOffPayload is clean: sink may keep what it is given, so the pin is
 // sink's to release.
-func handOffInsertPin(c *payloadCache) {
-	sink(c.insert("snap.shdf", 64))
+func handOffPayload(c *Client) {
+	sink(c.FetchFile("snap.shdf"))
 }
 
-// balancedHandedOffPin is clean: it releases the pin it was handed, and
+// balancedHandedOffPayload is clean: it releases the pin it was handed, and
 // lending it to peek in between changes nothing.
-func balancedHandedOffPin(c *payloadCache) {
-	if e := leakPayloadPin(c); e != nil {
-		peek(e)
-		c.release(e)
+func balancedHandedOffPayload(c *Client) {
+	if fp := fetchForCaller(c); fp != nil {
+		peek(fp)
+		fp.Recycle()
 	}
 }
 
-func balancedPayloadPin(c *payloadCache) {
-	if e := c.acquire("snap.shdf"); e != nil {
-		c.release(e)
+func balancedPayload(c *Client) {
+	if fp := c.FetchFile("a.shdf"); fp != nil {
+		fp.Recycle()
 		return
 	}
-	if e := c.insert("snap.shdf", 64); e != nil {
-		c.release(e)
+	if fp := c.FetchFile("b.shdf"); fp != nil {
+		fp.Recycle()
 	}
 }
 

@@ -26,14 +26,6 @@ type ServerOptions struct {
 	// by genx.Discover. Request paths are resolved inside it and may not
 	// escape it.
 	Dir string
-	// PayloadCache budgets the pinned payload cache in bytes: encoded
-	// response segments kept per (path, vars) and scatter-sent verbatim to
-	// every later fetcher of the same hot file. Each entry holds a reference
-	// on the mapped snapshot file its segments alias, so the budget also
-	// bounds the referenced mappings (unreferenced ones sit on the reader's
-	// 64 MiB idle list). 0 means the 64 MiB default; negative caches nothing
-	// (every fetch releases its file with its frame).
-	PayloadCache int64
 	// IdleTimeout disconnects clients idle longer than this (default 5m).
 	IdleTimeout time.Duration
 	// Ingest accepts OpIngest requests: producers may push new snapshot
@@ -87,19 +79,20 @@ type ServerStats struct {
 	//                      (scatter-send borrows the rest straight from the
 	//                      dataset; nonzero only on big-endian hosts)
 	// The server reads snapshot files through one table of mappings
-	// (genx.Reader, Mapped). ReaderOpens counts mappings made — one per
-	// payload-cache miss the table could not serve — and ReaderCloses
-	// mappings unmapped again: past the table's idle bound, replaced after
-	// an ingest, or at shutdown. ReaderHits counts payload-cache misses
-	// served by a mapping the table already held.
+	// (genx.Reader, Mapped), its only cache. ReaderOpens counts mappings
+	// made — one per fetched file the table could not serve — and
+	// ReaderCloses mappings unmapped again: past the table's idle bound,
+	// replaced after an ingest, or at shutdown. ReaderHits counts fetched
+	// files served by a mapping the table already held.
 	ReaderOpens  int64
 	ReaderCloses int64
 	ReaderHits   int64
 
-	PayloadCacheHits      int64 // fetches served from cached encoded segments
-	PayloadCacheMisses    int64 // fetches that had to encode their response
-	PayloadCacheEvictions int64 // cached payloads dropped (pressure or ingest)
-	BytesServedFromCache  int64 // payload bytes scatter-sent from the cache
+	// Always zero: the server has no payload cache. Kept only because the
+	// repository benchmark still reports them.
+	PayloadCacheHits      int64
+	PayloadCacheMisses    int64
+	PayloadCacheEvictions int64
 
 	Ingests       int64 // snapshot files accepted via OpIngest
 	Subscriptions int64 // OpSubscribe streams accepted
@@ -109,11 +102,10 @@ type ServerStats struct {
 // Server serves unit payloads out of a directory of SHDF snapshot files.
 // Start one with Serve; stop it with Close.
 type Server struct {
-	opts     ServerOptions
-	ln       net.Listener
-	payloads *payloadCache
-	reader   genx.Reader // Mapped: the snapshot files fetches read
-	reg      *push.Registry
+	opts   ServerOptions
+	ln     net.Listener
+	reader genx.Reader // Mapped: the snapshot files fetches read
+	reg    *push.Registry
 
 	mu     sync.Mutex
 	spec   genx.Spec // grows as OpIngest lands new steps
@@ -134,9 +126,6 @@ func Serve(opts ServerOptions) (*Server, error) {
 	}
 	if opts.IdleTimeout <= 0 {
 		opts.IdleTimeout = 5 * time.Minute
-	}
-	if opts.PayloadCache == 0 {
-		opts.PayloadCache = 64 << 20
 	}
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = opts.IdleTimeout / 2
@@ -163,13 +152,12 @@ func Serve(opts ServerOptions) (*Server, error) {
 		return nil, fmt.Errorf("remote: listen: %w", err)
 	}
 	s := &Server{
-		opts:     opts,
-		spec:     spec,
-		ln:       ln,
-		payloads: newPayloadCache(opts.PayloadCache),
-		reader:   genx.Reader{Mapped: true},
-		reg:      push.NewRegistry(),
-		conns:    make(map[net.Conn]struct{}),
+		opts:   opts,
+		spec:   spec,
+		ln:     ln,
+		reader: genx.Reader{Mapped: true},
+		reg:    push.NewRegistry(),
+		conns:  make(map[net.Conn]struct{}),
 	}
 	s.mu.Lock()
 	s.setFaultsLocked(opts.Faults)
@@ -197,8 +185,6 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.PayloadCacheHits, st.PayloadCacheMisses, st.PayloadCacheEvictions,
-		st.BytesServedFromCache = s.payloads.counters()
 	rs := s.reader.Stats()
 	st.ReaderOpens, st.ReaderCloses, st.ReaderHits = rs.Opens, rs.Closes, rs.Hits
 	return st
@@ -222,8 +208,7 @@ func (s *Server) setFaultsLocked(f Faults) {
 }
 
 // Close stops accepting, severs open connections, joins the handler
-// goroutines, drops every cached payload and then unmaps every snapshot
-// file the server still holds.
+// goroutines and then unmaps every snapshot file the server still holds.
 // Closing the push registry first wakes every fan-out writer blocked on an
 // empty queue (and every ingest blocked on a full lossless queue); closing
 // the connections then unblocks writers stuck mid-send to a stalled peer, so
@@ -244,7 +229,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
-	s.payloads.closeAll()
 	return errors.Join(err, s.reader.Close())
 }
 
@@ -306,11 +290,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		rop, segs, done := s.handleRequest(op, body)
-		// done pins server-side resources the response segments borrow (a
-		// payload-cache entry, or an uncached fetch's own snapshot reader,
-		// whose mmap'd payloads the segments may alias); it must run after
-		// the frame has left — and on every early return — before the
-		// mapping may be closed.
+		// done releases the handles on the mapped snapshot files the
+		// response segments alias; it must run after the frame has left —
+		// and on every early return — before the mapping may be closed.
 		release := func() {
 			if done != nil {
 				done()
@@ -387,8 +369,8 @@ func (s *Server) faultAction() (int, time.Duration) {
 }
 
 // handleRequest dispatches one request and returns the response frame as
-// scattered segments, plus a non-nil done when the segments borrow pinned
-// server state (the caller runs it once the frame is written). A panic
+// scattered segments, plus a non-nil done when the segments borrow mapped
+// snapshot files (the caller runs it once the frame is written). A panic
 // anywhere in the read path (e.g. a decoder bug on a damaged snapshot) is
 // converted into a clean CodeInternal response rather than killing the
 // connection handler.
@@ -457,48 +439,51 @@ func errCode(err error) uint16 {
 }
 
 // serveFile returns one (path, vars) fetch's encoded response body as
-// scattered segments, served verbatim from the payload cache when the same
-// request was encoded before. On a miss the response is encoded from a
-// handle on the server's mapping of the file and offered to the cache,
-// which takes over the handle's close; a declined offer leaves the close
-// with this fetch. Either way the returned done func (pair with the written
-// frame) keeps the segments' backing memory — the mapping the cache entry's
-// or the fetch's own handle references — alive until it runs. size is the
-// total payload length; copied counts array bytes that could not be
-// borrowed (0 on a hit: cached segments go to the socket as-is).
+// scattered segments, encoded from a handle on the server's table of mapped
+// snapshot files: a file stays mapped, verified and decoded while the table
+// holds it, and the payload arrays alias its mapping, so scatter-send writes
+// them straight from the page cache (shdf falls back to heap-backed reads
+// where mmap is unavailable). done closes the handle; the caller runs it
+// once the frame borrowing the segments has been written. size is the total
+// payload length; copied counts array bytes that could not be borrowed.
 func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int, copied int64, done func(), err error) {
-	key := fetchKey(path, vars)
-	if e := s.payloads.acquire(key); e != nil {
-		return e.segs, int(e.size), 0, func() { s.payloads.release(e) }, nil
+	if path == "" || !filepath.IsLocal(path) || !strings.HasSuffix(path, ".shdf") {
+		return nil, 0, 0, nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}
 	}
-	// Captured before the open: an ingest landing between here and insert
-	// bumps it, and insert then refuses the stale segments.
-	gen := s.payloads.gen(path)
-	fp, h, err := s.fetch(path, vars)
+	h, err := s.reader.Open(filepath.Join(s.opts.Dir, path))
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
-	closeReader := func() { _ = h.Close() } // releases a mapping, which cannot fail in a way a fetch could act on
-	segs, copied, err = encodeFilePayloadSegments(fp, maxFrame-2)
-	if err != nil {
-		closeReader()
+	// Closing releases a table reference, which cannot fail in a way a fetch
+	// could act on.
+	done = func() { _ = h.Close() }
+	defer func() {
+		if segs == nil {
+			done() // read error or decoder panic: nobody else will
+		}
+	}()
+	fp := &FilePayload{Path: path, Time: h.Time, StepID: h.StepID}
+	for _, e := range h.Blocks() {
+		bd, err := h.ReadBlock(e, vars)
+		if err != nil {
+			return nil, 0, 0, nil, err
+		}
+		fp.Blocks = append(fp.Blocks, bd)
+	}
+	if segs, copied, err = encodeFilePayloadSegments(fp, maxFrame-2); err != nil {
 		return nil, 0, 0, nil, err
 	}
 	for _, seg := range segs {
 		size += len(seg)
 	}
-	if e := s.payloads.insert(key, path, gen, segs, int64(size), closeReader); e != nil {
-		return segs, size, copied, func() { s.payloads.release(e) }, nil
-	}
-	return segs, size, copied, closeReader, nil
+	return segs, size, copied, done, nil
 }
 
 // serveFetch answers one OpFetch request: every item is fetched through
-// serveFile (so hot files hit the payload cache) and appended to a single
-// multi-file response frame. Items fail independently — a missing file
-// yields an error item, not an error frame — and an item that would
-// overflow the frame cap is answered CodeUnavailable so the client asks for
-// it again in a smaller request.
+// serveFile and appended to a single multi-file response frame. Items fail
+// independently — a missing file yields an error item, not an error frame —
+// and an item that would overflow the frame cap is answered CodeUnavailable
+// so the client asks for it again in a smaller request.
 func (s *Server) serveFetch(reqs []fetchReq) (byte, [][]byte, func()) {
 	var out segEnc
 	out.e.u32(uint32(len(reqs)))
@@ -534,48 +519,16 @@ func (s *Server) serveFetch(reqs []fetchReq) (byte, [][]byte, func()) {
 	}
 }
 
-// fetch reads one snapshot file's blocks through a handle on the server's
-// reader. The reader is mapped, so the payload's arrays alias the snapshot
-// file's mmap and scatter-send writes them straight from the page cache
-// (shdf falls back to heap-backed reads where mmap is unavailable). On
-// success whoever holds the returned handle — the payload-cache entry built
-// from fp, or the uncached fetch itself — closes it exactly once, after the
-// last response frame borrowing the payload has been written; the reader
-// keeps the mapping for later misses on the same file.
-func (s *Server) fetch(path string, vars []string) (*FilePayload, *genx.FileHandle, error) {
-	if path == "" || !filepath.IsLocal(path) || !strings.HasSuffix(path, ".shdf") {
-		return nil, nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}
-	}
-	h, err := s.reader.Open(filepath.Join(s.opts.Dir, path))
-	if err != nil {
-		return nil, nil, err
-	}
-	read := false
-	defer func() {
-		if !read {
-			h.Close() // read error or decoder panic: nobody else will
-		}
-	}()
-	fp := &FilePayload{Path: path, Time: h.Time, StepID: h.StepID}
-	for _, e := range h.Blocks() {
-		bd, err := h.ReadBlock(e, vars)
-		if err != nil {
-			return nil, nil, err
-		}
-		fp.Blocks = append(fp.Blocks, bd)
-	}
-	read = true
-	return fp, h, nil
-}
-
 // ingest validates and lands one pushed snapshot file, then publishes the
 // arrival to the subscription registry. The payload goes through the same
 // shdf writer path WriteDataset uses (into a temp file, renamed into place,
-// so a crashed producer never leaves a torn snapshot visible), the served
-// spec grows to cover the new step, and any cached payload of an
-// overwritten path is invalidated. Publish blocks while a lossless (Block)
-// subscriber's queue is full — that backpressure is the point: the
-// producer's RespOK is withheld until every lossless consumer has room.
+// so a crashed producer never leaves a torn snapshot visible) and the served
+// spec grows to cover the new step. An overwritten path needs no
+// invalidation: the reader's table checks file identity on every Open and
+// keeps a replaced mapping alive until its last handle closes. Publish
+// blocks while a lossless (Block) subscriber's queue is full — that
+// backpressure is the point: the producer's RespOK is withheld until every
+// lossless consumer has room.
 func (s *Server) ingest(path string, fp *FilePayload) error {
 	step, file, ok := genx.ParseSnapshotFile(path)
 	if !ok || !filepath.IsLocal(path) {
@@ -591,12 +544,6 @@ func (s *Server) ingest(path string, fp *FilePayload) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Cached responses for a replaced file alias its old mapping; the
-	// generation bump also keeps a fetch that opened the old file from
-	// caching it. Payload-cache keys use the request path, not the joined
-	// one.
-	s.payloads.invalidate(path)
-
 	maxBlock := 0
 	for _, bd := range fp.Blocks {
 		if bd.ID+1 > maxBlock {

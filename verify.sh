@@ -30,7 +30,9 @@
 #               and genx's table of open files, which I/O workers and
 #               godivad's handlers share), and the discrete-event machine
 #               model the core runs on in the experiments
-#   race-remote race-detector pass over the remote unit service
+#   race-remote race-detector pass over the remote unit service, including
+#               TestPayloadCacheChurn: concurrent fetchers and ingest
+#               overwrites against one server's table of mapped files
 #   invariants  core suite with the godivainvariants runtime checker
 #               compiled in, under the race detector, and rocketeer's under
 #               the same build: its local read functions are the first
@@ -41,11 +43,6 @@
 #               mixed-policy subscribers and subscribe/unsubscribe churn
 #               against one registry (duration from VERIFY_PUSHTIME,
 #               default 10s)
-#   batch       payload-cache churn under the race detector: concurrent
-#               fetchers and ingest invalidations against one server with
-#               a small payload budget, checking the pin and reader
-#               ledgers balance (duration from VERIFY_BATCHTIME, default
-#               10s)
 #   fuzz        fuzz smoke over the checked-in seed corpora: shdf's
 #               FuzzReader, then remote's FuzzFilePayload, FuzzFetchFrame
 #               (the OpFetch response frame a client accepts from the
@@ -163,13 +160,12 @@ run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/.
 run_stage race-remote go test -race -count=1 ./internal/remote/...
 run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/... ./internal/rocketeer/...
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
-run_stage batch env BATCH_CHURN_TIME="${VERIFY_BATCHTIME:-10s}" go test -race -count=1 -run '^TestPayloadCacheChurn$' ./internal/remote
 run_stage fuzz check_fuzz
 
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
         echo "verify.sh: unknown stage \"$only_stage\"" >&2
-        echo "stages: fmt vet build lint test bench benchmem race-core race-remote invariants push batch fuzz" >&2
+        echo "stages: fmt vet build lint test bench benchmem race-core race-remote invariants push fuzz" >&2
         exit 2
     fi
     echo "verify.sh: stage $only_stage passed"
