@@ -59,61 +59,54 @@ const DefaultMemoryLimit = 256 << 20
 // per the paper each processor owns a private DB and no cross-processor
 // communication happens inside the library.
 //
-// Locking architecture (see DESIGN.md, "Locking architecture"): db.mu is a
-// readers-writer lock. The renderer-facing query path — GetRecord,
-// GetFieldBuffer, GetFieldBufferSize, CountRecords, EachRecord, ScanPrefix —
-// and all introspection take the read side, so concurrent readers never
-// contend with each other; unit lifecycle, memory accounting, schema
-// definition, commits and deletes take the write side. Blocking is built
-// from targeted wakeups instead of a global condition variable: each unit
-// carries its own wait channel (closed on every state transition), blocked
-// memory reservers queue on a dedicated FIFO woken only by events that can
-// change a reservation's outcome, and idle I/O workers queue on their own
-// FIFO from which AddUnit wakes exactly one. Operation counters are atomic
-// (stats.go) and never take the lock.
+// Locking (see DESIGN.md, "Locking architecture"): like the paper's library,
+// the DB has one lock, db.mu, a sync.Mutex guarding all of its state,
+// counters included. A goroutine that must block sleeps on one of three
+// broadcast channels, each made by its first sleeper and closed under db.mu
+// by the next event that can change the sleeper's outcome (waitChLocked,
+// broadcast): a unit's stateCh for its waiters, memCh for reads out of
+// memory, and queued for idle I/O workers.
 type DB struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 
 	fieldTypes  map[string]*fieldType            // guarded by mu
 	recordTypes map[string]*recordType           // guarded by mu
 	indexes     map[string]*rbtree.Tree[*Record] // record type name -> key index; guarded by mu
 	resident    map[*Record]struct{}             // records owned by no unit; guarded by mu
+	keyBuf      []byte                           // the query path's composite-key scratch; guarded by mu
 
 	units map[string]*unit // guarded by mu
 	queue []*unit          // prefetch FIFO (statePending units, in AddUnit order); guarded by mu
 	lru   lruList          // finished, unreferenced units, evictable; guarded by mu
 
-	// memWaiters is the FIFO of goroutines blocked in reserveLocked waiting
-	// for memory. They are woken, in FIFO order, only by events that can
-	// change a reservation's outcome — either freeing memory or flipping the
-	// §3.3 deadlock verdict: bytes released (releaseLocked), a unit becoming
-	// evictable (FinishUnit), the limit changing (SetMemSpace), a new
-	// unit-state waiter registering, a read ending (runRead — a progressing
-	// reader disappears), a unit dropped (dropUnitLocked — queued work
-	// disappears), and Close. Unit-state waiters are never woken by memory
-	// traffic; ordinary queries wake nobody. Guarded by mu.
-	memWaiters []chan struct{}
+	// memCh is where goroutines blocked in reserveLocked sleep. It is
+	// broadcast only by events that can change a reservation's outcome —
+	// either freeing memory or flipping the §3.3 deadlock verdict: bytes
+	// released (releaseLocked), a unit becoming evictable (FinishUnit), the
+	// limit changing (SetMemSpace), a new unit-state waiter registering, a
+	// read ending (runRead — a progressing reader disappears), a unit dropped
+	// (dropUnitLocked — queued work disappears), and Close. Guarded by mu.
+	memCh chan struct{}
 
-	// idleWorkers is the FIFO of background I/O workers sleeping for the
-	// prefetch queue to become non-empty. AddUnit wakes exactly one idle
-	// worker per enqueued unit; busy workers re-check the queue when their
-	// current read completes and need no signal. Guarded by mu.
-	idleWorkers []chan struct{}
+	// queued is where idle background I/O workers sleep. It is broadcast
+	// when the prefetch queue gains a unit and at Close; busy workers
+	// re-check the queue when their current read completes. Guarded by mu.
+	queued chan struct{}
 
 	mem    int64 // bytes charged; guarded by mu
 	limit  int64 // guarded by mu
 	closed bool  // guarded by mu
 
-	ioWorkers     int           // background I/O pool size; 0 in single-thread mode; immutable after Open
-	ioReading     int           // workers currently executing a read; guarded by mu
-	ioBlocked     int           // workers currently blocked on memory in reserveLocked; guarded by mu
-	inlineReading int           // application threads currently executing an inline read; guarded by mu
-	inlineBlocked int           // inline readers currently blocked on memory; guarded by mu
-	ioLive        int           // workers not yet exited; guarded by mu
-	ioDone        chan struct{} // closed by the last worker to exit; immutable after Open
-	workers       []workerState // per-worker state, indexed by worker id; slice header immutable after Open
+	ioWorkers     int             // background I/O pool size; 0 in single-thread mode; immutable after Open
+	ioReading     int             // workers currently executing a read; guarded by mu
+	ioBlocked     int             // workers currently blocked on memory in reserveLocked; guarded by mu
+	inlineReading int             // application threads currently executing an inline read; guarded by mu
+	inlineBlocked int             // inline readers currently blocked on memory; guarded by mu
+	ioLive        int             // workers not yet exited; guarded by mu
+	ioDone        chan struct{}   // closed by the last worker to exit; immutable after Open
+	workers       []IOWorkerStats // per-worker counters, indexed by worker id; guarded by mu
 
-	stats        statsCounters         // atomic counters, never accessed under mu (see stats.go)
+	stats        Stats                 // operation counters; guarded by mu
 	statsSources map[string]func() any // named external counter providers; guarded by mu
 
 	traceEvents bool        // immutable after Open
@@ -137,6 +130,10 @@ func Open(opts Options) *DB {
 			workers = 1
 		}
 	}
+	ws := make([]IOWorkerStats, workers)
+	for id := range ws {
+		ws[id].Worker = id
+	}
 	db := &DB{
 		fieldTypes:  make(map[string]*fieldType),
 		recordTypes: make(map[string]*recordType),
@@ -147,7 +144,7 @@ func Open(opts Options) *DB {
 		ioWorkers:   workers,
 		ioLive:      workers,
 		ioDone:      make(chan struct{}),
-		workers:     make([]workerState, workers),
+		workers:     ws,
 		traceEvents: opts.TraceUnits,
 		clock:       opts.Clock,
 	}
@@ -170,13 +167,10 @@ func (db *DB) Close() error {
 	// Wake everything that could be sleeping: blocked memory reservers and
 	// unit waiters observe db.closed and return ErrClosed, idle workers
 	// observe it and exit.
-	db.wakeMemWaitersLocked()
-	for _, ch := range db.idleWorkers {
-		close(ch)
-	}
-	db.idleWorkers = nil
+	broadcast(&db.memCh)
+	broadcast(&db.queued)
 	for _, u := range db.units {
-		db.notifyUnitLocked(u)
+		broadcast(&u.stateCh)
 	}
 	db.mu.Unlock()
 	if db.ioWorkers > 0 {
@@ -210,25 +204,25 @@ func (db *DB) SetMemSpace(bytes int64) {
 	}
 	// A raised limit can let blocked reservers proceed even though no bytes
 	// were released; a lowered one changes the hopeless-allocation bound.
-	db.wakeMemWaitersLocked()
+	broadcast(&db.memCh)
 }
 
 // MemUsed returns the bytes currently charged against the memory limit.
 func (db *DB) MemUsed() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.mem
 }
 
 // MemLimit returns the current memory limit in bytes.
 func (db *DB) MemLimit() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.limit
 }
 
 // indexForLocked returns (creating on demand) the key index of a record
-// type. Caller holds db.mu (write).
+// type. Caller holds db.mu.
 func (db *DB) indexForLocked(recType string) *rbtree.Tree[*Record] {
 	idx, ok := db.indexes[recType]
 	if !ok {
@@ -269,54 +263,44 @@ func (db *DB) wait(ch <-chan struct{}) {
 	db.clock.Wait(ch)
 }
 
-// --- targeted wakeups ---
+// --- broadcast channels ---
 
-// memWaitChLocked registers the caller at the tail of the memory-waiter
-// FIFO and returns its wait channel. The caller must release db.mu before
-// receiving and re-acquire it afterwards. Caller holds db.mu (write).
-func (db *DB) memWaitChLocked() chan struct{} {
-	ch := make(chan struct{})
-	db.memWaiters = append(db.memWaiters, ch)
-	return ch
-}
-
-// wakeMemWaitersLocked wakes every goroutine blocked on memory, in FIFO
-// order, and empties the FIFO; woken reservers re-check their condition
-// and re-register if they still do not fit. Unit-state waiters are not
-// woken — they cannot use memory. Caller holds db.mu (write).
-func (db *DB) wakeMemWaitersLocked() {
-	for i, ch := range db.memWaiters {
-		close(ch)
-		db.memWaiters[i] = nil
+// waitChLocked sleeps until the next broadcast on *ch, making the channel if
+// no one sleeps there yet. Caller holds db.mu; the lock is dropped while
+// sleeping, so the caller re-checks its condition on return.
+func (db *DB) waitChLocked(ch *chan struct{}) {
+	if *ch == nil {
+		*ch = make(chan struct{})
 	}
-	db.memWaiters = db.memWaiters[:0]
+	c := *ch
+	db.mu.Unlock()
+	db.wait(c)
+	db.mu.Lock()
 }
 
-// notifyUnitLocked wakes every goroutine waiting for u to change state by
-// closing the unit's wait channel. Waiters re-check u.state and lazily
-// create a fresh channel if they need to wait again. Caller holds db.mu
-// (write).
-func (db *DB) notifyUnitLocked(u *unit) {
-	if u.stateCh != nil {
-		close(u.stateCh)
-		u.stateCh = nil
+// broadcast wakes every goroutine sleeping on *ch; the next sleeper makes a
+// fresh channel. Caller holds db.mu.
+func broadcast(ch *chan struct{}) {
+	if *ch != nil {
+		close(*ch)
+		*ch = nil
 	}
 }
 
 // setStateLocked moves u to state to, records the transition in the event
-// log and wakes the unit's waiters. Caller holds db.mu (write).
+// log and wakes the unit's waiters. Caller holds db.mu.
 func (db *DB) setStateLocked(u *unit, to unitState) {
 	db.recordEventLocked(u, u.state, to)
 	u.state = to
-	db.notifyUnitLocked(u)
+	broadcast(&u.stateCh)
 }
 
 // reserveLocked charges need bytes against the memory limit, evicting
 // finished units (LRU first) and blocking until space is available. owner is
 // the unit whose read function is allocating, or nil for allocations made
 // outside any read function. It returns ErrDeadlock when waiting can never
-// succeed per the paper's §3.3 detection rule. Caller holds db.mu (write);
-// the lock is dropped while waiting in the memory-waiter FIFO.
+// succeed per the paper's §3.3 detection rule. Caller holds db.mu; the lock
+// is dropped while waiting on memCh.
 func (db *DB) reserveLocked(need int64, owner *unit) error {
 	if need <= 0 {
 		db.mem += need
@@ -337,7 +321,7 @@ func (db *DB) reserveLocked(need int64, owner *unit) error {
 		// generalizes the paper's execution model of one main thread plus
 		// one I/O thread to a pool of N workers (deadlockedLocked).
 		if db.deadlockedLocked(owner) {
-			db.stats.deadlocks.Add(1)
+			db.stats.Deadlocks++
 			if owner != nil {
 				owner.allocFailed = ErrDeadlock
 			}
@@ -352,23 +336,20 @@ func (db *DB) reserveLocked(need int64, owner *unit) error {
 		if owner != nil {
 			owner.memBlocked = true
 		}
-		ch := db.memWaitChLocked()
 		start := db.now()
-		db.mu.Unlock()
-		db.wait(ch)
-		db.mu.Lock()
+		db.waitChLocked(&db.memCh)
 		if owner != nil {
 			owner.memBlocked = false
 		}
 		if bgWorker {
 			db.ioBlocked--
-			db.workers[owner.worker].blockedNanos.Add(int64(db.since(start)))
+			db.workers[owner.worker].BlockedTime += db.since(start)
 		} else if owner != nil {
 			db.inlineBlocked--
 		}
 	}
 	db.mem += need
-	db.stats.observePeak(db.mem)
+	db.stats.PeakBytes = max(db.stats.PeakBytes, db.mem)
 	db.checkMemLocked("reserveLocked")
 	return nil
 }
@@ -475,13 +456,13 @@ func (db *DB) stuckWaiterLocked(owner *unit) bool {
 }
 
 // releaseLocked returns n bytes to the memory budget and wakes the
-// memory-waiter FIFO — and only it: unit-state waiters cannot use memory
-// and are not woken by memory traffic. Caller holds db.mu (write).
+// reservers on memCh — and only them: unit-state waiters cannot use memory
+// and are not woken by memory traffic. Caller holds db.mu.
 func (db *DB) releaseLocked(n int64) {
 	db.mem -= n
 	db.checkMemLocked("releaseLocked")
 	if n > 0 {
-		db.wakeMemWaitersLocked()
+		broadcast(&db.memCh)
 	}
 }
 
@@ -490,14 +471,14 @@ func (db *DB) releaseLocked(n int64) {
 // re-added while cached is still owed to a consumer, so it goes back to the
 // tail of the prefetch queue instead of out of the database. Blocked
 // reservers are woken by the memory release itself (releaseLocked, via
-// dropRecordLocked). Caller holds db.mu (write).
+// dropRecordLocked). Caller holds db.mu.
 func (db *DB) evictOneLocked() bool {
 	u := db.lru.popLRULocked()
 	if u == nil {
 		return false
 	}
 	db.recordEventLocked(u, u.state, stateEvicted)
-	db.stats.unitsEvicted.Add(1)
+	db.stats.UnitsEvicted++
 	if !u.hinted {
 		db.dropUnitLocked(u)
 		return true
@@ -508,14 +489,12 @@ func (db *DB) evictOneLocked() bool {
 	u.everAcquired = false
 	u.worker = -1
 	db.setStateLocked(u, statePending)
-	db.queue = append(db.queue, u)
-	db.stats.unitsAdded.Add(1)
-	db.signalWorkerLocked()
+	db.enqueueLocked(u)
 	return true
 }
 
 // dropUnitLocked removes a unit and all of its records from the database.
-// Caller holds db.mu (write).
+// Caller holds db.mu.
 func (db *DB) dropUnitLocked(u *unit) {
 	reading := u.state == stateReading
 	db.recordEventLocked(u, u.state, stateDeleted)
@@ -529,17 +508,17 @@ func (db *DB) dropUnitLocked(u *unit) {
 	if !reading {
 		db.runReleasersLocked(u)
 	}
-	db.notifyUnitLocked(u)
+	broadcast(&u.stateCh)
 	delete(db.units, u.name)
 	// Dropping a unit can change the §3.3 verdict without releasing a byte —
 	// deleting a pending unit shrinks the queue behind progressLocked's
 	// idle-workers-with-queued-units clause — so blocked reservers must
 	// re-run the detector even when releaseLocked had nothing to wake.
-	db.wakeMemWaitersLocked()
+	broadcast(&db.memCh)
 }
 
 // dropRecordsLocked drops every record u owns and clears its charge. Caller
-// holds db.mu (write).
+// holds db.mu.
 func (db *DB) dropRecordsLocked(u *unit) {
 	for _, r := range u.records {
 		db.dropRecordLocked(r)
@@ -550,8 +529,7 @@ func (db *DB) dropRecordsLocked(u *unit) {
 
 // runReleasersLocked runs u's release hooks, in registration order, and
 // forgets them, so each runs exactly once. They run under db.mu by contract
-// (Unit.OnRelease): prompt, non-reentrant cleanup only. Caller holds db.mu
-// (write).
+// (Unit.OnRelease): prompt, non-reentrant cleanup only. Caller holds db.mu.
 func (db *DB) runReleasersLocked(u *unit) {
 	for _, fn := range u.releasers {
 		fn()
@@ -559,11 +537,12 @@ func (db *DB) runReleasersLocked(u *unit) {
 	u.releasers = nil
 }
 
-// getRecordRLocked answers a key-lookup query. Caller holds db.mu (read or
-// write side).
+// getRecordLocked answers a key-lookup query, building the composite key in
+// db.keyBuf so a fixed-size key lookup performs no allocation (see
+// BenchmarkKeyLookup). Caller holds db.mu.
 //
 //godiva:noalloc
-func (db *DB) getRecordRLocked(recType string, keys []any) (*Record, error) {
+func (db *DB) getRecordLocked(recType string, keys []any) (*Record, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
@@ -574,12 +553,11 @@ func (db *DB) getRecordRLocked(recType string, keys []any) (*Record, error) {
 	if !rt.committed {
 		return nil, fmt.Errorf("%w: record type %q", ErrNotCommitted, recType)
 	}
-	kp := keyScratch.Get().(*[]byte)
-	key, err := rt.appendKeyForValues((*kp)[:0], keys)
+	key, err := rt.appendKeyForValues(db.keyBuf[:0], keys)
 	if err != nil {
-		keyScratch.Put(kp)
 		return nil, err
 	}
+	db.keyBuf = key
 	idx, found := db.indexes[recType]
 	var r *Record
 	if found {
@@ -587,28 +565,18 @@ func (db *DB) getRecordRLocked(recType string, keys []any) (*Record, error) {
 	} else {
 		r, ok = nil, false
 	}
-	*kp = key
-	keyScratch.Put(kp)
 	if !ok {
 		return nil, fmt.Errorf("%w: record type %q", ErrNotFound, recType)
 	}
 	return r, nil
 }
 
-// keyScratch pools composite-key scratch buffers for the query path, so a
-// fixed-size key lookup performs no allocation (see BenchmarkKeyLookup).
-// Keys built here are only compared against the index, never retained.
-var keyScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64)
-	return &b
-}}
-
 // GetRecord returns the committed record of the given type identified by the
 // key values, in key-field insertion order.
 func (db *DB) GetRecord(recType string, keys ...any) (*Record, error) {
-	db.mu.RLock()
-	r, err := db.getRecordRLocked(recType, keys)
-	db.mu.RUnlock()
+	db.mu.Lock()
+	r, err := db.getRecordLocked(recType, keys)
+	db.mu.Unlock()
 	return r, err
 }
 
@@ -617,9 +585,9 @@ func (db *DB) GetRecord(recType string, keys ...any) (*Record, error) {
 // the key values. The visualization code then accesses the buffer directly,
 // as if it were a user-allocated array.
 func (db *DB) GetFieldBuffer(recType, field string, keys ...any) (*Buffer, error) {
-	db.mu.RLock()
-	r, err := db.getRecordRLocked(recType, keys)
-	db.mu.RUnlock()
+	db.mu.Lock()
+	r, err := db.getRecordLocked(recType, keys)
+	db.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -641,8 +609,8 @@ func (db *DB) GetFieldBufferSize(recType, field string, keys ...any) (int, error
 // ErrUnknownRecordType for a type that was never defined (earlier versions
 // silently returned 0 for both).
 func (db *DB) CountRecords(recType string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
 		return 0, ErrClosed
 	}
@@ -660,11 +628,11 @@ func (db *DB) CountRecords(recType string) (int, error) {
 // ascending key order until fn returns false. Like the other queries it
 // returns ErrClosed on a closed database and ErrUnknownRecordType for a
 // type that was never defined (earlier versions silently did nothing for
-// both). fn runs with the database read lock held and must not call back
-// into the database.
+// both). fn runs with the database lock held and must not call back into
+// the database.
 func (db *DB) EachRecord(recType string, fn func(r *Record) bool) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}

@@ -32,7 +32,7 @@ func (db *DB) recordEventLocked(u *unit, from, to unitState) {
 		// looks complete would mislead anyone debugging push delivery.
 		drop := len(db.events) / 4
 		db.events = append(db.events[:0], db.events[drop:]...)
-		db.stats.eventsDropped.Add(int64(drop))
+		db.stats.EventsDropped += int64(drop)
 	}
 	db.events = append(db.events, UnitEvent{
 		Unit:   u.name,
@@ -46,8 +46,8 @@ func (db *DB) recordEventLocked(u *unit, from, to unitState) {
 // UnitEvents returns a copy of the recorded unit state transitions, oldest
 // first. Empty unless Options.TraceUnits was set.
 func (db *DB) UnitEvents() []UnitEvent {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	out := make([]UnitEvent, len(db.events))
 	copy(out, db.events)
 	return out

@@ -16,8 +16,8 @@ type UnitInfo struct {
 
 // Units lists all live units sorted by name, for monitoring and tests.
 func (db *DB) Units() []UnitInfo {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	out := make([]UnitInfo, 0, len(db.units))
 	for _, u := range db.units {
 		out = append(out, UnitInfo{
@@ -34,8 +34,8 @@ func (db *DB) Units() []UnitInfo {
 
 // RecordTypes lists the committed record type names, sorted.
 func (db *DB) RecordTypes() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	var out []string
 	for name, rt := range db.recordTypes {
 		if rt.committed {
@@ -48,8 +48,8 @@ func (db *DB) RecordTypes() []string {
 
 // KeyFields returns a committed record type's key field names in key order.
 func (db *DB) KeyFields(recType string) ([]string, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	rt, ok := db.recordTypes[recType]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRecordType, recType)
@@ -66,10 +66,10 @@ func (db *DB) KeyFields(recType string) ([]string, error) {
 // With all key values supplied it visits at most the one exact match; with
 // fewer it performs a range scan — e.g. every block record of one block ID
 // across all time steps when the block ID is the first key field. fn runs
-// with the database read lock held and must not call back into the database.
+// with the database lock held and must not call back into the database.
 func (db *DB) ScanPrefix(recType string, fn func(r *Record) bool, keys ...any) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}

@@ -15,5 +15,3 @@ func (db *DB) checkMemLocked(string) {}
 func (db *DB) checkInvariantsLocked(string) {}
 
 func (db *DB) checkTransitionLocked(*unit, unitState, unitState) {}
-
-func checkStatsSnapshot(*Stats) {}

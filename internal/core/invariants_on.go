@@ -6,8 +6,8 @@ import "fmt"
 
 // Runtime invariant checking, compiled in only under the godivainvariants
 // build tag (see DESIGN.md, "Static analysis & invariants"). Every check
-// runs with db.mu held (write side) at a quiescent point — the end of a
-// mutating operation, or a unit state transition — and panics with a
+// runs with db.mu held at a quiescent point — the end of a mutating
+// operation, or a unit state transition — and panics with a
 // diagnostic on the first violation. verify.sh runs the core test suite
 // with this tag and -race; production builds compile the hooks to no-ops
 // (invariants_off.go).
@@ -31,8 +31,8 @@ func (db *DB) checkMemLocked(where string) {
 // checkInvariantsLocked runs the full structural audit: byte accounting
 // (db.mem equals the sum of every live record's charge, with per-unit
 // subtotals consistent), LRU list ↔ unit-state consistency, prefetch-queue
-// hygiene, and reader/blocked counter sanity. Caller holds db.mu (write) at
-// the end of a mutating operation.
+// hygiene, reader/blocked counter sanity, and the operation counters' subset
+// chain. Caller holds db.mu at the end of a mutating operation.
 func (db *DB) checkInvariantsLocked(where string) {
 	db.checkMemLocked(where)
 
@@ -149,6 +149,22 @@ func (db *DB) checkInvariantsLocked(where string) {
 	if db.ioReading > db.ioWorkers {
 		invariantViolation(where, "ioReading=%d exceeds pool size %d", db.ioReading, db.ioWorkers)
 	}
+
+	// Counters: every prefetch is a read of an added unit, and the workers'
+	// shares of prefetching add up to the total.
+	s := &db.stats
+	if s.UnitsPrefetched < 0 || s.UnitsPrefetched > s.UnitsRead || s.UnitsRead > s.UnitsAdded {
+		invariantViolation(where, "counters break UnitsPrefetched=%d <= UnitsRead=%d <= UnitsAdded=%d",
+			s.UnitsPrefetched, s.UnitsRead, s.UnitsAdded)
+	}
+	var prefetched int64
+	for _, w := range db.workers {
+		prefetched += w.Prefetched
+	}
+	if prefetched != s.UnitsPrefetched {
+		invariantViolation(where, "per-worker Prefetched sums to %d, UnitsPrefetched is %d",
+			prefetched, s.UnitsPrefetched)
+	}
 }
 
 // legalTransitions is the unit life-cycle table (paper §3.2 plus the
@@ -163,49 +179,10 @@ var legalTransitions = map[unitState]map[unitState]bool{
 }
 
 // checkTransitionLocked validates one unit state transition against the
-// legal life-cycle table. Caller holds db.mu (write).
+// legal life-cycle table. Caller holds db.mu.
 func (db *DB) checkTransitionLocked(u *unit, from, to unitState) {
 	if !legalTransitions[from][to] {
 		invariantViolation("transition", "unit %q: illegal transition %v -> %v", u.name, from, to)
-	}
-}
-
-// checkStatsSnapshot validates the downstream-first counter snapshot: all
-// counters non-negative and the subset chain UnitsPrefetched <= UnitsRead <=
-// UnitsAdded intact, which the lock-free snapshot ordering guarantees even
-// while counters move (stats.go). DB.Stats is //godiva:noalloc, so the
-// checks run as a flat if-chain rather than a built-up table — the hot path
-// stays allocation-free even with invariants compiled in.
-func checkStatsSnapshot(s *Stats) {
-	checkCounter("RecordsCommitted", s.RecordsCommitted)
-	checkCounter("UnitsAdded", s.UnitsAdded)
-	checkCounter("UnitsRead", s.UnitsRead)
-	checkCounter("UnitsPrefetched", s.UnitsPrefetched)
-	checkCounter("UnitsFailed", s.UnitsFailed)
-	checkCounter("UnitsDeleted", s.UnitsDeleted)
-	checkCounter("UnitsEvicted", s.UnitsEvicted)
-	checkCounter("CacheHits", s.CacheHits)
-	checkCounter("Deadlocks", s.Deadlocks)
-	checkCounter("BytesLoaded", s.BytesLoaded)
-	checkCounter("BytesBorrowed", s.BytesBorrowed)
-	checkCounter("PeakBytes", s.PeakBytes)
-	checkCounter("EventsDropped", s.EventsDropped)
-	checkCounter("VisibleWait", int64(s.VisibleWait))
-	checkCounter("ReadTime", int64(s.ReadTime))
-	if s.UnitsPrefetched > s.UnitsRead {
-		invariantViolation("Stats", "UnitsPrefetched=%d exceeds UnitsRead=%d",
-			s.UnitsPrefetched, s.UnitsRead)
-	}
-	if s.UnitsRead > s.UnitsAdded {
-		invariantViolation("Stats", "UnitsRead=%d exceeds UnitsAdded=%d", s.UnitsRead, s.UnitsAdded)
-	}
-}
-
-// checkCounter panics if a snapshot counter went negative. Kept non-variadic
-// so healthy calls box no arguments.
-func checkCounter(name string, v int64) {
-	if v < 0 {
-		invariantViolation("Stats", "counter %s is negative: %d", name, v)
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 	"testing"
 )
 
-// The lock benchmark suite measures the three hot paths the sharded-lock
-// refactor targets: the renderer-facing key-lookup query (concurrent
-// readers must not contend), the unit wait/notify machinery (wakeups must
-// be targeted, not broadcast), and stats snapshots (must not serialize
-// against the database). Every benchmark uses only the public API so the
-// same suite runs against the pre- and post-refactor implementations;
-// EXPERIMENTS.md records both sets of numbers.
+// The lock benchmark suite measures the three hot paths the database lock
+// serves: the renderer-facing key-lookup query, the unit wait/notify
+// machinery, and stats snapshots. Every benchmark uses only the public API
+// so the same suite runs against any locking design; EXPERIMENTS.md
+// ("Locking") records the numbers of the designs tried.
 
 // populateQueryDB opens a database holding n committed resident records of
 // a one-key record type ("cell", 16-byte STRING key, 1 KB payload) and
@@ -65,9 +63,9 @@ func populateQueryDB(tb testing.TB, n int) (*DB, [][]any) {
 }
 
 // benchConcurrentQuery runs b.N key-lookup queries split across the given
-// number of reader goroutines. With a serializing global lock, wall time
-// per query stays flat (or worsens) as readers are added; with a
-// read-mostly query path it drops.
+// number of reader goroutines. With one lock, wall time per query stays
+// flat (or worsens) as readers are added; with a read-mostly query path it
+// can drop, given more CPUs than readers.
 func benchConcurrentQuery(b *testing.B, readers int) {
 	db, keys := populateQueryDB(b, 256)
 	b.ReportAllocs()
@@ -107,9 +105,9 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 // benchWaitNotify cycles units through add -> wait -> delete on several
 // concurrent pipelines sharing one database. Every delete releases memory
 // and every unit changes state several times, so the benchmark counts the
-// cost of the wakeup machinery: a broadcast implementation wakes every
-// pipeline on every transition, a targeted one wakes only the goroutines
-// that can use the event.
+// cost of the wakeup machinery: one condition variable wakes every
+// pipeline on every transition, per-unit channels wake only the unit's
+// waiters.
 func benchWaitNotify(b *testing.B, pipelines, workers int) {
 	db := Open(Options{MemoryLimit: 64 << 20, BackgroundIO: true, IOWorkers: workers})
 	defer db.Close()
@@ -207,9 +205,9 @@ func BenchmarkKeyLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsSnapshot measures Stats() under concurrent queries: with
-// counters behind the database lock every snapshot serializes against the
-// query path; with atomic counters it does not.
+// BenchmarkStatsSnapshot measures Stats() under four goroutines of
+// concurrent queries: the counters are behind the database lock, so every
+// snapshot serializes against the query path.
 func BenchmarkStatsSnapshot(b *testing.B) {
 	db, keys := populateQueryDB(b, 64)
 	stop := make(chan struct{})

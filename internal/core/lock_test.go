@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"godiva/internal/platform"
 )
 
 // TestQueriesOnClosedDBConsistent pins the closed-DB contract of the whole
@@ -67,10 +68,10 @@ func TestCountEachUnknownRecordType(t *testing.T) {
 }
 
 // TestKeyLookupZeroAllocs asserts the query path performs no allocation for
-// fixed-size keys: the composite key is built in a pooled scratch buffer
-// (keyScratch) instead of a fresh slice per query. Key values are pre-boxed
-// so the measurement covers the library, not interface conversion at the
-// call site.
+// fixed-size keys: the composite key is built in the database's scratch
+// buffer (db.keyBuf) instead of a fresh slice per query. Key values are
+// pre-boxed so the measurement covers the library, not interface conversion
+// at the call site.
 func TestKeyLookupZeroAllocs(t *testing.T) {
 	db := newTestDB(t, Options{})
 	defineFluidSchema(t, db)
@@ -95,10 +96,10 @@ func TestKeyLookupZeroAllocs(t *testing.T) {
 }
 
 // TestDeadlockDetectionUnchangedByWakeupMachinery is the regression test for
-// the targeted-wakeup rewrite: the §3.3 detector must fire in exactly the
-// situations it fired in under the condition-variable scheme, with
-// concurrent read-side queries running the whole time (they take the read
-// lock and must neither mask the deadlock nor trip it).
+// the wakeup channels: the §3.3 detector must fire in exactly the situations
+// it fired in under the condition-variable scheme, with concurrent queries
+// running the whole time (they take the lock and must neither mask the
+// deadlock nor trip it).
 func TestDeadlockDetectionUnchangedByWakeupMachinery(t *testing.T) {
 	db := newTestDB(t, Options{MemoryLimit: 8192, BackgroundIO: true})
 	defineBlobSchema(t, db)
@@ -119,7 +120,7 @@ func TestDeadlockDetectionUnchangedByWakeupMachinery(t *testing.T) {
 	}
 	keys := []any{"resident"}
 
-	// Constant query pressure on the read lock while the deadlock forms.
+	// Constant query pressure on the lock while the deadlock forms.
 	stop := make(chan struct{})
 	var qwg sync.WaitGroup
 	qwg.Add(1)
@@ -202,18 +203,33 @@ func TestDeadlockDetectionSingleThreadUnchanged(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurnStress mixes every class of operation the lock
-// decomposition separated — read-locked queries, unit add/wait/finish/delete
-// churn through the worker pool, memory-limit shrinks and growths — and
-// finishes with Close racing in-flight work. Run under -race (verify.sh
-// gates it) this checks the RWMutex split, the per-unit wait channels, the
-// memory-waiter FIFO and the atomic stats against each other.
+// TestConcurrentChurnStress mixes every class of operation — queries, unit
+// add/wait/finish/delete churn through the worker pool, memory-limit shrinks
+// and growths — and finishes with Close racing in-flight work. It runs on
+// the schedule explorer: each seed draws the compute charged between steps
+// and when Close lands, and replays its interleaving exactly; the database
+// must never stall, and its invariants must hold after every step.
 func TestConcurrentChurnStress(t *testing.T) {
-	db := Open(Options{MemoryLimit: 256 << 10, BackgroundIO: true, IOWorkers: 4})
-	defer db.Close()
+	var queries, cycles int
+	for seed := int64(1); seed <= churnSeeds; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			onMachine(t, platform.Turing, func(m *platform.Machine, clock Clock) {
+				q, c := churnWithClose(t, m, clock, seed)
+				queries += q
+				cycles += c
+			})
+		})
+	}
+	if queries == 0 || cycles == 0 {
+		t.Fatalf("stress made no progress: %d queries, %d unit cycles", queries, cycles)
+	}
+}
+
+func churnWithClose(t *testing.T, m *platform.Machine, clock Clock, seed int64) (queries, cycles int) {
+	db := Open(Options{MemoryLimit: 256 << 10, BackgroundIO: true, IOWorkers: 4, Clock: clock})
 	defineBlobSchema(t, db)
-	// Resident records give the query goroutines stable targets that survive
-	// unit churn and eviction.
+	// Resident records give the queries stable targets that survive unit
+	// churn and eviction.
 	for i := 0; i < 8; i++ {
 		r, err := db.NewRecord("blob")
 		if err != nil {
@@ -229,56 +245,39 @@ func TestConcurrentChurnStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	const goroutines = 8
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var queries, cycles atomic.Int64
-
-	// Query readers: constant pressure on the read lock.
-	for g := 0; g < goroutines/2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := fmt.Sprintf("res%d", i%8)
-				_, err := db.GetFieldBuffer("blob", "payload", id)
-				if err != nil && !errors.Is(err, ErrClosed) {
-					t.Errorf("query: %v", err)
-					return
-				}
-				queries.Add(1)
-			}
-		}(g)
+	rng := rand.New(rand.NewSource(seed))
+	step := func() {
+		m.Compute(smallCharge(rng))
+		audit(db)
 	}
-	// Unit churners: add/wait/finish or delete through the pool. Errors from
+	querier := func() {
+		for i := 0; i < 60; i++ {
+			_, err := db.GetFieldBuffer("blob", "payload", fmt.Sprintf("res%d", i%8))
+			if errors.Is(err, ErrClosed) {
+				return
+			}
+			if err != nil {
+				t.Errorf("query: %v", err)
+				return
+			}
+			queries++
+			step()
+		}
+	}
+	// Churners: add/wait/finish or delete through the pool. Errors from
 	// memory pressure (deadlock on a shrunken limit) and Close are expected;
 	// anything else is a bug.
-	for g := 0; g < goroutines/2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+	churner := func(g int) func() {
+		return func() {
+			for i := 0; i < 30; i++ {
 				name := fmt.Sprintf("s%d_u%d", g, i%16)
-				size := 1024 + rng.Intn(8*1024)
-				if err := db.AddUnit(name, blobReader(size, nil)); err != nil {
-					if errors.Is(err, ErrClosed) {
-						return
+				if err := db.AddUnit(name, blobReader(1024+rng.Intn(8*1024), nil)); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("AddUnit: %v", err)
 					}
-					t.Errorf("AddUnit: %v", err)
 					return
 				}
+				step()
 				err := db.WaitUnit(name)
 				switch {
 				case err == nil:
@@ -303,52 +302,45 @@ func TestConcurrentChurnStress(t *testing.T) {
 					t.Errorf("WaitUnit: %v", err)
 					return
 				}
-				cycles.Add(1)
+				cycles++
+				step()
 			}
-		}(g)
+		}
 	}
 	// Memory-limit mutator: shrink below the working set, then restore.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+	limiter := func() {
+		for i := 0; i < 20; i++ {
 			if i%2 == 0 {
 				db.SetMemSpace(32 << 10)
 			} else {
 				db.SetMemSpace(256 << 10)
 			}
-			time.Sleep(2 * time.Millisecond)
+			m.Compute(2 * time.Millisecond)
 		}
-	}()
-
-	time.Sleep(250 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if queries.Load() == 0 || cycles.Load() == 0 {
-		t.Fatalf("stress made no progress: %d queries, %d unit cycles", queries.Load(), cycles.Load())
 	}
-	// Close with the database still warm, then verify the full teardown
-	// contract once more.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	// Close with the database still warm, at a seeded moment.
+	closer := func() {
+		m.Compute(time.Duration(rng.Intn(60)) * time.Millisecond)
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
 	}
+	runAll(clock, querier, churner(0), churner(1), limiter, closer)
 	if _, err := db.GetFieldBuffer("blob", "payload", "res0"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("query after close: %v, want ErrClosed", err)
+		t.Errorf("query after close: %v, want ErrClosed", err)
 	}
 	if err := db.Close(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("second Close: %v, want ErrClosed", err)
+		t.Errorf("second Close: %v, want ErrClosed", err)
 	}
+	if used := db.MemUsed(); used != 0 {
+		t.Errorf("MemUsed = %d after Close", used)
+	}
+	return queries, cycles
 }
 
-// TestStatsSnapshotConcurrentWithChurn checks that the lock-free Stats
-// snapshot stays internally sane while counters move: monotone counters
-// never regress between snapshots and UnitsPrefetched never exceeds
-// UnitsRead (the PR 1 accounting invariant, now under atomics).
+// TestStatsSnapshotConcurrentWithChurn checks that the Stats snapshot stays
+// internally sane while counters move: monotone counters never regress
+// between snapshots and UnitsPrefetched never exceeds UnitsRead.
 func TestStatsSnapshotConcurrentWithChurn(t *testing.T) {
 	db := newTestDB(t, Options{BackgroundIO: true, IOWorkers: 2})
 	defineBlobSchema(t, db)

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // AddUnit appends a processing unit to the prefetching list (non-blocking).
 // In background-I/O mode the I/O goroutine will read the unit's records into
@@ -22,7 +25,7 @@ func (db *DB) AddUnit(name string, read ReadFunc) error {
 		case statePending, stateReading:
 			return nil
 		case stateReady:
-			db.stats.cacheHits.Add(1)
+			db.stats.CacheHits++
 			return nil
 		case stateFinished:
 			// Still cached: refresh its recency so it survives until used,
@@ -31,7 +34,7 @@ func (db *DB) AddUnit(name string, read ReadFunc) error {
 			db.lru.pushMRULocked(u)
 			u.read = read
 			u.hinted = true
-			db.stats.cacheHits.Add(1)
+			db.stats.CacheHits++
 			return nil
 		case stateFailed:
 			db.recordEventLocked(u, stateFailed, statePending)
@@ -40,35 +43,26 @@ func (db *DB) AddUnit(name string, read ReadFunc) error {
 			u.allocFailed = nil
 			u.read = read
 			u.worker = -1
-			db.queue = append(db.queue, u)
-			db.stats.unitsAdded.Add(1)
-			db.signalWorkerLocked()
+			db.enqueueLocked(u)
 			return nil
 		}
 	}
 	u := &unit{name: name, state: statePending, read: read, worker: -1}
 	db.units[name] = u
 	db.recordEventLocked(u, statePending, statePending)
-	db.queue = append(db.queue, u)
-	db.stats.unitsAdded.Add(1)
-	db.signalWorkerLocked()
+	db.enqueueLocked(u)
 	return nil
 }
 
-// signalWorkerLocked wakes exactly one idle background I/O worker to
-// dispatch a just-enqueued unit. When no worker is idle the signal is
-// unnecessary: every busy worker re-checks the queue after its current read
-// completes. In single-thread mode (ioWorkers == 0) there is no worker to
-// wake and the enqueue alone is correct — WaitUnit will read the unit
-// inline — so this is an explicit no-op. Caller holds db.mu (write).
-func (db *DB) signalWorkerLocked() {
-	if db.ioWorkers == 0 || len(db.idleWorkers) == 0 {
-		return
-	}
-	ch := db.idleWorkers[0]
-	db.idleWorkers[0] = nil
-	db.idleWorkers = db.idleWorkers[1:]
-	close(ch)
+// enqueueLocked appends u, just made pending, to the prefetch queue, counts
+// it as added and wakes the idle I/O workers to dispatch it. Busy workers
+// re-check the queue after their current read completes; in single-thread
+// mode no worker sleeps on queued and WaitUnit reads the unit inline.
+// Caller holds db.mu.
+func (db *DB) enqueueLocked(u *unit) {
+	db.queue = append(db.queue, u)
+	db.stats.UnitsAdded++
+	broadcast(&db.queued)
 }
 
 // ReadUnit explicitly reads a unit into the database with a blocking call,
@@ -80,10 +74,7 @@ func (db *DB) signalWorkerLocked() {
 func (db *DB) ReadUnit(name string, read ReadFunc) error {
 	start := db.now()
 	db.mu.Lock()
-	defer func() {
-		db.mu.Unlock()
-		db.stats.visibleWaitNanos.Add(int64(db.since(start)))
-	}()
+	defer db.endWaitLocked(start)
 	defer db.checkInvariantsLocked("ReadUnit")
 	if db.closed {
 		return ErrClosed
@@ -93,7 +84,7 @@ func (db *DB) ReadUnit(name string, read ReadFunc) error {
 		u = &unit{name: name, state: statePending, read: read, worker: -1}
 		db.units[name] = u
 		db.recordEventLocked(u, statePending, statePending)
-		db.stats.unitsAdded.Add(1)
+		db.stats.UnitsAdded++
 	}
 	return db.acquireUnitLocked(u, true)
 }
@@ -105,10 +96,7 @@ func (db *DB) ReadUnit(name string, read ReadFunc) error {
 func (db *DB) WaitUnit(name string) error {
 	start := db.now()
 	db.mu.Lock()
-	defer func() {
-		db.mu.Unlock()
-		db.stats.visibleWaitNanos.Add(int64(db.since(start)))
-	}()
+	defer db.endWaitLocked(start)
 	defer db.checkInvariantsLocked("WaitUnit")
 	if db.closed {
 		return ErrClosed
@@ -118,6 +106,13 @@ func (db *DB) WaitUnit(name string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownUnit, name)
 	}
 	return db.acquireUnitLocked(u, false)
+}
+
+// endWaitLocked adds the time since start to VisibleWait and releases db.mu,
+// ending a WaitUnit or ReadUnit. Caller holds db.mu.
+func (db *DB) endWaitLocked(start time.Time) {
+	db.stats.VisibleWait += db.since(start)
+	db.mu.Unlock()
 }
 
 // acquireUnitLocked brings unit u to stateReady on behalf of one consumer:
@@ -149,7 +144,7 @@ func (db *DB) acquireUnitLocked(u *unit, inline bool) error {
 		case stateReady:
 			u.refs++
 			if u.everAcquired {
-				db.stats.cacheHits.Add(1)
+				db.stats.CacheHits++
 			}
 			u.everAcquired = true
 			return nil
@@ -159,7 +154,7 @@ func (db *DB) acquireUnitLocked(u *unit, inline bool) error {
 			u.state = stateReady
 			u.hinted = false
 			u.refs++
-			db.stats.cacheHits.Add(1)
+			db.stats.CacheHits++
 			return nil
 		case stateFailed:
 			return fmt.Errorf("%w: unit %q: %w", ErrUnitFailed, u.name, u.err)
@@ -179,27 +174,20 @@ func (db *DB) acquireUnitLocked(u *unit, inline bool) error {
 // waitStateLocked blocks until u leaves its current state or the database
 // closes. It registers the caller as a waiter on u and wakes the blocked
 // memory reservers once, so that a reader blocked on memory re-evaluates
-// the §3.3 deadlock condition now that a consumer is provably stuck (this
-// replaces the registration broadcast of the old condition-variable
-// scheme; the sleep itself uses the unit's targeted wait channel). Caller
-// holds db.mu; the lock is dropped while sleeping.
+// the §3.3 deadlock condition now that a consumer is provably stuck; the
+// sleep itself is on the unit's stateCh. Caller holds db.mu; the lock is
+// dropped while sleeping.
 func (db *DB) waitStateLocked(u *unit) {
-	state := u.state
-	if u.state != state || db.closed {
+	if db.closed {
 		return
 	}
+	state := u.state
 	u.waiters++
 	// One wake-up per registration, not per loop turn — and only of the
 	// memory waiters, who are the ones whose deadlock verdict can change.
-	db.wakeMemWaitersLocked()
+	broadcast(&db.memCh)
 	for u.state == state && !db.closed {
-		if u.stateCh == nil {
-			u.stateCh = make(chan struct{})
-		}
-		ch := u.stateCh
-		db.mu.Unlock()
-		db.wait(ch)
-		db.mu.Lock()
+		db.waitChLocked(&u.stateCh)
 	}
 	u.waiters--
 }
@@ -214,8 +202,9 @@ func (db *DB) runRead(u *unit) {
 	// enters stateReading, and this goroutine owns the unit until the read
 	// completes — the unlocked access cannot race (see the unit doc comment).
 	err := u.read(&Unit{db: db, u: u})
-	db.stats.readTimeNanos.Add(int64(db.since(start)))
+	elapsed := db.since(start)
 	db.mu.Lock()
+	db.stats.ReadTime += elapsed
 	defer db.mu.Unlock()
 	defer db.checkInvariantsLocked("runRead")
 	if err == nil {
@@ -224,26 +213,24 @@ func (db *DB) runRead(u *unit) {
 	if u.state == stateDeleted {
 		// Deleted while being read: drop whatever the read created.
 		db.dropRecordsLocked(u)
-		db.notifyUnitLocked(u)
+		broadcast(&u.stateCh)
 	} else if err != nil {
 		db.dropRecordsLocked(u)
 		u.err = err
 		db.setStateLocked(u, stateFailed)
-		db.stats.unitsFailed.Add(1)
+		db.stats.UnitsFailed++
 		if u.worker >= 0 {
-			db.workers[u.worker].failed.Add(1)
+			db.workers[u.worker].Failed++
 		}
 	} else {
 		db.setStateLocked(u, stateReady)
-		db.stats.unitsRead.Add(1)
-		db.stats.bytesLoaded.Add(u.memory)
+		db.stats.UnitsRead++
+		db.stats.BytesLoaded += u.memory
 		// Only successful background reads count as prefetched, so
-		// UnitsPrefetched stays a subset of UnitsRead; bumping both under
-		// db.mu keeps Stats and IOWorkerStats from tearing against each
-		// other once the unit's state is visible.
+		// UnitsPrefetched stays a subset of UnitsRead.
 		if u.worker >= 0 {
-			db.stats.unitsPrefetched.Add(1)
-			db.workers[u.worker].prefetched.Add(1)
+			db.stats.UnitsPrefetched++
+			db.workers[u.worker].Prefetched++
 		}
 	}
 	if u.state != stateReady {
@@ -263,8 +250,10 @@ func (db *DB) runRead(u *unit) {
 		u.inline = false
 	} else {
 		db.ioReading--
+		w := &db.workers[u.worker]
+		w.Reading, w.Unit = false, ""
 	}
-	db.wakeMemWaitersLocked()
+	broadcast(&db.memCh)
 }
 
 // FinishUnit tells the database that one consumer has completed processing
@@ -292,7 +281,7 @@ func (db *DB) FinishUnit(name string) error {
 			db.lru.pushMRULocked(u)
 			// The unit just became evictable: blocked memory reservers may
 			// now succeed by evicting it, so they must re-check.
-			db.wakeMemWaitersLocked()
+			broadcast(&db.memCh)
 		}
 		return nil
 	case stateFinished:
@@ -327,7 +316,7 @@ func (db *DB) DeleteUnit(name string) error {
 		return nil // someone else deleted it while we waited
 	}
 	db.dropUnitLocked(u)
-	db.stats.unitsDeleted.Add(1)
+	db.stats.UnitsDeleted++
 	return nil
 }
 
@@ -335,8 +324,8 @@ func (db *DB) DeleteUnit(name string) error {
 // ok is false if the unit is unknown (never added, or already deleted or
 // evicted).
 func (db *DB) UnitState(name string) (state string, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	u, found := db.units[name]
 	if !found {
 		return "", false
@@ -349,18 +338,14 @@ func (db *DB) UnitState(name string) (state string, ok bool) {
 // the prefetch FIFO — dispatch is in AddUnit order because every pop takes
 // the head under db.mu — and reads them through their read functions,
 // blocking (inside reserveLocked) when the database is out of memory, until
-// the database is closed. An idle worker sleeps on its own entry in the
-// idle-worker FIFO and is woken by AddUnit (one worker per enqueued unit)
-// or Close; unit state changes and memory traffic never wake it.
+// the database is closed. An idle worker sleeps on db.queued and is woken
+// when a unit is enqueued or at Close; unit state changes and memory
+// traffic never wake it.
 func (db *DB) ioLoop(id int) {
 	for {
 		db.mu.Lock()
 		for !db.closed && len(db.queue) == 0 {
-			ch := make(chan struct{})
-			db.idleWorkers = append(db.idleWorkers, ch)
-			db.mu.Unlock()
-			db.wait(ch)
-			db.mu.Lock()
+			db.waitChLocked(&db.queued)
 		}
 		if db.closed {
 			if db.ioLive--; db.ioLive == 0 {
@@ -381,15 +366,10 @@ func (db *DB) ioLoop(id int) {
 		u.worker = id
 		db.setStateLocked(u, stateReading)
 		db.ioReading++
-		ws := &db.workers[id]
-		ws.reading.Store(true)
-		ws.unit = u.name
+		w := &db.workers[id]
+		w.Reading, w.Unit = true, u.name
 		db.mu.Unlock()
-		db.runRead(u) // ends the read: ioReading--
-		db.mu.Lock()
-		ws.reading.Store(false)
-		ws.unit = ""
-		db.mu.Unlock()
+		db.runRead(u) // ends the read: ioReading--, Reading = false
 	}
 }
 

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"godiva/internal/platform"
 )
 
 // queueShape returns the prefetch FIFO's length and capacity.
@@ -14,24 +16,6 @@ func queueShape(db *DB) (n, c int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return len(db.queue), cap(db.queue)
-}
-
-// waitForStats polls the database until cond is satisfied or the deadline
-// passes. Counters incremented by a worker after the waiter was woken (e.g.
-// UnitsPrefetched) need a moment to land.
-func waitForStats(t *testing.T, db *DB, cond func(Stats) bool) Stats {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		s := db.Stats()
-		if cond(s) {
-			return s
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats condition not met in time; stats = %+v", s)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // Regression: UnitsPrefetched must count only successful background reads —
@@ -47,7 +31,12 @@ func TestPrefetchedCountsOnlySuccessfulReads(t *testing.T) {
 	if err := db.WaitUnit("bad"); !errors.Is(err, boom) {
 		t.Fatalf("WaitUnit(bad) = %v, want the read error", err)
 	}
-	s := waitForStats(t, db, func(s Stats) bool { return s.UnitsFailed == 1 })
+	// The counters move in the critical section that ends the read, so they
+	// are settled once WaitUnit returns.
+	s := db.Stats()
+	if s.UnitsFailed != 1 {
+		t.Fatalf("UnitsFailed = %d after a failed background read, want 1", s.UnitsFailed)
+	}
 	if s.UnitsPrefetched != 0 {
 		t.Fatalf("UnitsPrefetched = %d after a failed background read, want 0", s.UnitsPrefetched)
 	}
@@ -57,7 +46,10 @@ func TestPrefetchedCountsOnlySuccessfulReads(t *testing.T) {
 	if err := db.WaitUnit("good"); err != nil {
 		t.Fatal(err)
 	}
-	s = waitForStats(t, db, func(s Stats) bool { return s.UnitsPrefetched == 1 })
+	s = db.Stats()
+	if s.UnitsPrefetched != 1 {
+		t.Fatalf("UnitsPrefetched = %d after one successful background read, want 1", s.UnitsPrefetched)
+	}
 	if s.UnitsPrefetched > s.UnitsRead {
 		t.Fatalf("UnitsPrefetched = %d > UnitsRead = %d; invariant broken", s.UnitsPrefetched, s.UnitsRead)
 	}
@@ -179,9 +171,9 @@ func TestWorkerPoolConcurrentReads(t *testing.T) {
 		if p := peak.Load(); (p >= 2) != (workers > 1) {
 			t.Fatalf("peak in-flight reads = %d with %d workers, want 1 for one worker and >= 2 for a pool", p, workers)
 		}
-		s := waitForStats(t, db, func(s Stats) bool { return s.UnitsPrefetched == units })
-		if s.UnitsRead != units {
-			t.Fatalf("workers=%d: UnitsRead = %d, want %d", workers, s.UnitsRead, units)
+		s := db.Stats()
+		if s.UnitsRead != units || s.UnitsPrefetched != units {
+			t.Fatalf("workers=%d: UnitsRead = %d, UnitsPrefetched = %d, want %d", workers, s.UnitsRead, s.UnitsPrefetched, units)
 		}
 		var perWorker int64
 		for _, ws := range db.IOWorkerStats() {
@@ -240,7 +232,8 @@ func TestWorkerPoolDispatchOrder(t *testing.T) {
 // pool, completion is out of order, so the consumer takes units as they
 // become ready (a FIFO consumer under a tight limit can genuinely deadlock
 // when memory fills with ready units it is not yet willing to consume —
-// see DESIGN.md).
+// see DESIGN.md). The pipeline runs on a simulated machine, so the pool's
+// consumer polls in virtual time.
 func TestWorkerPoolNoFalseDeadlock(t *testing.T) {
 	const units = 8
 	names := make([]string, units)
@@ -248,56 +241,59 @@ func TestWorkerPoolNoFalseDeadlock(t *testing.T) {
 		names[i] = fmt.Sprintf("u%d", i)
 	}
 	for _, w := range []int{1, 2, 4} {
-		w := w
 		t.Run(fmt.Sprintf("IOWorkers=%d", w), func(t *testing.T) {
-			db := newTestDB(t, Options{BackgroundIO: true, IOWorkers: w, MemoryLimit: 3900})
-			defineBlobSchema(t, db)
-			rd := blobReader(1000, nil)
-			for _, name := range names {
-				if err := db.AddUnit(name, rd); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if w == 1 {
+			var s Stats
+			onMachine(t, platform.Turing, func(m *platform.Machine, clock Clock) {
+				db := Open(Options{BackgroundIO: true, IOWorkers: w, MemoryLimit: 3900, Clock: clock})
+				defer db.Close()
+				defineBlobSchema(t, db)
+				rd := chargedBlobReader(m, 1000, 5*time.Millisecond)
 				for _, name := range names {
-					if err := db.WaitUnit(name); err != nil {
-						t.Fatalf("WaitUnit(%s): %v", name, err)
-					}
-					if err := db.DeleteUnit(name); err != nil {
+					if err := db.AddUnit(name, rd); err != nil {
 						t.Fatal(err)
 					}
 				}
-			} else {
-				done := make(map[string]bool, units)
-				deadline := time.Now().Add(10 * time.Second)
-				for len(done) < units {
-					if time.Now().After(deadline) {
-						t.Fatalf("pipeline wedged with %d/%d units consumed", len(done), units)
-					}
-					picked := ""
+				if w == 1 {
 					for _, name := range names {
-						if done[name] {
+						if err := db.WaitUnit(name); err != nil {
+							t.Fatalf("WaitUnit(%s): %v", name, err)
+						}
+						if err := db.DeleteUnit(name); err != nil {
+							t.Fatal(err)
+						}
+					}
+				} else {
+					done := make(map[string]bool, units)
+					deadline := m.Now().Add(10 * time.Second)
+					for len(done) < units {
+						if m.Now().After(deadline) {
+							t.Fatalf("pipeline wedged with %d/%d units consumed", len(done), units)
+						}
+						picked := ""
+						for _, name := range names {
+							if done[name] {
+								continue
+							}
+							if st, ok := db.UnitState(name); ok && (st == "ready" || st == "finished") {
+								picked = name
+								break
+							}
+						}
+						if picked == "" {
+							m.Compute(time.Millisecond)
 							continue
 						}
-						if st, ok := db.UnitState(name); ok && (st == "ready" || st == "finished") {
-							picked = name
-							break
+						if err := db.WaitUnit(picked); err != nil {
+							t.Fatalf("WaitUnit(%s): %v", picked, err)
 						}
+						if err := db.DeleteUnit(picked); err != nil {
+							t.Fatal(err)
+						}
+						done[picked] = true
 					}
-					if picked == "" {
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					if err := db.WaitUnit(picked); err != nil {
-						t.Fatalf("WaitUnit(%s): %v", picked, err)
-					}
-					if err := db.DeleteUnit(picked); err != nil {
-						t.Fatal(err)
-					}
-					done[picked] = true
 				}
-			}
-			s := db.Stats()
+				s = db.Stats()
+			})
 			if s.Deadlocks != 0 {
 				t.Fatalf("Deadlocks = %d in a progressing pipeline", s.Deadlocks)
 			}
@@ -381,75 +377,93 @@ func TestCloseStopsWorkerPool(t *testing.T) {
 	}
 }
 
-// A -race stress run hammering one database from many goroutines with every
-// unit operation plus runtime memory-limit changes, under a tight limit, for
-// both a single worker and a pool. Individual operations may fail (deadlock
-// detection, deleted units); the database must neither race nor wedge, and
-// the counters must stay coherent.
+// A stress run hammering one database from three consumers with every unit
+// operation plus runtime memory-limit changes, under a tight limit, for both
+// a single worker and a pool. It runs on the schedule explorer: each seed
+// draws the compute charged between the consumers' steps, so the seeds
+// replay different interleavings exactly. Individual operations may fail
+// (deadlock detection, deleted units); the database must never stall, its
+// invariants must hold after every step, and the counters must stay
+// coherent.
 func TestWorkerPoolStressRace(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		w := w
 		t.Run(fmt.Sprintf("IOWorkers=%d", w), func(t *testing.T) {
-			db := newTestDB(t, Options{BackgroundIO: true, IOWorkers: w, MemoryLimit: 8192})
-			defineBlobSchema(t, db)
-			rd := blobReader(512, nil)
-			var wg sync.WaitGroup
-			for g := 0; g < 6; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 120; i++ {
-						name := fmt.Sprintf("u%02d", (g*11+i)%16)
-						switch i % 6 {
-						case 0, 4:
-							ignoreRaceErr(db.AddUnit(name, rd))
-						case 1:
-							if db.ReadUnit(name, rd) == nil {
-								ignoreRaceErr(db.FinishUnit(name))
-							}
-						case 2:
-							if db.WaitUnit(name) == nil {
-								ignoreRaceErr(db.FinishUnit(name))
-							}
-						case 3:
-							ignoreRaceErr(db.DeleteUnit(name))
-						case 5:
-							db.SetMemSpace(4096 + int64((g+i)%5)*1024)
-						}
-					}
-					// Delete every name before exiting: a goroutine must not
-					// abandon units it left ready but unconsumed, or the last
-					// thread standing can block on memory forever, waiting
-					// for application threads that no longer exist. Deleting
-					// a unit someone is still reading registers a waiter, so
-					// a reader wedged on memory fails with ErrDeadlock
-					// instead of pinning the delete.
-					for n := 0; n < 16; n++ {
-						ignoreRaceErr(db.DeleteUnit(fmt.Sprintf("u%02d", n)))
-					}
-				}(g)
-			}
-			wg.Wait()
-			db.SetMemSpace(1 << 20)
-			for _, u := range db.Units() {
-				if err := db.DeleteUnit(u.Name); err != nil {
-					t.Fatalf("delete %s after churn: %v", u.Name, err)
-				}
-			}
-			if used := db.MemUsed(); used != 0 {
-				t.Fatalf("MemUsed = %d after deleting everything", used)
-			}
-			s := db.Stats()
-			if s.UnitsPrefetched > s.UnitsRead {
-				t.Fatalf("UnitsPrefetched = %d > UnitsRead = %d", s.UnitsPrefetched, s.UnitsRead)
-			}
-			var prefetched int64
-			for _, ws := range db.IOWorkerStats() {
-				prefetched += ws.Prefetched
-			}
-			if prefetched != s.UnitsPrefetched {
-				t.Fatalf("per-worker Prefetched sums to %d, Stats says %d", prefetched, s.UnitsPrefetched)
+			for seed := int64(1); seed <= churnSeeds; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					stressPool(t, w, seed)
+				})
 			}
 		})
+	}
+}
+
+func stressPool(t *testing.T, workers int, seed int64) {
+	var (
+		used int64
+		s    Stats
+		ws   []IOWorkerStats
+	)
+	onMachine(t, platform.Turing, func(m *platform.Machine, clock Clock) {
+		db := Open(Options{BackgroundIO: true, IOWorkers: workers, MemoryLimit: 8192, Clock: clock})
+		defer db.Close()
+		defineBlobSchema(t, db)
+		rd := chargedBlobReader(m, 512, time.Millisecond)
+		consumer := func(g int) func() {
+			rng := rand.New(rand.NewSource(seed*3 + int64(g)))
+			return func() {
+				for i := 0; i < 40; i++ {
+					name := fmt.Sprintf("u%02d", (g*11+i)%16)
+					switch i % 6 {
+					case 0, 4:
+						ignoreRaceErr(db.AddUnit(name, rd))
+					case 1:
+						if db.ReadUnit(name, rd) == nil {
+							ignoreRaceErr(db.FinishUnit(name))
+						}
+					case 2:
+						if db.WaitUnit(name) == nil {
+							ignoreRaceErr(db.FinishUnit(name))
+						}
+					case 3:
+						ignoreRaceErr(db.DeleteUnit(name))
+					case 5:
+						db.SetMemSpace(4096 + int64((g+i)%5)*1024)
+					}
+					m.Compute(smallCharge(rng))
+					audit(db)
+				}
+				// Delete every name before exiting: a consumer must not
+				// abandon units it left ready but unconsumed, or the last
+				// one standing can block on memory for good, waiting for
+				// consumers that no longer exist. Deleting a unit someone
+				// is still reading registers a waiter, so a reader wedged
+				// on memory fails with ErrDeadlock instead of pinning the
+				// delete.
+				for n := 0; n < 16; n++ {
+					ignoreRaceErr(db.DeleteUnit(fmt.Sprintf("u%02d", n)))
+				}
+			}
+		}
+		runAll(clock, consumer(0), consumer(1), consumer(2))
+		db.SetMemSpace(1 << 20)
+		for _, u := range db.Units() {
+			if err := db.DeleteUnit(u.Name); err != nil {
+				t.Errorf("delete %s after churn: %v", u.Name, err)
+			}
+		}
+		used, s, ws = db.MemUsed(), db.Stats(), db.IOWorkerStats()
+	})
+	if used != 0 {
+		t.Fatalf("MemUsed = %d after deleting everything", used)
+	}
+	if s.UnitsPrefetched > s.UnitsRead {
+		t.Fatalf("UnitsPrefetched = %d > UnitsRead = %d", s.UnitsPrefetched, s.UnitsRead)
+	}
+	var prefetched int64
+	for _, w := range ws {
+		prefetched += w.Prefetched
+	}
+	if prefetched != s.UnitsPrefetched {
+		t.Fatalf("per-worker Prefetched sums to %d, Stats says %d", prefetched, s.UnitsPrefetched)
 	}
 }

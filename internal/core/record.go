@@ -186,7 +186,7 @@ func (r *Record) BorrowFieldBuffer(field string, data []byte) (*Buffer, error) {
 	r.memory += need
 	r.unit.memory += need
 	if aliased {
-		db.stats.bytesBorrowed.Add(int64(buf.size))
+		db.stats.BytesBorrowed += int64(buf.size)
 	}
 	return buf, nil
 }
@@ -251,7 +251,7 @@ func (db *DB) CommitRecord(r *Record) error {
 	idx.Set(key, r)
 	r.key = key
 	r.commit = true
-	db.stats.recordsCommitted.Add(1)
+	db.stats.RecordsCommitted++
 	return nil
 }
 

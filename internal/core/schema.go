@@ -139,8 +139,8 @@ func (db *DB) CommitRecordType(recType string) error {
 // insertion order. It exists so that generic tools (and tests) can walk a
 // schema without private access.
 func (db *DB) RecordTypeFields(recType string) ([]string, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	rt, ok := db.recordTypes[recType]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRecordType, recType)
@@ -169,8 +169,8 @@ func (rt *recordType) keyFor(r *Record) ([]byte, error) {
 
 // appendKeyForValues builds a composite index key from query-supplied key
 // values, which must match the key fields in number and type, appending to
-// dst. The query path passes a pooled scratch buffer (keyScratch) so a
-// fixed-size key lookup performs no allocation.
+// dst. The query path passes its scratch buffer (db.keyBuf) so a fixed-size
+// key lookup performs no allocation.
 //
 //godiva:noalloc
 func (rt *recordType) appendKeyForValues(dst []byte, values []any) ([]byte, error) {

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"sync/atomic"
+	"slices"
 	"time"
 )
 
-// Stats is a snapshot of the database's operation counters. Times are wall
-// times; VisibleWait is the cumulative time callers spent blocked in
-// WaitUnit/ReadUnit — the quantity the paper's evaluation reports as
-// "visible I/O time" — while ReadTime is the cumulative time spent inside
-// read functions regardless of whether a caller was waiting.
+// Stats is a snapshot of the database's operation counters. Times are read
+// from the database's clock (Options.Clock): wall times by default, virtual
+// times on a simulated machine. VisibleWait is the cumulative time callers
+// spent blocked in WaitUnit/ReadUnit — the quantity the paper's evaluation
+// reports as "visible I/O time" — while ReadTime is the cumulative time
+// spent inside read functions regardless of whether a caller was waiting.
 type Stats struct {
 	RecordsCommitted int64
 	UnitsAdded       int64 // units queued via AddUnit or first ReadUnit
@@ -28,81 +29,16 @@ type Stats struct {
 	ReadTime         time.Duration
 }
 
-// statsCounters holds the database operation counters as atomics, so stat
-// bumps on the unit and query paths never take db.mu and Stats snapshots
-// never serialize against it. Each field mirrors the Stats field of the
-// same name; durations are stored as nanoseconds.
-type statsCounters struct {
-	recordsCommitted atomic.Int64
-	unitsAdded       atomic.Int64
-	unitsRead        atomic.Int64
-	unitsPrefetched  atomic.Int64
-	unitsFailed      atomic.Int64
-	unitsDeleted     atomic.Int64
-	unitsEvicted     atomic.Int64
-	cacheHits        atomic.Int64
-	deadlocks        atomic.Int64
-	bytesLoaded      atomic.Int64
-	bytesBorrowed    atomic.Int64
-	peakBytes        atomic.Int64
-	eventsDropped    atomic.Int64
-	visibleWaitNanos atomic.Int64
-	readTimeNanos    atomic.Int64
-}
-
-// observePeak raises peakBytes to mem if mem is a new high-water mark,
-// via a compare-and-swap maximum so concurrent observers never regress it.
-//
-//godiva:noalloc
-func (c *statsCounters) observePeak(mem int64) {
-	for {
-		cur := c.peakBytes.Load()
-		if mem <= cur || c.peakBytes.CompareAndSwap(cur, mem) {
-			return
-		}
-	}
-}
-
-// Stats returns a snapshot of the database counters. The snapshot is built
-// from atomic loads and does not take the database lock; counters bumped
-// concurrently may or may not be included. Dependent counters are loaded
-// downstream-first (a unit is counted in UnitsAdded before UnitsRead before
-// UnitsPrefetched), so cross-counter invariants like UnitsPrefetched <=
-// UnitsRead <= UnitsAdded hold in every snapshot even while counters move.
+// Stats returns a snapshot of the database counters. They are kept under
+// db.mu and bumped in the critical section that makes the counted event
+// visible, so every snapshot is consistent: UnitsPrefetched <= UnitsRead <=
+// UnitsAdded, and the workers' Prefetched sum to UnitsPrefetched.
 //
 //godiva:noalloc
 func (db *DB) Stats() Stats {
-	c := &db.stats
-	var s Stats
-	s.UnitsPrefetched = c.unitsPrefetched.Load()
-	s.UnitsRead = c.unitsRead.Load()
-	s.UnitsFailed = c.unitsFailed.Load()
-	s.UnitsDeleted = c.unitsDeleted.Load()
-	s.UnitsEvicted = c.unitsEvicted.Load()
-	s.UnitsAdded = c.unitsAdded.Load()
-	s.RecordsCommitted = c.recordsCommitted.Load()
-	s.CacheHits = c.cacheHits.Load()
-	s.Deadlocks = c.deadlocks.Load()
-	s.BytesBorrowed = c.bytesBorrowed.Load()
-	s.BytesLoaded = c.bytesLoaded.Load()
-	s.PeakBytes = c.peakBytes.Load()
-	s.EventsDropped = c.eventsDropped.Load()
-	s.VisibleWait = time.Duration(c.visibleWaitNanos.Load())
-	s.ReadTime = time.Duration(c.readTimeNanos.Load())
-	checkStatsSnapshot(&s)
-	return s
-}
-
-// workerState is the per-worker mutable state of one background I/O worker.
-// The counters are atomic so workers bump them without the database lock;
-// unit (the name being read) is guarded by db.mu because it is only
-// meaningful together with reading.
-type workerState struct {
-	prefetched   atomic.Int64
-	failed       atomic.Int64
-	blockedNanos atomic.Int64
-	reading      atomic.Bool
-	unit         string // guarded by db.mu
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.stats
 }
 
 // IOWorkerStats describes one worker of the background I/O pool
@@ -113,27 +49,15 @@ type IOWorkerStats struct {
 	Failed      int64         // background reads that ended in stateFailed
 	Reading     bool          // a read is in flight on this worker right now
 	Unit        string        // unit being read while Reading, "" otherwise
-	BlockedTime time.Duration // cumulative time blocked on memory in a read
+	BlockedTime time.Duration // cumulative clock time blocked on memory in a read (see Stats)
 }
 
 // IOWorkerStats returns a snapshot of the per-worker counters, one entry per
 // background I/O worker in worker order; empty in single-thread mode.
 func (db *DB) IOWorkerStats() []IOWorkerStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]IOWorkerStats, len(db.workers))
-	for i := range db.workers {
-		w := &db.workers[i]
-		out[i] = IOWorkerStats{
-			Worker:      i,
-			Prefetched:  w.prefetched.Load(),
-			Failed:      w.failed.Load(),
-			Reading:     w.reading.Load(),
-			Unit:        w.unit,
-			BlockedTime: time.Duration(w.blockedNanos.Load()),
-		}
-	}
-	return out
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return slices.Clone(db.workers)
 }
 
 // RegisterStatsSource attaches a named provider of external operation
@@ -154,12 +78,12 @@ func (db *DB) RegisterStatsSource(name string, fn func() any) {
 // ExternalStats snapshots every registered external stats source by name.
 // The providers run outside the database lock.
 func (db *DB) ExternalStats() map[string]any {
-	db.mu.RLock()
+	db.mu.Lock()
 	fns := make(map[string]func() any, len(db.statsSources))
 	for name, fn := range db.statsSources {
 		fns[name] = fn
 	}
-	db.mu.RUnlock()
+	db.mu.Unlock()
 	out := make(map[string]any, len(fns))
 	for name, fn := range fns {
 		out[name] = fn()

@@ -92,9 +92,9 @@ type unit struct {
 
 	// stateCh is this unit's wait channel: lazily created by the first
 	// waiter needing to sleep, closed and reset to nil on every state
-	// transition (notifyUnitLocked), so a wait observes exactly "the state
-	// changed since I looked". Only waiters on this unit are woken — state
-	// changes never disturb other units' waiters or memory waiters.
+	// transition (broadcast), so a wait observes exactly "the state changed
+	// since I looked". Only waiters on this unit are woken — state changes
+	// never disturb other units' waiters or memory waiters.
 	// Guarded by db.mu.
 	stateCh chan struct{}
 

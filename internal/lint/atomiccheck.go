@@ -7,10 +7,10 @@ import (
 	"go/types"
 )
 
-// atomiccheck enforces hygiene around sync/atomic-typed struct fields (the
-// statsCounters pattern): a field of type atomic.Int64 & friends may only
-// appear as the receiver of one of its atomic methods (Load, Store, Add,
-// Swap, CompareAndSwap, ...). Anything else — a plain read, a plain write,
+// atomiccheck enforces hygiene around sync/atomic-typed struct fields (such
+// as a shared buffer's refcount): a field of type atomic.Int64 & friends may
+// only appear as the receiver of one of its atomic methods (Load, Store,
+// Add, Swap, CompareAndSwap, ...). Anything else — a plain read, a plain write,
 // passing the value — defeats the atomicity. Copying a struct value that
 // contains atomic fields is flagged for the same reason (the copy tears and
 // go vet's copylocks only covers locks); taking its address is fine.

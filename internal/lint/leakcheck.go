@@ -145,7 +145,7 @@ func noteTarget(info *types.Info, e ast.Expr, classes map[string]bool, objs map[
 			objs[obj] = true
 		}
 	case *ast.IndexExpr:
-		// close(db.idleWorkers[i]): every element of the field shares the
+		// close(s.conns[i]): every element of the field shares the
 		// class.
 		noteTarget(info, e.X, classes, objs)
 	}

@@ -8,8 +8,9 @@
 //     only touched while the owning mutex is held.
 //   - errcheck: error results of the godiva/core/remote public API are
 //     never silently discarded (including "_ =" discards).
-//   - atomiccheck: statsCounters-style atomic fields are only accessed
-//     through atomic methods, never by plain reads/writes or struct copies.
+//   - atomiccheck: sync/atomic-typed fields (e.g. a refcount) are only
+//     accessed through atomic methods, never by plain reads/writes or struct
+//     copies.
 //
 // On top of the per-package suite, three interprocedural analyzers walk a
 // class-hierarchy-analysis call graph (internal/lint/callgraph) spanning

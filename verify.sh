@@ -34,7 +34,8 @@
 #               TestPayloadCacheChurn: concurrent fetchers and ingest
 #               overwrites against one server's table of mapped files
 #   invariants  core suite with the godivainvariants runtime checker
-#               compiled in, under the race detector, and rocketeer's under
+#               compiled in (the schedule explorer runs the full audit
+#               after every step), under the race detector, and rocketeer's under
 #               the same build: its local read functions are the first
 #               real callers of BorrowFieldBuffer, so the borrowed-buffer
 #               invariants (never on resident records; memory equals the
