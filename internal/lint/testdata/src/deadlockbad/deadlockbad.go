@@ -65,3 +65,130 @@ func (p *pair) unlockBeforeBlock() {
 	p.a.Lock()
 	p.a.Unlock()
 }
+
+// The cases below pin down how the held set flows through each control-flow
+// shape. Lines without a want must stay silent.
+
+func (p *pair) unlockInOneArm(drop bool) {
+	p.a.Lock()
+	if drop {
+		p.a.Unlock()
+	} else {
+		<-p.ch // want deadlockcheck `channel receive while holding pair.a`
+		p.a.Unlock()
+	}
+	<-p.ch // released on both arms
+}
+
+func (p *pair) earlyReturn(skip bool) {
+	p.a.Lock()
+	if skip {
+		p.a.Unlock()
+		return
+	}
+	<-p.ch // want deadlockcheck `channel receive while holding pair.a`
+	p.a.Unlock()
+}
+
+func (p *pair) lockInEveryCase(k int) {
+	switch k {
+	case 0:
+		p.a.Lock()
+	default:
+		p.a.Lock()
+	}
+	p.ch <- k // want deadlockcheck `channel send while holding pair.a`
+	p.a.Unlock()
+}
+
+func (p *pair) switchWithoutDefault(k int) {
+	p.a.Lock()
+	switch k {
+	case 0:
+		<-p.ch // want deadlockcheck `channel receive while holding pair.a`
+	case 1:
+		p.a.Unlock()
+		return
+	}
+	p.a.Unlock()
+}
+
+func (p *pair) selectWithoutDefault() {
+	p.a.Lock()
+	select { // want deadlockcheck `select without default while holding pair.a`
+	case v := <-p.ch: // the comm is the select's own wait, not a second one
+		use(v)
+	case p.ch <- 1:
+	}
+	p.a.Unlock()
+}
+
+func (p *pair) selectWithDefault() {
+	p.a.Lock()
+	select {
+	case <-p.ch: // a select with a default never waits
+		p.slowHelper() // want deadlockcheck `call to pair.slowHelper may block (time.Sleep) while holding pair.a`
+	default:
+	}
+	p.a.Unlock()
+}
+
+func (p *pair) breakOutOfLockedLoop(xs []int) {
+	p.a.Lock()
+loop:
+	for _, x := range xs {
+		switch x {
+		case 0:
+			break loop
+		}
+	}
+	<-p.ch // want deadlockcheck `channel receive while holding pair.a`
+	p.a.Unlock()
+}
+
+// firstIterationHolds enters the loop holding a and drops it in the body:
+// the first receive waits under the lock, later ones do not.
+func (p *pair) firstIterationHolds(n int) {
+	p.a.Lock()
+	for i := 0; i < n; i++ {
+		<-p.ch // want deadlockcheck `channel receive while holding pair.a`
+		p.a.Unlock()
+	}
+}
+
+func (p *pair) literalsStartUnheld() func() {
+	p.a.Lock()
+	defer p.a.Unlock()
+	go func() {
+		<-p.ch // a goroutine starts with no locks held
+	}()
+	return func() {
+		<-p.ch // a stored literal runs later, with no locks held
+	}
+}
+
+func (p *pair) invokedLiteralRunsInPlace() {
+	p.a.Lock()
+	func() {
+		<-p.ch // want deadlockcheck `channel receive while holding pair.a`
+	}()
+	p.a.Unlock()
+}
+
+func (p *pair) deferredLiteralRunsInPlace() {
+	p.a.Lock()
+	defer p.a.Unlock()
+	defer func() {
+		time.Sleep(time.Millisecond) // want deadlockcheck `time.Sleep while holding pair.a`
+	}()
+}
+
+func (p *pair) rangeOverChannelLocked() {
+	p.a.Lock()
+	for v := range p.ch { // want deadlockcheck `range over channel while holding pair.a`
+		use(v)
+	}
+	p.a.Unlock()
+}
+
+func use(int) {}
