@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"godiva/internal/lint/callgraph"
@@ -26,7 +25,7 @@ import (
 // the annotated hot paths append into pooled or caller-provided buffers
 // whose amortized growth is zero (the AllocsPerRun gate tests
 // — internal/noalloctest — hold the static claim to runtime truth).
-var alloccheckAnalyzer = &moduleAnalyzer{
+var alloccheckAnalyzer = &analyzer{
 	name: "alloccheck",
 	doc:  "//godiva:noalloc functions must stay allocation-free on hot paths",
 	run:  runAlloccheck,
@@ -60,7 +59,7 @@ func runAlloccheck(mc *moduleContext) []Finding {
 		summaries: make(map[string][]allocFact),
 		noreturn:  make(map[string]bool),
 	}
-	funcs := c.sortedFuncs()
+	funcs := dfFuncs(c.mc)
 	for _, fn := range funcs {
 		if alwaysPanics(fn.Decl.Body) {
 			c.noreturn[fn.Key] = true
@@ -95,19 +94,6 @@ func runAlloccheck(mc *moduleContext) []Finding {
 		}
 	}
 	return findings
-}
-
-func (c *allocChecker) sortedFuncs() []*callgraph.Func {
-	keys := make([]string, 0, len(c.mc.Graph.Funcs))
-	for k := range c.mc.Graph.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*callgraph.Func, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, c.mc.Graph.Funcs[k])
-	}
-	return out
 }
 
 // hasNoallocDirective reports whether a function declaration carries the

@@ -18,7 +18,7 @@ import (
 var atomiccheckAnalyzer = &analyzer{
 	name: "atomiccheck",
 	doc:  "sync/atomic fields accessed without their atomic methods",
-	run:  runAtomiccheck,
+	run:  eachPackage(runAtomiccheck),
 }
 
 var atomicMethods = map[string]bool{

@@ -32,7 +32,7 @@ import (
 // call arguments are not escapes (the callee is analyzed on its own).
 // Deferred statements are skipped: a deferred Close/Recycle runs at exit,
 // after every use in the body.
-var borrowcheckAnalyzer = &moduleAnalyzer{
+var borrowcheckAnalyzer = &analyzer{
 	name: "borrowcheck",
 	doc:  "zero-copy borrows: no writes through, no escapes past the pin, no use after release",
 	run:  runBorrowcheck,

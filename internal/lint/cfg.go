@@ -1,18 +1,19 @@
 package lint
 
 // cfg.go builds per-function control-flow graphs over go/ast, standard
-// library only. The flow-sensitive analyzers (releasecheck, borrowcheck,
-// wirecheck — see dataflow.go) run forward abstract interpretation over
-// these graphs instead of the syntactic whole-function scans the older
-// analyzers use, so they can distinguish "released on the happy path" from
-// "released on every path".
+// library only. Every analyzer that follows a state along paths —
+// lockcheck, deadlockcheck, releasecheck, borrowcheck, wirecheck and
+// racecheck — runs forward abstract interpretation over these graphs (see
+// dataflow.go), so it can distinguish "released on the happy path" from
+// "released on every path", and a loop's state is its fixpoint rather than
+// an assumption that the body is balanced.
 //
 // Shape: basic blocks hold a flat list of atomic nodes — assignments,
 // expression statements, declarations, sends, inc/dec, returns, defers, go
-// statements, range headers, and bare condition expressions. Control-flow
-// statements (if/for/range/switch/type-switch/select) are decomposed into
-// blocks and edges; their conditions are appended as expression nodes so
-// transfer functions still see calls inside them. Edges out of a condition
+// statements, range and select headers, and bare condition expressions.
+// Control-flow statements (if/for/range/switch/type-switch/select) are
+// decomposed into blocks and edges; their conditions are appended as
+// expression nodes so transfer functions still see calls inside them. Edges out of a condition
 // carry the condition expression and a negate flag, which lets analyzers
 // refine state per branch (the "if err != nil" edge kills a pin that the
 // error-returning acquire never produced).
@@ -235,6 +236,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		b.caseClauses(s.Body, label, func(cc *ast.CaseClause) []ast.Expr { return nil })
 
 	case *ast.SelectStmt:
+		// The SelectStmt node itself stands for the select's wait in the
+		// head block; transfer functions that care handle it (never the
+		// clauses, which live in their own blocks) and the rest ignore it.
+		b.add(s)
 		head := b.cur
 		after := b.newBlock()
 		b.breaks = append(b.breaks, after)

@@ -138,6 +138,24 @@ func TestCFGRangeKeepsHeadNode(t *testing.T) {
 	}
 }
 
+func TestCFGSelectKeepsHeadNode(t *testing.T) {
+	g := parseBody(t, "ch := make(chan int)\nselect {\ncase v := <-ch:\n_ = v\ncase ch <- 1:\n}")
+	// The SelectStmt node sits in the block that fans out to the clauses:
+	// deadlockcheck reads the select's wait there, before any comm runs.
+	for blk := range reach(g) {
+		for _, n := range blk.nodes {
+			if _, ok := n.(*ast.SelectStmt); !ok {
+				continue
+			}
+			if len(blk.succs) != 2 {
+				t.Fatalf("select head block has %d successors, want one per clause (2)", len(blk.succs))
+			}
+			return
+		}
+	}
+	t.Fatal("select head node missing from the graph")
+}
+
 func TestCFGSwitchFanOut(t *testing.T) {
 	g := parseBody(t, "x := 1\nswitch x {\ncase 1:\nx = 2\ncase 2:\nx = 3\ndefault:\nx = 4\n}\n_ = x")
 	if !reach(g)[g.exit] {

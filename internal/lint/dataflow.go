@@ -1,19 +1,18 @@
 package lint
 
-// dataflow.go is the forward abstract-interpretation driver the
-// flow-sensitive analyzers (releasecheck, borrowcheck, wirecheck) share.
-// Each analyzer supplies an abstract state (clone/merge/equal) and a
-// transfer relation over the atomic nodes cfg.go produces; the driver
-// iterates block in-states to a fixpoint with a worklist, then replays one
-// recording pass in which the analyzer reports findings. Interprocedural
-// facts (per-function summaries over the CHA call graph) are the
-// analyzers' own business: each runs module passes until its summary table
-// stops changing, exactly like deadlockcheck.
+// dataflow.go is the forward abstract-interpretation driver every
+// path-following analyzer shares: lockcheck, deadlockcheck, releasecheck,
+// borrowcheck, wirecheck and racecheck. Each supplies an abstract state
+// (clone/merge/equal) and a transfer relation over the atomic nodes cfg.go
+// produces; the driver iterates block in-states to a fixpoint with a
+// worklist, then replays one recording pass in which the analyzer reports
+// findings. Interprocedural facts (per-function summaries over the CHA
+// call graph) are the analyzers' own business: each runs module passes
+// until its summary table stops changing.
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 
 	"godiva/internal/lint/callgraph"
 )
@@ -40,7 +39,10 @@ type dfProblem interface {
 // iteration to fixpoint, then one sweep in deterministic block order during
 // which atExit fires for every edge into the normal exit (so problems can
 // fold exit states into summaries on every module pass) and, when record
-// is set, transfer may emit findings. The pop budget guards against a
+// is set, transfer may emit findings. Transfers during the fixpoint always
+// see record false, so a problem that passes true gets exactly one
+// recording visit per reachable node (lockcheck and deadlockcheck do, and
+// keep their own flag for whether to report). The pop budget guards against a
 // non-monotone transfer bug turning into an infinite loop; lattices here
 // are finite, so hitting it means a defect, and bailing out merely
 // under-reports.
@@ -112,11 +114,7 @@ func lastNode(blk *cfgBlock) ast.Node {
 
 // dfFuncs returns the module's functions in deterministic key order.
 func dfFuncs(mc *moduleContext) []*callgraph.Func {
-	keys := make([]string, 0, len(mc.Graph.Funcs))
-	for k := range mc.Graph.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(mc.Graph.Funcs)
 	out := make([]*callgraph.Func, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, mc.Graph.Funcs[k])

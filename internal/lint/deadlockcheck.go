@@ -5,16 +5,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"godiva/internal/lint/callgraph"
 )
 
 // deadlockcheck is the static face of the paper's §3.3 deadlock rule. It
-// walks every function with a held-lock set, propagates lock acquisitions
-// and blocking operations interprocedurally through the call graph, and
-// reports two kinds of hazard:
+// runs a held-lock dataflow problem over every function's control-flow
+// graph (cfg.go, dataflow.go), propagates lock acquisitions and blocking
+// operations interprocedurally through the call graph, and reports two
+// kinds of hazard:
 //
 //   - lock-order cycles: the whole-program graph of "acquired B while
 //     holding A" edges must be acyclic;
@@ -28,7 +28,7 @@ import (
 // only counts if it is not in that set. Calls through function values
 // (read callbacks) are not resolved statically; the runtime invariant
 // checker covers those paths.
-var deadlockcheckAnalyzer = &moduleAnalyzer{
+var deadlockcheckAnalyzer = &analyzer{
 	name: "deadlockcheck",
 	doc:  "lock-order cycles and blocking calls reachable while a mutex is held",
 	run:  runDeadlockcheck,
@@ -65,12 +65,7 @@ func (s *dlSummary) size() int { return len(s.ops) + len(s.acqs) }
 const dlSummaryCap = 48 // per-kind cap; keeps pathological fan-in bounded
 
 func setSig(set map[string]bool) string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
+	return strings.Join(sortedKeys(set), ",")
 }
 
 func (s *dlSummary) addOp(op dlOp) {
@@ -150,54 +145,35 @@ func (c *dlChecker) totalSize() int {
 // pass analyzes every function once, updating summaries (and, when
 // recording, findings and edges).
 func (c *dlChecker) pass() {
-	for _, fn := range c.graphFuncs() {
+	for _, fn := range dfFuncs(c.mc) {
 		c.analyze(fn)
 	}
 }
 
-// graphFuncs returns the module functions in deterministic order.
-func (c *dlChecker) graphFuncs() []*callgraph.Func {
-	keys := make([]string, 0, len(c.mc.Graph.Funcs))
-	for k := range c.mc.Graph.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*callgraph.Func, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, c.mc.Graph.Funcs[k])
-	}
-	return out
-}
-
-// dlState is the walker's lock state: classes currently held, and classes
-// the function has released that it did not itself acquire afterwards
-// (discounted from caller-held sets when this function's facts propagate).
-type dlState struct {
+// dlLocks is the dataflow state: the classes held on some path to a point,
+// and the classes the function has released on every path and not
+// acquired again (discounted from caller-held sets when this function's
+// facts propagate). Joins union held and intersect released: a wait is a
+// hazard if any path reaches it holding a lock — the first iteration of a
+// loop whose body drops the lock, say — but a caller may discount only
+// what every path released.
+type dlLocks struct {
 	held     map[string]bool
 	released map[string]bool
 }
 
-func newDLState() *dlState {
-	return &dlState{held: make(map[string]bool), released: make(map[string]bool)}
+func newDLLocks() *dlLocks {
+	return &dlLocks{held: make(map[string]bool), released: make(map[string]bool)}
 }
 
-func (st *dlState) clone() *dlState {
-	n := newDLState()
-	for k := range st.held {
-		n.held[k] = true
-	}
-	for k := range st.released {
-		n.released[k] = true
-	}
-	return n
+func (st *dlLocks) clone() dfState {
+	return &dlLocks{held: cloneSet(st.held), released: cloneSet(st.released)}
 }
 
-// merge intersects two states (the conservative join after a branch).
-func (st *dlState) merge(o *dlState) {
-	for k := range st.held {
-		if !o.held[k] {
-			delete(st.held, k)
-		}
+func (st *dlLocks) merge(other dfState) {
+	o := other.(*dlLocks)
+	for k := range o.held {
+		st.held[k] = true
 	}
 	for k := range st.released {
 		if !o.released[k] {
@@ -206,12 +182,26 @@ func (st *dlState) merge(o *dlState) {
 	}
 }
 
-// dlWalk carries per-function walk context.
+func (st *dlLocks) equal(other dfState) bool {
+	o := other.(*dlLocks)
+	return equalSet(st.held, o.held) && equalSet(st.released, o.released)
+}
+
+// dlWalk is the dataflow problem for one function body. Transfers during
+// the fixpoint only move the lock state; the recording sweep (rec) also
+// adds summary entries, lock-order edges and findings.
 type dlWalk struct {
 	c    *dlChecker
 	fn   *callgraph.Func
 	info *types.Info
 	sum  *dlSummary
+	rec  bool
+
+	// comms holds the communications of the select statements seen so
+	// far: each is its select's wait, not a blocking operation of its own.
+	comms map[ast.Node]bool
+	// exit joins the states at the body's normal exits (inlined literals).
+	exit *dlLocks
 }
 
 func (c *dlChecker) analyze(fn *callgraph.Func) {
@@ -220,15 +210,101 @@ func (c *dlChecker) analyze(fn *callgraph.Func) {
 		sum = newDLSummary()
 		c.summaries[fn.Key] = sum
 	}
-	w := &dlWalk{c: c, fn: fn, info: fn.Pkg.Info, sum: sum}
-	st := newDLState()
+	w := &dlWalk{c: c, fn: fn, info: fn.Pkg.Info, sum: sum, comms: make(map[ast.Node]bool)}
+	st := newDLLocks()
 	// The *Locked/*RLocked suffix convention: the function is entered with
 	// the receiver's mu held.
 	if class, ok := lockedEntryClass(fn); ok {
 		st.held[class] = true
 		c.noteDisplay(class)
 	}
-	w.stmts(fn.Decl.Body.List, st)
+	runDataflow(c.mc.cfgOf(fn.Decl.Body), st, w, true)
+}
+
+// literal runs a literal body that executes in place (invoked immediately
+// or deferred) from state st into a walker sharing this function's
+// summary, and returns the joined state at its normal exits (st itself
+// when it has none).
+func (w *dlWalk) literal(body *ast.BlockStmt, st *dlLocks) *dlLocks {
+	lw := &dlWalk{c: w.c, fn: w.fn, info: w.info, sum: w.sum, comms: w.comms}
+	runDataflow(w.c.mc.cfgOf(body), st.clone(), lw, w.rec)
+	if lw.exit == nil {
+		return st
+	}
+	return lw.exit
+}
+
+// detached walks a literal body that runs on another goroutine (or at an
+// unknown later time) with a fresh lock state; facts found there do not
+// enter the current function's summary, so only the recording pass needs
+// it.
+func (w *dlWalk) detached(body *ast.BlockStmt) {
+	if !w.rec || !w.c.recording {
+		return
+	}
+	iw := &dlWalk{c: w.c, fn: w.fn, info: w.info, sum: newDLSummary(), comms: w.comms}
+	runDataflow(w.c.mc.cfgOf(body), newDLLocks(), iw, true)
+}
+
+func (w *dlWalk) refine(ast.Expr, bool, dfState) {}
+
+func (w *dlWalk) atExit(stt dfState, _ *ast.ReturnStmt, _ bool) {
+	if w.exit == nil {
+		w.exit = stt.clone().(*dlLocks)
+		return
+	}
+	w.exit.merge(stt)
+}
+
+func (w *dlWalk) transfer(n ast.Node, stt dfState, record bool) {
+	st := stt.(*dlLocks)
+	w.rec = record
+	switch n := n.(type) {
+	case *ast.SelectStmt:
+		hasDefault := false
+		for _, cl := range n.Body.List {
+			switch comm := cl.(*ast.CommClause).Comm.(type) {
+			case nil:
+				hasDefault = true
+			case *ast.SendStmt:
+				w.comms[comm] = true
+			case *ast.ExprStmt:
+				w.comms[ast.Unparen(comm.X)] = true
+			case *ast.AssignStmt:
+				w.comms[ast.Unparen(comm.Rhs[0])] = true
+			}
+		}
+		if !hasDefault {
+			w.blocking("select without default", n.Select, st)
+		}
+	case *ast.SendStmt:
+		w.expr(n.Chan, st)
+		w.expr(n.Value, st)
+		if !w.comms[n] {
+			w.blocking("channel send", n.Arrow, st)
+		}
+	case *ast.DeferStmt:
+		w.deferCall(n.Call, st)
+	case *ast.GoStmt:
+		for _, a := range n.Call.Args {
+			w.expr(a, st)
+		}
+		// The goroutine body runs on its own stack with no inherited locks.
+		if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+			w.detached(lit.Body)
+		}
+	case *ast.RangeStmt:
+		w.expr(n.X, st)
+		if tv, ok := w.info.Types[n.X]; ok {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				w.blocking("range over channel", n.For, st)
+			}
+		}
+	default:
+		for _, e := range nodeExprs(n) {
+			w.expr(e, st)
+		}
+	}
 }
 
 // lockedEntryClass maps a *Locked/*RLocked method to the lock class its
@@ -270,229 +346,8 @@ func lockedEntryClass(fn *callgraph.Func) (string, bool) {
 	return "", false
 }
 
-func isMutexType(t types.Type) bool {
-	s := types.TypeString(t, nil)
-	return s == "sync.Mutex" || s == "sync.RWMutex"
-}
-
-// stmts walks a statement list; the returned flag reports whether control
-// cannot flow past the list (return/panic/branch on every path).
-func (w *dlWalk) stmts(list []ast.Stmt, st *dlState) bool {
-	for _, s := range list {
-		if w.stmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *dlWalk) stmt(s ast.Stmt, st *dlState) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.expr(s.X, st)
-	case *ast.SendStmt:
-		w.expr(s.Chan, st)
-		w.expr(s.Value, st)
-		w.blocking("channel send", s.Arrow, st)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e, st)
-		}
-		for _, e := range s.Lhs {
-			w.expr(e, st)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.expr(e, st)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.expr(s.X, st)
-	case *ast.DeferStmt:
-		w.deferCall(s.Call, st)
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			w.expr(a, st)
-		}
-		// The goroutine body runs on its own stack with no inherited locks.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			w.isolated(lit.Body)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e, st)
-		}
-		return true
-	case *ast.BranchStmt:
-		return s.Tok != token.FALLTHROUGH
-	case *ast.BlockStmt:
-		return w.stmts(s.List, st)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		w.expr(s.Cond, st)
-		thenSt := st.clone()
-		thenTerm := w.stmts(s.Body.List, thenSt)
-		elseSt := st.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.stmt(s.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*st = *elseSt
-		case elseTerm:
-			*st = *thenSt
-		default:
-			thenSt.merge(elseSt)
-			*st = *thenSt
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, st)
-		}
-		// Loops are assumed lock-balanced per iteration (lockcheck enforces
-		// balance); findings inside still see the entry state.
-		body := st.clone()
-		w.stmts(s.Body.List, body)
-		if s.Post != nil {
-			w.stmt(s.Post, body)
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X, st)
-		if tv, ok := w.info.Types[s.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				w.blocking("range over channel", s.For, st)
-			}
-		}
-		body := st.clone()
-		w.stmts(s.Body.List, body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, st)
-		}
-		w.caseBodies(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init, st)
-		}
-		w.stmt(s.Assign, st)
-		w.caseBodies(s.Body, st)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cl := range s.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			w.blocking("select without default", s.Select, st)
-		}
-		var merged *dlState
-		for _, cl := range s.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			caseSt := st.clone()
-			// The comm op itself is the select's wait, not an extra
-			// blocking point: walk only its subexpressions' calls.
-			if cc.Comm != nil {
-				w.commExprs(cc.Comm, caseSt)
-			}
-			if !w.stmts(cc.Body, caseSt) {
-				if merged == nil {
-					merged = caseSt
-				} else {
-					merged.merge(caseSt)
-				}
-			}
-		}
-		if merged != nil {
-			*st = *merged
-		}
-	}
-	return false
-}
-
-// caseBodies walks switch case bodies and merges their exit states.
-func (w *dlWalk) caseBodies(body *ast.BlockStmt, st *dlState) {
-	var merged *dlState
-	hasDefault := false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		for _, e := range cc.List {
-			w.expr(e, st)
-		}
-		caseSt := st.clone()
-		if !w.stmts(cc.Body, caseSt) {
-			if merged == nil {
-				merged = caseSt
-			} else {
-				merged.merge(caseSt)
-			}
-		}
-	}
-	if merged == nil {
-		return
-	}
-	if hasDefault {
-		// Every path runs a case body.
-		*st = *merged
-	} else {
-		// A non-matching value falls past the switch with the entry state.
-		st.merge(merged)
-	}
-}
-
-// commExprs walks the call subexpressions of a select communication without
-// treating the communication itself as a blocking operation.
-func (w *dlWalk) commExprs(comm ast.Stmt, st *dlState) {
-	ast.Inspect(comm, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			w.call(n, st)
-			return false
-		case *ast.FuncLit:
-			w.isolated(n.Body)
-			return false
-		}
-		return true
-	})
-}
-
-// isolated walks a function body that runs on another goroutine (or at an
-// unknown later time) with a fresh lock state; facts found there do not
-// enter the current function's summary.
-func (w *dlWalk) isolated(body *ast.BlockStmt) {
-	iw := &dlWalk{c: w.c, fn: w.fn, info: w.info, sum: newDLSummary()}
-	iw.stmts(body.List, newDLState())
-}
-
 // expr walks an expression, dispatching nested calls, receives and literals.
-func (w *dlWalk) expr(e ast.Expr, st *dlState) {
+func (w *dlWalk) expr(e ast.Expr, st *dlLocks) {
 	switch e := e.(type) {
 	case nil:
 	case *ast.CallExpr:
@@ -507,12 +362,12 @@ func (w *dlWalk) expr(e ast.Expr, st *dlState) {
 		w.call(e, st)
 	case *ast.UnaryExpr:
 		w.expr(e.X, st)
-		if e.Op == token.ARROW {
+		if e.Op == token.ARROW && !w.comms[e] {
 			w.blocking("channel receive", e.OpPos, st)
 		}
 	case *ast.FuncLit:
 		// A stored literal runs at an unknown time; analyze with no locks.
-		w.isolated(e.Body)
+		w.detached(e.Body)
 	case *ast.ParenExpr:
 		w.expr(e.X, st)
 	case *ast.BinaryExpr:
@@ -544,56 +399,21 @@ func (w *dlWalk) expr(e ast.Expr, st *dlState) {
 }
 
 // deferCall handles a deferred call: deferred mutex ops do not change the
-// current state (they run at return), a deferred literal is walked with the
-// registration-point state, and any other deferred call is treated as a
-// call at the registration point.
-func (w *dlWalk) deferCall(call *ast.CallExpr, st *dlState) {
+// current state (they run at return), a deferred literal is walked from
+// the registration-point state, and any other deferred call is treated as
+// a call at the registration point.
+func (w *dlWalk) deferCall(call *ast.CallExpr, st *dlLocks) {
 	for _, a := range call.Args {
 		w.expr(a, st)
 	}
-	if _, _, ok := w.mutexMethod(call); ok {
+	if _, _, ok := lockCall(w.info, call); ok {
 		return
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		deferred := st.clone()
-		w.stmts(lit.Body.List, deferred)
+		w.literal(lit.Body, st)
 		return
 	}
 	w.call(call, st)
-}
-
-// mutexMethod matches a call of the form x.Lock / x.Unlock / x.RLock /
-// x.RUnlock / x.TryLock on a sync.Mutex or sync.RWMutex, returning the lock
-// class of x and the method name.
-func (w *dlWalk) mutexMethod(call *ast.CallExpr) (class, method string, ok bool) {
-	sel, selOk := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !selOk {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return "", "", false
-	}
-	if w.info == nil {
-		return "", "", false
-	}
-	tv, tok := w.info.Types[sel.X]
-	if !tok || !isMutexType(deref(tv.Type)) {
-		return "", "", false
-	}
-	class, ok = w.lockClass(sel.X)
-	if !ok {
-		return "", "", false
-	}
-	return class, sel.Sel.Name, true
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // lockClass names the lock denoted by a mutex expression via the shared
@@ -632,7 +452,10 @@ func (c *dlChecker) shortClass(class string) string {
 
 // blocking records one blocking operation at the current state: a summary
 // entry always, a finding when a lock is held.
-func (w *dlWalk) blocking(desc string, pos token.Pos, st *dlState) {
+func (w *dlWalk) blocking(desc string, pos token.Pos, st *dlLocks) {
+	if !w.rec {
+		return
+	}
 	w.sum.addOp(dlOp{desc: desc, pos: pos, released: cloneSet(st.released)})
 	if w.c.recording {
 		for _, class := range sortedKeys(st.held) {
@@ -644,20 +467,22 @@ func (w *dlWalk) blocking(desc string, pos token.Pos, st *dlState) {
 
 // acquire records a lock acquisition: order edges from every held class,
 // state transition, and a summary entry.
-func (w *dlWalk) acquire(class string, pos token.Pos, st *dlState) {
-	if w.c.recording {
+func (w *dlWalk) acquire(class string, pos token.Pos, st *dlLocks) {
+	if w.rec && w.c.recording {
 		for _, held := range sortedKeys(st.held) {
 			if held != class {
 				w.c.addEdge(held, class, pos)
 			}
 		}
 	}
-	w.sum.addAcq(dlAcq{class: class, pos: pos, released: cloneSet(st.released)})
+	if w.rec {
+		w.sum.addAcq(dlAcq{class: class, pos: pos, released: cloneSet(st.released)})
+	}
 	st.held[class] = true
 	delete(st.released, class)
 }
 
-func (w *dlWalk) release(class string, st *dlState) {
+func (w *dlWalk) release(class string, st *dlLocks) {
 	delete(st.held, class)
 	st.released[class] = true
 }
@@ -665,13 +490,14 @@ func (w *dlWalk) release(class string, st *dlState) {
 // call applies a call's effects: mutex transitions, inlined literals,
 // summaries of module callees, and blocking classification of external
 // callees.
-func (w *dlWalk) call(call *ast.CallExpr, st *dlState) {
-	if class, method, ok := w.mutexMethod(call); ok {
-		switch method {
-		case "Lock", "RLock", "TryLock", "TryRLock":
-			w.acquire(class, call.Pos(), st)
-		case "Unlock", "RUnlock":
-			w.release(class, st)
+func (w *dlWalk) call(call *ast.CallExpr, st *dlLocks) {
+	if mu, op, ok := lockCall(w.info, call); ok {
+		if class, ok := w.lockClass(mu); ok {
+			if op == lockRelease {
+				w.release(class, st)
+			} else {
+				w.acquire(class, call.Pos(), st)
+			}
 		}
 		return
 	}
@@ -679,7 +505,7 @@ func (w *dlWalk) call(call *ast.CallExpr, st *dlState) {
 	switch {
 	case res.Lit != nil:
 		// Immediately invoked literal: runs inline at the current state.
-		w.stmts(res.Lit.Body.List, st)
+		*st = *w.literal(res.Lit.Body, st)
 	case res.Static != nil:
 		w.applySummary(res.Static, call, st)
 	case len(res.CHA) > 0:
@@ -698,13 +524,13 @@ func (w *dlWalk) call(call *ast.CallExpr, st *dlState) {
 // site: its blocking operations fire against the caller's held set (minus
 // what the callee releases first), and its acquisitions extend the caller's
 // lock-order edges.
-func (w *dlWalk) applySummary(callee *callgraph.Func, call *ast.CallExpr, st *dlState) {
+func (w *dlWalk) applySummary(callee *callgraph.Func, call *ast.CallExpr, st *dlLocks) {
 	sum := w.c.summaries[callee.Key]
-	if sum == nil {
+	if sum == nil || !w.rec {
 		return
 	}
 	reportedHere := false
-	for _, key := range sortedOpKeys(sum.ops) {
+	for _, key := range sortedKeys(sum.ops) {
 		op := sum.ops[key]
 		merged := unionSet(st.released, op.released)
 		w.sum.addOp(dlOp{desc: op.desc, pos: call.Pos(), released: merged})
@@ -719,7 +545,7 @@ func (w *dlWalk) applySummary(callee *callgraph.Func, call *ast.CallExpr, st *dl
 			}
 		}
 	}
-	for _, key := range sortedAcqKeys(sum.acqs) {
+	for _, key := range sortedKeys(sum.acqs) {
 		acq := sum.acqs[key]
 		merged := unionSet(st.released, acq.released)
 		w.sum.addAcq(dlAcq{class: acq.class, pos: call.Pos(), released: merged})
@@ -735,7 +561,7 @@ func (w *dlWalk) applySummary(callee *callgraph.Func, call *ast.CallExpr, st *dl
 
 // applyExt classifies an external (standard-library) callee as blocking or
 // not.
-func (w *dlWalk) applyExt(fn *types.Func, call *ast.CallExpr, st *dlState) {
+func (w *dlWalk) applyExt(fn *types.Func, call *ast.CallExpr, st *dlLocks) {
 	desc, ok := blockingExt(fn)
 	if !ok {
 		return
@@ -782,7 +608,7 @@ func blockingExt(fn *types.Func) (string, bool) {
 		return "network I/O (" + recv + "." + name + ")", true
 	case path == "io" && recv == "" && in("ReadFull", "ReadAll", "ReadAtLeast", "Copy", "CopyN", "CopyBuffer", "WriteString"):
 		return "I/O (io." + name + ")", true
-	case path == "io" && recv != "" && in("Read", "Write"):
+	case path == "io" && recv != "" && in("Read", "Write", "ReadAt", "WriteAt"):
 		return "I/O (" + recv + "." + name + ")", true
 	case strings.HasPrefix(recv, "bufio.") && in("Read", "ReadByte", "ReadBytes", "ReadString", "ReadRune", "Write", "WriteByte", "WriteString", "WriteRune", "Flush", "Peek"):
 		return "I/O (" + recv + "." + name + ")", true
@@ -816,9 +642,9 @@ func (c *dlChecker) addEdge(from, to string, pos token.Pos) {
 // reportCycles reports every lock-order edge that participates in a cycle,
 // at the edge's witness position, with the full cycle path spelled out.
 func (c *dlChecker) reportCycles() {
-	for _, from := range sortedEdgeKeys(c.edges) {
+	for _, from := range sortedKeys(c.edges) {
 		tos := c.edges[from]
-		for _, to := range sortedPosKeys(tos) {
+		for _, to := range sortedKeys(tos) {
 			if path := c.findPath(to, from); path != nil {
 				cycle := append([]string{from}, path...)
 				parts := make([]string, len(cycle))
@@ -842,7 +668,7 @@ func (c *dlChecker) findPath(from, to string) []string {
 		if cur == to {
 			return append(path, cur)
 		}
-		for _, next := range sortedPosKeys(c.edges[cur]) {
+		for _, next := range sortedKeys(c.edges[cur]) {
 			if seen[next] {
 				continue
 			}
@@ -864,55 +690,22 @@ func cloneSet(s map[string]bool) map[string]bool {
 	return out
 }
 
+func equalSet(a, b map[string]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
 func unionSet(a, b map[string]bool) map[string]bool {
 	out := cloneSet(a)
 	for k := range b {
 		out[k] = true
 	}
 	return out
-}
-
-func sortedKeys(s map[string]bool) []string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedOpKeys(m map[string]dlOp) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedAcqKeys(m map[string]dlAcq) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedEdgeKeys(m map[string]map[string]token.Pos) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedPosKeys(m map[string]token.Pos) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

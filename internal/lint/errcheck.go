@@ -22,7 +22,7 @@ import (
 var errcheckAnalyzer = &analyzer{
 	name: "errcheck",
 	doc:  "discarded error results on the godiva public API",
-	run:  runErrcheck,
+	run:  eachPackage(runErrcheck),
 }
 
 // apiErrorFuncs is the curated godiva API whose trailing error result must

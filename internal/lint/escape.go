@@ -738,7 +738,7 @@ func (w *raceWalk) goStmt(n *ast.GoStmt, st *raceState, rec bool) {
 // change now); literals and module callees are invoked with the
 // registration-point lockset.
 func (w *raceWalk) deferStmt(n *ast.DeferStmt, st *raceState, rec bool) {
-	if w.mutexTransition(n.Call, st, true) {
+	if w.lockTransition(n.Call, st, true) {
 		return
 	}
 	if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
@@ -797,25 +797,16 @@ func (w *raceWalk) handoffCaptures(lit *ast.FuncLit, unitID string, st *raceStat
 	w.c.entries.handoff(unitID, owned, w.assumed)
 }
 
-// mutexTransition applies x.Lock()/x.Unlock() and friends to the held
+// lockTransition applies x.Lock()/x.Unlock() and friends to the held
 // set, returning whether the call was a mutex method. When deferred is
 // set the transition is skipped (it runs at return) but the call is still
 // claimed.
-func (w *raceWalk) mutexTransition(call *ast.CallExpr, st *raceState, deferred bool) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+func (w *raceWalk) lockTransition(call *ast.CallExpr, st *raceState, deferred bool) bool {
+	mu, op, ok := lockCall(w.info, call)
 	if !ok {
 		return false
 	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return false
-	}
-	tv, ok := w.info.Types[sel.X]
-	if !ok || !isMutexType(deref(tv.Type)) {
-		return false
-	}
-	class, display, ok := mutexClassOf(w.info, w.c.fset, sel.X)
+	class, display, ok := mutexClassOf(w.info, w.c.fset, mu)
 	if !ok {
 		return true // a mutex method on an unnameable lock: ignore
 	}
@@ -823,11 +814,10 @@ func (w *raceWalk) mutexTransition(call *ast.CallExpr, st *raceState, deferred b
 	if deferred {
 		return true
 	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		st.held[class] = true
-	case "Unlock", "RUnlock":
+	if op == lockRelease {
 		delete(st.held, class)
+	} else {
+		st.held[class] = true
 	}
 	return true
 }
@@ -836,7 +826,7 @@ func (w *raceWalk) mutexTransition(call *ast.CallExpr, st *raceState, deferred b
 // exclusion, join points, invocation records for module callees, and
 // recursive scanning of receiver and arguments.
 func (w *raceWalk) call(call *ast.CallExpr, st *raceState, rec bool) {
-	if w.mutexTransition(call, st, false) {
+	if w.lockTransition(call, st, false) {
 		return
 	}
 	res := w.c.mc.Graph.Resolve(w.info, call)

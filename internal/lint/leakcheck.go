@@ -23,7 +23,7 @@ import (
 // Bodies with no infinite loop terminate on their own and need no
 // evidence. Channels and WaitGroups held in struct fields are matched by
 // owning-type + field name; locals by object identity.
-var leakcheckAnalyzer = &moduleAnalyzer{
+var leakcheckAnalyzer = &analyzer{
 	name: "leakcheck",
 	doc:  "goroutine launch sites without a reachable shutdown path",
 	run:  runLeakcheck,

@@ -2,21 +2,21 @@
 // driver for this repository. It is deliberately standard-library-only
 // (go/parser, go/ast, go/types, go/importer — no golang.org/x/tools), and
 // its analyzers encode GODIVA-specific invariants that generic linters
-// cannot know:
+// cannot know. Every analyzer is handed the whole run: the loaded packages
+// plus one class-hierarchy-analysis call graph (internal/lint/callgraph)
+// over all of them. Those that follow a state along paths run forward
+// abstract interpretation over per-function control-flow graphs (cfg.go,
+// dataflow.go); the interprocedural ones iterate per-function summaries to
+// a fixpoint over the call graph.
 //
 //   - lockcheck: fields annotated "guarded by mu" and *Locked functions are
-//     only touched while the owning mutex is held.
+//     only touched while the owning mutex is held (one function at a time,
+//     over its CFG).
 //   - errcheck: error results of the godiva/core/remote public API are
 //     never silently discarded (including "_ =" discards).
 //   - atomiccheck: sync/atomic-typed fields (e.g. a refcount) are only
 //     accessed through atomic methods, never by plain reads/writes or struct
 //     copies.
-//
-// On top of the per-package suite, three interprocedural analyzers walk a
-// class-hierarchy-analysis call graph (internal/lint/callgraph) spanning
-// every package of a run, propagating held-lock sets, goroutine launches
-// and may-allocate facts across calls:
-//
 //   - deadlockcheck: builds the whole-program lock-order graph and reports
 //     any cycle, plus any channel operation, file/network I/O, time.Sleep,
 //     WaitGroup.Wait or Cond.Wait reachable while a mutex is held (the
@@ -27,12 +27,6 @@
 //   - alloccheck: functions annotated //godiva:noalloc must stay
 //     allocation-free on their hot path (error-returning branches are
 //     exempt), transitively through module calls.
-//
-// Three further module analyzers are flow-sensitive: they run forward
-// abstract interpretation over per-function control-flow graphs (cfg.go,
-// dataflow.go) with per-function summaries iterated to fixpoint over the
-// call graph:
-//
 //   - releasecheck: every pin (WaitUnit/ReadUnit unit, FetchFile payload
 //     ref) is released on every path to return — error returns included —
 //     or explicitly handed off, and a hand-off is followed through the
@@ -43,6 +37,8 @@
 //     buffers are never used after its FinishUnit/DeleteUnit.
 //   - wirecheck: integer lengths decoded from wire bytes pass a bound
 //     check before sizing an allocation.
+//   - racecheck: shared state written from two or more goroutine contexts
+//     has a consistently held lock (a static lockset analysis).
 //
 // Findings can be suppressed with a "//lint:ignore <analyzer> <reason>"
 // directive on the offending line or the line directly above it.
@@ -110,30 +106,20 @@ func (p *Package) InfoFor(f *File) *types.Info {
 	return p.Info
 }
 
-// An analyzer inspects one loaded package and reports findings.
+// An analyzer inspects every package of a run at once, through the shared
+// module context, so interprocedural facts propagate across package
+// boundaries.
 type analyzer struct {
-	name string
-	doc  string
-	run  func(p *Package) []Finding
-}
-
-// Analyzers is the full godiva-lint suite, in reporting order.
-var analyzers = []*analyzer{
-	lockcheckAnalyzer,
-	errcheckAnalyzer,
-	atomiccheckAnalyzer,
-}
-
-// A moduleAnalyzer inspects every package of a run at once, through the
-// shared call graph, so facts propagate across package boundaries.
-type moduleAnalyzer struct {
 	name string
 	doc  string
 	run  func(mc *moduleContext) []Finding
 }
 
-// moduleAnalyzers is the interprocedural suite, in reporting order.
-var moduleAnalyzers = []*moduleAnalyzer{
+// analyzers is the full godiva-lint suite, in reporting order.
+var analyzers = []*analyzer{
+	lockcheckAnalyzer,
+	errcheckAnalyzer,
+	atomiccheckAnalyzer,
 	deadlockcheckAnalyzer,
 	leakcheckAnalyzer,
 	alloccheckAnalyzer,
@@ -143,7 +129,19 @@ var moduleAnalyzers = []*moduleAnalyzer{
 	racecheckAnalyzer,
 }
 
-// moduleContext is the shared state handed to module analyzers: the loaded
+// eachPackage lifts a check that needs one package at a time to the
+// analyzer interface.
+func eachPackage(run func(p *Package) []Finding) func(mc *moduleContext) []Finding {
+	return func(mc *moduleContext) []Finding {
+		var out []Finding
+		for _, p := range mc.Pkgs {
+			out = append(out, run(p)...)
+		}
+		return out
+	}
+}
+
+// moduleContext is the shared state handed to analyzers: the loaded
 // packages plus one call graph built over their production files.
 type moduleContext struct {
 	Pkgs  []*Package
@@ -151,7 +149,7 @@ type moduleContext struct {
 	// CG maps each lint package to its call-graph counterpart.
 	CG map[*Package]*callgraph.Package
 
-	// cfgs memoizes per-body control-flow graphs for the flow-sensitive
+	// cfgs memoizes per-body control-flow graphs for the dataflow
 	// analyzers (see cfg.go), which re-visit every function once per
 	// summary-fixpoint pass.
 	cfgs map[*ast.BlockStmt]*funcCFG
@@ -184,14 +182,10 @@ func newModuleContext(pkgs []*Package) *moduleContext {
 	return mc
 }
 
-// AnalyzerNames returns every analyzer name, per-package then module, in
-// reporting order.
+// AnalyzerNames returns every analyzer name in reporting order.
 func AnalyzerNames() []string {
 	var out []string
 	for _, a := range analyzers {
-		out = append(out, a.name)
-	}
-	for _, a := range moduleAnalyzers {
 		out = append(out, a.name)
 	}
 	return out
@@ -223,9 +217,6 @@ func AnalyzerDescriptions() map[string]string {
 	for _, a := range analyzers {
 		out[a.name] = a.doc
 	}
-	for _, a := range moduleAnalyzers {
-		out[a.name] = a.doc
-	}
 	return out
 }
 
@@ -233,9 +224,6 @@ func AnalyzerDescriptions() map[string]string {
 func AnalyzerDocs() []string {
 	var out []string
 	for _, a := range analyzers {
-		out = append(out, fmt.Sprintf("%-14s %s", a.name, a.doc))
-	}
-	for _, a := range moduleAnalyzers {
 		out = append(out, fmt.Sprintf("%-14s %s", a.name, a.doc))
 	}
 	return out
@@ -290,16 +278,16 @@ func RunAllOnly(m *Module, patterns, only []string) ([]Finding, error) {
 	return runPackages(pkgs, sel), nil
 }
 
-// RunPackage applies the full suite (including the module analyzers, on a
-// single-package graph) to one loaded package, dropping findings suppressed
-// by lint:ignore directives. Malformed directives are themselves findings.
+// RunPackage applies the full suite (on a single-package call graph) to
+// one loaded package, dropping findings suppressed by lint:ignore
+// directives. Malformed directives are themselves findings.
 func RunPackage(p *Package) []Finding {
 	return dropSuppressed(runPackages([]*Package{p}, nil))
 }
 
-// runPackages runs the per-package and module analyzers over the given
-// packages and marks suppressed findings. A non-nil sel restricts the run
-// to the selected analyzers.
+// runPackages runs the analyzers over the given packages and marks
+// suppressed findings. A non-nil sel restricts the run to the selected
+// analyzers.
 func runPackages(pkgs []*Package, sel map[string]bool) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
@@ -314,15 +302,9 @@ func runPackages(pkgs []*Package, sel map[string]bool) []Finding {
 				}
 			}
 		}
-		for _, a := range analyzers {
-			if sel != nil && !sel[a.name] {
-				continue
-			}
-			out = append(out, a.run(p)...)
-		}
 	}
 	mc := newModuleContext(pkgs)
-	for _, a := range moduleAnalyzers {
+	for _, a := range analyzers {
 		if sel != nil && !sel[a.name] {
 			continue
 		}
@@ -401,6 +383,8 @@ func collectIgnores(fset *token.FileSet, f *ast.File) map[int][]string {
 	return ignores
 }
 
+// sortFindings orders findings by position, analyzer and message: a total
+// order, so the output never depends on the order the analyzers ran in.
 func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -413,6 +397,9 @@ func sortFindings(fs []Finding) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -177,18 +178,56 @@ func TestMalformedDirective(t *testing.T) {
 
 // TestRepoIsClean runs the full suite over the whole module (with the
 // godivainvariants files compiled in) and requires zero findings — the same
-// bar verify.sh enforces.
+// bar verify.sh enforces — and no stale directive: every lint:ignore in the
+// module must suppress at least one finding.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module lint run in -short mode")
 	}
 	m := testModule(t)
-	findings, err := Run(m, []string{"./..."})
+	dirs, err := m.ExpandPatterns([]string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range findings {
-		t.Errorf("repo finding: %s", f)
+	var pkgs []*Package
+	for _, dir := range dirs {
+		pkg, err := m.LintPackage(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	used := make(map[string]bool) // "file:line:analyzer" of each suppressed finding
+	for _, f := range runPackages(pkgs, nil) {
+		if !f.Suppressed {
+			t.Errorf("repo finding: %s", f)
+			continue
+		}
+		used[fmt.Sprintf("%s:%d:%s", f.Pos.Filename, f.Pos.Line, f.Analyzer)] = true
+	}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, cg := range f.AST.Comments {
+				for _, c := range cg.List {
+					fields := strings.Fields(c.Text)
+					if len(fields) < 3 || fields[0] != "//lint:ignore" {
+						continue
+					}
+					// A directive covers the last line of its comment group
+					// and the line after it (see collectIgnores).
+					end := p.Fset.Position(cg.End()).Line
+					hit := false
+					for _, name := range strings.Split(fields[1], ",") {
+						for _, line := range []int{end, end + 1} {
+							hit = hit || used[fmt.Sprintf("%s:%d:%s", f.Path, line, name)]
+						}
+					}
+					if !hit {
+						t.Errorf("%s: stale directive suppresses no finding: %s", p.Fset.Position(c.Pos()), c.Text)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -18,13 +18,15 @@ import (
 //     convention that the caller holds the write (resp. read) lock, so
 //     calling one requires that lock level at the call site.
 //
-// The analysis is intra-procedural: it tracks Lock/RLock/Unlock/RUnlock
-// calls on sync.Mutex/sync.RWMutex-typed fields through straight-line code,
-// branches (branches that terminate — return, panic, break — do not merge
-// back) and defers (a deferred Unlock does not end the critical section
-// early; a deferred call otherwise is checked at its registration point,
+// The analysis is intra-procedural, a forward dataflow problem over each
+// function's control-flow graph (cfg.go, dataflow.go). The state is the
+// lock level held on every path to a point: Lock/RLock/Unlock/RUnlock
+// statements on sync.Mutex/sync.RWMutex values set it, joins (branch
+// merges and loop heads) take the weakest level, and paths that return or
+// panic never rejoin. A deferred Unlock does not end the critical section
+// early; any other deferred call is checked at its registration point,
 // where Go's LIFO ordering runs it while the lock is still held if it was
-// registered after a deferred Unlock). A *Locked function starts in the
+// registered after a deferred Unlock. A *Locked function starts in the
 // held state. Function literals start unheld unless invoked in place.
 // Test files are not analyzed (tests may poke state single-threaded), but
 // annotations in them still register.
@@ -36,13 +38,30 @@ var lockcheckAnalyzer = &analyzer{
 
 var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_.]*)`)
 
+// lockLevel is lockcheck's dataflow state: the lock level held on every
+// path to a program point.
+type lockLevel int
+
 const (
-	lockNone  = 0
-	lockRead  = 1
-	lockWrite = 2
+	lockNone  lockLevel = 0
+	lockRead  lockLevel = 1
+	lockWrite lockLevel = 2
 )
 
+// levelAfter is the level a Lock-family statement leaves behind.
+var levelAfter = [...]lockLevel{lockAcquire: lockWrite, lockAcquireRead: lockRead, lockRelease: lockNone}
+
+func (l *lockLevel) clone() dfState {
+	c := *l
+	return &c
+}
+
+func (l *lockLevel) merge(o dfState) { *l = min(*l, *o.(*lockLevel)) }
+
+func (l *lockLevel) equal(o dfState) bool { return *l == *o.(*lockLevel) }
+
 type lockChecker struct {
+	mc       *moduleContext
 	pkg      *Package
 	info     *types.Info
 	tpkg     *types.Package
@@ -50,43 +69,46 @@ type lockChecker struct {
 	findings []Finding
 }
 
-func runLockcheck(p *Package) []Finding {
-	if p.Info == nil || p.Types == nil {
-		return nil // lockcheck is type-driven; the build gate reports the breakage
-	}
-	lc := &lockChecker{
-		pkg:     p,
-		info:    p.Info,
-		tpkg:    p.Types,
-		guarded: make(map[types.Object]string),
-	}
-	for _, f := range p.Files {
-		info := p.InfoFor(f)
-		if info == nil {
-			continue
+func runLockcheck(mc *moduleContext) []Finding {
+	var out []Finding
+	for _, p := range mc.Pkgs {
+		if p.Info == nil || p.Types == nil {
+			continue // lockcheck is type-driven; the build gate reports the breakage
 		}
-		lc.collectGuarded(f.AST, info)
-	}
-	for _, f := range p.Files {
-		if f.Test {
-			continue
+		lc := &lockChecker{
+			mc:      mc,
+			pkg:     p,
+			info:    p.Info,
+			tpkg:    p.Types,
+			guarded: make(map[types.Object]string),
 		}
-		for _, decl := range f.AST.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+		for _, f := range p.Files {
+			if info := p.InfoFor(f); info != nil {
+				lc.collectGuarded(f.AST, info)
+			}
+		}
+		for _, f := range p.Files {
+			if f.Test {
 				continue
 			}
-			st := lockNone
-			switch {
-			case strings.HasSuffix(fd.Name.Name, "RLocked"):
-				st = lockRead
-			case strings.HasSuffix(fd.Name.Name, "Locked"):
-				st = lockWrite
+			for _, decl := range f.AST.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				st := lockNone
+				switch {
+				case strings.HasSuffix(fd.Name.Name, "RLocked"):
+					st = lockRead
+				case strings.HasSuffix(fd.Name.Name, "Locked"):
+					st = lockWrite
+				}
+				lc.body(fd.Body, st)
 			}
-			lc.block(fd.Body, st)
 		}
+		out = append(out, lc.findings...)
 	}
-	return lc.findings
+	return out
 }
 
 // collectGuarded registers every struct field annotated "guarded by <mu>".
@@ -131,251 +153,74 @@ func (lc *lockChecker) report(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// --- statement walk ---
-
-// block analyzes a statement list; the returned state is the lock level on
-// the fall-through path, and terminates reports that every path out of the
-// block returns, panics or branches away.
-func (lc *lockChecker) block(b *ast.BlockStmt, st int) (out int, terminates bool) {
-	out = st
-	for _, s := range b.List {
-		if terminates {
-			// Unreachable code: still check accesses, at the last known state.
-			lc.stmt(s, out)
-			continue
-		}
-		out, terminates = lc.stmt(s, out)
-	}
-	return out, terminates
+// body checks one function or literal body entered at lock level st.
+func (lc *lockChecker) body(b *ast.BlockStmt, st lockLevel) {
+	runDataflow(lc.mc.cfgOf(b), &st, lc, true)
 }
 
-func (lc *lockChecker) stmt(s ast.Stmt, st int) (out int, terminates bool) {
-	out = st
-	switch s := s.(type) {
-	case nil:
-		return st, false
-	case *ast.BlockStmt:
-		return lc.block(s, st)
-	case *ast.ExprStmt:
-		if next, ok := lc.lockTransition(s.X, st, s.Pos()); ok {
-			return next, false
+func (lc *lockChecker) refine(ast.Expr, bool, dfState) {}
+
+func (lc *lockChecker) atExit(dfState, *ast.ReturnStmt, bool) {}
+
+// transfer applies a Lock-family statement to the level and, on the
+// recording sweep, checks every access and call in the node at the level
+// before it.
+func (lc *lockChecker) transfer(n ast.Node, stt dfState, record bool) {
+	st := stt.(*lockLevel)
+	if es, ok := n.(*ast.ExprStmt); ok {
+		if call, ok := es.X.(*ast.CallExpr); ok {
+			if _, op, ok := lockCall(lc.info, call); ok {
+				*st = levelAfter[op]
+				return
+			}
 		}
-		lc.expr(s.X, st, false)
-		return st, isPanicCall(s.X)
+	}
+	if !record {
+		return
+	}
+	switch n := n.(type) {
 	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			lc.expr(e, st, false)
+		for _, e := range n.Rhs {
+			lc.expr(e, *st, false)
 		}
-		for _, e := range s.Lhs {
-			lc.expr(e, st, true)
+		for _, e := range n.Lhs {
+			lc.expr(e, *st, true)
 		}
-		return st, false
 	case *ast.IncDecStmt:
-		lc.expr(s.X, st, true)
-		return st, false
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			lc.expr(e, st, false)
-		}
-		return st, true
-	case *ast.BranchStmt:
-		return st, true
-	case *ast.DeferStmt:
-		lc.deferCall(s.Call, st)
-		return st, false
-	case *ast.GoStmt:
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			lc.block(fl.Body, lockNone)
-		} else {
-			lc.expr(s.Call.Fun, st, false)
-		}
-		for _, a := range s.Call.Args {
-			lc.expr(a, st, false)
-		}
-		return st, false
-	case *ast.IfStmt:
-		lc.stmt(s.Init, st)
-		lc.expr(s.Cond, st, false)
-		thenSt, thenTerm := lc.block(s.Body, st)
-		elseSt, elseTerm := st, false
-		if s.Else != nil {
-			elseSt, elseTerm = lc.stmt(s.Else, st)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return st, true
-		case thenTerm:
-			return elseSt, false
-		case elseTerm:
-			return thenSt, false
-		default:
-			return minLock(thenSt, elseSt), false
-		}
-	case *ast.ForStmt:
-		lc.stmt(s.Init, st)
-		if s.Cond != nil {
-			lc.expr(s.Cond, st, false)
-		}
-		lc.stmt(s.Post, st)
-		lc.block(s.Body, st)
-		// Loops in this codebase are lock-balanced per iteration; the
-		// fall-through state is the entry state.
-		return st, false
+		lc.expr(n.X, *st, true)
 	case *ast.RangeStmt:
-		lc.expr(s.X, st, false)
-		if s.Key != nil {
-			lc.expr(s.Key, st, true)
-		}
-		if s.Value != nil {
-			lc.expr(s.Value, st, true)
-		}
-		lc.block(s.Body, st)
-		return st, false
-	case *ast.SwitchStmt:
-		lc.stmt(s.Init, st)
-		if s.Tag != nil {
-			lc.expr(s.Tag, st, false)
-		}
-		return lc.caseBodies(s.Body, st, hasDefaultCase(s.Body))
-	case *ast.TypeSwitchStmt:
-		lc.stmt(s.Init, st)
-		lc.stmt(s.Assign, st)
-		return lc.caseBodies(s.Body, st, hasDefaultCase(s.Body))
-	case *ast.SelectStmt:
-		return lc.caseBodies(s.Body, st, true)
-	case *ast.LabeledStmt:
-		return lc.stmt(s.Stmt, st)
-	case *ast.SendStmt:
-		lc.expr(s.Chan, st, false)
-		lc.expr(s.Value, st, false)
-		return st, false
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						lc.expr(v, st, false)
-					}
-				}
-			}
-		}
-		return st, false
-	default:
-		return st, false
-	}
-}
-
-// caseBodies analyzes switch/select clause bodies from a common entry state
-// and merges the fall-through states. Without a default clause the entry
-// state joins the merge (the switch may not run any body).
-func (lc *lockChecker) caseBodies(body *ast.BlockStmt, st int, exhaustive bool) (int, bool) {
-	merged := -1
-	allTerm := true
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				lc.expr(e, st, false)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				lc.stmt(c.Comm, st)
-			}
-			stmts = c.Body
-		}
-		cs, cterm := lc.block(&ast.BlockStmt{List: stmts}, st)
-		if !cterm {
-			allTerm = false
-			if merged == -1 {
-				merged = cs
-			} else {
-				merged = minLock(merged, cs)
-			}
-		}
-	}
-	if !exhaustive {
-		allTerm = false
-		if merged == -1 {
-			merged = st
+		lc.expr(n.X, *st, false)
+		lc.expr(n.Key, *st, true)
+		lc.expr(n.Value, *st, true)
+	case *ast.DeferStmt:
+		lc.deferCall(n.Call, *st)
+	case *ast.GoStmt:
+		if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
+			lc.body(fl.Body, lockNone)
 		} else {
-			merged = minLock(merged, st)
+			lc.expr(n.Call.Fun, *st, false)
+		}
+		for _, a := range n.Call.Args {
+			lc.expr(a, *st, false)
+		}
+	default:
+		for _, e := range nodeExprs(n) {
+			lc.expr(e, *st, false)
 		}
 	}
-	if merged == -1 {
-		merged = st
-	}
-	return merged, allTerm && len(body.List) > 0
-}
-
-func hasDefaultCase(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-func minLock(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// lockTransition reports the lock state after e when e is a Lock-family
-// call on a mutex-typed expression.
-func (lc *lockChecker) lockTransition(e ast.Expr, st int, pos token.Pos) (int, bool) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return st, false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !lc.isMutexExpr(sel.X) {
-		return st, false
-	}
-	switch sel.Sel.Name {
-	case "Lock":
-		return lockWrite, true
-	case "RLock":
-		return lockRead, true
-	case "Unlock", "RUnlock":
-		return lockNone, true
-	}
-	return st, false
-}
-
-// isMutexExpr reports whether e denotes a sync.Mutex / sync.RWMutex value
-// (by type when known, by a *mu-suffixed name otherwise).
-func (lc *lockChecker) isMutexExpr(e ast.Expr) bool {
-	if tv, ok := lc.info.Types[e]; ok && tv.Type != nil {
-		s := tv.Type.String()
-		return strings.HasSuffix(s, "sync.Mutex") || strings.HasSuffix(s, "sync.RWMutex")
-	}
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		return strings.HasSuffix(strings.ToLower(e.Sel.Name), "mu")
-	case *ast.Ident:
-		return strings.HasSuffix(strings.ToLower(e.Name), "mu")
-	}
-	return false
 }
 
 // deferCall checks a deferred call at its registration point. A deferred
-// mutex Unlock is the normal end-of-function release and is ignored; any
-// other deferred call (including *Locked invariant hooks registered under
-// the lock) is checked exactly like an immediate call at the current state.
-func (lc *lockChecker) deferCall(call *ast.CallExpr, st int) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && lc.isMutexExpr(sel.X) {
-		switch sel.Sel.Name {
-		case "Unlock", "RUnlock", "Lock", "RLock":
-			return
-		}
+// mutex operation is the normal end-of-function release and is ignored; a
+// deferred literal starts unheld; any other deferred call (including
+// *Locked invariant hooks registered under the lock) is checked exactly
+// like an immediate call at the current level.
+func (lc *lockChecker) deferCall(call *ast.CallExpr, st lockLevel) {
+	if _, _, ok := lockCall(lc.info, call); ok {
+		return
 	}
 	if fl, ok := call.Fun.(*ast.FuncLit); ok {
-		lc.block(fl.Body, lockNone)
+		lc.body(fl.Body, lockNone)
 		return
 	}
 	lc.expr(call, st, false)
@@ -385,15 +230,15 @@ func (lc *lockChecker) deferCall(call *ast.CallExpr, st int) {
 
 // expr checks guarded-field accesses and *Locked calls inside e at lock
 // state st. write marks that e is an assignment target (or &-escape root).
-func (lc *lockChecker) expr(e ast.Expr, st int, write bool) {
+func (lc *lockChecker) expr(e ast.Expr, st lockLevel, write bool) {
 	switch e := e.(type) {
 	case nil:
 		return
 	case *ast.Ident:
-		lc.checkObj(e, lc.objOf(e), st, write)
+		lc.checkObj(e, identObj(lc.info, e), st, write)
 	case *ast.SelectorExpr:
 		lc.expr(e.X, st, false)
-		lc.checkObj(e.Sel, lc.objOf(e.Sel), st, write)
+		lc.checkObj(e.Sel, identObj(lc.info, e.Sel), st, write)
 	case *ast.IndexExpr:
 		lc.expr(e.X, st, write)
 		lc.expr(e.Index, st, false)
@@ -412,7 +257,7 @@ func (lc *lockChecker) expr(e ast.Expr, st int, write bool) {
 	case *ast.CallExpr:
 		if fl, ok := e.Fun.(*ast.FuncLit); ok {
 			// Immediately-invoked literal runs here, at the current state.
-			lc.block(fl.Body, st)
+			lc.body(fl.Body, st)
 		} else {
 			lc.checkLockedCall(e, st)
 			lc.expr(e.Fun, st, false)
@@ -422,7 +267,7 @@ func (lc *lockChecker) expr(e ast.Expr, st int, write bool) {
 		}
 	case *ast.FuncLit:
 		// Stored or passed literal: runs later, assume unheld.
-		lc.block(e.Body, lockNone)
+		lc.body(e.Body, lockNone)
 	case *ast.BinaryExpr:
 		lc.expr(e.X, st, false)
 		lc.expr(e.Y, st, false)
@@ -442,16 +287,9 @@ func (lc *lockChecker) expr(e ast.Expr, st int, write bool) {
 	}
 }
 
-func (lc *lockChecker) objOf(id *ast.Ident) types.Object {
-	if obj := lc.info.Uses[id]; obj != nil {
-		return obj
-	}
-	return lc.info.Defs[id]
-}
-
 // checkObj reports an access to a guarded field at an insufficient lock
 // level.
-func (lc *lockChecker) checkObj(id *ast.Ident, obj types.Object, st int, write bool) {
+func (lc *lockChecker) checkObj(id *ast.Ident, obj types.Object, st lockLevel, write bool) {
 	if obj == nil {
 		return
 	}
@@ -469,7 +307,7 @@ func (lc *lockChecker) checkObj(id *ast.Ident, obj types.Object, st int, write b
 
 // checkLockedCall enforces the *Locked / *RLocked naming convention on
 // calls to functions of the package under analysis.
-func (lc *lockChecker) checkLockedCall(call *ast.CallExpr, st int) {
+func (lc *lockChecker) checkLockedCall(call *ast.CallExpr, st lockLevel) {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -490,7 +328,7 @@ func (lc *lockChecker) checkLockedCall(call *ast.CallExpr, st int) {
 	}
 	// Only the conventions of this package apply; imported packages may
 	// use the suffix for their own mutexes.
-	if obj := lc.objOf(id); obj != nil && obj.Pkg() != nil &&
+	if obj := identObj(lc.info, id); obj != nil && obj.Pkg() != nil &&
 		obj.Pkg() != lc.tpkg && (lc.pkg.XTypes == nil || obj.Pkg() != lc.pkg.XTypes) {
 		return
 	}
@@ -509,14 +347,4 @@ func suffixOf(name string) string {
 		return "RLocked"
 	}
 	return "Locked"
-}
-
-// isPanicCall reports whether e is a direct call to panic.
-func isPanicCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
 }

@@ -1,18 +1,73 @@
 package lint
 
-// lockset.go holds the lock-identity and lockset machinery shared by
-// deadlockcheck and racecheck: the class naming scheme for mutexes (one
-// class per struct field across all instances, one per package-level or
-// local variable), and racecheck's entry-lockset fixpoint — the set of
-// locks every caller provably holds when a unit is entered, intersected
-// over all recorded invocation sites.
+// lockset.go holds the lock machinery shared by lockcheck, deadlockcheck
+// and racecheck: the one recogniser of Lock/Unlock calls, the class naming
+// scheme for mutexes (one class per struct field across all instances, one
+// per package-level or local variable), and racecheck's entry-lockset
+// fixpoint — the set of locks every caller provably holds when a unit is
+// entered, intersected over all recorded invocation sites.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
+
+// lockOp is what a Lock-family method call does to its mutex.
+type lockOp int
+
+const (
+	lockAcquire     lockOp = iota + 1 // Lock, TryLock
+	lockAcquireRead                   // RLock, TryRLock
+	lockRelease                       // Unlock, RUnlock
+)
+
+// lockCall recognises x.Lock(), x.RLock(), x.TryLock(), x.TryRLock(),
+// x.Unlock() and x.RUnlock() on a sync.Mutex or sync.RWMutex, returning the
+// mutex expression x and what the call does to it. When x has no type
+// information (its package failed to type-check), a name ending in "mu"
+// marks a mutex.
+func lockCall(info *types.Info, call *ast.CallExpr) (mu ast.Expr, op lockOp, ok bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, 0, false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "TryLock":
+		op = lockAcquire
+	case "RLock", "TryRLock":
+		op = lockAcquireRead
+	case "Unlock", "RUnlock":
+		op = lockRelease
+	default:
+		return nil, 0, false
+	}
+	if tv, typed := info.Types[sel.X]; typed && tv.Type != nil {
+		return sel.X, op, isMutexType(deref(tv.Type))
+	}
+	name := ""
+	switch x := ast.Unparen(sel.X).(type) {
+	case *ast.SelectorExpr:
+		name = x.Sel.Name
+	case *ast.Ident:
+		name = x.Name
+	}
+	return sel.X, op, strings.HasSuffix(strings.ToLower(name), "mu")
+}
+
+func isMutexType(t types.Type) bool {
+	s := types.TypeString(t, nil)
+	return s == "sync.Mutex" || s == "sync.RWMutex"
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
 
 // mutexClassOf names the lock denoted by a mutex-typed expression. Struct
 // fields are classed by owning named type + field name (every instance
@@ -351,9 +406,8 @@ func pickGuard(inter map[string]bool, fieldClass string, display map[string]stri
 	return lc
 }
 
-// sortClasses returns map keys in sorted order (shared small helper; the
-// deadlockcheck sortedKeys variant is reused where the value type fits).
-func sortClasses(m map[string]raceClassInfo) []string {
+// sortedKeys returns a string-keyed map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -22,7 +22,7 @@ import (
 	"godiva/internal/lint/callgraph"
 )
 
-var racecheckAnalyzer = &moduleAnalyzer{
+var racecheckAnalyzer = &analyzer{
 	name: "racecheck",
 	doc: "static lockset race analysis: shared state written from two or more " +
 		"goroutine contexts must have a consistently held lock",
@@ -403,7 +403,7 @@ func describeContexts(ctxs []*callgraph.Context) string {
 //     published results, refcounted payloads), so they are not reported.
 func (c *raceChecker) report() []Finding {
 	var out []Finding
-	for _, class := range sortClasses(c.classes) {
+	for _, class := range sortedKeys(c.classes) {
 		accs := concreteAccesses(c.accesses[class])
 		sort.Slice(accs, func(i, j int) bool { return accs[i].pos < accs[j].pos })
 		ctxs, count := c.contextSpread(accs)
@@ -508,7 +508,7 @@ func (c *raceChecker) goLitOverlap(accs []raceAccess) bool {
 func (c *raceChecker) inferGuards() []Finding {
 	annotated := c.annotatedClasses()
 	var out []Finding
-	for _, class := range sortClasses(c.classes) {
+	for _, class := range sortedKeys(c.classes) {
 		info := c.classes[class]
 		if info.kind != raceField || annotated[class] {
 			continue

@@ -40,7 +40,7 @@ import (
 // loop that acquires N pins at one site is modeled as one (a partial
 // release of "the site" looks complete); units are matched by name, as the
 // text of a simple first argument (computed names match any release).
-var releasecheckAnalyzer = &moduleAnalyzer{
+var releasecheckAnalyzer = &analyzer{
 	name: "releasecheck",
 	doc:  "pins released on every path to return, hand-offs followed through call summaries",
 	run:  runReleasecheck,

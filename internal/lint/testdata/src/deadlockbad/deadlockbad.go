@@ -6,6 +6,7 @@
 package deadlockbad
 
 import (
+	"io"
 	"sync"
 	"time"
 )
@@ -80,6 +81,16 @@ func (p *pair) unlockInOneArm(drop bool) {
 	<-p.ch // released on both arms
 }
 
+// heldOnOneArm keeps a on the path that skips the branch, so the receive
+// can wait under it.
+func (p *pair) heldOnOneArm(drop bool) {
+	p.a.Lock()
+	if drop {
+		p.a.Unlock()
+	}
+	<-p.ch // want deadlockcheck `channel receive while holding pair.a`
+}
+
 func (p *pair) earlyReturn(skip bool) {
 	p.a.Lock()
 	if skip {
@@ -99,6 +110,18 @@ func (p *pair) lockInEveryCase(k int) {
 	}
 	p.ch <- k // want deadlockcheck `channel send while holding pair.a`
 	p.a.Unlock()
+}
+
+// lockInSomeCases takes a in two of the three paths through the switch,
+// so the send can wait under it.
+func (p *pair) lockInSomeCases(k int) {
+	switch k {
+	case 0:
+		p.a.Lock()
+	case 1:
+		p.a.Lock()
+	}
+	p.ch <- k // want deadlockcheck `channel send while holding pair.a`
 }
 
 func (p *pair) switchWithoutDefault(k int) {
@@ -189,6 +212,19 @@ func (p *pair) rangeOverChannelLocked() {
 		use(v)
 	}
 	p.a.Unlock()
+}
+
+// store reads through an io.ReaderAt, which may be a file.
+type store struct {
+	mu sync.Mutex
+	r  io.ReaderAt
+}
+
+func (s *store) readUnderLock(buf []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.r.ReadAt(buf, 0) // want deadlockcheck `I/O (io.ReaderAt.ReadAt) while holding store.mu`
+	return err
 }
 
 func use(int) {}

@@ -183,3 +183,16 @@ func (t *table) rangeOverChannelLocked(ch chan int) {
 }
 
 func use(int) {}
+
+// loopUnlocks drops the lock in the loop body and never takes it back, so
+// after any iteration the lock is no longer held.
+func (t *table) loopUnlocks(n int) int {
+	t.mu.Lock()
+	for i := 0; i < n; i++ {
+		t.mu.Unlock()
+		work()
+	}
+	return t.count // want lockcheck `field "count" is guarded by mu but accessed without holding it`
+}
+
+func work() {}

@@ -27,7 +27,7 @@ import (
 // loads in the same function — instance-insensitive); map/slice loads,
 // parameters, and fields never assigned in the function start clean:
 // cross-function field taint is a documented blind spot.
-var wirecheckAnalyzer = &moduleAnalyzer{
+var wirecheckAnalyzer = &analyzer{
 	name: "wirecheck",
 	doc:  "wire-decoded lengths are bound-checked before sizing allocations",
 	run:  runWirecheck,

@@ -10,9 +10,10 @@
 #               flow-sensitive releasecheck/borrowcheck/wirecheck, and the
 #               lockset race analysis racecheck) reports zero findings;
 #               non-zero findings fail the gate, as does the suite running
-#               longer than the 30s wall-clock budget (it takes ~3s;
-#               analyzer cost regressions must surface here, not in every
-#               later CI run). The run writes lint.sarif — every analyzer's
+#               longer than the 30s wall-clock budget (about 6s on a
+#               2-CPU host, 5s of it the suite itself; analyzer cost
+#               regressions must surface here, not in every later CI
+#               run). The run writes lint.sarif — every analyzer's
 #               findings, suppressed ones included — which CI uploads.
 #   test        full test suite, caching disabled (-count=1) so the noalloc
 #               AllocsPerRun gates re-measure on every run
