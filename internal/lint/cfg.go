@@ -13,10 +13,10 @@ package lint
 // statements, range and select headers, and bare condition expressions.
 // Control-flow statements (if/for/range/switch/type-switch/select) are
 // decomposed into blocks and edges; their conditions are appended as
-// expression nodes so transfer functions still see calls inside them. Edges out of a condition
-// carry the condition expression and a negate flag, which lets analyzers
-// refine state per branch (the "if err != nil" edge kills a pin that the
-// error-returning acquire never produced).
+// expression nodes so transfer functions still see calls inside them. Edges
+// out of a condition carry the condition expression and a negate flag,
+// which lets analyzers refine state per branch (the "if err != nil" edge
+// kills a pin that the error-returning acquire never produced).
 //
 // Two synthetic blocks terminate every graph: exit collects normal returns
 // and fall-off, and panicExit collects calls that never return (panic,

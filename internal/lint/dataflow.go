@@ -38,14 +38,14 @@ type dfProblem interface {
 // runDataflow drives p over g from the given entry state: worklist
 // iteration to fixpoint, then one sweep in deterministic block order during
 // which atExit fires for every edge into the normal exit (so problems can
-// fold exit states into summaries on every module pass) and, when record
-// is set, transfer may emit findings. Transfers during the fixpoint always
-// see record false, so a problem that passes true gets exactly one
-// recording visit per reachable node (lockcheck and deadlockcheck do, and
-// keep their own flag for whether to report). The pop budget guards against a
-// non-monotone transfer bug turning into an infinite loop; lattices here
-// are finite, so hitting it means a defect, and bailing out merely
-// under-reports.
+// fold exit states into summaries on every module pass) and, when record is
+// set, transfer may emit findings. Transfers during the fixpoint always see
+// record false, so a problem that passes true gets exactly one recording
+// visit per reachable node (lockcheck and deadlockcheck pass true;
+// deadlockcheck keeps its own flag for whether to report). The pop budget
+// guards against a non-monotone transfer bug turning into an infinite loop;
+// lattices here are finite, so hitting it means a defect, and bailing out
+// merely under-reports.
 func runDataflow(g *funcCFG, entry dfState, p dfProblem, record bool) {
 	in := make([]dfState, len(g.blocks))
 	in[g.entry.index] = entry

@@ -450,8 +450,8 @@ func (c *dlChecker) shortClass(class string) string {
 	return class
 }
 
-// blocking records one blocking operation at the current state: a summary
-// entry always, a finding when a lock is held.
+// blocking records one blocking operation at the current state on the
+// recording sweep: a summary entry always, a finding when a lock is held.
 func (w *dlWalk) blocking(desc string, pos token.Pos, st *dlLocks) {
 	if !w.rec {
 		return
@@ -465,8 +465,8 @@ func (w *dlWalk) blocking(desc string, pos token.Pos, st *dlLocks) {
 	}
 }
 
-// acquire records a lock acquisition: order edges from every held class,
-// state transition, and a summary entry.
+// acquire applies a lock acquisition to the state and, on the recording
+// sweep, records order edges from every held class and a summary entry.
 func (w *dlWalk) acquire(class string, pos token.Pos, st *dlLocks) {
 	if w.rec && w.c.recording {
 		for _, held := range sortedKeys(st.held) {
