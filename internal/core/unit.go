@@ -107,8 +107,8 @@ type unit struct {
 	// records are released for good — deleted, evicted, failed, or swept by
 	// Close — and its read function has returned (see Unit.OnRelease). Read
 	// functions that donate borrowed memory register the donor's cleanup
-	// here (e.g. closing an mmap'd file). Guarded by db.mu.
-	releasers []func()
+	// here (e.g. closing an mmap'd file).
+	releasers []func() // guarded by db.mu
 }
 
 // ReadFunc is a developer-supplied read function: it reads one processing
