@@ -2,11 +2,11 @@ package lint
 
 // cfg.go builds per-function control-flow graphs over go/ast, standard
 // library only. Every analyzer that follows a state along paths —
-// lockcheck, deadlockcheck, releasecheck, borrowcheck, wirecheck and
-// racecheck — runs forward abstract interpretation over these graphs (see
-// dataflow.go), so it can distinguish "released on the happy path" from
-// "released on every path", and a loop's state is its fixpoint rather than
-// an assumption that the body is balanced.
+// lockcheck, deadlockcheck, releasecheck, borrowcheck and wirecheck — runs
+// forward abstract interpretation over these graphs (see dataflow.go), so
+// it can distinguish "released on the happy path" from "released on every
+// path", and a loop's state is its fixpoint rather than an assumption that
+// the body is balanced.
 //
 // Shape: basic blocks hold a flat list of atomic nodes — assignments,
 // expression statements, declarations, sends, inc/dec, returns, defers, go

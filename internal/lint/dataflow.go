@@ -2,7 +2,7 @@ package lint
 
 // dataflow.go is the forward abstract-interpretation driver every
 // path-following analyzer shares: lockcheck, deadlockcheck, releasecheck,
-// borrowcheck, wirecheck and racecheck. Each supplies an abstract state
+// borrowcheck and wirecheck. Each supplies an abstract state
 // (clone/merge/equal) and a transfer relation over the atomic nodes cfg.go
 // produces; the driver iterates block in-states to a fixpoint with a
 // worklist, then replays one recording pass in which the analyzer reports

@@ -20,7 +20,10 @@ import (
 //     holding A" edges must be acyclic;
 //   - blocking under a lock: any channel operation, select without default,
 //     time.Sleep, WaitGroup/Cond wait, or file/network I/O reachable while
-//     a mutex is held.
+//     a mutex is held;
+//   - a lock leaked to the caller: a function not named *Locked that can
+//     return holding a lock class it did not hold on entry (a deleted
+//     "defer mu.Unlock()", say).
 //
 // The repo's unlock-before-block idiom (reserveLocked, waitStateLocked,
 // Close) is understood: every summarized operation carries the set of lock
@@ -30,7 +33,7 @@ import (
 // checker covers those paths.
 var deadlockcheckAnalyzer = &analyzer{
 	name: "deadlockcheck",
-	doc:  "lock-order cycles and blocking calls reachable while a mutex is held",
+	doc:  "lock-order cycles, blocking calls reachable while a mutex is held, and locks held past return",
 	run:  runDeadlockcheck,
 }
 
@@ -50,10 +53,13 @@ type dlAcq struct {
 	released map[string]bool
 }
 
-// dlSummary is a function's interprocedural fact set.
+// dlSummary is a function's interprocedural fact set. exitReleased holds
+// the classes it releases on every path to return (endWaitLocked's
+// db.mu), so a caller that defers it does not leak them.
 type dlSummary struct {
-	ops  map[string]dlOp  // keyed by desc + released signature
-	acqs map[string]dlAcq // keyed by class + released signature
+	ops          map[string]dlOp  // keyed by desc + released signature
+	acqs         map[string]dlAcq // keyed by class + released signature
+	exitReleased map[string]bool
 }
 
 func newDLSummary() *dlSummary {
@@ -151,23 +157,26 @@ func (c *dlChecker) pass() {
 }
 
 // dlLocks is the dataflow state: the classes held on some path to a point,
-// and the classes the function has released on every path and not
-// acquired again (discounted from caller-held sets when this function's
-// facts propagate). Joins union held and intersect released: a wait is a
-// hazard if any path reaches it holding a lock — the first iteration of a
-// loop whose body drops the lock, say — but a caller may discount only
-// what every path released.
+// the classes the function has released on every path and not acquired
+// again (discounted from caller-held sets when this function's facts
+// propagate), and the classes a deferred call registered on every path
+// releases at return. Joins union held and intersect the other two: a wait
+// is a hazard if any path reaches it holding a lock — the first iteration
+// of a loop whose body drops the lock, say — but a caller may discount
+// only what every path released, and a return is balanced only by what
+// every path deferred.
 type dlLocks struct {
 	held     map[string]bool
 	released map[string]bool
+	deferred map[string]bool
 }
 
 func newDLLocks() *dlLocks {
-	return &dlLocks{held: make(map[string]bool), released: make(map[string]bool)}
+	return &dlLocks{held: make(map[string]bool), released: make(map[string]bool), deferred: make(map[string]bool)}
 }
 
 func (st *dlLocks) clone() dfState {
-	return &dlLocks{held: cloneSet(st.held), released: cloneSet(st.released)}
+	return &dlLocks{held: cloneSet(st.held), released: cloneSet(st.released), deferred: cloneSet(st.deferred)}
 }
 
 func (st *dlLocks) merge(other dfState) {
@@ -175,16 +184,13 @@ func (st *dlLocks) merge(other dfState) {
 	for k := range o.held {
 		st.held[k] = true
 	}
-	for k := range st.released {
-		if !o.released[k] {
-			delete(st.released, k)
-		}
-	}
+	intersectSet(st.released, o.released)
+	intersectSet(st.deferred, o.deferred)
 }
 
 func (st *dlLocks) equal(other dfState) bool {
 	o := other.(*dlLocks)
-	return equalSet(st.held, o.held) && equalSet(st.released, o.released)
+	return equalSet(st.held, o.held) && equalSet(st.released, o.released) && equalSet(st.deferred, o.deferred)
 }
 
 // dlWalk is the dataflow problem for one function body. Transfers during
@@ -200,8 +206,11 @@ type dlWalk struct {
 	// comms holds the communications of the select statements seen so
 	// far: each is its select's wait, not a blocking operation of its own.
 	comms map[ast.Node]bool
-	// exit joins the states at the body's normal exits (inlined literals).
+	// exit joins the states at the body's normal exits.
 	exit *dlLocks
+	// leakCheck marks the walk of a declared function's own body that must
+	// not return holding a lock it took (every one not named *Locked).
+	leakCheck bool
 }
 
 func (c *dlChecker) analyze(fn *callgraph.Func) {
@@ -210,7 +219,8 @@ func (c *dlChecker) analyze(fn *callgraph.Func) {
 		sum = newDLSummary()
 		c.summaries[fn.Key] = sum
 	}
-	w := &dlWalk{c: c, fn: fn, info: fn.Pkg.Info, sum: sum, comms: make(map[ast.Node]bool)}
+	w := &dlWalk{c: c, fn: fn, info: fn.Pkg.Info, sum: sum, comms: make(map[ast.Node]bool),
+		leakCheck: !strings.HasSuffix(fn.Decl.Name.Name, "Locked")}
 	st := newDLLocks()
 	// The *Locked/*RLocked suffix convention: the function is entered with
 	// the receiver's mu held.
@@ -219,6 +229,10 @@ func (c *dlChecker) analyze(fn *callgraph.Func) {
 		c.noteDisplay(class)
 	}
 	runDataflow(c.mc.cfgOf(fn.Decl.Body), st, w, true)
+	sum.exitReleased = nil
+	if w.exit != nil {
+		sum.exitReleased = w.exit.released
+	}
 }
 
 // literal runs a literal body that executes in place (invoked immediately
@@ -248,7 +262,20 @@ func (w *dlWalk) detached(body *ast.BlockStmt) {
 
 func (w *dlWalk) refine(ast.Expr, bool, dfState) {}
 
-func (w *dlWalk) atExit(stt dfState, _ *ast.ReturnStmt, _ bool) {
+func (w *dlWalk) atExit(stt dfState, ret *ast.ReturnStmt, record bool) {
+	if st := stt.(*dlLocks); w.leakCheck && record && w.c.recording {
+		pos := w.fn.Decl.Body.Rbrace
+		if ret != nil {
+			pos = ret.Pos()
+		}
+		for _, class := range sortedKeys(st.held) {
+			if !st.deferred[class] {
+				w.c.report(pos, fmt.Sprintf("returns holding %s, which %s did not hold on entry",
+					w.c.shortClass(class), w.fn.Name))
+				break
+			}
+		}
+	}
 	if w.exit == nil {
 		w.exit = stt.clone().(*dlLocks)
 		return
@@ -401,17 +428,32 @@ func (w *dlWalk) expr(e ast.Expr, st *dlLocks) {
 // deferCall handles a deferred call: deferred mutex ops do not change the
 // current state (they run at return), a deferred literal is walked from
 // the registration-point state, and any other deferred call is treated as
-// a call at the registration point.
+// a call at the registration point. Whatever the call releases on every
+// path is owed no longer: the deferred set balances it at return.
 func (w *dlWalk) deferCall(call *ast.CallExpr, st *dlLocks) {
 	for _, a := range call.Args {
 		w.expr(a, st)
 	}
-	if _, _, ok := lockCall(w.info, call); ok {
+	if mu, op, ok := lockCall(w.info, call); ok {
+		if class, ok := w.lockClass(mu); ok && op == lockRelease {
+			st.deferred[class] = true
+		}
 		return
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.literal(lit.Body, st)
+		for class := range w.literal(lit.Body, st).released {
+			if !st.released[class] {
+				st.deferred[class] = true
+			}
+		}
 		return
+	}
+	if res := w.c.mc.Graph.Resolve(w.info, call); res.Static != nil {
+		if sum := w.c.summaries[res.Static.Key]; sum != nil {
+			for class := range sum.exitReleased {
+				st.deferred[class] = true
+			}
+		}
 	}
 	w.call(call, st)
 }
@@ -688,6 +730,15 @@ func cloneSet(s map[string]bool) map[string]bool {
 		out[k] = true
 	}
 	return out
+}
+
+// intersectSet deletes from a every key b lacks.
+func intersectSet(a, b map[string]bool) {
+	for k := range a {
+		if !b[k] {
+			delete(a, k)
+		}
+	}
 }
 
 func equalSet(a, b map[string]bool) bool {

@@ -20,7 +20,8 @@
 //   - deadlockcheck: builds the whole-program lock-order graph and reports
 //     any cycle, plus any channel operation, file/network I/O, time.Sleep,
 //     WaitGroup.Wait or Cond.Wait reachable while a mutex is held (the
-//     static face of the paper's §3.3 deadlock rule).
+//     static face of the paper's §3.3 deadlock rule), and any function not
+//     named *Locked that can return holding a lock it took.
 //   - leakcheck: every go statement launching a non-terminating goroutine
 //     must have a reachable shutdown path — a stop channel that is closed,
 //     a context cancel, or a WaitGroup join.
@@ -37,8 +38,6 @@
 //     buffers are never used after its FinishUnit/DeleteUnit.
 //   - wirecheck: integer lengths decoded from wire bytes pass a bound
 //     check before sizing an allocation.
-//   - racecheck: shared state written from two or more goroutine contexts
-//     has a consistently held lock (a static lockset analysis).
 //
 // Findings can be suppressed with a "//lint:ignore <analyzer> <reason>"
 // directive on the offending line or the line directly above it.
@@ -126,7 +125,6 @@ var analyzers = []*analyzer{
 	releasecheckAnalyzer,
 	borrowcheckAnalyzer,
 	wirecheckAnalyzer,
-	racecheckAnalyzer,
 }
 
 // eachPackage lifts a check that needs one package at a time to the

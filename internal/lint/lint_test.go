@@ -100,7 +100,7 @@ func (w expectation) matches(f Finding) bool {
 // the findings its // want comments declare: every want is hit, and every
 // finding is wanted (no false positives inside the fixture either).
 func TestSeededViolations(t *testing.T) {
-	for _, name := range []string{"lockbad", "pairbad", "errbad", "atomicbad", "deadlockbad", "leakbad", "allocbad", "flowbad", "borrowbad", "wirebad", "racebad"} {
+	for _, name := range []string{"lockbad", "pairbad", "errbad", "atomicbad", "deadlockbad", "leakbad", "allocbad", "flowbad", "borrowbad", "wirebad"} {
 		t.Run(name, func(t *testing.T) {
 			wants := parseWants(t, name)
 			if len(wants) == 0 {
@@ -135,6 +135,48 @@ func TestSeededViolations(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSuiteDeterminism loads the module twice from scratch, runs the full
+// suite (per-package and module analyzers) over every violation fixture,
+// and requires the two rendered finding lists to be byte-identical: map
+// iteration anywhere in an analyzer or the fixpoint drivers must not leak
+// into output order or content.
+func TestSuiteDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("double module load in -short mode")
+	}
+	fixtures := []string{
+		"lockbad", "pairbad", "errbad", "atomicbad", "deadlockbad",
+		"leakbad", "allocbad", "flowbad", "borrowbad", "wirebad",
+	}
+	render := func() string {
+		m, err := LoadModule("../..", []string{"godivainvariants"})
+		if err != nil {
+			t.Fatalf("LoadModule: %v", err)
+		}
+		var pkgs []*Package
+		for _, name := range fixtures {
+			pkg, err := m.LintPackage(filepath.Join("testdata", "src", name))
+			if err != nil {
+				t.Fatalf("LintPackage(%s): %v", name, err)
+			}
+			pkgs = append(pkgs, pkg)
+		}
+		var sb strings.Builder
+		for _, f := range runPackages(pkgs, nil) {
+			fmt.Fprintf(&sb, "%s\n", f)
+		}
+		return sb.String()
+	}
+	first := render()
+	second := render()
+	if first != second {
+		t.Errorf("suite output differs between identical runs:\n--- first ---\n%s--- second ---\n%s", first, second)
+	}
+	if first == "" {
+		t.Fatal("determinism check ran against empty output")
 	}
 }
 
@@ -233,7 +275,7 @@ func TestRepoIsClean(t *testing.T) {
 
 // TestCLIExitCodes runs the real binary: non-zero on a seeded-violation
 // fixture, zero on the clean one, and a usage error for an analyzer that is
-// not (or, like paircheck, no longer) in the suite.
+// not (or, like paircheck and racecheck, no longer) in the suite.
 func TestCLIExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run in -short mode")
@@ -263,8 +305,10 @@ func TestCLIExitCodes(t *testing.T) {
 	if code, _ := run("./internal/lint/testdata/src/clean"); code != 0 {
 		t.Errorf("lint on clean fixture exited %d, want 0", code)
 	}
-	if code, out := run("-only", "paircheck", "./internal/lint/testdata/src/clean"); code == 0 || !strings.Contains(out, `unknown analyzer "paircheck"`) {
-		t.Errorf("lint -only paircheck exited %d, want a usage error naming it:\n%s", code, out)
+	for _, gone := range []string{"paircheck", "racecheck"} {
+		if code, out := run("-only", gone, "./internal/lint/testdata/src/clean"); code == 0 || !strings.Contains(out, `unknown analyzer "`+gone+`"`) {
+			t.Errorf("lint -only %s exited %d, want a usage error naming it:\n%s", gone, code, out)
+		}
 	}
 }
 
@@ -320,7 +364,7 @@ func TestCLIJSON(t *testing.T) {
 }
 
 // TestCLISARIF runs the binary in -sarif mode over a seeded fixture and
-// checks the log parses as SARIF 2.1.0 with a racecheck rule and results
+// checks the log parses as SARIF 2.1.0 with a deadlockcheck rule and results
 // carrying physical locations.
 func TestCLISARIF(t *testing.T) {
 	if testing.Short() {
@@ -330,7 +374,7 @@ func TestCLISARIF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-sarif", "./internal/lint/testdata/src/racebad")
+	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-sarif", "./internal/lint/testdata/src/deadlockbad")
 	cmd.Dir = root
 	out, err := cmd.Output()
 	var ee *exec.ExitError
@@ -376,12 +420,12 @@ func TestCLISARIF(t *testing.T) {
 	}
 	sawRule := false
 	for _, r := range run.Tool.Driver.Rules {
-		if r.ID == "racecheck" {
+		if r.ID == "deadlockcheck" {
 			sawRule = true
 		}
 	}
 	if !sawRule {
-		t.Error("no racecheck rule in driver metadata")
+		t.Error("no deadlockcheck rule in driver metadata")
 	}
 	if len(run.Results) == 0 {
 		t.Fatal("no results")

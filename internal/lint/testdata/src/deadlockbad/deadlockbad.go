@@ -1,8 +1,9 @@
 // Package deadlockbad seeds deliberate §3.3 deadlock hazards for the
 // deadlockcheck analyzer: a two-lock order cycle, direct blocking
-// operations under a mutex, and a blocking call reached interprocedurally
-// while a lock is held. The conforming shapes (unlock-before-block) appear
-// too and must stay silent.
+// operations under a mutex, a blocking call reached interprocedurally
+// while a lock is held, and functions that return holding a lock they
+// took. The conforming shapes (unlock-before-block, deferred releases)
+// appear too and must stay silent.
 package deadlockbad
 
 import (
@@ -89,7 +90,7 @@ func (p *pair) heldOnOneArm(drop bool) {
 		p.a.Unlock()
 	}
 	<-p.ch // want deadlockcheck `channel receive while holding pair.a`
-}
+} // want deadlockcheck `returns holding pair.a`
 
 func (p *pair) earlyReturn(skip bool) {
 	p.a.Lock()
@@ -122,7 +123,7 @@ func (p *pair) lockInSomeCases(k int) {
 		p.a.Lock()
 	}
 	p.ch <- k // want deadlockcheck `channel send while holding pair.a`
-}
+} // want deadlockcheck `returns holding pair.a`
 
 func (p *pair) switchWithoutDefault(k int) {
 	p.a.Lock()
@@ -177,7 +178,7 @@ func (p *pair) firstIterationHolds(n int) {
 		<-p.ch // want deadlockcheck `channel receive while holding pair.a`
 		p.a.Unlock()
 	}
-}
+} // want deadlockcheck `returns holding pair.a`
 
 func (p *pair) literalsStartUnheld() func() {
 	p.a.Lock()
@@ -225,6 +226,36 @@ func (s *store) readUnderLock(buf []byte) error {
 	defer s.mu.Unlock()
 	_, err := s.r.ReadAt(buf, 0) // want deadlockcheck `I/O (io.ReaderAt.ReadAt) while holding store.mu`
 	return err
+}
+
+// The cases below pin down the leak rule: a function not named *Locked
+// must not return holding a lock it took.
+
+func (s *store) leaksOnEmpty(buf []byte) error {
+	s.mu.Lock()
+	if len(buf) == 0 {
+		return io.ErrUnexpectedEOF // want deadlockcheck `returns holding store.mu, which store.leaksOnEmpty did not hold on entry`
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// deferredHelperReleases is ReadUnit's shape: the deferred *Locked helper
+// releases the lock on every path, so the return is balanced.
+func (s *store) deferredHelperReleases() {
+	s.mu.Lock()
+	defer s.endLocked()
+}
+
+func (s *store) endLocked() {
+	s.mu.Unlock()
+}
+
+func (s *store) deferredLiteralReleases() {
+	s.mu.Lock()
+	defer func() {
+		s.mu.Unlock()
+	}()
 }
 
 func use(int) {}

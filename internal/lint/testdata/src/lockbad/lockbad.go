@@ -64,7 +64,7 @@ func (t *table) unlockInOneArm(drop bool) int {
 	} else {
 		t.count++ // held on this arm
 	}
-	return t.count // want lockcheck `field "count" is guarded by mu but accessed without holding it`
+	return t.count // want lockcheck `field "count" is guarded by mu but accessed without holding it` // want deadlockcheck `returns holding table.mu`
 }
 
 func (t *table) earlyReturn(skip bool) int {
@@ -192,7 +192,7 @@ func (t *table) loopUnlocks(n int) int {
 		t.mu.Unlock()
 		work()
 	}
-	return t.count // want lockcheck `field "count" is guarded by mu but accessed without holding it`
+	return t.count // want lockcheck `field "count" is guarded by mu but accessed without holding it` // want deadlockcheck `returns holding table.mu`
 }
 
 func work() {}

@@ -9,8 +9,9 @@ import (
 // TestMappedCloseRace closes a mapped file while other goroutines poll
 // Mapped() and call Close concurrently. Mapped must read f.mapping under
 // f.mu, and Close must take the owned *os.File under f.mu before closing
-// it outside the lock — the unlocked accesses this regressed from were
-// flagged by racecheck (File.mapping, File.f). Run under -race.
+// it outside the lock. The unlocked accesses to File.mapping and File.f
+// this guards against were real races, and only -race sees them: run it
+// under the race detector.
 func TestMappedCloseRace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "race.shdf")
 	writeSample(t, path)
