@@ -6,15 +6,15 @@
 #   vet         go vet over the whole module
 #   build       everything compiles
 #   lint        godiva-lint (lockcheck/errcheck/atomiccheck plus the
-#               interprocedural deadlockcheck/leakcheck/alloccheck, the
-#               flow-sensitive releasecheck/borrowcheck/wirecheck, and the
-#               lockset race analysis racecheck) reports zero findings;
-#               non-zero findings fail the gate, as does the suite running
-#               longer than the 30s wall-clock budget (about 6s on a
-#               2-CPU host, 5s of it the suite itself; analyzer cost
-#               regressions must surface here, not in every later CI
-#               run). The run writes lint.sarif — every analyzer's
-#               findings, suppressed ones included — which CI uploads.
+#               interprocedural deadlockcheck/leakcheck/alloccheck and the
+#               flow-sensitive releasecheck/borrowcheck/wirecheck) reports
+#               zero findings; non-zero findings fail the gate, as does the
+#               suite running longer than the 30s wall-clock budget (about
+#               5s on a 2-CPU host, under 4s of it the suite itself;
+#               analyzer cost regressions must surface here, not in every
+#               later CI run). Data races are the -race stages' job. The
+#               run writes lint.sarif — every analyzer's findings,
+#               suppressed ones included — which CI uploads.
 #   test        full test suite, caching disabled (-count=1) so the noalloc
 #               AllocsPerRun gates re-measure on every run
 #   bench       the repository benchmark's own vet and tests (bench/ is its
