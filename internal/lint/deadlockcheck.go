@@ -208,9 +208,9 @@ type dlWalk struct {
 	comms map[ast.Node]bool
 	// exit joins the states at the body's normal exits.
 	exit *dlLocks
-	// leakCheck marks the walk of a declared function's own body that must
-	// not return holding a lock it took (every one not named *Locked).
-	leakCheck bool
+	// checkReturns marks the walk of a declared function's own body that
+	// must not return holding a lock it took (every one not named *Locked).
+	checkReturns bool
 }
 
 func (c *dlChecker) analyze(fn *callgraph.Func) {
@@ -220,7 +220,7 @@ func (c *dlChecker) analyze(fn *callgraph.Func) {
 		c.summaries[fn.Key] = sum
 	}
 	w := &dlWalk{c: c, fn: fn, info: fn.Pkg.Info, sum: sum, comms: make(map[ast.Node]bool),
-		leakCheck: !strings.HasSuffix(fn.Decl.Name.Name, "Locked")}
+		checkReturns: !strings.HasSuffix(fn.Decl.Name.Name, "Locked")}
 	st := newDLLocks()
 	// The *Locked/*RLocked suffix convention: the function is entered with
 	// the receiver's mu held.
@@ -263,7 +263,7 @@ func (w *dlWalk) detached(body *ast.BlockStmt) {
 func (w *dlWalk) refine(ast.Expr, bool, dfState) {}
 
 func (w *dlWalk) atExit(stt dfState, ret *ast.ReturnStmt, record bool) {
-	if st := stt.(*dlLocks); w.leakCheck && record && w.c.recording {
+	if st := stt.(*dlLocks); w.checkReturns && record && w.c.recording {
 		pos := w.fn.Decl.Body.Rbrace
 		if ret != nil {
 			pos = ret.Pos()

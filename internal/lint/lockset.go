@@ -69,7 +69,7 @@ func deref(t types.Type) types.Type {
 
 // mutexClassOf names the lock denoted by a mutex-typed expression. Struct
 // fields are classed by owning named type + field name (every instance
-// shares one class — what lock-order and lockset analysis want);
+// shares one class — what lock-order analysis wants);
 // package-level and local variables by their object. The second result is
 // a short display name for messages.
 func mutexClassOf(info *types.Info, fset *token.FileSet, e ast.Expr) (class, display string, ok bool) {
