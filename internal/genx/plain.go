@@ -227,6 +227,9 @@ func (r *Reader) OpenPlain(path string) (*PlainHandle, error) {
 		return nil, fmt.Errorf("genx: plain version %d unsupported", v)
 	}
 	n := int(binary.LittleEndian.Uint32(data[8:12]))
+	if n > (len(data)-12)/16 {
+		return nil, fmt.Errorf("genx: plain table of %d entries overruns a %d-byte file", n, len(data))
+	}
 	fields := plainFieldNames()
 	h := &PlainHandle{r: r, data: data, offsets: make(map[plainKey]plainLoc)}
 	off := int64(12 + 16*n)
@@ -248,6 +251,9 @@ func (r *Reader) OpenPlain(path string) (*PlainHandle, error) {
 		elem := 8
 		if name == "conn" {
 			elem = 4
+		}
+		if count < 0 || count > len(data)/elem {
+			return nil, fmt.Errorf("genx: bad element count %d", count)
 		}
 		off += int64(count * elem)
 	}

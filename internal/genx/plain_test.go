@@ -1,7 +1,10 @@
 package genx
 
 import (
+	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -95,5 +98,39 @@ func TestPlainErrors(t *testing.T) {
 	}
 	if _, err := r.OpenPlain(PlainSnapshotFile(plainDir, 99, 0)); err == nil {
 		t.Fatal("missing file accepted")
+	}
+
+	// Hostile tables of contents: each must come back as an error, never a
+	// panic or an out-of-range read.
+	header := func(n uint32) []byte {
+		b := append([]byte(plainMagic), 0, 0, 0, 0, 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(b[4:8], plainVersion)
+		binary.LittleEndian.PutUint32(b[8:12], n)
+		return b
+	}
+	entry := func(b []byte, code uint16, count uint64) []byte {
+		e := make([]byte, 16)
+		binary.LittleEndian.PutUint16(e[4:6], code)
+		binary.LittleEndian.PutUint64(e[8:16], count)
+		return append(b, e...)
+	}
+	valid, err := os.ReadFile(PlainSnapshotFile(plainDir, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"truncated data":    valid[:len(valid)-1],
+		"truncated table":   header(1000),
+		"field code":        entry(header(1), uint16(len(plainFieldNames())), 0),
+		"negative count":    entry(header(1), 0, 1<<63),
+		"overflowing count": entry(header(1), 0, 1<<61),
+	} {
+		path := filepath.Join(t.TempDir(), "hostile.gxp")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.OpenPlain(path); err == nil {
+			t.Errorf("%s: OpenPlain accepted a hostile table", name)
+		}
 	}
 }

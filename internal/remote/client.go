@@ -87,11 +87,11 @@ type Client struct {
 	done chan struct{} // closed by Close
 
 	mu     sync.Mutex
-	idle   []net.Conn
-	subs   map[*Subscription]struct{}
-	rng    *rand.Rand
-	stats  RemoteStats
-	closed bool
+	idle   []net.Conn                 // guarded by mu
+	subs   map[*Subscription]struct{} // guarded by mu
+	rng    *rand.Rand                 // guarded by mu
+	stats  RemoteStats                // guarded by mu
+	closed bool                       // guarded by mu
 }
 
 // NewClient creates a client for the given server. Connections are dialed

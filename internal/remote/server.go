@@ -108,12 +108,12 @@ type Server struct {
 	reg    *push.Registry
 
 	mu     sync.Mutex
-	spec   genx.Spec // grows as OpIngest lands new steps
-	conns  map[net.Conn]struct{}
-	faults Faults
-	rng    *rand.Rand
-	stats  ServerStats
-	closed bool
+	spec   genx.Spec             // grows as OpIngest lands new steps; guarded by mu
+	conns  map[net.Conn]struct{} // guarded by mu
+	faults Faults                // guarded by mu
+	rng    *rand.Rand            // guarded by mu
+	stats  ServerStats           // guarded by mu
+	closed bool                  // guarded by mu
 
 	wg sync.WaitGroup
 }

@@ -35,8 +35,8 @@ type Subscription struct {
 	wg     sync.WaitGroup // joins the reader goroutine
 
 	mu     sync.Mutex
-	err    error
-	closed bool
+	err    error // guarded by mu
+	closed bool  // guarded by mu
 }
 
 // Subscribe opens an event stream for the steps matching spec. opts.Queue

@@ -45,6 +45,10 @@ func TestBatchReqCountBound(t *testing.T) {
 	if _, err := decodeFetchReq(body); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized count with padding: got %v, want ErrProtocol", err)
 	}
+	// A fetch of nothing is as malformed.
+	if _, err := decodeFetchReq(binary.LittleEndian.AppendUint16(nil, 0)); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("empty fetch: got %v, want ErrProtocol", err)
+	}
 }
 
 // TestBatchReqCountAtLimit accepts the densest legal encoding: items whose
@@ -96,5 +100,14 @@ func TestFrameLengthBound(t *testing.T) {
 	}
 	if requested != maxFrame {
 		t.Fatalf("allocator asked for %d bytes, want %d", requested, maxFrame)
+	}
+
+	// A frame too short to carry its version and opcode bytes.
+	binary.LittleEndian.PutUint32(hdr[:], 1)
+	_, _, _, err = readFrameBuf(bytes.NewReader(append(hdr[:], protoVersion)), func(n int) []byte {
+		return make([]byte, n)
+	})
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("1-byte frame: got %v, want ErrProtocol", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"godiva/internal/core"
 	"godiva/internal/genx"
 	"godiva/internal/mesh"
 	"godiva/internal/zerocopy"
@@ -318,5 +319,33 @@ func TestRecycleRefCounting(t *testing.T) {
 	plain.Recycle()
 	if plain.Blocks == nil {
 		t.Fatal("Recycle cleared a payload with no pooled backing")
+	}
+}
+
+// commitPayload drops its payload's arena claim whether every block commits
+// or the CommitFunc fails part-way: a claim left behind keeps the frame out
+// of the pool for good.
+func TestCommitPayloadReleasesArena(t *testing.T) {
+	boom := errors.New("commit refused")
+	for _, tc := range []struct {
+		name   string
+		commit CommitFunc
+	}{
+		{"commit ok", func(*core.Unit, *genx.BlockData) error { return nil }},
+		{"commit fails", func(*core.Unit, *genx.BlockData) error { return boom }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fp := samplePayload()
+			arena := &frameArena{buf: make([]byte, 64)}
+			arena.refs.Store(1)
+			fp.arena = arena
+			err := commitPayload(nil, fp, tc.commit)
+			if want := tc.commit(nil, nil); !errors.Is(err, want) {
+				t.Fatalf("commitPayload = %v, want %v", err, want)
+			}
+			if n := arena.refs.Load(); n != 0 {
+				t.Fatalf("arena holds %d claims after commitPayload, want 0", n)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -175,9 +176,54 @@ func TestDescriptorTableTruncation(t *testing.T) {
 	}
 }
 
-// TestOversizedCounts plants maximal counts/lengths in directory entries and
-// SDS headers, which previously could drive huge allocations or integer
-// overflow, and asserts the reader rejects them.
+// plant rewrites, in a copy of an image, the payload of the named object
+// with edit and stores the payload's new CRC in its directory entry, so a
+// read gets past the checksum to the decoder under test.
+func plant(t *testing.T, data []byte, name string, edit func(payload []byte)) []byte {
+	t.Helper()
+	mut := append([]byte(nil), data...)
+	off := dirOffsetOf(t, mut)
+	count := int(binary.LittleEndian.Uint32(mut[len(mut)-8:]))
+	// Entry layout: tag u16 | ref u32 | offset u64 | length u64 | crc u32 |
+	// name length u16 | name.
+	for i := 0; i < count; i++ {
+		e := mut[off:]
+		nameLen := int(binary.LittleEndian.Uint16(e[26:28]))
+		if string(e[28:28+nameLen]) == name {
+			at := binary.LittleEndian.Uint64(e[6:14])
+			payload := mut[at : at+binary.LittleEndian.Uint64(e[14:22])]
+			edit(payload)
+			binary.LittleEndian.PutUint32(e[22:26], crc32.ChecksumIEEE(payload))
+			return mut
+		}
+		off += 28 + nameLen
+	}
+	t.Fatalf("no object %q in the image", name)
+	return nil
+}
+
+// readPlanted opens a planted image and reads the named object with read,
+// which must fail.
+func readPlanted(t *testing.T, what string, data []byte, name string, read func(*File, Ref) error) {
+	t.Helper()
+	f, err := NewFile(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatalf("%s: planted image rejected at open: %v", what, err)
+	}
+	for _, info := range f.Objects() {
+		if info.Name == name {
+			if err := read(f, info.Ref); err == nil {
+				t.Errorf("%s: read succeeded", what)
+			}
+			return
+		}
+	}
+	t.Fatalf("%s: no object %q", what, name)
+}
+
+// TestOversizedCounts plants maximal counts/lengths in directory entries,
+// SDS headers and vgroup member lists, which previously could drive huge
+// allocations or integer overflow, and asserts the reader rejects them.
 func TestOversizedCounts(t *testing.T) {
 	data := sampleBytes(t)
 	dirOff := dirOffsetOf(t, data)
@@ -192,13 +238,73 @@ func TestOversizedCounts(t *testing.T) {
 	} {
 		mut := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint64(mut[field.at:], ^uint64(0)>>1)
-		f, err := NewFile(bytes.NewReader(mut), int64(len(mut)))
-		if err == nil {
+		// Both read paths: ReadAt, and a mapping that payloads slice.
+		path := filepath.Join(t.TempDir(), "oversized.shdf")
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, open := range []func() (*File, error){
+			func() (*File, error) { return NewFile(bytes.NewReader(mut), int64(len(mut))) },
+			func() (*File, error) { return OpenMapped(path) },
+		} {
+			f, err := open()
+			if err != nil {
+				continue
+			}
 			for _, info := range f.Objects() {
 				if _, err := f.ReadSDS(info.Ref); err == nil && info.ByteLen > int64(len(mut)) {
 					t.Errorf("%s: oversized object read succeeded", field.name)
 				}
 			}
+			f.Close()
 		}
 	}
+
+	// A vgroup member count far past the payload (and past the 1<<24 cap).
+	vg := plant(t, data, "block_0001", func(p []byte) {
+		binary.LittleEndian.PutUint32(p, 0xFFFFFFF0)
+	})
+	readPlanted(t, "vgroup member count", vg, "block_0001", func(f *File, ref Ref) error {
+		_, err := f.ReadVGroup(ref)
+		return err
+	})
+
+	// SDS dims each within the payload length whose product overflows int:
+	// 64^11 = 2^66 wraps to 0 elements, which the data section would match.
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteSDS("wide", []int{100}, make([]float64, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const rank = 11
+	sds := plant(t, buf.Bytes(), "wide", func(p []byte) {
+		binary.LittleEndian.PutUint16(p[2:], rank)
+		for i := 0; i < rank; i++ {
+			binary.LittleEndian.PutUint64(p[4+8*i:], 64)
+		}
+	})
+	readPlanted(t, "SDS dims product overflow", sds, "wide", func(f *File, ref Ref) error {
+		_, err := f.ReadSDS(ref)
+		return err
+	})
+
+	// A rank past the format's 16 whose unit dims and one element the
+	// payload would otherwise satisfy.
+	const wideRank = 17
+	ranked := plant(t, buf.Bytes(), "wide", func(p []byte) {
+		binary.LittleEndian.PutUint16(p[2:], wideRank)
+		for i := 0; i < wideRank; i++ {
+			binary.LittleEndian.PutUint64(p[4+8*i:], 1)
+		}
+	})
+	readPlanted(t, "SDS rank 17", ranked, "wide", func(f *File, ref Ref) error {
+		_, err := f.ReadSDS(ref)
+		return err
+	})
 }
