@@ -414,10 +414,19 @@ func allocFreeExt(fn *types.Func) bool {
 
 func extName(fn *types.Func) string {
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return types.TypeString(derefType(sig.Recv().Type()), nil) + "." + fn.Name()
+		return types.TypeString(deref(sig.Recv().Type()), nil) + "." + fn.Name()
 	}
 	if fn.Pkg() != nil {
 		return fn.Pkg().Name() + "." + fn.Name()
 	}
 	return fn.Name()
+}
+
+func fsetOf(mc *moduleContext) *token.FileSet {
+	for _, p := range mc.Pkgs {
+		if p.Fset != nil {
+			return p.Fset
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // borrowcheck enforces the zero-copy borrow contract: values that alias
@@ -22,7 +23,8 @@ import (
 //     bytes) into a package-level variable, a channel, or anything rooted
 //     at a parameter/receiver gives it a lifetime the pin does not cover.
 //     Handing off a whole *FilePayload is fine — the refcount travels with
-//     it (releasecheck's domain) — but detaching its Data slice is not;
+//     it (whoever holds it must Recycle it) — but detaching its Data slice
+//     is not;
 //   - use-after-release: touching a borrow after the owner is gone
 //     (fp.Recycle, File.Close on the backing file, FinishUnit/DeleteUnit
 //     after the buffer was obtained) reads recycled arena bytes, an
@@ -178,8 +180,6 @@ type bcWalk struct {
 	info  *types.Info
 	outer map[types.Object]bool
 }
-
-func (w *bcWalk) refine(cond ast.Expr, negate bool, st dfState) {}
 
 func (w *bcWalk) atExit(st dfState, ret *ast.ReturnStmt, record bool) {}
 
@@ -490,4 +490,31 @@ func (w *bcWalk) report(record bool, pos token.Pos, format string, args ...any) 
 		Analyzer: "borrowcheck",
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// methodCall decomposes e into (method name, receiver expr) when it is a
+// method-style call x.f(...).
+func methodCall(e ast.Expr) (string, ast.Expr, *ast.CallExpr) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return "", nil, nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", nil, nil
+	}
+	return sel.Sel.Name, sel.X, call
+}
+
+// recvMatches reports whether the receiver expression's type is known and
+// its name contains want.
+func recvMatches(info *types.Info, recv ast.Expr, want string) bool {
+	if info == nil {
+		return false
+	}
+	tv, ok := info.Types[recv]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	return strings.Contains(tv.Type.String(), want)
 }

@@ -2,47 +2,38 @@ package lint
 
 // cfg.go builds per-function control-flow graphs over go/ast, standard
 // library only. Every analyzer that follows a state along paths —
-// lockcheck, deadlockcheck, releasecheck, borrowcheck and wirecheck — runs
-// forward abstract interpretation over these graphs (see dataflow.go), so
-// it can distinguish "released on the happy path" from "released on every
-// path", and a loop's state is its fixpoint rather than an assumption that
-// the body is balanced.
+// lockcheck, deadlockcheck and borrowcheck — runs forward abstract
+// interpretation over these graphs (see dataflow.go), so it can distinguish
+// "unlocked on the happy path" from "unlocked on every path", and a loop's
+// state is its fixpoint rather than an assumption that the body is
+// balanced.
 //
 // Shape: basic blocks hold a flat list of atomic nodes — assignments,
 // expression statements, declarations, sends, inc/dec, returns, defers, go
 // statements, range and select headers, and bare condition expressions.
 // Control-flow statements (if/for/range/switch/type-switch/select) are
 // decomposed into blocks and edges; their conditions are appended as
-// expression nodes so transfer functions still see calls inside them. Edges
-// out of a condition carry the condition expression and a negate flag,
-// which lets analyzers refine state per branch (the "if err != nil" edge
-// kills a pin that the error-returning acquire never produced).
+// expression nodes so transfer functions still see calls inside them.
+// Edges carry no condition: every analyzer's state is the same on both arms
+// of a branch.
 //
 // Two synthetic blocks terminate every graph: exit collects normal returns
 // and fall-off, and panicExit collects calls that never return (panic,
 // os.Exit, log.Fatal*, runtime.Goexit). Analyzers typically check their
-// invariants only on edges into exit: a process that is dying does not leak
-// pins in any way that matters.
+// invariants only on edges into exit: a process that is dying does not
+// leak a held lock in any way that matters.
 
 import (
 	"go/ast"
 	"go/token"
 )
 
-// cfgEdge is one successor edge. When cond is non-nil the edge is taken
-// exactly when cond evaluates to !negate.
-type cfgEdge struct {
-	to     *cfgBlock
-	cond   ast.Expr
-	negate bool
-}
-
 // cfgBlock is one basic block: nodes execute in order, then control moves
 // along one of succs.
 type cfgBlock struct {
 	index int
 	nodes []ast.Node
-	succs []cfgEdge
+	succs []*cfgBlock
 	done  bool // terminated by return/branch/terminating call
 }
 
@@ -86,7 +77,7 @@ func buildCFG(body *ast.BlockStmt) *funcCFG {
 	b.cur = g.entry
 	b.stmtList(body.List)
 	// Fall-off-the-end exit.
-	b.jump(b.cur, g.exit, nil, false)
+	b.jump(b.cur, g.exit)
 	return g
 }
 
@@ -97,11 +88,11 @@ func (b *cfgBuilder) newBlock() *cfgBlock {
 }
 
 // jump links from→to unless from already terminated.
-func (b *cfgBuilder) jump(from, to *cfgBlock, cond ast.Expr, negate bool) {
+func (b *cfgBuilder) jump(from, to *cfgBlock) {
 	if from.done {
 		return
 	}
-	from.succs = append(from.succs, cfgEdge{to: to, cond: cond, negate: negate})
+	from.succs = append(from.succs, to)
 }
 
 // add appends an atomic node to the current block, starting a fresh
@@ -133,12 +124,12 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 	case *ast.LabeledStmt:
 		// The labeled statement opens a new block so goto can target it.
 		target := b.newBlock()
-		b.jump(b.cur, target, nil, false)
+		b.jump(b.cur, target)
 		b.cur = target
 		b.gotoTarget[s.Label.Name] = target
 		for _, from := range b.gotoFixups[s.Label.Name] {
 			from.done = false
-			b.jump(from, target, nil, false)
+			b.jump(from, target)
 			from.done = true
 		}
 		delete(b.gotoFixups, s.Label.Name)
@@ -152,18 +143,18 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		condBlk := b.cur
 		join := b.newBlock()
 		thenBlk := b.newBlock()
-		b.jump(condBlk, thenBlk, s.Cond, false)
+		b.jump(condBlk, thenBlk)
 		b.cur = thenBlk
 		b.stmt(s.Body, "")
-		b.jump(b.cur, join, nil, false)
+		b.jump(b.cur, join)
 		if s.Else != nil {
 			elseBlk := b.newBlock()
-			b.jump(condBlk, elseBlk, s.Cond, true)
+			b.jump(condBlk, elseBlk)
 			b.cur = elseBlk
 			b.stmt(s.Else, "")
-			b.jump(b.cur, join, nil, false)
+			b.jump(b.cur, join)
 		} else {
-			b.jump(condBlk, join, s.Cond, true)
+			b.jump(condBlk, join)
 		}
 		b.cur = join
 
@@ -172,14 +163,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 			b.add(s.Init)
 		}
 		head := b.newBlock()
-		b.jump(b.cur, head, nil, false)
+		b.jump(b.cur, head)
 		after := b.newBlock()
 		cont := head
 		var post *cfgBlock
 		if s.Post != nil {
 			post = b.newBlock()
 			post.nodes = append(post.nodes, s.Post)
-			b.jump(post, head, nil, false)
+			b.jump(post, head)
 			cont = post
 		}
 		b.cur = head
@@ -187,36 +178,36 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 			b.add(s.Cond)
 			condBlk := b.cur
 			body := b.newBlock()
-			b.jump(condBlk, body, s.Cond, false)
-			b.jump(condBlk, after, s.Cond, true)
+			b.jump(condBlk, body)
+			b.jump(condBlk, after)
 			b.cur = body
 		} else {
 			body := b.newBlock()
-			b.jump(b.cur, body, nil, false)
+			b.jump(b.cur, body)
 			b.cur = body
 		}
 		b.pushLoop(after, cont, label)
 		b.stmt(s.Body, "")
 		b.popLoop(label)
-		b.jump(b.cur, cont, nil, false)
+		b.jump(b.cur, cont)
 		b.cur = after
 
 	case *ast.RangeStmt:
 		head := b.newBlock()
-		b.jump(b.cur, head, nil, false)
+		b.jump(b.cur, head)
 		// The RangeStmt node itself represents the per-iteration key/value
 		// binding; transfer functions handle it (X, Key, Value — never the
 		// body, which lives in its own blocks).
 		head.nodes = append(head.nodes, s)
 		after := b.newBlock()
 		body := b.newBlock()
-		b.jump(head, body, nil, false)
-		b.jump(head, after, nil, false)
+		b.jump(head, body)
+		b.jump(head, after)
 		b.cur = body
 		b.pushLoop(after, head, label)
 		b.stmt(s.Body, "")
 		b.popLoop(label)
-		b.jump(b.cur, head, nil, false)
+		b.jump(b.cur, head)
 		b.cur = after
 
 	case *ast.SwitchStmt:
@@ -249,13 +240,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		for _, clause := range s.Body.List {
 			comm := clause.(*ast.CommClause)
 			blk := b.newBlock()
-			b.jump(head, blk, nil, false)
+			b.jump(head, blk)
 			b.cur = blk
 			if comm.Comm != nil {
 				b.stmt(comm.Comm, "")
 			}
 			b.stmtList(comm.Body)
-			b.jump(b.cur, after, nil, false)
+			b.jump(b.cur, after)
 		}
 		b.breaks = b.breaks[:len(b.breaks)-1]
 		if len(s.Body.List) == 0 {
@@ -266,7 +257,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 
 	case *ast.ReturnStmt:
 		b.add(s)
-		b.jump(b.cur, b.g.exit, nil, false)
+		b.jump(b.cur, b.g.exit)
 		b.cur.done = true
 
 	case *ast.BranchStmt:
@@ -274,19 +265,19 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		case token.BREAK:
 			target := b.branchTarget(s.Label, b.breaks, b.labelBreak)
 			if target != nil {
-				b.jump(b.cur, target, nil, false)
+				b.jump(b.cur, target)
 			}
 			b.cur.done = true
 		case token.CONTINUE:
 			target := b.branchTarget(s.Label, b.continues, b.labelCont)
 			if target != nil {
-				b.jump(b.cur, target, nil, false)
+				b.jump(b.cur, target)
 			}
 			b.cur.done = true
 		case token.GOTO:
 			name := s.Label.Name
 			if target := b.gotoTarget[name]; target != nil {
-				b.jump(b.cur, target, nil, false)
+				b.jump(b.cur, target)
 			} else {
 				b.gotoFixups[name] = append(b.gotoFixups[name], b.cur)
 			}
@@ -298,7 +289,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 	case *ast.ExprStmt:
 		b.add(s)
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isTerminatingCall(call) {
-			b.jump(b.cur, b.g.panicExit, nil, false)
+			b.jump(b.cur, b.g.panicExit)
 			b.cur.done = true
 		}
 
@@ -328,7 +319,7 @@ func (b *cfgBuilder) caseClauses(body *ast.BlockStmt, label string, conds func(*
 	hasDefault := false
 	for i, cc := range clauses {
 		blks[i] = b.newBlock()
-		b.jump(head, blks[i], nil, false)
+		b.jump(head, blks[i])
 		if cc.List == nil {
 			hasDefault = true
 		}
@@ -339,7 +330,7 @@ func (b *cfgBuilder) caseClauses(body *ast.BlockStmt, label string, conds func(*
 		}
 	}
 	if !hasDefault {
-		b.jump(head, after, nil, false)
+		b.jump(head, after)
 	}
 	for i, cc := range clauses {
 		b.cur = blks[i]
@@ -353,9 +344,9 @@ func (b *cfgBuilder) caseClauses(body *ast.BlockStmt, label string, conds func(*
 		}
 		b.stmtList(list)
 		if fellthrough && i+1 < len(blks) {
-			b.jump(b.cur, blks[i+1], nil, false)
+			b.jump(b.cur, blks[i+1])
 		} else {
-			b.jump(b.cur, after, nil, false)
+			b.jump(b.cur, after)
 		}
 	}
 	b.breaks = b.breaks[:len(b.breaks)-1]

@@ -1,14 +1,14 @@
 package lint
 
 // dataflow.go is the forward abstract-interpretation driver every
-// path-following analyzer shares: lockcheck, deadlockcheck, releasecheck,
-// borrowcheck and wirecheck. Each supplies an abstract state
-// (clone/merge/equal) and a transfer relation over the atomic nodes cfg.go
-// produces; the driver iterates block in-states to a fixpoint with a
-// worklist, then replays one recording pass in which the analyzer reports
-// findings. Interprocedural facts (per-function summaries over the CHA
-// call graph) are the analyzers' own business: each runs module passes
-// until its summary table stops changing.
+// path-following analyzer shares: lockcheck, deadlockcheck and borrowcheck.
+// Each supplies an abstract state (clone/merge/equal) and a transfer
+// relation over the atomic nodes cfg.go produces; the driver iterates block
+// in-states to a fixpoint with a worklist, then replays one recording pass
+// in which the analyzer reports findings. Interprocedural facts
+// (per-function summaries over the CHA call graph) are the analyzers' own
+// business: each runs module passes until its summary table stops
+// changing.
 
 import (
 	"go/ast"
@@ -25,13 +25,11 @@ type dfState interface {
 }
 
 // dfProblem is one analyzer's transfer relation over a single function
-// body. transfer mutates st in place; refine applies a branch condition on
-// an outgoing edge (cond evaluated to !negate on this edge); atExit is
-// called once per edge into the normal exit block (ret is nil for fall-off
-// the end), after the block's nodes have been transferred.
+// body. transfer mutates st in place; atExit is called once per edge into
+// the normal exit block (ret is nil for fall-off the end), after the
+// block's nodes have been transferred.
 type dfProblem interface {
 	transfer(n ast.Node, st dfState, record bool)
-	refine(cond ast.Expr, negate bool, st dfState)
 	atExit(st dfState, ret *ast.ReturnStmt, record bool)
 }
 
@@ -62,26 +60,23 @@ func runDataflow(g *funcCFG, entry dfState, p dfProblem, record bool) {
 		for _, n := range blk.nodes {
 			p.transfer(n, st, false)
 		}
-		for _, e := range blk.succs {
-			if e.to == g.exit || e.to == g.panicExit {
+		for _, to := range blk.succs {
+			if to == g.exit || to == g.panicExit {
 				continue
 			}
 			next := st.clone()
-			if e.cond != nil {
-				p.refine(e.cond, e.negate, next)
-			}
 			changed := false
-			if in[e.to.index] == nil {
-				in[e.to.index] = next
+			if in[to.index] == nil {
+				in[to.index] = next
 				changed = true
 			} else {
-				before := in[e.to.index].clone()
-				in[e.to.index].merge(next)
-				changed = !in[e.to.index].equal(before)
+				before := in[to.index].clone()
+				in[to.index].merge(next)
+				changed = !in[to.index].equal(before)
 			}
-			if changed && !queued[e.to.index] {
-				work = append(work, e.to)
-				queued[e.to.index] = true
+			if changed && !queued[to.index] {
+				work = append(work, to)
+				queued[to.index] = true
 			}
 		}
 	}
@@ -95,8 +90,8 @@ func runDataflow(g *funcCFG, entry dfState, p dfProblem, record bool) {
 		for _, n := range blk.nodes {
 			p.transfer(n, st, record)
 		}
-		for _, e := range blk.succs {
-			if e.to != g.exit {
+		for _, to := range blk.succs {
+			if to != g.exit {
 				continue
 			}
 			ret, _ := lastNode(blk).(*ast.ReturnStmt)
@@ -133,24 +128,6 @@ func (mc *moduleContext) cfgOf(body *ast.BlockStmt) *funcCFG {
 	g := buildCFG(body)
 	mc.cfgs[body] = g
 	return g
-}
-
-// forEachCall invokes f on every call expression inside e, outermost
-// first, without descending into function-literal bodies (literals are
-// analyzed as their own functions).
-func forEachCall(e ast.Expr, f func(*ast.CallExpr)) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			f(call)
-		}
-		return true
-	})
 }
 
 // nodeExprs returns the expressions a CFG node evaluates, for problems

@@ -260,8 +260,6 @@ func (w *dlWalk) detached(body *ast.BlockStmt) {
 	runDataflow(w.c.mc.cfgOf(body), newDLLocks(), iw, true)
 }
 
-func (w *dlWalk) refine(ast.Expr, bool, dfState) {}
-
 func (w *dlWalk) atExit(stt dfState, ret *ast.ReturnStmt, record bool) {
 	if st := stt.(*dlLocks); w.checkReturns && record && w.c.recording {
 		pos := w.fn.Decl.Body.Rbrace

@@ -14,30 +14,23 @@
 //     over its CFG).
 //   - errcheck: error results of the godiva/core/remote public API are
 //     never silently discarded (including "_ =" discards).
-//   - atomiccheck: sync/atomic-typed fields (e.g. a refcount) are only
-//     accessed through atomic methods, never by plain reads/writes or struct
-//     copies.
 //   - deadlockcheck: builds the whole-program lock-order graph and reports
 //     any cycle, plus any channel operation, file/network I/O, time.Sleep,
 //     WaitGroup.Wait or Cond.Wait reachable while a mutex is held (the
 //     static face of the paper's §3.3 deadlock rule), and any function not
 //     named *Locked that can return holding a lock it took.
-//   - leakcheck: every go statement launching a non-terminating goroutine
-//     must have a reachable shutdown path — a stop channel that is closed,
-//     a context cancel, or a WaitGroup join.
 //   - alloccheck: functions annotated //godiva:noalloc must stay
 //     allocation-free on their hot path (error-returning branches are
 //     exempt), transitively through module calls.
-//   - releasecheck: every pin (WaitUnit/ReadUnit unit, FetchFile payload
-//     ref) is released on every path to return — error returns included —
-//     or explicitly handed off, and a hand-off is followed through the
-//     callee's or caller's summary. The suite's only pin checker.
 //   - borrowcheck: zero-copy borrows (BorrowFieldBuffer results, mmap
 //     Raw/ReadSDS views, payload arena slices) are never written through,
 //     never stored past their pin, never used after release; a unit's field
 //     buffers are never used after its FinishUnit/DeleteUnit.
-//   - wirecheck: integer lengths decoded from wire bytes pass a bound
-//     check before sizing an allocation.
+//
+// Pin releases, goroutine shutdown, atomic fields and wire-decoded lengths
+// have no analyzer: every planted bug of those classes an analyzer caught,
+// the tests, go vet or the -race stages catch too (EXPERIMENTS.md, "Lint
+// ledger, part 2").
 //
 // Findings can be suppressed with a "//lint:ignore <analyzer> <reason>"
 // directive on the offending line or the line directly above it.
@@ -118,13 +111,9 @@ type analyzer struct {
 var analyzers = []*analyzer{
 	lockcheckAnalyzer,
 	errcheckAnalyzer,
-	atomiccheckAnalyzer,
 	deadlockcheckAnalyzer,
-	leakcheckAnalyzer,
 	alloccheckAnalyzer,
-	releasecheckAnalyzer,
 	borrowcheckAnalyzer,
-	wirecheckAnalyzer,
 }
 
 // eachPackage lifts a check that needs one package at a time to the

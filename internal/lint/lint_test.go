@@ -100,7 +100,7 @@ func (w expectation) matches(f Finding) bool {
 // the findings its // want comments declare: every want is hit, and every
 // finding is wanted (no false positives inside the fixture either).
 func TestSeededViolations(t *testing.T) {
-	for _, name := range []string{"lockbad", "pairbad", "errbad", "atomicbad", "deadlockbad", "leakbad", "allocbad", "flowbad", "borrowbad", "wirebad"} {
+	for _, name := range []string{"lockbad", "pairbad", "errbad", "deadlockbad", "allocbad", "borrowbad"} {
 		t.Run(name, func(t *testing.T) {
 			wants := parseWants(t, name)
 			if len(wants) == 0 {
@@ -147,10 +147,7 @@ func TestSuiteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double module load in -short mode")
 	}
-	fixtures := []string{
-		"lockbad", "pairbad", "errbad", "atomicbad", "deadlockbad",
-		"leakbad", "allocbad", "flowbad", "borrowbad", "wirebad",
-	}
+	fixtures := []string{"lockbad", "pairbad", "errbad", "deadlockbad", "allocbad", "borrowbad"}
 	render := func() string {
 		m, err := LoadModule("../..", []string{"godivainvariants"})
 		if err != nil {
@@ -275,7 +272,7 @@ func TestRepoIsClean(t *testing.T) {
 
 // TestCLIExitCodes runs the real binary: non-zero on a seeded-violation
 // fixture, zero on the clean one, and a usage error for an analyzer that is
-// not (or, like paircheck and racecheck, no longer) in the suite.
+// no longer in the suite.
 func TestCLIExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go run in -short mode")
@@ -305,7 +302,7 @@ func TestCLIExitCodes(t *testing.T) {
 	if code, _ := run("./internal/lint/testdata/src/clean"); code != 0 {
 		t.Errorf("lint on clean fixture exited %d, want 0", code)
 	}
-	for _, gone := range []string{"paircheck", "racecheck"} {
+	for _, gone := range []string{"paircheck", "racecheck", "releasecheck", "wirecheck", "leakcheck", "atomiccheck"} {
 		if code, out := run("-only", gone, "./internal/lint/testdata/src/clean"); code == 0 || !strings.Contains(out, `unknown analyzer "`+gone+`"`) {
 			t.Errorf("lint -only %s exited %d, want a usage error naming it:\n%s", gone, code, out)
 		}

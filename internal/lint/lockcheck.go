@@ -158,8 +158,6 @@ func (lc *lockChecker) body(b *ast.BlockStmt, st lockLevel) {
 	runDataflow(lc.mc.cfgOf(b), &st, lc, true)
 }
 
-func (lc *lockChecker) refine(ast.Expr, bool, dfState) {}
-
 func (lc *lockChecker) atExit(dfState, *ast.ReturnStmt, bool) {}
 
 // transfer applies a Lock-family statement to the level and, on the
