@@ -36,3 +36,25 @@ func (c *Client) RPC(op byte, body []byte) error {
 	putFrameBuf(buf)
 	return err
 }
+
+// The frame relay (relay_test.go), for the external tests.
+type Fault = fault
+
+var (
+	StartRelay   = startRelay
+	SeverAfter   = severAfter
+	Unavailable  = unavailable
+	DelayBy      = delayBy
+	OnFetch      = onFetch
+	AtSeqs       = atSeqs
+	SeededFaults = seededFaults
+)
+
+// SetEventHook makes every subscription stream of s run hook before each
+// event write: a slow subscriber, which a relay cannot play because socket
+// buffers absorb small event frames. Set it before the first subscription.
+func (s *Server) SetEventHook(hook func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.onEvent = hook
+}

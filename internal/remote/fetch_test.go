@@ -65,7 +65,7 @@ func sameBlocks(t *testing.T, got, want *remote.FilePayload) {
 func TestFetchFilesBatchedE2E(t *testing.T) {
 	spec := testSpec()
 	dir := writeDataset(t, spec)
-	srv := startServer(t, dir, remote.Faults{})
+	srv := startServer(t, dir)
 	paths := allPaths(spec) // 4 snapshots x 2 files = 8
 	if len(paths) != 8 {
 		t.Fatalf("want an 8-file set, got %d", len(paths))
@@ -132,7 +132,7 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 func TestFetchFilesAcrossChunks(t *testing.T) {
 	spec := testSpec()
 	spec.Snapshots = 10 // x 2 files = 20 paths: chunks of 8, 8 and 4
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer c.Close()
 
@@ -164,7 +164,7 @@ func TestFetchFilesAcrossChunks(t *testing.T) {
 // bad files carry their own error.
 func TestFetchFilesPartialFailure(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr(), MaxRetries: 1})
 	defer c.Close()
 
@@ -186,7 +186,7 @@ func TestFetchFilesPartialFailure(t *testing.T) {
 // no payload bytes are copied, and the bytes match a cold fetch.
 func TestPayloadCacheHotSetE2E(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 	hot := spec.SnapshotFiles("", 0)
 	hot = append(hot, spec.SnapshotFiles("", 1)...) // 4 files
 	if len(hot) != 4 {
@@ -257,7 +257,7 @@ func TestPayloadCacheHotSetE2E(t *testing.T) {
 // spelling of its path: the server's table is keyed by the resolved file
 // and checks its identity on every open, so no alias keeps the old bytes.
 func TestPayloadCacheInvalidatedByIngest(t *testing.T) {
-	srv := startIngestServer(t, remote.Faults{})
+	srv := startIngestServer(t)
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer c.Close()
 
@@ -318,14 +318,14 @@ func TestPayloadCacheInvalidatedByIngest(t *testing.T) {
 func TestConnPoolRecyclesAcrossRestart(t *testing.T) {
 	spec := testSpec()
 	dir := writeDataset(t, spec)
-	// Every response waits, so concurrent fetches each hold a conn of
-	// their own and the pool fills.
-	srv1, err := remote.Serve(remote.ServerOptions{Dir: dir,
-		Faults: remote.Faults{DelayFrac: 1, Delay: 100 * time.Millisecond}})
+	// A relay in front of the first server delays every response, so
+	// concurrent fetches each hold a conn of their own and the pool fills.
+	srv1, err := remote.Serve(remote.ServerOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := srv1.Addr()
+	relay := remote.StartRelay(t, srv1, nil, remote.OnFetch(remote.DelayBy(100*time.Millisecond)))
+	addr := relay.Addr()
 
 	const pool = 8
 	paths := allPaths(spec)[:pool]
@@ -355,6 +355,9 @@ func TestConnPoolRecyclesAcrossRestart(t *testing.T) {
 		t.Fatalf("filling the pool dialed %d conns, want %d", conns, pool)
 	}
 
+	// The restart: the first server and its relay go, and the second
+	// server takes over the address the client dials.
+	relay.Close()
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +386,7 @@ func TestConnPoolRecyclesAcrossRestart(t *testing.T) {
 func TestReadFuncCommitOrder(t *testing.T) {
 	spec := testSpec()
 	spec.Snapshots = 5 // x 2 files: "all" below is a 10-file unit, two chunks
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 
 	run := func(t *testing.T, resolve remote.Resolver, unit string) {
 		paths, err := resolve(unit)
@@ -450,7 +453,7 @@ func TestReadFuncCommitOrder(t *testing.T) {
 // FetchFiles on a closed client and with zero paths behaves.
 func TestFetchFilesEdgeCases(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	if fps, err := c.FetchFiles(nil, testVars); err != nil || fps != nil {
 		t.Fatalf("FetchFiles(nil) = %v, %v", fps, err)

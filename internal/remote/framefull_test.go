@@ -2,77 +2,11 @@ package remote
 
 import (
 	"errors"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 )
-
-// fakeServer answers OpFetch frames with whatever body respond scripts for
-// the seq'th request (counted across connections), speaking the real framing
-// through readFrame/writeFrame. It stages answers the real server gives only
-// under conditions a test cannot afford — an item that overflows a 1 GiB
-// frame — and answers it never gives at all.
-func fakeServer(t *testing.T, respond func(seq int, reqs []fetchReq) []byte) (addr string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu    sync.Mutex
-		seq   int
-		conns []net.Conn
-		wg    sync.WaitGroup
-	)
-	serve := func(conn net.Conn) {
-		defer wg.Done()
-		for {
-			op, body, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			reqs, err := decodeFetchReq(body)
-			if op != OpFetch || err != nil {
-				t.Errorf("fake server got op %#02x (decode: %v), want a well-formed OpFetch", op, err)
-				return
-			}
-			mu.Lock()
-			n := seq
-			seq++
-			mu.Unlock()
-			if err := writeFrame(conn, RespOK, respond(n, reqs)); err != nil {
-				return
-			}
-		}
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed by the cleanup below
-			}
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-			wg.Add(1)
-			go serve(conn)
-		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		mu.Lock()
-		for _, conn := range conns {
-			conn.Close()
-		}
-		mu.Unlock()
-		wg.Wait()
-	})
-	return ln.Addr().String()
-}
 
 // fetchRespBody builds an OpFetch response body with one item per argument:
 // the sample payload for nil, an error item otherwise.
@@ -115,7 +49,7 @@ var frameFull = &ServerError{Code: CodeUnavailable, Msg: "fetch frame full"}
 func TestFrameFullItemRefetched(t *testing.T) {
 	var mu sync.Mutex
 	var seen [][]string
-	addr := fakeServer(t, func(seq int, reqs []fetchReq) []byte {
+	addr := startRelay(t, nil, func(seq int, reqs []fetchReq) []byte {
 		mu.Lock()
 		seen = append(seen, reqPaths(reqs))
 		mu.Unlock()
@@ -123,7 +57,7 @@ func TestFrameFullItemRefetched(t *testing.T) {
 			return fetchRespBody(nil, frameFull, nil)
 		}
 		return fetchRespBody(make([]*ServerError, len(reqs))...)
-	})
+	}, nil).Addr()
 	c := NewClient(ClientOptions{Addr: addr})
 	defer c.Close()
 
@@ -154,13 +88,13 @@ func TestFrameFullItemRefetched(t *testing.T) {
 // fails with that error after the one round trip instead of spinning.
 func TestFrameFullEveryItemFails(t *testing.T) {
 	for _, paths := range [][]string{{"a.shdf"}, {"a.shdf", "b.shdf"}} {
-		addr := fakeServer(t, func(seq int, reqs []fetchReq) []byte {
+		addr := startRelay(t, nil, func(seq int, reqs []fetchReq) []byte {
 			full := make([]*ServerError, len(reqs))
 			for i := range full {
 				full[i] = frameFull
 			}
 			return fetchRespBody(full...)
-		})
+		}, nil).Addr()
 		c := NewClient(ClientOptions{Addr: addr, RetryBase: time.Millisecond})
 		_, err := c.FetchFiles(paths, nil)
 		var se *ServerError
@@ -181,12 +115,12 @@ func TestFrameFullEveryItemFails(t *testing.T) {
 // runs on failure drops every one of them: each earlier chunk's arena ends
 // with no claim left on it (nothing leaked, nothing released twice).
 func TestChunkFailureRecyclesEarlierChunks(t *testing.T) {
-	addr := fakeServer(t, func(seq int, reqs []fetchReq) []byte {
+	addr := startRelay(t, nil, func(seq int, reqs []fetchReq) []byte {
 		if seq == 2 { // the last chunk: its one file is missing
 			return fetchRespBody(&ServerError{Code: CodeNotFound, Msg: "no such snapshot"})
 		}
 		return fetchRespBody(make([]*ServerError, len(reqs))...)
-	})
+	}, nil).Addr()
 	c := NewClient(ClientOptions{Addr: addr})
 	defer c.Close()
 

@@ -68,7 +68,7 @@ const (
 	CodeNotFound    uint16 = 2 // no such snapshot file
 	CodeCorrupt     uint16 = 3 // snapshot file damaged (shdf rejected it)
 	CodeInternal    uint16 = 4 // unexpected server-side failure
-	CodeUnavailable uint16 = 5 // transient condition, retry (fault injection)
+	CodeUnavailable uint16 = 5 // transient condition, retry
 )
 
 // codeName returns a short name for an error code.
@@ -238,21 +238,6 @@ func readFrameBuf(r io.Reader, get func(int) []byte) (op byte, buf, body []byte,
 		return 0, buf, nil, fmt.Errorf("%w: version %d", ErrProtocol, buf[0])
 	}
 	return buf[1], buf, buf[2:], nil
-}
-
-// flattenSegments assembles scattered frame segments into one contiguous
-// body — the copying fallback used by fault injection and by tests that
-// want the whole payload at once.
-func flattenSegments(segs [][]byte) []byte {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	out := make([]byte, 0, n)
-	for _, s := range segs {
-		out = append(out, s...)
-	}
-	return out
 }
 
 // --- payload encoding helpers ---

@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,13 +13,12 @@ import (
 
 // startIngestServer serves an initially empty directory with ingest enabled
 // and a fast heartbeat, for streaming tests.
-func startIngestServer(t *testing.T, faults remote.Faults) *remote.Server {
+func startIngestServer(t *testing.T) *remote.Server {
 	t.Helper()
 	srv, err := remote.Serve(remote.ServerOptions{
 		Dir:       t.TempDir(),
 		Ingest:    true,
 		Heartbeat: 50 * time.Millisecond,
-		Faults:    faults,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func drain(t *testing.T, sub *remote.Subscription, want int, timeout time.Durati
 // recent subsequence ending at the final event; the ingested files must then
 // serve fetches like generated ones.
 func TestStreamingE2E(t *testing.T) {
-	srv := startIngestServer(t, remote.Faults{})
+	srv := startIngestServer(t)
 	cli := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer cli.Close()
 
@@ -182,7 +182,7 @@ func TestStreamingE2E(t *testing.T) {
 // server while a subscription is live must unblock its fan-out writer and
 // end the client's stream with a typed error.
 func TestServerCloseSeversSubscriptions(t *testing.T) {
-	srv := startIngestServer(t, remote.Faults{})
+	srv := startIngestServer(t)
 	cli := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer cli.Close()
 
@@ -231,7 +231,7 @@ func TestServerCloseSeversSubscriptions(t *testing.T) {
 // ends every subscription it owns, and the typed error reports a deliberate
 // local close rather than a lost stream.
 func TestClientCloseSeversSubscriptions(t *testing.T) {
-	srv := startIngestServer(t, remote.Faults{})
+	srv := startIngestServer(t)
 	cli := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 
 	sub, err := cli.Subscribe(push.Spec{ToStep: -1}, push.Options{})
@@ -257,16 +257,56 @@ func TestClientCloseSeversSubscriptions(t *testing.T) {
 	}
 }
 
-// TestStalledSubscriberDropsNotBlocks injects StallFrac faults so every
+// Subscription.Close returns while the subscription's reader is blocked
+// handing an event to a full channel nobody reads.
+func TestSubscriptionCloseWhileReaderBlocked(t *testing.T) {
+	srv := startIngestServer(t)
+	cli := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
+	defer cli.Close()
+	sub, err := cli.Subscribe(push.Spec{ToStep: -1}, push.Options{Policy: push.Block, Queue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := genx.Scaled(32)
+	spec.Snapshots = 2
+	total := spec.Snapshots * spec.FilesPerSnapshot
+	err = genx.StreamDataset(spec, func(step, file int, blocks []*genx.BlockData) error {
+		return cli.Ingest(genx.SnapshotFile("", step, file), filePayload(blocks))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first event fills the channel; the reader then blocks sending the
+	// second, the rest waiting in the socket behind it.
+	waitUntil(t, "every event is written and the channel is full", func() bool {
+		return srv.Stats().EventsOut == int64(total) && len(sub.Events()) == 1
+	})
+	time.Sleep(50 * time.Millisecond) // let the reader reach the send
+
+	closed := make(chan struct{})
+	go func() {
+		sub.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Subscription.Close did not return with its reader blocked on a full channel")
+	}
+}
+
+// TestStalledSubscriberDropsNotBlocks sets the server's event hook so every
 // event write to one drop-oldest subscriber sleeps, and checks the
 // contract for visual streams: the producer is never stalled (ingests stay
 // fast), overflow is shed as counted drops, and a concurrent lossless
 // subscriber still receives every event in order.
 func TestStalledSubscriberDropsNotBlocks(t *testing.T) {
-	srv := startIngestServer(t, remote.Faults{
-		Seed:      7,
-		StallFrac: 1.0,
-		Delay:     30 * time.Millisecond,
+	srv := startIngestServer(t)
+	var stalls atomic.Int64
+	srv.SetEventHook(func() {
+		stalls.Add(1)
+		time.Sleep(30 * time.Millisecond)
 	})
 	cli := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer cli.Close()
@@ -330,7 +370,7 @@ func TestStalledSubscriberDropsNotBlocks(t *testing.T) {
 	if ps := srv.PushStats(); ps.Dropped == 0 {
 		t.Errorf("PushStats = %+v, want nonzero Dropped for the stalled stream", ps)
 	}
-	if st := srv.Stats(); st.FaultsInjected == 0 {
-		t.Errorf("Stats = %+v, want injected stall faults", st)
+	if stalls.Load() == 0 {
+		t.Error("no event write was stalled")
 	}
 }

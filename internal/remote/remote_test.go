@@ -37,9 +37,9 @@ func writeDataset(t *testing.T, spec genx.Spec) string {
 }
 
 // startServer serves dir on the loopback interface for the test's duration.
-func startServer(t *testing.T, dir string, faults remote.Faults) *remote.Server {
+func startServer(t *testing.T, dir string) *remote.Server {
 	t.Helper()
-	srv, err := remote.Serve(remote.ServerOptions{Dir: dir, Faults: faults})
+	srv, err := remote.Serve(remote.ServerOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func snapResolver(spec genx.Spec) remote.Resolver {
 
 func TestPingAndSpec(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer c.Close()
 	if err := c.Ping(); err != nil {
@@ -174,15 +174,19 @@ func TestPingAndSpec(t *testing.T) {
 
 // TestEndToEndWithFaults is the acceptance test: godivad on the loopback
 // interface over a generated dataset, a DB with four I/O workers prefetching
-// every unit through remote read functions while the server injects 10%
-// faults (half dropped mid-payload, half retryable errors). Retries must
-// absorb every fault, and the committed buffers must be byte-identical to
-// local SHDF reads.
+// every unit through remote read functions while a relay in front of the
+// server severs the second fetch mid-payload and answers the fourth with a
+// retryable error. Retries must absorb both faults, and the committed
+// buffers must be byte-identical to local SHDF reads.
 func TestEndToEndWithFaults(t *testing.T) {
 	spec := testSpec()
 	dir := writeDataset(t, spec)
-	srv := startServer(t, dir, remote.Faults{Seed: 42, DropFrac: 0.05, ErrFrac: 0.05})
-	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr(), PoolSize: 4})
+	srv := startServer(t, dir)
+	relay := remote.StartRelay(t, srv, nil, remote.AtSeqs(map[int]remote.Fault{
+		1: remote.SeverAfter(4096),
+		3: remote.Unavailable,
+	}))
+	c := remote.NewClient(remote.ClientOptions{Addr: relay.Addr(), PoolSize: 4})
 	defer c.Close()
 
 	db := core.Open(core.Options{MemoryLimit: 256 << 20, BackgroundIO: true, IOWorkers: 4})
@@ -271,11 +275,11 @@ func TestEndToEndWithFaults(t *testing.T) {
 			h.Close()
 		}
 	}
-	if ss := srv.Stats(); ss.FaultsInjected == 0 {
-		t.Logf("note: no faults were drawn this run (seed %d)", 42)
-	} else {
-		t.Logf("absorbed %d injected faults over %d RPCs (%d client retries)",
-			ss.FaultsInjected, ss.RPCs, c.Stats().Retries)
+	if rs := relay.Stats(); rs.Severed != 1 || rs.Unavailable != 1 {
+		t.Fatalf("relay stats = %+v, want 1 sever and 1 CodeUnavailable absorbed", rs)
+	}
+	if rs := c.Stats(); rs.Retries != 2 || rs.Errors != 0 {
+		t.Fatalf("client stats = %+v, want 2 retries and no errors", rs)
 	}
 }
 
@@ -329,9 +333,10 @@ func TestServerDownAtOpen(t *testing.T) {
 // once the fault clears, the same client must recover.
 func TestDropMidPayload(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{Seed: 1, DropFrac: 1})
+	srv := startServer(t, writeDataset(t, spec))
+	relay := remote.StartRelay(t, srv, nil, remote.OnFetch(remote.SeverAfter(4096)))
 	c := remote.NewClient(remote.ClientOptions{
-		Addr:       srv.Addr(),
+		Addr:       relay.Addr(),
 		MaxRetries: 2,
 		RetryBase:  time.Millisecond,
 	})
@@ -349,7 +354,10 @@ func TestDropMidPayload(t *testing.T) {
 		t.Fatalf("client stats = %+v, want 2 retries and 1 error", rs)
 	}
 
-	srv.SetFaults(remote.Faults{})
+	if rs := relay.Stats(); rs.Severed != 3 {
+		t.Fatalf("relay stats = %+v, want 3 severs", rs)
+	}
+	relay.SetDecide(nil)
 	fp, err := c.FetchFile(path, testVars)
 	if err != nil {
 		t.Fatalf("fetch after faults cleared: %v", err)
@@ -363,10 +371,10 @@ func TestDropMidPayload(t *testing.T) {
 // deadline failure on every attempt.
 func TestDeadlineExceeded(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec),
-		remote.Faults{Seed: 1, DelayFrac: 1, Delay: 300 * time.Millisecond})
+	srv := startServer(t, writeDataset(t, spec))
+	relay := remote.StartRelay(t, srv, nil, remote.OnFetch(remote.DelayBy(300*time.Millisecond)))
 	c := remote.NewClient(remote.ClientOptions{
-		Addr:           srv.Addr(),
+		Addr:           relay.Addr(),
 		RequestTimeout: 30 * time.Millisecond,
 		MaxRetries:     1,
 		RetryBase:      time.Millisecond,
@@ -386,13 +394,16 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// Two databases with four workers each hammer one server under 10% faults;
-// everything must complete with zero failed units. Run with -race.
+// Two databases with four workers each hammer one server through a relay
+// that faults a seeded 10% of fetches (half severed mid-payload, half
+// answered with a retryable error); everything must complete with zero
+// failed units. Run with -race.
 func TestStressTwoDBs(t *testing.T) {
 	spec := testSpec()
 	spec.Snapshots = 8
 	dir := writeDataset(t, spec)
-	srv := startServer(t, dir, remote.Faults{Seed: 99, DropFrac: 0.05, ErrFrac: 0.05})
+	srv := startServer(t, dir)
+	relay := remote.StartRelay(t, srv, nil, remote.SeededFaults(99, 0.05, 0.05))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
@@ -401,7 +412,7 @@ func TestStressTwoDBs(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			c := remote.NewClient(remote.ClientOptions{
-				Addr:      srv.Addr(),
+				Addr:      relay.Addr(),
 				PoolSize:  4,
 				RetryBase: time.Millisecond,
 			})
@@ -441,16 +452,16 @@ func TestStressTwoDBs(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	ss := srv.Stats()
-	t.Logf("server: %d conns, %d RPCs, %d faults injected, %.1f MB out",
-		ss.Conns, ss.RPCs, ss.FaultsInjected, float64(ss.BytesOut)/1e6)
+	ss, rs := srv.Stats(), relay.Stats()
+	t.Logf("server: %d conns, %d RPCs, %.1f MB out; relay: %d severed, %d unavailable",
+		ss.Conns, ss.RPCs, float64(ss.BytesOut)/1e6, rs.Severed, rs.Unavailable)
 }
 
 // Requests for paths outside the served directory or non-snapshot files must
 // be rejected with a non-retryable protocol error, not retried to exhaustion.
 func TestBadRequests(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr(), MaxRetries: 3})
 	defer c.Close()
 
@@ -484,7 +495,7 @@ func TestBadRequests(t *testing.T) {
 // A closed client must fail fast and never panic.
 func TestClientClosed(t *testing.T) {
 	spec := testSpec()
-	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
+	srv := startServer(t, writeDataset(t, spec))
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -495,4 +506,81 @@ func TestClientClosed(t *testing.T) {
 	if err := c.Close(); !errors.Is(err, remote.ErrClientClosed) {
 		t.Fatalf("double close: %v, want ErrClientClosed", err)
 	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// closeWakes closes c and checks that the call blocked in it, which reports
+// on blocked, returns ErrClientClosed within a second.
+func closeWakes(t *testing.T, c *remote.Client, blocked <-chan error) {
+	t.Helper()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, remote.ErrClientClosed) {
+			t.Fatalf("blocked call returned %v, want ErrClientClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the blocked call was still blocked 1 s after Close")
+	}
+}
+
+// Close wakes a fetch waiting for a pooled connection: the pool's one slot
+// is held by a fetch the relay delays 5 s, and the waiter must return
+// ErrClientClosed at Close, not when the slot frees.
+func TestClientCloseWakesPoolWaiter(t *testing.T) {
+	spec := testSpec()
+	srv := startServer(t, writeDataset(t, spec))
+	relay := remote.StartRelay(t, srv, nil, remote.OnFetch(remote.DelayBy(5*time.Second)))
+	c := remote.NewClient(remote.ClientOptions{Addr: relay.Addr(), PoolSize: 1})
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := c.FetchFile(genx.SnapshotFile("", 0, 0), testVars)
+		held <- err
+	}()
+	waitUntil(t, "the first fetch is held", func() bool { return relay.Stats().Delayed == 1 })
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.FetchFile(genx.SnapshotFile("", 1, 0), testVars)
+		waiter <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the waiter reach the pool slot
+	closeWakes(t, c, waiter)
+	relay.Close() // ends the held fetch's delay
+	<-held
+}
+
+// Close wakes a fetch sleeping in retry backoff: the relay answers every
+// fetch CodeUnavailable and the backoff is 5–10 s, but the caller must
+// return ErrClientClosed at Close.
+func TestClientCloseWakesBackoff(t *testing.T) {
+	spec := testSpec()
+	srv := startServer(t, writeDataset(t, spec))
+	relay := remote.StartRelay(t, srv, nil, remote.OnFetch(remote.Unavailable))
+	c := remote.NewClient(remote.ClientOptions{
+		Addr:      relay.Addr(),
+		RetryBase: 10 * time.Second,
+		RetryMax:  10 * time.Second,
+	})
+
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := c.FetchFile(genx.SnapshotFile("", 0, 0), testVars)
+		blocked <- err
+	}()
+	waitUntil(t, "the fetch backs off", func() bool { return c.Stats().Retries == 1 })
+	closeWakes(t, c, blocked)
 }

@@ -1,10 +1,8 @@
 package remote
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -36,48 +34,21 @@ type ServerOptions struct {
 	// Heartbeat is the idle interval between keep-alive frames on
 	// subscription connections (default IdleTimeout/2, capped at 2s).
 	Heartbeat time.Duration
-	// Faults configures deterministic fault injection (testing; zero = off).
-	Faults Faults
 	// Logf, when non-nil, receives one line per connection event and error.
 	Logf func(format string, args ...any)
 }
-
-// Faults injects failures into a configurable fraction of OpFetch response
-// frames — one draw per RPC, however many files it carries — so client retry
-// behavior is testable deterministically: decisions come from a private
-// rand.Rand seeded with Seed. Fractions are cumulative — DropFrac 0.05 +
-// ErrFrac 0.05 faults 10% of responses.
-type Faults struct {
-	Seed      int64         // RNG seed (0 means 1, for determinism)
-	DropFrac  float64       // sever the connection mid-payload
-	ErrFrac   float64       // answer CodeUnavailable (client retries)
-	DelayFrac float64       // delay the response by Delay
-	StallFrac float64       // stall an OpEvent delivery by Delay (slow subscriber)
-	Delay     time.Duration // delay used by DelayFrac and StallFrac
-}
-
-func (f Faults) enabled() bool { return f.DropFrac > 0 || f.ErrFrac > 0 || f.DelayFrac > 0 }
-
-// Fault actions drawn per OpFetch response frame.
-const (
-	faultNone = iota
-	faultDrop
-	faultErr
-	faultDelay
-)
 
 // ServerStats is a snapshot of the server's operation counters, the
 // server-side half of the subsystem's observability (RemoteStats is the
 // client half).
 type ServerStats struct {
-	Conns          int64 // connections accepted
-	RPCs           int64 // requests handled (all ops)
-	Errors         int64 // error responses sent (excluding injected faults)
-	FaultsInjected int64 // responses dropped, delayed or failed by Faults
-	BytesOut       int64 // response frame bytes written
-	BytesCopied    int64 // payload array bytes copied into response frames
-	//                      (scatter-send borrows the rest straight from the
-	//                      dataset; nonzero only on big-endian hosts)
+	Conns       int64 // connections accepted
+	RPCs        int64 // requests handled (all ops)
+	Errors      int64 // error responses sent
+	BytesOut    int64 // response frame bytes written
+	BytesCopied int64 // payload array bytes copied into response frames
+	//                   (scatter-send borrows the rest straight from the
+	//                   dataset; nonzero only on big-endian hosts)
 	// The server reads snapshot files through one table of mappings
 	// (genx.Reader, Mapped), its only cache. ReaderOpens counts mappings
 	// made — one per fetched file the table could not serve — and
@@ -106,12 +77,14 @@ type Server struct {
 	ln     net.Listener
 	reader genx.Reader // Mapped: the snapshot files fetches read
 	reg    *push.Registry
+	// onEvent, when non-nil, runs before each OpEvent write of a
+	// subscription stream. Only tests set it (export_test.go), to play a
+	// slow subscriber that socket buffers would otherwise hide.
+	onEvent func()
 
 	mu     sync.Mutex
 	spec   genx.Spec             // grows as OpIngest lands new steps; guarded by mu
 	conns  map[net.Conn]struct{} // guarded by mu
-	faults Faults                // guarded by mu
-	rng    *rand.Rand            // guarded by mu
 	stats  ServerStats           // guarded by mu
 	closed bool                  // guarded by mu
 
@@ -159,9 +132,6 @@ func Serve(opts ServerOptions) (*Server, error) {
 		reg:    push.NewRegistry(),
 		conns:  make(map[net.Conn]struct{}),
 	}
-	s.mu.Lock()
-	s.setFaultsLocked(opts.Faults)
-	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -188,23 +158,6 @@ func (s *Server) Stats() ServerStats {
 	rs := s.reader.Stats()
 	st.ReaderOpens, st.ReaderCloses, st.ReaderHits = rs.Opens, rs.Closes, rs.Hits
 	return st
-}
-
-// SetFaults replaces the fault-injection plan at run time (tests use this to
-// switch failure modes against one server).
-func (s *Server) SetFaults(f Faults) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.setFaultsLocked(f)
-}
-
-func (s *Server) setFaultsLocked(f Faults) {
-	s.faults = f
-	seed := f.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	s.rng = rand.New(rand.NewSource(seed))
 }
 
 // Close stops accepting, severs open connections, joins the handler
@@ -290,51 +243,18 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		rop, segs, done := s.handleRequest(op, body)
-		// done releases the handles on the mapped snapshot files the
-		// response segments alias; it must run after the frame has left —
-		// and on every early return — before the mapping may be closed.
-		release := func() {
-			if done != nil {
-				done()
-				done = nil
-			}
-		}
-
-		// Fault injection on the data path only, so health checks and spec
-		// discovery stay reliable.
-		if op == OpFetch {
-			switch action, delay := s.faultAction(); action {
-			case faultDrop:
-				// Sever mid-payload: the header promises the full response,
-				// but only a prefix of the body follows before the hang-up —
-				// the client sees an unexpected EOF partway through.
-				rbody := flattenSegments(segs)
-				release()
-				cut := len(rbody) / 2
-				if cut > 4096 {
-					cut = 4096
-				}
-				hdr := make([]byte, 6)
-				binary.LittleEndian.PutUint32(hdr, uint32(2+len(rbody)))
-				hdr[4] = protoVersion
-				hdr[5] = rop
-				conn.Write(append(hdr, rbody[:cut]...))
-				return
-			case faultErr:
-				release()
-				rop, segs = RespErr, [][]byte{encodeErr(CodeUnavailable, "injected fault")}
-			case faultDelay:
-				time.Sleep(delay)
-			}
-		}
-
 		blen := 0
 		for _, seg := range segs {
 			blen += len(seg)
 		}
 		conn.SetWriteDeadline(time.Now().Add(s.opts.IdleTimeout))
 		err = writeFrameBuffers(conn, rop, segs)
-		release()
+		// done releases the handles on the mapped snapshot files the
+		// response segments alias: only once the frame has left may the
+		// mappings close.
+		if done != nil {
+			done()
+		}
 		if err != nil {
 			return
 		}
@@ -342,30 +262,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.stats.BytesOut += int64(6 + blen)
 		s.mu.Unlock()
 	}
-}
-
-// faultAction draws one fault decision for a response.
-func (s *Server) faultAction() (int, time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.faults
-	if !f.enabled() {
-		return faultNone, 0
-	}
-	r := s.rng.Float64()
-	action := faultNone
-	switch {
-	case r < f.DropFrac:
-		action = faultDrop
-	case r < f.DropFrac+f.ErrFrac:
-		action = faultErr
-	case r < f.DropFrac+f.ErrFrac+f.DelayFrac:
-		action = faultDelay
-	}
-	if action != faultNone {
-		s.stats.FaultsInjected++
-	}
-	return action, f.Delay
 }
 
 // handleRequest dispatches one request and returns the response frame as
@@ -617,8 +513,8 @@ func (s *Server) handleSubscribe(conn net.Conn, body []byte) {
 		}
 		var frame []byte
 		if ok {
-			if stall, delay := s.stallAction(); stall {
-				time.Sleep(delay)
+			if s.onEvent != nil {
+				s.onEvent()
 			}
 			frame = encodeEvent(ev)
 		}
@@ -640,19 +536,4 @@ func (s *Server) countError() {
 	s.mu.Lock()
 	s.stats.Errors++
 	s.mu.Unlock()
-}
-
-// stallAction draws one slow-subscriber fault decision for an event write.
-func (s *Server) stallAction() (bool, time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.faults
-	if f.StallFrac <= 0 {
-		return false, 0
-	}
-	if s.rng.Float64() < f.StallFrac {
-		s.stats.FaultsInjected++
-		return true, f.Delay
-	}
-	return false, 0
 }

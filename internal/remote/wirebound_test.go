@@ -49,6 +49,17 @@ func TestBatchReqCountBound(t *testing.T) {
 	if _, err := decodeFetchReq(binary.LittleEndian.AppendUint16(nil, 0)); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("empty fetch: got %v, want ErrProtocol", err)
 	}
+	// The count is rejected before it sizes anything: a 6-byte body claiming
+	// 65,535 items allocates nowhere near the 2.6 MB so many entries take.
+	body = append(binary.LittleEndian.AppendUint16(nil, 65535), 0, 0, 0, 0)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			decodeFetchReq(body)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Fatalf("rejecting a 65,535-item count allocated %d bytes, want < 64 KiB", got)
+	}
 }
 
 // TestBatchReqCountAtLimit accepts the densest legal encoding: items whose

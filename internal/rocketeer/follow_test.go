@@ -1,6 +1,7 @@
 package rocketeer
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -86,5 +87,37 @@ func TestFollowRendersStreamedSteps(t *testing.T) {
 	}
 	if res.DB.UnitsRead != int64(spec.Snapshots*spec.FilesPerSnapshot) {
 		t.Errorf("read %d units, want %d", res.DB.UnitsRead, spec.Snapshots*spec.FilesPerSnapshot)
+	}
+}
+
+// A follow whose stream is lost before any event reports the loss: the
+// server closes once the subscription lands, and Follow must return an
+// error matching remote.ErrSubscriptionLost, not an empty success.
+func TestFollowLostBeforeAnyEvent(t *testing.T) {
+	srv, err := remote.Serve(remote.ServerOptions{
+		Dir:       t.TempDir(),
+		Ingest:    true,
+		Heartbeat: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		for srv.Stats().Subscriptions == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		closed <- srv.Close()
+	}()
+
+	follower := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
+	defer follower.Close()
+	vt, _ := TestByName("simple")
+	_, err = Follow(FollowConfig{Test: vt, Client: follower, Policy: push.Block})
+	if !errors.Is(err, remote.ErrSubscriptionLost) {
+		t.Fatalf("Follow = %v, want ErrSubscriptionLost", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -268,6 +268,32 @@ func TestOversizedCounts(t *testing.T) {
 		_, err := f.ReadVGroup(ref)
 		return err
 	})
+	// A count at the cap but far past the short payload is rejected before
+	// it sizes the member list (64 MiB of refs).
+	vg = plant(t, data, "block_0001", func(p []byte) {
+		binary.LittleEndian.PutUint32(p, 1<<24)
+	})
+	f, err := NewFile(bytes.NewReader(vg), int64(len(vg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref Ref
+	for _, info := range f.Objects() {
+		if info.Name == "block_0001" {
+			ref = info.Ref
+		}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.ReadVGroup(ref)
+		}
+	})
+	if _, err := f.ReadVGroup(ref); err == nil {
+		t.Error("vgroup claiming 1<<24 members in a short payload read")
+	}
+	if got := res.AllocedBytesPerOp(); got >= 1<<20 {
+		t.Errorf("rejecting a 1<<24-member vgroup allocated %d bytes, want < 1 MiB", got)
+	}
 
 	// SDS dims each within the payload length whose product overflows int:
 	// 64^11 = 2^66 wraps to 0 elements, which the data section would match.

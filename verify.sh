@@ -35,7 +35,15 @@
 #               model the core runs on in the experiments
 #   race-remote race-detector pass over the remote unit service, including
 #               TestPayloadCacheChurn: concurrent fetchers and ingest
-#               overwrites against one server's table of mapped files
+#               overwrites against one server's table of mapped files; and
+#               the fault tests run through the test-side frame relay
+#               (relay_test.go): TestEndToEndWithFaults, TestDropMidPayload,
+#               TestDeadlineExceeded, TestStressTwoDBs (two 4-worker DBs
+#               under seeded faults), TestConnPoolRecyclesAcrossRestart,
+#               TestClientCloseWakesPoolWaiter, TestClientCloseWakesBackoff,
+#               and the scripted TestFrameFullItemRefetched,
+#               TestFrameFullEveryItemFails and
+#               TestChunkFailureRecyclesEarlierChunks
 #   invariants  core suite with the godivainvariants runtime checker
 #               compiled in (the schedule explorer runs the full audit
 #               after every step), under the race detector, and rocketeer's under
