@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +40,9 @@ func sameBlocks(t *testing.T, got, want *remote.FilePayload) {
 			if v != w.Mesh.Coords[j] {
 				t.Fatalf("block %s coord %d: %v != %v", g.Name, j, v, w.Mesh.Coords[j])
 			}
+		}
+		if !slices.Equal(g.Mesh.Tets, w.Mesh.Tets) || !slices.Equal(g.Mesh.GlobalNode, w.Mesh.GlobalNode) {
+			t.Fatalf("block %s connectivity or global node IDs differ", g.Name)
 		}
 		if len(g.Node) != len(w.Node) || len(g.Elem) != len(w.Elem) {
 			t.Fatalf("block %s carries %d node and %d elem fields, want %d and %d",

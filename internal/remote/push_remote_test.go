@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,6 +176,68 @@ func TestStreamingE2E(t *testing.T) {
 	ps := srv.PushStats()
 	if ps.Published != int64(total) {
 		t.Errorf("Published = %d, want %d", ps.Published, total)
+	}
+}
+
+// TestIngestRequestBufferReuse drives one server connection through frames
+// that share its request buffer: alternating ingests of two payloads to two
+// paths, a small fetch, then a larger ingest that grows the buffer. Every
+// file must hold exactly what was ingested into it — an ingest that kept an
+// array past its response would see the next frame's bytes.
+func TestIngestRequestBufferReuse(t *testing.T) {
+	srv := startIngestServer(t)
+	cli := remote.NewClient(remote.ClientOptions{Addr: srv.Addr(), PoolSize: 1})
+	defer cli.Close()
+
+	spec := genx.Scaled(16)
+	spec.Snapshots = 3
+	spec.FilesPerSnapshot = 2
+	var steps [3][]*genx.BlockData
+	err := genx.StreamDataset(spec, func(step, file int, blocks []*genx.BlockData) error {
+		steps[step] = append(steps[step], blocks...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a and b differ in every field (other steps, other blocks); large
+	// carries both files of the last step, so its frame outgrows theirs.
+	a, b := filePayload(steps[0][:1]), filePayload(steps[1][1:2])
+	slices.SortFunc(steps[2], func(x, y *genx.BlockData) int { return x.ID - y.ID }) // file order
+	large := filePayload(steps[2])
+	want := map[string]*remote.FilePayload{}
+	ingest := func(path string, fp *remote.FilePayload) {
+		t.Helper()
+		if err := cli.Ingest(path, fp); err != nil {
+			t.Fatalf("ingest %s: %v", path, err)
+		}
+		want[path] = fp
+	}
+	pa, pb := genx.SnapshotFile("", 0, 0), genx.SnapshotFile("", 1, 0)
+	for i := 0; i < 3; i++ {
+		ingest(pa, a)
+		ingest(pb, b)
+	}
+	ingest(pa, b) // swap contents: each path's last ingest is the other payload
+	ingest(pb, a)
+	small, err := cli.FetchFile(pa, testVars[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Recycle()
+	ingest(genx.SnapshotFile("", 2, 0), large)
+
+	vars := append(append([]string(nil), genx.NodeVectorFields...), genx.ElemScalarFields...)
+	for path, fp := range want {
+		got, err := cli.FetchFile(path, vars)
+		if err != nil {
+			t.Fatalf("fetch %s: %v", path, err)
+		}
+		sameBlocks(t, got, fp)
+		got.Recycle()
+	}
+	if st := srv.Stats(); st.Conns != 1 {
+		t.Errorf("server accepted %d connections, want every frame on one", st.Conns)
 	}
 }
 

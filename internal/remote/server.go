@@ -230,9 +230,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	// One request buffer serves the connection. Each frame is read into
+	// it, handled and answered before the next read reuses it, so the
+	// arrays an ingest decodes in place (and writes to its file) are dead
+	// by then. It grows only for a frame larger than any before, and goes
+	// with the connection.
+	var reqBuf []byte
+	get := func(n int) []byte {
+		if cap(reqBuf) < n {
+			reqBuf = alignedFrameBuf(n)
+		}
+		return reqBuf[:n]
+	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		op, body, err := readFrame(conn)
+		op, _, body, err := readFrameBuf(conn, get)
 		if err != nil {
 			return // client went away, idled out, or sent garbage
 		}

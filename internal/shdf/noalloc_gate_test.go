@@ -69,3 +69,12 @@ func TestReadSDSMemoHitNoAlloc(t *testing.T) {
 		t.Fatalf("memo-hit ReadSDS allocates %v times per call, want 0", allocs)
 	}
 }
+
+// A 1 MiB SDS streams from the caller's array: WriteSDS allocates almost
+// nothing per call, where encoding it into a fresh payload cost 5 MB.
+func TestWriteSDSAllocBound(t *testing.T) {
+	r := testing.Benchmark(benchWriteSDS)
+	if got := r.AllocedBytesPerOp(); got >= 4<<10 {
+		t.Fatalf("WriteSDS of 1 MiB allocates %d bytes per call, want < 4 KiB", got)
+	}
+}

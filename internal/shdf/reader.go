@@ -467,7 +467,7 @@ func (f *File) ReadSDS(ref Ref) (*Dataset, error) {
 	d := decoder{buf: buf}
 	nt := NumType(d.u16())
 	rank := int(d.u16())
-	if rank < 0 || rank > 16 {
+	if rank < 0 || rank > maxRank {
 		return nil, fmt.Errorf("%w: SDS %q rank %d", ErrCorrupt, e.name, rank)
 	}
 	dims := make([]int, rank)

@@ -29,6 +29,7 @@ const (
 	magic       = "SHDF"
 	footerMagic = "FTR1"
 	version     = 1
+	maxRank     = 16 // largest SDS rank a reader accepts
 )
 
 // Tag identifies an object's kind, as in HDF4's tag/ref pairs.

@@ -8,18 +8,33 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"godiva/internal/zerocopy"
 )
+
+// scratchSize is the Writer's encoding scratch: room for the largest SDS
+// header (4+8·maxRank bytes) and for one chunk of elements encoded on a host
+// whose memory order is not the file's.
+const scratchSize = 4096
 
 // Writer writes an SHDF file sequentially: objects first, directory and
 // footer on Close.
 type Writer struct {
 	w       *bufio.Writer
 	f       *os.File // non-nil when created by Create, closed by Close
-	offset  uint64
+	offset  uint64   // stream offset of the next object's first byte
 	nextRef Ref
 	dir     []dirEntry
 	done    bool
 	err     error
+
+	// The object being written streams straight into w; crc and n
+	// accumulate its CRC-32 and length as its bytes go.
+	crc uint32
+	n   uint64
+	// scratch encodes headers and directory entries and, on big-endian
+	// hosts, array elements a chunk at a time.
+	scratch [scratchSize]byte
 }
 
 // Create creates or truncates the named file and returns a Writer on it.
@@ -53,71 +68,110 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return sw, nil
 }
 
-// payload buffers one object's bytes and accumulates its CRC.
-type payload struct {
-	buf []byte
+// zeros is the alignment pad WriteSDS writes between objects.
+var zeros [8]byte
+
+// checkName rejects object names the directory's u16 length cannot hold.
+func checkName(name string) error {
+	if len(name) > math.MaxUint16 {
+		return fmt.Errorf("%w: object name of %d bytes, over %d", ErrBadShape, len(name), math.MaxUint16)
+	}
+	return nil
 }
 
-func (p *payload) u16(v uint16) { p.buf = binary.LittleEndian.AppendUint16(p.buf, v) }
-func (p *payload) u32(v uint32) { p.buf = binary.LittleEndian.AppendUint32(p.buf, v) }
-func (p *payload) u64(v uint64) { p.buf = binary.LittleEndian.AppendUint64(p.buf, v) }
-
-// alignForSDS advances the stream to the next offset ≡ 4 (mod 8) with zero
-// bytes, so the SDS payload written next has an 8-aligned data section.
-func (w *Writer) alignForSDS() error {
+// begin starts an object at the current stream offset.
+func (w *Writer) begin() error {
 	if w.done {
 		return ErrWriterDone
 	}
 	if w.err != nil {
 		return w.err
 	}
-	pad := (4 - w.offset%8 + 8) % 8
-	if pad == 0 {
-		return nil
-	}
-	var zeros [8]byte
-	if _, err := w.w.Write(zeros[:pad]); err != nil {
-		w.err = err
-		return err
-	}
-	w.offset += pad
+	w.crc, w.n = 0, 0
 	return nil
 }
 
-func (w *Writer) addObject(tag Tag, name string, p *payload) (Ref, error) {
-	if w.done {
-		return 0, ErrWriterDone
+// put streams b as the object's next bytes. The first write error sticks in
+// w.err; later puts do nothing and end reports it.
+func (w *Writer) put(b []byte) {
+	if w.err != nil {
+		return
 	}
+	if _, err := w.w.Write(b); err != nil {
+		w.err = err
+		return
+	}
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, b)
+	w.n += uint64(len(b))
+}
+
+// putChunked streams v element by element in little-endian order, encoding
+// a scratch-sized chunk at a time with enc (size bytes per element).
+func putChunked[T any](w *Writer, v []T, size int, enc func(b []byte, x T)) {
+	per := len(w.scratch) / size
+	for len(v) > 0 {
+		k := min(len(v), per)
+		for i, x := range v[:k] {
+			enc(w.scratch[i*size:], x)
+		}
+		w.put(w.scratch[:k*size])
+		v = v[k:]
+	}
+}
+
+// end records the object written since begin in the directory.
+func (w *Writer) end(tag Tag, name string) (Ref, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
 	ref := w.nextRef
 	w.nextRef++
-	crc := crc32.ChecksumIEEE(p.buf)
-	if _, err := w.w.Write(p.buf); err != nil {
-		w.err = err
-		return 0, err
-	}
 	w.dir = append(w.dir, dirEntry{
 		tag:    tag,
 		ref:    ref,
 		offset: w.offset,
-		length: uint64(len(p.buf)),
-		crc:    crc,
+		length: w.n,
+		crc:    w.crc,
 		name:   name,
 	})
-	w.offset += uint64(len(p.buf))
+	w.offset += w.n
 	return ref, nil
+}
+
+// alignForSDS pads the stream with zeros to the next offset ≡ 4 (mod 8), so
+// the SDS payload written next has an 8-aligned data section. The pad sits
+// between objects: it is in no object's bytes or CRC.
+func (w *Writer) alignForSDS() {
+	pad := (4 - w.offset%8 + 8) % 8
+	if pad == 0 || w.err != nil {
+		return
+	}
+	if _, err := w.w.Write(zeros[:pad]); err != nil {
+		w.err = err
+		return
+	}
+	w.offset += pad
 }
 
 // WriteSDS writes a scientific dataset: a named multidimensional array.
 // data must be one of []uint8, []int32, []int64, []float32 or []float64 and
-// its length must equal the product of dims.
+// its length must equal the product of dims. The array is streamed from
+// data itself — on a little-endian host its memory already is the file's
+// encoding — so a write costs no copy of it.
 func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
+	if err := checkName(name); err != nil {
+		return 0, err
+	}
+	if len(dims) > maxRank {
+		return 0, fmt.Errorf("%w: rank %d, over %d", ErrBadShape, len(dims), maxRank)
+	}
 	n := 1
 	for _, d := range dims {
 		if d <= 0 {
 			return 0, fmt.Errorf("%w: dimension %d", ErrBadShape, d)
+		}
+		if n > math.MaxInt/d {
+			return 0, fmt.Errorf("%w: dims %v overflow an element count", ErrBadShape, dims)
 		}
 		n *= d
 	}
@@ -125,7 +179,6 @@ func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
 		nt    NumType
 		count int
 	)
-	p := &payload{}
 	switch v := data.(type) {
 	case []uint8:
 		nt, count = TypeUint8, len(v)
@@ -143,77 +196,102 @@ func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
 	if count != n {
 		return 0, fmt.Errorf("%w: dims %v hold %d elements, data has %d", ErrBadShape, dims, n, count)
 	}
+	if err := w.begin(); err != nil {
+		return 0, err
+	}
 	// Pad the stream so this payload starts at offset ≡ 4 (mod 8), which
 	// puts the data section (payload offset 4+8·rank) on an 8-byte boundary.
 	// Mapped readers can then alias the data in place; the pad bytes sit
 	// between payloads and are invisible to the directory.
-	if err := w.alignForSDS(); err != nil {
-		return 0, err
+	w.alignForSDS()
+	h := w.scratch[:4+8*len(dims)]
+	binary.LittleEndian.PutUint16(h, uint16(nt))
+	binary.LittleEndian.PutUint16(h[2:], uint16(len(dims)))
+	for i, d := range dims {
+		binary.LittleEndian.PutUint64(h[4+8*i:], uint64(d))
 	}
-	p.u16(uint16(nt))
-	p.u16(uint16(len(dims)))
-	for _, d := range dims {
-		p.u64(uint64(d))
-	}
+	w.put(h)
 	switch v := data.(type) {
 	case []uint8:
-		p.buf = append(p.buf, v...)
+		w.put(v)
 	case []int32:
-		for _, x := range v {
-			p.u32(uint32(x))
+		if b, ok := zerocopy.BytesOfI32s(v); ok {
+			w.put(b)
+		} else {
+			putChunked(w, v, 4, func(b []byte, x int32) { binary.LittleEndian.PutUint32(b, uint32(x)) })
 		}
 	case []int64:
-		for _, x := range v {
-			p.u64(uint64(x))
+		if b, ok := zerocopy.BytesOfI64s(v); ok {
+			w.put(b)
+		} else {
+			putChunked(w, v, 8, func(b []byte, x int64) { binary.LittleEndian.PutUint64(b, uint64(x)) })
 		}
 	case []float32:
-		for _, x := range v {
-			p.u32(math.Float32bits(x))
+		if b, ok := zerocopy.BytesOfF32s(v); ok {
+			w.put(b)
+		} else {
+			putChunked(w, v, 4, func(b []byte, x float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(x)) })
 		}
 	case []float64:
-		for _, x := range v {
-			p.u64(math.Float64bits(x))
+		if b, ok := zerocopy.BytesOfF64s(v); ok {
+			w.put(b)
+		} else {
+			putChunked(w, v, 8, func(b []byte, x float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(x)) })
 		}
 	}
-	return w.addObject(TagSDS, name, p)
+	return w.end(TagSDS, name)
 }
 
 // WriteAttr writes a named attribute. value must be a string, int64,
 // float64, or one of the slice types WriteSDS accepts.
 func (w *Writer) WriteAttr(name string, value any) (Ref, error) {
-	p := &payload{}
+	if err := checkName(name); err != nil {
+		return 0, err
+	}
+	// Header: type u16, count u64; then the value.
+	h := w.scratch[:18]
+	var str string
 	switch v := value.(type) {
 	case string:
-		p.u16(uint16(TypeUint8))
-		p.u64(uint64(len(v)))
-		p.buf = append(p.buf, v...)
+		binary.LittleEndian.PutUint16(h, uint16(TypeUint8))
+		binary.LittleEndian.PutUint64(h[2:], uint64(len(v)))
+		h, str = h[:10], v
 	case int64:
-		p.u16(uint16(TypeInt64))
-		p.u64(1)
-		p.u64(uint64(v))
+		binary.LittleEndian.PutUint16(h, uint16(TypeInt64))
+		binary.LittleEndian.PutUint64(h[2:], 1)
+		binary.LittleEndian.PutUint64(h[10:], uint64(v))
 	case int:
-		p.u16(uint16(TypeInt64))
-		p.u64(1)
-		p.u64(uint64(int64(v)))
+		binary.LittleEndian.PutUint16(h, uint16(TypeInt64))
+		binary.LittleEndian.PutUint64(h[2:], 1)
+		binary.LittleEndian.PutUint64(h[10:], uint64(int64(v)))
 	case float64:
-		p.u16(uint16(TypeFloat64))
-		p.u64(1)
-		p.u64(math.Float64bits(v))
+		binary.LittleEndian.PutUint16(h, uint16(TypeFloat64))
+		binary.LittleEndian.PutUint64(h[2:], 1)
+		binary.LittleEndian.PutUint64(h[10:], math.Float64bits(v))
 	default:
 		return 0, fmt.Errorf("%w: attribute %T", ErrBadType, value)
 	}
-	return w.addObject(TagAttr, name, p)
+	if err := w.begin(); err != nil {
+		return 0, err
+	}
+	w.put(h)
+	w.put([]byte(str))
+	return w.end(TagAttr, name)
 }
 
 // WriteVGroup writes a named group whose members are previously written
 // objects, as HDF4 vgroups collect related datasets.
 func (w *Writer) WriteVGroup(name string, members []Ref) (Ref, error) {
-	p := &payload{}
-	p.u32(uint32(len(members)))
-	for _, m := range members {
-		p.u32(uint32(m))
+	if err := checkName(name); err != nil {
+		return 0, err
 	}
-	return w.addObject(TagVGroup, name, p)
+	if err := w.begin(); err != nil {
+		return 0, err
+	}
+	binary.LittleEndian.PutUint32(w.scratch[:], uint32(len(members)))
+	w.put(w.scratch[:4])
+	putChunked(w, members, 4, func(b []byte, m Ref) { binary.LittleEndian.PutUint32(b, uint32(m)) })
+	return w.end(TagVGroup, name)
 }
 
 // Close writes the directory and footer, flushes, and closes the underlying
@@ -223,31 +301,36 @@ func (w *Writer) Close() error {
 		return ErrWriterDone
 	}
 	w.done = true
-	if w.err != nil {
-		return w.err
-	}
-	dirOffset := w.offset
-	p := &payload{}
-	for _, e := range w.dir {
-		p.u16(uint16(e.tag))
-		p.u32(uint32(e.ref))
-		p.u64(e.offset)
-		p.u64(e.length)
-		p.u32(e.crc)
-		p.u16(uint16(len(e.name)))
-		p.buf = append(p.buf, e.name...)
-	}
-	p.u64(dirOffset)
-	p.u32(uint32(len(w.dir)))
-	p.buf = append(p.buf, footerMagic...)
-	if _, err := w.w.Write(p.buf); err != nil {
-		return err
-	}
-	if err := w.w.Flush(); err != nil {
-		return err
+	err := w.err
+	if err == nil {
+		w.writeDirectory()
+		err = w.w.Flush()
 	}
 	if w.f != nil {
-		return w.f.Close()
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
+}
+
+// writeDirectory streams the directory entries and the footer into the
+// buffered stream. bufio.Writer's first error sticks, so Flush reports it.
+func (w *Writer) writeDirectory() {
+	dirOffset := w.offset
+	b := w.scratch[:]
+	for _, e := range w.dir {
+		binary.LittleEndian.PutUint16(b, uint16(e.tag))
+		binary.LittleEndian.PutUint32(b[2:], uint32(e.ref))
+		binary.LittleEndian.PutUint64(b[6:], e.offset)
+		binary.LittleEndian.PutUint64(b[14:], e.length)
+		binary.LittleEndian.PutUint32(b[22:], e.crc)
+		binary.LittleEndian.PutUint16(b[26:], uint16(len(e.name)))
+		w.w.Write(b[:28])
+		w.w.WriteString(e.name)
+	}
+	binary.LittleEndian.PutUint64(b, dirOffset)
+	binary.LittleEndian.PutUint32(b[8:], uint32(len(w.dir)))
+	copy(b[12:], footerMagic)
+	w.w.Write(b[:16])
 }

@@ -2,6 +2,7 @@ package shdf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -249,16 +250,20 @@ func TestCopyDecodedDatasetNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// addObject skips WriteSDS's alignment pad: this payload starts right
-	// after the 8-byte header, so its data section sits at offset 20.
-	p := &payload{}
-	p.u16(uint16(TypeFloat64))
-	p.u16(1)
-	p.u64(3)
+	// Streaming the payload through begin/put/end skips WriteSDS's
+	// alignment pad: this payload starts right after the 8-byte header, so
+	// its data section sits at offset 20.
+	p := binary.LittleEndian.AppendUint16(nil, uint16(TypeFloat64))
+	p = binary.LittleEndian.AppendUint16(p, 1)
+	p = binary.LittleEndian.AppendUint64(p, 3)
 	for _, v := range []float64{1.5, 2.5, 3.5} {
-		p.u64(math.Float64bits(v))
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 	}
-	sds, err := w.addObject(TagSDS, "unaligned", p)
+	if err := w.begin(); err != nil {
+		t.Fatal(err)
+	}
+	w.put(p)
+	sds, err := w.end(TagSDS, "unaligned")
 	if err != nil {
 		t.Fatal(err)
 	}

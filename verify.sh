@@ -21,10 +21,11 @@
 #               AllocsPerRun gates re-measure on every run
 #   bench       the repository benchmark's own vet and tests (bench/ is its
 #               own module, so vet/test above never reach it)
-#   benchmem    core query benchmarks and the per-snapshot and per-pass
+#   benchmem    core query benchmarks, the per-snapshot and per-pass
 #               vis/render kernels (surface topology into warm scratch, the
 #               gather over it, a draw into a warm renderer, a recolor of
-#               what it drew) under -benchmem; any benchmark
+#               what it drew) and shdf's 1 MiB WriteSDS, which streams the
+#               caller's array to the file, under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
 #               a zero-alloc path and fails the gate
 #   race-core   race-detector pass over the concurrent core, the mesh/vis
@@ -56,7 +57,10 @@
 #               against one registry (duration from VERIFY_PUSHTIME,
 #               default 10s)
 #   fuzz        fuzz smoke over the checked-in seed corpora: shdf's
-#               FuzzReader, then remote's FuzzFilePayload, FuzzFetchFrame
+#               FuzzReader and FuzzWriter (the streaming writer against the
+#               element-wise oracle, byte for byte, on the native and the
+#               chunked path, plus a read-back), then remote's
+#               FuzzFilePayload, FuzzFetchFrame
 #               (the OpFetch response frame a client accepts from the
 #               network), FuzzSpec, FuzzSubSpec and FuzzEventFrame, each
 #               for VERIFY_FUZZTIME (default 10s)
@@ -108,9 +112,9 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkDrawSurface|BenchmarkRecolor)$' \
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
         -benchmem -benchtime 1000x -count=1 \
-        ./internal/core ./internal/mesh ./internal/vis ./internal/render) || {
+        ./internal/core ./internal/mesh ./internal/vis ./internal/render ./internal/shdf) || {
         echo "$out"
         return 1
     }
@@ -156,6 +160,7 @@ fuzz_one() {
 
 check_fuzz() {
     fuzz_one shdf FuzzReader || return 1
+    fuzz_one shdf FuzzWriter || return 1
     for fn in FuzzFilePayload FuzzFetchFrame FuzzSpec FuzzSubSpec FuzzEventFrame; do
         fuzz_one remote "$fn" || return 1
     done
