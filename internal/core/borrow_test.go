@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -122,9 +123,9 @@ func TestBorrowFieldBufferAliases(t *testing.T) {
 	for i := range donor {
 		donor[i] = float64(i) * 0.5
 	}
-	donated, ok := zerocopy.BytesOfF64s(donor)
+	donated, ok := zerocopy.Bytes(donor)
 	if !ok {
-		t.Fatal("BytesOfF64s failed")
+		t.Fatal("Bytes failed")
 	}
 
 	var borrowed *Buffer
@@ -179,19 +180,36 @@ func TestBorrowFieldBufferAliases(t *testing.T) {
 // Misaligned donations fall back to a private decoded copy — correct data,
 // Borrowed() false, no BytesBorrowed.
 func TestBorrowFieldBufferUnalignedFallsBack(t *testing.T) {
-	db := newTestDB(t, Options{})
-	defineFluidSchema(t, db)
-
 	raw := make([]byte, 8*4+1)
 	unaligned := raw[1:] // off the 8-byte grid on any allocator
 	if zerocopy.Aligned(unaligned, 8) {
 		t.Fatal("test slice unexpectedly aligned")
 	}
+	checkBorrowFallsBack(t, unaligned)
+}
+
+// With the little-endian fast path forced off, as on a big-endian host, an
+// aligned donation falls back to the decoded copy too. It flips a
+// package-level switch, so it must not run in parallel.
+func TestBorrowFieldBufferForcedOffFallsBack(t *testing.T) {
+	defer func(le bool) { zerocopy.LittleEndian = le }(zerocopy.LittleEndian)
+	zerocopy.LittleEndian = false
+	checkBorrowFallsBack(t, zerocopy.MakeOffsetAligned(8*4, 8, 0))
+}
+
+// checkBorrowFallsBack donates four float64s encoded into donation (32
+// bytes the host cannot alias) and checks the buffer is a private copy
+// holding them, element by element.
+func checkBorrowFallsBack(t *testing.T, donation []byte) {
+	t.Helper()
+	db := newTestDB(t, Options{})
+	defineFluidSchema(t, db)
+
 	want := []float64{1.25, -2, 3e9, 0.125}
 	for i, v := range want {
 		u := math.Float64bits(v)
 		for b := 0; b < 8; b++ {
-			unaligned[i*8+b] = byte(u >> (8 * b))
+			donation[i*8+b] = byte(u >> (8 * b))
 		}
 	}
 	err := db.ReadUnit("u1", func(u *Unit) error {
@@ -205,16 +223,19 @@ func TestBorrowFieldBufferUnalignedFallsBack(t *testing.T) {
 		if err := r.SetString("time-step id", "s1"); err != nil {
 			return err
 		}
-		buf, err := r.BorrowFieldBuffer("pressure", unaligned)
+		buf, err := r.BorrowFieldBuffer("pressure", donation)
 		if err != nil {
 			return err
 		}
 		if buf.Borrowed() {
-			return errors.New("unaligned donation claims to be borrowed")
+			return errors.New("an unaliasable donation claims to be borrowed")
 		}
 		vs, err := buf.Float64s()
 		if err != nil {
 			return err
+		}
+		if len(vs) != len(want) {
+			return fmt.Errorf("decoded %d values, want %d", len(vs), len(want))
 		}
 		for i, v := range want {
 			if vs[i] != v {
@@ -275,6 +296,60 @@ func TestBorrowedBufferGuards(t *testing.T) {
 		t.Fatalf("resident borrow: %v, want ErrBorrowed", err)
 	}
 	if err := db.DeleteRecord(res); err != nil {
+		t.Fatal(err)
+	}
+
+	// An empty donation — a nil slice — still reads back as its field's
+	// type: the typed accessors go by the buffer's type, not by whether
+	// its slice is nil.
+	for _, name := range []string{"blob", "vals"} {
+		typ := Bytes
+		if name == "vals" {
+			typ = Float64
+		}
+		if err := db.DefineField(name, typ, Unknown); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.DefineRecordType("empty", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"time-step id", "blob", "vals"} {
+		if err := db.InsertField("empty", f, f == "time-step id"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CommitRecordType("empty"); err != nil {
+		t.Fatal(err)
+	}
+	err = db.ReadUnit("u2", func(u *Unit) error {
+		r, err := u.NewRecord("empty")
+		if err != nil {
+			return err
+		}
+		if err := r.SetString("time-step id", "s1"); err != nil {
+			return err
+		}
+		blob, err := r.BorrowFieldBuffer("blob", nil)
+		if err != nil {
+			return err
+		}
+		if b, err := blob.Bytes(); err != nil || len(b) != 0 {
+			t.Errorf("empty borrowed BYTES buffer: Bytes() = %v, %v; want an empty slice", b, err)
+		}
+		vals, err := r.BorrowFieldBuffer("vals", nil)
+		if err != nil {
+			return err
+		}
+		if v, err := vals.Float64s(); err != nil || len(v) != 0 {
+			t.Errorf("empty borrowed DOUBLE buffer: Float64s() = %v, %v; want an empty slice", v, err)
+		}
+		if _, err := vals.Bytes(); !errors.Is(err, ErrTypeMismatch) {
+			t.Errorf("Bytes() on a DOUBLE buffer: %v, want ErrTypeMismatch", err)
+		}
+		return u.DB().CommitRecord(r)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,8 +16,9 @@ import (
 type Buffer struct {
 	dtype DataType
 	size  int // bytes
-	// Exactly one of the following is non-nil, chosen by dtype, so that
-	// application code gets a typed slice with no copying or unsafe casts.
+	// dtype chooses which one of the following holds the data (it may be
+	// nil for an empty borrowed buffer), so that application code gets a
+	// typed slice with no copying or unsafe casts.
 	raw []byte
 	i32 []int32
 	i64 []int64
@@ -79,58 +80,18 @@ func newBorrowedBuffer(t DataType, data []byte) (b *Buffer, aliased bool, err er
 	b = &Buffer{dtype: t, size: len(data)}
 	switch t {
 	case String, Bytes:
-		b.raw = data
-		b.borrowed = true
-		return b, true, nil
+		b.raw, aliased = zerocopy.Decode[byte](data)
 	case Int32:
-		if v, ok := zerocopy.I32s(data); ok {
-			b.i32 = v
-			b.borrowed = true
-			return b, true, nil
-		}
+		b.i32, aliased = zerocopy.Decode[int32](data)
 	case Int64:
-		if v, ok := zerocopy.I64s(data); ok {
-			b.i64 = v
-			b.borrowed = true
-			return b, true, nil
-		}
+		b.i64, aliased = zerocopy.Decode[int64](data)
 	case Float32:
-		if v, ok := zerocopy.F32s(data); ok {
-			b.f32 = v
-			b.borrowed = true
-			return b, true, nil
-		}
+		b.f32, aliased = zerocopy.Decode[float32](data)
 	case Float64:
-		if v, ok := zerocopy.F64s(data); ok {
-			b.f64 = v
-			b.borrowed = true
-			return b, true, nil
-		}
+		b.f64, aliased = zerocopy.Decode[float64](data)
 	}
-	b, err = newBuffer(t, len(data))
-	if err != nil {
-		return nil, false, err
-	}
-	n := len(data) / es
-	switch t {
-	case Int32:
-		for i := 0; i < n; i++ {
-			b.i32[i] = int32(binary.LittleEndian.Uint32(data[i*4:]))
-		}
-	case Int64:
-		for i := 0; i < n; i++ {
-			b.i64[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
-		}
-	case Float32:
-		for i := 0; i < n; i++ {
-			b.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[i*4:]))
-		}
-	case Float64:
-		for i := 0; i < n; i++ {
-			b.f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-		}
-	}
-	return b, false, nil
+	b.borrowed = aliased
+	return b, aliased, nil
 }
 
 // Type returns the buffer's element type.
@@ -150,7 +111,7 @@ func (b *Buffer) Len() int { return b.size / b.dtype.ElemSize() }
 
 // Bytes returns the underlying byte slice of a String or Bytes buffer.
 func (b *Buffer) Bytes() ([]byte, error) {
-	if b.raw == nil {
+	if b.dtype != String && b.dtype != Bytes {
 		return nil, fmt.Errorf("%w: buffer is %v, not STRING/BYTES", ErrTypeMismatch, b.dtype)
 	}
 	return b.raw, nil
@@ -158,7 +119,7 @@ func (b *Buffer) Bytes() ([]byte, error) {
 
 // Int32s returns the underlying slice of an Int32 buffer.
 func (b *Buffer) Int32s() ([]int32, error) {
-	if b.i32 == nil {
+	if b.dtype != Int32 {
 		return nil, fmt.Errorf("%w: buffer is %v, not INT32", ErrTypeMismatch, b.dtype)
 	}
 	return b.i32, nil
@@ -166,7 +127,7 @@ func (b *Buffer) Int32s() ([]int32, error) {
 
 // Int64s returns the underlying slice of an Int64 buffer.
 func (b *Buffer) Int64s() ([]int64, error) {
-	if b.i64 == nil {
+	if b.dtype != Int64 {
 		return nil, fmt.Errorf("%w: buffer is %v, not INT64", ErrTypeMismatch, b.dtype)
 	}
 	return b.i64, nil
@@ -174,7 +135,7 @@ func (b *Buffer) Int64s() ([]int64, error) {
 
 // Float32s returns the underlying slice of a Float32 buffer.
 func (b *Buffer) Float32s() ([]float32, error) {
-	if b.f32 == nil {
+	if b.dtype != Float32 {
 		return nil, fmt.Errorf("%w: buffer is %v, not FLOAT", ErrTypeMismatch, b.dtype)
 	}
 	return b.f32, nil
@@ -182,7 +143,7 @@ func (b *Buffer) Float32s() ([]float32, error) {
 
 // Float64s returns the underlying slice of a Float64 buffer.
 func (b *Buffer) Float64s() ([]float64, error) {
-	if b.f64 == nil {
+	if b.dtype != Float64 {
 		return nil, fmt.Errorf("%w: buffer is %v, not DOUBLE", ErrTypeMismatch, b.dtype)
 	}
 	return b.f64, nil
@@ -227,21 +188,13 @@ func (b *Buffer) encodeTo(dst []byte) []byte {
 	case String, Bytes:
 		return append(dst, b.raw...)
 	case Int32:
-		for _, v := range b.i32 {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-		}
+		return zerocopy.AppendLE(dst, b.i32)
 	case Int64:
-		for _, v := range b.i64 {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
+		return zerocopy.AppendLE(dst, b.i64)
 	case Float32:
-		for _, v := range b.f32 {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-		}
+		return zerocopy.AppendLE(dst, b.f32)
 	case Float64:
-		for _, v := range b.f64 {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+		return zerocopy.AppendLE(dst, b.f64)
 	}
 	return dst
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
 	"godiva/internal/mesh"
+	"godiva/internal/zerocopy"
 )
 
 // Plain binary format: the alternative the paper contrasts with scientific
@@ -140,55 +140,48 @@ func writePlainFile(w io.Writer, mine []int, blocks []*mesh.TetMesh, t float64) 
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	buf := make([]byte, 8)
-	writeF64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		_, err := w.Write(buf)
-		return err
-	}
 	for _, b := range mine {
 		blk := blocks[b]
 		for _, name := range fields {
+			var err error
 			switch {
 			case name == "coords":
-				for _, v := range blk.Coords {
-					if err := writeF64(v); err != nil {
-						return err
-					}
-				}
+				err = writeLE(w, blk.Coords)
 			case name == "conn":
-				for _, v := range blk.Tets {
-					binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-					if _, err := w.Write(buf[:4]); err != nil {
-						return err
-					}
-				}
+				err = writeLE(w, blk.Tets)
 			case name == "gids":
-				for _, v := range blk.GlobalNode {
-					binary.LittleEndian.PutUint64(buf, uint64(v))
-					if _, err := w.Write(buf); err != nil {
-						return err
-					}
-				}
+				err = writeLE(w, blk.GlobalNode)
 			case IsNodeField(name):
+				vs := make([]float64, 0, 3*blk.NumNodes())
 				for i := 0; i < blk.NumNodes(); i++ {
 					x, y, z := NodeVector(name, blk.Node(int32(i)), t)
-					for _, v := range []float64{x, y, z} {
-						if err := writeF64(v); err != nil {
-							return err
-						}
-					}
+					vs = append(vs, x, y, z)
 				}
+				err = writeLE(w, vs)
 			default:
-				for c := 0; c < blk.NumCells(); c++ {
-					if err := writeF64(ElemScalar(name, blk.CellCentroid(c), t)); err != nil {
-						return err
-					}
+				vs := make([]float64, blk.NumCells())
+				for c := range vs {
+					vs[c] = ElemScalar(name, blk.CellCentroid(c), t)
 				}
+				err = writeLE(w, vs)
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// writeLE writes v's little-endian bytes: v's own memory where the host
+// allows, an encoded copy otherwise.
+func writeLE[T zerocopy.Elem](w io.Writer, v []T) error {
+	b, ok := zerocopy.Bytes(v)
+	if !ok {
+		b = zerocopy.AppendLE(nil, v)
+	}
+	_, err := w.Write(b)
+	return err
 }
 
 // PlainHandle reads one plain snapshot file, charging the platform at the
@@ -205,10 +198,9 @@ type plainKey struct {
 	field string
 }
 
+// plainLoc is one array's byte range within the file.
 type plainLoc struct {
-	off   int64
-	count int
-	field string
+	off, n int64
 }
 
 // OpenPlain reads a plain snapshot file's table of contents.
@@ -243,7 +235,6 @@ func (r *Reader) OpenPlain(path string) (*PlainHandle, error) {
 			return nil, fmt.Errorf("genx: bad field code %d", code)
 		}
 		name := fields[code]
-		h.offsets[plainKey{block, name}] = plainLoc{off: off, count: count, field: name}
 		if !seen[block] {
 			seen[block] = true
 			h.blocks = append(h.blocks, block)
@@ -255,6 +246,7 @@ func (r *Reader) OpenPlain(path string) (*PlainHandle, error) {
 		if count < 0 || count > len(data)/elem {
 			return nil, fmt.Errorf("genx: bad element count %d", count)
 		}
+		h.offsets[plainKey{block, name}] = plainLoc{off: off, n: int64(count * elem)}
 		off += int64(count * elem)
 	}
 	if off != int64(len(data)) {
@@ -268,47 +260,36 @@ func (h *PlainHandle) Blocks() []int { return h.blocks }
 
 // ReadMesh reads a block's mesh arrays.
 func (h *PlainHandle) ReadMesh(block int) (*mesh.TetMesh, error) {
-	coords, err := h.readF64(block, "coords")
+	coords, err := readPlain[float64](h, block, "coords")
 	if err != nil {
 		return nil, err
 	}
-	connLoc, ok := h.offsets[plainKey{block, "conn"}]
-	if !ok {
-		return nil, fmt.Errorf("genx: plain block %d has no connectivity", block)
+	conn, err := readPlain[int32](h, block, "conn")
+	if err != nil {
+		return nil, err
 	}
-	h.charge(connLoc.count * 4)
-	conn := make([]int32, connLoc.count)
-	for i := range conn {
-		conn[i] = int32(binary.LittleEndian.Uint32(h.data[connLoc.off+int64(4*i):]))
-	}
-	gidLoc, ok := h.offsets[plainKey{block, "gids"}]
-	if !ok {
-		return nil, fmt.Errorf("genx: plain block %d has no global IDs", block)
-	}
-	h.charge(gidLoc.count * 8)
-	gids := make([]int64, gidLoc.count)
-	for i := range gids {
-		gids[i] = int64(binary.LittleEndian.Uint64(h.data[gidLoc.off+int64(8*i):]))
+	gids, err := readPlain[int64](h, block, "gids")
+	if err != nil {
+		return nil, err
 	}
 	return &mesh.TetMesh{Coords: coords, Tets: conn, GlobalNode: gids}, nil
 }
 
 // ReadField reads a block's float64 field.
 func (h *PlainHandle) ReadField(block int, field string) ([]float64, error) {
-	return h.readF64(block, field)
+	return readPlain[float64](h, block, field)
 }
 
-func (h *PlainHandle) readF64(block int, field string) ([]float64, error) {
+// readPlain decodes one of a block's arrays, aliasing the file's bytes
+// where the host and the array's offset allow.
+func readPlain[T zerocopy.Elem](h *PlainHandle, block int, field string) ([]T, error) {
 	loc, ok := h.offsets[plainKey{block, field}]
 	if !ok {
 		return nil, fmt.Errorf("genx: plain block %d has no field %q", block, field)
 	}
-	h.charge(loc.count * 8)
-	out := make([]float64, loc.count)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(h.data[loc.off+int64(8*i):]))
-	}
-	return out, nil
+	h.charge(int(loc.n))
+	v, _ := zerocopy.Decode[T](h.data[loc.off : loc.off+loc.n])
+	return v, nil
 }
 
 // charge bills a sequential raw read: transfer plus raw decode, no per-

@@ -1,11 +1,16 @@
 package genx
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"godiva/internal/mesh"
+	"godiva/internal/zerocopy"
 )
 
 func TestPlainRoundTripMatchesSHDF(t *testing.T) {
@@ -15,9 +20,66 @@ func TestPlainRoundTripMatchesSHDF(t *testing.T) {
 		t.Fatal(err)
 	}
 	plainDir := t.TempDir()
-	if _, err := WritePlainDataset(spec, plainDir); err != nil {
+	blocks, err := WritePlainDataset(spec, plainDir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkPlainMatchesSHDF(t, dir, plainDir, blocks)
+}
+
+// With the little-endian fast path forced off, as on a big-endian host,
+// both formats' writers encode element-wise and must still produce the
+// native files byte for byte, and both readers decode those files
+// element-wise to the generator's arrays. It flips a package-level switch,
+// so it must not run in parallel.
+func TestPlainRoundTripMatchesSHDFForcedOff(t *testing.T) {
+	spec := tinySpec()
+	dir, plainDir := t.TempDir(), t.TempDir()
+	if _, err := WriteDataset(spec, dir); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := WritePlainDataset(spec, plainDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(le bool) { zerocopy.LittleEndian = le }(zerocopy.LittleEndian)
+	zerocopy.LittleEndian = false
+	offDir, offPlainDir := t.TempDir(), t.TempDir()
+	if _, err := WriteDataset(spec, offDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WritePlainDataset(spec, offPlainDir); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < spec.Snapshots; step++ {
+		for i := 0; i < spec.FilesPerSnapshot; i++ {
+			sameBytes(t, SnapshotFile(dir, step, i), SnapshotFile(offDir, step, i))
+			sameBytes(t, PlainSnapshotFile(plainDir, step, i), PlainSnapshotFile(offPlainDir, step, i))
+		}
+	}
+	checkPlainMatchesSHDF(t, dir, plainDir, blocks)
+}
+
+func sameBytes(t *testing.T, a, b string) {
+	t.Helper()
+	x, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(x, y) {
+		t.Fatalf("%s and %s differ", a, b)
+	}
+}
+
+// checkPlainMatchesSHDF reads the first snapshot file of both formats and
+// compares them element by element, and the plain mesh arrays with the
+// generator's blocks.
+func checkPlainMatchesSHDF(t *testing.T, dir, plainDir string, blocks []*mesh.TetMesh) {
+	t.Helper()
 	r := &Reader{}
 	sh, err := r.Open(SnapshotFile(dir, 0, 0))
 	if err != nil {
@@ -57,6 +119,11 @@ func TestPlainRoundTripMatchesSHDF(t *testing.T) {
 			if gotMesh.Tets[j] != wantMesh.Tets[j] {
 				t.Fatalf("block %d conn[%d] differ", b, j)
 			}
+		}
+		src := blocks[b]
+		if !slices.Equal(gotMesh.Coords, src.Coords) || !slices.Equal(gotMesh.Tets, src.Tets) ||
+			!slices.Equal(gotMesh.GlobalNode, src.GlobalNode) {
+			t.Fatalf("block %d: plain mesh arrays differ from the generator's", b)
 		}
 		for _, field := range []string{"velocity", "stress_avg", "temperature"} {
 			want, err := sh.ReadField(e, field)

@@ -185,7 +185,7 @@ func (h *FileHandle) ReadField(e BlockEntry, field string) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ds.Float64s == nil {
+	if ds.Type != shdf.TypeFloat64 {
 		return nil, fmt.Errorf("genx: field %q of %s is %v, not float64", field, e.Name, ds.Type)
 	}
 	return ds.Float64s, nil
@@ -205,7 +205,7 @@ func (h *FileHandle) ReadMesh(e BlockEntry) (*mesh.TetMesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	if conn.Int32s == nil {
+	if conn.Type != shdf.TypeInt32 {
 		return nil, fmt.Errorf("genx: connectivity of %s is %v", e.Name, conn.Type)
 	}
 	gidInfo, ok := e.Members["gids"]
@@ -216,7 +216,7 @@ func (h *FileHandle) ReadMesh(e BlockEntry) (*mesh.TetMesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gids.Int64s == nil {
+	if gids.Type != shdf.TypeInt64 {
 		return nil, fmt.Errorf("genx: global IDs of %s are %v", e.Name, gids.Type)
 	}
 	return &mesh.TetMesh{Coords: coords, Tets: conn.Int32s, GlobalNode: gids.Int64s}, nil

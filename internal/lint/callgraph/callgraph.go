@@ -207,6 +207,15 @@ func (g *Graph) Resolve(info *types.Info, call *ast.CallExpr) Resolution {
 	if tv, ok := info.Types[fun]; ok && tv.IsType() {
 		return Resolution{Conversion: true}
 	}
+	// An explicit instantiation, F[T](...), calls F: the graph keys every
+	// instance by its Origin. Any other indexed callee is an element of a
+	// variable (a slice or map of funcs), which still resolves as dynamic.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
 	switch fn := fun.(type) {
 	case *ast.FuncLit:
 		return Resolution{Lit: fn}

@@ -1,7 +1,8 @@
 // Package allocbad seeds //godiva:noalloc violations for the alloccheck
 // analyzer: direct allocations on hot paths, a transitive allocation
-// through a module call, and the conforming cold-path exemption (error
-// branches may allocate their diagnostics).
+// through a module call, generic functions annotated or called through an
+// instantiation, and the conforming cold-path exemption (error branches may
+// allocate their diagnostics).
 package allocbad
 
 import (
@@ -32,6 +33,29 @@ func slowPath() []int {
 //godiva:noalloc
 func callsSlow() []int {
 	return slowPath() // want alloccheck `call to allocbad.slowPath may allocate`
+}
+
+// hotGeneric allocates in a generic body, checked once for every
+// instantiation.
+//
+//godiva:noalloc
+func hotGeneric[T int32 | float64](n int) []T {
+	return make([]T, n) // want alloccheck `make allocates`
+}
+
+// makeLike allocates but carries no annotation ...
+func makeLike[T int32 | float64](like []T, n int) []T {
+	return make([]T, n+len(like))
+}
+
+// ... and is flagged at annotated callers through an explicit or an
+// inferred instantiation (the call graph keys both by the generic origin).
+//
+//godiva:noalloc
+func callsGeneric(n int, like []int32) ([]float64, []int32) {
+	a := makeLike[float64](nil, n) // want alloccheck `call to allocbad.makeLike may allocate`
+	b := makeLike(like, n)         // want alloccheck `call to allocbad.makeLike may allocate`
+	return a, b
 }
 
 //godiva:noalloc

@@ -132,51 +132,20 @@ func (s *segEnc) alignTo(n int) {
 	}
 }
 
-// f64s encodes a float64 array: u32 count, pad to 8, then the elements —
+// encodeArray encodes an array: u32 count, pad to 8, then the elements —
 // borrowed in place on little-endian hosts, copied element-wise otherwise.
-func (s *segEnc) f64s(v []float64) {
+func encodeArray[T zerocopy.Elem](s *segEnc, v []T) {
 	s.e.u32(uint32(len(v)))
 	s.alignTo(8)
-	if seg, ok := zerocopy.BytesOfF64s(v); ok {
+	if seg, ok := zerocopy.Bytes(v); ok {
 		if len(seg) > 0 {
 			s.borrow(seg)
 		}
 		return
 	}
-	for _, x := range v {
-		s.e.f64(x)
-	}
-	s.copied += int64(8 * len(v))
-}
-
-func (s *segEnc) i32s(v []int32) {
-	s.e.u32(uint32(len(v)))
-	s.alignTo(8)
-	if seg, ok := zerocopy.BytesOfI32s(v); ok {
-		if len(seg) > 0 {
-			s.borrow(seg)
-		}
-		return
-	}
-	for _, x := range v {
-		s.e.u32(uint32(x))
-	}
-	s.copied += int64(4 * len(v))
-}
-
-func (s *segEnc) i64s(v []int64) {
-	s.e.u32(uint32(len(v)))
-	s.alignTo(8)
-	if seg, ok := zerocopy.BytesOfI64s(v); ok {
-		if len(seg) > 0 {
-			s.borrow(seg)
-		}
-		return
-	}
-	for _, x := range v {
-		s.e.u64(uint64(x))
-	}
-	s.copied += int64(8 * len(v))
+	n := len(s.e.b)
+	s.e.b = zerocopy.AppendLE(s.e.b, v)
+	s.copied += int64(len(s.e.b) - n)
 }
 
 // encodeFilePayloadSegments serializes a FilePayload as scattered frame
@@ -216,18 +185,18 @@ func (s *segEnc) filePayload(fp *FilePayload) {
 	for _, bd := range fp.Blocks {
 		s.e.u32(uint32(bd.ID))
 		s.e.str(bd.Name)
-		s.f64s(bd.Mesh.Coords)
-		s.i32s(bd.Mesh.Tets)
-		s.i64s(bd.Mesh.GlobalNode)
+		encodeArray(s, bd.Mesh.Coords)
+		encodeArray(s, bd.Mesh.Tets)
+		encodeArray(s, bd.Mesh.GlobalNode)
 		s.e.u16(uint16(len(bd.Node)))
 		for _, name := range sortedKeys(bd.Node) {
 			s.e.str(name)
-			s.f64s(bd.Node[name])
+			encodeArray(s, bd.Node[name])
 		}
 		s.e.u16(uint16(len(bd.Elem)))
 		for _, name := range sortedKeys(bd.Elem) {
 			s.e.str(name)
-			s.f64s(bd.Elem[name])
+			encodeArray(s, bd.Elem[name])
 		}
 	}
 }
@@ -245,16 +214,16 @@ func (d *dec) filePayload() *FilePayload {
 			Node: make(map[string][]float64),
 			Elem: make(map[string][]float64),
 		}
-		bd.Mesh.Coords = d.f64s()
-		bd.Mesh.Tets = d.i32s()
-		bd.Mesh.GlobalNode = d.i64s()
+		bd.Mesh.Coords = decodeArray[float64](d)
+		bd.Mesh.Tets = decodeArray[int32](d)
+		bd.Mesh.GlobalNode = decodeArray[int64](d)
 		nnode := int(d.u16())
 		for j := 0; j < nnode && d.err == nil; j++ {
-			bd.Node[d.str()] = d.f64s()
+			bd.Node[d.str()] = decodeArray[float64](d)
 		}
 		nelem := int(d.u16())
 		for j := 0; j < nelem && d.err == nil; j++ {
-			bd.Elem[d.str()] = d.f64s()
+			bd.Elem[d.str()] = decodeArray[float64](d)
 		}
 		bd.Time = fp.Time
 		bd.StepID = fp.StepID

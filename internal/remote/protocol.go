@@ -331,62 +331,25 @@ func (d *dec) align(n int) {
 	}
 }
 
-// f64s decodes an array of float64. When the frame body sits in an aligned
-// buffer (readFrame allocates payloads 8-byte aligned, and encoders pad
-// array data to 8-byte payload offsets) the returned slice aliases the body
-// in place; otherwise the elements are copied out and counted in d.copied.
-func (d *dec) f64s() []float64 {
-	n := d.count(8)
+// decodeArray decodes a u32-counted array of T. When the frame body sits in
+// an aligned buffer (readFrame allocates payloads 8-byte aligned, and
+// encoders pad array data to 8-byte payload offsets) the returned slice
+// aliases the body in place; otherwise the elements are copied out and
+// counted in d.copied.
+func decodeArray[T zerocopy.Elem](d *dec) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	n := d.count(size)
 	d.align(8)
-	raw := d.need(8 * n)
+	raw := d.need(size * n)
 	if raw == nil {
 		return nil
 	}
-	if v, ok := zerocopy.F64s(raw); ok {
-		return v
+	v, aliased := zerocopy.Decode[T](raw)
+	if !aliased {
+		d.copied += int64(len(raw))
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	d.copied += int64(8 * n)
-	return out
-}
-
-func (d *dec) i32s() []int32 {
-	n := d.count(4)
-	d.align(8)
-	raw := d.need(4 * n)
-	if raw == nil {
-		return nil
-	}
-	if v, ok := zerocopy.I32s(raw); ok {
-		return v
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	d.copied += int64(4 * n)
-	return out
-}
-
-func (d *dec) i64s() []int64 {
-	n := d.count(8)
-	d.align(8)
-	raw := d.need(8 * n)
-	if raw == nil {
-		return nil
-	}
-	if v, ok := zerocopy.I64s(raw); ok {
-		return v
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	d.copied += int64(8 * n)
-	return out
+	return v
 }
 
 // encodeErr builds a RespErr payload.

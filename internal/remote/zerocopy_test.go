@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -115,6 +116,50 @@ func TestFilePayloadRoundTripSegments(t *testing.T) {
 	got, _, err := decodeBody(flattenSegments(segs))
 	if err != nil {
 		t.Fatal(err)
+	}
+	samePayload(t, got, fp)
+}
+
+// With the little-endian fast path forced off, as on a big-endian host, the
+// same round trip encodes every array element-wise into the native bytes
+// and decodes the native bytes element-wise, and both sides count exactly
+// the array bytes as copied. It flips a package-level switch, so it must
+// not run in parallel.
+func TestFilePayloadRoundTripSegmentsForcedOff(t *testing.T) {
+	fp := samplePayload()
+	var arrays int64
+	for _, bd := range fp.Blocks {
+		arrays += int64(8*len(bd.Mesh.Coords) + 4*len(bd.Mesh.Tets) + 8*len(bd.Mesh.GlobalNode))
+		for _, v := range bd.Node {
+			arrays += int64(8 * len(v))
+		}
+		for _, v := range bd.Elem {
+			arrays += int64(8 * len(v))
+		}
+	}
+	segs, _, err := encodeFilePayloadSegments(fp, maxFrame-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := flattenSegments(segs)
+	defer func(le bool) { zerocopy.LittleEndian = le }(zerocopy.LittleEndian)
+	zerocopy.LittleEndian = false
+	segs, copied, err := encodeFilePayloadSegments(fp, maxFrame-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied != arrays {
+		t.Fatalf("encode copied %d array bytes, want all %d", copied, arrays)
+	}
+	if !bytes.Equal(flattenSegments(segs), native) {
+		t.Fatal("element-wise encoding differs from the native bytes")
+	}
+	got, copied, err := decodeBody(native)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied != arrays {
+		t.Fatalf("decode copied %d array bytes, want all %d", copied, arrays)
 	}
 	samePayload(t, got, fp)
 }

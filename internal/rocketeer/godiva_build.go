@@ -3,6 +3,7 @@ package rocketeer
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"godiva/internal/core"
 	"godiva/internal/genx"
@@ -210,27 +211,27 @@ func blockCommitter(test VisTest, borrow bool) remote.CommitFunc {
 		if err := rec.SetString(fieldStep, bd.StepID); err != nil {
 			return err
 		}
-		if err := fillFloat64(rec, "coords", bd.Mesh.Coords, borrow); err != nil {
+		if err := fill(rec, "coords", bd.Mesh.Coords, borrow, (*core.Buffer).Float64s); err != nil {
 			return err
 		}
-		if err := fillInt32(rec, "conn", bd.Mesh.Tets, borrow); err != nil {
+		if err := fill(rec, "conn", bd.Mesh.Tets, borrow, (*core.Buffer).Int32s); err != nil {
 			return err
 		}
-		if err := fillInt64(rec, "gids", bd.Mesh.GlobalNode, borrow); err != nil {
+		if err := fill(rec, "gids", bd.Mesh.GlobalNode, borrow, (*core.Buffer).Int64s); err != nil {
 			return err
 		}
 		for name, data := range bd.Node {
-			if err := fillFloat64(rec, name, data, borrow); err != nil {
+			if err := fill(rec, name, data, borrow, (*core.Buffer).Float64s); err != nil {
 				return err
 			}
 		}
 		for name, data := range bd.Elem {
-			if err := fillFloat64(rec, name, data, borrow); err != nil {
+			if err := fill(rec, name, data, borrow, (*core.Buffer).Float64s); err != nil {
 				return err
 			}
 		}
 		if surface {
-			if err := fillInt32(rec, fieldSurface, bd.Mesh.AppendBoundaryFaces(nil), true); err != nil {
+			if err := fill(rec, fieldSurface, bd.Mesh.AppendBoundaryFaces(nil), true, (*core.Buffer).Int32s); err != nil {
 				return err
 			}
 		}
@@ -238,54 +239,22 @@ func blockCommitter(test VisTest, borrow bool) remote.CommitFunc {
 	}
 }
 
-// fillFloat64, fillInt32 and fillInt64 make data field's buffer: data itself
-// when borrow is set and the host can view it in the files' little-endian
-// byte order, a copy otherwise. Either way the buffer is charged the same
-// bytes.
-func fillFloat64(rec *core.Record, field string, data []float64, borrow bool) error {
-	if raw, ok := zerocopy.BytesOfF64s(data); borrow && ok {
+// fill makes data field's buffer: data itself when borrow is set and the
+// host can view it in the files' little-endian byte order, otherwise a copy
+// into an allocated buffer, whose typed slice view returns. Either way the
+// buffer is charged the same bytes.
+func fill[T float64 | int32 | int64](rec *core.Record, field string, data []T, borrow bool,
+	view func(*core.Buffer) ([]T, error)) error {
+	if raw, ok := zerocopy.Bytes(data); borrow && ok {
 		_, err := rec.BorrowFieldBuffer(field, raw)
 		return err
 	}
-	buf, err := rec.AllocFieldBuffer(field, 8*len(data))
+	var zero T
+	buf, err := rec.AllocFieldBuffer(field, int(unsafe.Sizeof(zero))*len(data))
 	if err != nil {
 		return err
 	}
-	dst, err := buf.Float64s()
-	if err != nil {
-		return err
-	}
-	copy(dst, data)
-	return nil
-}
-
-func fillInt32(rec *core.Record, field string, data []int32, borrow bool) error {
-	if raw, ok := zerocopy.BytesOfI32s(data); borrow && ok {
-		_, err := rec.BorrowFieldBuffer(field, raw)
-		return err
-	}
-	buf, err := rec.AllocFieldBuffer(field, 4*len(data))
-	if err != nil {
-		return err
-	}
-	dst, err := buf.Int32s()
-	if err != nil {
-		return err
-	}
-	copy(dst, data)
-	return nil
-}
-
-func fillInt64(rec *core.Record, field string, data []int64, borrow bool) error {
-	if raw, ok := zerocopy.BytesOfI64s(data); borrow && ok {
-		_, err := rec.BorrowFieldBuffer(field, raw)
-		return err
-	}
-	buf, err := rec.AllocFieldBuffer(field, 8*len(data))
-	if err != nil {
-		return err
-	}
-	dst, err := buf.Int64s()
+	dst, err := view(buf)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -503,44 +504,15 @@ func (f *File) ReadSDS(ref Ref) (*Dataset, error) {
 	// endianness allow; the copying decode below remains the fallback.
 	switch nt {
 	case TypeUint8:
-		ds.Uint8s = raw[:len(raw):len(raw)]
-		ds.Borrowed = true
+		ds.Uint8s, ds.Borrowed = zerocopy.Decode[uint8](raw)
 	case TypeInt32:
-		if v, ok := zerocopy.I32s(raw); ok {
-			ds.Int32s, ds.Borrowed = v, true
-			break
-		}
-		ds.Int32s = make([]int32, n)
-		for i := range ds.Int32s {
-			ds.Int32s[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
-		}
+		ds.Int32s, ds.Borrowed = zerocopy.Decode[int32](raw)
 	case TypeInt64:
-		if v, ok := zerocopy.I64s(raw); ok {
-			ds.Int64s, ds.Borrowed = v, true
-			break
-		}
-		ds.Int64s = make([]int64, n)
-		for i := range ds.Int64s {
-			ds.Int64s[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
+		ds.Int64s, ds.Borrowed = zerocopy.Decode[int64](raw)
 	case TypeFloat32:
-		if v, ok := zerocopy.F32s(raw); ok {
-			ds.Float32s, ds.Borrowed = v, true
-			break
-		}
-		ds.Float32s = make([]float32, n)
-		for i := range ds.Float32s {
-			ds.Float32s[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-		}
+		ds.Float32s, ds.Borrowed = zerocopy.Decode[float32](raw)
 	case TypeFloat64:
-		if v, ok := zerocopy.F64s(raw); ok {
-			ds.Float64s, ds.Borrowed = v, true
-			break
-		}
-		ds.Float64s = make([]float64, n)
-		for i := range ds.Float64s {
-			ds.Float64s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		}
+		ds.Float64s, ds.Borrowed = zerocopy.Decode[float64](raw)
 	}
 	if ds.Borrowed {
 		f.mu.Lock()
@@ -620,14 +592,17 @@ func (f *File) ReadVGroup(ref Ref) (*VGroup, error) {
 	if count < 0 || count > 1<<24 || count > (len(buf)-4)/4 {
 		return nil, fmt.Errorf("%w: vgroup %q count", ErrCorrupt, e.name)
 	}
-	g := &VGroup{Name: e.name, Members: make([]Ref, count)}
-	for i := range g.Members {
-		g.Members[i] = Ref(d.u32())
-	}
+	raw := d.bytes(4 * count)
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: vgroup %q", ErrCorrupt, e.name)
 	}
-	return g, nil
+	// Members outlives the payload, which may be a read-only mapping, so a
+	// view of it is copied.
+	members, aliased := zerocopy.Decode[Ref](raw)
+	if aliased {
+		members = slices.Clone(members)
+	}
+	return &VGroup{Name: e.name, Members: members}, nil
 }
 
 // VGroups lists all vgroups, sorted by name, with their members decoded.

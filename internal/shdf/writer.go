@@ -105,16 +105,17 @@ func (w *Writer) put(b []byte) {
 	w.n += uint64(len(b))
 }
 
-// putChunked streams v element by element in little-endian order, encoding
-// a scratch-sized chunk at a time with enc (size bytes per element).
-func putChunked[T any](w *Writer, v []T, size int, enc func(b []byte, x T)) {
-	per := len(w.scratch) / size
+// putArray streams v's little-endian bytes: v's own memory where the host
+// allows, otherwise encoded a scratch-sized chunk at a time.
+func putArray[T zerocopy.Elem](w *Writer, v []T) {
+	if b, ok := zerocopy.Bytes(v); ok {
+		w.put(b)
+		return
+	}
+	const per = scratchSize / 8 // elements of the widest type
 	for len(v) > 0 {
 		k := min(len(v), per)
-		for i, x := range v[:k] {
-			enc(w.scratch[i*size:], x)
-		}
-		w.put(w.scratch[:k*size])
+		w.put(zerocopy.AppendLE(w.scratch[:0], v[:k]))
 		v = v[k:]
 	}
 }
@@ -213,31 +214,15 @@ func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
 	w.put(h)
 	switch v := data.(type) {
 	case []uint8:
-		w.put(v)
+		putArray(w, v)
 	case []int32:
-		if b, ok := zerocopy.BytesOfI32s(v); ok {
-			w.put(b)
-		} else {
-			putChunked(w, v, 4, func(b []byte, x int32) { binary.LittleEndian.PutUint32(b, uint32(x)) })
-		}
+		putArray(w, v)
 	case []int64:
-		if b, ok := zerocopy.BytesOfI64s(v); ok {
-			w.put(b)
-		} else {
-			putChunked(w, v, 8, func(b []byte, x int64) { binary.LittleEndian.PutUint64(b, uint64(x)) })
-		}
+		putArray(w, v)
 	case []float32:
-		if b, ok := zerocopy.BytesOfF32s(v); ok {
-			w.put(b)
-		} else {
-			putChunked(w, v, 4, func(b []byte, x float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(x)) })
-		}
+		putArray(w, v)
 	case []float64:
-		if b, ok := zerocopy.BytesOfF64s(v); ok {
-			w.put(b)
-		} else {
-			putChunked(w, v, 8, func(b []byte, x float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(x)) })
-		}
+		putArray(w, v)
 	}
 	return w.end(TagSDS, name)
 }
@@ -290,7 +275,7 @@ func (w *Writer) WriteVGroup(name string, members []Ref) (Ref, error) {
 	}
 	binary.LittleEndian.PutUint32(w.scratch[:], uint32(len(members)))
 	w.put(w.scratch[:4])
-	putChunked(w, members, 4, func(b []byte, m Ref) { binary.LittleEndian.PutUint32(b, uint32(m)) })
+	putArray(w, members)
 	return w.end(TagVGroup, name)
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"godiva/internal/zerocopy"
@@ -303,6 +304,115 @@ func TestCopyDecodedDatasetNotMemoized(t *testing.T) {
 	}
 }
 
+// With the little-endian fast path forced off, as on a big-endian host,
+// every NumType's aligned data section in a natively written file decodes
+// to a fresh copy on every read of a mapped file, element for element,
+// while the verified payload stays memoized. It flips a package-level
+// switch, so it must not run in parallel.
+func TestCopyDecodedDatasetNotMemoizedForcedOff(t *testing.T) {
+	data := []any{
+		[]uint8{0, 1, 0x7f, 0x80, 0xff},
+		[]int32{math.MinInt32, -1, 0, 1, math.MaxInt32},
+		[]int64{math.MinInt64, -1, 0, 1 << 40, math.MaxInt64},
+		[]float32{float32(math.Inf(-1)), -0.5, 0, 1.5, math.MaxFloat32},
+		[]float64{math.Inf(1), -0.25, math.SmallestNonzeroFloat64, 2.5, math.MaxFloat64},
+	}
+	path := filepath.Join(t.TempDir(), "forced-off.shdf")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]Ref, len(data))
+	for i, d := range data {
+		if refs[i], err = w.WriteSDS("v", []int{5}, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	defer func(le bool) { zerocopy.LittleEndian = le }(zerocopy.LittleEndian)
+	zerocopy.LittleEndian = false
+	f, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !f.Mapped() {
+		t.Skip("mmap unavailable")
+	}
+	for i, ref := range refs {
+		first, err := f.ReadSDS(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Borrowed {
+			t.Fatalf("%v dataset borrowed with the fast path off", first.Type)
+		}
+		second, err := f.ReadSDS(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second == first {
+			t.Fatalf("%v dataset memoized with the fast path off", first.Type)
+		}
+		for _, ds := range []*Dataset{first, second} {
+			if got := datasetBits(ds); !slices.Equal(got, bitsOf(data[i])) {
+				t.Fatalf("%v dataset decoded to %v, want %v", ds.Type, got, bitsOf(data[i]))
+			}
+		}
+	}
+	if n := f.Checksums(); n != len(refs) {
+		t.Fatalf("two reads of %d objects ran %d CRCs, want %d", len(refs), n, len(refs))
+	}
+}
+
+// datasetBits returns a dataset's elements as bit patterns.
+func datasetBits(ds *Dataset) []uint64 {
+	switch ds.Type {
+	case TypeUint8:
+		return bitsOf(ds.Uint8s)
+	case TypeInt32:
+		return bitsOf(ds.Int32s)
+	case TypeInt64:
+		return bitsOf(ds.Int64s)
+	case TypeFloat32:
+		return bitsOf(ds.Float32s)
+	case TypeFloat64:
+		return bitsOf(ds.Float64s)
+	}
+	return nil
+}
+
+// bitsOf returns the elements of one of WriteSDS's slice types as bit
+// patterns, so NaNs and signed zeros compare exactly.
+func bitsOf(data any) []uint64 {
+	var out []uint64
+	switch v := data.(type) {
+	case []uint8:
+		for _, x := range v {
+			out = append(out, uint64(x))
+		}
+	case []int32:
+		for _, x := range v {
+			out = append(out, uint64(uint32(x)))
+		}
+	case []int64:
+		for _, x := range v {
+			out = append(out, uint64(x))
+		}
+	case []float32:
+		for _, x := range v {
+			out = append(out, uint64(math.Float32bits(x)))
+		}
+	case []float64:
+		for _, x := range v {
+			out = append(out, math.Float64bits(x))
+		}
+	}
+	return out
+}
+
 // The writer's alignment pad puts every SDS data section on an 8-byte file
 // offset, the precondition for mapped aliasing.
 func TestWriterAlignsSDSData(t *testing.T) {
@@ -369,9 +479,9 @@ func TestReadAtPathBorrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, ok := zerocopy.BytesOfF64s(ds.Float64s)
+	bs, ok := zerocopy.Bytes(ds.Float64s)
 	if !ok {
-		t.Fatal("BytesOfF64s failed on little-endian host")
+		t.Fatal("Bytes failed on little-endian host")
 	}
 	if &bs[0] != &raw[4+8*2] {
 		t.Fatal("borrowed dataset does not alias the memoized payload")

@@ -15,38 +15,61 @@ import (
 )
 
 func TestNoAllocGates(t *testing.T) {
-	f64 := make([]float64, 16)
-	f32 := make([]float32, 16)
+	// One backing array per element width, so every view below is
+	// aligned and whole. uint32 stands in for shdf.Ref, which shares its
+	// instantiation.
+	u8 := make([]uint8, 64)
 	i32 := make([]int32, 16)
+	u32 := make([]uint32, 16)
 	i64 := make([]int64, 16)
-	b8, _ := BytesOfF64s(f64)
-	b4, _ := BytesOfF32s(f32)
+	f32 := make([]float32, 16)
+	f64 := make([]float64, 8)
+	b8, _ := Bytes(f64)
+	b4, _ := Bytes(f32)
 	var (
 		ok   bool
-		vF64 []float64
-		vF32 []float32
+		vU8  []uint8
 		vI32 []int32
+		vU32 []uint32
 		vI64 []int64
-		bs   []byte
+		vF32 []float32
+		vF64 []float64
+		bs   [6][]byte
 	)
 	noalloctest.Check(t, ".", map[string]func(){
-		"aligned":     func() { ok = aligned(64, 8) },
-		"Aligned":     func() { ok = Aligned(b8, 8) },
-		"F64s":        func() { vF64, ok = F64s(b8) },
-		"F32s":        func() { vF32, ok = F32s(b4) },
-		"I32s":        func() { vI32, ok = I32s(b4) },
-		"I64s":        func() { vI64, ok = I64s(b8) },
-		"BytesOfF64s": func() { bs, ok = BytesOfF64s(f64) },
-		"BytesOfF32s": func() { bs, ok = BytesOfF32s(f32) },
-		"BytesOfI32s": func() { bs, ok = BytesOfI32s(i32) },
-		"BytesOfI64s": func() { bs, ok = BytesOfI64s(i64) },
+		"aligned": func() { ok = aligned(64, 8) },
+		"Aligned": func() { ok = Aligned(b8, 8) },
+		"View": func() {
+			vU8, _ = View[uint8](b8)
+			vI32, _ = View[int32](b4)
+			vU32, _ = View[uint32](b4)
+			vI64, _ = View[int64](b8)
+			vF32, _ = View[float32](b4)
+			vF64, ok = View[float64](b8)
+		},
+		"Bytes": func() {
+			bs[0], _ = Bytes(u8)
+			bs[1], _ = Bytes(i32)
+			bs[2], _ = Bytes(u32)
+			bs[3], _ = Bytes(i64)
+			bs[4], _ = Bytes(f32)
+			bs[5], ok = Bytes(f64)
+		},
 	})
 	if t.Failed() {
 		return
 	}
 	// On this host (gates only measure, they don't assert endianness) the
 	// last round of calls must have produced live views.
-	if LittleEndian && (!ok || vF64 == nil || vF32 == nil || vI32 == nil || vI64 == nil || bs == nil) {
-		t.Error("gates left nil views on a little-endian host")
+	if !LittleEndian {
+		return
+	}
+	if !ok || vU8 == nil || vI32 == nil || vU32 == nil || vI64 == nil || vF32 == nil || vF64 == nil {
+		t.Error("View gates left nil views on a little-endian host")
+	}
+	for i, b := range bs {
+		if b == nil {
+			t.Errorf("Bytes gate %d left a nil view on a little-endian host", i)
+		}
 	}
 }

@@ -1,22 +1,28 @@
-// Package zerocopy reinterprets byte slices as typed numeric slices (and
-// back) without copying, when the platform allows it. It is the common seam
-// of the zero-copy read path: the shdf reader aliases mmap'd payloads as
-// Dataset views, the remote wire path aliases response bodies as field
-// arrays and field arrays as scatter-send segments, and core.Buffer adopts
-// donated byte slices as typed buffers.
+// Package zerocopy is the repository's one little-endian array codec. Every
+// array in its formats — SHDF datasets, plain snapshot files, godivad frames,
+// core field buffers — is stored as little-endian elements, and every layer
+// turns those bytes into typed slices (and back) through the four functions
+// here:
+//
+//   - View aliases bytes as a typed slice, with no copy;
+//   - Bytes aliases a typed slice as its bytes, with no copy;
+//   - Decode is View, or else a fresh element-wise copy;
+//   - AppendLE is the element-wise encode, Bytes's fallback.
 //
 // An alias is only produced when (a) the host is little-endian, so the
 // in-memory representation matches the on-disk/wire format byte for byte,
-// and (b) the slice is naturally aligned for the element type. Every
-// function reports success; on false the caller must fall back to the
-// copying decode, which is always correct. Callers own the aliasing
-// contract: an aliased slice shares memory with its source, so writes
-// through either are visible through both (and fault on read-only
-// mappings).
+// and (b) for View, the bytes are naturally aligned for the element type and
+// hold whole elements. The fallbacks convert each element's bit pattern with
+// encoding/binary's LittleEndian, never by copying memory and swapping, so
+// they are correct on any host and LittleEndian=false on a little-endian host
+// rehearses a big-endian one faithfully. Callers own the aliasing contract:
+// an aliased slice shares memory with its source, so writes through either
+// are visible through both (and fault on read-only mappings).
 package zerocopy
 
 import (
 	"encoding/binary"
+	"slices"
 	"unsafe"
 )
 
@@ -31,17 +37,17 @@ func isLittleEndian() bool {
 	return probe[0] == 0xFE
 }
 
-// Shared empty results: aliasing an empty slice has no bytes to share, but
-// callers distinguish "decoded an empty array" (non-nil) from "cannot
-// alias" (nil), and the hot-path functions below must not allocate even a
-// zero-length header's backing.
-var (
-	emptyBytes = make([]byte, 0)
-	emptyF64s  = make([]float64, 0)
-	emptyF32s  = make([]float32, 0)
-	emptyI32s  = make([]int32, 0)
-	emptyI64s  = make([]int64, 0)
-)
+// Elem is the set of element types the formats store as arrays: bytes,
+// 32- and 64-bit integers, and IEEE floats.
+type Elem interface {
+	~uint8 | ~int32 | ~uint32 | ~int64 | ~float32 | ~float64
+}
+
+// size returns T's width in bytes: 1, 4 or 8.
+func size[T Elem]() int {
+	var zero T
+	return int(unsafe.Sizeof(zero))
+}
 
 // aligned reports whether p is a multiple of align (a power of two).
 //
@@ -70,110 +76,86 @@ func MakeOffsetAligned(n, align, rem int) []byte {
 	return raw[pad : pad+n : pad+n]
 }
 
-// F64s aliases b as a []float64. ok is false — and the result nil — when
-// the host is big-endian, b is not 8-byte aligned, or len(b) is not a
-// multiple of 8.
+// View aliases b as a []T. ok is false — and v nil — when the host is
+// big-endian, b is not aligned to T's size, or len(b) is not a whole number
+// of elements. An empty b views as a nil slice.
 //
 //godiva:noalloc
-func F64s(b []byte) (v []float64, ok bool) {
-	if !LittleEndian || len(b)%8 != 0 || !Aligned(b, 8) {
+func View[T Elem](b []byte) (v []T, ok bool) {
+	n := size[T]()
+	if !LittleEndian || len(b)%n != 0 || !Aligned(b, n) {
 		return nil, false
 	}
 	if len(b) == 0 {
-		return emptyF64s, true
+		return nil, true
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8), true
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/n), true
 }
 
-// F32s aliases b as a []float32 (4-byte alignment).
+// Bytes aliases v's elements as raw little-endian bytes. ok is false — and
+// b nil — on a big-endian host. Typed slices are always naturally aligned,
+// so alignment cannot fail. An empty v gives a nil b.
 //
 //godiva:noalloc
-func F32s(b []byte) (v []float32, ok bool) {
-	if !LittleEndian || len(b)%4 != 0 || !Aligned(b, 4) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return emptyF32s, true
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), true
-}
-
-// I32s aliases b as a []int32 (4-byte alignment).
-//
-//godiva:noalloc
-func I32s(b []byte) (v []int32, ok bool) {
-	if !LittleEndian || len(b)%4 != 0 || !Aligned(b, 4) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return emptyI32s, true
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4), true
-}
-
-// I64s aliases b as a []int64 (8-byte alignment).
-//
-//godiva:noalloc
-func I64s(b []byte) (v []int64, ok bool) {
-	if !LittleEndian || len(b)%8 != 0 || !Aligned(b, 8) {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return emptyI64s, true
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8), true
-}
-
-// BytesOfF64s aliases v's elements as raw little-endian bytes. ok is false
-// on big-endian hosts (bytes would be in the wrong order for the wire).
-// Typed slices are always naturally aligned, so alignment cannot fail.
-//
-//godiva:noalloc
-func BytesOfF64s(v []float64) (b []byte, ok bool) {
+func Bytes[T Elem](v []T) (b []byte, ok bool) {
 	if !LittleEndian {
 		return nil, false
 	}
 	if len(v) == 0 {
-		return emptyBytes, true
+		return nil, true
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v)), true
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*size[T]()), true
 }
 
-// BytesOfF32s aliases v's elements as raw little-endian bytes.
-//
-//godiva:noalloc
-func BytesOfF32s(v []float32) (b []byte, ok bool) {
-	if !LittleEndian {
-		return nil, false
+// Decode returns b's elements: View's alias when it succeeds (aliased is
+// true), otherwise a fresh copy decoded element by element. A trailing
+// partial element is ignored.
+func Decode[T Elem](b []byte) (v []T, aliased bool) {
+	if v, ok := View[T](b); ok {
+		return v, true
 	}
-	if len(v) == 0 {
-		return emptyBytes, true
+	v = make([]T, len(b)/size[T]())
+	switch size[T]() {
+	case 1:
+		copy(words[uint8](v), b)
+	case 4:
+		w := words[uint32](v)
+		for i := range w {
+			w[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+	case 8:
+		w := words[uint64](v)
+		for i := range w {
+			w[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v)), true
+	return v, false
 }
 
-// BytesOfI32s aliases v's elements as raw little-endian bytes.
-//
-//godiva:noalloc
-func BytesOfI32s(v []int32) (b []byte, ok bool) {
-	if !LittleEndian {
-		return nil, false
+// AppendLE appends v's elements to dst in little-endian order, element by
+// element: the encode fallback where Bytes declines.
+func AppendLE[T Elem](dst []byte, v []T) []byte {
+	dst = slices.Grow(dst, len(v)*size[T]())
+	switch size[T]() {
+	case 1:
+		dst = append(dst, words[uint8](v)...)
+	case 4:
+		for _, w := range words[uint32](v) {
+			dst = binary.LittleEndian.AppendUint32(dst, w)
+		}
+	case 8:
+		for _, w := range words[uint64](v) {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
 	}
-	if len(v) == 0 {
-		return emptyBytes, true
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v)), true
+	return dst
 }
 
-// BytesOfI64s aliases v's elements as raw little-endian bytes.
-//
-//godiva:noalloc
-func BytesOfI64s(v []int64) (b []byte, ok bool) {
-	if !LittleEndian {
-		return nil, false
-	}
+// words reinterprets v as its elements' bit patterns: unsigned integers U
+// of the same width, whose values do not depend on the host's byte order.
+func words[U uint8 | uint32 | uint64, T Elem](v []T) []U {
 	if len(v) == 0 {
-		return emptyBytes, true
+		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v)), true
+	return unsafe.Slice((*U)(unsafe.Pointer(&v[0])), len(v))
 }

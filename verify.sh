@@ -56,7 +56,10 @@
 #               mixed-policy subscribers and subscribe/unsubscribe churn
 #               against one registry (duration from VERIFY_PUSHTIME,
 #               default 10s)
-#   fuzz        fuzz smoke over the checked-in seed corpora: shdf's
+#   fuzz        fuzz smoke over the checked-in seed corpora: zerocopy's
+#               FuzzCodec (the array codec against an element-wise
+#               encoding/binary oracle, every element type and offset, with
+#               the little-endian fast path on and forced off), shdf's
 #               FuzzReader and FuzzWriter (the streaming writer against the
 #               element-wise oracle, byte for byte, on the native and the
 #               chunked path, plus a read-back), then remote's
@@ -159,6 +162,7 @@ fuzz_one() {
 }
 
 check_fuzz() {
+    fuzz_one zerocopy FuzzCodec || return 1
     fuzz_one shdf FuzzReader || return 1
     fuzz_one shdf FuzzWriter || return 1
     for fn in FuzzFilePayload FuzzFetchFrame FuzzSpec FuzzSubSpec FuzzEventFrame; do
