@@ -3,7 +3,7 @@
 //
 //	go run ./cmd/godiva-lint ./...
 //	go run ./cmd/godiva-lint -tags godivainvariants ./internal/core
-//	go run ./cmd/godiva-lint -only lockcheck,deadlockcheck ./...
+//	go run ./cmd/godiva-lint -only lockcheck,errcheck ./...
 //
 // -only restricts a run to the named analyzers; -help lists every
 // selectable name.

@@ -56,114 +56,85 @@ func PlainSnapshotFile(dir string, step, i int) string {
 }
 
 // WritePlainDataset writes the same dataset WriteDataset produces, in the
-// plain binary format, for the format-cost comparison experiment.
+// plain binary format, for the format-cost comparison experiment: the same
+// generated blocks, one plain file per snapshot file.
 func WritePlainDataset(spec Spec, dir string) ([]*mesh.TetMesh, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	grain := mesh.GenerateAnnulus(spec.Mesh)
-	blocks := grain.Partition(spec.Blocks)
-	for step := 0; step < spec.Snapshots; step++ {
-		if err := writePlainSnapshot(spec, dir, step, blocks); err != nil {
-			return nil, fmt.Errorf("plain snapshot %d: %w", step, err)
+	return generate(spec, true, func(step, file int, blocks []*BlockData) error {
+		if err := writePlainSnapshotFile(PlainSnapshotFile(dir, step, file), blocks); err != nil {
+			return fmt.Errorf("plain snapshot %d: %w", step, err)
 		}
-	}
-	return blocks, nil
+		return nil
+	})
 }
 
-func writePlainSnapshot(spec Spec, dir string, step int, blocks []*mesh.TetMesh) error {
-	t := float64(step+1) * spec.DT
-	for i := 0; i < spec.FilesPerSnapshot; i++ {
-		f, err := os.Create(PlainSnapshotFile(dir, step, i))
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriterSize(f, 1<<16)
-		var mine []int
-		for b := range blocks {
-			if b%spec.FilesPerSnapshot == i {
-				mine = append(mine, b)
-			}
-		}
-		if err := writePlainFile(w, mine, blocks, t); err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+func writePlainSnapshotFile(path string, blocks []*BlockData) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return nil
+	w := bufio.NewWriterSize(f, 1<<16)
+	if err := writePlainFile(w, blocks); err != nil {
+		f.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func writePlainFile(w io.Writer, mine []int, blocks []*mesh.TetMesh, t float64) error {
+// writePlainFile writes the table of contents and then every array of
+// every block, in plainFieldNames order.
+func writePlainFile(w io.Writer, blocks []*BlockData) error {
 	fields := plainFieldNames()
-	type entry struct {
-		block uint32
-		code  uint16
-		count uint64
-	}
-	var entries []entry
-	for _, b := range mine {
-		blk := blocks[b]
+	hdr := make([]byte, 0, 12+16*len(fields)*len(blocks))
+	hdr = append(hdr, plainMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, plainVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(fields)*len(blocks)))
+	for _, bd := range blocks {
+		m := bd.Mesh
 		for code, name := range fields {
 			var count int
 			switch {
 			case name == "coords":
-				count = len(blk.Coords)
+				count = len(m.Coords)
 			case name == "conn":
-				count = len(blk.Tets)
+				count = len(m.Tets)
 			case name == "gids":
-				count = len(blk.GlobalNode)
+				count = len(m.GlobalNode)
 			case IsNodeField(name):
-				count = 3 * blk.NumNodes()
+				count = len(bd.Node[name])
 			default:
-				count = blk.NumCells()
+				count = len(bd.Elem[name])
 			}
-			entries = append(entries, entry{uint32(b), uint16(code), uint64(count)})
+			hdr = binary.LittleEndian.AppendUint32(hdr, uint32(bd.ID))
+			hdr = binary.LittleEndian.AppendUint16(hdr, uint16(code))
+			hdr = binary.LittleEndian.AppendUint16(hdr, 0)
+			hdr = binary.LittleEndian.AppendUint64(hdr, uint64(count))
 		}
-	}
-	hdr := make([]byte, 0, 12+16*len(entries))
-	hdr = append(hdr, plainMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, plainVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(entries)))
-	for _, e := range entries {
-		hdr = binary.LittleEndian.AppendUint32(hdr, e.block)
-		hdr = binary.LittleEndian.AppendUint16(hdr, e.code)
-		hdr = binary.LittleEndian.AppendUint16(hdr, 0)
-		hdr = binary.LittleEndian.AppendUint64(hdr, e.count)
 	}
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	for _, b := range mine {
-		blk := blocks[b]
+	for _, bd := range blocks {
+		m := bd.Mesh
 		for _, name := range fields {
 			var err error
 			switch {
 			case name == "coords":
-				err = writeLE(w, blk.Coords)
+				err = writeLE(w, m.Coords)
 			case name == "conn":
-				err = writeLE(w, blk.Tets)
+				err = writeLE(w, m.Tets)
 			case name == "gids":
-				err = writeLE(w, blk.GlobalNode)
+				err = writeLE(w, m.GlobalNode)
 			case IsNodeField(name):
-				vs := make([]float64, 0, 3*blk.NumNodes())
-				for i := 0; i < blk.NumNodes(); i++ {
-					x, y, z := NodeVector(name, blk.Node(int32(i)), t)
-					vs = append(vs, x, y, z)
-				}
-				err = writeLE(w, vs)
+				err = writeLE(w, bd.Node[name])
 			default:
-				vs := make([]float64, blk.NumCells())
-				for c := range vs {
-					vs[c] = ElemScalar(name, blk.CellCentroid(c), t)
-				}
-				err = writeLE(w, vs)
+				err = writeLE(w, bd.Elem[name])
 			}
 			if err != nil {
 				return err

@@ -3,17 +3,15 @@ package genx
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"godiva/internal/mesh"
-	"godiva/internal/shdf"
 )
 
 // Streaming support: a live producer materializes snapshot files one at a
 // time (WriteDataset's unit of work is the whole dataset) and a push-enabled
-// server writes ingested payloads back out in the exact layout the reader
-// expects, so a dataset grown step by step is indistinguishable from one
-// generated up front.
+// server writes ingested payloads back out with WriteBlockDataFile, the
+// writer WriteDataset uses too, so a dataset grown step by step is
+// indistinguishable from one generated up front.
 
 // ParseSnapshotFile parses a snapshot file name ("genx_t0003_1.shdf") into
 // its step and file indices. Only the exact SnapshotFile format is accepted:
@@ -35,141 +33,79 @@ func ParseSnapshotFile(name string) (step, file int, ok bool) {
 // the producer side of the push path: a streaming generator makes BlockData
 // and ships it, instead of writing files for a server to re-read.
 func MakeBlockData(spec Spec, blk *mesh.TetMesh, id, step int) *BlockData {
-	t := float64(step+1) * spec.DT
 	bd := &BlockData{
 		ID: id, Name: BlockID(id), Mesh: blk,
 		Node: make(map[string][]float64, len(NodeVectorFields)),
 		Elem: make(map[string][]float64, len(ElemScalarFields)),
-		Time: t, StepID: spec.StepID(step),
 	}
 	n, e := blk.NumNodes(), blk.NumCells()
 	for _, f := range NodeVectorFields {
-		buf := make([]float64, 3*n)
-		for i := 0; i < n; i++ {
-			x, y, z := NodeVector(f, blk.Node(int32(i)), t)
-			buf[3*i], buf[3*i+1], buf[3*i+2] = x, y, z
-		}
-		bd.Node[f] = buf
+		bd.Node[f] = make([]float64, 3*n)
 	}
 	for _, f := range ElemScalarFields {
-		buf := make([]float64, e)
-		for c := 0; c < e; c++ {
-			buf[c] = ElemScalar(f, blk.CellCentroid(c), t)
-		}
-		bd.Elem[f] = buf
+		bd.Elem[f] = make([]float64, e)
 	}
+	bd.evaluate(spec, step)
 	return bd
 }
 
+// evaluate fills a generated block's fields, already sized, with their
+// values at step.
+func (bd *BlockData) evaluate(spec Spec, step int) {
+	t := float64(step+1) * spec.DT
+	bd.Time, bd.StepID = t, spec.StepID(step)
+	blk := bd.Mesh
+	for _, f := range NodeVectorFields {
+		buf := bd.Node[f]
+		for i := 0; i < blk.NumNodes(); i++ {
+			x, y, z := NodeVector(f, blk.Node(int32(i)), t)
+			buf[3*i], buf[3*i+1], buf[3*i+2] = x, y, z
+		}
+	}
+	for _, f := range ElemScalarFields {
+		buf := bd.Elem[f]
+		for c := range buf {
+			buf[c] = ElemScalar(f, blk.CellCentroid(c), t)
+		}
+	}
+}
+
 // StreamDataset generates the dataset one snapshot file at a time, calling
-// emit for each (step, file) with the blocks that file holds — dealt
-// round-robin exactly like WriteDataset, so a consumer that writes the
-// payloads out reproduces the on-disk layout. emit returning an error stops
+// emit for each (step, file) with the blocks that file holds, dealt
+// round-robin onto the snapshot's files. WriteDataset writes what it emits,
+// so a consumer that writes the payloads out with WriteBlockDataFile
+// reproduces the on-disk dataset. emit returning an error stops
 // the stream; pacing and cancellation live in the caller's emit.
 func StreamDataset(spec Spec, emit func(step, file int, blocks []*BlockData) error) error {
-	grain := mesh.GenerateAnnulus(spec.Mesh)
-	parts := grain.Partition(spec.Blocks)
-	for step := 0; step < spec.Snapshots; step++ {
-		files := make([][]*BlockData, spec.FilesPerSnapshot)
-		for b, blk := range parts {
-			f := b % spec.FilesPerSnapshot
-			files[f] = append(files[f], MakeBlockData(spec, blk, b, step))
-		}
-		for f, blocks := range files {
-			if err := emit(step, f, blocks); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WriteBlockDataFile writes one snapshot file from in-memory block payloads,
-// mirroring writeSnapshot's layout (same SDS names, group structure and
-// attributes), so ingested files read back identically to generated ones.
-func WriteBlockDataFile(path string, t float64, step int, stepID string, blocks []*BlockData) error {
-	w, err := shdf.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, bd := range blocks {
-		if err := writeBlockData(w, bd); err != nil {
-			w.Close()
-			return fmt.Errorf("block %d: %w", bd.ID, err)
-		}
-	}
-	if _, err := w.WriteAttr("time", t); err != nil {
-		w.Close()
-		return err
-	}
-	if _, err := w.WriteAttr("step", step); err != nil {
-		w.Close()
-		return err
-	}
-	if _, err := w.WriteAttr("step_id", stepID); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// writeBlockData writes one block's arrays (writeBlock's twin for data that
-// is already materialized). Field maps are written in sorted name order so
-// the file layout is deterministic.
-func writeBlockData(w *shdf.Writer, bd *BlockData) error {
-	var members []shdf.Ref
-	add := func(ref shdf.Ref, err error) error {
-		if err != nil {
-			return err
-		}
-		members = append(members, ref)
-		return nil
-	}
-	m := bd.Mesh
-	if m == nil {
-		return fmt.Errorf("block %d has no mesh", bd.ID)
-	}
-	n := len(m.Coords) / 3
-	e := len(m.Tets) / 4
-	if err := add(w.WriteSDS(sdsName(bd.ID, "coords"), []int{n, 3}, m.Coords)); err != nil {
-		return err
-	}
-	if err := add(w.WriteSDS(sdsName(bd.ID, "conn"), []int{e, 4}, m.Tets)); err != nil {
-		return err
-	}
-	if err := add(w.WriteSDS(sdsName(bd.ID, "gids"), []int{len(m.GlobalNode)}, m.GlobalNode)); err != nil {
-		return err
-	}
-	for _, f := range sortedFieldNames(bd.Node) {
-		v := bd.Node[f]
-		dims := []int{len(v)}
-		if n > 0 && len(v) == 3*n {
-			dims = []int{n, 3}
-		}
-		if err := add(w.WriteSDS(sdsName(bd.ID, f), dims, v)); err != nil {
-			return err
-		}
-	}
-	for _, f := range sortedFieldNames(bd.Elem) {
-		v := bd.Elem[f]
-		if err := add(w.WriteSDS(sdsName(bd.ID, f), []int{len(v)}, v)); err != nil {
-			return err
-		}
-	}
-	name := bd.Name
-	if name == "" {
-		name = BlockID(bd.ID)
-	}
-	_, err := w.WriteVGroup(name, members)
+	_, err := generate(spec, false, emit)
 	return err
 }
 
-// sortedFieldNames returns a field map's names in sorted order.
-func sortedFieldNames(m map[string][]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// generate is StreamDataset returning the partition blocks, which
+// WriteDataset and WritePlainDataset hand back to their callers. With reuse
+// set, each step refills the blocks the previous step made instead of
+// allocating new ones, so emit must be done with its blocks when it returns,
+// as a file writer is; that keeps a dataset's generation from allocating
+// every field of every step afresh.
+func generate(spec Spec, reuse bool, emit func(step, file int, blocks []*BlockData) error) ([]*mesh.TetMesh, error) {
+	grain := mesh.GenerateAnnulus(spec.Mesh)
+	parts := grain.Partition(spec.Blocks)
+	made := make([]*BlockData, len(parts))
+	for step := 0; step < spec.Snapshots; step++ {
+		for f := 0; f < spec.FilesPerSnapshot; f++ {
+			var blocks []*BlockData
+			for b := f; b < len(parts); b += spec.FilesPerSnapshot {
+				if reuse && made[b] != nil {
+					made[b].evaluate(spec, step)
+				} else {
+					made[b] = MakeBlockData(spec, parts[b], b, step)
+				}
+				blocks = append(blocks, made[b])
+			}
+			if err := emit(step, f, blocks); err != nil {
+				return nil, err
+			}
+		}
 	}
-	sort.Strings(out)
-	return out
+	return parts, nil
 }

@@ -1,8 +1,11 @@
 package genx
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -35,7 +38,9 @@ func TestParseSnapshotFile(t *testing.T) {
 
 // TestStreamRoundTrip streams a tiny dataset through WriteBlockDataFile and
 // checks the files read back with the same shape and values the in-memory
-// payloads carried — the property the ingest path depends on.
+// payloads carried — the property the ingest path depends on — and that each
+// is byte for byte the file WriteDataset generates for the same step, so an
+// ingested dataset reads like a generated one.
 func TestStreamRoundTrip(t *testing.T) {
 	spec := Scaled(32)
 	spec.Snapshots = 2
@@ -50,6 +55,25 @@ func TestStreamRoundTrip(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("StreamDataset: %v", err)
+	}
+
+	genDir := t.TempDir()
+	if _, err := WriteDataset(spec, genDir); err != nil {
+		t.Fatalf("WriteDataset: %v", err)
+	}
+	for path := range made {
+		streamed, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		generated, err := os.ReadFile(filepath.Join(genDir, filepath.Base(path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(streamed, generated) {
+			t.Errorf("%s: streamed file (%d bytes) differs from WriteDataset's (%d bytes)",
+				filepath.Base(path), len(streamed), len(generated))
+		}
 	}
 
 	got, err := Discover(dir)
@@ -93,6 +117,19 @@ func TestStreamRoundTrip(t *testing.T) {
 			checkSame(t, "stress_avg", bd.Elem["stress_avg"], want.Elem["stress_avg"])
 		}
 		h.Close()
+	}
+}
+
+// A block's variable fields go to its file in catalog order, node vectors
+// before element scalars, and then any other field in sorted name order.
+func TestBlockFieldOrder(t *testing.T) {
+	bd := &BlockData{
+		Node: map[string][]float64{"velocity": nil, "zeta": nil, "displacement": nil},
+		Elem: map[string][]float64{"s11": nil, "beta": nil, "stress_avg": nil},
+	}
+	want := []string{"displacement", "velocity", "stress_avg", "s11", "beta", "zeta"}
+	if got := blockFieldOrder(bd); !slices.Equal(got, want) {
+		t.Fatalf("blockFieldOrder = %v, want %v", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package genx
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"godiva/internal/mesh"
 	"godiva/internal/shdf"
@@ -10,54 +11,21 @@ import (
 
 // WriteDataset generates the grain mesh, partitions it, and writes every
 // snapshot of the dataset into dir. It returns the partition blocks so
-// callers can compare visualization output against ground truth.
+// callers can compare visualization output against ground truth. Each file
+// is the one WriteBlockDataFile writes from the blocks StreamDataset emits
+// for it, so a dataset streamed and ingested file by file matches a
+// generated one byte for byte.
 func WriteDataset(spec Spec, dir string) ([]*mesh.TetMesh, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	grain := mesh.GenerateAnnulus(spec.Mesh)
-	blocks := grain.Partition(spec.Blocks)
-	for step := 0; step < spec.Snapshots; step++ {
-		if err := writeSnapshot(spec, dir, step, blocks); err != nil {
-			return nil, fmt.Errorf("snapshot %d: %w", step, err)
+	return generate(spec, true, func(step, file int, blocks []*BlockData) error {
+		t := float64(step+1) * spec.DT
+		if err := WriteBlockDataFile(SnapshotFile(dir, step, file), t, step, spec.StepID(step), blocks); err != nil {
+			return fmt.Errorf("snapshot %d: %w", step, err)
 		}
-	}
-	return blocks, nil
-}
-
-// writeSnapshot writes one time step: blocks are dealt round-robin onto the
-// snapshot's files, every field of every block is written.
-func writeSnapshot(spec Spec, dir string, step int, blocks []*mesh.TetMesh) error {
-	t := float64(step+1) * spec.DT
-	writers := make([]*shdf.Writer, spec.FilesPerSnapshot)
-	for i := range writers {
-		w, err := shdf.Create(SnapshotFile(dir, step, i))
-		if err != nil {
-			return err
-		}
-		writers[i] = w
-	}
-	for b, blk := range blocks {
-		w := writers[b%len(writers)]
-		if err := writeBlock(w, b, blk, t); err != nil {
-			return fmt.Errorf("block %d: %w", b, err)
-		}
-	}
-	for i, w := range writers {
-		if _, err := w.WriteAttr("time", t); err != nil {
-			return err
-		}
-		if _, err := w.WriteAttr("step", step); err != nil {
-			return err
-		}
-		if _, err := w.WriteAttr("step_id", spec.StepID(step)); err != nil {
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return fmt.Errorf("file %d: %w", i, err)
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // sdsName names a block's dataset inside a snapshot file.
@@ -65,7 +33,38 @@ func sdsName(blockID int, field string) string {
 	return fmt.Sprintf("b%04d:%s", blockID+1, field)
 }
 
-func writeBlock(w *shdf.Writer, id int, blk *mesh.TetMesh, t float64) error {
+// WriteBlockDataFile writes one snapshot file from in-memory block payloads:
+// each block's datasets and group, then the file's time, step and step_id
+// attributes. Generated and ingested files are both written here.
+func WriteBlockDataFile(path string, t float64, step int, stepID string, blocks []*BlockData) error {
+	w, err := shdf.Create(path)
+	if err != nil {
+		return err
+	}
+	for _, bd := range blocks {
+		if err := writeBlockData(w, bd); err != nil {
+			w.Close()
+			return fmt.Errorf("block %d: %w", bd.ID, err)
+		}
+	}
+	if _, err := w.WriteAttr("time", t); err != nil {
+		w.Close()
+		return err
+	}
+	if _, err := w.WriteAttr("step", step); err != nil {
+		w.Close()
+		return err
+	}
+	if _, err := w.WriteAttr("step_id", stepID); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
+}
+
+// writeBlockData writes one block's arrays, mesh fields first, then its
+// variable fields in blockFieldOrder, and the group that names them.
+func writeBlockData(w *shdf.Writer, bd *BlockData) error {
 	var members []shdf.Ref
 	add := func(ref shdf.Ref, err error) error {
 		if err != nil {
@@ -74,39 +73,65 @@ func writeBlock(w *shdf.Writer, id int, blk *mesh.TetMesh, t float64) error {
 		members = append(members, ref)
 		return nil
 	}
-	n := blk.NumNodes()
-	e := blk.NumCells()
-	// Mesh arrays.
-	if err := add(w.WriteSDS(sdsName(id, "coords"), []int{n, 3}, blk.Coords)); err != nil {
+	m := bd.Mesh
+	if m == nil {
+		return fmt.Errorf("block %d has no mesh", bd.ID)
+	}
+	n := len(m.Coords) / 3
+	e := len(m.Tets) / 4
+	if err := add(w.WriteSDS(sdsName(bd.ID, "coords"), []int{n, 3}, m.Coords)); err != nil {
 		return err
 	}
-	if err := add(w.WriteSDS(sdsName(id, "conn"), []int{e, 4}, blk.Tets)); err != nil {
+	if err := add(w.WriteSDS(sdsName(bd.ID, "conn"), []int{e, 4}, m.Tets)); err != nil {
 		return err
 	}
-	if err := add(w.WriteSDS(sdsName(id, "gids"), []int{n}, blk.GlobalNode)); err != nil {
+	if err := add(w.WriteSDS(sdsName(bd.ID, "gids"), []int{len(m.GlobalNode)}, m.GlobalNode)); err != nil {
 		return err
 	}
-	// Node-based vector fields.
-	buf := make([]float64, 3*n)
-	for _, f := range NodeVectorFields {
-		for i := 0; i < n; i++ {
-			x, y, z := NodeVector(f, blk.Node(int32(i)), t)
-			buf[3*i], buf[3*i+1], buf[3*i+2] = x, y, z
+	for _, f := range blockFieldOrder(bd) {
+		v, node := bd.Node[f]
+		if !node {
+			v = bd.Elem[f]
 		}
-		if err := add(w.WriteSDS(sdsName(id, f), []int{n, 3}, buf)); err != nil {
+		dims := []int{len(v)}
+		if node && n > 0 && len(v) == 3*n {
+			dims = []int{n, 3}
+		}
+		if err := add(w.WriteSDS(sdsName(bd.ID, f), dims, v)); err != nil {
 			return err
 		}
 	}
-	// Element-based scalar fields.
-	ebuf := make([]float64, e)
-	for _, f := range ElemScalarFields {
-		for c := 0; c < e; c++ {
-			ebuf[c] = ElemScalar(f, blk.CellCentroid(c), t)
-		}
-		if err := add(w.WriteSDS(sdsName(id, f), []int{e}, ebuf)); err != nil {
-			return err
-		}
+	name := bd.Name
+	if name == "" {
+		name = BlockID(bd.ID)
 	}
-	_, err := w.WriteVGroup(BlockID(id), members)
+	_, err := w.WriteVGroup(name, members)
 	return err
+}
+
+// blockFieldOrder lists bd's variable fields in the order a file holds
+// them: NodeVectorFields, then ElemScalarFields, in catalog order, then any
+// other name in sorted order. Readers that take variables in catalog order
+// (rocketeer's orderedVars) then only seek forward.
+func blockFieldOrder(bd *BlockData) []string {
+	out := make([]string, 0, len(bd.Node)+len(bd.Elem))
+	for _, catalog := range [][]string{NodeVectorFields, ElemScalarFields} {
+		for _, f := range catalog {
+			_, inNode := bd.Node[f]
+			_, inElem := bd.Elem[f]
+			if inNode || inElem {
+				out = append(out, f)
+			}
+		}
+	}
+	known := len(out)
+	for _, m := range []map[string][]float64{bd.Node, bd.Elem} {
+		for f := range m {
+			if !IsNodeField(f) && !IsElemField(f) && !slices.Contains(out[known:], f) {
+				out = append(out, f)
+			}
+		}
+	}
+	slices.Sort(out[known:])
+	return out
 }

@@ -1,8 +1,8 @@
 // Package callgraph builds a class-hierarchy-analysis (CHA) call graph over
 // the type-checked packages of one module, using only the standard library
 // (go/ast + go/types — no golang.org/x/tools). The interprocedural lint
-// analyzers (deadlockcheck, alloccheck) use it to propagate flow
-// facts — held-lock sets, may-allocate — across calls.
+// analyzer (alloccheck) uses it to propagate its may-allocate facts
+// across calls.
 //
 // Functions are identified by normalized types.Func full names (generic
 // methods are keyed by their Origin), which stay stable across the loader's

@@ -1,12 +1,11 @@
 package lint
 
 // cfg.go builds per-function control-flow graphs over go/ast, standard
-// library only. Every analyzer that follows a state along paths —
-// lockcheck, deadlockcheck and borrowcheck — runs forward abstract
-// interpretation over these graphs (see dataflow.go), so it can distinguish
-// "unlocked on the happy path" from "unlocked on every path", and a loop's
-// state is its fixpoint rather than an assumption that the body is
-// balanced.
+// library only. An analyzer that follows a state along paths (lockcheck)
+// runs forward abstract interpretation over these graphs (see dataflow.go),
+// so it can distinguish "unlocked on the happy path" from "unlocked on every
+// path", and a loop's state is its fixpoint rather than an assumption that
+// the body is balanced.
 //
 // Shape: basic blocks hold a flat list of atomic nodes — assignments,
 // expression statements, declarations, sends, inc/dec, returns, defers, go

@@ -118,9 +118,8 @@ func TestCFGPanicGoesToPanicExit(t *testing.T) {
 
 func TestCFGRangeKeepsHeadNode(t *testing.T) {
 	g := parseBody(t, "xs := []int{1}\nfor _, x := range xs {\n_ = x\n}")
-	// The RangeStmt node itself must appear in some block: borrowcheck
-	// binds the range variables there and deadlockcheck reads a range over
-	// a channel there.
+	// The RangeStmt node itself must appear in some block: lockcheck
+	// reads the ranged-over expression there.
 	found := false
 	for blk := range reach(g) {
 		for _, n := range blk.nodes {
@@ -137,7 +136,7 @@ func TestCFGRangeKeepsHeadNode(t *testing.T) {
 func TestCFGSelectKeepsHeadNode(t *testing.T) {
 	g := parseBody(t, "ch := make(chan int)\nselect {\ncase v := <-ch:\n_ = v\ncase ch <- 1:\n}")
 	// The SelectStmt node sits in the block that fans out to the clauses:
-	// deadlockcheck reads the select's wait there, before any comm runs.
+	// a problem sees the select's wait there, before any comm runs.
 	for blk := range reach(g) {
 		for _, n := range blk.nodes {
 			if _, ok := n.(*ast.SelectStmt); !ok {

@@ -1,14 +1,11 @@
 package lint
 
-// dataflow.go is the forward abstract-interpretation driver every
-// path-following analyzer shares: lockcheck, deadlockcheck and borrowcheck.
-// Each supplies an abstract state (clone/merge/equal) and a transfer
-// relation over the atomic nodes cfg.go produces; the driver iterates block
-// in-states to a fixpoint with a worklist, then replays one recording pass
-// in which the analyzer reports findings. Interprocedural facts
-// (per-function summaries over the CHA call graph) are the analyzers' own
-// business: each runs module passes until its summary table stops
-// changing.
+// dataflow.go is the forward abstract-interpretation driver for analyzers
+// that follow a state along paths (lockcheck). An analyzer supplies an
+// abstract state (clone/merge/equal) and a transfer relation over the
+// atomic nodes cfg.go produces; the driver iterates block in-states to a
+// fixpoint with a worklist, then replays one recording pass in which the
+// analyzer reports findings.
 
 import (
 	"go/ast"
@@ -39,8 +36,7 @@ type dfProblem interface {
 // fold exit states into summaries on every module pass) and, when record is
 // set, transfer may emit findings. Transfers during the fixpoint always see
 // record false, so a problem that passes true gets exactly one recording
-// visit per reachable node (lockcheck and deadlockcheck pass true;
-// deadlockcheck keeps its own flag for whether to report). The pop budget
+// visit per reachable node. The pop budget
 // guards against a non-monotone transfer bug turning into an infinite loop;
 // lattices here are finite, so hitting it means a defect, and bailing out
 // merely under-reports.
@@ -166,30 +162,6 @@ func nodeExprs(n ast.Node) []ast.Expr {
 	return nil
 }
 
-// rootIdent walks to the base identifier of a selector/index/slice/star/
-// paren chain: fp.Data[i:] roots at fp. Returns nil for call results and
-// other rootless expressions.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // identObj resolves an identifier to its object (use or def).
 func identObj(info *types.Info, id *ast.Ident) types.Object {
 	if info == nil || id == nil {
@@ -199,20 +171,4 @@ func identObj(info *types.Info, id *ast.Ident) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// funcLits collects the function literals directly inside body, skipping
-// nested literals (each is visited when its enclosing literal is
-// analyzed). Deferred literals are included: their bodies still need
-// their own intraprocedural pass.
-func funcLits(body *ast.BlockStmt) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			out = append(out, lit)
-			return false
-		}
-		return true
-	})
-	return out
 }

@@ -14,23 +14,16 @@
 //     over its CFG).
 //   - errcheck: error results of the godiva/core/remote public API are
 //     never silently discarded (including "_ =" discards).
-//   - deadlockcheck: builds the whole-program lock-order graph and reports
-//     any cycle, plus any channel operation, file/network I/O, time.Sleep,
-//     WaitGroup.Wait or Cond.Wait reachable while a mutex is held (the
-//     static face of the paper's §3.3 deadlock rule), and any function not
-//     named *Locked that can return holding a lock it took.
 //   - alloccheck: functions annotated //godiva:noalloc must stay
 //     allocation-free on their hot path (error-returning branches are
 //     exempt), transitively through module calls.
-//   - borrowcheck: zero-copy borrows (BorrowFieldBuffer results, mmap
-//     Raw/ReadSDS views, payload arena slices) are never written through,
-//     never stored past their pin, never used after release; a unit's field
-//     buffers are never used after its FinishUnit/DeleteUnit.
 //
-// Pin releases, goroutine shutdown, atomic fields and wire-decoded lengths
+// Pin releases, goroutine shutdown, atomic fields, wire-decoded lengths,
+// locks held past a return or across a blocking call, and zero-copy borrows
 // have no analyzer: every planted bug of those classes an analyzer caught,
-// the tests, go vet or the -race stages catch too (EXPERIMENTS.md, "Lint
-// ledger, part 2").
+// the tests, go vet, the -race stages or the fuzz targets catch too, or it
+// changes nothing a program can observe (EXPERIMENTS.md, "Lint ledger,
+// part 2" and "part 3").
 //
 // Findings can be suppressed with a "//lint:ignore <analyzer> <reason>"
 // directive on the offending line or the line directly above it.
@@ -111,9 +104,7 @@ type analyzer struct {
 var analyzers = []*analyzer{
 	lockcheckAnalyzer,
 	errcheckAnalyzer,
-	deadlockcheckAnalyzer,
 	alloccheckAnalyzer,
-	borrowcheckAnalyzer,
 }
 
 // eachPackage lifts a check that needs one package at a time to the
@@ -136,9 +127,9 @@ type moduleContext struct {
 	// CG maps each lint package to its call-graph counterpart.
 	CG map[*Package]*callgraph.Package
 
-	// cfgs memoizes per-body control-flow graphs for the dataflow
-	// analyzers (see cfg.go), which re-visit every function once per
-	// summary-fixpoint pass.
+	// cfgs memoizes per-body control-flow graphs for lockcheck (see
+	// cfg.go), which walks a function literal's body again each time the
+	// dataflow fixpoint transfers the node that holds it.
 	cfgs map[*ast.BlockStmt]*funcCFG
 }
 

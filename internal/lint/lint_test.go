@@ -100,7 +100,7 @@ func (w expectation) matches(f Finding) bool {
 // the findings its // want comments declare: every want is hit, and every
 // finding is wanted (no false positives inside the fixture either).
 func TestSeededViolations(t *testing.T) {
-	for _, name := range []string{"lockbad", "pairbad", "errbad", "deadlockbad", "allocbad", "borrowbad"} {
+	for _, name := range []string{"lockbad", "errbad", "allocbad"} {
 		t.Run(name, func(t *testing.T) {
 			wants := parseWants(t, name)
 			if len(wants) == 0 {
@@ -147,7 +147,7 @@ func TestSuiteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double module load in -short mode")
 	}
-	fixtures := []string{"lockbad", "pairbad", "errbad", "deadlockbad", "allocbad", "borrowbad"}
+	fixtures := []string{"lockbad", "errbad", "allocbad"}
 	render := func() string {
 		m, err := LoadModule("../..", []string{"godivainvariants"})
 		if err != nil {
@@ -302,7 +302,7 @@ func TestCLIExitCodes(t *testing.T) {
 	if code, _ := run("./internal/lint/testdata/src/clean"); code != 0 {
 		t.Errorf("lint on clean fixture exited %d, want 0", code)
 	}
-	for _, gone := range []string{"paircheck", "racecheck", "releasecheck", "wirecheck", "leakcheck", "atomiccheck"} {
+	for _, gone := range []string{"paircheck", "racecheck", "releasecheck", "wirecheck", "leakcheck", "atomiccheck", "deadlockcheck", "borrowcheck"} {
 		if code, out := run("-only", gone, "./internal/lint/testdata/src/clean"); code == 0 || !strings.Contains(out, `unknown analyzer "`+gone+`"`) {
 			t.Errorf("lint -only %s exited %d, want a usage error naming it:\n%s", gone, code, out)
 		}
@@ -321,7 +321,7 @@ func TestCLIJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-json", "./internal/lint/testdata/src/deadlockbad")
+	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-json", "./internal/lint/testdata/src/lockbad")
 	cmd.Dir = root
 	out, err := cmd.Output()
 	var ee *exec.ExitError
@@ -332,7 +332,7 @@ func TestCLIJSON(t *testing.T) {
 	if len(lines) == 0 {
 		t.Fatal("no JSON lines emitted")
 	}
-	sawDeadlock := false
+	sawLockcheck := false
 	for _, line := range lines {
 		var f struct {
 			Analyzer   string `json:"analyzer"`
@@ -351,17 +351,17 @@ func TestCLIJSON(t *testing.T) {
 		if f.Suppressed {
 			t.Errorf("unexpected suppressed finding in fixture: %q", line)
 		}
-		if f.Analyzer == "deadlockcheck" {
-			sawDeadlock = true
+		if f.Analyzer == "lockcheck" {
+			sawLockcheck = true
 		}
 	}
-	if !sawDeadlock {
-		t.Errorf("no deadlockcheck finding among %d JSON lines", len(lines))
+	if !sawLockcheck {
+		t.Errorf("no lockcheck finding among %d JSON lines", len(lines))
 	}
 }
 
 // TestCLISARIF runs the binary in -sarif mode over a seeded fixture and
-// checks the log parses as SARIF 2.1.0 with a deadlockcheck rule and results
+// checks the log parses as SARIF 2.1.0 with a lockcheck rule and results
 // carrying physical locations.
 func TestCLISARIF(t *testing.T) {
 	if testing.Short() {
@@ -371,7 +371,7 @@ func TestCLISARIF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-sarif", "./internal/lint/testdata/src/deadlockbad")
+	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-sarif", "./internal/lint/testdata/src/lockbad")
 	cmd.Dir = root
 	out, err := cmd.Output()
 	var ee *exec.ExitError
@@ -417,12 +417,12 @@ func TestCLISARIF(t *testing.T) {
 	}
 	sawRule := false
 	for _, r := range run.Tool.Driver.Rules {
-		if r.ID == "deadlockcheck" {
+		if r.ID == "lockcheck" {
 			sawRule = true
 		}
 	}
 	if !sawRule {
-		t.Error("no deadlockcheck rule in driver metadata")
+		t.Error("no lockcheck rule in driver metadata")
 	}
 	if len(run.Results) == 0 {
 		t.Fatal("no results")

@@ -1,13 +1,10 @@
 package lint
 
-// lockset.go holds the lock machinery lockcheck and deadlockcheck share:
-// the one recogniser of Lock/Unlock calls and the class naming scheme for
-// mutexes (one class per struct field across all instances, one per
-// package-level or local variable).
+// lockset.go holds lockcheck's lock machinery: the one recogniser of
+// Lock/Unlock calls and the mutex type test behind it.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -65,56 +62,6 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-// mutexClassOf names the lock denoted by a mutex-typed expression. Struct
-// fields are classed by owning named type + field name (every instance
-// shares one class — what lock-order analysis wants);
-// package-level and local variables by their object. The second result is
-// a short display name for messages.
-func mutexClassOf(info *types.Info, fset *token.FileSet, e ast.Expr) (class, display string, ok bool) {
-	e = ast.Unparen(e)
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		tv, ok := info.Types[e.X]
-		if !ok {
-			return "", "", false
-		}
-		named, ok := deref(tv.Type).(*types.Named)
-		if !ok {
-			return "", "", false
-		}
-		return named.String() + "." + e.Sel.Name, named.Obj().Name() + "." + e.Sel.Name, true
-	case *ast.Ident:
-		obj := info.ObjectOf(e)
-		if obj == nil {
-			return "", "", false
-		}
-		if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-			return obj.Pkg().Path() + "." + obj.Name(), obj.Name(), true
-		}
-		pos := fset.Position(obj.Pos())
-		return posClass(obj.Name(), pos), obj.Name(), true
-	}
-	return "", "", false
-}
-
-func posClass(name string, pos token.Position) string {
-	return name + "@" + pos.Filename + ":" + itoa(pos.Line) + ":" + itoa(pos.Column)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // sortedKeys returns a string-keyed map's keys in sorted order.

@@ -58,3 +58,11 @@ func (s *Server) SetEventHook(hook func()) {
 	defer s.mu.Unlock()
 	s.onEvent = hook
 }
+
+// openConns reports how many connections s holds open: the ones its accept
+// loop registered that their handlers have not yet closed.
+func (s *Server) openConns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}

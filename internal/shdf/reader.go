@@ -393,8 +393,8 @@ func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
 		buf = zerocopy.MakeOffsetAligned(int(e.length), 8, 4)
 		// The serialized read below holds f.mu: payload loads are
 		// intentionally one-at-a-time per File, and nothing the I/O depends
-		// on waits on this mutex.
-		//lint:ignore deadlockcheck payload reads are serialized per File by design; no lock-order cycle is possible through os.File.ReadAt
+		// on waits on this mutex, so no lock-order cycle is possible through
+		// os.File.ReadAt.
 		if _, err := f.r.ReadAt(buf, int64(e.offset)); err != nil {
 			return nil, nil, fmt.Errorf("%w: object %q: %v", ErrCorrupt, e.name, err)
 		}

@@ -5,16 +5,17 @@
 #   fmt         gofmt -l finds nothing to rewrite
 #   vet         go vet over the whole module
 #   build       everything compiles
-#   lint        godiva-lint (lockcheck/errcheck plus the interprocedural
-#               deadlockcheck/alloccheck and the flow-sensitive borrowcheck)
-#               reports zero findings; non-zero findings fail the gate, as
-#               does the suite running longer than the 30s wall-clock budget
-#               (about 3s on a 2-CPU host, most of it loading and
-#               type-checking the module; analyzer cost regressions must
-#               surface here, not in every later CI run). Data races are
-#               the -race stages' job; pin releases, goroutine shutdown,
-#               atomic fields and wire bounds are the test, vet, -race and
-#               fuzz stages' (EXPERIMENTS.md, "Lint ledger, part 2"). The
+#   lint        godiva-lint (lockcheck and errcheck plus the
+#               interprocedural alloccheck) reports zero findings; non-zero
+#               findings fail the gate, as does the suite running longer
+#               than the 30s wall-clock budget (about 3s on a 2-CPU host,
+#               most of it loading and type-checking the module; analyzer
+#               cost regressions must surface here, not in every later CI
+#               run). Data races are the -race stages' job; pin releases,
+#               goroutine shutdown, atomic fields, wire bounds, locks held
+#               past a return or across a blocking call, and zero-copy
+#               borrows are the test, vet, -race and fuzz stages'
+#               (EXPERIMENTS.md, "Lint ledger, part 2" and "part 3"). The
 #               run writes lint.sarif — every analyzer's findings,
 #               suppressed ones included — which CI uploads.
 #   test        full test suite, caching disabled (-count=1) so the noalloc
