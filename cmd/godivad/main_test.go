@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"syscall"
@@ -51,6 +52,21 @@ func godivad(t *testing.T, args ...string) (*exec.Cmd, *bufio.Scanner, *bytes.Bu
 	return cmd, bufio.NewScanner(stdout), &stderr
 }
 
+// announced reads godivad's stdout up to the line announcing the server and
+// returns the address it serves on.
+func announced(t *testing.T, cmd *exec.Cmd, out *bufio.Scanner, stderr *bytes.Buffer) string {
+	t.Helper()
+	serving := regexp.MustCompile(`^godivad: serving .* on (\S+) \(`)
+	for out.Scan() {
+		if m := serving.FindStringSubmatch(out.Text()); m != nil {
+			return m[1]
+		}
+	}
+	cmd.Wait()
+	t.Fatalf("godivad never announced its address; stderr:\n%s", stderr)
+	return ""
+}
+
 // godivad serves a generated dataset, answers a fetch, and on SIGTERM exits
 // 0 with a report whose mapped-file table closed every file it opened.
 func TestGodivadServesAndShutsDown(t *testing.T) {
@@ -62,17 +78,7 @@ func TestGodivadServesAndShutsDown(t *testing.T) {
 	}
 	cmd, out, stderr := godivad(t, "-data", dir, "-addr", "127.0.0.1:0", "-quiet")
 
-	serving := regexp.MustCompile(`^godivad: serving .* on (\S+) \(`)
-	var addr string
-	for addr == "" && out.Scan() {
-		if m := serving.FindStringSubmatch(out.Text()); m != nil {
-			addr = m[1]
-		}
-	}
-	if addr == "" {
-		cmd.Wait()
-		t.Fatalf("godivad never announced its address; stderr:\n%s", stderr)
-	}
+	addr := announced(t, cmd, out, stderr)
 
 	c := remote.NewClient(remote.ClientOptions{Addr: addr})
 	fp, err := c.FetchFile(genx.SnapshotFile("", 0, 0), nil)
@@ -122,4 +128,47 @@ func TestGodivadRejectsFaultFlags(t *testing.T) {
 	if !strings.Contains(stderr.String(), "flag provided but not defined: -fault-err") {
 		t.Fatalf("stderr does not name the undefined flag:\n%s", stderr)
 	}
+}
+
+// godivad -ingest starts on a missing directory, takes a pushed snapshot
+// file, and on SIGTERM exits 0 reporting the ingest.
+func TestGodivadIngest(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "live-data")
+	cmd, out, stderr := godivad(t, "-data", dir, "-addr", "127.0.0.1:0", "-quiet", "-ingest")
+
+	addr := announced(t, cmd, out, stderr)
+
+	c := remote.NewClient(remote.ClientOptions{Addr: addr})
+	spec := genx.Scaled(32)
+	spec.Snapshots, spec.FilesPerSnapshot = 1, 1
+	err := genx.StreamDataset(spec, func(step, file int, blocks []*genx.BlockData) error {
+		return c.Ingest(genx.SnapshotFile("", step, file), &remote.FilePayload{
+			Time:   blocks[0].Time,
+			StepID: blocks[0].StepID,
+			Blocks: blocks,
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var report []string
+	for out.Scan() {
+		report = append(report, out.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("godivad exited with %v; stderr:\n%s", err, stderr)
+	}
+	for _, line := range report {
+		if strings.HasPrefix(line, "godivad: push: 1 ingests, ") {
+			return
+		}
+	}
+	t.Fatalf("no push line reporting 1 ingest in the shutdown report:\n%s", strings.Join(report, "\n"))
 }

@@ -22,21 +22,16 @@ type dfState interface {
 }
 
 // dfProblem is one analyzer's transfer relation over a single function
-// body. transfer mutates st in place; atExit is called once per edge into
-// the normal exit block (ret is nil for fall-off the end), after the
-// block's nodes have been transferred.
+// body. transfer mutates st in place.
 type dfProblem interface {
 	transfer(n ast.Node, st dfState, record bool)
-	atExit(st dfState, ret *ast.ReturnStmt, record bool)
 }
 
 // runDataflow drives p over g from the given entry state: worklist
 // iteration to fixpoint, then one sweep in deterministic block order during
-// which atExit fires for every edge into the normal exit (so problems can
-// fold exit states into summaries on every module pass) and, when record is
-// set, transfer may emit findings. Transfers during the fixpoint always see
-// record false, so a problem that passes true gets exactly one recording
-// visit per reachable node. The pop budget
+// which, when record is set, transfer may emit findings. Transfers during
+// the fixpoint always see record false, so a problem that passes true gets
+// exactly one recording visit per reachable node. The pop budget
 // guards against a non-monotone transfer bug turning into an infinite loop;
 // lattices here are finite, so hitting it means a defect, and bailing out
 // merely under-reports.
@@ -77,7 +72,7 @@ func runDataflow(g *funcCFG, entry dfState, p dfProblem, record bool) {
 		}
 	}
 	// Deterministic sweep over every reachable block, in index order, for
-	// exit facts and (when record is set) findings.
+	// findings when record is set.
 	for _, blk := range g.blocks {
 		if in[blk.index] == nil || blk == g.exit || blk == g.panicExit {
 			continue
@@ -86,21 +81,7 @@ func runDataflow(g *funcCFG, entry dfState, p dfProblem, record bool) {
 		for _, n := range blk.nodes {
 			p.transfer(n, st, record)
 		}
-		for _, to := range blk.succs {
-			if to != g.exit {
-				continue
-			}
-			ret, _ := lastNode(blk).(*ast.ReturnStmt)
-			p.atExit(st, ret, record)
-		}
 	}
-}
-
-func lastNode(blk *cfgBlock) ast.Node {
-	if len(blk.nodes) == 0 {
-		return nil
-	}
-	return blk.nodes[len(blk.nodes)-1]
 }
 
 // dfFuncs returns the module's functions in deterministic key order.

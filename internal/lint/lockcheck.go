@@ -158,8 +158,6 @@ func (lc *lockChecker) body(b *ast.BlockStmt, st lockLevel) {
 	runDataflow(lc.mc.cfgOf(b), &st, lc, true)
 }
 
-func (lc *lockChecker) atExit(dfState, *ast.ReturnStmt, bool) {}
-
 // transfer applies a Lock-family statement to the level and, on the
 // recording sweep, checks every access and call in the node at the level
 // before it.

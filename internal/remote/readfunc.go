@@ -28,10 +28,9 @@ type CommitFunc func(u *core.Unit, bd *genx.BlockData) error
 // fetches their blocks with the given variables fetchChunk files per round
 // trip, and commits them strictly in paths order. The returned function plugs
 // into AddUnit/ReadUnit like any local read function — background workers
-// prefetch remote units (that is where fetches of different units overlap),
+// prefetch remote units, workers fetching different units concurrently, and
 // failures after retry exhaustion land the unit in the failed state exactly
-// like a local read error, and N workers asking for the same file share one
-// RPC.
+// like a local read error.
 func NewReadFunc(c *Client, resolve Resolver, vars []string, commit CommitFunc) core.ReadFunc {
 	return func(u *core.Unit) error {
 		paths, err := resolve(u.Name())

@@ -115,8 +115,6 @@ type Renderer struct {
 	tris []int32
 	// frag is the visibility buffer: per pixel, the index in tris of the
 	// triangle that won the pixel's z-test and still owns it, or noFrag.
-	// Whatever else writes a pixel (lines, the colorbar) retires its entry,
-	// so Recolor never paints over what was drawn after the surface.
 	frag []int32
 }
 

@@ -301,48 +301,3 @@ func TestQuickIsoVertexProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStructured2DSurface(t *testing.T) {
-	b := mesh.UniformBlock2D(4, 3, 0, 4, 0, 3)
-	elem := make([]float64, b.NumElements())
-	for j := 0; j < b.NY; j++ {
-		for i := 0; i < b.NX; i++ {
-			elem[j*b.NX+i] = float64(i) // constant along y
-		}
-	}
-	s, err := Structured2DSurface(b, elem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumVerts() != 5*4 || s.NumTris() != 2*4*3 {
-		t.Fatalf("%d verts, %d tris", s.NumVerts(), s.NumTris())
-	}
-	// Interior grid points average their two adjacent columns: point at
-	// i=2,j=1 sees elements i=1,2 -> 1.5.
-	idx := 1*5 + 2
-	if math.Abs(s.Scalars[idx]-1.5) > 1e-12 {
-		t.Fatalf("interior scalar = %v, want 1.5", s.Scalars[idx])
-	}
-	// Corner point (0,0) sees only element 0 -> 0.
-	if s.Scalars[0] != 0 {
-		t.Fatalf("corner scalar = %v", s.Scalars[0])
-	}
-	// Triangles must all face +z.
-	for i := 0; i < s.NumTris(); i++ {
-		a := s.Vert(s.Tris[3*i])
-		bb := s.Vert(s.Tris[3*i+1])
-		c := s.Vert(s.Tris[3*i+2])
-		n := bb.Sub(a).Cross(c.Sub(a))
-		if n.Z <= 0 {
-			t.Fatalf("triangle %d faces -z", i)
-		}
-	}
-	// Validation errors.
-	if _, err := Structured2DSurface(b, elem[:3]); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("short scalars: %v", err)
-	}
-	bad := &mesh.StructuredBlock2D{NX: 1, NY: 1, XCoords: []float64{1, 0}, YCoords: []float64{0, 1}}
-	if _, err := Structured2DSurface(bad, []float64{1}); err == nil {
-		t.Fatal("invalid block accepted")
-	}
-}

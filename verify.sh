@@ -5,6 +5,10 @@
 #   fmt         gofmt -l finds nothing to rewrite
 #   vet         go vet over the whole module
 #   build       everything compiles
+#   entrypoints every package has test files except internal/locktest and
+#               internal/noalloctest (test helpers) and cmd/godiva-lint
+#               (internal/lint's CLI tests run it): a command or library
+#               package no test runs gets a test or goes
 #   lint        godiva-lint (lockcheck and errcheck plus the
 #               interprocedural alloccheck) reports zero findings; non-zero
 #               findings fail the gate, as does the suite running longer
@@ -131,6 +135,16 @@ check_benchmem() {
     fi
 }
 
+check_entrypoints() {
+    untested=$(go list -f '{{if and (not .TestGoFiles) (not .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./... |
+        grep -v -x -e '' -e godiva/internal/locktest -e godiva/internal/noalloctest -e godiva/cmd/godiva-lint)
+    if [ -n "$untested" ]; then
+        echo "entrypoints: these packages have no test files; give each a test or delete it:" >&2
+        echo "$untested" >&2
+        return 1
+    fi
+}
+
 check_lint() {
     # The full suite must stay clean AND fast: a wall-clock budget catches
     # analyzer cost regressions (a fixpoint that stops converging shows up
@@ -174,6 +188,7 @@ check_fuzz() {
 run_stage fmt check_gofmt
 run_stage vet go vet ./...
 run_stage build go build ./...
+run_stage entrypoints check_entrypoints
 run_stage lint check_lint
 run_stage test go test -count=1 ./...
 run_stage bench check_bench
@@ -187,7 +202,7 @@ run_stage fuzz check_fuzz
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
         echo "verify.sh: unknown stage \"$only_stage\"" >&2
-        echo "stages: fmt vet build lint test bench benchmem race-core race-remote invariants push fuzz" >&2
+        echo "stages: fmt vet build entrypoints lint test bench benchmem race-core race-remote invariants push fuzz" >&2
         exit 2
     fi
     echo "verify.sh: stage $only_stage passed"
