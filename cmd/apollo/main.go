@@ -110,13 +110,13 @@ func main() {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if err := run(session, line, demo, spec.Snapshots); err != nil {
+		if err := run(session, client, line, demo, spec.Snapshots); err != nil {
 			fail(fmt.Errorf("line %d (%q): %w", ln+1, line, err))
 		}
 	}
 }
 
-func run(s *rocketeer.Session, line string, demo bool, snapshots int) error {
+func run(s *rocketeer.Session, client *remote.Client, line string, demo bool, snapshots int) error {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case "view":
@@ -172,7 +172,8 @@ func run(s *rocketeer.Session, line string, demo bool, snapshots int) error {
 		fmt.Printf("stats: %d units read, %d cache hits, %d evicted, peak %.1f MB, visible wait %v\n",
 			st.UnitsRead, st.CacheHits, st.UnitsEvicted, float64(st.PeakBytes)/1e6,
 			st.VisibleWait.Round(1e6))
-		if rs, ok := s.ExternalStats()["remote"].(remote.RemoteStats); ok {
+		if client != nil {
+			rs := client.Stats()
 			fmt.Printf("remote: %d fetches, %d RPCs, %d retries, %d errors, %.1f MB in\n",
 				rs.Fetches, rs.RPCs, rs.Retries, rs.Errors, float64(rs.BytesIn)/1e6)
 		}

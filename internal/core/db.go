@@ -106,8 +106,7 @@ type DB struct {
 	ioDone        chan struct{}   // closed by the last worker to exit; immutable after Open
 	workers       []IOWorkerStats // per-worker counters, indexed by worker id; guarded by mu
 
-	stats        Stats                 // operation counters; guarded by mu
-	statsSources map[string]func() any // named external counter providers; guarded by mu
+	stats Stats // operation counters; guarded by mu
 
 	traceEvents bool        // immutable after Open
 	events      []UnitEvent // guarded by mu
@@ -558,13 +557,11 @@ func (db *DB) getRecordLocked(recType string, keys []any) (*Record, error) {
 		return nil, err
 	}
 	db.keyBuf = key
-	idx, found := db.indexes[recType]
-	var r *Record
-	if found {
-		r, ok = idx.Get(key)
-	} else {
-		r, ok = nil, false
+	idx, ok := db.indexes[recType]
+	if !ok {
+		return nil, fmt.Errorf("%w: record type %q", ErrNotFound, recType)
 	}
+	r, ok := idx.Get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: record type %q", ErrNotFound, recType)
 	}

@@ -66,10 +66,6 @@ func TestMethodsReleaseDBLock(t *testing.T) {
 		{"SetMemSpace", func(db *DB) error { db.SetMemSpace(1 << 20); return nil }},
 		{"Stats", func(db *DB) error { db.Stats(); return nil }},
 		{"IOWorkerStats", func(db *DB) error { db.IOWorkerStats(); return nil }},
-		{"RegisterStatsSource", func(db *DB) error {
-			db.RegisterStatsSource("test", func() any { return nil })
-			return nil
-		}},
 		{"UnitEvents", func(db *DB) error { db.UnitEvents(); return nil }},
 		{"Units", func(db *DB) error { db.Units(); return nil }},
 		{"UnitState", func(db *DB) error { db.UnitState("u0"); return nil }},

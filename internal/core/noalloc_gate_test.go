@@ -1,5 +1,6 @@
-// AllocsPerRun gates for this package's //godiva:noalloc functions — the
-// runtime cross-check of the alloccheck analyzer (see internal/noalloctest).
+// AllocsPerRun gates for this package's //godiva:noalloc functions (see
+// internal/noalloctest): each gate drives every branch of its function that
+// does not return an error, so a new branch there needs a call here too.
 // Excluded under -race: the race runtime instruments allocation sites and
 // the measurements stop meaning anything.
 
@@ -17,14 +18,27 @@ func TestNoAllocGates(t *testing.T) {
 	db, keys := populateQueryDB(t, 64)
 	rt := db.recordTypes["grid"]
 	buf := make([]byte, 0, 64)
-	// Pre-boxed so the gate measures encodeKeyValue, not the harness's
-	// string-to-interface conversion.
-	var keyVal any = keys[0][0]
+	// One value per key type, pre-boxed so the gate measures
+	// encodeKeyValue, not the harness's conversions to interface. The
+	// string is shorter than its field, so the zero padding runs too.
+	var (
+		strVal any = "ab"
+		bytVal any = []byte{1, 2, 3, 4}
+		i32Val any = int32(-7)
+		i64Val any = int64(1) << 40
+		f32Val any = float32(0.5)
+		f64Val any = 0.25
+	)
 	var (
 		r   *Record
 		s   Stats
 		err error
 	)
+	encode := func(dt DataType, size int, v any) {
+		if buf, err = encodeKeyValue(buf[:0], dt, size, v); err != nil {
+			panic(err)
+		}
+	}
 	noalloctest.Check(t, ".", map[string]func(){
 		"recordType.appendKeyForValues": func() {
 			buf, err = rt.appendKeyForValues(buf[:0], keys[0])
@@ -33,10 +47,12 @@ func TestNoAllocGates(t *testing.T) {
 			}
 		},
 		"encodeKeyValue": func() {
-			buf, err = encodeKeyValue(buf[:0], String, 16, keyVal)
-			if err != nil {
-				panic(err)
-			}
+			encode(String, 4, strVal)
+			encode(Bytes, 4, bytVal)
+			encode(Int32, 4, i32Val)
+			encode(Int64, 8, i64Val)
+			encode(Float32, 4, f32Val)
+			encode(Float64, 8, f64Val)
 		},
 		"DB.getRecordLocked": func() {
 			db.mu.Lock()

@@ -59,34 +59,3 @@ func (db *DB) IOWorkerStats() []IOWorkerStats {
 	defer db.mu.Unlock()
 	return slices.Clone(db.workers)
 }
-
-// RegisterStatsSource attaches a named provider of external operation
-// counters — e.g. the remote unit client's transport stats — so tools that
-// report DB.Stats can surface them alongside it without the core depending
-// on any transport. Registering a name again replaces its provider. fn must
-// be safe to call from any goroutine and must not call back into the
-// database.
-func (db *DB) RegisterStatsSource(name string, fn func() any) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.statsSources == nil {
-		db.statsSources = make(map[string]func() any)
-	}
-	db.statsSources[name] = fn
-}
-
-// ExternalStats snapshots every registered external stats source by name.
-// The providers run outside the database lock.
-func (db *DB) ExternalStats() map[string]any {
-	db.mu.Lock()
-	fns := make(map[string]func() any, len(db.statsSources))
-	for name, fn := range db.statsSources {
-		fns[name] = fn
-	}
-	db.mu.Unlock()
-	out := make(map[string]any, len(fns))
-	for name, fn := range fns {
-		out[name] = fn()
-	}
-	return out
-}

@@ -10,8 +10,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"godiva/internal/lint/callgraph"
 )
 
 // dfState is one analyzer's abstract state at a program point.
@@ -82,16 +80,6 @@ func runDataflow(g *funcCFG, entry dfState, p dfProblem, record bool) {
 			p.transfer(n, st, record)
 		}
 	}
-}
-
-// dfFuncs returns the module's functions in deterministic key order.
-func dfFuncs(mc *moduleContext) []*callgraph.Func {
-	keys := sortedKeys(mc.Graph.Funcs)
-	out := make([]*callgraph.Func, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, mc.Graph.Funcs[k])
-	}
-	return out
 }
 
 // cfgOf builds (and memoizes) the CFG for one function body.

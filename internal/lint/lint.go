@@ -2,28 +2,26 @@
 // driver for this repository. It is deliberately standard-library-only
 // (go/parser, go/ast, go/types, go/importer — no golang.org/x/tools), and
 // its analyzers encode GODIVA-specific invariants that generic linters
-// cannot know. Every analyzer is handed the whole run: the loaded packages
-// plus one class-hierarchy-analysis call graph (internal/lint/callgraph)
-// over all of them. Those that follow a state along paths run forward
-// abstract interpretation over per-function control-flow graphs (cfg.go,
-// dataflow.go); the interprocedural ones iterate per-function summaries to
-// a fixpoint over the call graph.
+// cannot know. Each analyzer walks the loaded packages one at a time;
+// lockcheck follows the lock state along paths by forward abstract
+// interpretation over per-function control-flow graphs (cfg.go,
+// dataflow.go).
 //
 //   - lockcheck: fields annotated "guarded by mu" and *Locked functions are
 //     only touched while the owning mutex is held (one function at a time,
 //     over its CFG).
 //   - errcheck: error results of the godiva/core/remote public API are
 //     never silently discarded (including "_ =" discards).
-//   - alloccheck: functions annotated //godiva:noalloc must stay
-//     allocation-free on their hot path (error-returning branches are
-//     exempt), transitively through module calls.
 //
 // Pin releases, goroutine shutdown, atomic fields, wire-decoded lengths,
 // locks held past a return or across a blocking call, and zero-copy borrows
 // have no analyzer: every planted bug of those classes an analyzer caught,
 // the tests, go vet, the -race stages or the fuzz targets catch too, or it
 // changes nothing a program can observe (EXPERIMENTS.md, "Lint ledger,
-// part 2" and "part 3").
+// part 2" and "part 3"). Nor does //godiva:noalloc: it is a runtime
+// contract, held by each package's TestNoAllocGates (internal/noalloctest),
+// whose gates drive every non-error branch of an annotated function
+// (EXPERIMENTS.md, "Lint ledger, part 4").
 //
 // Findings can be suppressed with a "//lint:ignore <analyzer> <reason>"
 // directive on the offending line or the line directly above it.
@@ -36,8 +34,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"godiva/internal/lint/callgraph"
 )
 
 // Finding is one analyzer hit. Suppressed marks findings covered by a
@@ -91,9 +87,8 @@ func (p *Package) InfoFor(f *File) *types.Info {
 	return p.Info
 }
 
-// An analyzer inspects every package of a run at once, through the shared
-// module context, so interprocedural facts propagate across package
-// boundaries.
+// An analyzer inspects every package of a run, through the shared module
+// context.
 type analyzer struct {
 	name string
 	doc  string
@@ -104,7 +99,6 @@ type analyzer struct {
 var analyzers = []*analyzer{
 	lockcheckAnalyzer,
 	errcheckAnalyzer,
-	alloccheckAnalyzer,
 }
 
 // eachPackage lifts a check that needs one package at a time to the
@@ -120,44 +114,14 @@ func eachPackage(run func(p *Package) []Finding) func(mc *moduleContext) []Findi
 }
 
 // moduleContext is the shared state handed to analyzers: the loaded
-// packages plus one call graph built over their production files.
+// packages.
 type moduleContext struct {
-	Pkgs  []*Package
-	Graph *callgraph.Graph
-	// CG maps each lint package to its call-graph counterpart.
-	CG map[*Package]*callgraph.Package
+	Pkgs []*Package
 
 	// cfgs memoizes per-body control-flow graphs for lockcheck (see
 	// cfg.go), which walks a function literal's body again each time the
 	// dataflow fixpoint transfers the node that holds it.
 	cfgs map[*ast.BlockStmt]*funcCFG
-}
-
-// newModuleContext builds the call graph over the production (non-test)
-// files of the given packages.
-func newModuleContext(pkgs []*Package) *moduleContext {
-	mc := &moduleContext{Pkgs: pkgs, CG: make(map[*Package]*callgraph.Package)}
-	var cgpkgs []*callgraph.Package
-	for _, p := range pkgs {
-		if p.Info == nil {
-			continue
-		}
-		cp := &callgraph.Package{
-			PkgPath: p.ImportPath,
-			Info:    p.Info,
-			Types:   p.Types,
-		}
-		for _, f := range p.Files {
-			if f.Test {
-				continue
-			}
-			cp.Files = append(cp.Files, callgraph.File{Path: f.Path, AST: f.AST})
-		}
-		mc.CG[p] = cp
-		cgpkgs = append(cgpkgs, cp)
-	}
-	mc.Graph = callgraph.Build(cgpkgs)
-	return mc
 }
 
 // AnalyzerNames returns every analyzer name in reporting order.
@@ -256,8 +220,7 @@ func RunAllOnly(m *Module, patterns, only []string) ([]Finding, error) {
 	return runPackages(pkgs, sel), nil
 }
 
-// RunPackage applies the full suite (on a single-package call graph) to
-// one loaded package, dropping findings suppressed by lint:ignore
+// RunPackage applies the full suite to one loaded package, dropping findings suppressed by lint:ignore
 // directives. Malformed directives are themselves findings.
 func RunPackage(p *Package) []Finding {
 	return dropSuppressed(runPackages([]*Package{p}, nil))
@@ -281,7 +244,7 @@ func runPackages(pkgs []*Package, sel map[string]bool) []Finding {
 			}
 		}
 	}
-	mc := newModuleContext(pkgs)
+	mc := &moduleContext{Pkgs: pkgs}
 	for _, a := range analyzers {
 		if sel != nil && !sel[a.name] {
 			continue

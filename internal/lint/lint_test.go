@@ -1,11 +1,8 @@
 package lint
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -100,7 +97,7 @@ func (w expectation) matches(f Finding) bool {
 // the findings its // want comments declare: every want is hit, and every
 // finding is wanted (no false positives inside the fixture either).
 func TestSeededViolations(t *testing.T) {
-	for _, name := range []string{"lockbad", "errbad", "allocbad"} {
+	for _, name := range []string{"lockbad", "errbad"} {
 		t.Run(name, func(t *testing.T) {
 			wants := parseWants(t, name)
 			if len(wants) == 0 {
@@ -139,15 +136,15 @@ func TestSeededViolations(t *testing.T) {
 }
 
 // TestSuiteDeterminism loads the module twice from scratch, runs the full
-// suite (per-package and module analyzers) over every violation fixture,
-// and requires the two rendered finding lists to be byte-identical: map
-// iteration anywhere in an analyzer or the fixpoint drivers must not leak
-// into output order or content.
+// suite over every violation fixture, and requires the two rendered
+// finding lists to be byte-identical: map iteration anywhere in an
+// analyzer or the dataflow driver must not leak into output order or
+// content.
 func TestSuiteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double module load in -short mode")
 	}
-	fixtures := []string{"lockbad", "errbad", "allocbad"}
+	fixtures := []string{"lockbad", "errbad"}
 	render := func() string {
 		m, err := LoadModule("../..", []string{"godivainvariants"})
 		if err != nil {
@@ -266,177 +263,6 @@ func TestRepoIsClean(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestCLIExitCodes runs the real binary: non-zero on a seeded-violation
-// fixture, zero on the clean one, and a usage error for an analyzer that is
-// no longer in the suite.
-func TestCLIExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go run in -short mode")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(args ...string) (int, string) {
-		t.Helper()
-		cmd := exec.Command("go", append([]string{"run", "./cmd/godiva-lint"}, args...)...)
-		cmd.Dir = root
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return 0, string(out)
-		}
-		var ee *exec.ExitError
-		if errors.As(err, &ee) {
-			return ee.ExitCode(), string(out)
-		}
-		t.Fatalf("go run: %v\n%s", err, out)
-		return -1, ""
-	}
-	if code, _ := run("./internal/lint/testdata/src/lockbad"); code != 1 {
-		t.Errorf("lint on lockbad fixture exited %d, want 1", code)
-	}
-	if code, _ := run("./internal/lint/testdata/src/clean"); code != 0 {
-		t.Errorf("lint on clean fixture exited %d, want 0", code)
-	}
-	for _, gone := range []string{"paircheck", "racecheck", "releasecheck", "wirecheck", "leakcheck", "atomiccheck", "deadlockcheck", "borrowcheck"} {
-		if code, out := run("-only", gone, "./internal/lint/testdata/src/clean"); code == 0 || !strings.Contains(out, `unknown analyzer "`+gone+`"`) {
-			t.Errorf("lint -only %s exited %d, want a usage error naming it:\n%s", gone, code, out)
-		}
-	}
-}
-
-// TestCLIJSON runs the binary in -json mode over a seeded fixture and
-// checks the one-finding-per-line contract: every line parses, carries the
-// analyzer/pos/message/suppressed fields, and the exit code still signals
-// the findings.
-func TestCLIJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go run in -short mode")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-json", "./internal/lint/testdata/src/lockbad")
-	cmd.Dir = root
-	out, err := cmd.Output()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
-		t.Fatalf("want exit 1 with findings, got err=%v\n%s", err, out)
-	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) == 0 {
-		t.Fatal("no JSON lines emitted")
-	}
-	sawLockcheck := false
-	for _, line := range lines {
-		var f struct {
-			Analyzer   string `json:"analyzer"`
-			File       string `json:"file"`
-			Line       int    `json:"line"`
-			Col        int    `json:"col"`
-			Message    string `json:"message"`
-			Suppressed bool   `json:"suppressed"`
-		}
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		if f.Analyzer == "" || f.File == "" || f.Line == 0 || f.Message == "" {
-			t.Errorf("incomplete finding: %q", line)
-		}
-		if f.Suppressed {
-			t.Errorf("unexpected suppressed finding in fixture: %q", line)
-		}
-		if f.Analyzer == "lockcheck" {
-			sawLockcheck = true
-		}
-	}
-	if !sawLockcheck {
-		t.Errorf("no lockcheck finding among %d JSON lines", len(lines))
-	}
-}
-
-// TestCLISARIF runs the binary in -sarif mode over a seeded fixture and
-// checks the log parses as SARIF 2.1.0 with a lockcheck rule and results
-// carrying physical locations.
-func TestCLISARIF(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go run in -short mode")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", "./cmd/godiva-lint", "-sarif", "./internal/lint/testdata/src/lockbad")
-	cmd.Dir = root
-	out, err := cmd.Output()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
-		t.Fatalf("want exit 1 with findings, got err=%v\n%s", err, out)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Message   struct{ Text string }
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out, &log); err != nil {
-		t.Fatalf("SARIF does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("unexpected log shape: version=%q runs=%d", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "godiva-lint" {
-		t.Errorf("driver name = %q", run.Tool.Driver.Name)
-	}
-	sawRule := false
-	for _, r := range run.Tool.Driver.Rules {
-		if r.ID == "lockcheck" {
-			sawRule = true
-		}
-	}
-	if !sawRule {
-		t.Error("no lockcheck rule in driver metadata")
-	}
-	if len(run.Results) == 0 {
-		t.Fatal("no results")
-	}
-	for _, res := range run.Results {
-		if len(res.Locations) != 1 {
-			t.Fatalf("result without location: %+v", res)
-		}
-		loc := res.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI == "" || loc.Region.StartLine == 0 {
-			t.Errorf("incomplete location: %+v", loc)
-		}
-		if filepath.IsAbs(loc.ArtifactLocation.URI) {
-			t.Errorf("artifact URI not module-relative: %s", loc.ArtifactLocation.URI)
 		}
 	}
 }

@@ -6,7 +6,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -62,14 +61,4 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
-}
-
-// sortedKeys returns a string-keyed map's keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

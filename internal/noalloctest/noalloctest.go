@@ -1,16 +1,20 @@
-// Package noalloctest is the runtime half of the //godiva:noalloc contract.
-// The static half — internal/lint's alloccheck analyzer — proves annotated
-// functions contain no allocating constructs on their hot paths; Check
-// cross-verifies the same functions with testing.AllocsPerRun, and keeps the
-// two views from drifting: every annotated function in a package must have a
-// gate, and every gate must correspond to an annotated function.
+// Package noalloctest holds the //godiva:noalloc contract. The directive
+// on a function means one thing: every path through it that does not return
+// an error runs without allocating. Check enforces that at run time with
+// testing.AllocsPerRun, and keeps annotations and gates from drifting: every
+// annotated function in a package must have a gate, and every gate must
+// correspond to an annotated function.
 //
-// Gate keys name the function the way alloccheck's fixtures do: methods as
-// "ReceiverBaseType.Name" (pointer receivers stripped), plain functions by
-// bare name. A package's gate test calls Check with one closure per key; each
-// closure performs one call of the annotated function with representative
-// arguments and must itself stay allocation-free (pre-box interface values,
-// reuse scratch buffers, keep results in outer variables).
+// Gate keys name methods as "ReceiverBaseType.Name" (pointer receivers and
+// type parameters stripped) and plain functions by bare name. A package's
+// gate test calls Check with one closure per key; each closure drives every
+// branch of the annotated function that does not end in an error return —
+// each case, each early return of a non-error result, each skipped loop
+// iteration — on every call, so an allocation added to any of them shows in
+// the measured average. A new such branch in an annotated function gets a
+// call in its gate. The closure must itself stay allocation-free (pre-box
+// interface values, reuse scratch buffers, keep results in outer
+// variables).
 package noalloctest
 
 import (

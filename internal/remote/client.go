@@ -59,9 +59,8 @@ func (o *ClientOptions) setDefaults() {
 	}
 }
 
-// RemoteStats is a snapshot of the client's operation counters, surfaced
-// alongside DB.Stats (see core.DB.RegisterStatsSource) so a run's transport
-// behavior is visible next to its unit accounting.
+// RemoteStats is a snapshot of the client's operation counters: a run's
+// transport behavior, reported next to its unit accounting (DB.Stats).
 type RemoteStats struct {
 	Fetches int64 // files requested through FetchFiles
 	RPCs    int64 // wire attempts issued (dials and round-trips)

@@ -28,6 +28,8 @@ func TestNoAllocGates(t *testing.T) {
 			s = c.Stats()
 		},
 		"dec.align": func() {
+			d.off = 8 // on a boundary: no pad
+			d.align(8)
 			d.off = 3 // mid-field: align must skip a real pad each run
 			d.align(8)
 		},

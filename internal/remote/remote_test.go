@@ -192,7 +192,6 @@ func TestEndToEndWithFaults(t *testing.T) {
 	db := core.Open(core.Options{MemoryLimit: 256 << 20, BackgroundIO: true, IOWorkers: 4})
 	defer db.Close()
 	defineTestSchema(t, db)
-	db.RegisterStatsSource("remote", func() any { return c.Stats() })
 
 	read := remote.NewReadFunc(c, snapResolver(spec), testVars, commitTestBlock)
 	for s := 0; s < spec.Snapshots; s++ {

@@ -1,5 +1,6 @@
-// AllocsPerRun gates for this package's //godiva:noalloc functions — the
-// runtime cross-check of the alloccheck analyzer (see internal/noalloctest).
+// AllocsPerRun gates for this package's //godiva:noalloc functions (see
+// internal/noalloctest): each gate drives every branch of its function that
+// does not return an error, so a new branch there needs a call here too.
 // Excluded under -race: the race runtime instruments allocation sites and
 // the measurements stop meaning anything.
 
@@ -22,9 +23,18 @@ func TestNoAllocGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lut LUT = CoolWarm{}
+	if !r.verts.ok[0] {
+		t.Fatal("vertex 0 is hidden already")
+	}
 	noalloctest.Check(t, ".", map[string]func(){
-		"Renderer.colorVerts": func() { r.colorVerts(agg.Scalars, lut, lo, hi) },
-		"Renderer.resolve":    func() { r.resolve() },
+		// With vertex 0 hidden, then with no scalars over an empty range.
+		"Renderer.colorVerts": func() {
+			r.verts.ok[0] = false
+			r.colorVerts(agg.Scalars, lut, lo, hi)
+			r.verts.ok[0] = true
+			r.colorVerts(nil, lut, lo, lo)
+		},
+		"Renderer.resolve": func() { r.resolve() },
 	})
 	if countNonBackground(r) == 0 {
 		t.Error("the gated resolve colored no pixel")

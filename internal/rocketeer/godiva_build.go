@@ -348,9 +348,6 @@ func runGodiva(cfg Config, background bool) (*Result, error) {
 	}
 	db := core.Open(opts)
 	defer db.Close()
-	if cfg.Remote != nil {
-		db.RegisterStatsSource("remote", func() any { return cfg.Remote.Stats() })
-	}
 	if err := defineSchema(db); err != nil {
 		return nil, err
 	}

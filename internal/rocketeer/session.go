@@ -69,9 +69,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		workers = 1
 	}
 	db := core.Open(core.Options{MemoryLimit: cfg.MemoryLimit, BackgroundIO: true, IOWorkers: workers})
-	if cfg.Remote != nil {
-		db.RegisterStatsSource("remote", func() any { return cfg.Remote.Stats() })
-	}
 	if err := defineSchema(db); err != nil {
 		if cerr := db.Close(); cerr != nil {
 			err = fmt.Errorf("%w (and close failed: %v)", err, cerr)
@@ -109,10 +106,6 @@ func (s *Session) Close() error { return errors.Join(s.db.Close(), s.reader.Clos
 
 // Stats returns the underlying database counters.
 func (s *Session) Stats() core.Stats { return s.db.Stats() }
-
-// ExternalStats returns the registered external counter snapshots (e.g. the
-// remote client's transport stats), keyed by source name.
-func (s *Session) ExternalStats() map[string]any { return s.db.ExternalStats() }
 
 // SetMemSpace adjusts the database memory cap at run time.
 func (s *Session) SetMemSpace(bytes int64) { s.db.SetMemSpace(bytes) }

@@ -1,5 +1,6 @@
-// AllocsPerRun gates for this package's //godiva:noalloc functions — the
-// runtime cross-check of the alloccheck analyzer (see internal/noalloctest).
+// AllocsPerRun gates for this package's //godiva:noalloc functions (see
+// internal/noalloctest): each gate drives every branch of its function that
+// does not return an error, so a new branch there needs a call here too.
 // Excluded under -race: the race runtime instruments allocation sites and
 // the measurements stop meaning anything.
 
@@ -17,18 +18,27 @@ import (
 )
 
 func TestNoAllocGates(t *testing.T) {
-	img, sds, _, _ := zcSampleImage(t)
+	img, sds, attr, grp := zcSampleImage(t)
 	f, err := NewFile(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadSDS(sds); err != nil { // warm both memos
+	// Warm both memos of sds; attr stays unread, so its entry is
+	// unverified, and no object has ref grp+1.
+	if _, err := f.ReadSDS(sds); err != nil {
 		t.Fatal(err)
 	}
+	unknown := grp + 1
 	var p []byte
 	var ds *Dataset
 	noalloctest.Check(t, ".", map[string]func(){
 		"File.cachedPayload": func() {
+			if _, e, _, ok := f.cachedPayload(unknown); ok || e != nil {
+				panic("unknown ref has an entry")
+			}
+			if _, e, _, ok := f.cachedPayload(attr); ok || e == nil {
+				panic("unread attribute is not an unverified entry")
+			}
 			var ok bool
 			p, _, ds, ok = f.cachedPayload(sds)
 			if !ok {

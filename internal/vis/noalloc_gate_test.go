@@ -1,5 +1,6 @@
-// AllocsPerRun gates for this package's //godiva:noalloc functions — the
-// runtime cross-check of the alloccheck analyzer (see internal/noalloctest).
+// AllocsPerRun gates for this package's //godiva:noalloc functions (see
+// internal/noalloctest): each gate drives every branch of its function that
+// does not return an error, so a new branch there needs a call here too.
 // Excluded under -race: the race runtime instruments allocation sites and
 // the measurements stop meaning anything.
 

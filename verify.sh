@@ -6,22 +6,22 @@
 #   vet         go vet over the whole module
 #   build       everything compiles
 #   entrypoints every package has test files except internal/locktest and
-#               internal/noalloctest (test helpers) and cmd/godiva-lint
-#               (internal/lint's CLI tests run it): a command or library
+#               internal/noalloctest (test helpers): a command or library
 #               package no test runs gets a test or goes
-#   lint        godiva-lint (lockcheck and errcheck plus the
-#               interprocedural alloccheck) reports zero findings; non-zero
-#               findings fail the gate, as does the suite running longer
-#               than the 30s wall-clock budget (about 3s on a 2-CPU host,
-#               most of it loading and type-checking the module; analyzer
-#               cost regressions must surface here, not in every later CI
-#               run). Data races are the -race stages' job; pin releases,
-#               goroutine shutdown, atomic fields, wire bounds, locks held
-#               past a return or across a blocking call, and zero-copy
-#               borrows are the test, vet, -race and fuzz stages'
-#               (EXPERIMENTS.md, "Lint ledger, part 2" and "part 3"). The
-#               run writes lint.sarif — every analyzer's findings,
-#               suppressed ones included — which CI uploads.
+#   lint        godiva-lint (lockcheck and errcheck) reports zero findings;
+#               non-zero findings fail the gate, as does the suite running
+#               longer than the 30s wall-clock budget (about 3s on a 2-CPU
+#               host, most of it loading and type-checking the module;
+#               analyzer cost regressions must surface here, not in every
+#               later CI run). Data races are the -race stages' job; pin
+#               releases, goroutine shutdown, atomic fields, wire bounds,
+#               locks held past a return or across a blocking call, and
+#               zero-copy borrows are the test, vet, -race and fuzz
+#               stages'; //godiva:noalloc is the test stage's, through
+#               each package's TestNoAllocGates (EXPERIMENTS.md, "Lint
+#               ledger, part 2", "part 3" and "part 4"). The run writes
+#               lint.sarif — every analyzer's findings, suppressed ones
+#               included — which CI uploads.
 #   test        full test suite, caching disabled (-count=1) so the noalloc
 #               AllocsPerRun gates re-measure on every run
 #   bench       the repository benchmark's own vet and tests (bench/ is its
@@ -137,7 +137,7 @@ check_benchmem() {
 
 check_entrypoints() {
     untested=$(go list -f '{{if and (not .TestGoFiles) (not .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./... |
-        grep -v -x -e '' -e godiva/internal/locktest -e godiva/internal/noalloctest -e godiva/cmd/godiva-lint)
+        grep -v -x -e '' -e godiva/internal/locktest -e godiva/internal/noalloctest)
     if [ -n "$untested" ]; then
         echo "entrypoints: these packages have no test files; give each a test or delete it:" >&2
         echo "$untested" >&2
