@@ -2,7 +2,7 @@
 // (internal/lint) over godiva packages:
 //
 //	go run ./cmd/godiva-lint ./...
-//	go run ./cmd/godiva-lint -tags godivainvariants ./internal/core
+//	go run ./cmd/godiva-lint ./internal/core
 //	go run ./cmd/godiva-lint -only lockcheck,errcheck ./...
 //
 // -only restricts a run to the named analyzers; -help lists every
@@ -41,13 +41,12 @@ type jsonFinding struct {
 }
 
 func main() {
-	tags := flag.String("tags", "", "comma-separated build tags to enable (as in go build -tags)")
 	jsonOut := flag.Bool("json", false, "emit one JSON finding per line (including suppressed findings, marked)")
 	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 log (including suppressed findings, marked with an inSource suppression)")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: the full suite)")
 	verbose := flag.Bool("v", false, "also print type-check diagnostics the analyzers tolerated")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: godiva-lint [-tags taglist] [-only analyzer,...] [packages]\n\nanalyzers (each selectable with -only):\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: godiva-lint [-json | -sarif] [-only analyzer,...] [packages]\n\nanalyzers (each selectable with -only):\n")
 		for _, d := range lint.AnalyzerDocs() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %s\n", d)
 		}
@@ -60,11 +59,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "godiva-lint: %v\n", err)
 		os.Exit(2)
 	}
-	var tagList []string
-	if *tags != "" {
-		tagList = strings.Split(*tags, ",")
-	}
-	m, err := lint.LoadModule(root, tagList)
+	m, err := lint.LoadModule(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "godiva-lint: %v\n", err)
 		os.Exit(2)

@@ -59,7 +59,8 @@ func godivaLint(t *testing.T, args ...string) (int, string, string) {
 
 // TestCLIExitCodes runs the real binary: non-zero on a seeded-violation
 // fixture, zero on the clean one, and a usage error for an analyzer that is
-// no longer in the suite.
+// no longer in the suite and for the retired -tags flag (the loader builds
+// what go build builds for the host).
 func TestCLIExitCodes(t *testing.T) {
 	if code, _, _ := godivaLint(t, "./internal/lint/testdata/src/lockbad"); code != 1 {
 		t.Errorf("lint on lockbad fixture exited %d, want 1", code)
@@ -71,6 +72,9 @@ func TestCLIExitCodes(t *testing.T) {
 		if code, _, stderr := godivaLint(t, "-only", gone, "./internal/lint/testdata/src/clean"); code != 2 || !strings.Contains(stderr, `unknown analyzer "`+gone+`"`) {
 			t.Errorf("lint -only %s exited %d, want a usage error naming it:\n%s", gone, code, stderr)
 		}
+	}
+	if code, _, stderr := godivaLint(t, "-tags", "unix", "./internal/lint/testdata/src/clean"); code != 2 || !strings.Contains(stderr, "-tags") {
+		t.Errorf("lint -tags exited %d, want a usage error naming the flag:\n%s", code, stderr)
 	}
 }
 

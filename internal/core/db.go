@@ -177,7 +177,6 @@ func (db *DB) Close() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("Close")
 	for _, u := range db.units {
 		db.dropUnitLocked(u)
 	}
@@ -194,7 +193,6 @@ func (db *DB) Close() error {
 func (db *DB) SetMemSpace(bytes int64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("SetMemSpace")
 	db.limit = bytes
 	for db.mem > db.limit {
 		if !db.evictOneLocked() {
@@ -349,7 +347,6 @@ func (db *DB) reserveLocked(need int64, owner *unit) error {
 	}
 	db.mem += need
 	db.stats.PeakBytes = max(db.stats.PeakBytes, db.mem)
-	db.checkMemLocked("reserveLocked")
 	return nil
 }
 
@@ -459,7 +456,6 @@ func (db *DB) stuckWaiterLocked(owner *unit) bool {
 // and are not woken by memory traffic. Caller holds db.mu.
 func (db *DB) releaseLocked(n int64) {
 	db.mem -= n
-	db.checkMemLocked("releaseLocked")
 	if n > 0 {
 		broadcast(&db.memCh)
 	}

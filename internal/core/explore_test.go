@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -38,7 +39,8 @@ const churnSeeds = 40
 // or two consumers, and checks:
 //
 //	(1) the machine never stalls (it panics, naming the seed);
-//	(2) under godivainvariants, the invariants hold after every step;
+//	(2) the invariants hold after every step and at every park, and every
+//	    logged unit transition is in legalTransitions (audit_test.go);
 //	(3) at IOWorkers <= 1, with one consumer waiting in AddUnit order,
 //	    WaitUnit(u) returns ErrDeadlock exactly when the bytes the consumer
 //	    has pinned plus u's charge exceed the limit;
@@ -80,33 +82,73 @@ type exploreTally struct {
 
 // seedClock is a Machine whose simulated goroutines name the running test
 // in any panic — a stall, an invariant violation — so a failure on an I/O
-// worker, which ends the test binary, still says which seed to re-run.
+// worker, which ends the test binary, still says which seed to re-run. It
+// audits every database opened through it at each park: the machine runs
+// one simulated goroutine at a time and core never parks holding db.mu, so
+// the lock is free there.
 type seedClock struct {
 	*platform.Machine
 	test string
+	dbs  []*DB
 }
 
-func (c seedClock) Go(fn func()) {
+// open opens a database on the clock with its unit events traced, for
+// onMachine to check against legalTransitions once the run is over.
+func (c *seedClock) open(opts Options) *DB {
+	opts.Clock, opts.TraceUnits = c, true
+	db := Open(opts)
+	c.dbs = append(c.dbs, db)
+	return db
+}
+
+func (c *seedClock) Go(fn func()) {
 	c.Machine.Go(func() {
 		defer c.blame()
 		fn()
 	})
 }
 
-func (c seedClock) blame() {
+func (c *seedClock) Wait(ch <-chan struct{}) {
+	defer c.report()
+	for _, db := range c.dbs {
+		if !db.mu.TryLock() {
+			invariantViolation("park", "db.mu held across a park")
+		}
+		db.auditLocked("park")
+		db.mu.Unlock()
+	}
+	c.Machine.Wait(ch)
+}
+
+// report prints a panic raised at a park — a failed audit or a stalled
+// simulation — before passing it on. It unwinds through core frames that
+// dropped db.mu to park, and a second deferred Unlock among them turns it
+// into a fatal "unlock of unlocked mutex" that prints no message.
+func (c *seedClock) report() {
+	if r := recover(); r != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", c.test, r)
+		panic(r)
+	}
+}
+
+func (c *seedClock) blame() {
 	if r := recover(); r != nil {
 		panic(fmt.Sprintf("%s: %v", c.test, r))
 	}
 }
 
 // onMachine runs fn as the first simulated goroutine of a fresh machine,
-// with a clock to open the database on.
-func onMachine(t *testing.T, spec platform.Spec, fn func(m *platform.Machine, clock Clock)) {
-	clock := seedClock{platform.New(spec), t.Name()}
+// with a clock to open databases on, then checks every transition those
+// databases logged.
+func onMachine(t *testing.T, spec platform.Spec, fn func(m *platform.Machine, clock *seedClock)) {
+	clock := &seedClock{Machine: platform.New(spec), test: t.Name()}
 	clock.Run(func() {
 		defer clock.blame()
 		fn(clock.Machine, clock)
 	})
+	for _, db := range clock.dbs {
+		checkTransitions(db)
+	}
 }
 
 // runAll runs each fn as a simulated goroutine and returns once all have.
@@ -122,13 +164,6 @@ func runAll(clock Clock, fns ...func()) {
 	for _, ch := range done {
 		clock.Wait(ch)
 	}
-}
-
-// audit runs the full invariant check, a no-op without godivainvariants.
-func audit(db *DB) {
-	db.mu.Lock()
-	db.checkInvariantsLocked("explore")
-	db.mu.Unlock()
 }
 
 // smallCharge draws a step's compute charge: 0–3 ms, so ties are common.
@@ -229,8 +264,8 @@ func newExploreCase(t *testing.T, workers int, seed int64) *exploreCase {
 
 func (c *exploreCase) run(t *testing.T, tally *exploreTally) {
 	used := int64(-1)
-	onMachine(t, c.spec, func(m *platform.Machine, clock Clock) {
-		db := Open(Options{MemoryLimit: c.limit, BackgroundIO: c.workers > 0, IOWorkers: c.workers, Clock: clock})
+	onMachine(t, c.spec, func(m *platform.Machine, clock *seedClock) {
+		db := clock.open(Options{MemoryLimit: c.limit, BackgroundIO: c.workers > 0, IOWorkers: c.workers})
 		defineBlobSchema(t, db)
 		var scripts []func()
 		for i, units := range c.consumers {
@@ -278,7 +313,7 @@ func (c *exploreConsumer) ok(op string, eu *exploreUnit, err error) bool {
 		return false
 	}
 	c.m.Compute(smallCharge(c.rng))
-	audit(c.db)
+	audit(c.db, "step")
 	return true
 }
 

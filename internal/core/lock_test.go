@@ -213,7 +213,7 @@ func TestConcurrentChurnStress(t *testing.T) {
 	var queries, cycles int
 	for seed := int64(1); seed <= churnSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			onMachine(t, platform.Turing, func(m *platform.Machine, clock Clock) {
+			onMachine(t, platform.Turing, func(m *platform.Machine, clock *seedClock) {
 				q, c := churnWithClose(t, m, clock, seed)
 				queries += q
 				cycles += c
@@ -225,8 +225,8 @@ func TestConcurrentChurnStress(t *testing.T) {
 	}
 }
 
-func churnWithClose(t *testing.T, m *platform.Machine, clock Clock, seed int64) (queries, cycles int) {
-	db := Open(Options{MemoryLimit: 256 << 10, BackgroundIO: true, IOWorkers: 4, Clock: clock})
+func churnWithClose(t *testing.T, m *platform.Machine, clock *seedClock, seed int64) (queries, cycles int) {
+	db := clock.open(Options{MemoryLimit: 256 << 10, BackgroundIO: true, IOWorkers: 4})
 	defineBlobSchema(t, db)
 	// Resident records give the queries stable targets that survive unit
 	// churn and eviction.
@@ -248,7 +248,7 @@ func churnWithClose(t *testing.T, m *platform.Machine, clock Clock, seed int64) 
 	rng := rand.New(rand.NewSource(seed))
 	step := func() {
 		m.Compute(smallCharge(rng))
-		audit(db)
+		audit(db, "step")
 	}
 	querier := func() {
 		for i := 0; i < 60; i++ {

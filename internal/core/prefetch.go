@@ -16,7 +16,6 @@ import (
 func (db *DB) AddUnit(name string, read ReadFunc) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("AddUnit")
 	if db.closed {
 		return ErrClosed
 	}
@@ -75,7 +74,6 @@ func (db *DB) ReadUnit(name string, read ReadFunc) error {
 	start := db.now()
 	db.mu.Lock()
 	defer db.endWaitLocked(start)
-	defer db.checkInvariantsLocked("ReadUnit")
 	if db.closed {
 		return ErrClosed
 	}
@@ -97,7 +95,6 @@ func (db *DB) WaitUnit(name string) error {
 	start := db.now()
 	db.mu.Lock()
 	defer db.endWaitLocked(start)
-	defer db.checkInvariantsLocked("WaitUnit")
 	if db.closed {
 		return ErrClosed
 	}
@@ -206,7 +203,6 @@ func (db *DB) runRead(u *unit) {
 	db.mu.Lock()
 	db.stats.ReadTime += elapsed
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("runRead")
 	if err == nil {
 		err = u.allocFailed
 	}
@@ -263,7 +259,6 @@ func (db *DB) runRead(u *unit) {
 func (db *DB) FinishUnit(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("FinishUnit")
 	if db.closed {
 		return ErrClosed
 	}
@@ -298,7 +293,6 @@ func (db *DB) FinishUnit(name string) error {
 func (db *DB) DeleteUnit(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("DeleteUnit")
 	if db.closed {
 		return ErrClosed
 	}

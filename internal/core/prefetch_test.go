@@ -137,6 +137,33 @@ func TestPlainAllocDeadlockSingleThread(t *testing.T) {
 	}
 }
 
+// TestWaiterUnregisters pins the waiter count the §3.3 detector reads
+// (stuckWaiterLocked): a WaitUnit that slept through a unit's read leaves
+// no waiter behind, or a later allocation could see a consumer stuck on a
+// unit nobody waits for.
+func TestWaiterUnregisters(t *testing.T) {
+	onMachine(t, platform.Turing, func(m *platform.Machine, clock *seedClock) {
+		db := clock.open(Options{BackgroundIO: true})
+		defer db.Close()
+		defineBlobSchema(t, db)
+		if err := db.AddUnit("a", chargedBlobReader(m, 64, time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.WaitUnit("a"); err != nil {
+			t.Fatal(err)
+		}
+		db.mu.Lock()
+		waiters := db.units["a"].waiters
+		db.mu.Unlock()
+		if waiters != 0 {
+			t.Errorf("unit a has %d waiters after its only WaitUnit returned", waiters)
+		}
+		if s := db.Stats(); s.VisibleWait == 0 {
+			t.Error("WaitUnit returned without waiting for the read")
+		}
+	})
+}
+
 // A pool of 4 workers must actually overlap reads — with slow read functions
 // several units are in flight at once — while the paper's single I/O thread
 // never does, and every successful background read is counted exactly once.
@@ -243,8 +270,8 @@ func TestWorkerPoolNoFalseDeadlock(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("IOWorkers=%d", w), func(t *testing.T) {
 			var s Stats
-			onMachine(t, platform.Turing, func(m *platform.Machine, clock Clock) {
-				db := Open(Options{BackgroundIO: true, IOWorkers: w, MemoryLimit: 3900, Clock: clock})
+			onMachine(t, platform.Turing, func(m *platform.Machine, clock *seedClock) {
+				db := clock.open(Options{BackgroundIO: true, IOWorkers: w, MemoryLimit: 3900})
 				defer db.Close()
 				defineBlobSchema(t, db)
 				rd := chargedBlobReader(m, 1000, 5*time.Millisecond)
@@ -403,8 +430,8 @@ func stressPool(t *testing.T, workers int, seed int64) {
 		s    Stats
 		ws   []IOWorkerStats
 	)
-	onMachine(t, platform.Turing, func(m *platform.Machine, clock Clock) {
-		db := Open(Options{BackgroundIO: true, IOWorkers: workers, MemoryLimit: 8192, Clock: clock})
+	onMachine(t, platform.Turing, func(m *platform.Machine, clock *seedClock) {
+		db := clock.open(Options{BackgroundIO: true, IOWorkers: workers, MemoryLimit: 8192})
 		defer db.Close()
 		defineBlobSchema(t, db)
 		rd := chargedBlobReader(m, 512, time.Millisecond)
@@ -430,7 +457,7 @@ func stressPool(t *testing.T, workers int, seed int64) {
 						db.SetMemSpace(4096 + int64((g+i)%5)*1024)
 					}
 					m.Compute(smallCharge(rng))
-					audit(db)
+					audit(db, "step")
 				}
 				// Delete every name before exiting: a consumer must not
 				// abandon units it left ready but unconsumed, or the last

@@ -83,7 +83,6 @@ func (db *DB) newRecordLocked(recType string, owner *unit) (*Record, error) {
 func (db *DB) NewRecord(recType string) (*Record, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("NewRecord")
 	return db.newRecordLocked(recType, nil)
 }
 
@@ -98,7 +97,6 @@ func (r *Record) AllocFieldBuffer(field string, size int) (*Buffer, error) {
 	db := r.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("AllocFieldBuffer")
 	if db.closed {
 		return nil, ErrClosed
 	}
@@ -151,7 +149,6 @@ func (r *Record) BorrowFieldBuffer(field string, data []byte) (*Buffer, error) {
 	db := r.db
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("BorrowFieldBuffer")
 	if db.closed {
 		return nil, ErrClosed
 	}
@@ -233,7 +230,6 @@ func (r *Record) SetString(field, s string) error {
 func (db *DB) CommitRecord(r *Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("CommitRecord")
 	if db.closed {
 		return ErrClosed
 	}
@@ -262,7 +258,6 @@ func (db *DB) CommitRecord(r *Record) error {
 func (db *DB) DeleteRecord(r *Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("DeleteRecord")
 	if db.closed {
 		return ErrClosed
 	}

@@ -190,6 +190,43 @@ func TestDeleteRecord(t *testing.T) {
 	if _, err := db.GetFieldBuffer("fluid", "pressure", "block_0001$", "0.000025$"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("query after delete: %v, want ErrNotFound", err)
 	}
+
+	// A unit's record deleted early comes off the unit's charge too.
+	var early *Record
+	err := db.ReadUnit("u", func(u *Unit) error {
+		for _, block := range []string{"block_0002$", "block_0003$"} {
+			r, err := u.NewRecord("fluid")
+			if err != nil {
+				return err
+			}
+			if err := r.SetString("block id", block); err != nil {
+				return err
+			}
+			if err := r.SetString("time-step id", "0.000025$"); err != nil {
+				return err
+			}
+			if _, err := r.AllocFieldBuffer("pressure", 800); err != nil {
+				return err
+			}
+			if err := u.DB().CommitRecord(r); err != nil {
+				return err
+			}
+			early = r
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteRecord(early); err != nil {
+		t.Fatal(err)
+	}
+	if units := db.Units(); len(units) != 1 || units[0].Bytes != db.MemUsed() {
+		t.Fatalf("after deleting one of its records the unit charges %+v, the database %d bytes", units, db.MemUsed())
+	}
+	if err := db.DeleteUnit("u"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReallocGrowAndShrinkAccounting(t *testing.T) {

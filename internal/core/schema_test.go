@@ -5,12 +5,18 @@ import (
 	"testing"
 )
 
+// newTestDB opens a database that the test's cleanup audits (audit_test.go)
+// and closes, after which it must hold no memory.
 func newTestDB(t *testing.T, opts Options) *DB {
 	t.Helper()
 	db := Open(opts)
 	t.Cleanup(func() {
+		audit(db, "cleanup")
 		if err := db.Close(); err != nil && !errors.Is(err, ErrClosed) {
 			t.Errorf("close: %v", err)
+		}
+		if n := db.MemUsed(); n != 0 {
+			t.Errorf("MemUsed = %d after Close", n)
 		}
 	})
 	return db

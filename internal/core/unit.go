@@ -157,7 +157,6 @@ func (x *Unit) OnRelease(fn func()) {
 func (x *Unit) NewRecord(recType string) (*Record, error) {
 	x.db.mu.Lock()
 	defer x.db.mu.Unlock()
-	defer x.db.checkInvariantsLocked("Unit.NewRecord")
 	return x.db.newRecordLocked(recType, x.u)
 }
 

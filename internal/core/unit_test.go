@@ -215,6 +215,22 @@ func TestFinishUnitRefCounting(t *testing.T) {
 	if err := db.FinishUnit("a"); err != nil {
 		t.Fatal(err)
 	}
+	// Two consumers re-pin the cached unit, the first from finished, the
+	// second from ready: it stays pinned until both finish again.
+	for range 2 {
+		if err := db.WaitUnit("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.FinishUnit("a"); err != nil {
+		t.Fatal(err)
+	}
+	if state, _ := db.UnitState("a"); state != "ready" {
+		t.Fatalf("state = %q after the first finish of two re-pins, want ready", state)
+	}
+	if err := db.FinishUnit("a"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -29,7 +30,7 @@ var (
 func testModule(t *testing.T) *Module {
 	t.Helper()
 	modOnce.Do(func() {
-		mod, modErr = LoadModule("../..", []string{"godivainvariants"})
+		mod, modErr = LoadModule("../..")
 	})
 	if modErr != nil {
 		t.Fatalf("LoadModule: %v", modErr)
@@ -66,6 +67,10 @@ func parseWants(t *testing.T, name string) []expectation {
 	var wants []expectation
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		// A file go build skips on this host carries no expectation here.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil || !ok {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -146,7 +151,7 @@ func TestSuiteDeterminism(t *testing.T) {
 	}
 	fixtures := []string{"lockbad", "errbad"}
 	render := func() string {
-		m, err := LoadModule("../..", []string{"godivainvariants"})
+		m, err := LoadModule("../..")
 		if err != nil {
 			t.Fatalf("LoadModule: %v", err)
 		}
@@ -212,8 +217,8 @@ func TestMalformedDirective(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the full suite over the whole module (with the
-// godivainvariants files compiled in) and requires zero findings — the same
+// TestRepoIsClean runs the full suite over the whole module (every file go
+// build compiles for the host) and requires zero findings — the same
 // bar verify.sh enforces — and no stale directive: every lint:ignore in the
 // module must suppress at least one finding.
 func TestRepoIsClean(t *testing.T) {

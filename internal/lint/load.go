@@ -3,14 +3,13 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -24,7 +23,6 @@ import (
 type Module struct {
 	Root string // absolute path of the directory holding go.mod
 	Path string // module path declared in go.mod
-	Tags map[string]bool
 
 	fset     *token.FileSet
 	std      types.ImporterFrom
@@ -33,9 +31,8 @@ type Module struct {
 }
 
 // LoadModule prepares a loader for the module rooted at root (the directory
-// containing go.mod). tags holds extra build tags to enable, as with go
-// build -tags.
-func LoadModule(root string, tags []string) (*Module, error) {
+// containing go.mod).
+func LoadModule(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -48,14 +45,10 @@ func LoadModule(root string, tags []string) (*Module, error) {
 	m := &Module{
 		Root:     root,
 		Path:     modPath,
-		Tags:     make(map[string]bool),
 		fset:     fset,
 		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:    make(map[string]*types.Package),
 		checking: make(map[string]bool),
-	}
-	for _, t := range tags {
-		m.Tags[t] = true
 	}
 	return m, nil
 }
@@ -151,34 +144,11 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// includeFile evaluates a parsed file's //go:build constraint (if any)
-// against the module's tag set plus the host GOOS/GOARCH. Filename-suffix
-// constraints (_linux.go etc.) are not interpreted; this module has none.
-func (m *Module) includeFile(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() > f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				return false
-			}
-			return expr.Eval(func(tag string) bool {
-				return m.Tags[tag] || tag == runtime.GOOS || tag == runtime.GOARCH ||
-					strings.HasPrefix(tag, "go1")
-			})
-		}
-	}
-	return true
-}
-
-// parseDir parses every buildable .go file in dir (ParseComments on), split
-// into primary-package files (production + in-package tests) and
-// external-test-package files (package foo_test).
+// parseDir parses every .go file in dir that go build would compile for the
+// host (go/build's default context decides, file-name suffixes and
+// //go:build lines alike) with ParseComments on, split into primary-package
+// files (production + in-package tests) and external-test-package files
+// (package foo_test).
 func (m *Module) parseDir(dir string) (prim, xtest []*File, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -189,13 +159,17 @@ func (m *Module) parseDir(dir string) (prim, xtest []*File, err error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			continue
 		}
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !ok {
+			continue
+		}
 		path := filepath.Join(dir, name)
 		af, err := parser.ParseFile(m.fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, nil, err
-		}
-		if !m.includeFile(af) {
-			continue
 		}
 		f := &File{
 			Path:    path,

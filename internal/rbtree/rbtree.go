@@ -133,38 +133,6 @@ func (t *Tree[V]) Get(key []byte) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether key is present.
-func (t *Tree[V]) Contains(key []byte) bool {
-	_, ok := t.Get(key)
-	return ok
-}
-
-// Min returns the smallest key and its value. ok is false on an empty tree.
-func (t *Tree[V]) Min() (key []byte, value V, ok bool) {
-	if t.root == nil {
-		var zero V
-		return nil, zero, false
-	}
-	n := t.root
-	for n.left != nil {
-		n = n.left
-	}
-	return n.key, n.value, true
-}
-
-// Max returns the largest key and its value. ok is false on an empty tree.
-func (t *Tree[V]) Max() (key []byte, value V, ok bool) {
-	if t.root == nil {
-		var zero V
-		return nil, zero, false
-	}
-	n := t.root
-	for n.right != nil {
-		n = n.right
-	}
-	return n.key, n.value, true
-}
-
 func moveRedLeft[V any](h *node[V]) *node[V] {
 	flipColors(h)
 	if isRed(h.right.left) {
@@ -204,7 +172,7 @@ func minNode[V any](h *node[V]) *node[V] {
 
 // Delete removes key from the tree and reports whether it was present.
 func (t *Tree[V]) Delete(key []byte) bool {
-	if !t.Contains(key) {
+	if _, ok := t.Get(key); !ok {
 		return false
 	}
 	if !isRed(t.root.left) && !isRed(t.root.right) {
@@ -288,79 +256,4 @@ func ascendRange[V any](n *node[V], lo, hi []byte, fn func([]byte, V) bool) bool
 		return false
 	}
 	return ascendRange(n.right, lo, hi, fn)
-}
-
-// Keys returns all keys in ascending order. The returned slices are copies
-// and may be retained by the caller.
-func (t *Tree[V]) Keys() [][]byte {
-	keys := make([][]byte, 0, t.Len())
-	t.Ascend(func(k []byte, _ V) bool {
-		kc := make([]byte, len(k))
-		copy(kc, k)
-		keys = append(keys, kc)
-		return true
-	})
-	return keys
-}
-
-// Clear removes all entries.
-func (t *Tree[V]) Clear() { t.root = nil }
-
-// checkInvariants verifies RB-tree invariants; used by tests.
-func (t *Tree[V]) checkInvariants() error {
-	if isRed(t.root) {
-		return errRootRed
-	}
-	_, err := check(t.root, nil, nil)
-	return err
-}
-
-var (
-	errRootRed   = treeError("root is red")
-	errOrder     = treeError("keys out of order")
-	errRedRight  = treeError("right-leaning red link")
-	errDoubleRed = treeError("two red links in a row")
-	errBlackBal  = treeError("unbalanced black height")
-	errSize      = treeError("stale subtree size")
-)
-
-type treeError string
-
-func (e treeError) Error() string { return "rbtree: " + string(e) }
-
-// check returns the black height of the subtree.
-func check[V any](n *node[V], lo, hi []byte) (int, error) {
-	if n == nil {
-		return 0, nil
-	}
-	if lo != nil && bytes.Compare(n.key, lo) <= 0 {
-		return 0, errOrder
-	}
-	if hi != nil && bytes.Compare(n.key, hi) >= 0 {
-		return 0, errOrder
-	}
-	if isRed(n.right) {
-		return 0, errRedRight
-	}
-	if isRed(n) && isRed(n.left) {
-		return 0, errDoubleRed
-	}
-	if n.size != 1+n.left.subtreeSize()+n.right.subtreeSize() {
-		return 0, errSize
-	}
-	lh, err := check(n.left, lo, n.key)
-	if err != nil {
-		return 0, err
-	}
-	rh, err := check(n.right, n.key, hi)
-	if err != nil {
-		return 0, err
-	}
-	if lh != rh {
-		return 0, errBlackBal
-	}
-	if !isRed(n) {
-		lh++
-	}
-	return lh, nil
 }

@@ -22,12 +22,6 @@ func TestEmpty(t *testing.T) {
 	if tr.Delete([]byte("x")) {
 		t.Fatal("Delete on empty tree reported true")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree reported ok")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree reported ok")
-	}
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,19 +95,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := New[int]()
-	for _, i := range []int{5, 3, 9, 1, 7} {
-		tr.Set(key(i), i)
-	}
-	if k, v, _ := tr.Min(); !bytes.Equal(k, key(1)) || v != 1 {
-		t.Fatalf("Min = %q,%d", k, v)
-	}
-	if k, v, _ := tr.Max(); !bytes.Equal(k, key(9)) || v != 9 {
-		t.Fatalf("Max = %q,%d", k, v)
-	}
-}
-
 func TestAscendOrder(t *testing.T) {
 	tr := New[int]()
 	r := rand.New(rand.NewSource(7))
@@ -176,34 +157,6 @@ func TestAscendRange(t *testing.T) {
 	})
 	if len(got) != 3 {
 		t.Fatalf("AscendRange[97,nil) = %v", got)
-	}
-}
-
-func TestKeys(t *testing.T) {
-	tr := New[int]()
-	tr.Set([]byte("b"), 2)
-	tr.Set([]byte("a"), 1)
-	tr.Set([]byte("c"), 3)
-	keys := tr.Keys()
-	want := []string{"a", "b", "c"}
-	for i, k := range keys {
-		if string(k) != want[i] {
-			t.Fatalf("Keys()[%d] = %q, want %q", i, k, want[i])
-		}
-	}
-}
-
-func TestClear(t *testing.T) {
-	tr := New[int]()
-	for i := 0; i < 50; i++ {
-		tr.Set(key(i), i)
-	}
-	tr.Clear()
-	if tr.Len() != 0 {
-		t.Fatalf("Len() = %d after Clear", tr.Len())
-	}
-	if _, ok := tr.Get(key(0)); ok {
-		t.Fatal("Get found key after Clear")
 	}
 }
 
@@ -297,7 +250,7 @@ func TestQuickInsertDelete(t *testing.T) {
 		if !tr.Delete(k) {
 			return false
 		}
-		if tr.Contains(k) {
+		if _, ok := tr.Get(k); ok {
 			return false
 		}
 		return tr.checkInvariants() == nil
@@ -325,4 +278,65 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Get(key(i % 100000))
 	}
+}
+
+// checkInvariants verifies the red–black invariants: a black root, keys in
+// order, no right-leaning or doubled red link, equal black heights and
+// fresh subtree sizes.
+func (t *Tree[V]) checkInvariants() error {
+	if isRed(t.root) {
+		return errRootRed
+	}
+	_, err := check(t.root, nil, nil)
+	return err
+}
+
+var (
+	errRootRed   = treeError("root is red")
+	errOrder     = treeError("keys out of order")
+	errRedRight  = treeError("right-leaning red link")
+	errDoubleRed = treeError("two red links in a row")
+	errBlackBal  = treeError("unbalanced black height")
+	errSize      = treeError("stale subtree size")
+)
+
+type treeError string
+
+func (e treeError) Error() string { return "rbtree: " + string(e) }
+
+// check returns the black height of the subtree.
+func check[V any](n *node[V], lo, hi []byte) (int, error) {
+	if n == nil {
+		return 0, nil
+	}
+	if lo != nil && bytes.Compare(n.key, lo) <= 0 {
+		return 0, errOrder
+	}
+	if hi != nil && bytes.Compare(n.key, hi) >= 0 {
+		return 0, errOrder
+	}
+	if isRed(n.right) {
+		return 0, errRedRight
+	}
+	if isRed(n) && isRed(n.left) {
+		return 0, errDoubleRed
+	}
+	if n.size != 1+n.left.subtreeSize()+n.right.subtreeSize() {
+		return 0, errSize
+	}
+	lh, err := check(n.left, lo, n.key)
+	if err != nil {
+		return 0, err
+	}
+	rh, err := check(n.right, n.key, hi)
+	if err != nil {
+		return 0, err
+	}
+	if lh != rh {
+		return 0, errBlackBal
+	}
+	if !isRed(n) {
+		lh++
+	}
+	return lh, nil
 }

@@ -33,12 +33,16 @@
 #               caller's array to the file, under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
 #               a zero-alloc path and fails the gate
-#   race-core   race-detector pass over the concurrent core, the mesh/vis
-#               kernels, whose pooled scratch I/O workers and the main
-#               thread share, the read path under them (shdf's mapped File
-#               and genx's table of open files, which I/O workers and
-#               godivad's handlers share), and the discrete-event machine
-#               model the core runs on in the experiments
+#   race-core   race-detector pass over the concurrent core (its schedule
+#               explorer auditing every invariant after every step and at
+#               every park), the mesh/vis kernels, whose pooled scratch I/O
+#               workers and the main thread share, the read path under them
+#               (shdf's mapped File and genx's table of open files, which
+#               I/O workers and godivad's handlers share), the
+#               discrete-event machine model the core runs on in the
+#               experiments, and rocketeer, whose local read functions
+#               donate real mapped buffers through BorrowFieldBuffer while
+#               its pipeline's I/O workers and main thread share them
 #   race-remote race-detector pass over the remote unit service, including
 #               TestPayloadCacheChurn: concurrent fetchers and ingest
 #               overwrites against one server's table of mapped files; and
@@ -50,13 +54,6 @@
 #               and the scripted TestFrameFullItemRefetched,
 #               TestFrameFullEveryItemFails and
 #               TestChunkFailureRecyclesEarlierChunks
-#   invariants  core suite with the godivainvariants runtime checker
-#               compiled in (the schedule explorer runs the full audit
-#               after every step), under the race detector, and rocketeer's under
-#               the same build: its local read functions are the first
-#               real callers of BorrowFieldBuffer, so the borrowed-buffer
-#               invariants (never on resident records; memory equals the
-#               sum of live records) run against real donations
 #   push        subscription stress under the race detector: producers,
 #               mixed-policy subscribers and subscribe/unsubscribe churn
 #               against one registry (duration from VERIFY_PUSHTIME,
@@ -152,13 +149,13 @@ check_lint() {
     # uploads for code scanning.
     budget="${VERIFY_LINTBUDGET:-30}"
     lint_start=$(date +%s)
-    go run ./cmd/godiva-lint -sarif -tags godivainvariants ./... >lint.sarif
+    go run ./cmd/godiva-lint -sarif ./... >lint.sarif
     rc=$?
     elapsed=$(($(date +%s) - lint_start))
     echo "lint: suite took ${elapsed}s (budget ${budget}s), SARIF in lint.sarif"
     if [ "$rc" -ne 0 ]; then
         # Re-run in plain mode so the findings land in the log.
-        go run ./cmd/godiva-lint -tags godivainvariants ./...
+        go run ./cmd/godiva-lint ./...
         return "$rc"
     fi
     if [ "$elapsed" -gt "$budget" ]; then
@@ -193,16 +190,15 @@ run_stage lint check_lint
 run_stage test go test -count=1 ./...
 run_stage bench check_bench
 run_stage benchmem check_benchmem
-run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/...
+run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/... ./internal/rocketeer/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
-run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/... ./internal/rocketeer/...
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
 run_stage fuzz check_fuzz
 
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
         echo "verify.sh: unknown stage \"$only_stage\"" >&2
-        echo "stages: fmt vet build entrypoints lint test bench benchmem race-core race-remote invariants push fuzz" >&2
+        echo "stages: fmt vet build entrypoints lint test bench benchmem race-core race-remote push fuzz" >&2
         exit 2
     fi
     echo "verify.sh: stage $only_stage passed"
