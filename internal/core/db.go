@@ -293,16 +293,14 @@ func (db *DB) setStateLocked(u *unit, to unitState) {
 }
 
 // reserveLocked charges need bytes against the memory limit, evicting
-// finished units (LRU first) and blocking until space is available. owner is
-// the unit whose read function is allocating, or nil for allocations made
-// outside any read function. It returns ErrDeadlock when waiting can never
-// succeed per the paper's §3.3 detection rule. Caller holds db.mu; the lock
-// is dropped while waiting on memCh.
+// finished units (LRU first) and blocking until space is available. need is
+// positive: a record's charge includes its overhead, and a buffer that
+// shrinks is released (releaseLocked), not reserved. owner is the unit whose
+// read function is allocating, or nil for allocations made outside any read
+// function. It returns ErrDeadlock when waiting can never succeed per the
+// paper's §3.3 detection rule. Caller holds db.mu; the lock is dropped while
+// waiting on memCh.
 func (db *DB) reserveLocked(need int64, owner *unit) error {
-	if need <= 0 {
-		db.mem += need
-		return nil
-	}
 	for db.mem+need > db.limit {
 		if db.closed {
 			return ErrClosed

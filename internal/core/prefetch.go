@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 )
 
@@ -191,14 +192,15 @@ func (db *DB) waitStateLocked(u *unit) {
 
 // runRead executes a unit's read function outside the lock and finalizes the
 // unit's state: ready, failed, or dropped when the unit was deleted
-// mid-read. The caller must have set u.state = stateReading under db.mu and
+// mid-read. A read function that panics fails its unit like one that returns
+// an error. The caller must have set u.state = stateReading under db.mu and
 // released the lock.
 func (db *DB) runRead(u *unit) {
 	start := db.now()
 	//lint:ignore lockcheck u.read is published under db.mu before the unit
 	// enters stateReading, and this goroutine owns the unit until the read
 	// completes — the unlocked access cannot race (see the unit doc comment).
-	err := u.read(&Unit{db: db, u: u})
+	err := callRead(u.read, &Unit{db: db, u: u})
 	elapsed := db.since(start)
 	db.mu.Lock()
 	db.stats.ReadTime += elapsed
@@ -250,6 +252,19 @@ func (db *DB) runRead(u *unit) {
 		w.Reading, w.Unit = false, ""
 	}
 	broadcast(&db.memCh)
+}
+
+// callRead runs read on u and returns its error or, when it panics, the
+// panic value and stack as an error. Without the recover a panic would
+// unwind into ReadUnit's deferred unlock of the db.mu runRead dropped — a
+// fatal error, not a panic — or end a background worker and the process.
+func callRead(read ReadFunc, u *Unit) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("read function panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return read(u)
 }
 
 // FinishUnit tells the database that one consumer has completed processing

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -492,5 +493,48 @@ func stressPool(t *testing.T, workers int, seed int64) {
 	}
 	if prefetched != s.UnitsPrefetched {
 		t.Fatalf("per-worker Prefetched sums to %d, Stats says %d", prefetched, s.UnitsPrefetched)
+	}
+}
+
+// Regression: a read function that panicked on an inline read unwound into
+// ReadUnit's deferred unlock of the db.mu runRead had dropped, and the
+// process died with "sync: unlock of unlocked mutex"; on a background worker
+// it ended the process too. Either way the panic now fails the unit like a
+// returned error: the consumer gets ErrUnitFailed with the panic value, and
+// what the read function made and donated is gone.
+func TestReadFuncPanicFailsUnit(t *testing.T) {
+	for _, bg := range []bool{false, true} {
+		db := newTestDB(t, Options{BackgroundIO: bg})
+		defineFluidSchema(t, db)
+		var released atomic.Int64
+		read := func(u *Unit) error {
+			u.OnRelease(func() { released.Add(1) })
+			rec, err := u.NewRecord("fluid")
+			if err != nil {
+				return err
+			}
+			if _, err := rec.AllocFieldBuffer("pressure", 800); err != nil {
+				return err
+			}
+			panic("boom")
+		}
+		var err error
+		if bg {
+			if err = db.AddUnit("u1", read); err != nil {
+				t.Fatal(err)
+			}
+			err = db.WaitUnit("u1")
+		} else {
+			err = db.ReadUnit("u1", read)
+		}
+		if !errors.Is(err, ErrUnitFailed) || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("background=%v: got %v, want ErrUnitFailed carrying the panic", bg, err)
+		}
+		if n := released.Load(); n != 1 {
+			t.Errorf("background=%v: %d release hooks ran, want 1", bg, n)
+		}
+		if m := db.MemUsed(); m != 0 {
+			t.Errorf("background=%v: %d bytes still charged after the failed read", bg, m)
+		}
 	}
 }

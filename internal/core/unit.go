@@ -10,7 +10,7 @@ const (
 	stateReading                   // read function executing
 	stateReady                     // resident in memory, pinned
 	stateFinished                  // resident in memory, evictable (LRU)
-	stateFailed                    // read function returned an error
+	stateFailed                    // read function returned an error or panicked
 	stateDeleted                   // removed by DeleteUnit or eviction
 
 	// stateEvicted is used only in the event log, to distinguish cache

@@ -7,6 +7,7 @@
 package mesh
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -229,7 +230,8 @@ func (m *TetMesh) AppendBoundaryFaces(dst []int32) []int32 {
 
 // appendBoundaryFaces is the extraction kernel over scratch that reset has
 // sized for this mesh: one pass counts each face's node set in the table,
-// a second emits the faces whose set occurred once.
+// a second emits the faces whose set occurred once, into dst grown once to
+// hold them all.
 //
 //godiva:noalloc
 func (m *TetMesh) appendBoundaryFaces(dst []int32, sc *faceScratch) []int32 {
@@ -262,6 +264,7 @@ func (m *TetMesh) appendBoundaryFaces(dst []int32, sc *faceScratch) []int32 {
 			}
 		}
 	}
+	dst = slices.Grow(dst, 3*bytes.Count(seen, []byte{1}))
 	for i, n := range seen {
 		if n == 1 {
 			f := &tetFaces[i&3]

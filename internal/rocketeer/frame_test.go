@@ -212,7 +212,7 @@ func TestFrameAsksSourceOncePerSnapshot(t *testing.T) {
 				t.Errorf("%s, snapshot %d: %d Mesh, %d Surface and %d Var calls for %d blocks and %d passes",
 					c.test, step, src.meshes, src.surfaces, src.vars, spec.Blocks, len(test.Ops))
 			}
-			if fr := &p.frame; len(fr.meshes) != 0 || fr.surf.NumVerts() != 0 || fr.surf.Scalars != nil || fr.drawn {
+			if fr := &p.frame; len(fr.meshes) != 0 || fr.surf.NumVerts() != 0 || len(fr.surf.Scalars) != 0 || fr.drawn {
 				t.Errorf("%s, snapshot %d: the frame outlived its snapshot", c.test, step)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"godiva/internal/mesh"
 	"godiva/internal/render"
@@ -40,6 +41,12 @@ type snapshotPipeline struct {
 	snapID   string
 	images   int
 	frame    frame
+
+	// What every pass reuses, whatever the snapshot or view: each block's
+	// node scalar and the aggregate iso, slice and cut passes append into.
+	// Neither aliases a unit's buffers.
+	ns  [][]float64
+	agg vis.TriSurface
 }
 
 // frame is what the passes of one snapshot share, because it depends on the
@@ -55,8 +62,8 @@ type frame struct {
 
 	// What surface passes share, built by the first one: the aggregate
 	// external surface of every block (Coords and Tris gathered once,
-	// Normals computed by its first draw, Scalars rewritten by each pass)
-	// and the way back from its vertices to mesh nodes.
+	// Normals computed before its first draw, Scalars rewritten by each
+	// pass) and the way back from its vertices to mesh nodes.
 	surf  vis.TriSurface
 	nodes []int32 // per surf vertex: the node behind it, in its block's mesh
 	ends  []int   // per block appended so far: where its vertices end in surf
@@ -70,7 +77,7 @@ type frame struct {
 func (fr *frame) reset() {
 	clear(fr.meshes)
 	fr.meshes = fr.meshes[:0]
-	fr.surf = vis.TriSurface{Coords: fr.surf.Coords[:0], Tris: fr.surf.Tris[:0]}
+	emptySurface(&fr.surf)
 	fr.nodes, fr.ends = fr.nodes[:0], fr.ends[:0]
 	fr.drawn = false
 }
@@ -138,7 +145,9 @@ func (p *snapshotPipeline) run(src blockSource) error {
 func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 	names := src.BlockNames()
 	fr := &p.frame
-	scalars := make([][]float64, len(names))
+	if len(p.ns) < len(names) {
+		p.ns = append(p.ns, make([][]float64, len(names)-len(p.ns))...)
+	}
 	var lo, hi float64
 	for i, name := range names {
 		m, err := fr.mesh(src, i, name)
@@ -149,11 +158,11 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 		if err != nil {
 			return fmt.Errorf("block %s %s: %w", name, op.Var, err)
 		}
-		ns, err := p.nodeScalar(m, op.Var, data)
+		ns, err := p.nodeScalar(p.ns[i][:0], m, op.Var, data)
 		if err != nil {
 			return err
 		}
-		scalars[i] = ns
+		p.ns[i] = ns
 		if op.Kind == OpSurface && len(fr.ends) == i {
 			if err := fr.appendSurface(src, name, m); err != nil {
 				return fmt.Errorf("block %s surface: %w", name, err)
@@ -168,15 +177,17 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 		hi = maxf(hi, shi)
 	}
 
-	agg := &vis.TriSurface{}
+	agg := &p.agg
 	if op.Kind == OpSurface {
 		agg = &fr.surf
-		if agg.Scalars == nil {
-			agg.Scalars = make([]float64, agg.NumVerts())
+		if nv := agg.NumVerts(); len(agg.Scalars) != nv {
+			agg.Scalars = slices.Grow(agg.Scalars[:0], nv)[:nv]
 		}
+	} else {
+		emptySurface(agg)
 	}
 	for i, m := range fr.meshes {
-		if err := p.appendGeometry(agg, op, i, scalars[i], lo, hi); err != nil {
+		if err := p.appendGeometry(agg, op, i, p.ns[i], lo, hi); err != nil {
 			return err
 		}
 		p.ch.compute(opCellCost(op.Kind), m.NumCells())
@@ -186,6 +197,9 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 	if op.Kind == OpSurface && fr.drawn {
 		err = p.renderer.Recolor(agg.Scalars, p.lut, lo, hi)
 	} else {
+		if len(agg.Normals) != len(agg.Coords) {
+			vis.ComputeNormals(agg) // into the memory the last pass left
+		}
 		p.renderer.Clear()
 		err = p.renderer.DrawSurface(agg, render.DefaultCamera(fr.lo, fr.hi), p.lut, lo, hi)
 		fr.drawn = op.Kind == OpSurface && agg.NumTris() > 0
@@ -207,16 +221,17 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 	return nil
 }
 
-// nodeScalar reduces a variable to a per-node scalar: vector magnitude for
-// node vectors, cell-to-point averaging for element scalars.
-func (p *snapshotPipeline) nodeScalar(m *mesh.TetMesh, field string, data []float64) ([]float64, error) {
+// nodeScalar reduces a variable to a per-node scalar, appended to dst:
+// vector magnitude for node vectors, cell-to-point averaging for element
+// scalars.
+func (p *snapshotPipeline) nodeScalar(dst []float64, m *mesh.TetMesh, field string, data []float64) ([]float64, error) {
 	if len(data) == 3*m.NumNodes() {
 		p.ch.compute(costMagnitude, m.NumNodes())
-		return vis.VectorMagnitude(data), nil
+		return vis.AppendVectorMagnitude(dst, data), nil
 	}
 	if len(data) == m.NumCells() {
 		p.ch.compute(costCellToPoint, m.NumCells())
-		return vis.CellToPoint(m, data)
+		return vis.AppendCellToPoint(dst, m, data)
 	}
 	return nil, fmt.Errorf("rocketeer: variable %s has %d values for %d nodes / %d cells",
 		field, len(data), m.NumNodes(), m.NumCells())
@@ -228,27 +243,24 @@ func (p *snapshotPipeline) nodeScalar(m *mesh.TetMesh, field string, data []floa
 func (p *snapshotPipeline) appendGeometry(agg *vis.TriSurface, op Op, i int, ns []float64, lo, hi float64) error {
 	fr := &p.frame
 	m := fr.meshes[i]
-	var part *vis.TriSurface
-	var err error
 	switch op.Kind {
 	case OpSurface:
 		fr.colorSurface(i, ns)
 		return nil
 	case OpIso:
 		iso := lo + op.IsoFrac*(hi-lo)
-		part, err = vis.IsoSurface(m, ns, iso, ns)
+		return vis.AppendIsoSurface(agg, m, ns, iso, ns)
 	case OpSlice:
-		part, err = vis.SlicePlane(m, op.plane(fr.lo, fr.hi), ns)
+		return vis.AppendSlicePlane(agg, m, op.plane(fr.lo, fr.hi), ns)
 	case OpCut:
-		part, err = vis.CutPlane(m, op.plane(fr.lo, fr.hi), ns)
-	default:
-		return fmt.Errorf("rocketeer: unknown op kind %d", int(op.Kind))
+		return vis.AppendCutPlane(agg, m, op.plane(fr.lo, fr.hi), ns)
 	}
-	if err != nil {
-		return err
-	}
-	agg.Append(part)
-	return nil
+	return fmt.Errorf("rocketeer: unknown op kind %d", int(op.Kind))
+}
+
+// emptySurface empties s, keeping the memory of every array.
+func emptySurface(s *vis.TriSurface) {
+	*s = vis.TriSurface{Coords: s.Coords[:0], Tris: s.Tris[:0], Scalars: s.Scalars[:0], Normals: s.Normals[:0]}
 }
 
 func minf(a, b float64) float64 {

@@ -97,20 +97,22 @@ func (c *contourer) cut(a, b int32) int32 {
 	return v
 }
 
-// contourField builds the crossing surface f(x) = iso over a tet mesh by
-// marching tetrahedra, interpolating positions and the color attribute
-// along crossing edges. Crossing vertices are shared between neighboring
-// tets through the edge table, so the surface is watertight. Vertices are
-// numbered in the order the element walk first cuts their edges.
-func contourField(m *mesh.TetMesh, f []float64, iso float64, color []float64, edges *edgeTable) (*TriSurface, error) {
+// contourField appends to s the crossing surface f(x) = iso over a tet mesh
+// by marching tetrahedra, interpolating positions and the color attribute
+// along crossing edges; the new vertex indices start at s's vertex count.
+// Crossing vertices are shared between neighboring tets through the edge
+// table, so the surface is watertight. Vertices are numbered in the order
+// the element walk first cuts their edges. Given a color, s's scalars must
+// cover its vertices and are extended; without one, and for the normals, s
+// keeps no per-vertex array the new vertices leave short (dropUncovered).
+func contourField(s *TriSurface, m *mesh.TetMesh, f []float64, iso float64, color []float64, edges *edgeTable) error {
 	if len(f) != m.NumNodes() {
-		return nil, ErrBadInput
+		return ErrBadInput
 	}
-	if color != nil && len(color) != m.NumNodes() {
-		return nil, ErrBadInput
+	if color != nil && (len(color) != m.NumNodes() || len(s.Scalars) != s.NumVerts()) {
+		return ErrBadInput
 	}
 	edges.reset()
-	s := &TriSurface{}
 	ct := contourer{m: m, f: f, iso: iso, color: color, s: s, edges: edges}
 	for e := 0; e < m.NumCells(); e++ {
 		c := m.Cell(e)
@@ -168,7 +170,8 @@ func contourField(m *mesh.TetMesh, f []float64, iso float64, color []float64, ed
 			s.Tris = append(s.Tris, v00, v11, v10)
 		}
 	}
-	return s, nil
+	s.dropUncovered()
+	return nil
 }
 
 // IsoSurface extracts the isosurface field = iso of a node-based scalar,
@@ -176,24 +179,36 @@ func contourField(m *mesh.TetMesh, f []float64, iso float64, color []float64, ed
 // contoured field itself as color for the conventional single-variable
 // contour.
 func IsoSurface(m *mesh.TetMesh, field []float64, iso float64, color []float64) (*TriSurface, error) {
+	s := &TriSurface{}
+	return made(s, AppendIsoSurface(s, m, field, iso, color))
+}
+
+// AppendIsoSurface is IsoSurface appending to dst (see contourField).
+func AppendIsoSurface(dst *TriSurface, m *mesh.TetMesh, field []float64, iso float64, color []float64) error {
 	sc := scratchPool.Get().(*scratch)
-	s, err := contourField(m, field, iso, color, &sc.edges)
+	err := contourField(dst, m, field, iso, color, &sc.edges)
 	scratchPool.Put(sc)
-	return s, err
+	return err
 }
 
 // SlicePlane cuts the mesh with a plane and returns the cut cross-section
 // colored by the node-based scalar color.
 func SlicePlane(m *mesh.TetMesh, pl Plane, color []float64) (*TriSurface, error) {
+	s := &TriSurface{}
+	return made(s, AppendSlicePlane(s, m, pl, color))
+}
+
+// AppendSlicePlane is SlicePlane appending to dst (see contourField).
+func AppendSlicePlane(dst *TriSurface, m *mesh.TetMesh, pl Plane, color []float64) error {
 	sc := scratchPool.Get().(*scratch)
 	sc.dist = slices.Grow(sc.dist[:0], m.NumNodes())[:m.NumNodes()]
 	normal := pl.Normal.Normalize()
 	for i := range sc.dist {
 		sc.dist[i] = normal.Dot(m.Node(int32(i)).Sub(pl.Origin))
 	}
-	s, err := contourField(m, sc.dist, 0, color, &sc.edges)
+	err := contourField(dst, m, sc.dist, 0, color, &sc.edges)
 	scratchPool.Put(sc)
-	return s, err
+	return err
 }
 
 // CutPlane removes the half space behind the plane (negative side) and
@@ -202,8 +217,15 @@ func SlicePlane(m *mesh.TetMesh, pl Plane, color []float64) (*TriSurface, error)
 // feature of the paper's complex test. The clip is element-granular: an
 // element survives when its centroid is on the positive side.
 func CutPlane(m *mesh.TetMesh, pl Plane, color []float64) (*TriSurface, error) {
-	if len(color) != m.NumNodes() {
-		return nil, ErrBadInput
+	s := &TriSurface{}
+	return made(s, AppendCutPlane(s, m, pl, color))
+}
+
+// AppendCutPlane is CutPlane appending to dst, whose scalars must cover its
+// vertices.
+func AppendCutPlane(dst *TriSurface, m *mesh.TetMesh, pl Plane, color []float64) error {
+	if len(color) != m.NumNodes() || len(dst.Scalars) != dst.NumVerts() {
+		return ErrBadInput
 	}
 	keepScalar := make([]float64, m.NumCells())
 	normal := pl.Normal.Normalize()
@@ -214,20 +236,12 @@ func CutPlane(m *mesh.TetMesh, pl Plane, color []float64) (*TriSurface, error) {
 	}
 	kept, nodeMap, err := Threshold(m, keepScalar, 0.5, 2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	colorKept := make([]float64, kept.NumNodes())
 	for i, old := range nodeMap {
 		colorKept[i] = color[old]
 	}
-	surf, err := ExtractSurface(kept, colorKept)
-	if err != nil {
-		return nil, err
-	}
-	section, err := SlicePlane(m, pl, color)
-	if err != nil {
-		return nil, err
-	}
-	surf.Append(section)
-	return surf, nil
+	dst.appendExtracted(kept, colorKept)
+	return AppendSlicePlane(dst, m, pl, color)
 }

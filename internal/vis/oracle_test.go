@@ -1,9 +1,11 @@
 package vis
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -364,6 +366,109 @@ func TestContourFiltersMatchOracle(t *testing.T) {
 		cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(5))}
 		if err := quick.Check(check, cfg); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// Every append form, run into a surface that already holds vertices, adds
+// exactly what Append of its allocating form adds: the same arrays, with
+// vertex indices offset by the prefix. The prefix's normals, which the new
+// vertices leave short, are emptied with their memory kept, and
+// ComputeNormals refills them in place to what a fresh computation gives.
+func TestAppendKernelsMatchAllocating(t *testing.T) {
+	tet := oracleCases(t)["unit tet"]
+	for name, m := range oracleCases(t) {
+		field := wobble(m)
+		color := nodeScalarZ(m)
+		lo, hi := ScalarRange(field)
+		blo, bhi := m.Bounds()
+		prefix := func() *TriSurface {
+			s, err := ExtractSurface(tet, []float64{1, 2, 3, 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		matches := func(kernel string, appendForm func(*TriSurface) error, alloc func() (*TriSurface, error)) bool {
+			got := prefix()
+			ComputeNormals(got)
+			err := appendForm(got)
+			part, wantErr := alloc()
+			if err != nil || wantErr != nil {
+				t.Logf("%s: %s: append form %v, allocating form %v", name, kernel, err, wantErr)
+				return false
+			}
+			want := prefix()
+			want.Append(part)
+			if want.NumVerts() > tet.NumNodes() && (len(got.Normals) != 0 || cap(got.Normals) == 0) {
+				t.Logf("%s: %s left %d normals (capacity %d) for %d vertices", name, kernel, len(got.Normals), cap(got.Normals), got.NumVerts())
+				return false
+			}
+			normals := got.Normals
+			got.Normals = nil
+			if !sameSurface(got, want) {
+				t.Logf("%s: %s into a prefix differs from Append of the allocating form", name, kernel)
+				return false
+			}
+			got.Normals = normals
+			ComputeNormals(got)
+			ComputeNormals(want)
+			if !sameFloats(got.Normals, want.Normals) {
+				t.Logf("%s: %s: normals computed into kept memory differ", name, kernel)
+				return false
+			}
+			return true
+		}
+		frac := func(v uint16) float64 { return float64(v) / 65535 }
+		check := func(isoFrac, px, py, pz, nx, ny, nz uint16) bool {
+			iso := lo + (hi-lo)*frac(isoFrac)
+			pl := Plane{
+				Origin: mesh.Vec3{
+					X: blo.X + (bhi.X-blo.X)*frac(px),
+					Y: blo.Y + (bhi.Y-blo.Y)*frac(py),
+					Z: blo.Z + (bhi.Z-blo.Z)*frac(pz),
+				},
+				Normal: mesh.Vec3{X: 4*frac(nx) - 2, Y: 4*frac(ny) - 2, Z: 4*frac(nz) - 2},
+			}
+			return matches("AppendIsoSurface",
+				func(dst *TriSurface) error { return AppendIsoSurface(dst, m, field, iso, color) },
+				func() (*TriSurface, error) { return IsoSurface(m, field, iso, color) }) &&
+				matches("AppendSlicePlane",
+					func(dst *TriSurface) error { return AppendSlicePlane(dst, m, pl, color) },
+					func() (*TriSurface, error) { return SlicePlane(m, pl, color) }) &&
+				matches("AppendCutPlane",
+					func(dst *TriSurface) error { return AppendCutPlane(dst, m, pl, color) },
+					func() (*TriSurface, error) { return CutPlane(m, pl, color) })
+		}
+		cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(7))}
+		if err := quick.Check(check, cfg); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+
+		// A colored append needs scalars covering the vertices it extends.
+		bare := prefix()
+		bare.Scalars = nil
+		if err := AppendIsoSurface(bare, m, field, (lo+hi)/2, color); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: AppendIsoSurface into a surface without scalars = %v, want ErrBadInput", name, err)
+		}
+
+		// The node-scalar kernels append their values after dst's.
+		head := []float64{-1, -2}
+		elem := make([]float64, m.NumCells())
+		for e := range elem {
+			elem[e] = m.CellCentroid(e).Z
+		}
+		points, err := CellToPoint(m, elem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendCellToPoint(slices.Clone(head), m, elem)
+		if err != nil || !sameFloats(got, append(slices.Clone(head), points...)) {
+			t.Errorf("%s: AppendCellToPoint differs from CellToPoint after a prefix (err %v)", name, err)
+		}
+		vec := append(slices.Clone(m.Coords), 3, 4, 12)
+		if got := AppendVectorMagnitude(slices.Clone(head), vec); !sameFloats(got, append(slices.Clone(head), VectorMagnitude(vec)...)) {
+			t.Errorf("%s: AppendVectorMagnitude differs from VectorMagnitude after a prefix", name)
 		}
 	}
 }

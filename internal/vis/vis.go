@@ -24,7 +24,7 @@ type TriSurface struct {
 	Coords  []float64 // x,y,z per vertex
 	Tris    []int32   // 3 vertex indices per triangle
 	Scalars []float64 // one per vertex; may be nil
-	Normals []float64 // x,y,z per vertex; nil until ComputeNormals
+	Normals []float64 // x,y,z per vertex; nil or empty until ComputeNormals
 }
 
 // NumVerts returns the vertex count.
@@ -61,12 +61,35 @@ func (s *TriSurface) Append(other *TriSurface) {
 	}
 }
 
+// dropUncovered empties the per-vertex arrays that an append left shorter
+// than the vertices, keeping their memory: ComputeNormals refills Normals in
+// place, and a caller that colors the surface regrows Scalars.
+func (s *TriSurface) dropUncovered() {
+	if len(s.Scalars) != s.NumVerts() {
+		s.Scalars = s.Scalars[:0]
+	}
+	if len(s.Normals) != len(s.Coords) {
+		s.Normals = s.Normals[:0]
+	}
+}
+
+// made returns the surface an append filled, or nil and the append's error.
+// It turns an append form into the allocating form callers without a
+// destination to reuse call.
+func made(s *TriSurface, err error) (*TriSurface, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // scratch is the working memory the filters share: none of it outlives the
 // call that took it from the pool.
 type scratch struct {
 	tris  []int32   // boundary triangles of the mesh being extracted
 	nodes []int32   // per extracted vertex: the mesh node behind it
 	remap []int32   // per mesh node: 1 + its output index, 0 = not seen yet
+	count []int32   // per mesh node: the elements sharing it (cell to point)
 	dist  []float64 // per mesh node: signed distance to the slicing plane
 	edges edgeTable // crossing edge -> contour vertex
 }
@@ -93,17 +116,25 @@ func ExtractSurface(m *mesh.TetMesh, nodeScalar []float64) (*TriSurface, error) 
 	if nodeScalar != nil && len(nodeScalar) != m.NumNodes() {
 		return nil, ErrBadInput
 	}
+	s := &TriSurface{}
+	s.appendExtracted(m, nodeScalar)
+	return s, nil
+}
+
+// appendExtracted appends the external surface of m to s, with nodeScalar
+// (one value per node of m, or nil) gathered onto its vertices.
+func (s *TriSurface) appendExtracted(m *mesh.TetMesh, nodeScalar []float64) {
 	sc := scratchPool.Get().(*scratch)
 	sc.tris = m.AppendBoundaryFaces(sc.tris[:0])
-	s := &TriSurface{}
 	s.reserve(m, sc.tris)
 	sc.nodes = s.gather(sc.tris, m.Coords, sc.remapFor(m.NumNodes()), sc.nodes[:0])
 	if nodeScalar != nil { // a bare surface has no scalars, not empty ones; nor has an empty one
-		s.Scalars = slices.Grow(s.Scalars, len(sc.nodes))[:len(sc.nodes)]
-		GatherScalars(s.Scalars, sc.nodes, nodeScalar)
+		n := len(s.Scalars)
+		s.Scalars = slices.Grow(s.Scalars, len(sc.nodes))[:n+len(sc.nodes)]
+		GatherScalars(s.Scalars[n:], sc.nodes, nodeScalar)
 	}
 	scratchPool.Put(sc)
-	return s, nil
+	s.dropUncovered()
 }
 
 // reserve makes room in s for the triangles tris of mesh m and as many
@@ -118,7 +149,8 @@ func (s *TriSurface) reserve(m *mesh.TetMesh, tris []int32) {
 // — the geometry of ExtractSurface(m, nil), without rebuilding the topology —
 // and to nodes the mesh node behind each vertex it adds, in vertex order. It
 // returns the extended nodes. Scalars and normals, which cannot cover the new
-// vertices, are dropped: GatherScalars over nodes colors the result.
+// vertices, are emptied (their memory kept): GatherScalars over nodes colors
+// the result.
 func (s *TriSurface) AppendSurface(m *mesh.TetMesh, tris, nodes []int32) ([]int32, error) {
 	if len(tris)%3 != 0 {
 		return nodes, ErrBadInput
@@ -128,7 +160,7 @@ func (s *TriSurface) AppendSurface(m *mesh.TetMesh, tris, nodes []int32) ([]int3
 	sc := scratchPool.Get().(*scratch)
 	nodes = s.gather(tris, m.Coords, sc.remapFor(m.NumNodes()), nodes)
 	scratchPool.Put(sc)
-	s.Scalars, s.Normals = nil, nil
+	s.dropUncovered()
 	return nodes, nil
 }
 
@@ -170,11 +202,23 @@ func GatherScalars(dst []float64, nodes []int32, nodeScalar []float64) {
 // averaging the values of the elements sharing each node, the conversion
 // Rocketeer needs before contouring element data.
 func CellToPoint(m *mesh.TetMesh, elemScalar []float64) ([]float64, error) {
+	return AppendCellToPoint(nil, m, elemScalar)
+}
+
+// AppendCellToPoint is CellToPoint appending its one value per node of m to
+// dst, which it returns extended.
+func AppendCellToPoint(dst []float64, m *mesh.TetMesh, elemScalar []float64) ([]float64, error) {
 	if len(elemScalar) != m.NumCells() {
-		return nil, ErrBadInput
+		return dst, ErrBadInput
 	}
-	sum := make([]float64, m.NumNodes())
-	cnt := make([]int32, m.NumNodes())
+	n := len(dst)
+	dst = slices.Grow(dst, m.NumNodes())[:n+m.NumNodes()]
+	sum := dst[n:]
+	clear(sum)
+	sc := scratchPool.Get().(*scratch)
+	sc.count = slices.Grow(sc.count[:0], m.NumNodes())[:m.NumNodes()]
+	cnt := sc.count
+	clear(cnt)
 	for e := 0; e < m.NumCells(); e++ {
 		v := elemScalar[e]
 		c := m.Cell(e)
@@ -188,18 +232,25 @@ func CellToPoint(m *mesh.TetMesh, elemScalar []float64) ([]float64, error) {
 			sum[i] /= float64(cnt[i])
 		}
 	}
-	return sum, nil
+	scratchPool.Put(sc)
+	return dst, nil
 }
 
 // VectorMagnitude reduces a flattened 3-vector field to per-point
 // magnitudes.
-func VectorMagnitude(vec []float64) []float64 {
-	out := make([]float64, len(vec)/3)
+func VectorMagnitude(vec []float64) []float64 { return AppendVectorMagnitude(nil, vec) }
+
+// AppendVectorMagnitude is VectorMagnitude appending to dst, which it
+// returns extended.
+func AppendVectorMagnitude(dst, vec []float64) []float64 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(vec)/3)[:n+len(vec)/3]
+	out := dst[n:]
 	for i := range out {
 		x, y, z := vec[3*i], vec[3*i+1], vec[3*i+2]
 		out[i] = math.Sqrt(x*x + y*y + z*z)
 	}
-	return out
+	return dst
 }
 
 // ScalarRange returns the min and max of s; (0, 0) for empty input.
@@ -219,9 +270,11 @@ func ScalarRange(s []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// ComputeNormals fills s.Normals with area-weighted per-vertex normals.
+// ComputeNormals fills s.Normals with area-weighted per-vertex normals,
+// reusing their memory.
 func ComputeNormals(s *TriSurface) {
-	normals := make([]float64, len(s.Coords))
+	normals := slices.Grow(s.Normals[:0], len(s.Coords))[:len(s.Coords)]
+	clear(normals)
 	for t := 0; t < s.NumTris(); t++ {
 		a := s.Vert(s.Tris[3*t])
 		b := s.Vert(s.Tris[3*t+1])

@@ -28,7 +28,9 @@
 #               own module, so vet/test above never reach it)
 #   benchmem    core query benchmarks, the per-snapshot and per-pass
 #               vis/render kernels (surface topology into warm scratch, the
-#               gather over it, a draw into a warm renderer, a recolor of
+#               gather over it, an isosurface and a slice appended into a
+#               reused aggregate, cell-to-point and vector magnitudes into
+#               a reused array, a draw into a warm renderer, a recolor of
 #               what it drew) and shdf's 1 MiB WriteSDS, which streams the
 #               caller's array to the file, under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
@@ -117,7 +119,7 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
         -benchmem -benchtime 1000x -count=1 \
         ./internal/core ./internal/mesh ./internal/vis ./internal/render ./internal/shdf) || {
         echo "$out"
