@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"regexp"
@@ -82,5 +84,28 @@ func TestApolloRemote(t *testing.T) {
 		"-remote", srv.Addr(), "-out", t.TempDir(), "-width", "64", "-height", "48")
 	if m[1] == "0" {
 		t.Error("the remote session fetched nothing")
+	}
+}
+
+// A godivad that is not there: apollo -remote reports the failed spec
+// request and exits 1 before it opens a session.
+func TestApolloRemoteUnreachable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cmd := exec.Command(os.Args[0], "-remote", addr, "-out", t.TempDir())
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	kill := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
+	defer kill.Stop()
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(stderr.String(), "apollo: ") || stdout.Len() != 0 {
+		t.Fatalf("apollo -remote %s: %v, want exit status 1 with an apollo: error and no output; stdout:\n%s\nstderr:\n%s",
+			addr, err, &stdout, &stderr)
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"regexp"
@@ -78,5 +80,55 @@ func TestGenxgenStreams(t *testing.T) {
 	}
 	if got := srv.Stats().Ingests; got != int64(sent) {
 		t.Errorf("the server took %d ingests for %d files streamed", got, sent)
+	}
+}
+
+// streamFails runs genxgen -stream addr to completion, requires exit
+// status 1 with a genxgen: error on stderr and no file reported pushed, and
+// returns the error.
+func streamFails(t *testing.T, addr string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-stream", addr, "-scale", "32", "-snapshots", "2")
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	kill := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
+	defer kill.Stop()
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(stderr.String(), "genxgen: ") ||
+		strings.Contains(stdout.String(), "pushed") {
+		t.Fatalf("genxgen -stream %s: %v, want exit status 1 with a genxgen: error and nothing pushed; stdout:\n%s\nstderr:\n%s",
+			addr, err, &stdout, &stderr)
+	}
+	return stderr.String()
+}
+
+// A server that takes no ingest refuses the first file, and one that is
+// not there fails the ping before any file is generated: either way
+// genxgen -stream stops with an error.
+func TestGenxgenStreamRefused(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := genx.WriteDataset(genx.Scaled(32), dir); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := remote.Serve(remote.ServerOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	streamFails(t, srv.Addr())
+	if got := srv.Stats().Ingests; got != 0 {
+		t.Errorf("a fetch-only server took %d ingests", got)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if msg := streamFails(t, addr); strings.Contains(msg, "ingest") {
+		t.Errorf("genxgen -stream to nobody tried an ingest; it must stop at the ping: %s", msg)
 	}
 }

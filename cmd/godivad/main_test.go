@@ -172,3 +172,18 @@ func TestGodivadIngest(t *testing.T) {
 	}
 	t.Fatalf("no push line reporting 1 ingest in the shutdown report:\n%s", strings.Join(report, "\n"))
 }
+
+// A data directory that does not exist, with ingest off, leaves nothing to
+// serve: godivad reports it and exits 1 without announcing a server.
+func TestGodivadMissingData(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "missing")
+	cmd, out, stderr := godivad(t, "-data", dir, "-addr", "127.0.0.1:0")
+	for out.Scan() {
+		t.Errorf("godivad printed %q", out.Text())
+	}
+	err := cmd.Wait()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(stderr.String(), "godivad: ") {
+		t.Fatalf("godivad -data %s: %v, want exit status 1 with a godivad: error; stderr:\n%s", dir, err, stderr)
+	}
+}

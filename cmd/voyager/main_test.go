@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"regexp"
@@ -166,4 +168,43 @@ func TestVoyagerFollowInterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	finish(t, cmd, stdout, stderr, `^followed 0 steps \(0 skipped, 0 events\): 0 images$`)
+}
+
+// fails runs voyager with args to completion and requires exit status 1
+// with a voyager: error on stderr; it returns the command's stdout.
+func fails(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd, stdout, stderr := start(t, args...)
+	err := cmd.Wait()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(stderr.String(), "voyager: ") {
+		t.Fatalf("voyager %s: %v, want exit status 1 with a voyager: error; stdout:\n%s\nstderr:\n%s",
+			strings.Join(args, " "), err, stdout, stderr)
+	}
+	return stdout.String()
+}
+
+// deadAddr returns a loopback address nothing listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// A godivad that is not there: voyager -remote reports the failed spec
+// request and -follow the failed ping, each before announcing the dataset
+// or the stream.
+func TestVoyagerRemoteUnreachable(t *testing.T) {
+	addr := deadAddr(t)
+	if out := fails(t, "-remote", addr, "-version", "TG", "-out", t.TempDir()); out != "" {
+		t.Errorf("voyager -remote printed before failing:\n%s", out)
+	}
+	if out := fails(t, "-follow", "-remote", addr, "-out", t.TempDir()); out != "" {
+		t.Errorf("voyager -follow printed before failing:\n%s", out)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -492,5 +493,50 @@ func TestOnReleaseRunsWhenCloseSweepsInlineRead(t *testing.T) {
 	}
 	if n := released.Load(); n != 11 {
 		t.Fatalf("released = %d when ReadUnit returned, want 11 (each hook once)", n)
+	}
+}
+
+// A read function may fan its blocks out to goroutines, each borrowing and
+// registering its donor's hook, while Close sweeps the unit. OnRelease is
+// then called from several goroutines at once, so its append must hold
+// db.mu: under -race an unlocked append fails here, and without -race a
+// lost append shows as a hook that never ran.
+func TestOnReleaseConcurrentWithCloseSweep(t *testing.T) {
+	const goroutines, hooksEach = 4, 50
+	db := Open(Options{})
+	defineFluidSchema(t, db)
+	var released atomic.Int64
+	started, swept := make(chan struct{}), make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- db.ReadUnit("u1", func(u *Unit) error {
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < hooksEach; i++ {
+						u.OnRelease(func() { released.Add(1) })
+						if i == hooksEach/2 {
+							<-swept
+						}
+					}
+				}()
+			}
+			close(started)
+			wg.Wait()
+			return nil
+		})
+	}()
+	<-started
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(swept)
+	if err := <-errc; !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadUnit swept by Close = %v, want ErrClosed", err)
+	}
+	if n := released.Load(); n != goroutines*hooksEach {
+		t.Fatalf("released = %d when ReadUnit returned, want %d (each hook once)", n, goroutines*hooksEach)
 	}
 }

@@ -180,8 +180,10 @@ func (db *DB) Close() error {
 	for _, u := range db.units {
 		db.dropUnitLocked(u)
 	}
+	// The application may still be filling a record it created: Record's
+	// buffer accessors take no lock, so its buffers are left to it.
 	for r := range db.resident {
-		db.dropRecordLocked(r)
+		db.unlinkRecordLocked(r)
 	}
 	db.resident = map[*Record]struct{}{}
 	return nil
@@ -493,11 +495,20 @@ func (db *DB) dropUnitLocked(u *unit) {
 	db.recordEventLocked(u, u.state, stateDeleted)
 	db.unqueueLocked(u)
 	db.lru.removeLocked(u)
-	db.dropRecordsLocked(u)
+	if reading {
+		// Close sweeps mid-read (DeleteUnit waits for the read instead). The
+		// read function may still be filling these records through Record
+		// methods that take no lock, so they leave the index and the charge
+		// but keep their buffers, and runRead drops them, and runs the
+		// hooks that guard the donors, once the function has returned.
+		for _, r := range u.records {
+			db.unlinkRecordLocked(r)
+		}
+		u.memory = 0
+	} else {
+		db.dropRecordsLocked(u)
+	}
 	u.state = stateDeleted
-	// No buffer references the unit's donated memory any more. A read
-	// function still running (Close sweeps mid-read) may, though: runRead
-	// runs the hooks when it returns.
 	if !reading {
 		db.runReleasersLocked(u)
 	}
@@ -574,15 +585,18 @@ func (db *DB) GetRecord(recType string, keys ...any) (*Record, error) {
 // GetFieldBuffer answers the paper's key-lookup query: it returns the data
 // buffer of the named field in the record of the given type identified by
 // the key values. The visualization code then accesses the buffer directly,
-// as if it were a user-allocated array.
+// as if it were a user-allocated array. The buffer is picked under the
+// lock: a unit's read that fails, or an eviction, drops the record's
+// buffers under it.
 func (db *DB) GetFieldBuffer(recType, field string, keys ...any) (*Buffer, error) {
 	db.mu.Lock()
 	r, err := db.getRecordLocked(recType, keys)
-	db.mu.Unlock()
-	if err != nil {
-		return nil, err
+	var buf *Buffer
+	if err == nil {
+		buf, err = r.FieldBuffer(field)
 	}
-	return r.FieldBuffer(field)
+	db.mu.Unlock()
+	return buf, err
 }
 
 // GetFieldBufferSize is GetFieldBuffer's size-only companion; it returns the

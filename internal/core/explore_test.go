@@ -30,6 +30,10 @@ import (
 // worker count.
 const exploreSeeds = 400
 
+// failSeeds is the number of seeds TestExploreFailingReads runs per I/O
+// worker count.
+const failSeeds = 400
+
 // churnSeeds is the number of seeds each churn test runs per configuration.
 const churnSeeds = 40
 
@@ -72,12 +76,44 @@ func TestExploreSchedules(t *testing.T) {
 	}
 }
 
+// TestExploreFailingReads runs the explorer's seeds with a failure plan
+// drawn from a second stream of the seed: each unit's read function fails,
+// with probability one half, right after committing a random record k, and
+// fails the same way each time the unit is re-added. The §3.3 model checks
+// (3)–(5) are off, since a failing read never holds its unit's whole
+// charge. On top of (1), (2), (6) and (7), it checks after every step:
+//
+//	(8)  a wait on a failing unit returns ErrUnitFailed carrying the read
+//	     function's error, or ErrDeadlock when an allocation up to record k
+//	     deadlocked first, and never succeeds;
+//	(9)  a failed unit holds no record and no byte, and no record its read
+//	     committed before failing answers a key query;
+//	(10) with one consumer and no I/O worker, so that no read is in flight
+//	     between steps, MemUsed is the charge of the ready and finished
+//	     units — the pinned and cached bytes — and nothing of a failed read.
+func TestExploreFailingReads(t *testing.T) {
+	for workers := 0; workers <= 3; workers++ {
+		t.Run(fmt.Sprintf("IOWorkers=%d", workers), func(t *testing.T) {
+			var tally exploreTally
+			for seed := int64(1); seed <= failSeeds; seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					c := newExploreCase(t, workers, seed)
+					c.planFailures(rand.New(rand.NewSource(-seed)))
+					c.run(t, &tally)
+				})
+			}
+			t.Logf("%d waits, %d failed reads over %d seeds", tally.waits, tally.failed, failSeeds)
+		})
+	}
+}
+
 // exploreTally counts one pool size's waits across its seeds.
 type exploreTally struct {
 	waits      int // WaitUnit calls
 	modelled   int // waits checked against (3) and (4)
 	extra      int // deadlocks on waits (3) says fit, at IOWorkers >= 2
 	extraSeeds int // seeds with at least one of them
+	failed     int // waits that returned a planned read failure
 }
 
 // seedClock is a Machine whose simulated goroutines name the running test
@@ -179,10 +215,16 @@ type exploreUnit struct {
 	sizes   []int
 	charges []time.Duration // two per record: before NewRecord, before CommitRecord
 	charge  int64
+
+	// The failure plan: when failAfter >= 0 the read function returns cause
+	// right after committing record failAfter, so records 0..failAfter are
+	// in the index when it fails.
+	failAfter int
+	cause     error
 }
 
 // read returns the unit's read function, charging its compute on m (none
-// when m is nil).
+// when m is nil) and failing as its plan says.
 func (eu *exploreUnit) read(m *platform.Machine) ReadFunc {
 	return func(u *Unit) error {
 		for i, size := range eu.sizes {
@@ -193,7 +235,7 @@ func (eu *exploreUnit) read(m *platform.Machine) ReadFunc {
 			if err != nil {
 				return err
 			}
-			if err := r.SetString("name", fmt.Sprintf("%s.%d", eu.name, i)); err != nil {
+			if err := r.SetString("name", eu.recordName(i)); err != nil {
 				return err
 			}
 			if _, err := r.AllocFieldBuffer("payload", size); err != nil {
@@ -205,10 +247,16 @@ func (eu *exploreUnit) read(m *platform.Machine) ReadFunc {
 			if err := u.DB().CommitRecord(r); err != nil {
 				return err
 			}
+			if i == eu.failAfter {
+				return eu.cause
+			}
 		}
 		return nil
 	}
 }
+
+// recordName is the key of record i of the unit.
+func (eu *exploreUnit) recordName(i int) string { return fmt.Sprintf("%s.%d", eu.name, i) }
 
 // exploreCase is one seed's setup.
 type exploreCase struct {
@@ -217,6 +265,7 @@ type exploreCase struct {
 	limit     int64
 	consumers [][]*exploreUnit // each consumer's own units, in AddUnit order
 	rngs      []*rand.Rand     // each consumer's script draws
+	failing   bool             // some unit has a failure plan
 }
 
 func newExploreCase(t *testing.T, workers int, seed int64) *exploreCase {
@@ -224,7 +273,7 @@ func newExploreCase(t *testing.T, workers int, seed int64) *exploreCase {
 	units := make([]*exploreUnit, 1+rng.Intn(4))
 	var maxCharge int64
 	for i := range units {
-		eu := &exploreUnit{name: fmt.Sprintf("u%d", i)}
+		eu := &exploreUnit{name: fmt.Sprintf("u%d", i), failAfter: -1}
 		for range 1 + rng.Intn(3) {
 			eu.sizes = append(eu.sizes, 64+rng.Intn(2048))
 			eu.charges = append(eu.charges, smallCharge(rng), smallCharge(rng))
@@ -262,6 +311,21 @@ func newExploreCase(t *testing.T, workers int, seed int64) *exploreCase {
 	return c
 }
 
+// planFailures gives each unit, with probability one half, a read that
+// fails after a random record. It runs after newExploreCase has measured
+// every unit's charge with a read that succeeds.
+func (c *exploreCase) planFailures(rng *rand.Rand) {
+	c.failing = true
+	for _, units := range c.consumers {
+		for _, eu := range units {
+			if rng.Intn(2) == 0 {
+				eu.failAfter = rng.Intn(len(eu.sizes))
+				eu.cause = fmt.Errorf("%s: injected failure after record %d", eu.name, eu.failAfter)
+			}
+		}
+	}
+}
+
 func (c *exploreCase) run(t *testing.T, tally *exploreTally) {
 	used := int64(-1)
 	onMachine(t, c.spec, func(m *platform.Machine, clock *seedClock) {
@@ -271,7 +335,8 @@ func (c *exploreCase) run(t *testing.T, tally *exploreTally) {
 		for i, units := range c.consumers {
 			ec := &exploreConsumer{
 				t: t, db: db, m: m, rng: c.rngs[i], units: units, limit: c.limit, workers: c.workers,
-				model: len(c.consumers) == 1, tally: tally,
+				model: len(c.consumers) == 1 && !c.failing, tally: tally,
+				failing: c.failing, alone: len(c.consumers) == 1,
 				owed: map[string]bool{}, pinned: map[string]int64{},
 			}
 			scripts = append(scripts, func() { _ = ec.ordered() && ec.revisit() })
@@ -300,6 +365,8 @@ type exploreConsumer struct {
 	workers int
 	model   bool // the only consumer: its first pass is checked against (3)–(5)
 	tally   *exploreTally
+	failing bool // units may fail: check (8)–(10)
+	alone   bool // the only consumer
 
 	owed   map[string]bool  // added, and not since acquired or deleted
 	pinned map[string]int64 // acquired and not released, by charge
@@ -314,6 +381,37 @@ func (c *exploreConsumer) ok(op string, eu *exploreUnit, err error) bool {
 	}
 	c.m.Compute(smallCharge(c.rng))
 	audit(c.db, "step")
+	return !c.failing || c.checkFailures()
+}
+
+// checkFailures is checks (9) and (10) over the consumer's units.
+func (c *exploreConsumer) checkFailures() bool {
+	var held int64
+	for _, eu := range c.units {
+		state, _ := c.db.UnitState(eu.name)
+		switch state {
+		case "ready", "finished":
+			held += eu.charge
+		case "failed":
+			for i := range eu.sizes {
+				if _, err := c.db.GetRecord("blob", eu.recordName(i)); !errors.Is(err, ErrNotFound) {
+					c.t.Errorf("(9) record %s of failed unit %s: GetRecord = %v, want ErrNotFound",
+						eu.recordName(i), eu.name, err)
+					return false
+				}
+			}
+		}
+	}
+	for _, info := range c.db.Units() {
+		if info.State == "failed" && (info.Records != 0 || info.Bytes != 0) {
+			c.t.Errorf("(9) failed unit %s holds %d records and %d bytes", info.Name, info.Records, info.Bytes)
+			return false
+		}
+	}
+	if used := c.db.MemUsed(); c.alone && c.workers == 0 && used != held {
+		c.t.Errorf("(10) MemUsed = %d, want %d: the charge of the ready and finished units", used, held)
+		return false
+	}
 	return true
 }
 
@@ -324,13 +422,17 @@ func (c *exploreConsumer) add(eu *exploreUnit) bool {
 
 // wait calls WaitUnit, returning the visible wait, and checks what every
 // wait must satisfy: no ErrUnknownUnit for an owed unit (6), and no error
-// but a §3.3 deadlock, after which the consumer deletes the failed unit.
+// but a §3.3 deadlock, after which the consumer deletes the failed unit, or
+// the planned failure (8), after which it leaves the unit failed. Either
+// way deadlocked reports that the wait did not acquire the unit.
 func (c *exploreConsumer) wait(eu *exploreUnit) (waited time.Duration, deadlocked, ok bool) {
 	c.tally.waits++
 	t0 := c.m.Now()
 	err := c.db.WaitUnit(eu.name)
 	waited = c.m.Now().Sub(t0)
 	switch {
+	case err == nil && eu.failAfter >= 0:
+		c.t.Errorf("(8) WaitUnit(%s) succeeded, but its read fails after record %d", eu.name, eu.failAfter)
 	case err == nil:
 		delete(c.owed, eu.name)
 		c.pinned[eu.name] = eu.charge
@@ -338,6 +440,14 @@ func (c *exploreConsumer) wait(eu *exploreUnit) (waited time.Duration, deadlocke
 	case errors.Is(err, ErrDeadlock):
 		delete(c.owed, eu.name)
 		return waited, true, c.ok("DeleteUnit", eu, c.db.DeleteUnit(eu.name))
+	case eu.failAfter >= 0 && errors.Is(err, ErrUnitFailed):
+		if !errors.Is(err, eu.cause) {
+			c.t.Errorf("(8) WaitUnit(%s) = %v, want it to carry %q", eu.name, err, eu.cause)
+			break
+		}
+		c.tally.failed++
+		delete(c.owed, eu.name)
+		return waited, true, c.ok("WaitUnit", eu, nil)
 	case errors.Is(err, ErrUnknownUnit):
 		c.t.Errorf("(6) WaitUnit(%s) after AddUnit: %v", eu.name, err)
 	default:

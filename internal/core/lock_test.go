@@ -383,3 +383,145 @@ func TestStatsSnapshotConcurrentWithChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// Every exported DB, Unit and Record method runs here at once, each family
+// from its own goroutines — schema definition and records the database
+// owns (two writers), units read inline and by the pool (some reads fail
+// after committing a record, some delete one of their own records),
+// queries, introspection and limit changes — until Close sweeps them
+// mid-flight. A method that touches a field guarded by db.mu without
+// holding it, or calls a *Locked function unlocked, is a -race report here
+// even where no other test runs that method beside another: each family
+// loops long enough for a lock taken by another to land inside a window
+// the method leaves unlocked.
+func TestEveryMethodConcurrentRace(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("IOWorkers=%d", workers), func(t *testing.T) {
+			everyMethodConcurrently(t, workers)
+		})
+	}
+}
+
+func everyMethodConcurrently(t *testing.T, workers int) {
+	const rounds = 300
+	db := newTestDB(t, Options{MemoryLimit: 5 * 1024, BackgroundIO: workers > 0, IOWorkers: workers, TraceUnits: true})
+	defineBlobSchema(t, db)
+	errRead := errors.New("injected read failure")
+	// read commits two records; failing reads then fail, the others delete
+	// their first record again.
+	read := func(fail bool) ReadFunc {
+		return func(u *Unit) error {
+			var first *Record
+			for i := 0; i < 2; i++ {
+				r, err := u.NewRecord("blob")
+				if err != nil {
+					return err
+				}
+				if err := r.SetString("name", fmt.Sprintf("%s.%d", u.Name(), i)); err != nil {
+					return err
+				}
+				if _, err := r.AllocFieldBuffer("payload", 512); err != nil {
+					return err
+				}
+				if err := u.DB().CommitRecord(r); err != nil {
+					return err
+				}
+				if first == nil {
+					first = r
+				}
+			}
+			if fail {
+				return errRead
+			}
+			return u.DB().DeleteRecord(first)
+		}
+	}
+	unit := func(i int) string { return fmt.Sprintf("u%d", i%6) }
+	var wg sync.WaitGroup
+	run := func(fn func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				fn(i)
+			}
+		}()
+	}
+	// Schema and records the database owns, from two writers.
+	for _, prefix := range []string{"s", "t"} {
+		run(func(i int) {
+			name := fmt.Sprintf("%s%d", prefix, i)
+			ignoreRaceErr(db.DefineField(name, String, 8))
+			ignoreRaceErr(db.DefineRecordType(name, 1))
+			ignoreRaceErr(db.InsertField(name, name, true))
+			ignoreRaceErr(db.CommitRecordType(name))
+			r, err := db.NewRecord(name)
+			if err != nil {
+				return
+			}
+			ignoreRaceErr(r.SetString(name, "k"))
+			ignoreRaceErr(db.CommitRecord(r))
+			_, err = db.CountRecords(name)
+			ignoreRaceErr(err)
+			ignoreRaceErr(db.DeleteRecord(r))
+		})
+	}
+	// Two consumers over shared unit names.
+	for c := 0; c < 2; c++ {
+		run(func(i int) {
+			name := unit(i + 3*c)
+			switch i % 4 {
+			case 0:
+				ignoreRaceErr(db.AddUnit(name, read(i%3 == 0)))
+			case 1:
+				if db.WaitUnit(name) == nil {
+					ignoreRaceErr(db.FinishUnit(name))
+				}
+			case 2:
+				if db.ReadUnit(name, read(i%5 == 0)) == nil {
+					ignoreRaceErr(db.FinishUnit(name))
+				}
+			case 3:
+				ignoreRaceErr(db.DeleteUnit(name))
+			}
+		})
+	}
+	// Queries and introspection. Close sweeps whatever is in flight once
+	// the queries are three quarters through.
+	closing := make(chan struct{})
+	run(func(i int) {
+		if i == 3*rounds/4 {
+			close(closing)
+		}
+		_, err := db.GetRecord("blob", unit(i)+".1")
+		ignoreRaceErr(err)
+		_, err = db.GetFieldBuffer("blob", "payload", unit(i)+".1")
+		ignoreRaceErr(err)
+		_, err = db.CountRecords("blob")
+		ignoreRaceErr(err)
+		ignoreRaceErr(db.EachRecord("blob", func(*Record) bool { return true }))
+		ignoreRaceErr(db.ScanPrefix("blob", func(*Record) bool { return true }))
+		_, err = db.KeyFields("blob")
+		ignoreRaceErr(err)
+		_, err = db.RecordTypeFields("blob")
+		ignoreRaceErr(err)
+		db.RecordTypes()
+		db.UnitState(unit(i))
+	})
+	run(func(i int) {
+		db.Stats()
+		db.IOWorkerStats()
+		db.Units()
+		db.UnitEvents()
+		db.MemUsed()
+		db.MemLimit()
+		db.SetMemSpace(int64(4+i%3) * 1024)
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-closing
+		ignoreRaceErr(db.Close())
+	}()
+	wg.Wait()
+}

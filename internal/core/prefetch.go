@@ -197,9 +197,9 @@ func (db *DB) waitStateLocked(u *unit) {
 // released the lock.
 func (db *DB) runRead(u *unit) {
 	start := db.now()
-	//lint:ignore lockcheck u.read is published under db.mu before the unit
-	// enters stateReading, and this goroutine owns the unit until the read
-	// completes — the unlocked access cannot race (see the unit doc comment).
+	// u.read is read without db.mu: it is published under db.mu before the
+	// unit enters stateReading, and this goroutine owns the unit until the
+	// read completes, so the access cannot race (see the unit doc comment).
 	err := callRead(u.read, &Unit{db: db, u: u})
 	elapsed := db.since(start)
 	db.mu.Lock()

@@ -277,9 +277,17 @@ func (db *DB) DeleteRecord(r *Record) error {
 	return nil
 }
 
-// dropRecordLocked removes a record from its type index and releases its
-// memory charge. Caller holds db.mu.
+// dropRecordLocked removes a record from its type index, releases its
+// memory charge and its buffers. Caller holds db.mu.
 func (db *DB) dropRecordLocked(r *Record) {
+	db.unlinkRecordLocked(r)
+	r.buffers = nil
+}
+
+// unlinkRecordLocked removes a record from its type index and releases its
+// memory charge, leaving its buffers to whoever still holds it. Caller holds
+// db.mu.
+func (db *DB) unlinkRecordLocked(r *Record) {
 	if r.commit {
 		if idx, ok := db.indexes[r.rt.name]; ok {
 			idx.Delete(r.key)
@@ -288,5 +296,4 @@ func (db *DB) dropRecordLocked(r *Record) {
 	}
 	db.releaseLocked(r.memory)
 	r.memory = 0
-	r.buffers = nil
 }

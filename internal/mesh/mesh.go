@@ -125,15 +125,6 @@ func (m *TetMesh) CellVolume(e int) float64 {
 	return ab.Cross(ac).Dot(ad) / 6
 }
 
-// TotalVolume returns the sum of element volumes.
-func (m *TetMesh) TotalVolume() float64 {
-	var v float64
-	for e := 0; e < m.NumCells(); e++ {
-		v += m.CellVolume(e)
-	}
-	return v
-}
-
 // CellCentroid returns the centroid of element e.
 func (m *TetMesh) CellCentroid(e int) Vec3 {
 	c := m.Cell(e)

@@ -2,6 +2,7 @@ package rocketeer
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -87,6 +88,22 @@ func TestFollowRendersStreamedSteps(t *testing.T) {
 	}
 	if res.DB.UnitsRead != int64(spec.Snapshots*spec.FilesPerSnapshot) {
 		t.Errorf("read %d units, want %d", res.DB.UnitsRead, spec.Snapshots*spec.FilesPerSnapshot)
+	}
+}
+
+// A follow of a server that is not there fails to subscribe and says so.
+func TestFollowServerUnreachable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	follower := remote.NewClient(remote.ClientOptions{Addr: addr})
+	defer follower.Close()
+	vt, _ := TestByName("simple")
+	if res, err := Follow(FollowConfig{Test: vt, Client: follower, Policy: push.Block}); err == nil {
+		t.Fatalf("Follow of %s = %+v, nil; want the failed subscribe", addr, res)
 	}
 }
 

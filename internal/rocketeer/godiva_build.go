@@ -33,52 +33,33 @@ const (
 // derived surface (only the fields a test reads are ever allocated; UNKNOWN
 // sizes are resolved per block).
 func defineSchema(db *core.DB) error {
-	if err := db.DefineField(fieldBlock, core.String, 11); err != nil {
-		return err
+	type field struct {
+		name  string
+		dtype core.DataType
+		size  int
+		key   bool
 	}
-	if err := db.DefineField(fieldStep, core.String, 9); err != nil {
-		return err
-	}
-	if err := db.DefineField("coords", core.Float64, core.Unknown); err != nil {
-		return err
-	}
-	if err := db.DefineField("conn", core.Int32, core.Unknown); err != nil {
-		return err
-	}
-	if err := db.DefineField("gids", core.Int64, core.Unknown); err != nil {
-		return err
-	}
-	if err := db.DefineField(fieldSurface, core.Int32, core.Unknown); err != nil {
-		return err
+	fields := []field{
+		{fieldBlock, core.String, 11, true},
+		{fieldStep, core.String, 9, true},
+		{"coords", core.Float64, core.Unknown, false},
+		{"conn", core.Int32, core.Unknown, false},
+		{"gids", core.Int64, core.Unknown, false},
+		{fieldSurface, core.Int32, core.Unknown, false},
 	}
 	for _, v := range genx.NodeVectorFields {
-		if err := db.DefineField(v, core.Float64, core.Unknown); err != nil {
-			return err
-		}
+		fields = append(fields, field{v, core.Float64, core.Unknown, false})
 	}
 	for _, v := range genx.ElemScalarFields {
-		if err := db.DefineField(v, core.Float64, core.Unknown); err != nil {
+		fields = append(fields, field{v, core.Float64, core.Unknown, false})
+	}
+	for _, f := range fields {
+		if err := db.DefineField(f.name, f.dtype, f.size); err != nil {
 			return err
 		}
 	}
 	if err := db.DefineRecordType(recBlock, 2); err != nil {
 		return err
-	}
-	fields := []struct {
-		name string
-		key  bool
-	}{{fieldBlock, true}, {fieldStep, true}, {"coords", false}, {"conn", false}, {"gids", false}, {fieldSurface, false}}
-	for _, v := range genx.NodeVectorFields {
-		fields = append(fields, struct {
-			name string
-			key  bool
-		}{v, false})
-	}
-	for _, v := range genx.ElemScalarFields {
-		fields = append(fields, struct {
-			name string
-			key  bool
-		}{v, false})
 	}
 	for _, f := range fields {
 		if err := db.InsertField(recBlock, f.name, f.key); err != nil {

@@ -18,12 +18,11 @@ import (
 // File is an opened SHDF file: its directory is in memory, object payloads
 // are read on demand and memoized once their CRC has been verified.
 //
-// Borrowing contract: payload bytes returned by Raw — and Dataset views
-// flagged Borrowed — alias memory owned by the File (the mmap, or the
-// verified payload cache). They are strictly read-only; writing through a
-// borrowed view corrupts every later read of the same ref, and faults
-// outright on a mapped file. Borrowed views of a mapped file are valid only
-// until Close unmaps the file.
+// Borrowing contract: Dataset views flagged Borrowed alias memory owned by
+// the File (the mmap, or the verified payload cache). They are strictly
+// read-only; writing through a borrowed view corrupts every later read of
+// the same ref, and faults outright on a mapped file. Borrowed views of a
+// mapped file are valid only until Close unmaps the file.
 type File struct {
 	r       io.ReaderAt
 	f       *os.File    // non-nil when opened by path and read through ReadAt
@@ -406,14 +405,6 @@ func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
 	e.payload = buf
 	e.verified = true
 	return buf, e, nil
-}
-
-// Raw returns the verified payload bytes for ref, borrowed from the File
-// under the borrowing contract in the File doc comment: read-only, and for
-// mapped files valid only until Close.
-func (f *File) Raw(ref Ref) ([]byte, error) {
-	buf, _, _, err := f.payloadFor(ref)
-	return buf, err
 }
 
 // Dataset is a decoded SDS: element type, dimensions, and the data in its

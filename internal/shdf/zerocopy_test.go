@@ -77,7 +77,7 @@ func TestPayloadMemoized(t *testing.T) {
 		if ds.Float64s[5] != first.Float64s[5] {
 			t.Fatalf("repeat read %d changed data: %v", i, ds.Float64s)
 		}
-		if _, err := f.Raw(sds); err != nil {
+		if _, err := f.raw(sds); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -475,7 +475,7 @@ func TestReadAtPathBorrows(t *testing.T) {
 	if !ds.Borrowed {
 		t.Fatal("ReadAt-path float64 dataset not borrowed")
 	}
-	raw, err := f.Raw(sds)
+	raw, err := f.raw(sds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,4 +489,11 @@ func TestReadAtPathBorrows(t *testing.T) {
 	if got, want := ds.Float64s[4], math.Nextafter(5, 5); got != want {
 		t.Fatalf("data[4] = %v, want %v", got, want)
 	}
+}
+
+// raw returns the verified payload bytes for ref, borrowed from the File
+// under the borrowing contract in the File doc comment.
+func (f *File) raw(ref Ref) ([]byte, error) {
+	buf, _, _, err := f.payloadFor(ref)
+	return buf, err
 }

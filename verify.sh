@@ -8,20 +8,6 @@
 #   entrypoints every package has test files except internal/locktest and
 #               internal/noalloctest (test helpers): a command or library
 #               package no test runs gets a test or goes
-#   lint        godiva-lint (lockcheck and errcheck) reports zero findings;
-#               non-zero findings fail the gate, as does the suite running
-#               longer than the 30s wall-clock budget (about 3s on a 2-CPU
-#               host, most of it loading and type-checking the module;
-#               analyzer cost regressions must surface here, not in every
-#               later CI run). Data races are the -race stages' job; pin
-#               releases, goroutine shutdown, atomic fields, wire bounds,
-#               locks held past a return or across a blocking call, and
-#               zero-copy borrows are the test, vet, -race and fuzz
-#               stages'; //godiva:noalloc is the test stage's, through
-#               each package's TestNoAllocGates (EXPERIMENTS.md, "Lint
-#               ledger, part 2", "part 3" and "part 4"). The run writes
-#               lint.sarif — every analyzer's findings, suppressed ones
-#               included — which CI uploads.
 #   test        full test suite, caching disabled (-count=1) so the noalloc
 #               AllocsPerRun gates re-measure on every run
 #   bench       the repository benchmark's own vet and tests (bench/ is its
@@ -42,9 +28,15 @@
 #               (shdf's mapped File and genx's table of open files, which
 #               I/O workers and godivad's handlers share), the
 #               discrete-event machine model the core runs on in the
-#               experiments, and rocketeer, whose local read functions
-#               donate real mapped buffers through BorrowFieldBuffer while
-#               its pipeline's I/O workers and main thread share them
+#               experiments, the push registry, and rocketeer, whose local
+#               read functions donate real mapped buffers through
+#               BorrowFieldBuffer while its pipeline's I/O workers and main
+#               thread share them. The race-only TestLockWindows of core,
+#               shdf, genx, platform and push (and remote's, in race-remote)
+#               hold each mutex in long turns under locktest.Probe, so a
+#               field its `// guarded by` comment names that a method
+#               touches outside the lock, or a *Locked function called
+#               without it, is a reported race however narrow the window
 #   race-remote race-detector pass over the remote unit service, including
 #               TestPayloadCacheChurn: concurrent fetchers and ingest
 #               overwrites against one server's table of mapped files; and
@@ -74,7 +66,7 @@
 #
 # Each stage prints a one-line summary; the script stops at the first
 # failing stage and exits non-zero. Run a single stage with
-# `./verify.sh -stage <name>` (e.g. `./verify.sh -stage lint`).
+# `./verify.sh -stage <name>` (e.g. `./verify.sh -stage race-core`).
 set -u
 
 cd "$(dirname "$0")"
@@ -144,28 +136,6 @@ check_entrypoints() {
     fi
 }
 
-check_lint() {
-    # The full suite must stay clean AND fast: a wall-clock budget catches
-    # analyzer cost regressions (a fixpoint that stops converging shows up
-    # as minutes, not findings). The same run emits the SARIF log CI
-    # uploads for code scanning.
-    budget="${VERIFY_LINTBUDGET:-30}"
-    lint_start=$(date +%s)
-    go run ./cmd/godiva-lint -sarif ./... >lint.sarif
-    rc=$?
-    elapsed=$(($(date +%s) - lint_start))
-    echo "lint: suite took ${elapsed}s (budget ${budget}s), SARIF in lint.sarif"
-    if [ "$rc" -ne 0 ]; then
-        # Re-run in plain mode so the findings land in the log.
-        go run ./cmd/godiva-lint ./...
-        return "$rc"
-    fi
-    if [ "$elapsed" -gt "$budget" ]; then
-        echo "lint: suite exceeded the ${budget}s wall-clock budget" >&2
-        return 1
-    fi
-}
-
 check_bench() {
     (cd bench && go vet . && go test -count=1 .)
 }
@@ -188,11 +158,10 @@ run_stage fmt check_gofmt
 run_stage vet go vet ./...
 run_stage build go build ./...
 run_stage entrypoints check_entrypoints
-run_stage lint check_lint
 run_stage test go test -count=1 ./...
 run_stage bench check_bench
 run_stage benchmem check_benchmem
-run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/... ./internal/rocketeer/...
+run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/... ./internal/push/... ./internal/rocketeer/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
 run_stage fuzz check_fuzz
@@ -200,7 +169,7 @@ run_stage fuzz check_fuzz
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
         echo "verify.sh: unknown stage \"$only_stage\"" >&2
-        echo "stages: fmt vet build entrypoints lint test bench benchmem race-core race-remote push fuzz" >&2
+        echo "stages: fmt vet build entrypoints test bench benchmem race-core race-remote push fuzz" >&2
         exit 2
     fi
     echo "verify.sh: stage $only_stage passed"
