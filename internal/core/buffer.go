@@ -33,20 +33,31 @@ type Buffer struct {
 	borrowed bool
 }
 
-func newBuffer(t DataType, size int) (*Buffer, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadSize, size)
-	}
+// checkSize validates a buffer of size bytes and element type t: t is one
+// of the defined types and size a non-negative whole number of elements.
+// DefineField checks declared sizes with it, AllocFieldBuffer and
+// BorrowFieldBuffer the sizes they are given, so the buffer constructors
+// below cannot fail.
+func checkSize(t DataType, size int) error {
 	es := t.ElemSize()
 	if es == 0 {
-		return nil, fmt.Errorf("%w: %v", ErrTypeMismatch, t)
+		return fmt.Errorf("%w: %v", ErrTypeMismatch, t)
+	}
+	if size < 0 {
+		return fmt.Errorf("%w: %d bytes", ErrBadSize, size)
 	}
 	if size%es != 0 {
-		return nil, fmt.Errorf("%w: %d bytes is not a multiple of %v element size %d",
+		return fmt.Errorf("%w: %d bytes is not a multiple of %v element size %d",
 			ErrBadSize, size, t, es)
 	}
+	return nil
+}
+
+// newBuffer allocates a zeroed buffer of size bytes; checkSize(t, size)
+// holds.
+func newBuffer(t DataType, size int) *Buffer {
 	b := &Buffer{dtype: t, size: size}
-	n := size / es
+	n := size / t.ElemSize()
 	switch t {
 	case String, Bytes:
 		b.raw = make([]byte, n)
@@ -59,7 +70,7 @@ func newBuffer(t DataType, size int) (*Buffer, error) {
 	case Float64:
 		b.f64 = make([]float64, n)
 	}
-	return b, nil
+	return b
 }
 
 // newBorrowedBuffer wraps donated bytes as a typed buffer without copying
@@ -67,16 +78,8 @@ func newBuffer(t DataType, size int) (*Buffer, error) {
 // decode otherwise. aliased reports which happened: when true, the buffer's
 // typed slice shares memory with data and the buffer is marked borrowed
 // (read-only); when false, the buffer owns a private copy and behaves like
-// any allocated buffer.
-func newBorrowedBuffer(t DataType, data []byte) (b *Buffer, aliased bool, err error) {
-	es := t.ElemSize()
-	if es == 0 {
-		return nil, false, fmt.Errorf("%w: %v", ErrTypeMismatch, t)
-	}
-	if len(data)%es != 0 {
-		return nil, false, fmt.Errorf("%w: %d bytes is not a multiple of %v element size %d",
-			ErrBadSize, len(data), t, es)
-	}
+// any allocated buffer. checkSize(t, len(data)) holds.
+func newBorrowedBuffer(t DataType, data []byte) (b *Buffer, aliased bool) {
 	b = &Buffer{dtype: t, size: len(data)}
 	switch t {
 	case String, Bytes:
@@ -91,7 +94,7 @@ func newBorrowedBuffer(t DataType, data []byte) (b *Buffer, aliased bool, err er
 		b.f64, aliased = zerocopy.Decode[float64](data)
 	}
 	b.borrowed = aliased
-	return b, aliased, nil
+	return b, aliased
 }
 
 // Type returns the buffer's element type.

@@ -567,14 +567,15 @@ func (db *DB) getRecordLocked(recType string, keys []any) (*Record, error) {
 		return nil, fmt.Errorf("%w: record type %q", ErrNotFound, recType)
 	}
 	r, ok := idx.Get(key)
-	if !ok {
+	if !ok || !r.visibleLocked() {
 		return nil, fmt.Errorf("%w: record type %q", ErrNotFound, recType)
 	}
 	return r, nil
 }
 
 // GetRecord returns the committed record of the given type identified by the
-// key values, in key-field insertion order.
+// key values, in key-field insertion order. Like every query it does not
+// see the records of a unit whose read is still running.
 func (db *DB) GetRecord(recType string, keys ...any) (*Record, error) {
 	db.mu.Lock()
 	r, err := db.getRecordLocked(recType, keys)
@@ -622,11 +623,16 @@ func (db *DB) CountRecords(recType string) (int, error) {
 	if _, ok := db.recordTypes[recType]; !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownRecordType, recType)
 	}
-	idx, ok := db.indexes[recType]
-	if !ok {
-		return 0, nil
+	n := 0
+	if idx, ok := db.indexes[recType]; ok {
+		idx.Ascend(func(_ []byte, r *Record) bool {
+			if r.visibleLocked() {
+				n++
+			}
+			return true
+		})
 	}
-	return idx.Len(), nil
+	return n, nil
 }
 
 // EachRecord calls fn for every committed record of a record type in
@@ -648,6 +654,6 @@ func (db *DB) EachRecord(recType string, fn func(r *Record) bool) error {
 	if !ok {
 		return nil
 	}
-	idx.Ascend(func(_ []byte, r *Record) bool { return fn(r) })
+	idx.Ascend(func(_ []byte, r *Record) bool { return !r.visibleLocked() || fn(r) })
 	return nil
 }

@@ -96,12 +96,12 @@ func (db *DB) ScanPrefix(recType string, fn func(r *Record) bool, keys ...any) e
 	if !ok {
 		return nil
 	}
+	visit := func(_ []byte, r *Record) bool { return !r.visibleLocked() || fn(r) }
 	if len(prefix) == 0 {
-		idx.Ascend(func(_ []byte, r *Record) bool { return fn(r) })
+		idx.Ascend(visit)
 		return nil
 	}
-	hi := prefixUpperBound(prefix)
-	idx.AscendRange(prefix, hi, func(_ []byte, r *Record) bool { return fn(r) })
+	idx.AscendRange(prefix, prefixUpperBound(prefix), visit)
 	return nil
 }
 

@@ -56,15 +56,9 @@ func (db *DB) newRecordLocked(recType string, owner *unit) (*Record, error) {
 	}
 	r.memory = need
 	for i, ft := range rt.fields {
-		if ft.size == Unknown {
-			continue
+		if ft.size != Unknown {
+			r.buffers[i] = newBuffer(ft.dtype, ft.size)
 		}
-		buf, err := newBuffer(ft.dtype, ft.size)
-		if err != nil {
-			db.releaseLocked(r.memory)
-			return nil, fmt.Errorf("field %q: %w", ft.name, err)
-		}
-		r.buffers[i] = buf
 	}
 	if owner != nil {
 		owner.records = append(owner.records, r)
@@ -108,10 +102,11 @@ func (r *Record) AllocFieldBuffer(field string, size int) (*Buffer, error) {
 		return nil, fmt.Errorf("%w: cannot reallocate key field %q of a committed record",
 			ErrCommitted, field)
 	}
-	buf, err := newBuffer(r.rt.fields[pos].dtype, size)
-	if err != nil {
+	dtype := r.rt.fields[pos].dtype
+	if err := checkSize(dtype, size); err != nil {
 		return nil, fmt.Errorf("field %q: %w", field, err)
 	}
+	buf := newBuffer(dtype, size)
 	old := int64(0)
 	if r.buffers[pos] != nil {
 		old = int64(r.buffers[pos].size)
@@ -163,10 +158,11 @@ func (r *Record) BorrowFieldBuffer(field string, data []byte) (*Buffer, error) {
 		return nil, fmt.Errorf("%w: cannot reallocate key field %q of a committed record",
 			ErrCommitted, field)
 	}
-	buf, aliased, err := newBorrowedBuffer(r.rt.fields[pos].dtype, data)
-	if err != nil {
+	dtype := r.rt.fields[pos].dtype
+	if err := checkSize(dtype, len(data)); err != nil {
 		return nil, fmt.Errorf("field %q: %w", field, err)
 	}
+	buf, aliased := newBorrowedBuffer(dtype, data)
 	old := int64(0)
 	if r.buffers[pos] != nil {
 		old = int64(r.buffers[pos].size)
@@ -186,6 +182,14 @@ func (r *Record) BorrowFieldBuffer(field string, data []byte) (*Buffer, error) {
 		db.stats.BytesBorrowed += int64(buf.size)
 	}
 	return buf, nil
+}
+
+// visibleLocked reports whether queries may answer r. The records of a unit
+// whose read is still running stay hidden until the read succeeds: a read
+// that fails drops their buffers, which a caller holding the *Record would
+// read without the lock. Caller holds db.mu.
+func (r *Record) visibleLocked() bool {
+	return r.unit == nil || r.unit.state != stateReading
 }
 
 func (r *Record) isKeyField(pos int) bool {

@@ -27,15 +27,12 @@ type recordType struct {
 // until the input files are read (the paper's UNKNOWN). A field type may be
 // inserted into any number of record types.
 func (db *DB) DefineField(name string, t DataType, size int) error {
-	if !t.valid() {
-		return fmt.Errorf("%w: field %q has invalid type", ErrTypeMismatch, name)
+	declared := size
+	if size == Unknown {
+		declared = 0 // the type is still checked
 	}
-	if size != Unknown && size < 0 {
-		return fmt.Errorf("%w: field %q declared with size %d", ErrBadSize, name, size)
-	}
-	if size != Unknown && size%t.ElemSize() != 0 {
-		return fmt.Errorf("%w: field %q: %d bytes is not a multiple of %v element size",
-			ErrBadSize, name, size, t)
+	if err := checkSize(t, declared); err != nil {
+		return fmt.Errorf("field %q: %w", name, err)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()

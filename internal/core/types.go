@@ -74,14 +74,6 @@ func (t DataType) ElemSize() int {
 	}
 }
 
-func (t DataType) valid() bool {
-	switch t {
-	case String, Bytes, Int32, Int64, Float32, Float64:
-		return true
-	}
-	return false
-}
-
 // Errors returned by the GODIVA database. Wrapped errors carry context;
 // match with errors.Is.
 var (

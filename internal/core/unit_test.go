@@ -413,6 +413,75 @@ func TestReadFunctionErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestQueriesHideRecordsOfRunningRead parks a read after it commits a record
+// and then fails it. While the read runs, no query answers the record, so no
+// caller can hold a *Record whose buffers the failure drops without the
+// caller's lock; a querier racing the failure checks that under -race.
+func TestQueriesHideRecordsOfRunningRead(t *testing.T) {
+	db := newTestDB(t, Options{BackgroundIO: true})
+	defineBlobSchema(t, db)
+	boom := errors.New("read failed after commit")
+	committed, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unpark) // runs before newTestDB's Close, which waits for the read
+	if err := db.AddUnit("u", func(u *Unit) error {
+		if err := blobReader(64, nil)(u); err != nil {
+			return err
+		}
+		close(committed)
+		<-release
+		return boom
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-committed
+	if _, err := db.GetRecord("blob", "u"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetRecord during the read = %v, want ErrNotFound", err)
+	}
+	if _, err := db.GetFieldBuffer("blob", "payload", "u"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetFieldBuffer during the read = %v, want ErrNotFound", err)
+	}
+	if n, err := db.CountRecords("blob"); err != nil || n != 0 {
+		t.Fatalf("CountRecords during the read = %d, %v, want 0", n, err)
+	}
+	visit := func(r *Record) bool {
+		t.Errorf("a scan visited %s's record during the read", r.unit.name)
+		return true
+	}
+	if err := db.EachRecord("blob", visit); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ScanPrefix("blob", visit); err != nil {
+		t.Fatal(err)
+	}
+
+	failed := make(chan struct{})
+	querierDone := make(chan struct{})
+	go func() {
+		defer close(querierDone)
+		for {
+			if r, err := db.GetRecord("blob", "u"); err == nil {
+				t.Error("GetRecord answered the record of a running or failed read")
+				r.FieldBuffer("payload")
+				return
+			}
+			select {
+			case <-failed:
+				return
+			default:
+			}
+		}
+	}()
+	unpark()
+	err := db.WaitUnit("u")
+	close(failed)
+	<-querierDone
+	if !errors.Is(err, ErrUnitFailed) || !errors.Is(err, boom) {
+		t.Fatalf("WaitUnit = %v, want ErrUnitFailed wrapping the read error", err)
+	}
+}
+
 func TestAddUnitOnCachedUnitIsHit(t *testing.T) {
 	db := newTestDB(t, Options{BackgroundIO: true})
 	defineBlobSchema(t, db)

@@ -21,6 +21,8 @@ func (r *Registry) touchLocked() {
 	r.subs = locktest.Keep(r.subs)
 	r.seq = locktest.Keep(r.seq)
 	r.closed = locktest.Keep(r.closed)
+	r.publishing = locktest.Keep(r.publishing)
+	r.idle = locktest.Keep(r.idle)
 	r.published = locktest.Keep(r.published)
 	r.delivered = locktest.Keep(r.delivered)
 	r.dropped = locktest.Keep(r.dropped)
@@ -30,8 +32,7 @@ func (r *Registry) touchLocked() {
 // closed. Caller holds s.reg.mu.
 func (s *Subscriber) touchLocked() {
 	s.queue = locktest.Keep(s.queue)
-	s.waiters = locktest.Keep(s.waiters)
-	s.space = locktest.Keep(s.space)
+	s.changed = locktest.Keep(s.changed)
 	s.closed = locktest.Keep(s.closed)
 	s.matched = locktest.Keep(s.matched)
 	s.consumed = locktest.Keep(s.consumed)

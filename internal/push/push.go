@@ -6,10 +6,10 @@
 // Admission control is per subscriber: a visual stream keeps only the
 // freshest frames (DropOldest), a lossless consumer pushes backpressure into
 // the producer (Block). The package is deliberately passive — it owns
-// no goroutines; producers and consumers block inside Publish/Next on
-// targeted wakeup channels, the same unlock-before-block discipline the
-// core database uses, so the interprocedural lint passes without
-// suppressions.
+// no goroutines; producers and consumers block inside Publish/Next the way
+// the core database blocks: drop the registry's mutex and sleep on a
+// channel that is only ever closed, never sent on, then re-check under the
+// lock.
 package push
 
 import (
@@ -106,12 +106,18 @@ type Stats struct {
 }
 
 // Registry fans published events out to subscribers. Safe for concurrent
-// use by any number of producers and consumers.
+// use by any number of producers and consumers; Publish calls run one at a
+// time.
 type Registry struct {
 	mu     sync.Mutex
 	subs   map[*Subscriber]struct{}
 	seq    uint64
 	closed bool
+	// publishing is set while a Publish delivers; idle is broadcast when it
+	// clears. Close needs no broadcast of its own: a delivering publisher
+	// wakes when its subscribers close and clears the flag.
+	publishing bool
+	idle       chan struct{}
 
 	published int64
 	// delivered/dropped accumulate counters of unsubscribed subscribers so
@@ -134,9 +140,11 @@ type Subscriber struct {
 	opts Options
 
 	// All fields below are guarded by reg.mu.
-	queue    []Event         // FIFO: queue[0] is the oldest undelivered event
-	waiters  []chan struct{} // consumers blocked in Next, wakeup order
-	space    []chan struct{} // producers blocked in Publish (Block), FIFO
+	queue []Event // FIFO: queue[0] is the oldest undelivered event
+	// changed is broadcast when the queue gains or loses an event and at
+	// close; its sleepers are the consumer in Next and a publisher waiting
+	// for room.
+	changed  chan struct{}
 	closed   bool
 	matched  int64
 	consumed int64 // events handed out by Next
@@ -164,14 +172,21 @@ func (r *Registry) Subscribe(spec Spec, opts Options) (*Subscriber, error) {
 // Publish assigns the event a sequence number and delivers it to every
 // matching subscriber. Subscribers with a full DropOldest queue lose their
 // oldest event; full Block subscribers make Publish wait until the consumer
-// drains a slot (or the subscriber or registry closes). Returns the number
-// of subscribers the event was enqueued to, or ErrClosed after Close.
+// drains a slot (or the subscriber or registry closes). Publish calls run
+// one at a time, so every queue receives events in sequence order, and a
+// full Block queue delays later publishes but never this event's delivery
+// to the other subscribers. Returns the number of subscribers the event was
+// enqueued to, or ErrClosed after Close.
 func (r *Registry) Publish(ev Event) (int, error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.publishing {
+		r.waitLocked(&r.idle, nil)
+	}
 	if r.closed {
-		r.mu.Unlock()
 		return 0, ErrClosed
 	}
+	r.publishing = true
 	r.seq++
 	ev.Seq = r.seq
 	if ev.Created.IsZero() {
@@ -179,62 +194,38 @@ func (r *Registry) Publish(ev Event) (int, error) {
 	}
 	r.published++
 	enqueued := 0
-	// First pass: enqueue wherever admission succeeds immediately. Blocked
-	// subscribers are joined at the tail of their space queue, so events
-	// from concurrent producers enter every queue in sequence order.
+	// First pass: enqueue wherever there is room or DropOldest makes it.
 	var blocked []*Subscriber
-	var tickets []chan struct{}
 	for s := range r.subs {
 		if !s.spec.Matches(ev) {
 			continue
 		}
 		s.matched++
-		// A Block producer must also queue behind earlier waiting producers
-		// when a slot is free, or it would overtake them and break the
-		// queue's sequence order.
-		if s.opts.Policy == Block && (len(s.queue) >= s.opts.Queue || len(s.space) > 0) {
-			ticket := make(chan struct{}, 1)
-			s.space = append(s.space, ticket)
+		if s.opts.Policy == Block && len(s.queue) >= s.opts.Queue {
 			blocked = append(blocked, s)
-			tickets = append(tickets, ticket)
 			continue
 		}
 		s.enqueueLocked(ev)
 		enqueued++
 	}
-	r.mu.Unlock()
-
-	// Second pass: wait out each blocked subscriber in turn. The ticket is
-	// signalled when the consumer frees a slot (or the subscriber closes);
-	// admission is re-checked under the lock because a wakeup only means
-	// "look again".
-	for i, s := range blocked {
-		ticket := tickets[i]
-		r.mu.Lock()
-		for {
-			if s.closed || r.closed {
-				s.removeSpaceLocked(ticket)
-				break
-			}
-			if len(s.queue) < s.opts.Queue && s.headSpaceLocked(ticket) {
-				s.removeSpaceLocked(ticket)
-				s.enqueueLocked(ev)
-				enqueued++
-				// Pass any remaining room on to the next waiting producer.
-				s.signalSpaceLocked()
-				break
-			}
-			r.mu.Unlock()
-			<-ticket
-			r.mu.Lock()
+	// Second pass: wait out each full Block subscriber in turn. A wakeup
+	// only means "look again", so room is re-checked under the lock.
+	for _, s := range blocked {
+		for !s.closed && len(s.queue) >= s.opts.Queue {
+			r.waitLocked(&s.changed, nil)
 		}
-		r.mu.Unlock()
+		if !s.closed {
+			s.enqueueLocked(ev)
+			enqueued++
+		}
 	}
+	r.publishing = false
+	broadcast(&r.idle)
 	return enqueued, nil
 }
 
 // enqueueLocked admits ev to the queue, applying DropOldest admission and
-// waking one blocked consumer. Caller holds reg.mu.
+// waking the subscriber's sleepers. Caller holds reg.mu.
 func (s *Subscriber) enqueueLocked(ev Event) {
 	if len(s.queue) >= s.opts.Queue {
 		// DropOldest: discard from the head so what remains is the most
@@ -247,44 +238,35 @@ func (s *Subscriber) enqueueLocked(ev Event) {
 	if len(s.queue) > s.maxDepth {
 		s.maxDepth = len(s.queue)
 	}
-	s.signalLocked(&s.waiters)
+	broadcast(&s.changed)
 }
 
-// headSpaceLocked reports whether ticket is first in the space queue —
-// producers re-enter in FIFO order so queues stay sequence-ordered.
-func (s *Subscriber) headSpaceLocked(ticket chan struct{}) bool {
-	return len(s.space) > 0 && s.space[0] == ticket
-}
-
-// removeSpaceLocked drops ticket from the space queue wherever it sits.
-func (s *Subscriber) removeSpaceLocked(ticket chan struct{}) {
-	for i, t := range s.space {
-		if t == ticket {
-			s.space = append(s.space[:i], s.space[i+1:]...)
-			return
-		}
+// waitLocked sleeps until the next broadcast on *ch or until deadline
+// fires, making the channel if no one sleeps there yet, and reports
+// whether the deadline fired. A nil deadline never fires. Caller holds
+// r.mu; the lock is dropped while sleeping, so the caller re-checks its
+// condition on return.
+func (r *Registry) waitLocked(ch *chan struct{}, deadline <-chan time.Time) (expired bool) {
+	if *ch == nil {
+		*ch = make(chan struct{})
+	}
+	c := *ch
+	r.mu.Unlock()
+	defer r.mu.Lock()
+	select {
+	case <-c:
+		return false
+	case <-deadline:
+		return true
 	}
 }
 
-// signalSpaceLocked wakes the producer at the head of the space queue.
-func (s *Subscriber) signalSpaceLocked() {
-	if len(s.space) > 0 {
-		select {
-		case s.space[0] <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// signalLocked wakes the first waiter of a wait list, consuming its entry.
-func (s *Subscriber) signalLocked(list *[]chan struct{}) {
-	if len(*list) > 0 {
-		ch := (*list)[0]
-		*list = (*list)[1:]
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+// broadcast wakes every goroutine sleeping on *ch; the next sleeper makes a
+// fresh channel. Caller holds the registry's mutex.
+func broadcast(ch *chan struct{}) {
+	if *ch != nil {
+		close(*ch)
+		*ch = nil
 	}
 }
 
@@ -305,45 +287,26 @@ func (s *Subscriber) NextTimeout(d time.Duration) (ev Event, ok, closed bool) {
 	return s.next(timer.C)
 }
 
-// next dequeues one event, blocking on a wakeup channel while the queue is
-// empty. A nil deadline channel blocks indefinitely.
+// next dequeues one event, sleeping on the subscriber's changed channel
+// while the queue is empty. A nil deadline channel blocks indefinitely.
 func (s *Subscriber) next(deadline <-chan time.Time) (Event, bool, bool) {
 	r := s.reg
 	r.mu.Lock()
-	for {
-		if len(s.queue) > 0 {
-			ev := s.queue[0]
-			s.queue = s.queue[:copy(s.queue, s.queue[1:])]
-			s.consumed++
-			s.latency += time.Since(ev.Created)
-			s.signalSpaceLocked()
-			r.mu.Unlock()
-			return ev, true, false
-		}
-		if s.closed || r.closed {
-			r.mu.Unlock()
+	defer r.mu.Unlock()
+	for len(s.queue) == 0 {
+		if s.closed {
 			return Event{}, false, true
 		}
-		ch := make(chan struct{}, 1)
-		s.waiters = append(s.waiters, ch)
-		r.mu.Unlock()
-		select {
-		case <-ch:
-		case <-deadline:
-			r.mu.Lock()
-			for i, w := range s.waiters {
-				if w == ch {
-					s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-					break
-				}
-			}
-			// A wakeup may have raced the deadline; surface the event on the
-			// next call instead of consuming it here.
-			r.mu.Unlock()
+		if r.waitLocked(&s.changed, deadline) {
 			return Event{}, false, false
 		}
-		r.mu.Lock()
 	}
+	ev := s.queue[0]
+	s.queue = s.queue[:copy(s.queue, s.queue[1:])]
+	s.consumed++
+	s.latency += time.Since(ev.Created)
+	broadcast(&s.changed)
+	return ev, true, false
 }
 
 // Close unregisters the subscriber: blocked consumers and producers wake
@@ -366,20 +329,7 @@ func (s *Subscriber) closeLocked() {
 	s.reg.delivered += s.consumed
 	s.reg.dropped += s.dropped
 	s.queue = nil
-	for _, ch := range s.waiters {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	s.waiters = nil
-	for _, ch := range s.space {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-	s.space = nil
+	broadcast(&s.changed)
 }
 
 // Stats returns a snapshot of the subscriber's delivery counters.

@@ -223,6 +223,61 @@ func TestSlowSubscriberDoesNotStallOthers(t *testing.T) {
 	}
 }
 
+// TestBlockedPublishHasDeliveredToOthers parks a publisher on a full Block
+// subscriber and checks that every DropOldest subscriber already holds the
+// event: a full Block queue delays later publishes, never this event's
+// delivery to the others. The registry iterates its subscribers in map
+// order, so each round puts the Block subscriber at a fresh position among
+// four others; a Publish that waits as soon as it meets the full queue
+// passes a round only when the Block subscriber comes last, about one
+// round in five, so it fails this test in all but about one run in ten
+// million.
+func TestBlockedPublishHasDeliveredToOthers(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		r := NewRegistry()
+		block, err := r.Subscribe(Spec{ToStep: -1}, Options{Queue: 1, Policy: Block})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drops []*Subscriber
+		for i := 0; i < 4; i++ {
+			s, err := r.Subscribe(Spec{ToStep: -1}, Options{Queue: 1, Policy: DropOldest})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drops = append(drops, s)
+		}
+		r.Publish(ev(0, 0))
+		published := make(chan struct{})
+		go func() {
+			defer close(published)
+			r.Publish(ev(1, 0))
+		}()
+		// The publisher is parked once it sleeps on the Block queue's
+		// changed channel; no consumer sleeps there in this test.
+		for parked := false; !parked; {
+			r.mu.Lock()
+			parked = block.changed != nil
+			r.mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+		for i, s := range drops {
+			if got, ok, _ := s.NextTimeout(0); !ok || got.Step != 1 {
+				t.Fatalf("round %d: drop subscriber %d has step %d ok=%v while the publisher is parked, want step 1",
+					round, i, got.Step, ok)
+			}
+		}
+		if got, ok := block.Next(); !ok || got.Step != 0 {
+			t.Fatalf("round %d: block Next = %d, %v", round, got.Step, ok)
+		}
+		<-published
+		if got, ok := block.Next(); !ok || got.Step != 1 {
+			t.Fatalf("round %d: block Next = %d, %v after the publisher woke", round, got.Step, ok)
+		}
+		r.Close()
+	}
+}
+
 func TestNextTimeout(t *testing.T) {
 	r := NewRegistry()
 	defer r.Close()
@@ -246,8 +301,8 @@ func TestNextTimeout(t *testing.T) {
 
 // TestConcurrentProducersKeepQueuesSequenceOrdered drives several producers
 // into mixed-policy subscribers and asserts every queue stays strictly
-// sequence-ordered — including Block queues, whose producers re-enter
-// through the FIFO space queue.
+// sequence-ordered — including Block queues, where a producer parked on a
+// full queue holds back every later publish until it has enqueued.
 func TestConcurrentProducersKeepQueuesSequenceOrdered(t *testing.T) {
 	r := NewRegistry()
 	defer r.Close()

@@ -87,6 +87,27 @@ func BenchmarkSlicePlane(b *testing.B) {
 	}
 }
 
+// BenchmarkAppendCutPlane is BenchmarkIsoSurface's cut: the clipped
+// external surface plus the cross-section.
+func BenchmarkAppendCutPlane(b *testing.B) {
+	m, z := benchBlock()
+	lo, hi := m.Bounds()
+	pl := Plane{Origin: lo.Add(hi).Scale(0.5), Normal: mesh.Vec3{X: 0.1, Z: 1}}
+	agg := &TriSurface{}
+	run := func() {
+		*agg = TriSurface{Coords: agg.Coords[:0], Tris: agg.Tris[:0], Scalars: agg.Scalars[:0]}
+		if err := AppendCutPlane(agg, m, pl, z); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkCellToPoint times one block's element-to-node averaging into a
 // reused destination: verify.sh's benchmem stage fails it on any allocation.
 func BenchmarkCellToPoint(b *testing.B) {

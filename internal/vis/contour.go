@@ -222,26 +222,23 @@ func CutPlane(m *mesh.TetMesh, pl Plane, color []float64) (*TriSurface, error) {
 }
 
 // AppendCutPlane is CutPlane appending to dst, whose scalars must cover its
-// vertices.
+// vertices. The kept elements' boundary is extracted over m's own node
+// numbering; gather compacts its vertices in first-seen order, so no
+// compacted copy of the kept mesh is needed.
 func AppendCutPlane(dst *TriSurface, m *mesh.TetMesh, pl Plane, color []float64) error {
 	if len(color) != m.NumNodes() || len(dst.Scalars) != dst.NumVerts() {
 		return ErrBadInput
 	}
-	keepScalar := make([]float64, m.NumCells())
+	sc := scratchPool.Get().(*scratch)
+	sc.tets = sc.tets[:0]
 	normal := pl.Normal.Normalize()
 	for e := 0; e < m.NumCells(); e++ {
 		if normal.Dot(m.CellCentroid(e).Sub(pl.Origin)) >= 0 {
-			keepScalar[e] = 1
+			sc.tets = append(sc.tets, m.Tets[4*e:4*e+4]...)
 		}
 	}
-	kept, nodeMap, err := Threshold(m, keepScalar, 0.5, 2)
-	if err != nil {
-		return err
-	}
-	colorKept := make([]float64, kept.NumNodes())
-	for i, old := range nodeMap {
-		colorKept[i] = color[old]
-	}
-	dst.appendExtracted(kept, colorKept)
+	kept := mesh.TetMesh{Coords: m.Coords, Tets: sc.tets}
+	dst.appendExtracted(&kept, color, sc)
+	scratchPool.Put(sc)
 	return AppendSlicePlane(dst, m, pl, color)
 }

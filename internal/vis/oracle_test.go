@@ -198,24 +198,15 @@ func sameSurface(a, b *TriSurface) bool {
 		sameFloats(a.Scalars, b.Scalars) && sameFloats(a.Normals, b.Normals)
 }
 
-func sameMesh(a, b *mesh.TetMesh) bool {
-	return reflect.DeepEqual(a.Tets, b.Tets) && sameFloats(a.Coords, b.Coords) &&
-		reflect.DeepEqual(a.GlobalNode, b.GlobalNode)
-}
-
 // halfMesh keeps the elements whose centroid lies above mid-height, the
 // ragged shape a threshold or cut leaves.
-func halfMesh(t *testing.T, m *mesh.TetMesh) *mesh.TetMesh {
-	t.Helper()
+func halfMesh(m *mesh.TetMesh) *mesh.TetMesh {
 	keep := make([]float64, m.NumCells())
 	for e := range keep {
 		keep[e] = m.CellCentroid(e).Z
 	}
 	_, hi := m.Bounds()
-	half, _, err := Threshold(m, keep, hi.Z/2, hi.Z)
-	if err != nil {
-		t.Fatal(err)
-	}
+	half, _ := oracleThreshold(m, keep, hi.Z/2, hi.Z)
 	return half
 }
 
@@ -242,7 +233,7 @@ func oracleCases(t *testing.T) map[string]*mesh.TetMesh {
 		"star annulus": {NR: 2, NTheta: 16, NZ: 6, RInner: 0.5, ROuter: 1.0, Length: 3, StarPoints: 5, StarDepth: 0.3},
 	} {
 		whole := mesh.GenerateAnnulus(spec)
-		cases[name+" half"] = halfMesh(t, whole)
+		cases[name+" half"] = halfMesh(whole)
 		for i, b := range whole.Partition(5) {
 			cases[name+" block "+string(rune('0'+i))] = b
 		}
@@ -303,26 +294,6 @@ func TestExtractSurfaceMatchesOracle(t *testing.T) {
 			GatherScalars(agg.Scalars[split:], nodes[split:], scalar)
 			if !sameSurface(agg, wantAgg) {
 				t.Errorf("%s: AppendSurface + GatherScalars differs from Append(ExtractSurface)", name)
-			}
-		}
-	}
-}
-
-func TestThresholdMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for name, m := range oracleCases(t) {
-		elem := make([]float64, m.NumCells())
-		for e := range elem {
-			elem[e] = rng.Float64()
-		}
-		for _, band := range [][2]float64{{0, 1}, {0.3, 0.8}, {2, 3}} {
-			got, gotMap, err := Threshold(m, elem, band[0], band[1])
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			want, wantMap := oracleThreshold(m, elem, band[0], band[1])
-			if !sameMesh(got, want) || !reflect.DeepEqual(gotMap, wantMap) {
-				t.Errorf("%s band %v: Threshold differs from the map-based oracle", name, band)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Package vis implements the visualization pipeline the reproduction's
 // Voyager uses in place of the Visualization Toolkit: external-surface
 // extraction, marching-tetrahedra isosurfaces, plane slices and cuts,
-// thresholding, normal computation, and scalar utilities. Filters consume
+// normal computation, and scalar utilities. Filters consume
 // tetrahedral meshes with node- or element-based scalars and produce
 // triangle surfaces ready for the software renderer.
 package vis
@@ -86,6 +86,7 @@ func made(s *TriSurface, err error) (*TriSurface, error) {
 // scratch is the working memory the filters share: none of it outlives the
 // call that took it from the pool.
 type scratch struct {
+	tets  []int32   // connectivity of the elements a cut keeps
 	tris  []int32   // boundary triangles of the mesh being extracted
 	nodes []int32   // per extracted vertex: the mesh node behind it
 	remap []int32   // per mesh node: 1 + its output index, 0 = not seen yet
@@ -117,14 +118,16 @@ func ExtractSurface(m *mesh.TetMesh, nodeScalar []float64) (*TriSurface, error) 
 		return nil, ErrBadInput
 	}
 	s := &TriSurface{}
-	s.appendExtracted(m, nodeScalar)
+	sc := scratchPool.Get().(*scratch)
+	s.appendExtracted(m, nodeScalar, sc)
+	scratchPool.Put(sc)
 	return s, nil
 }
 
 // appendExtracted appends the external surface of m to s, with nodeScalar
-// (one value per node of m, or nil) gathered onto its vertices.
-func (s *TriSurface) appendExtracted(m *mesh.TetMesh, nodeScalar []float64) {
-	sc := scratchPool.Get().(*scratch)
+// (one value per node of m, or nil) gathered onto its vertices. It uses
+// sc's tris, nodes and remap.
+func (s *TriSurface) appendExtracted(m *mesh.TetMesh, nodeScalar []float64, sc *scratch) {
 	sc.tris = m.AppendBoundaryFaces(sc.tris[:0])
 	s.reserve(m, sc.tris)
 	sc.nodes = s.gather(sc.tris, m.Coords, sc.remapFor(m.NumNodes()), sc.nodes[:0])
@@ -133,7 +136,6 @@ func (s *TriSurface) appendExtracted(m *mesh.TetMesh, nodeScalar []float64) {
 		s.Scalars = slices.Grow(s.Scalars, len(sc.nodes))[:n+len(sc.nodes)]
 		GatherScalars(s.Scalars[n:], sc.nodes, nodeScalar)
 	}
-	scratchPool.Put(sc)
 	s.dropUncovered()
 }
 
@@ -298,39 +300,4 @@ func ComputeNormals(s *TriSurface) {
 type Plane struct {
 	Origin mesh.Vec3
 	Normal mesh.Vec3
-}
-
-// Threshold returns a new mesh keeping only the elements whose scalar lies
-// in [lo, hi]. Node arrays are compacted; nodeMap maps new node indices to
-// old ones so callers can restrict node fields to the result.
-func Threshold(m *mesh.TetMesh, elemScalar []float64, lo, hi float64) (*mesh.TetMesh, []int32, error) {
-	if len(elemScalar) != m.NumCells() {
-		return nil, nil, ErrBadInput
-	}
-	out := &mesh.TetMesh{}
-	sc := scratchPool.Get().(*scratch)
-	remap := sc.remapFor(m.NumNodes())
-	var nodeMap []int32
-	for e := 0; e < m.NumCells(); e++ {
-		if elemScalar[e] < lo || elemScalar[e] > hi {
-			continue
-		}
-		c := m.Cell(e)
-		for _, n := range c {
-			v := remap[n]
-			if v == 0 {
-				nodeMap = append(nodeMap, n)
-				v = int32(len(nodeMap))
-				remap[n] = v
-				p := m.Node(n)
-				out.Coords = append(out.Coords, p.X, p.Y, p.Z)
-				if m.GlobalNode != nil {
-					out.GlobalNode = append(out.GlobalNode, m.GlobalNode[n])
-				}
-			}
-			out.Tets = append(out.Tets, v-1)
-		}
-	}
-	scratchPool.Put(sc)
-	return out, nodeMap, nil
 }

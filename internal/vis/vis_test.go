@@ -223,34 +223,6 @@ func TestCutPlaneMergesSurfaceAndSection(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	m := annulus()
-	elem := make([]float64, m.NumCells())
-	for e := range elem {
-		elem[e] = m.CellCentroid(e).Z
-	}
-	kept, nodeMap, err := Threshold(m, elem, 0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept.NumCells() == 0 || kept.NumCells() >= m.NumCells() {
-		t.Fatalf("threshold kept %d of %d cells", kept.NumCells(), m.NumCells())
-	}
-	if err := kept.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, old := range nodeMap {
-		if kept.Node(int32(i)) != m.Node(old) {
-			t.Fatalf("nodeMap[%d] mismatched coordinates", i)
-		}
-	}
-	for e := 0; e < kept.NumCells(); e++ {
-		if z := kept.CellCentroid(e).Z; z > 1.0+1e-9 {
-			t.Fatalf("kept element with centroid z=%v", z)
-		}
-	}
-}
-
 func TestAppendOffsetsIndices(t *testing.T) {
 	a := &TriSurface{Coords: []float64{0, 0, 0, 1, 0, 0, 0, 1, 0}, Tris: []int32{0, 1, 2}, Scalars: []float64{1, 2, 3}}
 	b := &TriSurface{Coords: []float64{0, 0, 1, 1, 0, 1, 0, 1, 1}, Tris: []int32{0, 1, 2}, Scalars: []float64{4, 5, 6}}

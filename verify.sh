@@ -14,8 +14,8 @@
 #               own module, so vet/test above never reach it)
 #   benchmem    core query benchmarks, the per-snapshot and per-pass
 #               vis/render kernels (surface topology into warm scratch, the
-#               gather over it, an isosurface and a slice appended into a
-#               reused aggregate, cell-to-point and vector magnitudes into
+#               gather over it, an isosurface, a slice and a cut appended
+#               into a reused aggregate, cell-to-point and vector magnitudes into
 #               a reused array, a draw into a warm renderer, a recolor of
 #               what it drew) and shdf's 1 MiB WriteSDS, which streams the
 #               caller's array to the file, under -benchmem; any benchmark
@@ -51,7 +51,12 @@
 #   push        subscription stress under the race detector: producers,
 #               mixed-policy subscribers and subscribe/unsubscribe churn
 #               against one registry (duration from VERIFY_PUSHTIME,
-#               default 10s)
+#               default 10s); then the two ordering tests under -race,
+#               50 runs each, since queue order rests on publishes running
+#               one at a time and its failures depend on the schedule:
+#               concurrent producers keep every queue sequence-ordered, and
+#               a publisher parked on a full Block queue has already
+#               delivered its event to every other subscriber
 #   fuzz        fuzz smoke over the checked-in seed corpora: zerocopy's
 #               FuzzCodec (the array codec against an element-wise
 #               encoding/binary oracle, every element type and offset, with
@@ -111,7 +116,7 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkAppendCutPlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
         -benchmem -benchtime 1000x -count=1 \
         ./internal/core ./internal/mesh ./internal/vis ./internal/render ./internal/shdf) || {
         echo "$out"
@@ -134,6 +139,11 @@ check_entrypoints() {
         echo "$untested" >&2
         return 1
     fi
+}
+
+check_push() {
+    PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push || return 1
+    go test -race -count=50 -run '^(TestConcurrentProducersKeepQueuesSequenceOrdered|TestBlockedPublishHasDeliveredToOthers)$' ./internal/push
 }
 
 check_bench() {
@@ -163,7 +173,7 @@ run_stage bench check_bench
 run_stage benchmem check_benchmem
 run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/... ./internal/push/... ./internal/rocketeer/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
-run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
+run_stage push check_push
 run_stage fuzz check_fuzz
 
 if [ -n "$only_stage" ]; then
