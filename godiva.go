@@ -37,7 +37,8 @@ type (
 	Options = core.Options
 	// Record is one dataset: a set of named, typed field buffers.
 	Record = core.Record
-	// Buffer is one field data buffer.
+	// Buffer is one field data buffer. A unit's buffers are valid until
+	// FinishUnit or DeleteUnit: then their memory may go to a later unit.
 	Buffer = core.Buffer
 	// Unit is the handle a read function receives for the processing unit
 	// it is reading.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The invariant audit: the structural checks a database must pass at every
@@ -28,13 +29,16 @@ func audit(db *DB, where string) {
 // auditLocked panics on the first broken invariant: byte accounting
 // (db.mem equals the sum of every live record's charge, with per-unit
 // subtotals consistent), borrowed buffers only on records of the unit that
-// holds them, LRU list ↔ unit-state consistency, prefetch-queue hygiene,
-// reader/blocked counter sanity, and the operation counters' subset chain.
-// Caller holds db.mu.
+// holds them, the free list (within the limit beside the charge, holding
+// neither borrowed memory nor memory a live record's buffer holds), LRU
+// list ↔ unit-state consistency, prefetch-queue hygiene, reader/blocked
+// counter sanity, and the operation counters' subset chain. Caller holds
+// db.mu.
 func (db *DB) auditLocked(where string) {
 	if db.mem < 0 {
 		invariantViolation(where, "memory charge is negative: %d bytes", db.mem)
 	}
+	freed := db.auditFreeLocked(where)
 
 	// Byte accounting: every live record's charge sums to db.mem, and each
 	// unit's subtotal matches its records.
@@ -58,6 +62,9 @@ func (db *DB) auditLocked(where string) {
 			for _, b := range r.buffers {
 				if b != nil && b.borrowed && r.unit != u {
 					invariantViolation(where, "unit %q holds a borrowed buffer on a record owned elsewhere", u.name)
+				}
+				if freed[bufferBase(b)] {
+					invariantViolation(where, "unit %q holds a buffer whose memory is on the free list", u.name)
 				}
 			}
 		}
@@ -87,6 +94,9 @@ func (db *DB) auditLocked(where string) {
 		for _, b := range r.buffers {
 			if b != nil && b.borrowed {
 				invariantViolation(where, "resident record of type %q holds a borrowed buffer", r.rt.name)
+			}
+			if freed[bufferBase(b)] {
+				invariantViolation(where, "resident record of type %q holds a buffer whose memory is on the free list", r.rt.name)
 			}
 		}
 		total += r.memory
@@ -165,6 +175,72 @@ func (db *DB) auditLocked(where string) {
 		invariantViolation(where, "per-worker Prefetched sums to %d, UnitsPrefetched is %d",
 			prefetched, s.UnitsPrefetched)
 	}
+}
+
+// auditFreeLocked checks the free list on its own — its total, each
+// entry's key, no borrowed memory, no array twice, nothing kept by a closed
+// database, and the charge plus the list within the limit — and returns the
+// set of its arrays for auditLocked to check live records against. Caller
+// holds db.mu.
+func (db *DB) auditFreeLocked(where string) map[unsafe.Pointer]bool {
+	freed := map[unsafe.Pointer]bool{}
+	var total int64
+	for k, list := range db.free {
+		for _, b := range list {
+			if b == nil {
+				invariantViolation(where, "free list of %v/%d bytes holds nil", k.dtype, k.size)
+			}
+			if b.borrowed {
+				invariantViolation(where, "free list of %v/%d bytes holds borrowed memory", k.dtype, k.size)
+			}
+			if b.dtype != k.dtype || b.size != k.size || bufferLen(b) != b.Len() {
+				invariantViolation(where, "free list of %v/%d bytes holds a %v buffer of %d bytes and %d elements",
+					k.dtype, k.size, b.dtype, b.size, bufferLen(b))
+			}
+			p := bufferBase(b)
+			if freed[p] {
+				invariantViolation(where, "free list holds one %v array of %d bytes twice", k.dtype, k.size)
+			}
+			freed[p] = true
+			total += int64(k.size)
+		}
+	}
+	if total != db.freeBytes {
+		invariantViolation(where, "freeBytes = %d but the free list holds %d", db.freeBytes, total)
+	}
+	if db.closed && total != 0 {
+		invariantViolation(where, "closed database keeps %d bytes on its free list", total)
+	}
+	if total > 0 && db.mem+total > db.limit {
+		invariantViolation(where, "charge %d + free list %d exceeds the limit %d", db.mem, total, db.limit)
+	}
+	return freed
+}
+
+// bufferBase is the address of the array behind b's typed slice, nil for a
+// nil or empty buffer.
+func bufferBase(b *Buffer) unsafe.Pointer {
+	if b == nil || b.size == 0 {
+		return nil
+	}
+	switch b.dtype {
+	case String, Bytes:
+		return unsafe.Pointer(unsafe.SliceData(b.raw))
+	case Int32:
+		return unsafe.Pointer(unsafe.SliceData(b.i32))
+	case Int64:
+		return unsafe.Pointer(unsafe.SliceData(b.i64))
+	case Float32:
+		return unsafe.Pointer(unsafe.SliceData(b.f32))
+	case Float64:
+		return unsafe.Pointer(unsafe.SliceData(b.f64))
+	}
+	return nil
+}
+
+// bufferLen is the element count of b's typed slice.
+func bufferLen(b *Buffer) int {
+	return len(b.raw) + len(b.i32) + len(b.i64) + len(b.f32) + len(b.f64)
 }
 
 // legalTransitions is the unit life-cycle table (paper §3.2 plus the

@@ -13,6 +13,12 @@ import (
 // buffer contents (except for key fields at commit time); application code
 // obtains the buffer once via a query and then reads or writes the slice
 // directly, exactly as it would a plain array.
+//
+// A unit-owned buffer is valid for its unit's lifetime. Once the unit is
+// dropped — deleted, evicted, or failed — the memory of a buffer the
+// database allocated may back a buffer of a later unit (see DESIGN.md,
+// "Buffer memory reuse"), just as a borrowed buffer's donor may be unmapped
+// then: a consumer must not read a buffer after FinishUnit or DeleteUnit.
 type Buffer struct {
 	dtype DataType
 	size  int // bytes
@@ -26,7 +32,7 @@ type Buffer struct {
 	f64 []float64
 
 	// borrowed marks a buffer whose memory was donated by a read function
-	// (Record.BorrowFieldBuffer) instead of allocated by newBuffer. Borrowed
+	// (Record.BorrowFieldBuffer) instead of allocated by newBufferLocked. Borrowed
 	// buffers are read-only — SetString and other mutating accessors refuse
 	// them — and alias memory (e.g. an mmap'd file) whose validity the donor
 	// ties to the owning unit's lifetime.
@@ -53,10 +59,14 @@ func checkSize(t DataType, size int) error {
 	return nil
 }
 
-// newBuffer allocates a zeroed buffer of size bytes; checkSize(t, size)
-// holds.
-func newBuffer(t DataType, size int) *Buffer {
+// newBufferLocked returns a zeroed buffer of size bytes, on the memory of a
+// dropped buffer of the same type and size when the free list has one;
+// checkSize(t, size) holds. Caller holds db.mu.
+func (db *DB) newBufferLocked(t DataType, size int) *Buffer {
 	b := &Buffer{dtype: t, size: size}
+	if db.takeFreeLocked(b) {
+		return b
+	}
 	n := size / t.ElemSize()
 	switch t {
 	case String, Bytes:

@@ -97,6 +97,12 @@ type DB struct {
 	limit  int64 // guarded by mu
 	closed bool  // guarded by mu
 
+	// free holds the memory of dropped units' buffers by type and size,
+	// for the next buffer of that type and size (freelist.go). freeBytes is
+	// its total: not charged, but mem + freeBytes stays within limit.
+	free      map[freeKey][]*Buffer // guarded by mu
+	freeBytes int64                 // guarded by mu
+
 	ioWorkers     int             // background I/O pool size; 0 in single-thread mode; immutable after Open
 	ioReading     int             // workers currently executing a read; guarded by mu
 	ioBlocked     int             // workers currently blocked on memory in reserveLocked; guarded by mu
@@ -138,6 +144,7 @@ func Open(opts Options) *DB {
 		recordTypes: make(map[string]*recordType),
 		indexes:     make(map[string]*rbtree.Tree[*Record]),
 		resident:    make(map[*Record]struct{}),
+		free:        make(map[freeKey][]*Buffer),
 		units:       make(map[string]*unit),
 		limit:       limit,
 		ioWorkers:   workers,
@@ -163,6 +170,8 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	db.closed = true
+	// A closed database keeps no memory for reuse (keepFreeLocked).
+	db.free, db.freeBytes = nil, 0
 	// Wake everything that could be sleeping: blocked memory reservers and
 	// unit waiters observe db.closed and return ErrClosed, idle workers
 	// observe it and exit.
@@ -191,7 +200,8 @@ func (db *DB) Close() error {
 
 // SetMemSpace adjusts the database memory limit at run time (paper §3.2).
 // Lowering the limit evicts finished units until the new limit is met or
-// nothing more can be evicted; raising it wakes any blocked readers.
+// nothing more can be evicted, and trims the memory kept for reuse to what
+// the new limit leaves room for; raising it wakes any blocked readers.
 func (db *DB) SetMemSpace(bytes int64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -201,6 +211,7 @@ func (db *DB) SetMemSpace(bytes int64) {
 			break
 		}
 	}
+	db.trimFreeLocked(db.mem + db.freeBytes - db.limit)
 	// A raised limit can let blocked reservers proceed even though no bytes
 	// were released; a lowered one changes the hopeless-allocation bound.
 	broadcast(&db.memCh)
@@ -294,8 +305,10 @@ func (db *DB) setStateLocked(u *unit, to unitState) {
 	broadcast(&u.stateCh)
 }
 
-// reserveLocked charges need bytes against the memory limit, evicting
-// finished units (LRU first) and blocking until space is available. need is
+// reserveLocked charges need bytes against the memory limit, trimming the
+// free list, then evicting finished units (LRU first) and blocking until
+// space is available. The free list goes first, so it never costs a cached
+// unit its place: without it the same units would be evicted. need is
 // positive: a record's charge includes its overhead, and a buffer that
 // shrinks is released (releaseLocked), not reserved. owner is the unit whose
 // read function is allocating, or nil for allocations made outside any read
@@ -303,12 +316,16 @@ func (db *DB) setStateLocked(u *unit, to unitState) {
 // paper's §3.3 detection rule. Caller holds db.mu; the lock is dropped while
 // waiting on memCh.
 func (db *DB) reserveLocked(need int64, owner *unit) error {
-	for db.mem+need > db.limit {
+	for db.mem+db.freeBytes+need > db.limit {
 		if db.closed {
 			return ErrClosed
 		}
 		if need > db.limit {
 			return fmt.Errorf("%w: need %d bytes, limit %d", ErrNoMemory, need, db.limit)
+		}
+		if db.freeBytes > 0 {
+			db.trimFreeLocked(db.mem + db.freeBytes + need - db.limit)
+			continue
 		}
 		if db.evictOneLocked() {
 			continue
@@ -521,11 +538,14 @@ func (db *DB) dropUnitLocked(u *unit) {
 	broadcast(&db.memCh)
 }
 
-// dropRecordsLocked drops every record u owns and clears its charge. Caller
-// holds db.mu.
+// dropRecordsLocked drops every record u owns and clears its charge, the
+// memory of its allocated buffers going to the free list. u's read function
+// has returned. Caller holds db.mu.
 func (db *DB) dropRecordsLocked(u *unit) {
 	for _, r := range u.records {
+		bufs := r.buffers
 		db.dropRecordLocked(r)
+		db.keepFreeLocked(bufs)
 	}
 	u.records = nil
 	u.memory = 0

@@ -56,7 +56,12 @@ const churnSeeds = 40
 //	(6) WaitUnit never returns ErrUnknownUnit for a unit added and not
 //	    since acquired or deleted, a cached unit evicted after its re-add
 //	    included;
-//	(7) after Close, MemUsed is 0.
+//	(7) after Close, MemUsed is 0;
+//	(11) every payload a read allocates is zeroed, and every unit a wait
+//	    acquires holds the payloads its read wrote. A consumer that deletes
+//	    a unit outside the §3.3 model's pass re-adds it half the time and
+//	    waits for it again, so the read lands on memory the delete has just
+//	    given to the free list.
 func TestExploreSchedules(t *testing.T) {
 	for workers := 0; workers <= 3; workers++ {
 		t.Run(fmt.Sprintf("IOWorkers=%d", workers), func(t *testing.T) {
@@ -215,6 +220,7 @@ type exploreUnit struct {
 	sizes   []int
 	charges []time.Duration // two per record: before NewRecord, before CommitRecord
 	charge  int64
+	fill    byte // record i's payload bytes are fill+i
 
 	// The failure plan: when failAfter >= 0 the read function returns cause
 	// right after committing record failAfter, so records 0..failAfter are
@@ -238,8 +244,18 @@ func (eu *exploreUnit) read(m *platform.Machine) ReadFunc {
 			if err := r.SetString("name", eu.recordName(i)); err != nil {
 				return err
 			}
-			if _, err := r.AllocFieldBuffer("payload", size); err != nil {
+			buf, err := r.AllocFieldBuffer("payload", size)
+			if err != nil {
 				return err
+			}
+			payload, _ := buf.Bytes()
+			for _, b := range payload {
+				if b != 0 {
+					return fmt.Errorf("(11) %s: record %d's payload is allocated holding %#x", eu.name, i, b)
+				}
+			}
+			for k := range payload {
+				payload[k] = eu.fill + byte(i)
 			}
 			if m != nil {
 				m.Compute(eu.charges[2*i+1])
@@ -273,7 +289,7 @@ func newExploreCase(t *testing.T, workers int, seed int64) *exploreCase {
 	units := make([]*exploreUnit, 1+rng.Intn(4))
 	var maxCharge int64
 	for i := range units {
-		eu := &exploreUnit{name: fmt.Sprintf("u%d", i), failAfter: -1}
+		eu := &exploreUnit{name: fmt.Sprintf("u%d", i), failAfter: -1, fill: byte(1 + 16*i)}
 		for range 1 + rng.Intn(3) {
 			eu.sizes = append(eu.sizes, 64+rng.Intn(2048))
 			eu.charges = append(eu.charges, smallCharge(rng), smallCharge(rng))
@@ -339,7 +355,7 @@ func (c *exploreCase) run(t *testing.T, tally *exploreTally) {
 				failing: c.failing, alone: len(c.consumers) == 1,
 				owed: map[string]bool{}, pinned: map[string]int64{},
 			}
-			scripts = append(scripts, func() { _ = ec.ordered() && ec.revisit() })
+			scripts = append(scripts, func() { _ = ec.ordered() && ec.revisitPass() })
 		}
 		runAll(clock, scripts...)
 		if err := db.Close(); err != nil {
@@ -364,6 +380,7 @@ type exploreConsumer struct {
 	limit   int64
 	workers int
 	model   bool // the only consumer: its first pass is checked against (3)–(5)
+	revisit bool // in the second pass, where no wait is checked against (3)–(5)
 	tally   *exploreTally
 	failing bool // units may fail: check (8)–(10)
 	alone   bool // the only consumer
@@ -436,7 +453,7 @@ func (c *exploreConsumer) wait(eu *exploreUnit) (waited time.Duration, deadlocke
 	case err == nil:
 		delete(c.owed, eu.name)
 		c.pinned[eu.name] = eu.charge
-		return waited, false, c.ok("WaitUnit", eu, nil)
+		return waited, false, c.holds(eu) && c.ok("WaitUnit", eu, nil)
 	case errors.Is(err, ErrDeadlock):
 		delete(c.owed, eu.name)
 		return waited, true, c.ok("DeleteUnit", eu, c.db.DeleteUnit(eu.name))
@@ -456,8 +473,33 @@ func (c *exploreConsumer) wait(eu *exploreUnit) (waited time.Duration, deadlocke
 	return waited, false, false
 }
 
+// holds is check (11) on a unit the consumer has just acquired: each record
+// holds the payload its read wrote, whatever memory it was read into.
+func (c *exploreConsumer) holds(eu *exploreUnit) bool {
+	for i, size := range eu.sizes {
+		buf, err := c.db.GetFieldBuffer("blob", "payload", eu.recordName(i))
+		if err != nil {
+			c.t.Errorf("(11) record %s of acquired unit %s: %v", eu.recordName(i), eu.name, err)
+			return false
+		}
+		payload, _ := buf.Bytes()
+		if len(payload) != size {
+			c.t.Errorf("(11) record %s holds %d payload bytes, want %d", eu.recordName(i), len(payload), size)
+			return false
+		}
+		for k, b := range payload {
+			if b != eu.fill+byte(i) {
+				c.t.Errorf("(11) record %s payload byte %d = %#x, want %#x", eu.recordName(i), k, b, eu.fill+byte(i))
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // release ends the consumer's use of a unit it holds: it finishes it (half
-// the time), deletes it, or keeps it pinned.
+// the time), deletes it — and outside the model's pass, half the time,
+// re-adds it and waits for it again — or keeps it pinned.
 func (c *exploreConsumer) release(eu *exploreUnit) bool {
 	switch c.rng.Intn(4) {
 	case 0, 1:
@@ -466,9 +508,29 @@ func (c *exploreConsumer) release(eu *exploreUnit) bool {
 	case 2:
 		delete(c.pinned, eu.name)
 		delete(c.owed, eu.name)
-		return c.ok("DeleteUnit", eu, c.db.DeleteUnit(eu.name))
+		if !c.ok("DeleteUnit", eu, c.db.DeleteUnit(eu.name)) {
+			return false
+		}
+		if (c.revisit || !c.model) && c.rng.Intn(2) == 0 {
+			return c.readd(eu)
+		}
 	}
 	return true
+}
+
+// readd is the move re-AddUnit after DeleteUnit: the unit is read again,
+// into memory its delete may just have put on the free list, and acquired
+// and finished if the read succeeds.
+func (c *exploreConsumer) readd(eu *exploreUnit) bool {
+	if !c.add(eu) {
+		return false
+	}
+	_, deadlocked, ok := c.wait(eu)
+	if !ok || deadlocked {
+		return ok
+	}
+	delete(c.pinned, eu.name)
+	return c.ok("FinishUnit", eu, c.db.FinishUnit(eu.name))
 }
 
 // ordered is the first pass: the consumer adds its units in order, some
@@ -528,11 +590,12 @@ func (c *exploreConsumer) ordered() bool {
 	return true
 }
 
-// revisit is the second pass: with its pins released, the consumer re-adds
+// revisitPass is the second pass: with its pins released, the consumer re-adds
 // some of its units in random order — a cached unit keeps the hint, a
 // deleted one is read again — and only then waits for each, so that reading
 // the later ones can evict the earlier ones before their wait.
-func (c *exploreConsumer) revisit() bool {
+func (c *exploreConsumer) revisitPass() bool {
+	c.revisit = true
 	for _, eu := range c.units {
 		if _, held := c.pinned[eu.name]; held {
 			delete(c.pinned, eu.name)

@@ -67,6 +67,11 @@ func (db *DB) touchLocked() {
 	db.mem = locktest.Keep(db.mem)
 	db.limit = locktest.Keep(db.limit)
 	db.closed = locktest.Keep(db.closed)
+	for k, list := range db.free {
+		db.free[k] = locktest.Keep(list)
+	}
+	db.free = locktest.Keep(db.free)
+	db.freeBytes = locktest.Keep(db.freeBytes)
 	db.ioReading = locktest.Keep(db.ioReading)
 	db.ioBlocked = locktest.Keep(db.ioBlocked)
 	db.inlineReading = locktest.Keep(db.inlineReading)

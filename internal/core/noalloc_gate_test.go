@@ -34,6 +34,15 @@ func TestNoAllocGates(t *testing.T) {
 		s   Stats
 		err error
 	)
+	// A dropped buffer's memory for the free-list gate, which puts it on
+	// the list and takes it back (the hit), then finds the list empty (the
+	// miss). The list's capacity is allocated here, not in the gate.
+	dropped := &Buffer{dtype: Float64, size: 64, f64: make([]float64, 8)}
+	fk := freeKey{Float64, 64}
+	db.mu.Lock()
+	db.free = map[freeKey][]*Buffer{fk: make([]*Buffer, 0, 1)}
+	db.mu.Unlock()
+	var fresh Buffer
 	encode := func(dt DataType, size int, v any) {
 		if buf, err = encodeKeyValue(buf[:0], dt, size, v); err != nil {
 			panic(err)
@@ -64,6 +73,19 @@ func TestNoAllocGates(t *testing.T) {
 		},
 		"DB.Stats": func() {
 			s = db.Stats()
+		},
+		"DB.takeFreeLocked": func() {
+			db.mu.Lock()
+			db.free[fk] = append(db.free[fk], dropped)
+			db.freeBytes += 64
+			dropped.f64[0] = 1
+			fresh = Buffer{dtype: Float64, size: 64}
+			hit := db.takeFreeLocked(&fresh)
+			miss := db.takeFreeLocked(&Buffer{dtype: Float64, size: 64})
+			db.mu.Unlock()
+			if !hit || miss || fresh.f64[0] != 0 {
+				panic("free-list gate: want one zeroed hit, then a miss")
+			}
 		},
 	})
 	if r == nil && !t.Failed() {

@@ -270,7 +270,10 @@ func callRead(read ReadFunc, u *Unit) (err error) {
 // FinishUnit tells the database that one consumer has completed processing
 // the named unit. When the last consumer finishes, the unit becomes
 // evictable: its records stay cached and answer queries until memory
-// pressure evicts them, LRU first (paper §3.2).
+// pressure evicts them, LRU first (paper §3.2). The consumer must not keep
+// reading buffers it obtained: once the unit is evicted, the memory of its
+// allocated buffers may back a later unit's buffers, as the donors of its
+// borrowed ones are released then.
 func (db *DB) FinishUnit(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -304,7 +307,9 @@ func (db *DB) FinishUnit(name string) error {
 // DeleteUnit explicitly deletes the named unit and all of its records,
 // releasing their memory immediately (paper §3.2: for data the program knows
 // it will not need again). A unit currently being read is deleted as soon as
-// its read function returns.
+// its read function returns. The memory of the unit's allocated buffers may
+// then back a later unit's buffers, and the donors of its borrowed ones are
+// released, so no buffer of the unit may be read after DeleteUnit.
 func (db *DB) DeleteUnit(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

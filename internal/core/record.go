@@ -46,20 +46,18 @@ func (db *DB) newRecordLocked(recType string, owner *unit) (*Record, error) {
 	}
 	r := &Record{db: db, rt: rt, unit: owner, buffers: make([]*Buffer, len(rt.fields))}
 	need := int64(recordOverhead) + int64(len(rt.fields))*fieldOverhead
-	for _, ft := range rt.fields {
+	// Buffers are taken before the reservation, which would trim the free
+	// list they may come from.
+	for i, ft := range rt.fields {
 		if ft.size != Unknown {
 			need += int64(ft.size)
+			r.buffers[i] = db.newBufferLocked(ft.dtype, ft.size)
 		}
 	}
 	if err := db.reserveLocked(need, owner); err != nil {
 		return nil, err
 	}
 	r.memory = need
-	for i, ft := range rt.fields {
-		if ft.size != Unknown {
-			r.buffers[i] = newBuffer(ft.dtype, ft.size)
-		}
-	}
 	if owner != nil {
 		owner.records = append(owner.records, r)
 		owner.memory += need
@@ -83,10 +81,14 @@ func (db *DB) NewRecord(recType string) (*Record, error) {
 // Type returns the record's record type name.
 func (r *Record) Type() string { return r.rt.name }
 
-// AllocFieldBuffer allocates the data buffer of a field whose size was
-// declared Unknown (or replaces an existing buffer), with the given size in
-// bytes. This is how array buffers are sized once the meta data describing
-// them has been read (paper §3.1).
+// AllocFieldBuffer allocates the zeroed data buffer of a field whose size
+// was declared Unknown (or replaces an existing buffer), with the given size
+// in bytes. This is how array buffers are sized once the meta data
+// describing them has been read (paper §3.1). The memory may be that of a
+// buffer of a unit dropped earlier: the database keeps the memory of
+// dropped units' buffers and hands it to the next buffer of the same type
+// and size, zeroed. A replaced buffer's memory is never reused, since its
+// holder may still read it.
 func (r *Record) AllocFieldBuffer(field string, size int) (*Buffer, error) {
 	db := r.db
 	db.mu.Lock()
@@ -106,7 +108,7 @@ func (r *Record) AllocFieldBuffer(field string, size int) (*Buffer, error) {
 	if err := checkSize(dtype, size); err != nil {
 		return nil, fmt.Errorf("field %q: %w", field, err)
 	}
-	buf := newBuffer(dtype, size)
+	buf := db.newBufferLocked(dtype, size)
 	old := int64(0)
 	if r.buffers[pos] != nil {
 		old = int64(r.buffers[pos].size)
@@ -133,7 +135,7 @@ func (r *Record) AllocFieldBuffer(field string, size int) (*Buffer, error) {
 // This is the zero-copy intake of the read path: a read function that
 // already holds the field's bytes — an mmap'd SHDF payload, a decoded wire
 // segment — donates the slice instead of writing it element by element into
-// newBuffer storage.
+// database storage.
 //
 // Only unit-owned records may borrow: the donation's lifetime is the unit's
 // lifetime, ending when the unit is deleted or evicted (register donor

@@ -18,6 +18,7 @@ func newTestDB(t *testing.T, opts Options) *DB {
 		if n := db.MemUsed(); n != 0 {
 			t.Errorf("MemUsed = %d after Close", n)
 		}
+		audit(db, "closed")
 	})
 	return db
 }

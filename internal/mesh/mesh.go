@@ -166,19 +166,24 @@ type faceSlot struct {
 	first   uint32 // 1 + index of the first face with this node set; 0 = empty
 }
 
-// faceScratch is the working memory of one boundary extraction. Faces are
-// numbered 4*element + face, the order they are emitted in.
-type faceScratch struct {
+// FaceTable is the working memory of a boundary extraction, 1 MB for a
+// 5,760-element block; its zero value is ready for use. A caller that
+// extracts boundaries over and over keeps one and passes it to
+// AppendBoundaryFacesIn, so its memory lasts as long as the caller wants
+// it to. Faces are numbered 4*element + face, the order they are emitted
+// in.
+type FaceTable struct {
 	slots []faceSlot // power-of-two sized, at most half full
 	seen  []uint8    // per face: how often its node set occurred (capped at 2), kept on the first face with that set
 }
 
-// facePool recycles scratch between extractions; every I/O worker and the
-// main thread may be extracting different blocks at once.
-var facePool = sync.Pool{New: func() any { return new(faceScratch) }}
+// facePool recycles face tables between the extractions of callers that
+// keep none; every I/O worker and the main thread may be extracting
+// different blocks at once. A garbage collection empties it.
+var facePool = sync.Pool{New: func() any { return new(FaceTable) }}
 
-// reset sizes and zeroes the scratch for a mesh with nf faces.
-func (sc *faceScratch) reset(nf int) {
+// reset sizes and zeroes the table for a mesh with nf faces.
+func (sc *FaceTable) reset(nf int) {
 	n := 16
 	for n < 2*nf {
 		n <<= 1
@@ -212,11 +217,17 @@ func (m *TetMesh) BoundaryFaces() [][3]int32 {
 // contract: surface vertices are numbered by first appearance in this list,
 // so the order decides every downstream array and, in the end, the image.
 func (m *TetMesh) AppendBoundaryFaces(dst []int32) []int32 {
-	sc := facePool.Get().(*faceScratch)
-	sc.reset(4 * m.NumCells())
-	dst = m.appendBoundaryFaces(dst, sc)
-	facePool.Put(sc)
+	ft := facePool.Get().(*FaceTable)
+	dst = m.AppendBoundaryFacesIn(dst, ft)
+	facePool.Put(ft)
 	return dst
+}
+
+// AppendBoundaryFacesIn is AppendBoundaryFaces working in the caller's face
+// table ft, which it grows to this mesh's size if it is smaller.
+func (m *TetMesh) AppendBoundaryFacesIn(dst []int32, ft *FaceTable) []int32 {
+	ft.reset(4 * m.NumCells())
+	return m.appendBoundaryFaces(dst, ft)
 }
 
 // appendBoundaryFaces is the extraction kernel over scratch that reset has
@@ -225,7 +236,7 @@ func (m *TetMesh) AppendBoundaryFaces(dst []int32) []int32 {
 // hold them all.
 //
 //godiva:noalloc
-func (m *TetMesh) appendBoundaryFaces(dst []int32, sc *faceScratch) []int32 {
+func (m *TetMesh) appendBoundaryFaces(dst []int32, sc *FaceTable) []int32 {
 	slots, seen, tets := sc.slots, sc.seen, m.Tets
 	mask := uint64(len(slots) - 1)
 	for i := range seen {

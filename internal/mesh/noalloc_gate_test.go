@@ -16,7 +16,7 @@ import (
 
 func TestNoAllocGates(t *testing.T) {
 	m := benchBlock()
-	sc := new(faceScratch)
+	sc := new(FaceTable)
 	sc.reset(4 * m.NumCells())
 	dst := m.appendBoundaryFaces(nil, sc)
 	want := len(dst)

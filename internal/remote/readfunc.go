@@ -20,7 +20,10 @@ type Resolver func(unit string) ([]string, error)
 // file is committed — long before the unit is released. (A local read
 // function can instead borrow, Record.BorrowFieldBuffer, because the file it
 // read stays open until the unit's OnRelease hooks run.) Arrays the
-// CommitFunc derives itself are its own and may be borrowed.
+// CommitFunc derives itself are its own and may be borrowed. The copies live
+// as long as the unit: once it is dropped, the database may give their
+// memory to a later unit's buffers (AllocFieldBuffer), as a borrowed
+// mapping dies then too.
 type CommitFunc func(u *core.Unit, bd *genx.BlockData) error
 
 // NewReadFunc manufactures a developer-supplied read function (paper §3.3)

@@ -15,8 +15,9 @@ import (
 )
 
 // A view on a resident unit reuses what the pipeline kept from the views
-// before it — each block's node scalar, the aggregate surface and its
-// normals — so after a warm-up it allocates next to nothing. A pass that
+// before it — each block's node scalar, the aggregate surface, its normals
+// and, for a cut, the face table it keeps — so after a warm-up it allocates
+// next to nothing. A pass that
 // allocated its outputs per block would spend about the size of its
 // aggregate surface per view instead.
 func TestSessionViewAllocBound(t *testing.T) {
@@ -40,7 +41,7 @@ func TestSessionViewAllocBound(t *testing.T) {
 	for _, v := range []struct {
 		feature, variable string
 		param             float64
-	}{{"iso", "stress_avg", 0.5}, {"slice", "velocity", 0.4}} {
+	}{{"iso", "stress_avg", 0.5}, {"slice", "velocity", 0.4}, {"cut", "temperature", 0.5}} {
 		view := func() {
 			if _, err := s.View(0, v.feature, v.variable, v.param); err != nil {
 				t.Fatal(err)

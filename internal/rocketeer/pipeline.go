@@ -77,7 +77,7 @@ type frame struct {
 func (fr *frame) reset() {
 	clear(fr.meshes)
 	fr.meshes = fr.meshes[:0]
-	emptySurface(&fr.surf)
+	fr.surf.Reset()
 	fr.nodes, fr.ends = fr.nodes[:0], fr.ends[:0]
 	fr.drawn = false
 }
@@ -184,7 +184,7 @@ func (p *snapshotPipeline) runOp(src blockSource, oi int, op Op) error {
 			agg.Scalars = slices.Grow(agg.Scalars[:0], nv)[:nv]
 		}
 	} else {
-		emptySurface(agg)
+		agg.Reset()
 	}
 	for i, m := range fr.meshes {
 		if err := p.appendGeometry(agg, op, i, p.ns[i], lo, hi); err != nil {
@@ -256,11 +256,6 @@ func (p *snapshotPipeline) appendGeometry(agg *vis.TriSurface, op Op, i int, ns 
 		return vis.AppendCutPlane(agg, m, op.plane(fr.lo, fr.hi), ns)
 	}
 	return fmt.Errorf("rocketeer: unknown op kind %d", int(op.Kind))
-}
-
-// emptySurface empties s, keeping the memory of every array.
-func emptySurface(s *vis.TriSurface) {
-	*s = vis.TriSurface{Coords: s.Coords[:0], Tris: s.Tris[:0], Scalars: s.Scalars[:0], Normals: s.Normals[:0]}
 }
 
 func minf(a, b float64) float64 {

@@ -54,7 +54,7 @@ func BenchmarkIsoSurface(b *testing.B) {
 	lo, hi := ScalarRange(z)
 	agg := &TriSurface{}
 	run := func() {
-		*agg = TriSurface{Coords: agg.Coords[:0], Tris: agg.Tris[:0], Scalars: agg.Scalars[:0]}
+		agg.Reset()
 		if err := AppendIsoSurface(agg, m, z, (lo+hi)/2, z); err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func BenchmarkSlicePlane(b *testing.B) {
 	pl := Plane{Origin: lo.Add(hi).Scale(0.5), Normal: mesh.Vec3{X: 0.1, Z: 1}}
 	agg := &TriSurface{}
 	run := func() {
-		*agg = TriSurface{Coords: agg.Coords[:0], Tris: agg.Tris[:0], Scalars: agg.Scalars[:0]}
+		agg.Reset()
 		if err := AppendSlicePlane(agg, m, pl, z); err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkAppendCutPlane(b *testing.B) {
 	pl := Plane{Origin: lo.Add(hi).Scale(0.5), Normal: mesh.Vec3{X: 0.1, Z: 1}}
 	agg := &TriSurface{}
 	run := func() {
-		*agg = TriSurface{Coords: agg.Coords[:0], Tris: agg.Tris[:0], Scalars: agg.Scalars[:0]}
+		agg.Reset()
 		if err := AppendCutPlane(agg, m, pl, z); err != nil {
 			b.Fatal(err)
 		}

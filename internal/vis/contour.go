@@ -179,36 +179,31 @@ func contourField(s *TriSurface, m *mesh.TetMesh, f []float64, iso float64, colo
 // contoured field itself as color for the conventional single-variable
 // contour.
 func IsoSurface(m *mesh.TetMesh, field []float64, iso float64, color []float64) (*TriSurface, error) {
-	s := &TriSurface{}
+	s := fresh()
 	return made(s, AppendIsoSurface(s, m, field, iso, color))
 }
 
 // AppendIsoSurface is IsoSurface appending to dst (see contourField).
 func AppendIsoSurface(dst *TriSurface, m *mesh.TetMesh, field []float64, iso float64, color []float64) error {
-	sc := scratchPool.Get().(*scratch)
-	err := contourField(dst, m, field, iso, color, &sc.edges)
-	scratchPool.Put(sc)
-	return err
+	return contourField(dst, m, field, iso, color, &dst.work().edges)
 }
 
 // SlicePlane cuts the mesh with a plane and returns the cut cross-section
 // colored by the node-based scalar color.
 func SlicePlane(m *mesh.TetMesh, pl Plane, color []float64) (*TriSurface, error) {
-	s := &TriSurface{}
+	s := fresh()
 	return made(s, AppendSlicePlane(s, m, pl, color))
 }
 
 // AppendSlicePlane is SlicePlane appending to dst (see contourField).
 func AppendSlicePlane(dst *TriSurface, m *mesh.TetMesh, pl Plane, color []float64) error {
-	sc := scratchPool.Get().(*scratch)
+	sc := dst.work()
 	sc.dist = slices.Grow(sc.dist[:0], m.NumNodes())[:m.NumNodes()]
 	normal := pl.Normal.Normalize()
 	for i := range sc.dist {
 		sc.dist[i] = normal.Dot(m.Node(int32(i)).Sub(pl.Origin))
 	}
-	err := contourField(dst, m, sc.dist, 0, color, &sc.edges)
-	scratchPool.Put(sc)
-	return err
+	return contourField(dst, m, sc.dist, 0, color, &sc.edges)
 }
 
 // CutPlane removes the half space behind the plane (negative side) and
@@ -217,7 +212,7 @@ func AppendSlicePlane(dst *TriSurface, m *mesh.TetMesh, pl Plane, color []float6
 // feature of the paper's complex test. The clip is element-granular: an
 // element survives when its centroid is on the positive side.
 func CutPlane(m *mesh.TetMesh, pl Plane, color []float64) (*TriSurface, error) {
-	s := &TriSurface{}
+	s := fresh()
 	return made(s, AppendCutPlane(s, m, pl, color))
 }
 
@@ -229,7 +224,7 @@ func AppendCutPlane(dst *TriSurface, m *mesh.TetMesh, pl Plane, color []float64)
 	if len(color) != m.NumNodes() || len(dst.Scalars) != dst.NumVerts() {
 		return ErrBadInput
 	}
-	sc := scratchPool.Get().(*scratch)
+	sc := dst.work()
 	sc.tets = sc.tets[:0]
 	normal := pl.Normal.Normalize()
 	for e := 0; e < m.NumCells(); e++ {
@@ -239,6 +234,5 @@ func AppendCutPlane(dst *TriSurface, m *mesh.TetMesh, pl Plane, color []float64)
 	}
 	kept := mesh.TetMesh{Coords: m.Coords, Tets: sc.tets}
 	dst.appendExtracted(&kept, color, sc)
-	scratchPool.Put(sc)
 	return AppendSlicePlane(dst, m, pl, color)
 }

@@ -25,6 +25,19 @@ type TriSurface struct {
 	Tris    []int32   // 3 vertex indices per triangle
 	Scalars []float64 // one per vertex; may be nil
 	Normals []float64 // x,y,z per vertex; nil or empty until ComputeNormals
+
+	// sc is the working memory of the filters that append into the
+	// surface, made by the first of them. It stays with the surface, not in
+	// a sync.Pool, which a garbage collection empties and whose objects
+	// stay on the processor that put them, so an aggregate that a caller
+	// empties (Reset) and appends into again keeps it from view to view.
+	sc *scratch
+}
+
+// Reset empties s, keeping the memory of every array and its filters'
+// working memory.
+func (s *TriSurface) Reset() {
+	s.Coords, s.Tris, s.Scalars, s.Normals = s.Coords[:0], s.Tris[:0], s.Scalars[:0], s.Normals[:0]
 }
 
 // NumVerts returns the vertex count.
@@ -73,18 +86,25 @@ func (s *TriSurface) dropUncovered() {
 	}
 }
 
-// made returns the surface an append filled, or nil and the append's error.
-// It turns an append form into the allocating form callers without a
-// destination to reuse call.
+// fresh returns an empty surface working in pooled memory, for an
+// allocating form to append into and hand to made.
+func fresh() *TriSurface { return &TriSurface{sc: scratchPool.Get().(*scratch)} }
+
+// made returns the surface an append filled, or nil and the append's error,
+// and gives its working memory back to the pool. It turns an append form
+// into the allocating form callers without a destination to reuse call.
 func made(s *TriSurface, err error) (*TriSurface, error) {
+	scratchPool.Put(s.sc)
+	s.sc = nil
 	if err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// scratch is the working memory the filters share: none of it outlives the
-// call that took it from the pool.
+// scratch is the working memory the filters share: the destination
+// surface's (work) or, for the allocating forms and AppendCellToPoint, the
+// pool's. None of its contents outlives the call using it.
 type scratch struct {
 	tets  []int32   // connectivity of the elements a cut keeps
 	tris  []int32   // boundary triangles of the mesh being extracted
@@ -93,10 +113,21 @@ type scratch struct {
 	count []int32   // per mesh node: the elements sharing it (cell to point)
 	dist  []float64 // per mesh node: signed distance to the slicing plane
 	edges edgeTable // crossing edge -> contour vertex
+	faces mesh.FaceTable
 }
 
-// scratchPool recycles scratch between filter calls; filters run on the
-// main thread and, building surface topology, on the I/O workers.
+// work returns the working memory of the filters appending into s, making
+// it on first use.
+func (s *TriSurface) work() *scratch {
+	if s.sc == nil {
+		s.sc = new(scratch)
+	}
+	return s.sc
+}
+
+// scratchPool recycles scratch between the calls of the allocating forms
+// and AppendCellToPoint; they run on the main thread and, building surface
+// topology, on the I/O workers.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // remapFor returns the zeroed node remap for a mesh of n nodes.
@@ -117,18 +148,16 @@ func ExtractSurface(m *mesh.TetMesh, nodeScalar []float64) (*TriSurface, error) 
 	if nodeScalar != nil && len(nodeScalar) != m.NumNodes() {
 		return nil, ErrBadInput
 	}
-	s := &TriSurface{}
-	sc := scratchPool.Get().(*scratch)
-	s.appendExtracted(m, nodeScalar, sc)
-	scratchPool.Put(sc)
-	return s, nil
+	s := fresh()
+	s.appendExtracted(m, nodeScalar, s.sc)
+	return made(s, nil)
 }
 
 // appendExtracted appends the external surface of m to s, with nodeScalar
 // (one value per node of m, or nil) gathered onto its vertices. It uses
-// sc's tris, nodes and remap.
+// sc's faces, tris, nodes and remap.
 func (s *TriSurface) appendExtracted(m *mesh.TetMesh, nodeScalar []float64, sc *scratch) {
-	sc.tris = m.AppendBoundaryFaces(sc.tris[:0])
+	sc.tris = m.AppendBoundaryFacesIn(sc.tris[:0], &sc.faces)
 	s.reserve(m, sc.tris)
 	sc.nodes = s.gather(sc.tris, m.Coords, sc.remapFor(m.NumNodes()), sc.nodes[:0])
 	if nodeScalar != nil { // a bare surface has no scalars, not empty ones; nor has an empty one
@@ -159,9 +188,7 @@ func (s *TriSurface) AppendSurface(m *mesh.TetMesh, tris, nodes []int32) ([]int3
 	}
 	s.reserve(m, tris)
 	nodes = slices.Grow(nodes, min(len(tris), m.NumNodes()))
-	sc := scratchPool.Get().(*scratch)
-	nodes = s.gather(tris, m.Coords, sc.remapFor(m.NumNodes()), nodes)
-	scratchPool.Put(sc)
+	nodes = s.gather(tris, m.Coords, s.work().remapFor(m.NumNodes()), nodes)
 	s.dropUncovered()
 	return nodes, nil
 }

@@ -36,7 +36,12 @@
 #               hold each mutex in long turns under locktest.Probe, so a
 #               field its `// guarded by` comment names that a method
 #               touches outside the lock, or a *Locked function called
-#               without it, is a reported race however narrow the window
+#               without it, is a reported race however narrow the window.
+#               Then core's buffer-reuse tests run under -race 20 times
+#               each, since what goes wrong with reused memory depends on
+#               the schedule: a reused buffer comes back zeroed, a borrowed
+#               donor is never reused, SetMemSpace trims the free list, and
+#               Close mid-read reuses nothing
 #   race-remote race-detector pass over the remote unit service, including
 #               TestPayloadCacheChurn: concurrent fetchers and ingest
 #               overwrites against one server's table of mapped files; and
@@ -146,6 +151,11 @@ check_push() {
     go test -race -count=50 -run '^(TestConcurrentProducersKeepQueuesSequenceOrdered|TestBlockedPublishHasDeliveredToOthers)$' ./internal/push
 }
 
+check_race_core() {
+    go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/... ./internal/push/... ./internal/rocketeer/... || return 1
+    go test -race -count=20 -run '^(TestReusedBufferComesBackZeroed|TestBorrowedBufferNeverReused|TestSetMemSpaceTrimsFreeList|TestCloseMidReadReusesNothing)$' ./internal/core
+}
+
 check_bench() {
     (cd bench && go vet . && go test -count=1 .)
 }
@@ -171,7 +181,7 @@ run_stage entrypoints check_entrypoints
 run_stage test go test -count=1 ./...
 run_stage bench check_bench
 run_stage benchmem check_benchmem
-run_stage race-core go test -race -count=1 ./internal/core/... ./internal/mesh/... ./internal/vis/... ./internal/shdf/... ./internal/genx/... ./internal/platform/... ./internal/push/... ./internal/rocketeer/...
+run_stage race-core check_race_core
 run_stage race-remote go test -race -count=1 ./internal/remote/...
 run_stage push check_push
 run_stage fuzz check_fuzz
