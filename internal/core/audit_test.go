@@ -193,9 +193,9 @@ func (db *DB) auditFreeLocked(where string) map[unsafe.Pointer]bool {
 			if b.borrowed {
 				invariantViolation(where, "free list of %v/%d bytes holds borrowed memory", k.dtype, k.size)
 			}
-			if b.dtype != k.dtype || b.size != k.size || bufferLen(b) != b.Len() {
-				invariantViolation(where, "free list of %v/%d bytes holds a %v buffer of %d bytes and %d elements",
-					k.dtype, k.size, b.dtype, b.size, bufferLen(b))
+			if b.dtype != k.dtype || b.size != k.size || b.data == nil {
+				invariantViolation(where, "free list of %v/%d bytes holds a %v buffer of %d bytes at %p",
+					k.dtype, k.size, b.dtype, b.size, b.data)
 			}
 			p := bufferBase(b)
 			if freed[p] {
@@ -217,30 +217,13 @@ func (db *DB) auditFreeLocked(where string) map[unsafe.Pointer]bool {
 	return freed
 }
 
-// bufferBase is the address of the array behind b's typed slice, nil for a
-// nil or empty buffer.
+// bufferBase is the address of the array behind b, nil for a nil or empty
+// buffer.
 func bufferBase(b *Buffer) unsafe.Pointer {
 	if b == nil || b.size == 0 {
 		return nil
 	}
-	switch b.dtype {
-	case String, Bytes:
-		return unsafe.Pointer(unsafe.SliceData(b.raw))
-	case Int32:
-		return unsafe.Pointer(unsafe.SliceData(b.i32))
-	case Int64:
-		return unsafe.Pointer(unsafe.SliceData(b.i64))
-	case Float32:
-		return unsafe.Pointer(unsafe.SliceData(b.f32))
-	case Float64:
-		return unsafe.Pointer(unsafe.SliceData(b.f64))
-	}
-	return nil
-}
-
-// bufferLen is the element count of b's typed slice.
-func bufferLen(b *Buffer) int {
-	return len(b.raw) + len(b.i32) + len(b.i64) + len(b.f32) + len(b.f64)
+	return b.data
 }
 
 // legalTransitions is the unit life-cycle table (paper §3.2 plus the

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
+	"unsafe"
 
 	"godiva/internal/zerocopy"
 )
@@ -19,17 +21,21 @@ import (
 // database allocated may back a buffer of a later unit (see DESIGN.md,
 // "Buffer memory reuse"), just as a borrowed buffer's donor may be unmapped
 // then: a consumer must not read a buffer after FinishUnit or DeleteUnit.
+//
+// Layout: a Buffer is 32 bytes — a pointer to the first element of its
+// array, the byte size, the element type and the borrowed flag. The typed
+// accessors view the array as a slice of the one type the buffer holds, so
+// application code gets a typed slice with no copying; core makes one
+// Buffer per field of every record, thousands a unit, which is why it holds
+// one pointer rather than a slice header per type.
 type Buffer struct {
-	dtype DataType
+	// data is the array's first element: memory the database allocated,
+	// which the collector keeps alive through this pointer, or donated
+	// memory such as an mmap'd file. It is nil only for an empty borrowed
+	// buffer.
+	data  unsafe.Pointer
 	size  int // bytes
-	// dtype chooses which one of the following holds the data (it may be
-	// nil for an empty borrowed buffer), so that application code gets a
-	// typed slice with no copying or unsafe casts.
-	raw []byte
-	i32 []int32
-	i64 []int64
-	f32 []float32
-	f64 []float64
+	dtype DataType
 
 	// borrowed marks a buffer whose memory was donated by a read function
 	// (Record.BorrowFieldBuffer) instead of allocated by newBufferLocked. Borrowed
@@ -38,6 +44,17 @@ type Buffer struct {
 	// ties to the owning unit's lifetime.
 	borrowed bool
 }
+
+// elems views b's memory as a []T of b's element count: T must be the Go
+// type of b.dtype.
+func elems[T zerocopy.Elem](b *Buffer) []T {
+	var zero T
+	return unsafe.Slice((*T)(b.data), b.size/int(unsafe.Sizeof(zero)))
+}
+
+// first returns the address of v's first element: v's array, kept alive by
+// the pointer.
+func first[T zerocopy.Elem](v []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(v)) }
 
 // checkSize validates a buffer of size bytes and element type t: t is one
 // of the defined types and size a non-negative whole number of elements.
@@ -70,15 +87,15 @@ func (db *DB) newBufferLocked(t DataType, size int) *Buffer {
 	n := size / t.ElemSize()
 	switch t {
 	case String, Bytes:
-		b.raw = make([]byte, n)
+		b.data = first(make([]byte, n))
 	case Int32:
-		b.i32 = make([]int32, n)
+		b.data = first(make([]int32, n))
 	case Int64:
-		b.i64 = make([]int64, n)
+		b.data = first(make([]int64, n))
 	case Float32:
-		b.f32 = make([]float32, n)
+		b.data = first(make([]float32, n))
 	case Float64:
-		b.f64 = make([]float64, n)
+		b.data = first(make([]float64, n))
 	}
 	return b
 }
@@ -93,18 +110,24 @@ func newBorrowedBuffer(t DataType, data []byte) (b *Buffer, aliased bool) {
 	b = &Buffer{dtype: t, size: len(data)}
 	switch t {
 	case String, Bytes:
-		b.raw, aliased = zerocopy.Decode[byte](data)
+		b.data, aliased = decode[byte](data)
 	case Int32:
-		b.i32, aliased = zerocopy.Decode[int32](data)
+		b.data, aliased = decode[int32](data)
 	case Int64:
-		b.i64, aliased = zerocopy.Decode[int64](data)
+		b.data, aliased = decode[int64](data)
 	case Float32:
-		b.f32, aliased = zerocopy.Decode[float32](data)
+		b.data, aliased = decode[float32](data)
 	case Float64:
-		b.f64, aliased = zerocopy.Decode[float64](data)
+		b.data, aliased = decode[float64](data)
 	}
 	b.borrowed = aliased
 	return b, aliased
+}
+
+// decode is zerocopy.Decode returning the first element's address.
+func decode[T zerocopy.Elem](data []byte) (unsafe.Pointer, bool) {
+	v, aliased := zerocopy.Decode[T](data)
+	return first(v), aliased
 }
 
 // Type returns the buffer's element type.
@@ -127,7 +150,7 @@ func (b *Buffer) Bytes() ([]byte, error) {
 	if b.dtype != String && b.dtype != Bytes {
 		return nil, fmt.Errorf("%w: buffer is %v, not STRING/BYTES", ErrTypeMismatch, b.dtype)
 	}
-	return b.raw, nil
+	return elems[byte](b), nil
 }
 
 // Int32s returns the underlying slice of an Int32 buffer.
@@ -135,7 +158,7 @@ func (b *Buffer) Int32s() ([]int32, error) {
 	if b.dtype != Int32 {
 		return nil, fmt.Errorf("%w: buffer is %v, not INT32", ErrTypeMismatch, b.dtype)
 	}
-	return b.i32, nil
+	return elems[int32](b), nil
 }
 
 // Int64s returns the underlying slice of an Int64 buffer.
@@ -143,7 +166,7 @@ func (b *Buffer) Int64s() ([]int64, error) {
 	if b.dtype != Int64 {
 		return nil, fmt.Errorf("%w: buffer is %v, not INT64", ErrTypeMismatch, b.dtype)
 	}
-	return b.i64, nil
+	return elems[int64](b), nil
 }
 
 // Float32s returns the underlying slice of a Float32 buffer.
@@ -151,7 +174,7 @@ func (b *Buffer) Float32s() ([]float32, error) {
 	if b.dtype != Float32 {
 		return nil, fmt.Errorf("%w: buffer is %v, not FLOAT", ErrTypeMismatch, b.dtype)
 	}
-	return b.f32, nil
+	return elems[float32](b), nil
 }
 
 // Float64s returns the underlying slice of a Float64 buffer.
@@ -159,7 +182,7 @@ func (b *Buffer) Float64s() ([]float64, error) {
 	if b.dtype != Float64 {
 		return nil, fmt.Errorf("%w: buffer is %v, not DOUBLE", ErrTypeMismatch, b.dtype)
 	}
-	return b.f64, nil
+	return elems[float64](b), nil
 }
 
 // SetString copies s into a String buffer, padding with zero bytes. It fails
@@ -171,13 +194,11 @@ func (b *Buffer) SetString(s string) error {
 	if b.borrowed {
 		return fmt.Errorf("%w: SetString on donated field memory", ErrBorrowed)
 	}
-	if len(s) > len(b.raw) {
-		return fmt.Errorf("%w: string of %d bytes into %d-byte buffer", ErrBadSize, len(s), len(b.raw))
+	raw := elems[byte](b)
+	if len(s) > len(raw) {
+		return fmt.Errorf("%w: string of %d bytes into %d-byte buffer", ErrBadSize, len(s), len(raw))
 	}
-	n := copy(b.raw, s)
-	for i := n; i < len(b.raw); i++ {
-		b.raw[i] = 0
-	}
+	clear(raw[copy(raw, s):])
 	return nil
 }
 
@@ -187,11 +208,12 @@ func (b *Buffer) StringValue() (string, error) {
 	if b.dtype != String {
 		return "", fmt.Errorf("%w: buffer is %v, not STRING", ErrTypeMismatch, b.dtype)
 	}
-	end := len(b.raw)
-	for end > 0 && b.raw[end-1] == 0 {
+	raw := elems[byte](b)
+	end := len(raw)
+	for end > 0 && raw[end-1] == 0 {
 		end--
 	}
-	return string(b.raw[:end]), nil
+	return string(raw[:end]), nil
 }
 
 // encodeTo appends the buffer contents in a canonical little-endian byte
@@ -199,15 +221,15 @@ func (b *Buffer) StringValue() (string, error) {
 func (b *Buffer) encodeTo(dst []byte) []byte {
 	switch b.dtype {
 	case String, Bytes:
-		return append(dst, b.raw...)
+		return append(dst, elems[byte](b)...)
 	case Int32:
-		return zerocopy.AppendLE(dst, b.i32)
+		return zerocopy.AppendLE(dst, elems[int32](b))
 	case Int64:
-		return zerocopy.AppendLE(dst, b.i64)
+		return zerocopy.AppendLE(dst, elems[int64](b))
 	case Float32:
-		return zerocopy.AppendLE(dst, b.f32)
+		return zerocopy.AppendLE(dst, elems[float32](b))
 	case Float64:
-		return zerocopy.AppendLE(dst, b.f64)
+		return zerocopy.AppendLE(dst, elems[float64](b))
 	}
 	return dst
 }
@@ -218,13 +240,16 @@ func (b *Buffer) encodeTo(dst []byte) []byte {
 // query value of "block_0001" matches a record whose 11-byte STRING key
 // buffer holds the same text.
 //
+// v does not escape: the error paths format the decoded value or v's type
+// name, never v, so a caller's conversion of a key to any stays on its stack.
+//
 //godiva:noalloc
 func encodeKeyValue(dst []byte, t DataType, size int, v any) ([]byte, error) {
 	switch t {
 	case String:
 		s, ok := v.(string)
 		if !ok {
-			return nil, fmt.Errorf("%w: key value %T for STRING field", ErrTypeMismatch, v)
+			return nil, keyTypeError(v, t)
 		}
 		if len(s) > size {
 			return nil, fmt.Errorf("%w: key string %q longer than field size %d", ErrBadSize, s, size)
@@ -237,7 +262,7 @@ func encodeKeyValue(dst []byte, t DataType, size int, v any) ([]byte, error) {
 	case Bytes:
 		bs, ok := v.([]byte)
 		if !ok {
-			return nil, fmt.Errorf("%w: key value %T for BYTES field", ErrTypeMismatch, v)
+			return nil, keyTypeError(v, t)
 		}
 		if len(bs) != size {
 			return nil, fmt.Errorf("%w: key of %d bytes for %d-byte field", ErrBadSize, len(bs), size)
@@ -245,30 +270,44 @@ func encodeKeyValue(dst []byte, t DataType, size int, v any) ([]byte, error) {
 		return append(dst, bs...), nil
 	case Int32:
 		n, ok := toInt64(v)
-		if !ok || n < math.MinInt32 || n > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: key value %v for INT32 field", ErrTypeMismatch, v)
+		if !ok {
+			return nil, keyTypeError(v, t)
+		}
+		if n < math.MinInt32 || n > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: key value %d for INT32 field", ErrTypeMismatch, n)
 		}
 		return binary.LittleEndian.AppendUint32(dst, uint32(int32(n))), nil
 	case Int64:
 		n, ok := toInt64(v)
 		if !ok {
-			return nil, fmt.Errorf("%w: key value %T for INT64 field", ErrTypeMismatch, v)
+			return nil, keyTypeError(v, t)
 		}
 		return binary.LittleEndian.AppendUint64(dst, uint64(n)), nil
 	case Float32:
 		f, ok := toFloat64(v)
 		if !ok {
-			return nil, fmt.Errorf("%w: key value %T for FLOAT field", ErrTypeMismatch, v)
+			return nil, keyTypeError(v, t)
 		}
 		return binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(f))), nil
 	case Float64:
 		f, ok := toFloat64(v)
 		if !ok {
-			return nil, fmt.Errorf("%w: key value %T for DOUBLE field", ErrTypeMismatch, v)
+			return nil, keyTypeError(v, t)
 		}
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f)), nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrTypeMismatch, t)
+}
+
+// keyTypeError reports a key value of the wrong Go type for a t field. It
+// names v's type through reflect, which reads only the interface's type
+// word, where fmt's %T would make v escape.
+func keyTypeError(v any, t DataType) error {
+	name := "<nil>"
+	if rt := reflect.TypeOf(v); rt != nil {
+		name = rt.String()
+	}
+	return fmt.Errorf("%w: key value %s for %v field", ErrTypeMismatch, name, t)
 }
 
 func toInt64(v any) (int64, bool) {

@@ -12,6 +12,8 @@ package core
 // reserveLocked and SetMemSpace trim the list before they evict anything,
 // and Close drops it.
 
+import "unsafe"
+
 // freeKey is what a dropped buffer's memory can back: a buffer of the same
 // element type and byte size.
 type freeKey struct {
@@ -54,12 +56,8 @@ func (db *DB) takeFreeLocked(b *Buffer) bool {
 	list[len(list)-1] = nil
 	db.free[k] = list[:len(list)-1]
 	db.freeBytes -= int64(b.size)
-	b.raw, b.i32, b.i64, b.f32, b.f64 = old.raw, old.i32, old.i64, old.f32, old.f64
-	clear(b.raw)
-	clear(b.i32)
-	clear(b.i64)
-	clear(b.f32)
-	clear(b.f64)
+	b.data = old.data
+	clear(unsafe.Slice((*byte)(b.data), b.size))
 	return true
 }
 

@@ -205,6 +205,26 @@ func BenchmarkKeyLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkKeyLookupFreshKeys is BenchmarkKeyLookup the way a consumer
+// queries: each iteration converts a string key to the variadic ...any
+// afresh (BenchmarkKeyLookup boxes its keys once, up front). The query path
+// must not make the key escape, so the conversion stays on the caller's
+// stack and the lookup allocates nothing.
+func BenchmarkKeyLookupFreshKeys(b *testing.B) {
+	db, keys := populateQueryDB(b, 256)
+	names := make([]string, len(keys))
+	for i, kv := range keys {
+		names[i] = kv[0].(string)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.GetFieldBuffer("grid", "data", names[i%len(names)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStatsSnapshot measures Stats() under four goroutines of
 // concurrent queries: the counters are behind the database lock, so every
 // snapshot serializes against the query path.

@@ -37,7 +37,7 @@ func TestNoAllocGates(t *testing.T) {
 	// A dropped buffer's memory for the free-list gate, which puts it on
 	// the list and takes it back (the hit), then finds the list empty (the
 	// miss). The list's capacity is allocated here, not in the gate.
-	dropped := &Buffer{dtype: Float64, size: 64, f64: make([]float64, 8)}
+	dropped := &Buffer{dtype: Float64, size: 64, data: first(make([]float64, 8))}
 	fk := freeKey{Float64, 64}
 	db.mu.Lock()
 	db.free = map[freeKey][]*Buffer{fk: make([]*Buffer, 0, 1)}
@@ -78,12 +78,12 @@ func TestNoAllocGates(t *testing.T) {
 			db.mu.Lock()
 			db.free[fk] = append(db.free[fk], dropped)
 			db.freeBytes += 64
-			dropped.f64[0] = 1
+			elems[float64](dropped)[0] = 1
 			fresh = Buffer{dtype: Float64, size: 64}
 			hit := db.takeFreeLocked(&fresh)
 			miss := db.takeFreeLocked(&Buffer{dtype: Float64, size: 64})
 			db.mu.Unlock()
-			if !hit || miss || fresh.f64[0] != 0 {
+			if !hit || miss || elems[float64](&fresh)[0] != 0 {
 				panic("free-list gate: want one zeroed hit, then a miss")
 			}
 		},

@@ -193,33 +193,44 @@ func (h *FileHandle) ReadField(e BlockEntry, field string) ([]float64, error) {
 
 // ReadMesh reads a block's mesh arrays (coords, conn, gids).
 func (h *FileHandle) ReadMesh(e BlockEntry) (*mesh.TetMesh, error) {
+	m := new(mesh.TetMesh)
+	if err := h.ReadMeshInto(e, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// ReadMeshInto is ReadMesh into the caller's m, for a caller that encodes
+// the arrays and drops them (godivad): it allocates nothing.
+func (h *FileHandle) ReadMeshInto(e BlockEntry, m *mesh.TetMesh) error {
 	coords, err := h.ReadField(e, "coords")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	connInfo, ok := e.Members["conn"]
 	if !ok {
-		return nil, fmt.Errorf("genx: block %s has no connectivity", e.Name)
+		return fmt.Errorf("genx: block %s has no connectivity", e.Name)
 	}
 	conn, err := h.readSDS(connInfo)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if conn.Type != shdf.TypeInt32 {
-		return nil, fmt.Errorf("genx: connectivity of %s is %v", e.Name, conn.Type)
+		return fmt.Errorf("genx: connectivity of %s is %v", e.Name, conn.Type)
 	}
 	gidInfo, ok := e.Members["gids"]
 	if !ok {
-		return nil, fmt.Errorf("genx: block %s has no global IDs", e.Name)
+		return fmt.Errorf("genx: block %s has no global IDs", e.Name)
 	}
 	gids, err := h.readSDS(gidInfo)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if gids.Type != shdf.TypeInt64 {
-		return nil, fmt.Errorf("genx: global IDs of %s are %v", e.Name, gids.Type)
+		return fmt.Errorf("genx: global IDs of %s are %v", e.Name, gids.Type)
 	}
-	return &mesh.TetMesh{Coords: coords, Tets: conn.Int32s, GlobalNode: gids.Int64s}, nil
+	*m = mesh.TetMesh{Coords: coords, Tets: conn.Int32s, GlobalNode: gids.Int64s}
+	return nil
 }
 
 // BlockData is one block's in-memory datasets for one snapshot.
@@ -239,9 +250,17 @@ func (h *FileHandle) ReadBlock(e BlockEntry, vars []string) (*BlockData, error) 
 	if err != nil {
 		return nil, err
 	}
+	nnode, nelem := 0, 0
+	for _, v := range vars {
+		if IsNodeField(v) {
+			nnode++
+		} else if IsElemField(v) {
+			nelem++
+		}
+	}
 	bd := &BlockData{
 		ID: e.ID, Name: e.Name, Mesh: m,
-		Node: make(map[string][]float64), Elem: make(map[string][]float64),
+		Node: make(map[string][]float64, nnode), Elem: make(map[string][]float64, nelem),
 		Time: h.Time, StepID: h.StepID,
 	}
 	for _, v := range vars {
@@ -255,8 +274,12 @@ func (h *FileHandle) ReadBlock(e BlockEntry, vars []string) (*BlockData, error) 
 		case IsElemField(v):
 			bd.Elem[v] = data
 		default:
-			return nil, fmt.Errorf("genx: unknown variable %q", v)
+			return nil, UnknownVariable(v)
 		}
 	}
 	return bd, nil
 }
+
+// UnknownVariable is the error for a requested variable that is neither a
+// node field nor an element field.
+func UnknownVariable(v string) error { return fmt.Errorf("genx: unknown variable %q", v) }

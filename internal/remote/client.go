@@ -144,10 +144,8 @@ func (c *Client) Close() error {
 
 // Ping checks the server is reachable and speaking the protocol.
 func (c *Client) Ping() error {
-	_, buf, err := c.rpc(OpPing, nil)
-	if buf != nil {
-		putFrameBuf(buf)
-	}
+	_, frame, err := c.rpc(OpPing, nil)
+	putArena(frame)
 	return err
 }
 
@@ -155,12 +153,12 @@ func (c *Client) Ping() error {
 // files per snapshot, block count and time step (the same subset of
 // genx.Spec that genx.Discover recovers from local files).
 func (c *Client) Spec() (genx.Spec, error) {
-	body, buf, err := c.rpc(OpSpec, nil)
+	body, frame, err := c.rpc(OpSpec, nil)
 	if err != nil {
 		return genx.Spec{}, err
 	}
 	spec, err := decodeSpec(body)
-	putFrameBuf(buf)
+	putArena(frame)
 	return spec, err
 }
 
@@ -175,10 +173,8 @@ func (c *Client) Ingest(path string, fp *FilePayload) error {
 	if err != nil {
 		return fmt.Errorf("remote: ingest %q: %w", path, err)
 	}
-	_, buf, err := c.rpcSegs(OpIngest, segs)
-	if buf != nil {
-		putFrameBuf(buf)
-	}
+	_, frame, err := c.rpcSegs(OpIngest, segs)
+	putArena(frame)
 	if err != nil {
 		return fmt.Errorf("remote: ingest %q: %w", path, err)
 	}
@@ -200,10 +196,10 @@ func retryable(err error) bool {
 }
 
 // rpc performs one request with retries. On success it returns the response
-// payload plus the pooled frame buffer backing it; the caller must hand buf
-// to putFrameBuf (or park it in a FilePayload arena) once the payload is
+// payload plus the pooled frame arena backing it; the caller must hand the
+// arena to putArena (or park it under FilePayloads) once the payload is
 // dead.
-func (c *Client) rpc(op byte, body []byte) (resp, buf []byte, err error) {
+func (c *Client) rpc(op byte, body []byte) (resp []byte, frame *frameArena, err error) {
 	var segs [][]byte
 	if len(body) > 0 {
 		segs = [][]byte{body}
@@ -215,7 +211,7 @@ func (c *Client) rpc(op byte, body []byte) (resp, buf []byte, err error) {
 // socket with a vectored write, so bulky ingest bodies borrow the caller's
 // arrays instead of being assembled first. Segments must stay alive and
 // unchanged until rpcSegs returns (they may be re-sent on retry).
-func (c *Client) rpcSegs(op byte, segs [][]byte) (resp, buf []byte, err error) {
+func (c *Client) rpcSegs(op byte, segs [][]byte) (resp []byte, frame *frameArena, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -229,9 +225,9 @@ func (c *Client) rpcSegs(op byte, segs [][]byte) (resp, buf []byte, err error) {
 				return nil, nil, ErrClientClosed
 			}
 		}
-		resp, buf, err := c.attempt(op, segs)
+		resp, frame, err := c.attempt(op, segs)
 		if err == nil {
-			return resp, buf, nil
+			return resp, frame, nil
 		}
 		lastErr = err
 		var se *ServerError
@@ -260,9 +256,9 @@ func (c *Client) backoffLocked(attempt int) time.Duration {
 }
 
 // attempt performs one wire round-trip on a pooled connection. The response
-// payload is read into a pooled frame buffer, returned to the caller on
+// payload is read into a pooled frame arena, returned to the caller on
 // success (see rpc) and back to the pool on every failure path.
-func (c *Client) attempt(op byte, segs [][]byte) ([]byte, []byte, error) {
+func (c *Client) attempt(op byte, segs [][]byte) ([]byte, *frameArena, error) {
 	start := time.Now()
 	c.mu.Lock()
 	c.stats.RPCs++
@@ -273,7 +269,7 @@ func (c *Client) attempt(op byte, segs [][]byte) ([]byte, []byte, error) {
 	}
 	deadline := start.Add(c.opts.RequestTimeout)
 	conn.SetDeadline(deadline)
-	rop, buf, rbody, err := func() (byte, []byte, []byte, error) {
+	rop, frame, rbody, err := func() (byte, *frameArena, []byte, error) {
 		if err := writeFrameBuffers(conn, op, segs); err != nil {
 			return 0, nil, nil, err
 		}
@@ -290,18 +286,18 @@ func (c *Client) attempt(op byte, segs [][]byte) ([]byte, []byte, error) {
 	c.putConn(conn)
 	if rop == RespErr {
 		serr := decodeErr(rbody)
-		putFrameBuf(buf)
+		putArena(frame)
 		return nil, nil, serr
 	}
 	if rop != RespOK {
-		putFrameBuf(buf)
+		putArena(frame)
 		return nil, nil, fmt.Errorf("%w: unexpected response op %#02x", ErrProtocol, rop)
 	}
 	c.mu.Lock()
 	c.stats.BytesIn += int64(len(rbody))
 	c.stats.Latency += time.Since(start)
 	c.mu.Unlock()
-	return rbody, buf, nil
+	return rbody, frame, nil
 }
 
 // getConn acquires a pool slot and returns an idle or freshly dialed

@@ -126,7 +126,7 @@ func TestSubscribeHandshakeLeavesClientFree(t *testing.T) {
 }
 
 // TestMethodsReleaseRemoteLocks calls each method that takes a server,
-// client or subscription mutex and gives it back with a deferred Unlock
+// client, subscription or frame-pool mutex and gives it back with a deferred Unlock
 // twice, then takes the same mutex through another method. A method that
 // returns holding its mutex hangs the second call, and locktest.Released
 // fails the subtest within seconds.
@@ -149,6 +149,8 @@ func TestMethodsReleaseRemoteLocks(t *testing.T) {
 		{"Server.Spec", func() { srv.Spec() }, func() { srv.Stats() }},
 		{"Server.Stats", func() { srv.Stats() }, func() { srv.Spec() }},
 		{"Client.Stats", func() { c.Stats() }, func() { c.Stats() }},
+		{"putArena", func() { putArena(&frameArena{buf: alignedFrameBuf(8)}) }, func() { takeIdleArena(8) }},
+		{"takeIdleArena", func() { takeIdleArena(8) }, func() { putArena(&frameArena{buf: alignedFrameBuf(8)}) }},
 		{"Subscription.Err", func() {
 			if err := sub.Err(); err != nil {
 				t.Errorf("live subscription: Err = %v", err)

@@ -1,6 +1,9 @@
 package remote
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // OpFetch carries k (path, vars) fetches in one RPC and the server answers
 // with one multi-file RespOK frame, so a k-file unit costs one round trip.
@@ -63,9 +66,11 @@ func decodeFetchReq(body []byte) ([]fetchReq, error) {
 	for i := 0; i < n && d.err == nil; i++ {
 		var r fetchReq
 		r.path = d.str()
+		// Each var costs at least its 2-byte length prefix.
 		nv := int(d.u16())
+		r.vars = make([]string, 0, min(nv, (len(body)-d.off)/2))
 		for j := 0; j < nv && d.err == nil; j++ {
-			r.vars = append(r.vars, d.str())
+			r.vars = append(r.vars, d.fieldName())
 		}
 		reqs = append(reqs, r)
 	}
@@ -83,35 +88,51 @@ type fetchResult struct {
 	err *ServerError
 }
 
-// appendFetchItem appends one response item to the frame under
-// construction: an error item, or an ok item whose body segments are
-// borrowed verbatim (either freshly encoded or straight from the payload
-// cache — the segments' internal pads are offset-relative, and the item
-// header pads the body to a frame offset of 0 mod 8, so they compose).
-func (s *segEnc) appendFetchItem(bodySegs [][]byte, bodyLen int, serr *ServerError) {
-	if serr != nil {
-		s.e.b = append(s.e.b, 1)
-		s.e.u16(serr.Code)
-		s.e.str(serr.Msg)
-		return
-	}
-	s.e.b = append(s.e.b, 0)
-	s.alignTo(4)
-	s.e.u32(uint32(bodyLen))
-	s.alignTo(8)
-	s.flush()
-	for _, seg := range bodySegs {
-		if len(seg) > 0 {
-			s.segs = append(s.segs, seg)
-			s.base += len(seg)
-		}
-	}
+// errItem appends an error item to the response frame under construction.
+func (f *frameEnc) errItem(code uint16, msg string) {
+	f.b = append(f.b, 1)
+	f.errBody(code, msg)
+}
+
+// okItem is an ok item under construction: where the frame stood before
+// it, and where its body length goes and its body starts.
+type okItem struct {
+	at    frameMark
+	start int // payload offset of the item
+	lenAt int // arena offset of the body length
+	body  int // payload offset of the body
+}
+
+// beginOK starts an ok item — status, pad to 4, body length (written by
+// endOK), pad to 8 — whose body the caller appends next. The body starts at
+// a payload offset of 0 mod 8, so its own alignment pads, computed from the
+// frame offset, are those of the body encoded on its own.
+func (f *frameEnc) beginOK() okItem {
+	it := okItem{at: f.mark(), start: f.off()}
+	f.b = append(f.b, 0)
+	f.alignTo(4)
+	it.lenAt = len(f.b)
+	f.u32(0)
+	f.alignTo(8)
+	it.body = f.off()
+	return it
+}
+
+// endOK closes an ok item, writing its body length, and returns it.
+func (f *frameEnc) endOK(it okItem) int {
+	n := f.off() - it.body
+	binary.LittleEndian.PutUint32(f.b[it.lenAt:], uint32(n))
+	return n
 }
 
 // decodeFetchResp parses an OpFetch response into per-item results. Ok
 // bodies are decoded in place: their arrays alias body's backing buffer.
-// copied reports array bytes that could not be aliased.
-func decodeFetchResp(body []byte) (results []fetchResult, copied int64, err error) {
+// Their blocks come from stock, refilled from its first block (nil: fresh
+// ones). copied reports array bytes that could not be aliased.
+func decodeFetchResp(body []byte, stock *blockStock) (results []fetchResult, copied int64, err error) {
+	if stock != nil {
+		stock.used = 0
+	}
 	d := dec{b: body}
 	n := int(d.u32())
 	for i := 0; i < n && d.err == nil; i++ {
@@ -135,7 +156,7 @@ func decodeFetchResp(body []byte) (results []fetchResult, copied int64, err erro
 		if raw == nil {
 			break
 		}
-		sub := dec{b: raw}
+		sub := dec{b: raw, stock: stock}
 		fp := sub.filePayload()
 		if sub.err != nil {
 			return nil, 0, fmt.Errorf("%w: fetch item %d: %v", ErrProtocol, i, sub.err)
@@ -241,17 +262,17 @@ func (c *Client) fetchItems(items []*fetchItem) {
 			*it.err = fmt.Errorf("remote: fetch %q: %w", it.path, err)
 		}
 	}
-	body, buf, err := c.rpc(OpFetch, encodeFetchReq(items))
+	body, arena, err := c.rpc(OpFetch, encodeFetchReq(items))
 	if err != nil {
 		fail(items, err)
 		return
 	}
-	results, copied, err := decodeFetchResp(body)
+	results, copied, err := decodeFetchResp(body, &arena.blocks)
 	if err == nil && len(results) != len(items) {
 		err = fmt.Errorf("%w: fetch response has %d items, want %d", ErrProtocol, len(results), len(items))
 	}
 	if err != nil {
-		putFrameBuf(buf)
+		putArena(arena)
 		fail(items, err)
 		return
 	}
@@ -261,7 +282,6 @@ func (c *Client) fetchItems(items []*fetchItem) {
 	// The arena's first claim is this routine's own, dropped once every ok
 	// item has taken one, so a frame with no ok item still goes back to the
 	// pool.
-	arena := &frameArena{buf: buf}
 	arena.refs.Store(1)
 	var again []*fetchItem
 	var full *ServerError

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"sync"
@@ -11,25 +12,19 @@ import (
 // fetchRespBody builds an OpFetch response body with one item per argument:
 // the sample payload for nil, an error item otherwise.
 func fetchRespBody(items ...*ServerError) []byte {
-	segs, _, err := encodeFilePayloadSegments(samplePayload(), maxFrame-2)
-	if err != nil {
-		panic(err)
-	}
-	size := 0
-	for _, s := range segs {
-		size += len(s)
-	}
-	var out segEnc
-	out.e.u32(uint32(len(items)))
+	var out frameEnc
+	out.reset()
+	out.u32(uint32(len(items)))
 	for _, serr := range items {
 		if serr != nil {
-			out.appendFetchItem(nil, 0, serr)
-		} else {
-			out.appendFetchItem(segs, size, nil)
+			out.errItem(serr.Code, serr.Msg)
+			continue
 		}
+		it := out.beginOK()
+		out.filePayload(samplePayload())
+		out.endOK(it)
 	}
-	out.flush()
-	return flattenSegments(out.segs)
+	return flattenSegments(out.payload())
 }
 
 // reqPaths lists a decoded request's paths.
@@ -159,5 +154,88 @@ func TestChunkFailureRecyclesEarlierChunks(t *testing.T) {
 	}
 	if rs := c.Stats(); rs.RPCs != 3 || rs.Errors != 1 {
 		t.Fatalf("client stats = %+v, want 3 RPCs and 1 error", rs)
+	}
+}
+
+// An item that would overflow the server's response frame is rolled back
+// out of it, leaving exactly the frame of the items before it plus a
+// CodeUnavailable item, and its file's handle is closed at once; the items
+// answered keep theirs until the frame has been written.
+func TestServerFrameFullItemRolledBack(t *testing.T) {
+	dir, paths := ledgerDataset(t, 2)
+	srv, err := Serve(ServerOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	shrinkIdleBudget(t, srv, 1) // a file nothing references is unmapped at once
+	want := LocalPayload(t, dir, paths[0], ledgerVars)
+	segs, _, err := encodeFilePayloadSegments(want, maxFrame-2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := len(flattenSegments(segs))
+	// Room for the item count, the first item's worst-case preamble and
+	// body, and not one byte more.
+	srv.frameCap = 4 + 15 + body
+
+	var cs connState
+	cs.out.reset()
+	reqs := []fetchReq{{paths[0], ledgerVars}, {paths[1], ledgerVars}, {paths[2], ledgerVars}}
+	srv.serveFetch(&cs, reqs)
+	if len(cs.held) != 1 {
+		t.Fatalf("%d handles held for the frame, want the one answered item's", len(cs.held))
+	}
+	wantTable(t, srv, "after encoding", 3, 2, 0)
+
+	var exp frameEnc
+	exp.reset()
+	exp.u32(3)
+	it := exp.beginOK()
+	exp.filePayload(want)
+	exp.endOK(it)
+	exp.errItem(CodeUnavailable, "fetch frame full")
+	exp.errItem(CodeUnavailable, "fetch frame full")
+	if got := flattenSegments(cs.out.payload()); !bytes.Equal(got, flattenSegments(exp.payload())) {
+		t.Fatal("the frame is not the answered item plus two frame-full items")
+	}
+	cs.release()
+	wantTable(t, srv, "after the write", 3, 3, 0)
+	if st := srv.Stats(); st.Errors != 0 {
+		t.Fatalf("frame-full items counted %d errors, want 0", st.Errors)
+	}
+}
+
+// A client fetching from a server whose frames hold one file at a time gets
+// every payload, in paths order, over as many round trips as files.
+func TestServerFrameFullRefetched(t *testing.T) {
+	dir, paths := ledgerDataset(t, 2)
+	srv, err := Serve(ServerOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	frameCap := 0
+	for _, p := range paths {
+		segs, _, err := encodeFilePayloadSegments(LocalPayload(t, dir, p, ledgerVars), maxFrame-2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frameCap = max(frameCap, 4+15+len(flattenSegments(segs)))
+	}
+	srv.frameCap = frameCap
+	publish(srv)
+	c := NewClient(ClientOptions{Addr: srv.Addr()})
+	defer c.Close()
+	fps, err := c.FetchFiles(paths, ledgerVars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fp := range fps {
+		samePayload(t, fp, LocalPayload(t, dir, paths[i], ledgerVars))
+		fp.Recycle()
+	}
+	if rs := c.Stats(); rs.RPCs != int64(len(paths)) || rs.Errors != 0 {
+		t.Fatalf("client stats = %+v, want %d RPCs and no errors", rs, len(paths))
 	}
 }

@@ -55,37 +55,31 @@ func FuzzFilePayload(f *testing.F) {
 
 // FuzzFetchFrame feeds arbitrary bodies through the OpFetch response decoder
 // — the multi-file frames a client accepts from the server — and round-trips
-// whatever decodes: every ok item re-encodes through the same
-// segment encoder the server uses (cached segments included), every error
-// item must keep its code and message, and nothing may panic.
+// whatever decodes: every item re-encodes through the frame encoder's item
+// framing the server uses, every error item must keep its code and message,
+// and nothing may panic.
 func FuzzFetchFrame(f *testing.F) {
 	for _, s := range fetchSeedInputs() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		results, _, err := decodeFetchResp(b)
+		results, _, err := decodeFetchResp(b, nil)
 		if err != nil {
 			return // rejected: the desired outcome for damaged frames
 		}
-		var out segEnc
-		out.e.u32(uint32(len(results)))
+		var out frameEnc
+		out.reset()
+		out.u32(uint32(len(results)))
 		for _, r := range results {
 			if r.err != nil {
-				out.appendFetchItem(nil, 0, r.err)
+				out.errItem(r.err.Code, r.err.Msg)
 				continue
 			}
-			segs, _, err := encodeFilePayloadSegments(r.fp, maxFrame-2)
-			if err != nil {
-				t.Fatalf("re-encoding a decoded fetch item failed: %v", err)
-			}
-			size := 0
-			for _, s := range segs {
-				size += len(s)
-			}
-			out.appendFetchItem(segs, size, nil)
+			it := out.beginOK()
+			out.filePayload(r.fp)
+			out.endOK(it)
 		}
-		out.flush()
-		again, _, err := decodeFetchResp(flattenSegments(out.segs))
+		again, _, err := decodeFetchResp(flattenSegments(out.payload()), nil)
 		if err != nil {
 			t.Fatalf("re-decoding a re-encoded fetch frame failed: %v", err)
 		}

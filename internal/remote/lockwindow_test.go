@@ -38,6 +38,11 @@ func (s *Server) touchLocked() {
 	s.closed = locktest.Keep(s.closed)
 }
 
+func touchFramePoolLocked() {
+	framePool.idle = locktest.Keep(framePool.idle)
+	framePool.bytes = locktest.Keep(framePool.bytes)
+}
+
 func (s *Subscription) touchLocked() {
 	s.err = locktest.Keep(s.err)
 	s.closed = locktest.Keep(s.closed)
@@ -45,7 +50,8 @@ func (s *Subscription) touchLocked() {
 
 // TestLockWindows runs a client's and an ingest server's methods — fetch,
 // ingest, a subscription delivering an event, retries against a dead
-// address, stats and close — under locktest.Probe on every mutex involved.
+// address, stats and close — under locktest.Probe on every mutex involved,
+// the frame pool's included.
 // Each round makes its own client and server, so the one-shot windows of
 // their Close open once a round.
 func TestLockWindows(t *testing.T) {
@@ -106,7 +112,8 @@ func lockWindowsRound(t *testing.T, dir string, paths []string, payload *FilePay
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}, locktest.Guard{Mu: &cli.mu, Touch: cli.touchLocked}, locktest.Guard{Mu: &srv.mu, Touch: srv.touchLocked})
+	}, locktest.Guard{Mu: &cli.mu, Touch: cli.touchLocked}, locktest.Guard{Mu: &srv.mu, Touch: srv.touchLocked},
+		locktest.Guard{Mu: &framePool.mu, Touch: touchFramePoolLocked})
 
 	// Retries: every attempt against a closed listener fails, and each
 	// retry takes the client's lock for its backoff.

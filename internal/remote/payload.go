@@ -1,8 +1,11 @@
 package remote
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"io"
+	"net"
+	"slices"
 	"sync/atomic"
 
 	"godiva/internal/genx"
@@ -19,7 +22,8 @@ import (
 // commit callbacks copy field data into database buffers. On little-endian
 // hosts the block arrays alias the response frame's buffer: call Recycle
 // when done with the payload so the buffer returns to the frame pool, and
-// touch nothing decoded from the payload afterwards.
+// touch nothing decoded from the payload afterwards — a later fetch decodes
+// into the same buffer and the same blocks, meshes and field maps.
 type FilePayload struct {
 	Path   string // request path, in the server's namespace
 	Time   float64
@@ -36,26 +40,50 @@ type FilePayload struct {
 
 // frameArena is one pooled response-frame buffer shared by every
 // FilePayload decoded from it. refs counts those payloads; when the last
-// one is fully recycled the buffer returns to the frame pool.
+// one is fully recycled the arena returns to the frame pool, and with it
+// the blocks decoded from the buffer, which the next frame read into it
+// decodes into again.
 type frameArena struct {
-	buf  []byte
-	refs atomic.Int32
+	buf    []byte
+	refs   atomic.Int32
+	blocks blockStock
 }
 
-// release drops one payload's claim on the arena, pooling the buffer when
-// it was the last.
+// release drops one payload's claim on the arena, pooling it when it was
+// the last.
 func (a *frameArena) release() {
 	if a.refs.Add(-1) == 0 {
-		putFrameBuf(a.buf)
+		putArena(a)
 	}
 }
 
+// blockStock holds the blocks decoded from one frame: their BlockData,
+// meshes and field maps outlive the payloads they were handed out in, so
+// the frame's next decode fills them again instead of allocating new ones.
+// Only the decoder touches it, and only while nothing decoded from the
+// frame is in use.
+type blockStock struct {
+	blocks []*genx.BlockData
+	used   int // blocks handed out by the decode under way
+}
+
+// next returns a block to decode into: the stock's next one, or a new one
+// it keeps from now on.
+func (s *blockStock) next() *genx.BlockData {
+	if s.used == len(s.blocks) {
+		s.blocks = append(s.blocks, &genx.BlockData{Mesh: &mesh.TetMesh{}})
+	}
+	s.used++
+	return s.blocks[s.used-1]
+}
+
 // Recycle releases the payload's claim on its response frame; once every
-// payload decoded from the frame is recycled, the buffer returns to the
-// frame pool for reuse. After calling Recycle the caller must not touch the
-// payload or any slice decoded from it — the memory may be overwritten by a
-// later fetch. A payload has one owner, who calls Recycle once; payloads
-// without pooled backing, and a second Recycle, are no-ops.
+// payload decoded from the frame is recycled, the buffer and the blocks
+// decoded from it return to the frame pool for reuse. After calling Recycle
+// the caller must not touch the payload, its blocks or any slice decoded
+// from it — a later fetch may overwrite the memory and refill the blocks.
+// A payload has one owner, who calls Recycle once; payloads without pooled
+// backing, and a second Recycle, are no-ops.
 func (fp *FilePayload) Recycle() {
 	if fp.arena == nil {
 		return
@@ -84,68 +112,134 @@ func (fp *FilePayload) Bytes() int64 {
 	return n
 }
 
-// sortedKeys returns a map's keys in sorted order, for deterministic frames.
-func sortedKeys(m map[string][]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// frameEnc builds one frame — its 6-byte header and its payload — as the
+// segment list of one vectored write: meta chunks (scalars, strings,
+// counts, alignment pads) interleaved with borrowed array segments that
+// alias the caller's memory, so array data goes from the dataset (often an
+// mmap'd SHDF payload) to the socket without an intermediate assembly copy.
+//
+// Every meta byte of the frame, header first, goes into one arena (the
+// embedded enc). A closed meta chunk is recorded in segs as a span of the
+// arena — a placeholder slice of length zero whose capacity is the chunk's
+// length — and payload turns the spans into slices of the final arena after
+// the last append. So growing the arena, which may move it, never leaves a
+// segment pointing at stale bytes, and an item's length can be patched in
+// after its body is encoded. reset keeps every backing array: an encoder
+// that lives as long as its connection stops allocating once it has built
+// its largest frame.
+type frameEnc struct {
+	enc                // the arena: frame header, then every meta chunk in payload order
+	open   int         // arena offset where the open meta chunk starts
+	segs   [][]byte    // header, then payload segments; meta chunks are spans until payload
+	base   int         // payload bytes in closed segments
+	copied int64       // array bytes encoded element-wise (no aliasing possible)
+	bufs   net.Buffers // the segments handed to the vectored write
+	names  []string    // scratch for a field map's sorted names
 }
 
-// segEnc builds a frame payload as a list of segments: meta chunks (scalars,
-// strings, counts, alignment pads) interleaved with borrowed array segments
-// that alias the caller's slices. The server hands the list to
-// writeFrameBuffers, so array data goes from the dataset (often an mmap'd
-// SHDF payload) to the socket without an intermediate assembly copy.
-type segEnc struct {
-	e      enc      // meta chunk under construction
-	segs   [][]byte // finished segments, in payload order
-	base   int      // payload bytes already flushed into segs
-	copied int64    // array bytes encoded element-wise (no aliasing possible)
+// frameHeader is a frame's length, version and op bytes.
+const frameHeader = 6
+
+// reset empties the encoder for a new frame, keeping its memory.
+func (f *frameEnc) reset() {
+	clear(f.segs)
+	f.segs = append(f.segs[:0], nil) // the header, set by writeTo
+	f.b = append(f.b[:0], make([]byte, frameHeader)...)
+	f.open = frameHeader
+	f.base, f.copied = 0, 0
 }
 
-// flush closes the open meta chunk. Each chunk is a separately built slice:
-// the encoder never appends to a chunk after flushing it, so a later append
-// can never reallocate-and-move bytes a flushed segment points at.
-func (s *segEnc) flush() {
-	if len(s.e.b) > 0 {
-		s.segs = append(s.segs, s.e.b)
-		s.base += len(s.e.b)
-		s.e.b = nil
+// off returns the payload offset of the next byte appended.
+func (f *frameEnc) off() int { return f.base + len(f.b) - f.open }
+
+// flush closes the open meta chunk, recording it as a span of the arena.
+func (f *frameEnc) flush() {
+	if n := len(f.b) - f.open; n > 0 {
+		f.segs = append(f.segs, f.b[f.open:f.open:len(f.b)])
+		f.base += n
+		f.open = len(f.b)
 	}
 }
 
 // borrow appends seg as a payload segment, aliasing the caller's memory.
-func (s *segEnc) borrow(seg []byte) {
-	s.flush()
-	s.segs = append(s.segs, seg)
-	s.base += len(seg)
+func (f *frameEnc) borrow(seg []byte) {
+	f.flush()
+	f.segs = append(f.segs, seg)
+	f.base += len(seg)
 }
 
 // alignTo zero-pads the payload under construction to the next n-byte
 // offset (n a power of two), mirroring dec.align.
-func (s *segEnc) alignTo(n int) {
-	for (s.base+len(s.e.b))%n != 0 {
-		s.e.b = append(s.e.b, 0)
+func (f *frameEnc) alignTo(n int) {
+	for f.off()%n != 0 {
+		f.b = append(f.b, 0)
 	}
+}
+
+// frameMark is an encoder position that rollback returns to.
+type frameMark struct {
+	arena, open, segs, base int
+	copied                  int64
+}
+
+func (f *frameEnc) mark() frameMark {
+	return frameMark{len(f.b), f.open, len(f.segs), f.base, f.copied}
+}
+
+// rollback drops everything appended since m was taken.
+func (f *frameEnc) rollback(m frameMark) {
+	clear(f.segs[m.segs:])
+	f.segs = f.segs[:m.segs]
+	f.b = f.b[:m.arena]
+	f.open, f.base, f.copied = m.open, m.base, m.copied
+}
+
+// payload closes the frame and returns its payload segments: the spans
+// become slices of the arena. Nothing may be appended afterwards.
+func (f *frameEnc) payload() [][]byte {
+	f.flush()
+	at := frameHeader
+	for i, seg := range f.segs {
+		if i > 0 && len(seg) == 0 { // borrowed segments are never empty
+			n := cap(seg)
+			f.segs[i] = f.b[at : at+n : at+n]
+			at += n
+		}
+	}
+	return f.segs[1:]
+}
+
+// writeTo closes the frame as op and writes it, header and payload, with
+// one vectored write (net.Buffers, writev on TCP). It returns the frame's
+// size.
+func (f *frameEnc) writeTo(w io.Writer, op byte) (int, error) {
+	f.payload()
+	if f.base > maxFrame-2 {
+		return 0, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, f.base)
+	}
+	binary.LittleEndian.PutUint32(f.b, uint32(2+f.base))
+	f.b[4] = protoVersion
+	f.b[5] = op
+	f.segs[0] = f.b[:frameHeader:frameHeader]
+	f.bufs = f.segs
+	_, err := f.bufs.WriteTo(w)
+	return frameHeader + f.base, err
 }
 
 // encodeArray encodes an array: u32 count, pad to 8, then the elements —
 // borrowed in place on little-endian hosts, copied element-wise otherwise.
-func encodeArray[T zerocopy.Elem](s *segEnc, v []T) {
-	s.e.u32(uint32(len(v)))
-	s.alignTo(8)
+func encodeArray[T zerocopy.Elem](f *frameEnc, v []T) {
+	f.u32(uint32(len(v)))
+	f.alignTo(8)
 	if seg, ok := zerocopy.Bytes(v); ok {
 		if len(seg) > 0 {
-			s.borrow(seg)
+			f.borrow(seg)
 		}
 		return
 	}
-	n := len(s.e.b)
-	s.e.b = zerocopy.AppendLE(s.e.b, v)
-	s.copied += int64(len(s.e.b) - n)
+	n := len(f.b)
+	f.b = zerocopy.AppendLE(f.b, v)
+	f.copied += int64(len(f.b) - n)
 }
 
 // encodeFilePayloadSegments serializes a FilePayload as scattered frame
@@ -158,78 +252,130 @@ func encodeArray[T zerocopy.Elem](s *segEnc, v []T) {
 //	           u16 nnode  (per field: str name | u32 n |pad| f64...)
 //	           u16 nelem  (per field: str name | u32 n |pad| f64...)
 //
-// Array segments alias fp's slices: the caller must keep their backing
-// memory (e.g. the mmap'd snapshot file) alive and unwritten until the
-// frame has been fully written. copied reports array bytes that could not
-// be borrowed and were encoded element-wise. limit bounds the total payload
+// Fields go in name order. Array segments alias fp's slices: the caller
+// must keep their backing memory alive and unwritten until the frame has
+// been fully written. copied reports array bytes that could not be
+// borrowed and were encoded element-wise. limit bounds the total payload
 // size (the wire cap is maxFrame-2; tests pass smaller limits); exceeding
 // it returns ErrFrameTooLarge before anything is sent.
 func encodeFilePayloadSegments(fp *FilePayload, limit int) (segs [][]byte, copied int64, err error) {
-	var s segEnc
-	s.filePayload(fp)
-	s.flush()
-	if s.base > limit {
-		return nil, 0, fmt.Errorf("%w (%d bytes, limit %d)", ErrFrameTooLarge, s.base, limit)
+	var f frameEnc
+	f.reset()
+	f.filePayload(fp)
+	if err := frameFits(f.off(), limit); err != nil {
+		return nil, 0, err
 	}
-	return s.segs, s.copied, nil
+	return f.payload(), f.copied, nil
+}
+
+// frameFits checks a payload of size bytes against limit.
+func frameFits(size, limit int) error {
+	if size > limit {
+		return fmt.Errorf("%w (%d bytes, limit %d)", ErrFrameTooLarge, size, limit)
+	}
+	return nil
 }
 
 // filePayload appends fp's body to the payload under construction. The
 // layout is position-independent — alignment pads are computed from the
 // running payload offset — so the same body can follow a prefix (OpIngest
 // requests put a path string first).
-func (s *segEnc) filePayload(fp *FilePayload) {
-	s.e.f64(fp.Time)
-	s.e.str(fp.StepID)
-	s.e.u32(uint32(len(fp.Blocks)))
+func (f *frameEnc) filePayload(fp *FilePayload) {
+	f.f64(fp.Time)
+	f.str(fp.StepID)
+	f.u32(uint32(len(fp.Blocks)))
 	for _, bd := range fp.Blocks {
-		s.e.u32(uint32(bd.ID))
-		s.e.str(bd.Name)
-		encodeArray(s, bd.Mesh.Coords)
-		encodeArray(s, bd.Mesh.Tets)
-		encodeArray(s, bd.Mesh.GlobalNode)
-		s.e.u16(uint16(len(bd.Node)))
-		for _, name := range sortedKeys(bd.Node) {
-			s.e.str(name)
-			encodeArray(s, bd.Node[name])
-		}
-		s.e.u16(uint16(len(bd.Elem)))
-		for _, name := range sortedKeys(bd.Elem) {
-			s.e.str(name)
-			encodeArray(s, bd.Elem[name])
-		}
+		f.u32(uint32(bd.ID))
+		f.str(bd.Name)
+		encodeArray(f, bd.Mesh.Coords)
+		encodeArray(f, bd.Mesh.Tets)
+		encodeArray(f, bd.Mesh.GlobalNode)
+		f.fieldMap(bd.Node)
+		f.fieldMap(bd.Elem)
+	}
+}
+
+// fieldMap appends a u16-counted field list from m, in name order.
+func (f *frameEnc) fieldMap(m map[string][]float64) {
+	f.names = f.names[:0]
+	for name := range m {
+		f.names = append(f.names, name)
+	}
+	slices.Sort(f.names)
+	f.u16(uint16(len(f.names)))
+	for _, name := range f.names {
+		f.str(name)
+		encodeArray(f, m[name])
 	}
 }
 
 // filePayload decodes a FilePayload body starting at the decoder's current
-// offset (the inverse of segEnc.filePayload).
+// offset (the inverse of frameEnc.filePayload). Its blocks come from
+// d.stock, or from a stock of their own when the decoder has none.
 func (d *dec) filePayload() *FilePayload {
+	if d.stock == nil {
+		d.stock = new(blockStock)
+	}
 	fp := &FilePayload{Time: d.f64(), StepID: d.str()}
+	first := d.stock.used
 	nblocks := int(d.u32())
 	for i := 0; i < nblocks && d.err == nil; i++ {
-		bd := &genx.BlockData{
-			ID:   int(d.u32()),
-			Name: d.str(),
-			Mesh: &mesh.TetMesh{},
-			Node: make(map[string][]float64),
-			Elem: make(map[string][]float64),
-		}
+		bd := d.stock.next()
+		bd.ID = int(d.u32())
+		bd.Name = d.reuseStr(bd.Name)
 		bd.Mesh.Coords = decodeArray[float64](d)
 		bd.Mesh.Tets = decodeArray[int32](d)
 		bd.Mesh.GlobalNode = decodeArray[int64](d)
-		nnode := int(d.u16())
-		for j := 0; j < nnode && d.err == nil; j++ {
-			bd.Node[d.str()] = decodeArray[float64](d)
-		}
-		nelem := int(d.u16())
-		for j := 0; j < nelem && d.err == nil; j++ {
-			bd.Elem[d.str()] = decodeArray[float64](d)
-		}
+		bd.Node = d.fields(bd.Node)
+		bd.Elem = d.fields(bd.Elem)
 		bd.Time = fp.Time
 		bd.StepID = fp.StepID
-		fp.Blocks = append(fp.Blocks, bd)
+	}
+	if n := d.stock.used; n > first {
+		fp.Blocks = d.stock.blocks[first:n:n]
 	}
 	return fp
+}
+
+// reuseStr reads a string, returning old instead of a new copy when the
+// bytes spell it: a reused block's name is usually its name again.
+func (d *dec) reuseStr(old string) string {
+	b := d.need(int(d.u16()))
+	if string(b) == old {
+		return old
+	}
+	return string(b)
+}
+
+// fieldName reads a field name, returning the genx catalog's string for a
+// known field so that decoding it allocates nothing.
+func (d *dec) fieldName() string {
+	b := d.need(int(d.u16()))
+	for _, names := range [2][]string{genx.NodeVectorFields, genx.ElemScalarFields} {
+		for _, name := range names {
+			if string(b) == name {
+				return name
+			}
+		}
+	}
+	return string(b)
+}
+
+// fields decodes a u16-counted list of named float64 fields into m,
+// emptied, or into a map sized for the count when m is nil. Each field
+// takes at least 6 bytes (name length and element count), so a corrupt
+// count cannot size the map past what the payload could hold.
+func (d *dec) fields(m map[string][]float64) map[string][]float64 {
+	n := int(d.u16())
+	if m == nil {
+		m = make(map[string][]float64, min(n, (len(d.b)-d.off)/6))
+	} else {
+		clear(m)
+	}
+	for j := 0; j < n && d.err == nil; j++ {
+		m[d.fieldName()] = decodeArray[float64](d)
+	}
+	return m
 }
 
 // encodeSpec serializes the dataset shape answered by OpSpec. The mesh
@@ -237,11 +383,16 @@ func (d *dec) filePayload() *FilePayload {
 // time step (genx.Discover recovers the same subset from local files).
 func encodeSpec(s genx.Spec) []byte {
 	var e enc
+	e.spec(s)
+	return e.b
+}
+
+// spec appends an OpSpec response body.
+func (e *enc) spec(s genx.Spec) {
 	e.u32(uint32(s.Snapshots))
 	e.u32(uint32(s.FilesPerSnapshot))
 	e.u32(uint32(s.Blocks))
 	e.f64(s.DT)
-	return e.b
 }
 
 // decodeSpec parses an OpSpec response.

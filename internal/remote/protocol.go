@@ -117,12 +117,23 @@ var (
 
 // --- frame buffers ---
 
-// framePool recycles response-frame buffers between fetches, so a steady
-// fetch workload stops allocating per-response payload buffers entirely
-// (the pooled decode arena of the zero-copy read path). Entries are slices
+// framePool keeps idle response-frame arenas between fetches, so a steady
+// fetch workload stops allocating per-response payload buffers and the
+// blocks decoded from them (the pooled decode arena of the zero-copy read
+// path). It is a stack under a mutex, newest on top, holding at most
+// framePoolBytes of buffers. A sync.Pool lost them: a buffer put on one P
+// is invisible to a Get on another, and every collection empties it, so a
+// snapshot's frame was allocated afresh every few fetches. Buffers are
 // produced by alignedFrameBuf, whose base-address alignment survives
 // reslicing.
-var framePool sync.Pool
+var framePool struct {
+	mu    sync.Mutex
+	idle  []*frameArena // guarded by mu
+	bytes int           // capacity of the idle buffers; guarded by mu
+}
+
+// framePoolBytes bounds the buffer bytes framePool keeps idle.
+const framePoolBytes = 64 << 20
 
 // alignedFrameBuf allocates an n-byte frame buffer (version byte, op byte,
 // payload) whose base address is congruent to 6 mod 8, so the payload at
@@ -136,24 +147,51 @@ func alignedFrameBuf(n int) []byte {
 	return raw[pad : pad+n]
 }
 
-// getFrameBuf returns an n-byte frame buffer from the pool, or a fresh
-// aligned one when the pool is empty or its entry is too small.
-func getFrameBuf(n int) []byte {
-	if v := framePool.Get(); v != nil {
-		if b := *(v.(*[]byte)); cap(b) >= n {
-			return b[:n]
-		}
+// getArena returns an arena whose buf holds n bytes: the newest idle one
+// large enough, or a fresh one.
+func getArena(n int) *frameArena {
+	if a := takeIdleArena(n); a != nil {
+		a.buf = a.buf[:n]
+		return a
 	}
-	return alignedFrameBuf(n)
+	return &frameArena{buf: alignedFrameBuf(n)}
 }
 
-// putFrameBuf returns a frame buffer to the pool. Only buffers obtained
-// from getFrameBuf may be put back: the pool assumes their alignment.
-func putFrameBuf(b []byte) {
-	if cap(b) == 0 {
+// takeIdleArena removes and returns the newest idle arena whose buffer can
+// hold n bytes, or nil.
+func takeIdleArena(n int) *frameArena {
+	framePool.mu.Lock()
+	defer framePool.mu.Unlock()
+	idle := framePool.idle
+	for i := len(idle) - 1; i >= 0; i-- {
+		if a := idle[i]; cap(a.buf) >= n {
+			copy(idle[i:], idle[i+1:])
+			idle[len(idle)-1] = nil
+			framePool.idle = idle[:len(idle)-1]
+			framePool.bytes -= cap(a.buf)
+			return a
+		}
+	}
+	return nil
+}
+
+// putArena returns an arena nothing decoded from it references any more to
+// the pool, dropping the oldest idle arenas to stay within framePoolBytes.
+// Only arenas from getArena may be put back: the pool assumes their
+// buffers' alignment. A nil arena is ignored.
+func putArena(a *frameArena) {
+	if a == nil || cap(a.buf) == 0 || cap(a.buf) > framePoolBytes {
 		return
 	}
-	framePool.Put(&b)
+	framePool.mu.Lock()
+	defer framePool.mu.Unlock()
+	for len(framePool.idle) > 0 && framePool.bytes+cap(a.buf) > framePoolBytes {
+		framePool.bytes -= cap(framePool.idle[0].buf)
+		framePool.idle[0] = nil
+		framePool.idle = framePool.idle[1:]
+	}
+	framePool.idle = append(framePool.idle, a)
+	framePool.bytes += cap(a.buf)
 }
 
 // writeFrame writes one frame from a contiguous body.
@@ -207,17 +245,20 @@ func readFrame(r io.Reader) (op byte, body []byte, err error) {
 	return op, body, err
 }
 
-// readFramePooled reads one frame into a pooled buffer. On success the
-// caller owns buf (the whole frame buffer, backing body) and must hand it
-// to putFrameBuf once the payload is dead; on error the buffer has already
-// been returned to the pool.
-func readFramePooled(r io.Reader) (op byte, buf, body []byte, err error) {
-	op, buf, body, err = readFrameBuf(r, getFrameBuf)
-	if err != nil && buf != nil {
-		putFrameBuf(buf)
-		buf, body = nil, nil
+// readFramePooled reads one frame into a pooled arena. On success the
+// caller owns the arena (whose buf is the whole frame, backing body) and
+// must hand it to putArena, or park it under FilePayloads, once the payload
+// is dead; on error the arena has already gone back to the pool.
+func readFramePooled(r io.Reader) (op byte, frame *frameArena, body []byte, err error) {
+	op, _, body, err = readFrameBuf(r, func(n int) []byte {
+		frame = getArena(n)
+		return frame.buf
+	})
+	if err != nil {
+		putArena(frame)
+		return 0, nil, nil, err
 	}
-	return op, buf, body, err
+	return op, frame, body, nil
 }
 
 // readFrameBuf reads one frame into a buffer obtained from get.
@@ -266,6 +307,7 @@ type dec struct {
 	off    int
 	err    error
 	copied int64
+	stock  *blockStock // where filePayload's blocks come from; nil: fresh ones
 }
 
 func (d *dec) need(n int) []byte {
@@ -355,9 +397,14 @@ func decodeArray[T zerocopy.Elem](d *dec) []T {
 // encodeErr builds a RespErr payload.
 func encodeErr(code uint16, msg string) []byte {
 	var e enc
+	e.errBody(code, msg)
+	return e.b
+}
+
+// errBody appends a RespErr payload (or an OpFetch error item's tail).
+func (e *enc) errBody(code uint16, msg string) {
 	e.u16(code)
 	e.str(msg)
-	return e.b
 }
 
 // decodeErr parses a RespErr payload.

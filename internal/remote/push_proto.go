@@ -97,18 +97,18 @@ func decodeEvent(body []byte) (push.Event, error) {
 
 // encodeIngestSegments serializes an OpIngest request as scattered frame
 // segments: the destination path, then the standard FilePayload body (whose
-// alignment pads adapt to the path prefix — see segEnc.filePayload). Array
+// alignment pads adapt to the path prefix — see frameEnc.filePayload). Array
 // segments alias fp's slices; the caller must keep them alive until the
 // frame is written. limit bounds the total payload size.
 func encodeIngestSegments(path string, fp *FilePayload, limit int) (segs [][]byte, copied int64, err error) {
-	var s segEnc
-	s.e.str(path)
-	s.filePayload(fp)
-	s.flush()
-	if s.base > limit {
-		return nil, 0, fmt.Errorf("%w (%d bytes, limit %d)", ErrFrameTooLarge, s.base, limit)
+	var f frameEnc
+	f.reset()
+	f.str(path)
+	f.filePayload(fp)
+	if err := frameFits(f.off(), limit); err != nil {
+		return nil, 0, err
 	}
-	return s.segs, s.copied, nil
+	return f.payload(), f.copied, nil
 }
 
 // decodeIngestReq parses an OpIngest request.

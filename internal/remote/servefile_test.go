@@ -2,10 +2,12 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,6 +67,16 @@ func shrinkIdleBudget(t *testing.T, srv *Server, n int64) {
 		t.Fatal("genx.Reader has no files.budget to shrink")
 	}
 	reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetInt(n)
+	publish(srv)
+}
+
+// publish orders the test's writes to srv's unguarded settings before every
+// request srv handles afterwards: each request takes srv.mu to count
+// itself, after this Lock-Unlock pair. The race detector sees no order
+// through the socket alone.
+func publish(srv *Server) {
+	srv.mu.Lock()
+	srv.mu.Unlock()
 }
 
 // openReaders returns how many snapshot files srv holds mapped by its
@@ -96,11 +108,25 @@ func touch(segs [][]byte) (n int, sum byte) {
 	return n, sum
 }
 
+// serveSegs encodes path's body through serveFile into a fresh encoder and
+// returns its segments and size, with the done that closes the handle they
+// borrow from.
+func serveSegs(srv *Server, path string, vars []string) (segs [][]byte, size int, done func(), err error) {
+	var out frameEnc
+	out.reset()
+	var fv fetchVars
+	h, err := srv.serveFile(&out, path, vars, &fv)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return out.payload(), out.base, func() { _ = h.Close() }, nil
+}
+
 // serve fetches path through serveFile, checks the segments hold the
 // promised bytes, and returns them with the done that releases them.
 func serve(t *testing.T, srv *Server, path string) ([][]byte, func()) {
 	t.Helper()
-	segs, size, _, done, err := srv.serveFile(path, ledgerVars)
+	segs, size, done, err := serveSegs(srv, path, ledgerVars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +202,7 @@ func TestPayloadCacheInsertDeclines(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			start.Wait()
-			segs, size, _, done, err := srv.serveFile(paths[0], ledgerVars)
+			segs, size, done, err := serveSegs(srv, paths[0], ledgerVars)
 			if err != nil {
 				t.Error(err)
 				return
@@ -355,7 +381,7 @@ func TestPayloadCacheChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				path := paths[rng.Intn(len(paths))]
-				segs, size, _, done, err := srv.serveFile(path, varSets[rng.Intn(len(varSets))])
+				segs, size, done, err := serveSegs(srv, path, varSets[rng.Intn(len(varSets))])
 				if err != nil {
 					t.Error(err)
 					return
@@ -403,4 +429,40 @@ func TestPayloadCacheChurn(t *testing.T) {
 	}
 	t.Logf("churn: %d fetches, %d ingests, %d mappings, %d reader hits",
 		fetches.Load(), ingests, st.ReaderOpens, st.ReaderHits)
+}
+
+// A file whose read fails part-way — a var that names no field of its
+// blocks — is answered as an error item of its own, rolled back out of the
+// frame, and its handle is closed: the connection stays in service and
+// nothing stays mapped.
+func TestFetchReadErrorIsAnItem(t *testing.T) {
+	dir, paths := ledgerDataset(t, 1)
+	srv, err := Serve(ServerOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	shrinkIdleBudget(t, srv, 1) // a file nothing references is unmapped at once
+	c := NewClient(ClientOptions{Addr: srv.Addr(), PoolSize: 1})
+	defer c.Close()
+
+	_, err = c.FetchFiles(paths, []string{"velocity", "pressure"})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != CodeInternal || !strings.Contains(se.Msg, `no field "pressure"`) {
+		t.Fatalf("fetch of a var no block holds = %v, want its read error as a CodeInternal item", err)
+	}
+	if st := srv.Stats(); st.Errors != int64(len(paths)) || st.ReaderOpens != st.ReaderCloses {
+		t.Fatalf("server stats = %+v, want %d errors and every mapping closed", st, len(paths))
+	}
+	fps, err := c.FetchFiles(paths, ledgerVars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fp := range fps {
+		samePayload(t, fp, LocalPayload(t, dir, paths[i], ledgerVars))
+		fp.Recycle()
+	}
+	if rs := c.Stats(); rs.RPCs != 2 {
+		t.Fatalf("client made %d RPCs, want 2 on one connection", rs.RPCs)
+	}
 }

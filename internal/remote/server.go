@@ -6,11 +6,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"godiva/internal/genx"
+	"godiva/internal/mesh"
 	"godiva/internal/push"
 	"godiva/internal/shdf"
 )
@@ -82,6 +84,10 @@ type Server struct {
 	// slow subscriber that socket buffers would otherwise hide.
 	onEvent func()
 
+	// frameCap bounds a response payload: maxFrame-2, the wire cap. Tests
+	// lower it to fill a frame with small files.
+	frameCap int
+
 	mu     sync.Mutex
 	spec   genx.Spec             // grows as OpIngest lands new steps; guarded by mu
 	conns  map[net.Conn]struct{} // guarded by mu
@@ -125,12 +131,13 @@ func Serve(opts ServerOptions) (*Server, error) {
 		return nil, fmt.Errorf("remote: listen: %w", err)
 	}
 	s := &Server{
-		opts:   opts,
-		spec:   spec,
-		ln:     ln,
-		reader: genx.Reader{Mapped: true},
-		reg:    push.NewRegistry(),
-		conns:  make(map[net.Conn]struct{}),
+		opts:     opts,
+		spec:     spec,
+		ln:       ln,
+		reader:   genx.Reader{Mapped: true},
+		reg:      push.NewRegistry(),
+		frameCap: maxFrame - 2,
+		conns:    make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -222,6 +229,29 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// connState is what one connection keeps across its requests. Each request
+// frame is read into req, handled, and answered from out before the next
+// read reuses either, so the arrays an ingest decodes in place (and writes
+// to its file) and the segments of the last response are dead by then. Both
+// grow only for a frame larger than any before, and go with the connection.
+type connState struct {
+	req  []byte
+	out  frameEnc
+	held []*genx.FileHandle // mapped files out's segments borrow, closed once it is written
+	vars fetchVars
+}
+
+// release closes the handles the last response borrowed from. Closing
+// releases a table reference, which cannot fail in a way a fetch could act
+// on.
+func (cs *connState) release() {
+	for i, h := range cs.held {
+		_ = h.Close()
+		cs.held[i] = nil
+	}
+	cs.held = cs.held[:0]
+}
+
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -230,17 +260,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// One request buffer serves the connection. Each frame is read into
-	// it, handled and answered before the next read reuses it, so the
-	// arrays an ingest decodes in place (and writes to its file) are dead
-	// by then. It grows only for a frame larger than any before, and goes
-	// with the connection.
-	var reqBuf []byte
+	cs := &connState{}
 	get := func(n int) []byte {
-		if cap(reqBuf) < n {
-			reqBuf = alignedFrameBuf(n)
+		if cap(cs.req) < n {
+			cs.req = alignedFrameBuf(n)
 		}
-		return reqBuf[:n]
+		return cs.req[:n]
 	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
@@ -254,74 +279,75 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.handleSubscribe(conn, body)
 			return
 		}
-		rop, segs, done := s.handleRequest(op, body)
-		blen := 0
-		for _, seg := range segs {
-			blen += len(seg)
-		}
+		cs.out.reset()
+		rop := s.handleRequest(op, body, cs)
 		conn.SetWriteDeadline(time.Now().Add(s.opts.IdleTimeout))
-		err = writeFrameBuffers(conn, rop, segs)
-		// done releases the handles on the mapped snapshot files the
-		// response segments alias: only once the frame has left may the
-		// mappings close.
-		if done != nil {
-			done()
-		}
+		n, err := cs.out.writeTo(conn, rop)
+		// Only once the frame has left may the mappings its segments
+		// borrow close.
+		cs.release()
 		if err != nil {
 			return
 		}
 		s.mu.Lock()
-		s.stats.BytesOut += int64(6 + blen)
+		s.stats.BytesOut += int64(n)
 		s.mu.Unlock()
 	}
 }
 
-// handleRequest dispatches one request and returns the response frame as
-// scattered segments, plus a non-nil done when the segments borrow mapped
-// snapshot files (the caller runs it once the frame is written). A panic
-// anywhere in the read path (e.g. a decoder bug on a damaged snapshot) is
-// converted into a clean CodeInternal response rather than killing the
-// connection handler.
-func (s *Server) handleRequest(op byte, body []byte) (rop byte, segs [][]byte, done func()) {
+// handleRequest dispatches one request, appends the response payload to
+// cs.out (reset by the caller) and returns the response op. The handles of
+// the mapped snapshot files whose arrays the payload borrows go to cs.held,
+// for the caller to close once the frame is written. A panic anywhere in
+// the read path (e.g. a decoder bug on a damaged snapshot) is converted
+// into a clean CodeInternal response rather than killing the connection
+// handler.
+func (s *Server) handleRequest(op byte, body []byte, cs *connState) (rop byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("remote: panic serving op %#02x: %v", op, r)
-			rop, segs, done = RespErr, [][]byte{encodeErr(CodeInternal, fmt.Sprintf("panic: %v", r))}, nil
+			cs.release()
+			cs.out.reset()
+			cs.out.errBody(CodeInternal, fmt.Sprintf("panic: %v", r))
+			rop = RespErr
 		}
 	}()
-	countErr := func(code uint16, msg string) (byte, [][]byte, func()) {
+	fail := func(code uint16, msg string) byte {
 		s.countError()
-		return RespErr, [][]byte{encodeErr(code, msg)}, nil
+		cs.out.errBody(code, msg)
+		return RespErr
 	}
 	s.mu.Lock()
 	s.stats.RPCs++
 	s.mu.Unlock()
 	switch op {
 	case OpPing:
-		return RespOK, nil, nil
+		return RespOK
 	case OpSpec:
-		return RespOK, [][]byte{encodeSpec(s.Spec())}, nil
+		cs.out.spec(s.Spec())
+		return RespOK
 	case OpIngest:
 		if !s.opts.Ingest {
-			return countErr(CodeBadRequest, "ingest is disabled on this server")
+			return fail(CodeBadRequest, "ingest is disabled on this server")
 		}
 		path, fp, _, err := decodeIngestReq(body)
 		if err != nil {
-			return countErr(CodeBadRequest, err.Error())
+			return fail(CodeBadRequest, err.Error())
 		}
 		if err := s.ingest(path, fp); err != nil {
 			s.logf("remote: ingest %s: %v", path, err)
-			return countErr(errCode(err), err.Error())
+			return fail(errCode(err), err.Error())
 		}
-		return RespOK, nil, nil
+		return RespOK
 	case OpFetch:
 		reqs, err := decodeFetchReq(body)
 		if err != nil {
-			return countErr(CodeBadRequest, err.Error())
+			return fail(CodeBadRequest, err.Error())
 		}
-		return s.serveFetch(reqs)
+		s.serveFetch(cs, reqs)
+		return RespOK
 	default:
-		return countErr(CodeBadRequest, fmt.Sprintf("unknown op %#02x", op))
+		return fail(CodeBadRequest, fmt.Sprintf("unknown op %#02x", op))
 	}
 }
 
@@ -346,84 +372,148 @@ func errCode(err error) uint16 {
 	}
 }
 
-// serveFile returns one (path, vars) fetch's encoded response body as
-// scattered segments, encoded from a handle on the server's table of mapped
-// snapshot files: a file stays mapped, verified and decoded while the table
-// holds it, and the payload arrays alias its mapping, so scatter-send writes
+// fetchVars is a fetch request's var list made ready for encoding: the node
+// fields and the element fields, each in name order without repeats, as
+// indices into the list as requested, whose order reads follow.
+type fetchVars struct {
+	vars []string     // as requested
+	node []int        // node fields, by index into vars
+	elem []int        // element fields, by index into vars
+	mesh mesh.TetMesh // one block's mesh arrays
+	cols [][]float64  // one block's fields, by index into vars
+}
+
+// set prepares vars. The items of one request normally share their var
+// list, so a list equal to the last one is not sorted again.
+func (fv *fetchVars) set(vars []string) {
+	if slices.Equal(fv.vars, vars) {
+		return
+	}
+	fv.vars = vars
+	fv.node, fv.elem = fv.node[:0], fv.elem[:0]
+	fv.cols = slices.Grow(fv.cols[:0], len(vars))[:len(vars)]
+	byName := func(i int, name string) int { return strings.Compare(vars[i], name) }
+	insert := func(list []int, i int) []int {
+		j, found := slices.BinarySearchFunc(list, vars[i], byName)
+		if found {
+			return list
+		}
+		return slices.Insert(list, j, i)
+	}
+	for i, v := range vars {
+		switch {
+		case genx.IsNodeField(v):
+			fv.node = insert(fv.node, i)
+		case genx.IsElemField(v):
+			fv.elem = insert(fv.elem, i)
+		}
+	}
+}
+
+// block appends block e's body, read from h, to out: the FilePayload block
+// layout of encodeFilePayloadSegments. Fields are read in request order,
+// so a block that lacks one, or a var that names no field, fails with the
+// error genx's ReadBlock gives.
+func (fv *fetchVars) block(out *frameEnc, h *genx.FileHandle, e genx.BlockEntry) error {
+	m := &fv.mesh
+	if err := h.ReadMeshInto(e, m); err != nil {
+		return err
+	}
+	for i, v := range fv.vars {
+		data, err := h.ReadField(e, v)
+		if err != nil {
+			return err
+		}
+		if !genx.IsNodeField(v) && !genx.IsElemField(v) {
+			return genx.UnknownVariable(v)
+		}
+		fv.cols[i] = data
+	}
+	out.u32(uint32(e.ID))
+	out.str(e.Name)
+	encodeArray(out, m.Coords)
+	encodeArray(out, m.Tets)
+	encodeArray(out, m.GlobalNode)
+	for _, list := range [2][]int{fv.node, fv.elem} {
+		out.u16(uint16(len(list)))
+		for _, i := range list {
+			out.str(fv.vars[i])
+			encodeArray(out, fv.cols[i])
+		}
+	}
+	*m = mesh.TetMesh{}
+	clear(fv.cols)
+	return nil
+}
+
+// serveFile appends one (path, vars) fetch's FilePayload body to out,
+// encoded straight from a handle on the server's table of mapped snapshot
+// files: a file stays mapped, verified and decoded while the table holds
+// it, and the payload arrays alias its mapping, so scatter-send writes
 // them straight from the page cache (shdf falls back to heap-backed reads
-// where mmap is unavailable). done closes the handle; the caller runs it
-// once the frame borrowing the segments has been written. size is the total
-// payload length; copied counts array bytes that could not be borrowed.
-func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int, copied int64, done func(), err error) {
+// where mmap is unavailable). The returned handle must stay open until the
+// frame borrowing the arrays has been written. On error the handle is
+// closed, and what serveFile appended is the caller's to roll back.
+func (s *Server) serveFile(out *frameEnc, path string, vars []string, fv *fetchVars) (*genx.FileHandle, error) {
 	if path == "" || !filepath.IsLocal(path) || !strings.HasSuffix(path, ".shdf") {
-		return nil, 0, 0, nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}
+		return nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}
 	}
 	h, err := s.reader.Open(filepath.Join(s.opts.Dir, path))
 	if err != nil {
-		return nil, 0, 0, nil, err
+		return nil, err
 	}
-	// Closing releases a table reference, which cannot fail in a way a fetch
-	// could act on.
-	done = func() { _ = h.Close() }
+	served := false
 	defer func() {
-		if segs == nil {
-			done() // read error or decoder panic: nobody else will
+		if !served {
+			_ = h.Close() // read error or decoder panic: nobody else will
 		}
 	}()
-	fp := &FilePayload{Path: path, Time: h.Time, StepID: h.StepID}
-	for _, e := range h.Blocks() {
-		bd, err := h.ReadBlock(e, vars)
-		if err != nil {
-			return nil, 0, 0, nil, err
+	fv.set(vars)
+	blocks := h.Blocks()
+	out.f64(h.Time)
+	out.str(h.StepID)
+	out.u32(uint32(len(blocks)))
+	for _, e := range blocks {
+		if err := fv.block(out, h, e); err != nil {
+			return nil, err
 		}
-		fp.Blocks = append(fp.Blocks, bd)
 	}
-	if segs, copied, err = encodeFilePayloadSegments(fp, maxFrame-2); err != nil {
-		return nil, 0, 0, nil, err
-	}
-	for _, seg := range segs {
-		size += len(seg)
-	}
-	return segs, size, copied, done, nil
+	served = true
+	return h, nil
 }
 
-// serveFetch answers one OpFetch request: every item is fetched through
-// serveFile and appended to a single multi-file response frame. Items fail
-// independently — a missing file yields an error item, not an error frame —
-// and an item that would overflow the frame cap is answered CodeUnavailable
-// so the client asks for it again in a smaller request.
-func (s *Server) serveFetch(reqs []fetchReq) (byte, [][]byte, func()) {
-	var out segEnc
-	out.e.u32(uint32(len(reqs)))
-	var releases []func()
-	var copied int64
+// serveFetch appends the answer to one OpFetch request to cs.out: every
+// item is encoded by serveFile into the one multi-file response frame.
+// Items fail independently — a missing file yields an error item, not an
+// error frame — and an item that would overflow the frame cap is answered
+// CodeUnavailable so the client asks for it again in a smaller request.
+// A failed item is rolled back out of the frame and its handle closed at
+// once; the handles of the items answered go to cs.held.
+func (s *Server) serveFetch(cs *connState, reqs []fetchReq) {
+	out := &cs.out
+	out.u32(uint32(len(reqs)))
 	for _, r := range reqs {
-		segs, size, cp, done, err := s.serveFile(r.path, r.vars)
-		if err != nil {
-			s.countError()
-			s.logf("remote: fetch %s: %v", r.path, err)
-			out.appendFetchItem(nil, 0, &ServerError{Code: errCode(err), Msg: err.Error()})
+		it := out.beginOK()
+		h, err := s.serveFile(out, r.path, r.vars, &cs.vars)
+		if err == nil {
+			size := out.endOK(it)
+			err = frameFits(size, s.frameCap)
+			// Worst-case item preamble: status byte, pad to 4, u32 length,
+			// pad to 8 — 15 bytes.
+			if err == nil && it.start+15+size <= s.frameCap {
+				cs.held = append(cs.held, h)
+				continue
+			}
+			_ = h.Close()
+		}
+		out.rollback(it.at)
+		if err == nil {
+			out.errItem(CodeUnavailable, "fetch frame full")
 			continue
 		}
-		// Worst-case item preamble: status byte, pad to 4, u32 length,
-		// pad to 8 — 15 bytes.
-		if out.base+len(out.e.b)+15+size > maxFrame-2 {
-			done()
-			out.appendFetchItem(nil, 0, &ServerError{Code: CodeUnavailable, Msg: "fetch frame full"})
-			continue
-		}
-		copied += cp
-		out.appendFetchItem(segs, size, nil)
-		releases = append(releases, done)
-	}
-	out.flush()
-	s.mu.Lock()
-	s.stats.BytesCopied += copied
-	s.mu.Unlock()
-	return RespOK, out.segs, func() {
-		for _, f := range releases {
-			f()
-		}
+		s.countError()
+		s.logf("remote: fetch %s: %v", r.path, err)
+		out.errItem(errCode(err), err.Error())
 	}
 }
 

@@ -12,7 +12,9 @@
 #               AllocsPerRun gates re-measure on every run
 #   bench       the repository benchmark's own vet and tests (bench/ is its
 #               own module, so vet/test above never reach it)
-#   benchmem    core query benchmarks, the per-snapshot and per-pass
+#   benchmem    core query benchmarks (one of them converting fresh string
+#               keys to ...any on every query, which the lookup must not
+#               make escape), the per-snapshot and per-pass
 #               vis/render kernels (surface topology into warm scratch, the
 #               gather over it, an isosurface, a slice and a cut appended
 #               into a reused aggregate, cell-to-point and vector magnitudes into
@@ -121,7 +123,7 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkAppendCutPlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkKeyLookupFreshKeys|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkAppendCutPlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
         -benchmem -benchtime 1000x -count=1 \
         ./internal/core ./internal/mesh ./internal/vis ./internal/render ./internal/shdf) || {
         echo "$out"
