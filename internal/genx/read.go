@@ -3,6 +3,8 @@ package genx
 import (
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"godiva/internal/mesh"
 	"godiva/internal/platform"
@@ -81,9 +83,29 @@ func (r *Reader) chargeDecode(n int64) {
 
 // BlockEntry locates one block inside an open snapshot file.
 type BlockEntry struct {
-	Name    string // "block_0001"
-	ID      int    // zero-based block index
-	Members map[string]shdf.ObjectInfo
+	Name string // "block_0001"
+	ID   int    // zero-based block index
+	// Members are the block's datasets sorted by field, one per field: a
+	// window of one array the file's block table shares. Read-only.
+	Members []Member
+}
+
+// Member is one dataset of a block: its field ("coords", "conn", "gids" or
+// a variable) and its object in the file.
+type Member struct {
+	Field string
+	Info  shdf.ObjectInfo
+}
+
+// Lookup returns the block's dataset for field.
+func (e *BlockEntry) Lookup(field string) (shdf.ObjectInfo, bool) {
+	i, ok := slices.BinarySearchFunc(e.Members, field, func(m Member, f string) int {
+		return strings.Compare(m.Field, f)
+	})
+	if !ok {
+		return shdf.ObjectInfo{}, false
+	}
+	return e.Members[i].Info, true
 }
 
 // FileHandle is one open snapshot file plus the read position used to model
@@ -177,7 +199,7 @@ func (h *FileHandle) readSDS(info shdf.ObjectInfo) (*shdf.Dataset, error) {
 // come back flattened x,y,z). Mesh fields: "coords" returns coordinates,
 // "conn" and "gids" are not float fields — use ReadMesh for those.
 func (h *FileHandle) ReadField(e BlockEntry, field string) ([]float64, error) {
-	info, ok := e.Members[field]
+	info, ok := e.Lookup(field)
 	if !ok {
 		return nil, fmt.Errorf("genx: block %s has no field %q", e.Name, field)
 	}
@@ -207,7 +229,7 @@ func (h *FileHandle) ReadMeshInto(e BlockEntry, m *mesh.TetMesh) error {
 	if err != nil {
 		return err
 	}
-	connInfo, ok := e.Members["conn"]
+	connInfo, ok := e.Lookup("conn")
 	if !ok {
 		return fmt.Errorf("genx: block %s has no connectivity", e.Name)
 	}
@@ -218,7 +240,7 @@ func (h *FileHandle) ReadMeshInto(e BlockEntry, m *mesh.TetMesh) error {
 	if conn.Type != shdf.TypeInt32 {
 		return fmt.Errorf("genx: connectivity of %s is %v", e.Name, conn.Type)
 	}
-	gidInfo, ok := e.Members["gids"]
+	gidInfo, ok := e.Lookup("gids")
 	if !ok {
 		return fmt.Errorf("genx: block %s has no global IDs", e.Name)
 	}

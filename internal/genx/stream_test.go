@@ -128,8 +128,8 @@ func TestBlockFieldOrder(t *testing.T) {
 		Elem: map[string][]float64{"s11": nil, "beta": nil, "stress_avg": nil},
 	}
 	want := []string{"displacement", "velocity", "stress_avg", "s11", "beta", "zeta"}
-	if got := blockFieldOrder(bd); !slices.Equal(got, want) {
-		t.Fatalf("blockFieldOrder = %v, want %v", got, want)
+	if got := appendBlockFields(nil, bd); !slices.Equal(got, want) {
+		t.Fatalf("appendBlockFields = %v, want %v", got, want)
 	}
 }
 

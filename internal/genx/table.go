@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -51,33 +53,68 @@ func openSnapshotFile(path string, open func(string) (*shdf.File, error)) (*snap
 	return sf, nil
 }
 
+// decode reads the block table: every vgroup named "block_…", in name
+// order, with its members that name a field ("b0001:coords" is field
+// "coords"). Every block's members live in one array per file, each
+// block's window sorted by field for Lookup; a block naming one field
+// twice keeps the later member. Every vgroup is read, block or not, so a
+// damaged one fails the open.
 func (sf *snapshotFile) decode() error {
 	f := sf.f
-	groups, err := f.VGroups()
-	if err != nil {
-		return err
+	n := f.NumObjects()
+	groups, fields := 0, 0
+	for i := 0; i < n; i++ {
+		o := f.Object(i)
+		switch {
+		case o.Tag == shdf.TagVGroup:
+			groups++
+		case strings.IndexByte(o.Name, ':') >= 0:
+			fields++
+		}
 	}
-	for _, g := range groups {
-		if !strings.HasPrefix(g.Name, "block_") {
+	// A block's window holds its member refs until its infos are resolved.
+	blocks := make([]BlockEntry, 0, groups)
+	members := make([]Member, 0, fields)
+	var refs [64]shdf.Ref
+	for i := 0; i < n; i++ {
+		o := f.Object(i)
+		if o.Tag != shdf.TagVGroup {
 			continue
 		}
-		var id int
-		if _, err := fmt.Sscanf(g.Name, "block_%d", &id); err != nil {
-			return fmt.Errorf("genx: bad block group name %q", g.Name)
+		name, group, err := f.AppendVGroup(refs[:0], o.Ref)
+		if err != nil {
+			return err
 		}
-		e := BlockEntry{Name: g.Name, ID: id - 1, Members: make(map[string]shdf.ObjectInfo)}
-		for _, ref := range g.Members {
-			info, err := f.Info(ref)
+		if !strings.HasPrefix(name, "block_") {
+			continue
+		}
+		start := len(members)
+		for _, ref := range group {
+			members = append(members, Member{Info: shdf.ObjectInfo{Ref: ref}})
+		}
+		blocks = append(blocks, BlockEntry{Name: name, Members: members[start:len(members):len(members)]})
+	}
+	slices.SortStableFunc(blocks, func(a, b BlockEntry) int { return strings.Compare(a.Name, b.Name) })
+	for i := range blocks {
+		e := &blocks[i]
+		id, err := blockNumber(e.Name)
+		if err != nil {
+			return err
+		}
+		e.ID = id - 1
+		kept := e.Members[:0]
+		for _, m := range e.Members {
+			info, err := f.Info(m.Info.Ref)
 			if err != nil {
 				return err
 			}
-			// Member SDS names look like "b0001:coords".
-			if i := strings.IndexByte(info.Name, ':'); i >= 0 {
-				e.Members[info.Name[i+1:]] = info
+			if j := strings.IndexByte(info.Name, ':'); j >= 0 {
+				kept = append(kept, Member{Field: info.Name[j+1:], Info: info})
 			}
 		}
-		sf.blocks = append(sf.blocks, e)
+		e.Members = lastByField(kept)
 	}
+	sf.blocks = blocks
 	if a, err := findAttr(f, "time"); err == nil {
 		sf.time = a.Float
 	}
@@ -85,6 +122,40 @@ func (sf *snapshotFile) decode() error {
 		sf.stepID = a.Str
 	}
 	return nil
+}
+
+// blockNumber parses the number of a block group's name: after "block_"
+// and any blanks, an optionally signed decimal integer, with whatever
+// follows it ignored, as fmt.Sscanf(name, "block_%d") reads it
+// ("block_0001_of_many" is block 1).
+func blockNumber(name string) (int, error) {
+	s := strings.TrimLeft(name[len("block_"):], " \t")
+	end := 0
+	if end < len(s) && (s[end] == '+' || s[end] == '-') {
+		end++
+	}
+	for end < len(s) && '0' <= s[end] && s[end] <= '9' {
+		end++
+	}
+	id, err := strconv.Atoi(s[:end])
+	if err != nil {
+		return 0, fmt.Errorf("genx: bad block group name %q", name)
+	}
+	return id, nil
+}
+
+// lastByField sorts ms by field and drops every member whose field a later
+// one in ms names too, in place.
+func lastByField(ms []Member) []Member {
+	slices.SortStableFunc(ms, func(a, b Member) int { return strings.Compare(a.Field, b.Field) })
+	out := ms[:0]
+	for i, m := range ms {
+		if i+1 < len(ms) && ms[i+1].Field == m.Field {
+			continue
+		}
+		out = append(out, m)
+	}
+	return out[:len(out):len(out)]
 }
 
 func findAttr(f *shdf.File, name string) (*shdf.Attr, error) {

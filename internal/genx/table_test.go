@@ -3,8 +3,12 @@ package genx
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
+
+	"godiva/internal/shdf"
 )
 
 // tinyFiles writes the tiny dataset and returns its four file paths.
@@ -376,5 +380,71 @@ func TestTableChurn(t *testing.T) {
 	}
 	if st := r.Stats(); st.Opens != st.Closes || st.Entries != 0 {
 		t.Fatalf("after Close: %+v, want every opened file closed", st)
+	}
+}
+
+// The block table lists "block_…" groups in name order, whatever order the
+// file holds them in, with each block's members that name a field. A block
+// naming one field twice answers with the later member, and a member whose
+// name has no field (no ':') is not listed.
+func TestBlockTableOrderAndDuplicates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "table.shdf")
+	w, err := shdf.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, v float64) shdf.Ref {
+		t.Helper()
+		ref, err := w.WriteSDS(name, []int{1}, []float64{v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	b2 := write("b0002:coords", 2)
+	first := write("b0001:coords", 1)
+	later := write("b0001:coords", 10)
+	vel := write("b0001:velocity", 3)
+	plain := write("nofield", 4)
+	for _, g := range []struct {
+		name    string
+		members []shdf.Ref
+	}{
+		{"block_0002", []shdf.Ref{b2}},
+		{"block_0001", []shdf.Ref{vel, first, plain, later}},
+		{"other", []shdf.Ref{plain}},
+	} {
+		if _, err := w.WriteVGroup(g.name, g.members); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := (&Reader{Mapped: true}).Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	blocks := h.Blocks()
+	if len(blocks) != 2 || blocks[0].Name != "block_0001" || blocks[0].ID != 0 || blocks[1].Name != "block_0002" || blocks[1].ID != 1 {
+		t.Fatalf("blocks %+v, want block_0001 (ID 0) then block_0002 (ID 1)", blocks)
+	}
+	var fields []string
+	for _, m := range blocks[0].Members {
+		fields = append(fields, m.Field)
+	}
+	if !slices.Equal(fields, []string{"coords", "velocity"}) {
+		t.Fatalf("block_0001 fields %v, want [coords velocity]", fields)
+	}
+	if info, ok := blocks[0].Lookup("coords"); !ok || info.Ref != later {
+		t.Fatalf("Lookup(coords) = %+v, %v; want ref %d, the later member", info, ok, later)
+	}
+	if _, ok := blocks[0].Lookup("nofield"); ok {
+		t.Fatal("a member with no field is listed")
+	}
+	got, err := h.ReadField(blocks[0], "coords")
+	if err != nil || len(got) != 1 || got[0] != 10 {
+		t.Fatalf("ReadField(coords) = %v, %v; want [10]", got, err)
 	}
 }

@@ -86,7 +86,7 @@ type Client struct {
 	done chan struct{} // closed by Close
 
 	mu     sync.Mutex
-	idle   []net.Conn                 // guarded by mu
+	idle   []*clientConn              // guarded by mu
 	subs   map[*Subscription]struct{} // guarded by mu
 	rng    *rand.Rand                 // guarded by mu
 	stats  RemoteStats                // guarded by mu
@@ -133,8 +133,8 @@ func (c *Client) Close() error {
 	}
 	c.mu.Unlock()
 	close(c.done)
-	for _, conn := range idle {
-		conn.Close()
+	for _, cc := range idle {
+		cc.conn.Close()
 	}
 	for _, sub := range subs {
 		sub.Close()
@@ -144,7 +144,7 @@ func (c *Client) Close() error {
 
 // Ping checks the server is reachable and speaking the protocol.
 func (c *Client) Ping() error {
-	_, frame, err := c.rpc(OpPing, nil)
+	_, frame, err := c.rpc(OpPing)
 	putArena(frame)
 	return err
 }
@@ -153,7 +153,7 @@ func (c *Client) Ping() error {
 // files per snapshot, block count and time step (the same subset of
 // genx.Spec that genx.Discover recovers from local files).
 func (c *Client) Spec() (genx.Spec, error) {
-	body, frame, err := c.rpc(OpSpec, nil)
+	body, frame, err := c.rpc(OpSpec)
 	if err != nil {
 		return genx.Spec{}, err
 	}
@@ -166,14 +166,14 @@ func (c *Client) Spec() (genx.Spec, error) {
 // running with ingest enabled. path names the destination file inside the
 // server's snapshot directory (a bare genx snapshot file name); the payload
 // travels as scattered segments borrowing fp's arrays, so large steps are
-// not assembled client-side first. On success the file is durably written
-// on the server and matching subscribers have been notified.
+// not assembled client-side first. A payload over the frame limit fails
+// at once, before a connection is taken. On success the file is durably
+// written on the server and matching subscribers have been notified.
 func (c *Client) Ingest(path string, fp *FilePayload) error {
-	segs, _, err := encodeIngestSegments(path, fp, maxFrame-2)
-	if err != nil {
+	if err := frameFits(ingestSize(path, fp), maxFrame-2); err != nil {
 		return fmt.Errorf("remote: ingest %q: %w", path, err)
 	}
-	_, frame, err := c.rpcSegs(OpIngest, segs)
+	_, frame, err := c.call(OpIngest, &request{path: path, fp: fp})
 	putArena(frame)
 	if err != nil {
 		return fmt.Errorf("remote: ingest %q: %w", path, err)
@@ -195,23 +195,38 @@ func retryable(err error) bool {
 	return true
 }
 
-// rpc performs one request with retries. On success it returns the response
-// payload plus the pooled frame arena backing it; the caller must hand the
-// arena to putArena (or park it under FilePayloads) once the payload is
-// dead.
-func (c *Client) rpc(op byte, body []byte) (resp []byte, frame *frameArena, err error) {
-	var segs [][]byte
-	if len(body) > 0 {
-		segs = [][]byte{body}
-	}
-	return c.rpcSegs(op, segs)
+// request is one RPC's payload, encoded afresh on every attempt into the
+// encoder of the connection that carries it. Array data is borrowed from
+// the caller, who keeps it alive and unchanged until the call returns.
+type request struct {
+	items []*fetchItem // OpFetch: the items to fetch
+	path  string       // OpIngest: the destination, then fp's body
+	fp    *FilePayload
 }
 
-// rpcSegs is rpc with a scattered request payload: segments go to the
-// socket with a vectored write, so bulky ingest bodies borrow the caller's
-// arrays instead of being assembled first. Segments must stay alive and
-// unchanged until rpcSegs returns (they may be re-sent on retry).
-func (c *Client) rpcSegs(op byte, segs [][]byte) (resp []byte, frame *frameArena, err error) {
+// encode appends the request payload to f.
+func (r *request) encode(f *frameEnc) {
+	switch {
+	case r.fp != nil:
+		f.str(r.path)
+		f.filePayload(r.fp)
+	case r.items != nil:
+		f.fetchReq(r.items)
+	}
+}
+
+// rpc performs one request with an empty payload, with retries. On success
+// it returns the response payload plus the pooled frame arena backing it;
+// the caller must hand the arena to putArena (or park it under
+// FilePayloads) once the payload is dead.
+func (c *Client) rpc(op byte) (resp []byte, frame *frameArena, err error) {
+	return c.call(op, &request{})
+}
+
+// call is rpc for any request: retried attempts, each sending req from the
+// encoder of the connection it takes, with a vectored write, so bulky ingest
+// bodies borrow the caller's arrays instead of being assembled first.
+func (c *Client) call(op byte, req *request) (resp []byte, frame *frameArena, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -225,7 +240,7 @@ func (c *Client) rpcSegs(op byte, segs [][]byte) (resp []byte, frame *frameArena
 				return nil, nil, ErrClientClosed
 			}
 		}
-		resp, frame, err := c.attempt(op, segs)
+		resp, frame, err := c.attempt(op, req)
 		if err == nil {
 			return resp, frame, nil
 		}
@@ -255,35 +270,45 @@ func (c *Client) backoffLocked(attempt int) time.Duration {
 	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
 }
 
-// attempt performs one wire round-trip on a pooled connection. The response
-// payload is read into a pooled frame arena, returned to the caller on
-// success (see rpc) and back to the pool on every failure path.
-func (c *Client) attempt(op byte, segs [][]byte) ([]byte, *frameArena, error) {
+// attempt performs one wire round-trip on a pooled connection, encoding
+// req into the connection's encoder. The response payload is read into a
+// pooled frame arena, returned to the caller on success (see rpc) and back
+// to the pool on every failure path.
+func (c *Client) attempt(op byte, req *request) ([]byte, *frameArena, error) {
 	start := time.Now()
 	c.mu.Lock()
 	c.stats.RPCs++
 	c.mu.Unlock()
-	conn, err := c.getConn()
+	cc, err := c.getConn()
 	if err != nil {
 		return nil, nil, err
 	}
+	enc := &cc.req
+	enc.reset()
+	req.encode(enc)
 	deadline := start.Add(c.opts.RequestTimeout)
-	conn.SetDeadline(deadline)
-	rop, frame, rbody, err := func() (byte, *frameArena, []byte, error) {
-		if err := writeFrameBuffers(conn, op, segs); err != nil {
-			return 0, nil, nil, err
-		}
-		return readFramePooled(conn)
-	}()
+	cc.conn.SetDeadline(deadline)
+	_, err = enc.writeTo(cc.conn, op)
+	// Drop the borrowed segments: the caller's arrays are not the
+	// connection's to keep alive.
+	enc.reset()
+	var (
+		rop   byte
+		frame *frameArena
+		rbody []byte
+	)
+	if err == nil {
+		rop, frame, rbody, err = readFramePooled(cc.conn)
+	}
 	if err != nil {
 		// The connection is in an unknown state (possibly mid-frame): drop
 		// it rather than return it to the pool.
-		conn.Close()
+		cc.conn.Close()
 		c.releaseSlot()
 		return nil, nil, err
 	}
-	conn.SetDeadline(time.Time{})
-	c.putConn(conn)
+	cc.conn.SetDeadline(time.Time{})
+	c.putConn(cc)
 	if rop == RespErr {
 		serr := decodeErr(rbody)
 		putArena(frame)
@@ -300,10 +325,20 @@ func (c *Client) attempt(op byte, segs [][]byte) ([]byte, *frameArena, error) {
 	return rbody, frame, nil
 }
 
+// clientConn is a pooled connection and the encoder its requests are built
+// in, which keeps its memory from one request to the next. The connection
+// is a field, not embedded, so that frames are written to the net.Conn
+// itself: net.Buffers makes one writev only for a writer it knows, and
+// writes a wrapper one segment at a time.
+type clientConn struct {
+	conn net.Conn
+	req  frameEnc
+}
+
 // getConn acquires a pool slot and returns an idle or freshly dialed
 // connection. Every successful getConn must be paired with putConn or
 // releaseSlot.
-func (c *Client) getConn() (net.Conn, error) {
+func (c *Client) getConn() (*clientConn, error) {
 	select {
 	case c.sem <- struct{}{}:
 	case <-c.done:
@@ -316,10 +351,11 @@ func (c *Client) getConn() (net.Conn, error) {
 		return nil, ErrClientClosed
 	}
 	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
+		cc := c.idle[n-1]
+		c.idle[n-1] = nil
 		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
-		return conn, nil
+		return cc, nil
 	}
 	c.mu.Unlock()
 	conn, err := net.DialTimeout("tcp", c.opts.Addr, c.opts.DialTimeout)
@@ -327,19 +363,19 @@ func (c *Client) getConn() (net.Conn, error) {
 		c.releaseSlot()
 		return nil, err
 	}
-	return conn, nil
+	return &clientConn{conn: conn}, nil
 }
 
 // putConn returns a healthy connection to the idle pool.
-func (c *Client) putConn(conn net.Conn) {
+func (c *Client) putConn(cc *clientConn) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		conn.Close()
+		cc.conn.Close()
 		c.releaseSlot()
 		return
 	}
-	c.idle = append(c.idle, conn)
+	c.idle = append(c.idle, cc)
 	c.mu.Unlock()
 	c.releaseSlot()
 }
@@ -350,8 +386,8 @@ func (c *Client) dropIdle() {
 	idle := c.idle
 	c.idle = nil
 	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
+	for _, cc := range idle {
+		cc.conn.Close()
 	}
 }
 

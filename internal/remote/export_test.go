@@ -31,8 +31,8 @@ func LocalPayload(t testing.TB, dir, path string, vars []string) *FilePayload {
 
 // RPC exposes the client's retrying round trip to the external tests, which
 // need it to send ops no Client method sends.
-func (c *Client) RPC(op byte, body []byte) error {
-	_, frame, err := c.rpc(op, body)
+func (c *Client) RPC(op byte) error {
+	_, frame, err := c.rpc(op)
 	putArena(frame)
 	return err
 }

@@ -37,9 +37,8 @@ type fetchReq struct {
 	vars []string
 }
 
-// encodeFetchReq serializes an OpFetch request.
-func encodeFetchReq(items []*fetchItem) []byte {
-	var e enc
+// fetchReq appends an OpFetch request.
+func (e *enc) fetchReq(items []*fetchItem) {
 	e.u16(uint16(len(items)))
 	for _, it := range items {
 		e.str(it.path)
@@ -48,7 +47,6 @@ func encodeFetchReq(items []*fetchItem) []byte {
 			e.str(v)
 		}
 	}
-	return e.b
 }
 
 // decodeFetchReq parses an OpFetch request.
@@ -157,7 +155,7 @@ func decodeFetchResp(body []byte, stock *blockStock) (results []fetchResult, cop
 			break
 		}
 		sub := dec{b: raw, stock: stock}
-		fp := sub.filePayload()
+		fp := sub.filePayload(nil)
 		if sub.err != nil {
 			return nil, 0, fmt.Errorf("%w: fetch item %d: %v", ErrProtocol, i, sub.err)
 		}
@@ -262,7 +260,7 @@ func (c *Client) fetchItems(items []*fetchItem) {
 			*it.err = fmt.Errorf("remote: fetch %q: %w", it.path, err)
 		}
 	}
-	body, arena, err := c.rpc(OpFetch, encodeFetchReq(items))
+	body, arena, err := c.call(OpFetch, &request{items: items})
 	if err != nil {
 		fail(items, err)
 		return

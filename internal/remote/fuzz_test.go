@@ -19,7 +19,7 @@ import (
 // FilePayload body, the way decodeFetchResp does for each ok item.
 func decodeBody(b []byte) (fp *FilePayload, copied int64, err error) {
 	d := dec{b: b}
-	fp = d.filePayload()
+	fp = d.filePayload(nil)
 	return fp, d.copied, d.err
 }
 

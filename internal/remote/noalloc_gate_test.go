@@ -73,7 +73,7 @@ func payloadBytes(fp *FilePayload) int {
 	n := 0
 	for _, bd := range fp.Blocks {
 		m := bd.Mesh
-		n += 8*len(m.Coords) + 4*len(m.Tets) + 4*len(m.GlobalNode)
+		n += 8*len(m.Coords) + 4*len(m.Tets) + 8*len(m.GlobalNode)
 		for _, v := range bd.Node {
 			n += 8 * len(v)
 		}
@@ -85,9 +85,15 @@ func payloadBytes(fp *FilePayload) int {
 }
 
 // An ingest's arrays go from the request frame, read into the connection's
-// reused buffer, straight to the snapshot file: client and server together
-// allocate less than the payload per ingest, where a fresh request frame
-// plus a re-encoded copy of every array cost 5.4 times it.
+// reused buffer, straight to the snapshot file: the client encodes the
+// request in its connection's encoder, and the server decodes it into its
+// connection's blocks and writes the file through its connection's SHDF
+// writer. Once both connections are warm, client and server together
+// allocate less than 1/20 of the payload per ingest of one D1h file
+// (390,720 bytes): about 880 bytes on amd64, the file's os.File and path
+// strings. A fresh encoder per call, fresh decode maps and a fresh SHDF
+// writer per file (its 64 KiB buffer, directory and names) allocated
+// 217,700 bytes here, measured the same way.
 func TestIngestAllocBound(t *testing.T) {
 	srv, err := Serve(ServerOptions{Dir: t.TempDir(), Ingest: true})
 	if err != nil {
@@ -112,9 +118,9 @@ func TestIngestAllocBound(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := int(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%d-byte payload: %d bytes allocated per ingest (%.2f×)", size, per, float64(per)/float64(size))
-	if per >= size {
-		t.Fatalf("an ingest of a %d-byte payload allocates %d bytes, want less than the payload", size, per)
+	t.Logf("%d-byte payload: %d bytes allocated per ingest (1/%.0f)", size, per, float64(size)/float64(per))
+	if per*20 >= size {
+		t.Fatalf("an ingest of a %d-byte payload allocates %d bytes, want less than 1/20 of it", size, per)
 	}
 }
 

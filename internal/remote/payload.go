@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"sync/atomic"
@@ -276,6 +277,58 @@ func frameFits(size, limit int) error {
 	return nil
 }
 
+// ingestSize returns the payload size of an OpIngest request, byte for
+// byte what the encoder's str(path) and filePayload(fp) append, without
+// encoding it.
+func ingestSize(path string, fp *FilePayload) int {
+	n := strSize(path) + 8 + strSize(fp.StepID) + 4
+	for _, bd := range fp.Blocks {
+		n += 4 + strSize(bd.Name)
+		n = arrayEnd(n, 8, len(bd.Mesh.Coords))
+		n = arrayEnd(n, 4, len(bd.Mesh.Tets))
+		n = arrayEnd(n, 8, len(bd.Mesh.GlobalNode))
+		n = fieldMapEnd(n, bd.Node)
+		n = fieldMapEnd(n, bd.Elem)
+	}
+	return n
+}
+
+// strSize is the encoded size of s: u16 length, then at most MaxUint16
+// bytes.
+func strSize(s string) int { return 2 + min(len(s), math.MaxUint16) }
+
+// arrayEnd returns the payload offset after an array of count elements of
+// size bytes encoded at offset n: u32 count, pad to 8, elements.
+func arrayEnd(n, size, count int) int {
+	n += 4
+	n += -n & 7
+	return n + size*count
+}
+
+// fieldMapEnd returns the payload offset after m's field list encoded at
+// offset n. Fields go in name order, but only the first one's pad depends
+// on where it starts: every later field starts 8-aligned, after an f64
+// array.
+func fieldMapEnd(n int, m map[string][]float64) int {
+	n += 2
+	first, ok := "", false
+	for name := range m {
+		if !ok || name < first {
+			first, ok = name, true
+		}
+	}
+	if !ok {
+		return n
+	}
+	n = arrayEnd(n+strSize(first), 8, len(m[first]))
+	for name, v := range m {
+		if name != first {
+			n = arrayEnd(n+strSize(name), 8, len(v))
+		}
+	}
+	return n
+}
+
 // filePayload appends fp's body to the payload under construction. The
 // layout is position-independent — alignment pads are computed from the
 // running payload offset — so the same body can follow a prefix (OpIngest
@@ -310,13 +363,19 @@ func (f *frameEnc) fieldMap(m map[string][]float64) {
 }
 
 // filePayload decodes a FilePayload body starting at the decoder's current
-// offset (the inverse of frameEnc.filePayload). Its blocks come from
-// d.stock, or from a stock of their own when the decoder has none.
-func (d *dec) filePayload() *FilePayload {
+// offset (the inverse of frameEnc.filePayload) into fp, or into a new
+// payload when fp is nil. Its blocks come from d.stock, or from a stock of
+// their own when the decoder has none.
+func (d *dec) filePayload(fp *FilePayload) *FilePayload {
 	if d.stock == nil {
 		d.stock = new(blockStock)
 	}
-	fp := &FilePayload{Time: d.f64(), StepID: d.str()}
+	if fp == nil {
+		fp = new(FilePayload)
+	}
+	stepID := fp.StepID
+	*fp = FilePayload{Time: d.f64()}
+	fp.StepID = d.reuseStr(stepID)
 	first := d.stock.used
 	nblocks := int(d.u32())
 	for i := 0; i < nblocks && d.err == nil; i++ {

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"sync"
 	"unsafe"
 
@@ -207,33 +206,6 @@ func writeFrame(w io.Writer, op byte, body []byte) error {
 		return err
 	}
 	_, err := w.Write(body)
-	return err
-}
-
-// writeFrameBuffers writes one frame whose payload is scattered across
-// segments, using a vectored write (net.Buffers, writev on TCP) so borrowed
-// segments — mmap'd dataset payloads, field arrays — reach the socket
-// without first being assembled into one contiguous response buffer.
-func writeFrameBuffers(w io.Writer, op byte, segs [][]byte) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	if total > maxFrame-2 {
-		return fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, total)
-	}
-	hdr := make([]byte, 6)
-	binary.LittleEndian.PutUint32(hdr, uint32(2+total))
-	hdr[4] = protoVersion
-	hdr[5] = op
-	bufs := make(net.Buffers, 0, len(segs)+1)
-	bufs = append(bufs, hdr)
-	for _, s := range segs {
-		if len(s) > 0 {
-			bufs = append(bufs, s)
-		}
-	}
-	_, err := bufs.WriteTo(w)
 	return err
 }
 

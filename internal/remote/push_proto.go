@@ -95,30 +95,16 @@ func decodeEvent(body []byte) (push.Event, error) {
 	return ev, nil
 }
 
-// encodeIngestSegments serializes an OpIngest request as scattered frame
-// segments: the destination path, then the standard FilePayload body (whose
-// alignment pads adapt to the path prefix — see frameEnc.filePayload). Array
-// segments alias fp's slices; the caller must keep them alive until the
-// frame is written. limit bounds the total payload size.
-func encodeIngestSegments(path string, fp *FilePayload, limit int) (segs [][]byte, copied int64, err error) {
-	var f frameEnc
-	f.reset()
-	f.str(path)
-	f.filePayload(fp)
-	if err := frameFits(f.off(), limit); err != nil {
-		return nil, 0, err
-	}
-	return f.payload(), f.copied, nil
-}
-
-// decodeIngestReq parses an OpIngest request.
-func decodeIngestReq(body []byte) (path string, fp *FilePayload, copied int64, err error) {
-	d := dec{b: body}
-	path = d.str()
-	fp = d.filePayload()
+// decodeIngestReq parses an OpIngest request into fp, whose blocks come
+// from stock, refilled from its first block.
+func decodeIngestReq(body []byte, stock *blockStock, fp *FilePayload) error {
+	stock.used = 0
+	d := dec{b: body, stock: stock}
+	path := d.str()
+	d.filePayload(fp)
 	if d.err != nil {
-		return "", nil, 0, fmt.Errorf("%w: ingest request: %v", ErrProtocol, d.err)
+		return fmt.Errorf("%w: ingest request: %v", ErrProtocol, d.err)
 	}
 	fp.Path = path
-	return path, fp, d.copied, nil
+	return nil
 }

@@ -481,7 +481,7 @@ func TestBadRequests(t *testing.T) {
 	}
 	// The retired one-file fetch op is an unknown op like any other.
 	var se *remote.ServerError
-	if err := c.RPC(0x03, nil); !errors.As(err, &se) || se.Code != remote.CodeBadRequest ||
+	if err := c.RPC(0x03); !errors.As(err, &se) || se.Code != remote.CodeBadRequest ||
 		!strings.Contains(se.Msg, "unknown op") {
 		t.Fatalf("op 0x03 = %v, want CodeBadRequest (unknown op)", err)
 	}

@@ -246,7 +246,7 @@ func TestPayloadCacheInvalidatePinned(t *testing.T) {
 			bd.Mesh.Coords[i] += 1000
 		}
 	}
-	if err := srv.ingest(p, fp); err != nil {
+	if err := srv.ingest(new(genx.FileWriter), p, fp); err != nil {
 		t.Fatal(err)
 	}
 	fresh, done := serve(t, srv, p)
@@ -301,7 +301,7 @@ func TestReaderLedger(t *testing.T) {
 	p := paths[0]
 	segs, done := serve(t, srv, p)
 	before := srv.Stats()
-	if err := srv.ingest(p, LocalPayload(t, dir, p, ledgerVars)); err != nil {
+	if err := srv.ingest(new(genx.FileWriter), p, LocalPayload(t, dir, p, ledgerVars)); err != nil {
 		t.Fatal(err)
 	}
 	touch(segs)
@@ -397,6 +397,7 @@ func TestPayloadCacheChurn(t *testing.T) {
 	stop, overwritten := make(chan struct{}), make(chan int)
 	go func() {
 		rng := rand.New(rand.NewSource(99))
+		var fw genx.FileWriter
 		n := 0
 		for {
 			select {
@@ -406,7 +407,7 @@ func TestPayloadCacheChurn(t *testing.T) {
 			default:
 			}
 			k := rng.Intn(len(paths))
-			if err := srv.ingest(paths[k], replacements[k]); err != nil {
+			if err := srv.ingest(&fw, paths[k], replacements[k]); err != nil {
 				t.Error(err)
 			}
 			n++

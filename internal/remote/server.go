@@ -232,13 +232,19 @@ func (s *Server) acceptLoop() {
 // connState is what one connection keeps across its requests. Each request
 // frame is read into req, handled, and answered from out before the next
 // read reuses either, so the arrays an ingest decodes in place (and writes
-// to its file) and the segments of the last response are dead by then. Both
-// grow only for a frame larger than any before, and go with the connection.
+// to its file) and the segments of the last response are dead by then. An
+// ingest decodes into stock's blocks and ingest's payload and writes its
+// file through writer, all of which the next ingest refills. Every buffer
+// grows only for a frame larger than any before, and goes with the
+// connection.
 type connState struct {
-	req  []byte
-	out  frameEnc
-	held []*genx.FileHandle // mapped files out's segments borrow, closed once it is written
-	vars fetchVars
+	req    []byte
+	out    frameEnc
+	held   []*genx.FileHandle // mapped files out's segments borrow, closed once it is written
+	vars   fetchVars
+	stock  blockStock      // the blocks of the last ingest request
+	ingest FilePayload     // the last ingest request's payload
+	writer genx.FileWriter // writes ingested snapshot files
 }
 
 // release closes the handles the last response borrowed from. Closing
@@ -306,6 +312,7 @@ func (s *Server) handleRequest(op byte, body []byte, cs *connState) (rop byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("remote: panic serving op %#02x: %v", op, r)
+			s.countError()
 			cs.release()
 			cs.out.reset()
 			cs.out.errBody(CodeInternal, fmt.Sprintf("panic: %v", r))
@@ -330,12 +337,12 @@ func (s *Server) handleRequest(op byte, body []byte, cs *connState) (rop byte) {
 		if !s.opts.Ingest {
 			return fail(CodeBadRequest, "ingest is disabled on this server")
 		}
-		path, fp, _, err := decodeIngestReq(body)
-		if err != nil {
+		fp := &cs.ingest
+		if err := decodeIngestReq(body, &cs.stock, fp); err != nil {
 			return fail(CodeBadRequest, err.Error())
 		}
-		if err := s.ingest(path, fp); err != nil {
-			s.logf("remote: ingest %s: %v", path, err)
+		if err := s.ingest(&cs.writer, fp.Path, fp); err != nil {
+			s.logf("remote: ingest %s: %v", fp.Path, err)
 			return fail(errCode(err), err.Error())
 		}
 		return RespOK
@@ -518,23 +525,23 @@ func (s *Server) serveFetch(cs *connState, reqs []fetchReq) {
 }
 
 // ingest validates and lands one pushed snapshot file, then publishes the
-// arrival to the subscription registry. The payload goes through the same
-// shdf writer path WriteDataset uses (into a temp file, renamed into place,
-// so a crashed producer never leaves a torn snapshot visible) and the served
-// spec grows to cover the new step. An overwritten path needs no
+// arrival to the subscription registry. The payload goes through fw, the
+// connection's writer, on the path WriteDataset uses (into a temp file,
+// renamed into place, so a crashed producer never leaves a torn snapshot
+// visible) and the served spec grows to cover the new step. An overwritten path needs no
 // invalidation: the reader's table checks file identity on every Open and
 // keeps a replaced mapping alive until its last handle closes. Publish
 // blocks while a lossless (Block) subscriber's queue is full — that
 // backpressure is the point: the producer's RespOK is withheld until every
 // lossless consumer has room.
-func (s *Server) ingest(path string, fp *FilePayload) error {
+func (s *Server) ingest(fw *genx.FileWriter, path string, fp *FilePayload) error {
 	step, file, ok := genx.ParseSnapshotFile(path)
 	if !ok || !filepath.IsLocal(path) {
 		return &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad ingest path %q", path)}
 	}
 	dst := filepath.Join(s.opts.Dir, path)
 	tmp := dst + ".ingest"
-	if err := genx.WriteBlockDataFile(tmp, fp.Time, step, fp.StepID, fp.Blocks); err != nil {
+	if err := fw.Write(tmp, fp.Time, step, fp.StepID, fp.Blocks); err != nil {
 		os.Remove(tmp)
 		return err
 	}

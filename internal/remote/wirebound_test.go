@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// encodeFetchReq serializes an OpFetch request as a contiguous body.
+func encodeFetchReq(items []*fetchItem) []byte {
+	var e enc
+	e.fetchReq(items)
+	return e.b
+}
+
 // TestBatchReqRoundTrip encodes and decodes a fetch request at a realistic
 // size and checks every field survives.
 func TestBatchReqRoundTrip(t *testing.T) {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 	"unsafe"
 
 	"godiva/internal/core"
@@ -275,6 +277,62 @@ func TestEncodeFrameLimit(t *testing.T) {
 		t.Fatalf("encode over limit: %v, want ErrFrameTooLarge", err)
 	} else if errCode(err) != CodeInternal {
 		t.Fatalf("errCode(ErrFrameTooLarge) = %d, want CodeInternal", errCode(err))
+	}
+}
+
+// ingestSize is the size the encoder builds, whatever the path's length
+// does to the alignment pads, and whatever the order of a block's field
+// names in its maps.
+func TestIngestSizeMatchesEncoder(t *testing.T) {
+	dir, paths := ledgerDataset(t, 1)
+	many := samplePayload()
+	for i, bd := range many.Blocks {
+		for j, name := range []string{"zz", "a", "temperature", "bcd", "pressure_x"} {
+			n := 2*i + j + 1
+			bd.Node[name] = make([]float64, n)
+			bd.Elem[name+"_"] = make([]float64, n+1)
+		}
+	}
+	payloads := []*FilePayload{samplePayload(), many, LocalPayload(t, dir, paths[0], ledgerVars), {StepID: "x"}}
+	var f frameEnc
+	for _, fp := range payloads {
+		for n := 0; n < 9; n++ {
+			path := "genx_t0001_0.shdf"[:n]
+			f.reset()
+			f.str(path)
+			f.filePayload(fp)
+			if got, want := ingestSize(path, fp), f.off(); got != want {
+				t.Fatalf("ingestSize(%q, %d blocks) = %d, encoder built %d", path, len(fp.Blocks), got, want)
+			}
+		}
+	}
+}
+
+// An ingest over the frame limit fails at once with ErrFrameTooLarge,
+// before it takes a connection: against an address nobody listens on it
+// neither dials nor retries.
+func TestIngestOverFrameLimitFailsBeforeDialing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	c := NewClient(ClientOptions{Addr: addr, MaxRetries: 3, RetryBase: time.Millisecond, RetryMax: time.Millisecond})
+	defer c.Close()
+
+	// Blocks sharing one 8 MiB array make a payload past the 1 GiB limit.
+	coords := make([]float64, 1<<20)
+	fp := &FilePayload{StepID: "0.000025"}
+	for i := 0; 8*len(coords)*i <= maxFrame; i++ {
+		fp.Blocks = append(fp.Blocks, &genx.BlockData{ID: i, Name: genx.BlockID(i), Mesh: &mesh.TetMesh{Coords: coords}})
+	}
+	err = c.Ingest("genx_t0001_0.shdf", fp)
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("Ingest of %d bytes = %v, want ErrFrameTooLarge", ingestSize("genx_t0001_0.shdf", fp), err)
+	}
+	if st := c.Stats(); st.RPCs != 0 || st.Retries != 0 {
+		t.Fatalf("refused ingest counted %d RPCs and %d retries, want none", st.RPCs, st.Retries)
 	}
 }
 

@@ -29,9 +29,28 @@ func TestNoAllocGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	unknown := grp + 1
+	shuffled := withRefs(t, threeSDS(t), 3, 1, 2)
+	g, err := NewFile(bytes.NewReader(shuffled), int64(len(shuffled)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var p []byte
 	var ds *Dataset
 	noalloctest.Check(t, ".", map[string]func(){
+		"File.lookup": func() {
+			if i, ok := f.lookup(sds); !ok || f.entries[i].ref != sds {
+				panic("writer's ref not found")
+			}
+			if _, ok := f.lookup(unknown); ok {
+				panic("unknown ref found")
+			}
+			if i, ok := g.lookup(3); !ok || i != 0 {
+				panic("shuffled ref 3 not at entry 0")
+			}
+			if _, ok := g.lookup(4); ok {
+				panic("shuffled directory has ref 4")
+			}
+		},
 		"File.cachedPayload": func() {
 			if _, e, _, ok := f.cachedPayload(unknown); ok || e != nil {
 				panic("unknown ref has an entry")

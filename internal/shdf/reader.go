@@ -2,6 +2,7 @@ package shdf
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -28,8 +29,11 @@ type File struct {
 	f       *os.File    // non-nil when opened by path and read through ReadAt
 	stat    os.FileInfo // the opened file's identity; nil for NewFile
 	size    int64
-	entries []dirEntry
-	byRef   map[Ref]int
+	entries []dirEntry // in directory order; names are substrings of one string
+	// byRef lists entry positions sorted by ref, for a directory whose refs
+	// are not 1..n in order; nil for the writer's directories, whose ref r
+	// is entries[r-1].
+	byRef []int
 
 	mapping []byte     // non-nil when opened by OpenMapped and mmap succeeded
 	mu      sync.Mutex // guards entries' payload/verified/ds memoization
@@ -87,12 +91,12 @@ func OpenMapped(path string) (*File, error) {
 		munmapFile(m)
 		return nil, err
 	}
-	f, err := NewFile(bytes.NewReader(m), st.Size())
+	f, err := newFile(bytes.NewReader(m), st.Size(), m)
 	if err != nil {
 		munmapFile(m)
 		return nil, err
 	}
-	f.mapping, f.stat = m, st
+	f.stat = st
 	return f, nil
 }
 
@@ -120,10 +124,16 @@ func (f *File) Checksums() int {
 
 // NewFile opens an SHDF image held by an io.ReaderAt of the given size.
 func NewFile(r io.ReaderAt, size int64) (*File, error) {
+	return newFile(r, size, nil)
+}
+
+// newFile opens an SHDF image of the given size read through r, or sliced
+// straight out of mapping when that is non-nil (r then reads the mapping).
+func newFile(r io.ReaderAt, size int64, mapping []byte) (*File, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("%w: negative size", ErrNotSHDF)
 	}
-	f := &File{r: r, size: size, byRef: make(map[Ref]int)}
+	f := &File{r: r, size: size, mapping: mapping}
 	if err := f.readHeader(); err != nil {
 		return nil, err
 	}
@@ -162,9 +172,25 @@ func (f *File) Close() error {
 	return err
 }
 
+// bytesAt returns the n bytes at off: a subslice of the mapping, or read
+// into a new buffer.
+func (f *File) bytesAt(n int, off int64) ([]byte, error) {
+	if f.mapping != nil {
+		if off < 0 || int64(n) > int64(len(f.mapping))-off {
+			return nil, io.ErrUnexpectedEOF
+		}
+		return f.mapping[off : off+int64(n)], nil
+	}
+	b := make([]byte, n)
+	if _, err := f.r.ReadAt(b, off); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 func (f *File) readHeader() error {
-	hdr := make([]byte, len(magic)+4)
-	if _, err := f.r.ReadAt(hdr, 0); err != nil {
+	hdr, err := f.bytesAt(len(magic)+4, 0)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNotSHDF, err)
 	}
 	if string(hdr[:len(magic)]) != magic {
@@ -176,13 +202,23 @@ func (f *File) readHeader() error {
 	return nil
 }
 
+// entryMin is a directory entry's size before its name: tag, ref, offset,
+// length, crc and name length.
+const entryMin = 2 + 4 + 8 + 8 + 4 + 2
+
+// readDirectory decodes the directory into entries, sized once from the
+// footer's count. A count the directory's bytes cannot hold is corrupt and
+// refused before anything is sized from it. Every name is a substring of
+// one string copied from the directory bytes, so the names cost one
+// allocation, and unless the refs are the writer's 1..n a sorted index
+// (byRef) stands in for a map from ref to entry.
 func (f *File) readDirectory() error {
 	const footerLen = 8 + 4 + 4
 	if f.size < int64(len(magic)+4+footerLen) {
 		return fmt.Errorf("%w: truncated", ErrCorrupt)
 	}
-	ftr := make([]byte, footerLen)
-	if _, err := f.r.ReadAt(ftr, f.size-footerLen); err != nil {
+	ftr, err := f.bytesAt(footerLen, f.size-footerLen)
+	if err != nil {
 		return fmt.Errorf("%w: footer: %v", ErrCorrupt, err)
 	}
 	if string(ftr[12:]) != footerMagic {
@@ -193,32 +229,75 @@ func (f *File) readDirectory() error {
 	if dirOffset > uint64(f.size-footerLen) {
 		return fmt.Errorf("%w: directory offset out of range", ErrCorrupt)
 	}
-	dirBytes := make([]byte, f.size-footerLen-int64(dirOffset))
-	if _, err := f.r.ReadAt(dirBytes, int64(dirOffset)); err != nil {
+	dirBytes, err := f.bytesAt(int(f.size-footerLen-int64(dirOffset)), int64(dirOffset))
+	if err != nil {
 		return fmt.Errorf("%w: directory: %v", ErrCorrupt, err)
 	}
+	if uint64(count) > uint64(len(dirBytes)/entryMin) {
+		return fmt.Errorf("%w: %d directory entries in %d bytes", ErrCorrupt, count, len(dirBytes))
+	}
+	dir := string(dirBytes)
+	f.entries = make([]dirEntry, count)
+	inOrder := true
 	d := decoder{buf: dirBytes}
-	for i := uint32(0); i < count; i++ {
-		var e dirEntry
+	for i := range f.entries {
+		e := &f.entries[i]
 		e.tag = Tag(d.u16())
 		e.ref = Ref(d.u32())
 		e.offset = d.u64()
 		e.length = d.u64()
 		e.crc = d.u32()
-		e.name = string(d.bytes(int(d.u16())))
-		if d.err != nil {
+		n := int(d.u16())
+		at := d.off
+		if d.bytes(n); d.err != nil {
 			return fmt.Errorf("%w: directory entry %d", ErrCorrupt, i)
 		}
+		e.name = dir[at : at+n]
 		// Bounds-check without uint64 wraparound: an entry whose offset or
 		// length was corrupted to a huge value must not pass as in-range
 		// (offset+length can wrap) nor reach make([]byte, length).
 		if e.length > dirOffset || e.offset > dirOffset-e.length {
 			return fmt.Errorf("%w: object %q extends past directory", ErrCorrupt, e.name)
 		}
-		f.byRef[e.ref] = len(f.entries)
-		f.entries = append(f.entries, e)
+		inOrder = inOrder && e.ref == Ref(i+1)
+	}
+	if !inOrder {
+		f.byRef = make([]int, len(f.entries))
+		for i := range f.byRef {
+			f.byRef[i] = i
+		}
+		// Stable: of the entries sharing a ref, the last in directory order
+		// is the last in byRef, which lookup answers with.
+		slices.SortStableFunc(f.byRef, func(a, b int) int {
+			return cmp.Compare(f.entries[a].ref, f.entries[b].ref)
+		})
 	}
 	return nil
+}
+
+// lookup returns the position of the last directory entry with ref.
+//
+//godiva:noalloc
+func (f *File) lookup(ref Ref) (int, bool) {
+	if f.byRef == nil {
+		i := int(ref) - 1
+		return i, i >= 0 && i < len(f.entries)
+	}
+	// The first position in byRef whose ref is past ref follows the last
+	// entry with it.
+	lo, hi := 0, len(f.byRef)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.entries[f.byRef[mid]].ref <= ref {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 || f.entries[f.byRef[lo-1]].ref != ref {
+		return 0, false
+	}
+	return f.byRef[lo-1], true
 }
 
 // decoder walks a byte slice, remembering the first error.
@@ -309,9 +388,15 @@ func (f *File) Datasets() []ObjectInfo {
 	return out
 }
 
+// NumObjects returns how many objects the directory lists.
+func (f *File) NumObjects() int { return len(f.entries) }
+
+// Object returns the i'th object in directory order, 0 ≤ i < NumObjects.
+func (f *File) Object(i int) ObjectInfo { return f.entries[i].info() }
+
 // Info returns the directory entry for a ref.
 func (f *File) Info(ref Ref) (ObjectInfo, error) {
-	i, ok := f.byRef[ref]
+	i, ok := f.lookup(ref)
 	if !ok {
 		return ObjectInfo{}, fmt.Errorf("%w: ref %d", ErrNoObject, ref)
 	}
@@ -341,7 +426,7 @@ func (closedReaderAt) ReadAt([]byte, int64) (int, error) { return 0, os.ErrClose
 //godiva:noalloc
 func (f *File) cachedPayload(ref Ref) ([]byte, *dirEntry, *Dataset, bool) {
 	f.mu.Lock()
-	i, ok := f.byRef[ref]
+	i, ok := f.lookup(ref)
 	if !ok {
 		f.mu.Unlock()
 		return nil, nil, nil, false
@@ -372,7 +457,7 @@ func (f *File) payloadFor(ref Ref) ([]byte, *dirEntry, *Dataset, error) {
 func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	i, ok := f.byRef[ref]
+	i, ok := f.lookup(ref)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: ref %d", ErrNoObject, ref)
 	}
@@ -569,31 +654,45 @@ type VGroup struct {
 
 // ReadVGroup reads and decodes the vgroup with the given ref.
 func (f *File) ReadVGroup(ref Ref) (*VGroup, error) {
-	buf, e, _, err := f.payloadFor(ref)
+	name, members, err := f.AppendVGroup(nil, ref)
 	if err != nil {
 		return nil, err
 	}
+	return &VGroup{Name: name, Members: members}, nil
+}
+
+// AppendVGroup reads the vgroup with the given ref as ReadVGroup does,
+// appending its members to dst: a caller that reads many groups into one
+// list allocates none for them.
+func (f *File) AppendVGroup(dst []Ref, ref Ref) (name string, members []Ref, err error) {
+	buf, e, _, err := f.payloadFor(ref)
+	if err != nil {
+		return "", dst, err
+	}
 	if e.tag != TagVGroup {
-		return nil, fmt.Errorf("%w: ref %d is a %v, not a vgroup", ErrNoObject, ref, e.tag)
+		return "", dst, fmt.Errorf("%w: ref %d is a %v, not a vgroup", ErrNoObject, ref, e.tag)
 	}
 	d := decoder{buf: buf}
 	count := int(d.u32())
 	// The member list must actually fit in the payload; checking before the
-	// make() keeps a corrupt count from allocating gigabytes.
+	// append keeps a corrupt count from allocating gigabytes.
 	if count < 0 || count > 1<<24 || count > (len(buf)-4)/4 {
-		return nil, fmt.Errorf("%w: vgroup %q count", ErrCorrupt, e.name)
+		return "", dst, fmt.Errorf("%w: vgroup %q count", ErrCorrupt, e.name)
 	}
 	raw := d.bytes(4 * count)
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: vgroup %q", ErrCorrupt, e.name)
+		return "", dst, fmt.Errorf("%w: vgroup %q", ErrCorrupt, e.name)
 	}
-	// Members outlives the payload, which may be a read-only mapping, so a
-	// view of it is copied.
-	members, aliased := zerocopy.Decode[Ref](raw)
-	if aliased {
-		members = slices.Clone(members)
+	// The members outlive the payload, which may be a read-only mapping, so
+	// a view of it is copied.
+	if members, ok := zerocopy.View[Ref](raw); ok {
+		return e.name, append(dst, members...), nil
 	}
-	return &VGroup{Name: e.name, Members: members}, nil
+	for len(raw) > 0 {
+		dst = append(dst, Ref(binary.LittleEndian.Uint32(raw)))
+		raw = raw[4:]
+	}
+	return e.name, dst, nil
 }
 
 // VGroups lists all vgroups, sorted by name, with their members decoded.

@@ -115,13 +115,13 @@ var (
 	ErrWriterDone = errors.New("shdf: writer already closed")
 )
 
-// dirEntry is one directory record. Readers additionally memoize the
-// verified payload here: after the first access the CRC has been checked
-// exactly once and payload holds the bytes (a subslice of the mapping for
-// mapped files, a private heap buffer otherwise), so repeated access to a
-// hot object costs neither I/O nor hashing. An SDS whose decoded view
-// borrows that payload memoizes the view too, so repeated ReadSDS calls
-// cost no header decode and no allocation.
+// dirEntry is one directory record as a File reads it. The File also
+// memoizes the verified payload here: after the first access the CRC has
+// been checked exactly once and payload holds the bytes (a subslice of the
+// mapping for mapped files, a private heap buffer otherwise), so repeated
+// access to a hot object costs neither I/O nor hashing. An SDS whose
+// decoded view borrows that payload memoizes the view too, so repeated
+// ReadSDS calls cost no header decode and no allocation.
 type dirEntry struct {
 	tag    Tag
 	ref    Ref

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
+	"slices"
 
 	"godiva/internal/zerocopy"
 )
@@ -18,13 +20,16 @@ import (
 const scratchSize = 4096
 
 // Writer writes an SHDF file sequentially: objects first, directory and
-// footer on Close.
+// footer on Close. Reset starts the next file on the same Writer, keeping
+// its buffer, directory and scratch memory, so a Writer reset for every
+// file it writes stops allocating once it has written its largest file.
 type Writer struct {
 	w       *bufio.Writer
 	f       *os.File // non-nil when created by Create, closed by Close
 	offset  uint64   // stream offset of the next object's first byte
 	nextRef Ref
-	dir     []dirEntry
+	dir     []writtenEntry
+	names   []byte // every object's name, back to back, in directory order
 	done    bool
 	err     error
 
@@ -35,6 +40,18 @@ type Writer struct {
 	// scratch encodes headers and directory entries and, on big-endian
 	// hosts, array elements a chunk at a time.
 	scratch [scratchSize]byte
+}
+
+// writtenEntry is one directory record of the file being written. Its name
+// is names[previous entry's nameEnd:nameEnd]: the Writer copies each name
+// into one buffer, so a caller may pass a name it builds in scratch memory.
+type writtenEntry struct {
+	tag     Tag
+	ref     Ref
+	offset  uint64
+	length  uint64
+	crc     uint32
+	nameEnd int
 }
 
 // Create creates or truncates the named file and returns a Writer on it.
@@ -55,17 +72,33 @@ func Create(path string) (*Writer, error) {
 // NewWriter starts an SHDF stream on w by writing the header. The caller
 // owns w's lifetime; Close only flushes.
 func NewWriter(w io.Writer) (*Writer, error) {
-	sw := &Writer{w: bufio.NewWriterSize(w, 1<<16), nextRef: 1}
-	if _, err := sw.w.WriteString(magic); err != nil {
+	sw := new(Writer)
+	if err := sw.Reset(w); err != nil {
 		return nil, err
 	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], version)
-	if _, err := sw.w.Write(v[:]); err != nil {
-		return nil, err
-	}
-	sw.offset = uint64(len(magic)) + 4
 	return sw, nil
+}
+
+// Reset starts a new SHDF stream on dst, as NewWriter does, and forgets the
+// previous one, which should have been closed: a Writer made by Create does
+// not close its file on Reset, and from then on closes none. The buffer,
+// directory and scratch memory are kept for the new stream.
+func (w *Writer) Reset(dst io.Writer) error {
+	if w.w == nil {
+		w.w = bufio.NewWriterSize(dst, 1<<16)
+	} else {
+		w.w.Reset(dst)
+	}
+	w.f = nil
+	w.dir, w.names = w.dir[:0], w.names[:0]
+	w.nextRef, w.done, w.err = 1, false, nil
+	w.crc, w.n = 0, 0
+	w.offset = uint64(len(magic)) + 4
+	h := w.scratch[:len(magic)+4]
+	copy(h, magic)
+	binary.LittleEndian.PutUint32(h[len(magic):], version)
+	_, err := w.w.Write(h)
+	return err
 }
 
 // zeros is the alignment pad WriteSDS writes between objects.
@@ -127,13 +160,14 @@ func (w *Writer) end(tag Tag, name string) (Ref, error) {
 	}
 	ref := w.nextRef
 	w.nextRef++
-	w.dir = append(w.dir, dirEntry{
-		tag:    tag,
-		ref:    ref,
-		offset: w.offset,
-		length: w.n,
-		crc:    w.crc,
-		name:   name,
+	w.names = append(w.names, name...)
+	w.dir = append(w.dir, writtenEntry{
+		tag:     tag,
+		ref:     ref,
+		offset:  w.offset,
+		length:  w.n,
+		crc:     w.crc,
+		nameEnd: len(w.names),
 	})
 	w.offset += w.n
 	return ref, nil
@@ -172,7 +206,8 @@ func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
 			return 0, fmt.Errorf("%w: dimension %d", ErrBadShape, d)
 		}
 		if n > math.MaxInt/d {
-			return 0, fmt.Errorf("%w: dims %v overflow an element count", ErrBadShape, dims)
+			// The errors quote a copy of dims, so dims itself does not escape.
+			return 0, fmt.Errorf("%w: dims %v overflow an element count", ErrBadShape, slices.Clone(dims))
 		}
 		n *= d
 	}
@@ -192,10 +227,11 @@ func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
 	case []float64:
 		nt, count = TypeFloat64, len(v)
 	default:
-		return 0, fmt.Errorf("%w: %T", ErrBadType, data)
+		// reflect.TypeOf prints as %T would, without data escaping.
+		return 0, fmt.Errorf("%w: %v", ErrBadType, reflect.TypeOf(data))
 	}
 	if count != n {
-		return 0, fmt.Errorf("%w: dims %v hold %d elements, data has %d", ErrBadShape, dims, n, count)
+		return 0, fmt.Errorf("%w: dims %v hold %d elements, data has %d", ErrBadShape, slices.Clone(dims), n, count)
 	}
 	if err := w.begin(); err != nil {
 		return 0, err
@@ -254,13 +290,17 @@ func (w *Writer) WriteAttr(name string, value any) (Ref, error) {
 		binary.LittleEndian.PutUint64(h[2:], 1)
 		binary.LittleEndian.PutUint64(h[10:], math.Float64bits(v))
 	default:
-		return 0, fmt.Errorf("%w: attribute %T", ErrBadType, value)
+		return 0, fmt.Errorf("%w: attribute %v", ErrBadType, reflect.TypeOf(value))
 	}
 	if err := w.begin(); err != nil {
 		return 0, err
 	}
 	w.put(h)
-	w.put([]byte(str))
+	for len(str) > 0 {
+		k := copy(w.scratch[:], str)
+		w.put(w.scratch[:k])
+		str = str[k:]
+	}
 	return w.end(TagAttr, name)
 }
 
@@ -304,15 +344,18 @@ func (w *Writer) Close() error {
 func (w *Writer) writeDirectory() {
 	dirOffset := w.offset
 	b := w.scratch[:]
+	start := 0
 	for _, e := range w.dir {
+		name := w.names[start:e.nameEnd]
+		start = e.nameEnd
 		binary.LittleEndian.PutUint16(b, uint16(e.tag))
 		binary.LittleEndian.PutUint32(b[2:], uint32(e.ref))
 		binary.LittleEndian.PutUint64(b[6:], e.offset)
 		binary.LittleEndian.PutUint64(b[14:], e.length)
 		binary.LittleEndian.PutUint32(b[22:], e.crc)
-		binary.LittleEndian.PutUint16(b[26:], uint16(len(e.name)))
+		binary.LittleEndian.PutUint16(b[26:], uint16(len(name)))
 		w.w.Write(b[:28])
-		w.w.WriteString(e.name)
+		w.w.Write(name)
 	}
 	binary.LittleEndian.PutUint64(b, dirOffset)
 	binary.LittleEndian.PutUint32(b[8:], uint32(len(w.dir)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -570,14 +571,15 @@ func FuzzWriter(f *testing.F) {
 }
 
 // benchWriteSDS writes one 1 MiB float64 SDS per op to a Writer over
-// io.Discard. The directory is sized up front, so what is measured is
+// io.Discard. The directory and its names are sized up front, so what is measured is
 // WriteSDS's own allocation, not the amortized growth of the entry list.
 func benchWriteSDS(b *testing.B) {
 	w, err := NewWriter(io.Discard)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.dir = make([]dirEntry, 0, b.N)
+	w.dir = make([]writtenEntry, 0, b.N)
+	w.names = make([]byte, 0, len("field")*b.N)
 	const n = 1 << 17
 	dims := []int{n}
 	var data any = make([]float64, n) // boxed once, as the noalloc gates do
@@ -592,3 +594,120 @@ func benchWriteSDS(b *testing.B) {
 }
 
 func BenchmarkWriteSDS(b *testing.B) { benchWriteSDS(b) }
+
+// A Writer reset onto a new stream writes what a fresh one writes: after a
+// whole file, after a file abandoned mid-object on a write error, and after
+// one abandoned without Close.
+func TestWriterResetMatchesOracle(t *testing.T) {
+	ops := sampleOps()
+	_, want, err := writeBoth(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w Writer
+	write := func(dst io.Writer, ops []wop) error {
+		if err := w.Reset(dst); err != nil {
+			return err
+		}
+		for _, op := range ops {
+			switch op.tag {
+			case TagSDS:
+				_, err = w.WriteSDS(op.name, op.dims, op.data)
+			case TagAttr:
+				_, err = w.WriteAttr(op.name, op.data)
+			case TagVGroup:
+				_, err = w.WriteVGroup(op.name, op.members)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return w.Close()
+	}
+	for _, before := range []struct {
+		name string
+		run  func() error
+	}{
+		{"whole file", func() error { return write(io.Discard, ops) }},
+		{"write error", func() error {
+			if err := write(&failAfter{n: 9000}, ops); err == nil {
+				return errors.New("a failing destination took the file")
+			}
+			return nil
+		}},
+		{"no close", func() error {
+			if err := w.Reset(io.Discard); err != nil {
+				return err
+			}
+			_, err := w.WriteSDS("dropped", []int{2}, []float64{1, 2})
+			return err
+		}},
+	} {
+		if err := before.run(); err != nil {
+			t.Fatalf("%s: %v", before.name, err)
+		}
+		var buf bytes.Buffer
+		if err := write(&buf, ops); err != nil {
+			t.Fatalf("after %s: %v", before.name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("after %s, a reset Writer wrote %d bytes that differ from a fresh one's %d", before.name, buf.Len(), len(want))
+		}
+	}
+}
+
+// failAfter accepts n bytes and fails every write from then on.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errors.New("destination full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// BenchmarkWriterReuse writes a file of 16 SDS objects, three attributes
+// and their vgroup per op through one Writer reset onto io.Discard: once
+// the first file has sized the Writer's buffer, directory and names, a
+// file allocates nothing.
+func BenchmarkWriterReuse(b *testing.B) {
+	var w Writer
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("b0001:field%02d", i)
+	}
+	dims := []int{64, 3}
+	var data, t any = make([]float64, 64*3), 2.5e-5 // boxed once
+	members := make([]Ref, 0, len(names))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := w.Reset(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		members = members[:0]
+		for _, name := range names {
+			ref, err := w.WriteSDS(name, dims, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			members = append(members, ref)
+		}
+		if _, err := w.WriteVGroup("block_0001", members); err != nil {
+			b.Fatal(err)
+		}
+		for _, attr := range []struct {
+			name  string
+			value any
+		}{{"time", t}, {"step", 0}, {"step_id", "0.000025"}} {
+			if _, err := w.WriteAttr(attr.name, attr.value); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

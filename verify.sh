@@ -19,8 +19,10 @@
 #               gather over it, an isosurface, a slice and a cut appended
 #               into a reused aggregate, cell-to-point and vector magnitudes into
 #               a reused array, a draw into a warm renderer, a recolor of
-#               what it drew) and shdf's 1 MiB WriteSDS, which streams the
-#               caller's array to the file, under -benchmem; any benchmark
+#               what it drew), shdf's 1 MiB WriteSDS, which streams the
+#               caller's array to the file, and BenchmarkWriterReuse, a
+#               multi-object file through a Writer reset for each file (its
+#               buffer, directory and names kept), under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
 #               a zero-alloc path and fails the gate
 #   race-core   race-detector pass over the concurrent core (its schedule
@@ -123,7 +125,7 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkKeyLookupFreshKeys|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkAppendCutPlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS)$' \
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkKeyLookupFreshKeys|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkAppendCutPlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS|BenchmarkWriterReuse)$' \
         -benchmem -benchtime 1000x -count=1 \
         ./internal/core ./internal/mesh ./internal/vis ./internal/render ./internal/shdf) || {
         echo "$out"
