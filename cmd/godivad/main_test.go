@@ -81,10 +81,11 @@ func TestGodivadServesAndShutsDown(t *testing.T) {
 	addr := announced(t, cmd, out, stderr)
 
 	c := remote.NewClient(remote.ClientOptions{Addr: addr})
-	fp, err := c.FetchFile(genx.SnapshotFile("", 0, 0), nil)
+	fps, err := c.FetchFiles([]string{genx.SnapshotFile("", 0, 0)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp := fps[0]
 	if len(fp.Blocks) == 0 {
 		t.Fatal("fetch returned no blocks")
 	}

@@ -30,7 +30,7 @@ func allocPerOp(t *testing.T, n int, op func()) int {
 
 // Opening a fresh D1h snapshot file (15 blocks, 243 objects) decodes its
 // directory into one entry array and one string of names, and its block
-// table into one member array: 46.6 KB on amd64, bound 64 KiB. With a ref
+// table into one member array: 47.8 KB on amd64, bound 64 KiB. With a ref
 // map, one string per name, a growing entry list and a member map per block
 // it cost 142 KB.
 func TestOpenAllocBound(t *testing.T) {

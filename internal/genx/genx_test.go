@@ -260,25 +260,12 @@ func TestFieldCatalogs(t *testing.T) {
 }
 
 // A block's dataset names are "b%04d:field" of its number, as fmt writes
-// them, and blockNumber reads a block group's name as fmt.Sscanf's
-// "block_%d" does: BlockID's names, and odd ones a writer may give its
-// blocks.
+// them.
 func TestBlockNames(t *testing.T) {
-	names := []string{"block_0001_of_many", "block_1_2", "block_ 12", "block_\t3", "block_ +7", "block_+ 7", "block_-5",
-		"block_12x", "block_0x1f", "block_", "block_x", "block_\n5", "block_99999999999999999999", "block_-0", "block_+", "block_--1"}
 	for _, id := range []int{0, 8, 9, 98, 99, 998, 999, 9998, 9999, 123456, -1, -2, -6, -100, -999, -1000, -12345, math.MaxInt - 1, math.MaxInt, math.MinInt} {
 		want := fmt.Sprintf("b%04d:%s", id+1, "velocity")
 		if got := string(appendSDSName([]byte("x"), id, "velocity")); got != "x"+want {
 			t.Errorf("appendSDSName(%d) = %q, want %q", id, got, "x"+want)
-		}
-		names = append(names, BlockID(id))
-	}
-	for _, name := range names {
-		var want int
-		n, err := fmt.Sscanf(name, "block_%d", &want)
-		ok := n == 1 && err == nil
-		if got, err := blockNumber(name); (err == nil) != ok || got != want {
-			t.Errorf("blockNumber(%q) = %d, %v; fmt.Sscanf reads %d, ok %v", name, got, err, want, ok)
 		}
 	}
 }

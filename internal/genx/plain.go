@@ -34,16 +34,6 @@ const (
 )
 
 // Field codes index MeshFields + NodeVectorFields + ElemScalarFields.
-func plainFieldCode(name string) (uint16, bool) {
-	all := plainFieldNames()
-	for i, f := range all {
-		if f == name {
-			return uint16(i), true
-		}
-	}
-	return 0, false
-}
-
 func plainFieldNames() []string {
 	all := append([]string{}, MeshFields...)
 	all = append(all, NodeVectorFields...)

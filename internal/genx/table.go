@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -97,9 +96,9 @@ func (sf *snapshotFile) decode() error {
 	slices.SortStableFunc(blocks, func(a, b BlockEntry) int { return strings.Compare(a.Name, b.Name) })
 	for i := range blocks {
 		e := &blocks[i]
-		id, err := blockNumber(e.Name)
-		if err != nil {
-			return err
+		var id int
+		if _, err := fmt.Sscanf(e.Name, "block_%d", &id); err != nil {
+			return fmt.Errorf("genx: bad block group name %q", e.Name)
 		}
 		e.ID = id - 1
 		kept := e.Members[:0]
@@ -122,26 +121,6 @@ func (sf *snapshotFile) decode() error {
 		sf.stepID = a.Str
 	}
 	return nil
-}
-
-// blockNumber parses the number of a block group's name: after "block_"
-// and any blanks, an optionally signed decimal integer, with whatever
-// follows it ignored, as fmt.Sscanf(name, "block_%d") reads it
-// ("block_0001_of_many" is block 1).
-func blockNumber(name string) (int, error) {
-	s := strings.TrimLeft(name[len("block_"):], " \t")
-	end := 0
-	if end < len(s) && (s[end] == '+' || s[end] == '-') {
-		end++
-	}
-	for end < len(s) && '0' <= s[end] && s[end] <= '9' {
-		end++
-	}
-	id, err := strconv.Atoi(s[:end])
-	if err != nil {
-		return 0, fmt.Errorf("genx: bad block group name %q", name)
-	}
-	return id, nil
 }
 
 // lastByField sorts ms by field and drops every member whose field a later

@@ -32,7 +32,10 @@ func WriteDataset(spec Spec, dir string) ([]*mesh.TetMesh, error) {
 }
 
 // appendSDSName appends the name of a block's dataset inside a snapshot
-// file, "b%04d:%s" of the block's number and the field.
+// file, "b%04d:%s" of the block's number and the field. With fmt.Appendf
+// writing it instead, TestFileWriterAllocBound reads 3,784 bytes per D1h
+// file, against 184 (bound 1 KiB), and TestIngestAllocBound 4,742 bytes
+// per ingest, against about 1,120.
 func appendSDSName(b []byte, blockID int, field string) []byte {
 	n := blockID + 1
 	b = append(b, 'b')

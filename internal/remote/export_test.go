@@ -29,6 +29,16 @@ func LocalPayload(t testing.TB, dir, path string, vars []string) *FilePayload {
 	return fp
 }
 
+// FetchFile fetches one snapshot file's unit payload: FetchFiles of one
+// path.
+func (c *Client) FetchFile(path string, vars []string) (*FilePayload, error) {
+	fps, err := c.FetchFiles([]string{path}, vars)
+	if err != nil {
+		return nil, err
+	}
+	return fps[0], nil
+}
+
 // RPC exposes the client's retrying round trip to the external tests, which
 // need it to send ops no Client method sends.
 func (c *Client) RPC(op byte) error {

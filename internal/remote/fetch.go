@@ -22,9 +22,9 @@ import (
 //	                            bodyLen bytes of FilePayload body
 //
 // Every ok item's body starts at an 8-byte payload offset, so the body's
-// internal alignment pads — computed against the body's own start when it
-// was encoded (and cached) on its own — line up with the whole frame's
-// alignment and both sides keep aliasing array data in place.
+// internal alignment pads, computed from the running payload offset, are
+// those of the body encoded on its own, and both sides keep aliasing array
+// data in place.
 
 // fetchChunk caps the files one OpFetch RPC carries: the paper's
 // files-per-snapshot, so a snapshot unit is one round trip, and the bound on
@@ -177,16 +177,6 @@ type fetchItem struct {
 	vars []string
 	out  **FilePayload
 	err  *error
-}
-
-// FetchFile fetches one snapshot file's unit payload: FetchFiles of one
-// path.
-func (c *Client) FetchFile(path string, vars []string) (*FilePayload, error) {
-	fps, err := c.FetchFiles([]string{path}, vars)
-	if err != nil {
-		return nil, err
-	}
-	return fps[0], nil
 }
 
 // FetchFiles fetches several snapshot files' unit payloads — every block

@@ -90,10 +90,10 @@ func payloadBytes(fp *FilePayload) int {
 // connection's blocks and writes the file through its connection's SHDF
 // writer. Once both connections are warm, client and server together
 // allocate less than 1/20 of the payload per ingest of one D1h file
-// (390,720 bytes): about 880 bytes on amd64, the file's os.File and path
-// strings. A fresh encoder per call, fresh decode maps and a fresh SHDF
-// writer per file (its 64 KiB buffer, directory and names) allocated
-// 217,700 bytes here, measured the same way.
+// (390,720 bytes): about 1,120 bytes on amd64, the file's os.File, path
+// strings and block names. A fresh encoder per call, fresh decode maps and
+// a fresh SHDF writer per file (its 64 KiB buffer, directory and names)
+// allocated 217,700 bytes here, measured the same way.
 func TestIngestAllocBound(t *testing.T) {
 	srv, err := Serve(ServerOptions{Dir: t.TempDir(), Ingest: true})
 	if err != nil {
@@ -128,11 +128,15 @@ func TestIngestAllocBound(t *testing.T) {
 // connection's reused frame encoder, and decoded in place into a pooled
 // frame and the blocks decoded from it last time: once the connection, the
 // frame pool and the file table are warm, client and server together
-// allocate less than 1/20 of the payload per fetch of one D1h snapshot (8
-// files, every var, 3,125,760 bytes) — about 10 KB on amd64. A server that
-// built a BlockData per block and regrew its segment lists per frame,
-// beside a client that decoded into fresh maps and lost pooled frames to
-// sync.Pool, allocated 1.4–2.0 MB per fetch here, measured the same way.
+// allocate less than 1/200 of the payload per fetch of one D1h snapshot (8
+// files, every var, 3,125,760 bytes) — 9,160 bytes on amd64. Two garbage
+// collections run before each fetch, as they do between the fetches of a
+// long-running client, so a frame pool that drops idle frames at a
+// collection fails here on every run. Each reuse mechanism of the path,
+// reverted alone, fails this bound (EXPERIMENTS.md "Allocation ledger"): a
+// sync.Pool for frames, 3,336,331 bytes; a fresh block stock per decode,
+// 173,639; field names allocated per decode instead of the catalog's,
+// 21,506.
 func TestFetchAllocBound(t *testing.T) {
 	spec := d1hSpec()
 	dir := t.TempDir()
@@ -162,15 +166,19 @@ func TestFetchAllocBound(t *testing.T) {
 	}
 	size := fetch() // connection, encoder, frame pool and file table warm
 	const n = 20
+	var total uint64
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		fetch()
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	per := int64(after.TotalAlloc-before.TotalAlloc) / n
+	per := int64(total) / n
 	t.Logf("%d-byte payload: %d bytes allocated per fetch (1/%.0f)", size, per, float64(size)/float64(per))
-	if per*20 >= size {
-		t.Fatalf("a fetch of a %d-byte payload allocates %d bytes, want less than 1/20 of it", size, per)
+	if per*200 >= size {
+		t.Fatalf("a fetch of a %d-byte payload allocates %d bytes, want less than 1/200 of it", size, per)
 	}
 }

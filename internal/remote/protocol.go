@@ -122,8 +122,10 @@ var (
 // path). It is a stack under a mutex, newest on top, holding at most
 // framePoolBytes of buffers. A sync.Pool lost them: a buffer put on one P
 // is invisible to a Get on another, and every collection empties it, so a
-// snapshot's frame was allocated afresh every few fetches. Buffers are
-// produced by alignedFrameBuf, whose base-address alignment survives
+// snapshot's frame was allocated afresh every few fetches. With a sync.Pool
+// here, TestFetchAllocBound, which collects garbage before each fetch,
+// reads 3,336,331 bytes per fetch, against 9,160 (bound 15,629). Buffers
+// are produced by alignedFrameBuf, whose base-address alignment survives
 // reslicing.
 var framePool struct {
 	mu    sync.Mutex
@@ -210,8 +212,8 @@ func writeFrame(w io.Writer, op byte, body []byte) error {
 }
 
 // readFrame reads one frame into a fresh buffer, returning its op and
-// payload. The server uses it for requests, which are small and not worth
-// pooling.
+// payload. A subscription reads its acknowledgement and events with it,
+// which are small and not worth pooling.
 func readFrame(r io.Reader) (op byte, body []byte, err error) {
 	op, _, body, err = readFrameBuf(r, func(n int) []byte { return alignedFrameBuf(n) })
 	return op, body, err
@@ -346,8 +348,8 @@ func (d *dec) align(n int) {
 }
 
 // decodeArray decodes a u32-counted array of T. When the frame body sits in
-// an aligned buffer (readFrame allocates payloads 8-byte aligned, and
-// encoders pad array data to 8-byte payload offsets) the returned slice
+// an aligned buffer (alignedFrameBuf puts payloads on 8-byte boundaries,
+// and encoders pad array data to 8-byte payload offsets) the returned slice
 // aliases the body in place; otherwise the elements are copied out and
 // counted in d.copied.
 func decodeArray[T zerocopy.Elem](d *dec) []T {

@@ -234,9 +234,11 @@ func (s *Server) acceptLoop() {
 // read reuses either, so the arrays an ingest decodes in place (and writes
 // to its file) and the segments of the last response are dead by then. An
 // ingest decodes into stock's blocks and ingest's payload and writes its
-// file through writer, all of which the next ingest refills. Every buffer
-// grows only for a frame larger than any before, and goes with the
-// connection.
+// file through writer, all of which the next ingest refills (decoding each
+// ingest into a fresh payload and stock instead, TestIngestAllocBound reads
+// 21,699 bytes per ingest, over its bound of 19,536, against about 1,120).
+// Every buffer grows only for a frame larger than any before, and goes
+// with the connection.
 type connState struct {
 	req    []byte
 	out    frameEnc
@@ -390,12 +392,8 @@ type fetchVars struct {
 	cols [][]float64  // one block's fields, by index into vars
 }
 
-// set prepares vars. The items of one request normally share their var
-// list, so a list equal to the last one is not sorted again.
+// set prepares vars.
 func (fv *fetchVars) set(vars []string) {
-	if slices.Equal(fv.vars, vars) {
-		return
-	}
 	fv.vars = vars
 	fv.node, fv.elem = fv.node[:0], fv.elem[:0]
 	fv.cols = slices.Grow(fv.cols[:0], len(vars))[:len(vars)]
@@ -417,10 +415,10 @@ func (fv *fetchVars) set(vars []string) {
 	}
 }
 
-// block appends block e's body, read from h, to out: the FilePayload block
-// layout of encodeFilePayloadSegments. Fields are read in request order,
-// so a block that lacks one, or a var that names no field, fails with the
-// error genx's ReadBlock gives.
+// block appends block e's body, read from h, to out: the block layout of
+// frameEnc.filePayload. Fields are read in request order, so a block that
+// lacks one, or a var that names no field, fails with the error genx's
+// ReadBlock gives.
 func (fv *fetchVars) block(out *frameEnc, h *genx.FileHandle, e genx.BlockEntry) error {
 	m := &fv.mesh
 	if err := h.ReadMeshInto(e, m); err != nil {

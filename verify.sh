@@ -24,7 +24,11 @@
 #               multi-object file through a Writer reset for each file (its
 #               buffer, directory and names kept), under -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
-#               a zero-alloc path and fails the gate
+#               a zero-alloc path and fails the gate. Then the seven
+#               allocation-bound tests (fetch, ingest, snapshot open,
+#               FileWriter, unit cycle, session view, WriteSDS) run with -v
+#               and their figure lines are printed: the columns of
+#               EXPERIMENTS.md "Allocation ledger"
 #   race-core   race-detector pass over the concurrent core (its schedule
 #               explorer auditing every invariant after every step and at
 #               every park), the mesh/vis kernels, whose pooled scratch I/O
@@ -138,6 +142,13 @@ check_benchmem() {
         echo "$bad" >&2
         return 1
     fi
+    out=$(go test -count=1 -v \
+        -run '^(TestFetchAllocBound|TestIngestAllocBound|TestOpenAllocBound|TestFileWriterAllocBound|TestUnitCycleReusesBufferMemory|TestSessionViewAllocBound|TestWriteSDSAllocBound)$' \
+        ./internal/remote ./internal/genx ./internal/core ./internal/rocketeer ./internal/shdf) || {
+        echo "$out"
+        return 1
+    }
+    echo "$out" | grep -E '^=== RUN|^ +[a-z_]+_test\.go:[0-9]+: '
 }
 
 check_entrypoints() {
