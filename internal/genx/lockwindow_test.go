@@ -33,6 +33,7 @@ func (t *fileTable) touchLocked() {
 	t.budget = locktest.Keep(t.budget)
 	t.closed = locktest.Keep(t.closed)
 	t.stats = locktest.Keep(t.stats)
+	t.layout = locktest.Keep(t.layout)
 }
 
 // TestLockWindows runs a Mapped reader's table through its first miss,

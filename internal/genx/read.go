@@ -37,10 +37,11 @@ type Reader struct {
 	//
 	// A Mapped Reader keeps one table of open files: every Open of a file
 	// the table holds — unchanged since it was opened — shares its mapping,
-	// decoded directory, verified checksums and decoded dataset views, and
-	// a file stays mapped after its last handle closes, on an idle list
-	// bounded at 128 MiB, until it is evicted, replaced or the Reader is
-	// closed.
+	// decoded directory, block table and verified checksums, and a file
+	// stays mapped after its last handle closes, on an idle list bounded at
+	// 128 MiB, until it is evicted, replaced or the Reader is closed. Each
+	// handle decodes its dataset views itself, into memory it keeps, so a
+	// read allocates nothing.
 	Mapped bool
 
 	// VolumeScale multiplies payload bytes when charging the platform
@@ -91,22 +92,24 @@ type BlockEntry struct {
 }
 
 // Member is one dataset of a block: its field ("coords", "conn", "gids" or
-// a variable) and its object in the file.
+// a variable; the catalog's string for a field the catalogs name) and the
+// ref of its object in the file. Where the object lies is read from the
+// file's directory when the dataset is read.
 type Member struct {
 	Field string
-	Info  shdf.ObjectInfo
+	Ref   shdf.Ref
 }
 
 // Lookup returns the block's dataset for field.
-func (e *BlockEntry) Lookup(field string) (shdf.ObjectInfo, bool) {
-	i, ok := slices.BinarySearchFunc(e.Members, field, func(m Member, f string) int {
-		return strings.Compare(m.Field, f)
-	})
+func (e *BlockEntry) Lookup(field string) (Member, bool) {
+	i, ok := slices.BinarySearchFunc(e.Members, field, byField)
 	if !ok {
-		return shdf.ObjectInfo{}, false
+		return Member{}, false
 	}
-	return e.Members[i].Info, true
+	return e.Members[i], true
 }
+
+func byField(m Member, field string) int { return strings.Compare(m.Field, field) }
 
 // FileHandle is one open snapshot file plus the read position used to model
 // sequential reads vs seeks. Handles of a Mapped Reader are cursors over the
@@ -119,6 +122,7 @@ type FileHandle struct {
 	Time    float64
 	StepID  string
 	blocks  []BlockEntry
+	dims    [2]int // memory for the dims of the dataset read last; genx arrays have rank 1 or 2
 }
 
 // Open opens a snapshot file, reading its directory, block table and time
@@ -134,7 +138,7 @@ func (r *Reader) Open(path string) (*FileHandle, error) {
 	if r.Mapped {
 		sf, err = r.files.acquire(path)
 	} else {
-		sf, err = openSnapshotFile(path, shdf.Open)
+		sf, err = openSnapshotFile(path, shdf.Open, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -173,11 +177,21 @@ func (h *FileHandle) Blocks() []BlockEntry { return h.blocks }
 // jumps and far forward jumps reposition the disk.
 const readaheadWindow = 256 * 1024
 
-// readSDS reads one dataset, charging transfer, decode, and a seek when the
-// read is not satisfied by sequential readahead.
-func (h *FileHandle) readSDS(info shdf.ObjectInfo) (*shdf.Dataset, error) {
+// readSDS reads one dataset into ds, charging transfer, decode, and a seek
+// when the read is not satisfied by sequential readahead; where the dataset
+// lies is looked up only for a Reader that charges a platform. The view's
+// Dims live until the next readSDS, its data until Close.
+func (h *FileHandle) readSDS(ref shdf.Ref, ds *shdf.Dataset) error {
 	if h.sf == nil {
-		return nil, fmt.Errorf("genx: %s: %w", h.path, os.ErrClosed)
+		return fmt.Errorf("genx: %s: %w", h.path, os.ErrClosed)
+	}
+	ds.Dims = h.dims[:0]
+	if h.r.M == nil {
+		return h.sf.f.ReadSDSInto(ref, ds)
+	}
+	info, err := h.sf.f.Info(ref)
+	if err != nil {
+		return err
 	}
 	seeks := 0
 	if jump := info.Offset - h.nextOff; jump != 0 {
@@ -186,25 +200,24 @@ func (h *FileHandle) readSDS(info shdf.ObjectInfo) (*shdf.Dataset, error) {
 		}
 	}
 	h.r.chargeRead(info.ByteLen, seeks)
-	ds, err := h.sf.f.ReadSDS(info.Ref)
-	if err != nil {
-		return nil, err
+	if err := h.sf.f.ReadSDSInto(ref, ds); err != nil {
+		return err
 	}
 	h.r.chargeDecode(info.ByteLen)
 	h.nextOff = info.Offset + info.ByteLen
-	return ds, nil
+	return nil
 }
 
 // ReadField reads one named field of a block as raw float64s (node vectors
 // come back flattened x,y,z). Mesh fields: "coords" returns coordinates,
 // "conn" and "gids" are not float fields — use ReadMesh for those.
 func (h *FileHandle) ReadField(e BlockEntry, field string) ([]float64, error) {
-	info, ok := e.Lookup(field)
+	m, ok := e.Lookup(field)
 	if !ok {
 		return nil, fmt.Errorf("genx: block %s has no field %q", e.Name, field)
 	}
-	ds, err := h.readSDS(info)
-	if err != nil {
+	var ds shdf.Dataset
+	if err := h.readSDS(m.Ref, &ds); err != nil {
 		return nil, err
 	}
 	if ds.Type != shdf.TypeFloat64 {
@@ -229,23 +242,22 @@ func (h *FileHandle) ReadMeshInto(e BlockEntry, m *mesh.TetMesh) error {
 	if err != nil {
 		return err
 	}
-	connInfo, ok := e.Lookup("conn")
+	connMember, ok := e.Lookup("conn")
 	if !ok {
 		return fmt.Errorf("genx: block %s has no connectivity", e.Name)
 	}
-	conn, err := h.readSDS(connInfo)
-	if err != nil {
+	var conn, gids shdf.Dataset
+	if err := h.readSDS(connMember.Ref, &conn); err != nil {
 		return err
 	}
 	if conn.Type != shdf.TypeInt32 {
 		return fmt.Errorf("genx: connectivity of %s is %v", e.Name, conn.Type)
 	}
-	gidInfo, ok := e.Lookup("gids")
+	gidMember, ok := e.Lookup("gids")
 	if !ok {
 		return fmt.Errorf("genx: block %s has no global IDs", e.Name)
 	}
-	gids, err := h.readSDS(gidInfo)
-	if err != nil {
+	if err := h.readSDS(gidMember.Ref, &gids); err != nil {
 		return err
 	}
 	if gids.Type != shdf.TypeInt64 {

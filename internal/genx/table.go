@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -38,14 +39,15 @@ type snapshotFile struct {
 }
 
 // openSnapshotFile opens path with open and decodes its block table and time
-// attributes.
-func openSnapshotFile(path string, open func(string) (*shdf.File, error)) (*snapshotFile, error) {
+// attributes. A block whose members are those of like's block at the same
+// position shares that block's window (see decode); like may be nil.
+func openSnapshotFile(path string, open func(string) (*shdf.File, error), like []BlockEntry) (*snapshotFile, error) {
 	f, err := open(path)
 	if err != nil {
 		return nil, err
 	}
 	sf := &snapshotFile{f: f, path: path}
-	if err := sf.decode(); err != nil {
+	if err := sf.decode(like); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -54,11 +56,13 @@ func openSnapshotFile(path string, open func(string) (*shdf.File, error)) (*snap
 
 // decode reads the block table: every vgroup named "block_…", in name
 // order, with its members that name a field ("b0001:coords" is field
-// "coords"). Every block's members live in one array per file, each
-// block's window sorted by field for Lookup; a block naming one field
-// twice keeps the later member. Every vgroup is read, block or not, so a
-// damaged one fails the open.
-func (sf *snapshotFile) decode() error {
+// "coords"). Each block's members are a window sorted by field for Lookup;
+// a block naming one field twice keeps the later member. The files of one
+// dataset repeat one layout, so a block whose members are exactly those of
+// like's block at its position shares that window, read-only, and the rest
+// get windows of one array per file, made only if some block needs it.
+// Every vgroup is read, block or not, so a damaged one fails the open.
+func (sf *snapshotFile) decode(like []BlockEntry) error {
 	f := sf.f
 	n := f.NumObjects()
 	groups, fields := 0, 0
@@ -71,47 +75,53 @@ func (sf *snapshotFile) decode() error {
 			fields++
 		}
 	}
-	// A block's window holds its member refs until its infos are resolved.
+	// A block's ID holds its group's ref until the blocks are in order.
 	blocks := make([]BlockEntry, 0, groups)
-	members := make([]Member, 0, fields)
 	var refs [64]shdf.Ref
 	for i := 0; i < n; i++ {
 		o := f.Object(i)
 		if o.Tag != shdf.TagVGroup {
 			continue
 		}
-		name, group, err := f.AppendVGroup(refs[:0], o.Ref)
+		name, _, err := f.AppendVGroup(refs[:0], o.Ref)
 		if err != nil {
 			return err
 		}
-		if !strings.HasPrefix(name, "block_") {
-			continue
+		if strings.HasPrefix(name, "block_") {
+			blocks = append(blocks, BlockEntry{Name: name, ID: int(o.Ref)})
 		}
-		start := len(members)
-		for _, ref := range group {
-			members = append(members, Member{Info: shdf.ObjectInfo{Ref: ref}})
-		}
-		blocks = append(blocks, BlockEntry{Name: name, Members: members[start:len(members):len(members)]})
 	}
 	slices.SortStableFunc(blocks, func(a, b BlockEntry) int { return strings.Compare(a.Name, b.Name) })
+	var members []Member
 	for i := range blocks {
 		e := &blocks[i]
-		var id int
-		if _, err := fmt.Sscanf(e.Name, "block_%d", &id); err != nil {
+		_, group, err := f.AppendVGroup(refs[:0], shdf.Ref(e.ID))
+		if err != nil {
+			return err
+		}
+		id, err := strconv.Atoi(leadingInt(e.Name[len("block_"):]))
+		if err != nil {
 			return fmt.Errorf("genx: bad block group name %q", e.Name)
 		}
 		e.ID = id - 1
-		kept := e.Members[:0]
-		for _, m := range e.Members {
-			info, err := f.Info(m.Info.Ref)
+		if i < len(like) && sameMembers(f, group, like[i].Members) {
+			e.Members = like[i].Members
+			continue
+		}
+		if members == nil {
+			members = make([]Member, 0, fields)
+		}
+		start := len(members)
+		for _, ref := range group {
+			info, err := f.Info(ref)
 			if err != nil {
 				return err
 			}
 			if j := strings.IndexByte(info.Name, ':'); j >= 0 {
-				kept = append(kept, Member{Field: info.Name[j+1:], Info: info})
+				members = append(members, Member{Field: catalogField(info.Name[j+1:]), Ref: ref})
 			}
 		}
-		e.Members = lastByField(kept)
+		e.Members = lastByField(members[start:len(members):len(members)])
 	}
 	sf.blocks = blocks
 	if a, err := findAttr(f, "time"); err == nil {
@@ -121,6 +131,59 @@ func (sf *snapshotFile) decode() error {
 		sf.stepID = a.Str
 	}
 	return nil
+}
+
+// leadingInt returns s's leading decimal integer, sign included: what
+// "%d" scans of it.
+func leadingInt(s string) string {
+	n := 0
+	if n < len(s) && (s[n] == '+' || s[n] == '-') {
+		n++
+	}
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	return s[:n]
+}
+
+// sameMembers reports whether the members of group that name a field are
+// exactly window's, fields and refs, so that group's block can share it.
+func sameMembers(f *shdf.File, group []shdf.Ref, window []Member) bool {
+	if len(window) > 64 {
+		return false
+	}
+	var seen uint64 // bit k: window[k] matched
+	matched := 0
+	for _, ref := range group {
+		info, err := f.Info(ref)
+		if err != nil {
+			return false
+		}
+		j := strings.IndexByte(info.Name, ':')
+		if j < 0 {
+			continue
+		}
+		k, ok := slices.BinarySearchFunc(window, info.Name[j+1:], byField)
+		if !ok || window[k].Ref != ref || seen&(1<<k) != 0 {
+			return false
+		}
+		seen |= 1 << k
+		matched++
+	}
+	return matched == len(window)
+}
+
+// catalogField returns the field catalogs' string for field when they name
+// it, field otherwise.
+func catalogField(field string) string {
+	for _, names := range [3][]string{MeshFields, NodeVectorFields, ElemScalarFields} {
+		for _, name := range names {
+			if field == name {
+				return name
+			}
+		}
+	}
+	return field
 }
 
 // lastByField sorts ms by field and drops every member whose field a later
@@ -178,6 +241,7 @@ type fileTable struct {
 	budget     int64                    // idle bound; 0 means idleBudget (tests shrink it); guarded by mu
 	closed     bool                     // Reader.Close ran: keep nothing idle; guarded by mu
 	stats      TableStats               // guarded by mu
+	layout     []BlockEntry             // block table of the file opened last, for the next to share; guarded by mu
 }
 
 // acquire returns a referenced table entry for path: the one the table
@@ -191,6 +255,7 @@ func (t *fileTable) acquire(path string) (*snapshotFile, error) {
 	}
 	t.mu.Lock()
 	sf, doomed := t.lookupLocked(path, st)
+	like := t.layout
 	t.mu.Unlock()
 	// A stale file failing to close does not concern this open.
 	_ = closeFiles(doomed)
@@ -198,7 +263,7 @@ func (t *fileTable) acquire(path string) (*snapshotFile, error) {
 		return sf, nil
 	}
 
-	fresh, err := openSnapshotFile(path, shdf.OpenMapped)
+	fresh, err := openSnapshotFile(path, shdf.OpenMapped, like)
 	if err != nil {
 		return nil, err
 	}
@@ -210,6 +275,7 @@ func (t *fileTable) acquire(path string) (*snapshotFile, error) {
 		}
 		fresh.refs, fresh.tabled = 1, true
 		t.byPath[path] = fresh
+		t.layout = fresh.blocks
 		t.stats.Opens++
 	}
 	t.mu.Unlock()

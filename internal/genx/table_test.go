@@ -448,3 +448,85 @@ func TestBlockTableOrderAndDuplicates(t *testing.T) {
 		t.Fatalf("ReadField(coords) = %v, %v; want [10]", got, err)
 	}
 }
+
+// A Mapped Reader's table lets a file share the member windows of the file
+// it opened before when a block's members are exactly that block's, and
+// the block table reads the same either way. A block whose members differ
+// in any way — another ref, a field missing or added, one member listed
+// twice — gets a window of its own.
+func TestBlockTableSharesLayout(t *testing.T) {
+	dir := t.TempDir()
+	// file writes the named datasets and a block_0001 group listing the
+	// ones at the given positions, in that order.
+	file := func(path string, names []string, group ...int) string {
+		t.Helper()
+		path = filepath.Join(dir, path)
+		w, err := shdf.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refs, members []shdf.Ref
+		for i, name := range names {
+			ref, err := w.WriteSDS(name, []int{1}, []float64{float64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs = append(refs, ref)
+		}
+		for _, i := range group {
+			members = append(members, refs[i])
+		}
+		if _, err := w.WriteVGroup("block_0001", members); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := []string{"b0001:coords", "b0001:velocity"}
+	first := file("first.shdf", base, 0, 1)
+	for _, c := range []struct {
+		name  string
+		path  string
+		share bool
+	}{
+		{"same layout", file("same.shdf", base, 0, 1), true},
+		{"same members in another order", file("reordered.shdf", base, 1, 0), true},
+		{"other refs", file("refs.shdf", []string{"pad", "b0001:coords", "b0001:velocity"}, 1, 2), false},
+		{"a field missing", file("missing.shdf", base, 0), false},
+		{"a field added", file("added.shdf", append(base, "b0001:s11"), 0, 1, 2), false},
+		{"a member twice", file("twice.shdf", base, 0, 0), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := &Reader{Mapped: true}
+			defer r.Close()
+			h0 := openOK(t, r, first)
+			defer closeOK(t, h0)
+			h := openOK(t, r, c.path)
+			defer closeOK(t, h)
+			own := openOK(t, &Reader{}, c.path) // decoded with nothing to share
+			defer closeOK(t, own)
+			got, want := h.Blocks()[0].Members, own.Blocks()[0].Members
+			if !slices.Equal(got, want) {
+				t.Fatalf("members %v, want %v", got, want)
+			}
+			if shared := &got[0] == &h0.Blocks()[0].Members[0]; shared != c.share {
+				t.Fatalf("window shared with the file before: %v, want %v", shared, c.share)
+			}
+			for _, m := range want {
+				v, err := h.ReadField(h.Blocks()[0], m.Field)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := own.ReadField(own.Blocks()[0], m.Field)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v[0] != w[0] {
+					t.Fatalf("%s reads %v, want %v", m.Field, v, w)
+				}
+			}
+		})
+	}
+}

@@ -124,6 +124,53 @@ func TestIngestAllocBound(t *testing.T) {
 	}
 }
 
+// The server's half of an ingest, without a client or a socket: a fixed
+// encoded D1h ingest body, staged as readFrameBuf leaves it, decoded with
+// decodeIngestReq into one connState's stock and payload and written by
+// srv.ingest through that state's FileWriter. Once the state is warm it
+// allocates 1,128 bytes per ingest on amd64 (the file's os.File, its path
+// strings and the rename), bound 4 KiB; decoding each ingest into a fresh
+// payload and stock instead, as TestIngestAllocBound's revert does, it
+// allocated 21,688, over 5 times the bound.
+func TestIngestServerAllocBound(t *testing.T) {
+	srv, err := Serve(ServerOptions{Dir: t.TempDir(), Ingest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fp := d1hFile(t)
+	path := genx.SnapshotFile("", 0, 0)
+	var out frameEnc
+	out.reset()
+	(&request{path: path, fp: fp}).encode(&out)
+	flat := flattenSegments(out.payload())
+	frame := alignedFrameBuf(2 + len(flat))
+	body := frame[2:]
+	var cs connState
+	ingest := func() {
+		copy(body, flat) // the last decode aliased body: restore it
+		if err := decodeIngestReq(body, &cs.stock, &cs.ingest); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.ingest(&cs.writer, cs.ingest.Path, &cs.ingest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest() // stock, payload, writer and the served spec warm
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	per := int(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("server side of a D1h ingest: %d bytes allocated", per)
+	if per > 4<<10 {
+		t.Fatalf("the server side of a D1h ingest allocates %d bytes, want at most 4 KiB", per)
+	}
+}
+
 // A fetch answer is encoded straight from the mapped snapshot file into the
 // connection's reused frame encoder, and decoded in place into a pooled
 // frame and the blocks decoded from it last time: once the connection, the

@@ -3,6 +3,7 @@ package rocketeer
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"unsafe"
 
 	"godiva/internal/core"
@@ -174,8 +175,10 @@ func makeReadFunc(cfg Config, reader *genx.Reader) core.ReadFunc {
 // files close with the unit — so the record's buffers are those arrays,
 // adopted by Record.BorrowFieldBuffer instead of copied. A fetched block's
 // arrays alias a frame the remote client recycles once the file is
-// committed, so remote and followed units copy. The derived surface is a
-// fresh heap slice nobody else holds and is borrowed from every source.
+// committed, so remote and followed units copy. The derived surface is
+// extracted into scratch from surfacePool and copied into an allocated
+// buffer of its exact size, which core's free list recycles once the unit
+// goes, charged the bytes a borrowed slice of it would be.
 func blockCommitter(test VisTest, borrow bool) remote.CommitFunc {
 	surface := false
 	for _, op := range test.Ops {
@@ -212,13 +215,21 @@ func blockCommitter(test VisTest, borrow bool) remote.CommitFunc {
 			}
 		}
 		if surface {
-			if err := fill(rec, fieldSurface, bd.Mesh.AppendBoundaryFaces(nil), true, (*core.Buffer).Int32s); err != nil {
+			sp := surfacePool.Get().(*[]int32)
+			*sp = bd.Mesh.AppendBoundaryFaces((*sp)[:0])
+			err := fill(rec, fieldSurface, *sp, false, (*core.Buffer).Int32s)
+			surfacePool.Put(sp)
+			if err != nil {
 				return err
 			}
 		}
 		return u.DB().CommitRecord(rec)
 	}
 }
+
+// surfacePool lends each I/O worker committing a block its own scratch for
+// the block's boundary faces.
+var surfacePool = sync.Pool{New: func() any { return new([]int32) }}
 
 // fill makes data field's buffer: data itself when borrow is set and the
 // host can view it in the files' little-endian byte order, otherwise a copy

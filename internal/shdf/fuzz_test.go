@@ -3,10 +3,12 @@ package shdf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -74,7 +76,71 @@ func FuzzReader(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		exerciseAll(b)
+		sameThroughReadSDSInto(t, b)
 	})
+}
+
+// sameThroughReadSDSInto reads every object of an image as an SDS through
+// ReadSDS and through ReadSDSInto, into one Dataset reused for them all, on
+// two Files: one reads each object first through ReadSDS, the other first
+// through ReadSDSInto, so each form meets both a first load and a verified
+// payload. The two forms must fail with the same error class, or return
+// the same name, type, dims, data and borrowing.
+func sameThroughReadSDSInto(t *testing.T, data []byte) {
+	files := [2]*File{}
+	for i := range files {
+		f, err := NewFile(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			return
+		}
+		files[i] = f
+	}
+	var into Dataset
+	for _, info := range files[0].Objects() {
+		for i, f := range files {
+			var ds *Dataset
+			var err, intoErr error
+			if i == 0 {
+				ds, err = f.ReadSDS(info.Ref)
+				intoErr = f.ReadSDSInto(info.Ref, &into)
+			} else {
+				intoErr = f.ReadSDSInto(info.Ref, &into)
+				ds, err = f.ReadSDS(info.Ref)
+			}
+			if errClass(err) != errClass(intoErr) {
+				t.Fatalf("ref %d: ReadSDS error %v, ReadSDSInto error %v", info.Ref, err, intoErr)
+			}
+			if err != nil {
+				continue
+			}
+			if ds.Name != into.Name || ds.Type != into.Type || ds.Borrowed != into.Borrowed ||
+				!slices.Equal(ds.Dims, into.Dims) || !sameElems(ds.Uint8s, into.Uint8s) ||
+				!sameElems(ds.Int32s, into.Int32s) || !sameElems(ds.Int64s, into.Int64s) ||
+				!sameElems(ds.Float32s, into.Float32s) || !sameElems(ds.Float64s, into.Float64s) {
+				t.Fatalf("ref %d: ReadSDS gave %+v, ReadSDSInto %+v", info.Ref, *ds, into)
+			}
+		}
+	}
+}
+
+// errClass names the package error err wraps: "" for nil, "other" for an
+// error that wraps none.
+func errClass(err error) string {
+	if err == nil {
+		return ""
+	}
+	for _, class := range []error{ErrNotSHDF, ErrCorrupt, ErrChecksum, ErrNoObject, ErrBadType} {
+		if errors.Is(err, class) {
+			return class.Error()
+		}
+	}
+	return "other"
+}
+
+// sameElems reports whether a and b hold the same elements, NaN matching
+// NaN, and are both nil or both not.
+func sameElems[T comparable](a, b []T) bool {
+	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, func(x, y T) bool { return x == y || x != x && y != y })
 }
 
 // seedInputs is the checked-in seed corpus for FuzzReader: one valid image,

@@ -10,22 +10,24 @@ import (
 )
 
 // touchLocked writes every field f.mu guards — the check count, the
-// mapping Close unmaps and each entry's memoized payload, verification and
-// dataset — with the value each already holds. Caller holds f.mu. Under
+// mapping Close unmaps, the verified bits and the ReadAt path's payload
+// buffers — with the value each already holds. Caller holds f.mu. Under
 // -race it makes locktest.Probe see an access a method makes outside the
 // lock, however briefly.
 func (f *File) touchLocked() {
-	for i := range f.entries {
-		e := &f.entries[i]
-		e.payload = locktest.Keep(e.payload)
-		e.verified = locktest.Keep(e.verified)
-		e.ds = locktest.Keep(e.ds)
+	f.verified = locktest.Keep(f.verified)
+	f.buffers = locktest.Keep(f.buffers)
+	for i := range f.verified {
+		f.verified[i] = locktest.Keep(f.verified[i])
+	}
+	for i := range f.buffers {
+		f.buffers[i] = locktest.Keep(f.buffers[i])
 	}
 	f.mapping = locktest.Keep(f.mapping)
 	f.checks = locktest.Keep(f.checks)
 }
 
-// TestLockWindows reads a file's datasets, memoized and not, through the
+// TestLockWindows reads a file's datasets, verified and not, through the
 // read path and the mapping, counts its checksums and closes it, from two
 // goroutines, under locktest.Probe on the file's mutex.
 func TestLockWindows(t *testing.T) {

@@ -23,19 +23,31 @@ func TestNoAllocGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm both memos of sds; attr stays unread, so its entry is
+	path := filepath.Join(t.TempDir(), "gate.shdf")
+	msds, _, _ := writeSample(t, path)
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	// Verify sds in both files; attr stays unread, so its entry is
 	// unverified, and no object has ref grp+1.
 	if _, err := f.ReadSDS(sds); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := m.ReadSDS(msds); err != nil {
+		t.Fatal(err)
+	}
 	unknown := grp + 1
+	sdsAt, _ := f.lookup(sds)
+	attrAt, _ := f.lookup(attr)
+	msdsAt, _ := m.lookup(msds)
 	shuffled := withRefs(t, threeSDS(t), 3, 1, 2)
 	g, err := NewFile(bytes.NewReader(shuffled), int64(len(shuffled)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p []byte
-	var ds *Dataset
+	var p, mp []byte
 	noalloctest.Check(t, ".", map[string]func(){
 		"File.lookup": func() {
 			if i, ok := f.lookup(sds); !ok || f.entries[i].ref != sds {
@@ -51,30 +63,34 @@ func TestNoAllocGates(t *testing.T) {
 				panic("shuffled directory has ref 4")
 			}
 		},
-		"File.cachedPayload": func() {
-			if _, e, _, ok := f.cachedPayload(unknown); ok || e != nil {
-				panic("unknown ref has an entry")
-			}
-			if _, e, _, ok := f.cachedPayload(attr); ok || e == nil {
-				panic("unread attribute is not an unverified entry")
-			}
+		"File.verifiedLocked": func() {
+			f.mu.Lock()
+			_, unread := f.verifiedLocked(attrAt)
 			var ok bool
-			p, _, ds, ok = f.cachedPayload(sds)
+			p, ok = f.verifiedLocked(sdsAt)
+			f.mu.Unlock()
+			if unread || !ok {
+				panic("unread attribute verified, or read payload not")
+			}
+			m.mu.Lock()
+			mp, ok = m.verifiedLocked(msdsAt)
+			m.mu.Unlock()
 			if !ok {
-				panic("payload not cached")
+				panic("mapped payload not verified")
 			}
 		},
 	})
-	if (len(p) == 0 || ds == nil) && !t.Failed() {
-		t.Errorf("cachedPayload gate returned payload %d bytes, view %p; want both memoized", len(p), ds)
+	if (len(p) == 0 || len(mp) == 0) && !t.Failed() {
+		t.Errorf("verifiedLocked gate returned payloads of %d and %d bytes; want both verified", len(p), len(mp))
 	}
 }
 
-// A memo-hit ReadSDS of a mapped file — every read after a dataset's first
-// — allocates nothing: no header decode, no Dataset, no dims.
+// A repeat read of a mapped file's dataset through ReadSDSInto — every
+// read after a dataset's first — allocates nothing: no header decode
+// allocation, no Dataset, no dims, since the caller's Dataset holds them.
 func TestReadSDSMemoHitNoAlloc(t *testing.T) {
 	if !zerocopy.LittleEndian {
-		t.Skip("a big-endian host copy-decodes, which is never memoized")
+		t.Skip("a big-endian host copy-decodes every read")
 	}
 	path := filepath.Join(t.TempDir(), "memo.shdf")
 	sds, _, _ := writeSample(t, path)
@@ -83,19 +99,19 @@ func TestReadSDSMemoHitNoAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	first, err := f.ReadSDS(sds)
-	if err != nil {
+	var ds Dataset
+	if err := f.ReadSDSInto(sds, &ds); err != nil {
 		t.Fatal(err)
 	}
-	var ds *Dataset
+	first := ds.Float64s
 	allocs := testing.AllocsPerRun(100, func() {
-		ds, err = f.ReadSDS(sds)
+		err = f.ReadSDSInto(sds, &ds)
 	})
-	if err != nil || ds != first {
-		t.Fatalf("memo hit returned %p, %v; want the first read's %p", ds, err, first)
+	if err != nil || !ds.Borrowed || &ds.Float64s[0] != &first[0] {
+		t.Fatalf("repeat read: %v, borrowed %v; want the first read's view of the mapping", err, ds.Borrowed)
 	}
 	if allocs != 0 {
-		t.Fatalf("memo-hit ReadSDS allocates %v times per call, want 0", allocs)
+		t.Fatalf("repeat ReadSDSInto allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package shdf
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -11,16 +10,17 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"godiva/internal/zerocopy"
 )
 
 // File is an opened SHDF file: its directory is in memory, object payloads
-// are read on demand and memoized once their CRC has been verified.
+// are read on demand and verified once.
 //
 // Borrowing contract: Dataset views flagged Borrowed alias memory owned by
-// the File (the mmap, or the verified payload cache). They are strictly
+// the File (the mmap, or a verified payload buffer). They are strictly
 // read-only; writing through a borrowed view corrupts every later read of
 // the same ref, and faults outright on a mapped file. Borrowed views of a
 // mapped file are valid only until Close unmaps the file.
@@ -29,15 +29,18 @@ type File struct {
 	f       *os.File    // non-nil when opened by path and read through ReadAt
 	stat    os.FileInfo // the opened file's identity; nil for NewFile
 	size    int64
-	entries []dirEntry // in directory order; names are substrings of one string
+	entries []dirEntry // in directory order
+	names   string     // every entry's name, back to back, in directory order
 	// byRef lists entry positions sorted by ref, for a directory whose refs
 	// are not 1..n in order; nil for the writer's directories, whose ref r
 	// is entries[r-1].
 	byRef []int
 
-	mapping []byte     // non-nil when opened by OpenMapped and mmap succeeded
-	mu      sync.Mutex // guards entries' payload/verified/ds memoization
-	checks  int        // payload CRCs computed; guarded by mu
+	mu       sync.Mutex
+	mapping  []byte   // non-nil when opened by OpenMapped and mmap succeeded; guarded by mu
+	verified []uint64 // bit i: entries[i]'s payload passed its CRC; guarded by mu
+	buffers  [][]byte // ReadAt path: entries[i]'s verified payload, made at the first load; guarded by mu
+	checks   int      // payload CRCs computed; guarded by mu
 }
 
 // Open opens the named SHDF file.
@@ -91,7 +94,7 @@ func OpenMapped(path string) (*File, error) {
 		munmapFile(m)
 		return nil, err
 	}
-	f, err := newFile(bytes.NewReader(m), st.Size(), m)
+	f, err := newFile(closedReaderAt{}, st.Size(), m)
 	if err != nil {
 		munmapFile(m)
 		return nil, err
@@ -113,9 +116,8 @@ func (f *File) Mapped() bool {
 // nil for a File made by NewFile.
 func (f *File) Stat() os.FileInfo { return f.stat }
 
-// Checksums returns how many payload CRCs the File has computed. A verified
-// payload is memoized, so each object is checked once per File unless its
-// check fails.
+// Checksums returns how many payload CRCs the File has computed. An object
+// is checked once per File, or once per mapping, unless its check fails.
 func (f *File) Checksums() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -128,7 +130,7 @@ func NewFile(r io.ReaderAt, size int64) (*File, error) {
 }
 
 // newFile opens an SHDF image of the given size read through r, or sliced
-// straight out of mapping when that is non-nil (r then reads the mapping).
+// straight out of mapping when that is non-nil (r is then never read).
 func newFile(r io.ReaderAt, size int64, mapping []byte) (*File, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("%w: negative size", ErrNotSHDF)
@@ -145,21 +147,15 @@ func newFile(r io.ReaderAt, size int64, mapping []byte) (*File, error) {
 
 // Close unmaps the file (if mapped) or closes the underlying file (if the
 // File owns one). Borrowed payloads of a mapped file are invalid afterwards;
-// the payload cache is dropped so later reads fail cleanly instead of
-// touching unmapped memory.
+// its payloads count as unverified again, so later reads fail cleanly
+// instead of touching unmapped memory.
 func (f *File) Close() error {
 	var err error
 	f.mu.Lock()
 	if f.mapping != nil {
-		for i := range f.entries {
-			f.entries[i].payload = nil
-			f.entries[i].verified = false
-			f.entries[i].ds = nil
-		}
+		clear(f.verified)
 		err = munmapFile(f.mapping)
 		f.mapping = nil
-		// f.r aliased the mapping; it must not be read again.
-		f.r = closedReaderAt{}
 	}
 	osf := f.f
 	f.f = nil
@@ -208,10 +204,10 @@ const entryMin = 2 + 4 + 8 + 8 + 4 + 2
 
 // readDirectory decodes the directory into entries, sized once from the
 // footer's count. A count the directory's bytes cannot hold is corrupt and
-// refused before anything is sized from it. Every name is a substring of
-// one string copied from the directory bytes, so the names cost one
-// allocation, and unless the refs are the writer's 1..n a sorted index
-// (byRef) stands in for a map from ref to entry.
+// refused before anything is sized from it. Every name is copied into one
+// string, names, without the entry headers, and unless the refs are the
+// writer's 1..n a sorted index (byRef) stands in for a map from ref to
+// entry.
 func (f *File) readDirectory() error {
 	const footerLen = 8 + 4 + 4
 	if f.size < int64(len(magic)+4+footerLen) {
@@ -233,12 +229,11 @@ func (f *File) readDirectory() error {
 	if err != nil {
 		return fmt.Errorf("%w: directory: %v", ErrCorrupt, err)
 	}
-	if uint64(count) > uint64(len(dirBytes)/entryMin) {
+	if uint64(count) > uint64(len(dirBytes)/entryMin) || uint64(len(dirBytes)) > math.MaxUint32 {
 		return fmt.Errorf("%w: %d directory entries in %d bytes", ErrCorrupt, count, len(dirBytes))
 	}
-	dir := string(dirBytes)
 	f.entries = make([]dirEntry, count)
-	inOrder := true
+	inOrder, nameBytes := true, 0
 	d := decoder{buf: dirBytes}
 	for i := range f.entries {
 		e := &f.entries[i]
@@ -247,20 +242,30 @@ func (f *File) readDirectory() error {
 		e.offset = d.u64()
 		e.length = d.u64()
 		e.crc = d.u32()
-		n := int(d.u16())
-		at := d.off
-		if d.bytes(n); d.err != nil {
+		e.nameLen = d.u16()
+		e.nameAt = uint32(d.off) // in dirBytes until the names are copied
+		if d.bytes(int(e.nameLen)); d.err != nil {
 			return fmt.Errorf("%w: directory entry %d", ErrCorrupt, i)
 		}
-		e.name = dir[at : at+n]
 		// Bounds-check without uint64 wraparound: an entry whose offset or
 		// length was corrupted to a huge value must not pass as in-range
 		// (offset+length can wrap) nor reach make([]byte, length).
 		if e.length > dirOffset || e.offset > dirOffset-e.length {
-			return fmt.Errorf("%w: object %q extends past directory", ErrCorrupt, e.name)
+			return fmt.Errorf("%w: object %q extends past directory", ErrCorrupt, e.nameIn(string(dirBytes)))
 		}
 		inOrder = inOrder && e.ref == Ref(i+1)
+		nameBytes += int(e.nameLen)
 	}
+	var names strings.Builder
+	names.Grow(nameBytes)
+	for i := range f.entries {
+		e := &f.entries[i]
+		at := names.Len()
+		names.Write(dirBytes[e.nameAt : e.nameAt+uint32(e.nameLen)])
+		e.nameAt = uint32(at)
+	}
+	f.names = names.String()
+	f.verified = make([]uint64, (len(f.entries)+63)/64)
 	if !inOrder {
 		f.byRef = make([]int, len(f.entries))
 		for i := range f.byRef {
@@ -363,8 +368,8 @@ type ObjectInfo struct {
 	ByteLen int64 // payload length on disk
 }
 
-func (e *dirEntry) info() ObjectInfo {
-	return ObjectInfo{Tag: e.tag, Ref: e.ref, Name: e.name,
+func (f *File) info(e *dirEntry) ObjectInfo {
+	return ObjectInfo{Tag: e.tag, Ref: e.ref, Name: e.nameIn(f.names),
 		Offset: int64(e.offset), ByteLen: int64(e.length)}
 }
 
@@ -372,7 +377,7 @@ func (e *dirEntry) info() ObjectInfo {
 func (f *File) Objects() []ObjectInfo {
 	out := make([]ObjectInfo, len(f.entries))
 	for i := range f.entries {
-		out[i] = f.entries[i].info()
+		out[i] = f.info(&f.entries[i])
 	}
 	return out
 }
@@ -382,7 +387,7 @@ func (f *File) Datasets() []ObjectInfo {
 	var out []ObjectInfo
 	for i := range f.entries {
 		if f.entries[i].tag == TagSDS {
-			out = append(out, f.entries[i].info())
+			out = append(out, f.info(&f.entries[i]))
 		}
 	}
 	return out
@@ -392,7 +397,7 @@ func (f *File) Datasets() []ObjectInfo {
 func (f *File) NumObjects() int { return len(f.entries) }
 
 // Object returns the i'th object in directory order, 0 ≤ i < NumObjects.
-func (f *File) Object(i int) ObjectInfo { return f.entries[i].info() }
+func (f *File) Object(i int) ObjectInfo { return f.info(&f.entries[i]) }
 
 // Info returns the directory entry for a ref.
 func (f *File) Info(ref Ref) (ObjectInfo, error) {
@@ -400,75 +405,60 @@ func (f *File) Info(ref Ref) (ObjectInfo, error) {
 	if !ok {
 		return ObjectInfo{}, fmt.Errorf("%w: ref %d", ErrNoObject, ref)
 	}
-	return f.entries[i].info(), nil
+	return f.info(&f.entries[i]), nil
 }
 
 // FindByName returns the first object with the given tag and name.
 func (f *File) FindByName(tag Tag, name string) (ObjectInfo, error) {
 	for i := range f.entries {
-		if f.entries[i].tag == tag && f.entries[i].name == name {
-			return f.entries[i].info(), nil
+		if e := &f.entries[i]; e.tag == tag && e.nameIn(f.names) == name {
+			return f.info(e), nil
 		}
 	}
 	return ObjectInfo{}, fmt.Errorf("%w: %v %q", ErrNoObject, tag, name)
 }
 
-// closedReaderAt replaces a mapped File's reader after Close, so late reads
-// fail instead of touching unmapped memory.
+// closedReaderAt is a mapped File's reader, read only once Close has
+// unmapped the file, so late reads fail instead of touching unmapped memory.
 type closedReaderAt struct{}
 
 func (closedReaderAt) ReadAt([]byte, int64) (int, error) { return 0, os.ErrClosed }
 
-// cachedPayload is the steady-state read path: a verified payload — and, for
-// an SDS read before, its memoized borrowed view — comes straight from the
-// memo with no I/O, no hashing, and no allocation.
+// verifiedLocked returns entries[i]'s payload if its CRC has been checked:
+// a subslice of the mapping, or its ReadAt buffer. It is the steady-state
+// read path, with no I/O, no hashing and no allocation. Caller holds f.mu.
 //
 //godiva:noalloc
-func (f *File) cachedPayload(ref Ref) ([]byte, *dirEntry, *Dataset, bool) {
-	f.mu.Lock()
-	i, ok := f.lookup(ref)
-	if !ok {
-		f.mu.Unlock()
-		return nil, nil, nil, false
+func (f *File) verifiedLocked(i int) ([]byte, bool) {
+	if f.verified[i/64]&(1<<(i%64)) == 0 {
+		return nil, false
+	}
+	if f.mapping == nil {
+		return f.buffers[i], true
 	}
 	e := &f.entries[i]
-	if !e.verified {
-		f.mu.Unlock()
-		return nil, e, nil, false
-	}
-	p, ds := e.payload, e.ds
-	f.mu.Unlock()
-	return p, e, ds, true
+	// readDirectory bounds-checked offset+length against the directory
+	// offset, which is within the mapping.
+	return f.mapping[e.offset : e.offset+e.length : e.offset+e.length], true
 }
 
 // payloadFor returns the verified payload bytes for ref, borrowed from the
-// File, and the memoized view of an SDS that has one. The CRC is validated
-// exactly once per directory entry: the first access reads (or, when
-// mapped, aliases) the bytes and checks the sum; every later access hits
-// the memo.
-func (f *File) payloadFor(ref Ref) ([]byte, *dirEntry, *Dataset, error) {
-	if p, e, ds, ok := f.cachedPayload(ref); ok {
-		return p, e, ds, nil
-	}
-	p, e, err := f.loadPayload(ref)
-	return p, e, nil, err
-}
-
-func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// File, and its entry. The CRC is validated once per entry: the first
+// access reads (or, when mapped, aliases) the bytes, checks the sum and
+// sets the entry's verified bit; every later access finds the bit.
+func (f *File) payloadFor(ref Ref) ([]byte, *dirEntry, error) {
 	i, ok := f.lookup(ref)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: ref %d", ErrNoObject, ref)
 	}
 	e := &f.entries[i]
-	if e.verified { // raced with another loader
-		return e.payload, e, nil
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if buf, ok := f.verifiedLocked(i); ok {
+		return buf, e, nil
 	}
 	var buf []byte
 	if f.mapping != nil {
-		// readDirectory bounds-checked offset+length against the directory
-		// offset, which is within the mapping.
 		buf = f.mapping[e.offset : e.offset+e.length : e.offset+e.length]
 	} else {
 		// Allocate at base ≡ 4 (mod 8) so an SDS data section — at payload
@@ -480,15 +470,20 @@ func (f *File) loadPayload(ref Ref) ([]byte, *dirEntry, error) {
 		// on waits on this mutex, so no lock-order cycle is possible through
 		// os.File.ReadAt.
 		if _, err := f.r.ReadAt(buf, int64(e.offset)); err != nil {
-			return nil, nil, fmt.Errorf("%w: object %q: %v", ErrCorrupt, e.name, err)
+			return nil, nil, fmt.Errorf("%w: object %q: %v", ErrCorrupt, e.nameIn(f.names), err)
 		}
 	}
 	f.checks++
 	if crc32.ChecksumIEEE(buf) != e.crc {
-		return nil, nil, fmt.Errorf("%w: object %q", ErrChecksum, e.name)
+		return nil, nil, fmt.Errorf("%w: object %q", ErrChecksum, e.nameIn(f.names))
 	}
-	e.payload = buf
-	e.verified = true
+	if f.mapping == nil {
+		if f.buffers == nil {
+			f.buffers = make([][]byte, len(f.entries))
+		}
+		f.buffers[i] = buf
+	}
+	f.verified[i/64] |= 1 << (i % 64)
 	return buf, e, nil
 }
 
@@ -506,13 +501,13 @@ type Dataset struct {
 	Float64s []float64
 
 	// Borrowed reports that the data slice above aliases memory owned by
-	// the File (the mapping or the verified payload cache) instead of a
+	// the File (the mapping or a verified payload buffer) instead of a
 	// private copy. Borrowed data is read-only, and for mapped files must
 	// not be used after the File is closed. It is set whenever the payload's
 	// data section is naturally aligned on a little-endian host; callers
-	// needing a private mutable copy must copy explicitly. A borrowed Dataset
-	// is itself memoized and shared by every ReadSDS of its ref, so its
-	// fields are read-only too.
+	// needing a private mutable copy must copy explicitly. The Dataset
+	// itself belongs to the caller: ReadSDS makes a fresh one per call, and
+	// ReadSDSInto fills the caller's.
 	Borrowed bool
 }
 
@@ -525,59 +520,70 @@ func (ds *Dataset) Len() int {
 	return n
 }
 
-// ReadSDS reads and decodes the scientific dataset with the given ref. A
-// dataset whose view borrows the File's memory is decoded once and the same
-// *Dataset returned from then on; a copy-decoded one (unaligned data, or a
-// big-endian host) is decoded afresh for every call, since the caller owns
-// that copy.
+// ReadSDS reads and decodes the scientific dataset with the given ref into
+// a new Dataset.
 func (f *File) ReadSDS(ref Ref) (*Dataset, error) {
-	buf, e, ds, err := f.payloadFor(ref)
-	if err != nil {
+	ds := new(Dataset)
+	if err := f.ReadSDSInto(ref, ds); err != nil {
 		return nil, err
 	}
-	if ds != nil {
-		return ds, nil
+	return ds, nil
+}
+
+// ReadSDSInto is ReadSDS into the caller's ds, whose every field it
+// replaces. Dims reuses the memory of ds.Dims, so a caller that reads many
+// datasets through one Dataset allocates nothing for a borrowed view: a
+// Dims slice taken from ds before the call is overwritten by it. On error
+// ds is left in an unspecified state.
+func (f *File) ReadSDSInto(ref Ref, ds *Dataset) error {
+	buf, e, err := f.payloadFor(ref)
+	if err != nil {
+		return err
 	}
+	name := e.nameIn(f.names)
 	if e.tag != TagSDS {
-		return nil, fmt.Errorf("%w: ref %d is a %v, not an SDS", ErrNoObject, ref, e.tag)
+		return fmt.Errorf("%w: ref %d is a %v, not an SDS", ErrNoObject, ref, e.tag)
 	}
 	d := decoder{buf: buf}
 	nt := NumType(d.u16())
 	rank := int(d.u16())
-	if rank < 0 || rank > maxRank {
-		return nil, fmt.Errorf("%w: SDS %q rank %d", ErrCorrupt, e.name, rank)
+	if rank > maxRank {
+		return fmt.Errorf("%w: SDS %q rank %d", ErrCorrupt, name, rank)
 	}
-	dims := make([]int, rank)
+	dims := ds.Dims[:0]
+	if cap(dims) < rank {
+		dims = make([]int, 0, rank)
+	}
 	n := 1
-	for i := range dims {
+	for range rank {
 		v := d.u64()
 		// Every dimension and the running element count are bounded by the
 		// payload length: anything larger is a corrupt header, and letting it
 		// through would overflow the product or feed a huge make() below.
-		if v > uint64(len(buf)) {
-			return nil, fmt.Errorf("%w: SDS %q dims", ErrCorrupt, e.name)
+		if v > uint64(len(buf)) || v != 0 && n > len(buf)/int(v) {
+			return fmt.Errorf("%w: SDS %q dims", ErrCorrupt, name)
 		}
-		dims[i] = int(v)
-		if dims[i] != 0 && n > len(buf)/dims[i] {
-			return nil, fmt.Errorf("%w: SDS %q dims", ErrCorrupt, e.name)
-		}
-		n *= dims[i]
+		n *= int(v)
+		dims = append(dims, int(v))
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: SDS %q header", ErrCorrupt, e.name)
+		return fmt.Errorf("%w: SDS %q header", ErrCorrupt, name)
 	}
 	es := nt.Size()
 	if es == 0 {
-		return nil, fmt.Errorf("%w: SDS %q type %v", ErrBadType, e.name, nt)
+		return fmt.Errorf("%w: SDS %q type %v", ErrBadType, name, nt)
 	}
 	raw := d.bytes(n * es)
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: SDS %q data", ErrCorrupt, e.name)
+		return fmt.Errorf("%w: SDS %q data", ErrCorrupt, name)
 	}
-	ds = &Dataset{Name: e.name, Type: nt, Dims: dims}
-	// The payload is memoized and verified, so the data section can be
-	// aliased instead of decode-copied when its alignment and the host's
-	// endianness allow; the copying decode below remains the fallback.
+	// Field by field, not a composite literal, which is built aside and
+	// copied in.
+	ds.Name, ds.Type, ds.Dims = name, nt, dims
+	ds.Uint8s, ds.Int32s, ds.Int64s, ds.Float32s, ds.Float64s = nil, nil, nil, nil, nil
+	// The payload is verified and lives as long as the File, so the data
+	// section can be aliased instead of decode-copied when its alignment
+	// and the host's endianness allow; the copying decode is the fallback.
 	switch nt {
 	case TypeUint8:
 		ds.Uint8s, ds.Borrowed = zerocopy.Decode[uint8](raw)
@@ -590,17 +596,7 @@ func (f *File) ReadSDS(ref Ref) (*Dataset, error) {
 	case TypeFloat64:
 		ds.Float64s, ds.Borrowed = zerocopy.Decode[float64](raw)
 	}
-	if ds.Borrowed {
-		f.mu.Lock()
-		switch {
-		case e.ds != nil: // a racing decode memoized first
-			ds = e.ds
-		case e.verified: // not cleared by a Close since payloadFor
-			e.ds = ds
-		}
-		f.mu.Unlock()
-	}
-	return ds, nil
+	return nil
 }
 
 // Attr is a decoded attribute.
@@ -616,17 +612,18 @@ type Attr struct {
 
 // ReadAttr reads and decodes the attribute with the given ref.
 func (f *File) ReadAttr(ref Ref) (*Attr, error) {
-	buf, e, _, err := f.payloadFor(ref)
+	buf, e, err := f.payloadFor(ref)
 	if err != nil {
 		return nil, err
 	}
+	name := e.nameIn(f.names)
 	if e.tag != TagAttr {
 		return nil, fmt.Errorf("%w: ref %d is a %v, not an attribute", ErrNoObject, ref, e.tag)
 	}
 	d := decoder{buf: buf}
 	nt := NumType(d.u16())
 	count := int(d.u64())
-	a := &Attr{Name: e.name}
+	a := &Attr{Name: name}
 	switch nt {
 	case TypeUint8:
 		a.Str = string(d.bytes(count))
@@ -638,10 +635,10 @@ func (f *File) ReadAttr(ref Ref) (*Attr, error) {
 		a.Float = math.Float64frombits(d.u64())
 		a.IsFlt = true
 	default:
-		return nil, fmt.Errorf("%w: attribute %q type %v", ErrBadType, e.name, nt)
+		return nil, fmt.Errorf("%w: attribute %q type %v", ErrBadType, name, nt)
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: attribute %q", ErrCorrupt, e.name)
+		return nil, fmt.Errorf("%w: attribute %q", ErrCorrupt, name)
 	}
 	return a, nil
 }
@@ -665,10 +662,11 @@ func (f *File) ReadVGroup(ref Ref) (*VGroup, error) {
 // appending its members to dst: a caller that reads many groups into one
 // list allocates none for them.
 func (f *File) AppendVGroup(dst []Ref, ref Ref) (name string, members []Ref, err error) {
-	buf, e, _, err := f.payloadFor(ref)
+	buf, e, err := f.payloadFor(ref)
 	if err != nil {
 		return "", dst, err
 	}
+	name = e.nameIn(f.names)
 	if e.tag != TagVGroup {
 		return "", dst, fmt.Errorf("%w: ref %d is a %v, not a vgroup", ErrNoObject, ref, e.tag)
 	}
@@ -677,22 +675,22 @@ func (f *File) AppendVGroup(dst []Ref, ref Ref) (name string, members []Ref, err
 	// The member list must actually fit in the payload; checking before the
 	// append keeps a corrupt count from allocating gigabytes.
 	if count < 0 || count > 1<<24 || count > (len(buf)-4)/4 {
-		return "", dst, fmt.Errorf("%w: vgroup %q count", ErrCorrupt, e.name)
+		return "", dst, fmt.Errorf("%w: vgroup %q count", ErrCorrupt, name)
 	}
 	raw := d.bytes(4 * count)
 	if d.err != nil {
-		return "", dst, fmt.Errorf("%w: vgroup %q", ErrCorrupt, e.name)
+		return "", dst, fmt.Errorf("%w: vgroup %q", ErrCorrupt, name)
 	}
 	// The members outlive the payload, which may be a read-only mapping, so
 	// a view of it is copied.
 	if members, ok := zerocopy.View[Ref](raw); ok {
-		return e.name, append(dst, members...), nil
+		return name, append(dst, members...), nil
 	}
 	for len(raw) > 0 {
 		dst = append(dst, Ref(binary.LittleEndian.Uint32(raw)))
 		raw = raw[4:]
 	}
-	return e.name, dst, nil
+	return name, dst, nil
 }
 
 // VGroups lists all vgroups, sorted by name, with their members decoded.

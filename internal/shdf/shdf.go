@@ -115,22 +115,22 @@ var (
 	ErrWriterDone = errors.New("shdf: writer already closed")
 )
 
-// dirEntry is one directory record as a File reads it. The File also
-// memoizes the verified payload here: after the first access the CRC has
-// been checked exactly once and payload holds the bytes (a subslice of the
-// mapping for mapped files, a private heap buffer otherwise), so repeated
-// access to a hot object costs neither I/O nor hashing. An SDS whose
-// decoded view borrows that payload memoizes the view too, so repeated
-// ReadSDS calls cost no header decode and no allocation.
+// dirEntry is one directory record as a File reads it: the on-disk fields
+// and its name's span in the File's names string, 32 bytes. Entries are
+// written once, by readDirectory, and read without a lock; what a File
+// learns later — which payloads passed their CRC, and on the ReadAt path
+// their buffers — it keeps beside the entries, under its mutex.
 type dirEntry struct {
-	tag    Tag
-	ref    Ref
-	offset uint64
-	length uint64
-	crc    uint32
-	name   string
+	offset  uint64
+	length  uint64
+	ref     Ref
+	crc     uint32
+	nameAt  uint32
+	tag     Tag
+	nameLen uint16
+}
 
-	payload  []byte   // verified payload bytes; only meaningful when verified
-	verified bool     // CRC checked once; payload is usable
-	ds       *Dataset // borrowed view of payload, decoded once; nil until then
+// nameIn returns the entry's name, a substring of names.
+func (e *dirEntry) nameIn(names string) string {
+	return names[e.nameAt : e.nameAt+uint32(e.nameLen)]
 }

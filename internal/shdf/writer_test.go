@@ -23,8 +23,14 @@ import (
 // the image; Close builds the directory the same way.
 type oracle struct {
 	img     []byte
-	dir     []dirEntry
+	dir     []oracleEntry
 	nextRef Ref
+}
+
+// oracleEntry is one directory record the oracle writes, name and all.
+type oracleEntry struct {
+	dirEntry
+	name string
 }
 
 func newOracle() *oracle {
@@ -37,8 +43,8 @@ func newOracle() *oracle {
 func (o *oracle) add(tag Tag, name string, p []byte) Ref {
 	ref := o.nextRef
 	o.nextRef++
-	o.dir = append(o.dir, dirEntry{tag: tag, ref: ref, offset: uint64(len(o.img)),
-		length: uint64(len(p)), crc: crc32.ChecksumIEEE(p), name: name})
+	o.dir = append(o.dir, oracleEntry{dirEntry{tag: tag, ref: ref, offset: uint64(len(o.img)),
+		length: uint64(len(p)), crc: crc32.ChecksumIEEE(p)}, name})
 	o.img = append(o.img, p...)
 	return ref
 }

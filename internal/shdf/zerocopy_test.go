@@ -494,6 +494,6 @@ func TestReadAtPathBorrows(t *testing.T) {
 // raw returns the verified payload bytes for ref, borrowed from the File
 // under the borrowing contract in the File doc comment.
 func (f *File) raw(ref Ref) ([]byte, error) {
-	buf, _, _, err := f.payloadFor(ref)
+	buf, _, err := f.payloadFor(ref)
 	return buf, err
 }

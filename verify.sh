@@ -20,13 +20,17 @@
 #               into a reused aggregate, cell-to-point and vector magnitudes into
 #               a reused array, a draw into a warm renderer, a recolor of
 #               what it drew), shdf's 1 MiB WriteSDS, which streams the
-#               caller's array to the file, and BenchmarkWriterReuse, a
+#               caller's array to the file, BenchmarkWriterReuse, a
 #               multi-object file through a Writer reset for each file (its
-#               buffer, directory and names kept), under -benchmem; any benchmark
+#               buffer, directory and names kept), and genx's
+#               BenchmarkReadBlockWarm, one D1h block's mesh and 12 fields
+#               read from a file a Mapped Reader's table already held, under
+#               -benchmem; any benchmark
 #               reporting nonzero allocs/op is an allocation regression on
-#               a zero-alloc path and fails the gate. Then the seven
-#               allocation-bound tests (fetch, ingest, snapshot open,
-#               FileWriter, unit cycle, session view, WriteSDS) run with -v
+#               a zero-alloc path and fails the gate. Then the nine
+#               allocation-bound tests (fetch, ingest, server-side ingest,
+#               snapshot open, FileWriter, unit cycle, TG unit cycle with a
+#               surface pass, session view, WriteSDS) run with -v
 #               and their figure lines are printed: the columns of
 #               EXPERIMENTS.md "Allocation ledger"
 #   race-core   race-detector pass over the concurrent core (its schedule
@@ -129,9 +133,9 @@ check_gofmt() {
 
 check_benchmem() {
     out=$(go test -run '^$' \
-        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkKeyLookupFreshKeys|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkAppendCutPlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS|BenchmarkWriterReuse)$' \
+        -bench '^(BenchmarkConcurrentQuery|BenchmarkKeyLookup|BenchmarkKeyLookupFreshKeys|BenchmarkStatsSnapshot|BenchmarkBoundaryFaces|BenchmarkAppendSurface|BenchmarkIsoSurface|BenchmarkSlicePlane|BenchmarkAppendCutPlane|BenchmarkCellToPoint|BenchmarkVectorMagnitude|BenchmarkDrawSurface|BenchmarkRecolor|BenchmarkWriteSDS|BenchmarkWriterReuse|BenchmarkReadBlockWarm)$' \
         -benchmem -benchtime 1000x -count=1 \
-        ./internal/core ./internal/mesh ./internal/vis ./internal/render ./internal/shdf) || {
+        ./internal/core ./internal/mesh ./internal/vis ./internal/render ./internal/shdf ./internal/genx) || {
         echo "$out"
         return 1
     }
@@ -143,7 +147,7 @@ check_benchmem() {
         return 1
     fi
     out=$(go test -count=1 -v \
-        -run '^(TestFetchAllocBound|TestIngestAllocBound|TestOpenAllocBound|TestFileWriterAllocBound|TestUnitCycleReusesBufferMemory|TestSessionViewAllocBound|TestWriteSDSAllocBound)$' \
+        -run '^(TestFetchAllocBound|TestIngestAllocBound|TestIngestServerAllocBound|TestOpenAllocBound|TestFileWriterAllocBound|TestUnitCycleReusesBufferMemory|TestTGUnitCycleAllocBound|TestSessionViewAllocBound|TestWriteSDSAllocBound)$' \
         ./internal/remote ./internal/genx ./internal/core ./internal/rocketeer ./internal/shdf) || {
         echo "$out"
         return 1
